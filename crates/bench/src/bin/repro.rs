@@ -12,7 +12,6 @@
 //! repro ablation-streaming   # streaming vs batch graph construction
 //! repro ablation-pipeline    # cross-block execution pipeline vs block barrier
 //! repro ablation-durability  # in-memory vs on-disk (WAL+fsync) execution
-//! repro ablation-mode        # pessimistic vs optimistic (Block-STM) vs hybrid
 //! repro recover              # kill a durable cluster, recover from disk, verify digests
 //! repro recover --data-dir D # same, persisting under D instead of a tempdir
 //! repro explore --seeds 200  # deterministic simulation: sweep 200 seeds with
@@ -41,7 +40,7 @@
 //! Results print to stdout and are written as CSV under `bench_results/`.
 
 use parblock_bench::{
-    ablation_commit_batching, ablation_durability, ablation_mode, ablation_mv_graph,
+    ablation_commit_batching, ablation_durability, ablation_mv_graph,
     ablation_pipeline, ablation_streaming, default_data_dir, default_seed_file, explore_one,
     explore_sweep, fig5_block_size, fig6_contention, fig7_geo, knee_summary, load_seed_file,
     check_knee_baseline, parse_rates, recover_demo, run_saturate, run_trace, saturate_table,
@@ -252,7 +251,6 @@ fn main() {
         "ablation-streaming" => emit("ablation_streaming", &ablation_streaming(scale)),
         "ablation-pipeline" => emit("ablation_pipeline", &ablation_pipeline(scale)),
         "ablation-durability" => emit("ablation_durability", &ablation_durability(scale)),
-        "ablation-mode" => emit("ablation_mode", &ablation_mode(scale)),
         "explore" => {
             let mut config = parblock_sim::ExploreConfig {
                 faults: !args.iter().any(|a| a == "--no-faults"),
@@ -325,13 +323,12 @@ fn main() {
             emit("ablation_streaming", &ablation_streaming(scale));
             emit("ablation_pipeline", &ablation_pipeline(scale));
             emit("ablation_durability", &ablation_durability(scale));
-            emit("ablation_mode", &ablation_mode(scale));
             emit("recover", &recover_demo(&default_data_dir()));
             run_saturate_cmd(&args, scale);
         }
         other => {
             eprintln!("unknown command: {other}");
-            eprintln!("usage: repro [fig5|fig6|fig7|ablation-commit|ablation-mv|ablation-streaming|ablation-pipeline|ablation-durability|ablation-mode|recover|explore|saturate|trace|lint|all] [--contention N] [--move GROUP] [--data-dir DIR] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
+            eprintln!("usage: repro [fig5|fig6|fig7|ablation-commit|ablation-mv|ablation-streaming|ablation-pipeline|ablation-durability|recover|explore|saturate|trace|lint|all] [--contention N] [--move GROUP] [--data-dir DIR] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
             std::process::exit(2);
         }
     }

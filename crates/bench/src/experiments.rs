@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use parblockchain::{
-    run, run_fixed, ClusterSpec, CommitFlush, ExecutionMode, GraphConstruction, LoadSpec,
+    run, run_fixed, ClusterSpec, CommitFlush, GraphConstruction, LoadSpec,
     MovedGroup, RunReport, SystemKind,
 };
 use parblock_depgraph::{ConflictStats, DependencyGraph, DependencyMode};
@@ -371,57 +371,6 @@ pub fn ablation_pipeline(scale: ExperimentScale) -> Table {
                 format!("{:.2}", report.avg_latency().as_secs_f64() * 1e3),
                 format!("{:.2}", report.boundary_stall.as_secs_f64() * 1e3),
                 max_occupancy.to_string(),
-            ]);
-        }
-    }
-    table
-}
-
-/// **Ablation**: execution mode (DESIGN.md §11) — the paper's
-/// pessimistic dependency-graph scheduler vs the optimistic (Block-STM)
-/// engine vs the per-block hybrid, on the executor-bound cluster of
-/// [`ablation_pipeline`] across contention 0 / 0.5 / 0.9.
-///
-/// All three modes commit identical ledgers (pinned by
-/// `tests/mode_equivalence.rs`); this table shows what they *cost*:
-/// throughput, latency, and the speculation counters. At contention 0
-/// optimistic speculation is nearly free (every validation passes); at
-/// 0.9 clobbered reads abort and re-execute, and the hybrid's conflict
-/// density heuristic falls back to the pessimistic scheduler.
-#[must_use]
-pub fn ablation_mode(scale: ExperimentScale) -> Table {
-    let mut table = Table::new([
-        "contention",
-        "mode",
-        "throughput_tps",
-        "latency_ms",
-        "validations",
-        "aborts",
-        "re_execs",
-    ]);
-    let count = match scale {
-        ExperimentScale::Quick => 3_000,
-        ExperimentScale::Full => 9_000,
-    };
-    for contention in [0.0, 0.5, 0.9] {
-        for mode in ExecutionMode::ALL {
-            let mut spec = spec_for(SystemKind::Oxii, contention, false);
-            spec.execution_mode = mode;
-            spec.exec_pipeline_depth = 2;
-            spec.block_cut = BlockCutConfig::with_max_txns(100);
-            spec.costs = ExecutionCosts::per_tx(Duration::from_micros(500));
-            spec.exec_pool = 8;
-            spec.batch_max = 256;
-            spec.topology.intra = Duration::from_millis(2);
-            let report = run_fixed(&spec, count, 30_000.0, Duration::from_secs(120));
-            table.row([
-                format!("{:.0}%", contention * 100.0),
-                mode.to_string(),
-                format!("{:.0}", report.throughput_tps()),
-                format!("{:.2}", report.avg_latency().as_secs_f64() * 1e3),
-                report.validation_passes.to_string(),
-                report.aborts.to_string(),
-                report.re_executions.to_string(),
             ]);
         }
     }

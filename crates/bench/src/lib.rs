@@ -18,7 +18,7 @@ pub mod table;
 pub mod trace_cmd;
 
 pub use experiments::{
-    ablation_commit_batching, ablation_durability, ablation_mode, ablation_mv_graph,
+    ablation_commit_batching, ablation_durability, ablation_mv_graph,
     ablation_pipeline, ablation_streaming, fig5_block_size, fig6_contention, fig7_geo,
     measure_point, peak_search, ExperimentScale, Point,
 };

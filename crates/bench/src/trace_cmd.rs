@@ -231,8 +231,9 @@ pub fn trace_events_json(report: &RunReport) -> String {
     let mut first = true;
     for (tid, timeline) in report.trace.timelines.iter().enumerate() {
         // Walk consecutive *present* stages: a stage a transaction never
-        // crossed (e.g. `validated` under the pessimistic engine) folds
-        // into the surrounding gap, exactly like the histograms.
+        // crossed (e.g. `dispatched` for another application's
+        // transaction) folds into the surrounding gap, exactly like the
+        // histograms.
         let mut prev: Option<(Stage, u64)> = None;
         for (index, at) in timeline.stages.iter().enumerate() {
             let Some(at) = at else { continue };

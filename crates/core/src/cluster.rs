@@ -7,7 +7,7 @@ use std::time::Duration;
 use parblock_contracts::{AccountingContract, AppRegistry};
 use parblock_crypto::{KeyRegistry, SignerId};
 use parblock_depgraph::DependencyMode;
-use parblock_net::{DcId, Topology};
+use parblock_net::{DcId, NetworkBuilder, Topology};
 use parblock_types::{
     AppId, BlockCutConfig, ClientId, CommitPolicy, DurabilityConfig, ExecutionCosts,
     ExecutionMode, NodeId,
@@ -85,9 +85,8 @@ pub enum DurabilityMode {
         /// The cluster data directory.
         data_dir: PathBuf,
         /// When `true`, each run starts from an empty store (existing
-        /// node directories are wiped at cluster startup). Set by the
-        /// `PARBLOCK_DATA_DIR` env default so unrelated runs sharing a
-        /// spec never recover each other's state; explicit
+        /// node directories are wiped at cluster startup), so repeated
+        /// runs of one spec never recover each other's state; explicit
         /// crash-recovery setups clear it.
         fresh: bool,
     },
@@ -109,56 +108,6 @@ impl DurabilityMode {
     pub fn is_on_disk(&self) -> bool {
         matches!(self, DurabilityMode::OnDisk { .. })
     }
-}
-
-/// The default durability mode: when `PARBLOCK_DATA_DIR` is set (the CI
-/// durability job points it at a tempdir), every cluster persists under
-/// a unique fresh subdirectory of it; otherwise in-memory.
-fn env_durability() -> DurabilityMode {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    match std::env::var("PARBLOCK_DATA_DIR") {
-        Ok(base) if !base.trim().is_empty() => {
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            DurabilityMode::OnDisk {
-                data_dir: PathBuf::from(base.trim())
-                    .join(format!("run-{}-{n}", std::process::id())),
-                fresh: true,
-            }
-        }
-        _ => DurabilityMode::InMemory,
-    }
-}
-
-/// The default executor pipeline depth: the `PARBLOCK_PIPELINE_DEPTH`
-/// environment variable when it parses to a positive integer (the CI
-/// test matrix sets it), 2 otherwise.
-fn env_pipeline_depth() -> usize {
-    std::env::var("PARBLOCK_PIPELINE_DEPTH")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&depth| depth >= 1)
-        .unwrap_or(2)
-}
-
-/// The default execution mode: the `PARBLOCK_EXEC_MODE` environment
-/// variable when it parses (`pessimistic` / `optimistic` / `hybrid` —
-/// the CI test matrix sets it), pessimistic otherwise.
-fn env_exec_mode() -> ExecutionMode {
-    std::env::var("PARBLOCK_EXEC_MODE")
-        .ok()
-        .and_then(|raw| ExecutionMode::parse(&raw))
-        .unwrap_or_default()
-}
-
-/// The default mailbox engine: the `PARBLOCK_LEGACY_MAILBOXES` environment
-/// variable when it parses to a boolean (`1`/`true` pins the pre-§15
-/// single-queue engine; the equivalence battery sets it), sharded otherwise.
-fn env_legacy_mailboxes() -> bool {
-    std::env::var("PARBLOCK_LEGACY_MAILBOXES")
-        .ok()
-        .map(|raw| matches!(raw.trim(), "1" | "true" | "yes"))
-        .unwrap_or(false)
 }
 
 /// Datacenter latency model for an experiment.
@@ -218,18 +167,13 @@ pub struct ClusterSpec {
     /// executing block `n + 1` over multi-version snapshots while block
     /// `n`'s tail still commits (§III-A's multi-version adaptation).
     /// `1` reproduces the paper's strict block-at-a-time barrier (the
-    /// `ablation-pipeline` baseline). Defaults to 2, or to the
-    /// `PARBLOCK_PIPELINE_DEPTH` environment variable when set (the CI
-    /// test matrix pins 1 and 4); values below 1 are treated as 1.
+    /// `ablation-pipeline` baseline). Defaults to 2; values below 1 are
+    /// treated as 1.
     pub exec_pipeline_depth: usize,
-    /// How OXII executors schedule a block's transactions: the paper's
-    /// pessimistic dependency-graph engine, the Block-STM optimistic
-    /// engine (speculate / validate / re-execute), or a per-block hybrid
-    /// choice driven by the shipped graph's conflict density. Both
-    /// engines commit byte-identical ledgers and states; the mode is a
-    /// performance knob (`repro ablation-mode`). Defaults to the
-    /// `PARBLOCK_EXEC_MODE` environment variable when set (the CI test
-    /// matrix pins all three spellings), pessimistic otherwise.
+    /// **Not read.** There is one execution engine, the paper's
+    /// dependency-graph scheduler (DESIGN.md §11). The field survives
+    /// only because `benchmark/` assigns it by name; it goes with the
+    /// next `benchmark` PR.
     pub execution_mode: ExecutionMode,
     /// τ(A) override: matching results required to commit a transaction.
     /// `None` (default) requires all of an application's agents; fault
@@ -241,8 +185,7 @@ pub struct ClusterSpec {
     /// Consensus view-change timeout.
     pub consensus_timeout: Duration,
     /// Where OXII nodes (orderers and executor peers) persist their
-    /// chain and state. Defaults to `PARBLOCK_DATA_DIR` when set (a
-    /// fresh unique subdirectory per spec), in-memory otherwise.
+    /// chain and state. Defaults to in-memory.
     pub durability: DurabilityMode,
     /// Fsync batching and checkpoint cadence for on-disk durability.
     pub durability_config: DurabilityConfig,
@@ -256,12 +199,11 @@ pub struct ClusterSpec {
     /// default: recording costs one branch per stage and the
     /// `RunReport` digest stays byte-identical to pre-tracing runs.
     pub trace: parblock_trace::TraceConfig,
-    /// Ablation knob: run the network on the pre-§15 single-queue
-    /// mailbox engine (one global lock + condvar, one wakeup per
-    /// enqueue) instead of the per-destination sharded engine. Both
-    /// engines deliver bit-identical schedules; the equivalence battery
-    /// pins that. Defaults to the `PARBLOCK_LEGACY_MAILBOXES`
-    /// environment variable when set, sharded otherwise.
+    /// **Must stay `false`.** The single-queue mailbox engine it used to
+    /// select was deleted in PR 17, and `true` panics where the network
+    /// is built rather than being silently ignored. The field survives
+    /// only because `benchmark/` assigns it by name; it goes with the
+    /// next `benchmark` PR.
     pub legacy_mailboxes: bool,
     /// RNG seed.
     pub seed: u64,
@@ -270,6 +212,8 @@ pub struct ClusterSpec {
 impl ClusterSpec {
     /// A paper-like default: 3 orderers (sequencer), 3 applications with
     /// one executor each, one non-executor, 200-transaction blocks.
+    /// Reads nothing from the environment: a run that wants another
+    /// value assigns the field.
     #[must_use]
     pub fn new(system: SystemKind) -> Self {
         ClusterSpec {
@@ -286,17 +230,17 @@ impl ClusterSpec {
             workload: WorkloadConfig::default(),
             topology: TopologySpec::default(),
             exec_pool: 16,
-            exec_pipeline_depth: env_pipeline_depth(),
-            execution_mode: env_exec_mode(),
+            exec_pipeline_depth: 2,
+            execution_mode: ExecutionMode::Pessimistic,
             commit_quorum: None,
             batch_max: 64,
             consensus_timeout: Duration::from_secs(5),
-            durability: env_durability(),
+            durability: DurabilityMode::InMemory,
             durability_config: DurabilityConfig::default(),
             capture_state: false,
             commit_flush: CommitFlush::default(),
             trace: parblock_trace::TraceConfig::default(),
-            legacy_mailboxes: env_legacy_mailboxes(),
+            legacy_mailboxes: false,
             seed: 42,
         }
     }
@@ -432,6 +376,25 @@ impl ClusterSpec {
         topo
     }
 
+    /// The network every runner builds its cluster on: this spec's
+    /// topology and seed (callers add the clock and delivery mode).
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`ClusterSpec::legacy_mailboxes`] is set: the engine
+    /// it selected no longer exists, and running the sharded engine in
+    /// its place would silently measure something else.
+    pub(crate) fn network_builder(&self) -> NetworkBuilder {
+        assert!(
+            !self.legacy_mailboxes,
+            "ClusterSpec::legacy_mailboxes = true, but PR 17 deleted the legacy \
+             single-queue mailbox engine; the field is inert and must stay false"
+        );
+        NetworkBuilder::new()
+            .topology(self.build_topology())
+            .seed(self.seed)
+    }
+
     /// The workload configuration, with the conflict-shaping window tied
     /// to the block size and app list matching the deployment.
     #[must_use]
@@ -547,8 +510,6 @@ mod tests {
     #[test]
     fn durability_mode_constructors() {
         let spec = ClusterSpec::new(SystemKind::Oxii);
-        // Env-independent invariant: whatever the default resolved to,
-        // the explicit constructor is stable and non-fresh.
         let explicit = DurabilityMode::on_disk("/tmp/x");
         assert!(explicit.is_on_disk());
         assert_eq!(
@@ -560,6 +521,38 @@ mod tests {
         );
         assert!(!DurabilityMode::InMemory.is_on_disk());
         assert!(spec.durability_config.flush_interval >= 1);
+    }
+
+    /// `ClusterSpec::new` is a pure constructor: the four environment
+    /// overrides it used to honour (the CI matrix legs set them) no
+    /// longer reach it.
+    #[test]
+    fn new_reads_nothing_from_the_environment() {
+        let overrides = [
+            ("PARBLOCK_PIPELINE_DEPTH", "4"),
+            ("PARBLOCK_EXEC_MODE", "anything-but-the-default"),
+            ("PARBLOCK_DATA_DIR", "/tmp/parblock-env-override"),
+            ("PARBLOCK_LEGACY_MAILBOXES", "1"),
+        ];
+        for (name, value) in overrides {
+            std::env::set_var(name, value);
+        }
+        let spec = ClusterSpec::new(SystemKind::Oxii);
+        for (name, _) in overrides {
+            std::env::remove_var(name);
+        }
+        assert_eq!(spec.exec_pipeline_depth, 2);
+        assert_eq!(spec.execution_mode, ExecutionMode::Pessimistic);
+        assert_eq!(spec.durability, DurabilityMode::InMemory);
+        assert!(!spec.legacy_mailboxes);
+    }
+
+    #[test]
+    #[should_panic(expected = "PR 17 deleted the legacy single-queue mailbox engine")]
+    fn legacy_mailboxes_is_refused_not_ignored() {
+        let mut spec = ClusterSpec::new(SystemKind::Oxii);
+        spec.legacy_mailboxes = true;
+        let _ = spec.network_builder();
     }
 
     #[test]

@@ -112,12 +112,6 @@ struct Inner {
     /// the execution pipeline was full (µs), and how often that happened.
     boundary_stall_us: AtomicU64,
     boundary_stalls: AtomicU64,
-    /// Optimistic-engine (Block-STM) counters on the observer: read-set
-    /// validation checks, incarnations aborted by a failed check, and
-    /// re-dispatched incarnations. All zero under the pessimistic engine.
-    validation_passes: AtomicU64,
-    spec_aborts: AtomicU64,
-    re_executions: AtomicU64,
     /// Durability counters of the observer's executor (zeroes when
     /// running in-memory), set once when the executor shuts down.
     durability: Mutex<DurabilityStats>,
@@ -310,24 +304,6 @@ impl Metrics {
         *self.inner.durability.lock() = stats;
     }
 
-    /// Records one read-set validation check by the optimistic engine
-    /// (at the validation cursor — the check that decides finality).
-    pub fn record_validation_pass(&self) {
-        self.inner.validation_passes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one speculative incarnation aborted because a recorded
-    /// read no longer resolved identically.
-    pub fn record_spec_abort(&self) {
-        self.inner.spec_aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one re-dispatched incarnation (incarnation > 0) of an
-    /// aborted speculative execution.
-    pub fn record_re_execution(&self) {
-        self.inner.re_executions.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one boundary stall: the observer's next block was admitted
     /// and ready, but the execution pipeline was at capacity for `stall`.
     pub fn record_boundary_stall(&self, stall: Duration) {
@@ -399,9 +375,6 @@ impl Metrics {
             checkpoint_count: durability.checkpoint_count,
             recovery_replay_len: durability.recovery_replay_len,
             messages: 0,
-            validation_passes: self.inner.validation_passes.load(Ordering::Relaxed),
-            aborts: self.inner.spec_aborts.load(Ordering::Relaxed),
-            re_executions: self.inner.re_executions.load(Ordering::Relaxed),
             submitted: self.inner.submitted.load(Ordering::Relaxed),
             measured_submitted: self.inner.measured_submitted.load(Ordering::Relaxed),
             measured_committed: self.inner.measured_committed.load(Ordering::Relaxed),
@@ -473,15 +446,6 @@ pub struct RunReport {
     /// Total network messages sent during the run (filled by the runner;
     /// the commit-batching ablation compares this across strategies).
     pub messages: u64,
-    /// Read-set validation checks performed by the optimistic engine at
-    /// the observer (zero under the pessimistic scheduler).
-    pub validation_passes: u64,
-    /// Speculative incarnations aborted by a failed validation check.
-    /// Distinct from [`RunReport::aborted`]: these transactions re-execute
-    /// and (normally) still commit.
-    pub aborts: u64,
-    /// Re-dispatched incarnations (every abort that was retried).
-    pub re_executions: u64,
     /// Total client submissions recorded by the sink (all phases).
     pub submitted: u64,
     /// Submissions whose intended arrival fell inside the measurement
@@ -542,16 +506,9 @@ impl RunReport {
         self.checkpoint_count.encode(&mut bytes);
         self.recovery_replay_len.encode(&mut bytes);
         self.messages.encode(&mut bytes);
-        // Speculation counters entered the report after seeds were pinned
-        // on the old encoding: encode them only when set, so pessimistic
-        // (and historical) reports keep byte-identical digests.
-        if self.validation_passes != 0 || self.aborts != 0 || self.re_executions != 0 {
-            self.validation_passes.encode(&mut bytes);
-            self.aborts.encode(&mut bytes);
-            self.re_executions.encode(&mut bytes);
-        }
-        // Same convention for the open-loop driver counters (added later
-        // still): an all-zero group keeps the historical encoding.
+        // The open-loop driver counters entered the report after seeds
+        // were pinned on the old encoding: encode them only when set, so
+        // historical reports keep byte-identical digests.
         let driver_group = [
             self.submitted,
             self.measured_submitted,
@@ -853,34 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_counters_flow_into_report_and_digest() {
-        let m = Metrics::new();
-        let baseline = m.report().digest();
-        m.record_validation_pass();
-        m.record_validation_pass();
-        m.record_spec_abort();
-        m.record_re_execution();
-        let r = m.report();
-        assert_eq!(r.validation_passes, 2);
-        assert_eq!(r.aborts, 1);
-        assert_eq!(r.re_executions, 1);
-        assert_ne!(r.digest(), baseline, "speculation work must be visible");
-    }
-
-    #[test]
-    fn zero_speculation_counters_keep_the_historical_digest() {
-        // The digest encoding predates the speculation counters; a report
-        // with all three at zero must hash exactly as it did before they
-        // existed (pinned regression seeds depend on it).
-        let mut r = Metrics::new().report();
-        let legacy = r.digest();
-        r.validation_passes = 1;
-        assert_ne!(r.digest(), legacy);
-        r.validation_passes = 0;
-        assert_eq!(r.digest(), legacy);
-    }
-
-    #[test]
     fn stalled_submit_inflates_latency_instead_of_hiding_it() {
         // Coordinated omission: the driver intended to send at t=0 but
         // only managed at t=5ms; the commit at t=6ms must report 6ms of
@@ -963,9 +892,9 @@ mod tests {
 
     #[test]
     fn zero_driver_counters_keep_the_historical_digest() {
-        // Same convention as the speculation counters: the open-loop
-        // driver fields entered the report after seeds were pinned, so an
-        // all-zero group must hash exactly as before they existed.
+        // The open-loop driver fields entered the report after seeds
+        // were pinned, so an all-zero group must hash exactly as before
+        // they existed.
         let mut r = RunReport::default();
         let legacy = r.digest();
         r.driver_overruns = 1;

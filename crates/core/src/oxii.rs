@@ -31,17 +31,17 @@
 //! commit watermark), below which old versions are garbage-collected.
 //! Depth 1 reproduces the paper's block-at-a-time barrier exactly.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::never;
 use parblock_crypto::Signature;
-use parblock_depgraph::{CrossBlockIndex, DependencyGraph, ReadyTracker};
+use parblock_depgraph::{CrossBlockIndex, ReadyTracker};
 use parblock_ledger::{Durability, Ledger, MvccState, Version};
 use parblock_net::Endpoint;
-use parblock_types::{BlockNumber, ExecutionMode, Hash32, Key, NodeId, SeqNo, TxId, Value};
+use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo, TxId};
 
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
 use crate::pool::{Completion, ExecPool, InlineQueue, SnapshotReader, WorkItem};
@@ -50,97 +50,6 @@ use crate::shared::Shared;
 
 /// Stop-flag poll granularity.
 const IDLE_TICK: Duration = Duration::from_micros(500);
-
-/// Hybrid mode's switch point, in dependency-graph edges per
-/// transaction. Dense blocks (above) run the pessimistic scheduler —
-/// speculation there mostly aborts and re-executes; sparse blocks
-/// (at or below) run the optimistic engine. The graph is part of the
-/// ordered NEWBLOCK bundle, so every replica makes the same choice.
-const HYBRID_DENSITY_THRESHOLD: f64 = 0.75;
-
-/// The hybrid engine choice for one block (see
-/// [`HYBRID_DENSITY_THRESHOLD`]).
-fn hybrid_picks_optimistic(graph: &DependencyGraph) -> bool {
-    let n = graph.len().max(1);
-    (graph.edge_count() as f64 / n as f64) <= HYBRID_DENSITY_THRESHOLD
-}
-
-/// Per-block scheduling engine (DESIGN.md §11): the paper's
-/// dependency-graph scheduler, or the Block-STM speculate / validate /
-/// re-execute loop. Chosen once per block at start.
-enum Engine {
-    Pessimistic,
-    Optimistic(Box<OptState>),
-}
-
-/// One incarnation's recorded read set: every declared read key with
-/// the `(value, version)` its snapshot observed (`None` = no version
-/// strictly below the reader's position existed).
-type RecordedReads = Vec<(Key, Option<(Value, Version)>)>;
-
-/// Block-STM bookkeeping for one optimistic block, indexed by position.
-/// Only the node's own (`we`) positions carry live entries; foreign
-/// positions resolve through COMMIT votes exactly as in the pessimistic
-/// engine.
-struct OptState {
-    /// Execution attempt counter per position: completions carrying a
-    /// stale incarnation are dropped.
-    incarnation: Vec<u32>,
-    /// Whether the **current** incarnation has finished executing
-    /// (speculatively — not yet validated).
-    exec_done: Vec<bool>,
-    /// The current incarnation's result, held until validation.
-    pending: Vec<Option<ExecResult>>,
-    /// The recorded read set of the current incarnation. Validation
-    /// re-resolves each read and compares.
-    reads: Vec<RecordedReads>,
-    /// Keys the current incarnation wrote into the speculative layer
-    /// (empty for aborts), for exact retraction.
-    spec_keys: Vec<Vec<Key>>,
-    /// Positions whose dependency-graph predecessors (in-block and
-    /// cross-block) are all final — the tracker's readiness, which under
-    /// this engine gates **validation** instead of dispatch. A ready
-    /// position's declared reads resolve to final values, so its check
-    /// against the recorded read set is authoritative.
-    validate_ready: Vec<bool>,
-    /// Estimate markers: key → position of an aborted writer whose
-    /// re-execution is pending. A lower-positioned marker defers a
-    /// reader's re-dispatch instead of letting it speculate against the
-    /// retracted hole — the Block-STM livelock guard for hot keys.
-    estimates: HashMap<Key, u32>,
-    /// Writer position → readers whose (re-)dispatch waits on its next
-    /// completed incarnation (set aside by an estimate hit).
-    deferred: HashMap<u32, Vec<u32>>,
-    /// Reverse read index: key → positions whose recorded reads include
-    /// it (so a write triggers rechecks of exactly its readers).
-    readers: HashMap<Key, BTreeSet<u32>>,
-}
-
-impl OptState {
-    fn new(n: usize) -> Self {
-        OptState {
-            incarnation: vec![0; n],
-            exec_done: vec![false; n],
-            pending: vec![None; n],
-            reads: vec![Vec::new(); n],
-            spec_keys: vec![Vec::new(); n],
-            validate_ready: vec![false; n],
-            estimates: HashMap::new(),
-            deferred: HashMap::new(),
-            readers: HashMap::new(),
-        }
-    }
-}
-
-/// A deferred consequence of applying writes, processed by the
-/// validation pump in FIFO order (queued rather than recursed so the
-/// vote → commit → recheck chain stays iterative and deterministic).
-enum OptEvent {
-    /// Writes on `keys` were applied (speculatively or committed) or
-    /// retracted at `version`: re-validate the recorded reads of
-    /// higher-positioned readers of those keys.
-    Recheck { version: Version, keys: Vec<Key> },
-}
 
 /// Where this executor's contract executions run: a thread pool under
 /// the free-running runner, a virtual-time inline queue under the
@@ -168,8 +77,6 @@ struct BlockRun {
     xe_buffer: Vec<(SeqNo, ExecResult)>,
     /// Outstanding local executions.
     we_remaining: usize,
-    /// How this block's own share is scheduled.
-    engine: Engine,
 }
 
 impl BlockRun {
@@ -214,9 +121,6 @@ pub(crate) struct Executor {
     depth: usize,
     /// When the next block became ready while the pipeline was full.
     pending_stall: Option<Instant>,
-    /// Pending optimistic-engine events (write rechecks), drained by the
-    /// validation pump inside [`Executor::try_advance`].
-    opt_events: VecDeque<OptEvent>,
     is_observer: bool,
     /// Peers that receive this node's COMMIT messages.
     commit_dests: Vec<NodeId>,
@@ -277,7 +181,6 @@ impl Executor {
             next_to_start,
             depth,
             pending_stall: None,
-            opt_events: VecDeque::new(),
             is_observer,
             commit_dests,
         }
@@ -436,15 +339,13 @@ impl Executor {
         }
     }
 
-    /// Drives the pipeline: pumps the optimistic validation loop, appends
-    /// finished blocks in order, and starts ready blocks while capacity
-    /// lasts, until none of the three makes progress.
+    /// Drives the pipeline: appends finished blocks in order and starts
+    /// ready blocks while capacity lasts, until neither makes progress.
     fn try_advance(&mut self) {
         loop {
-            let pumped = self.pump_opt();
             let appended = self.drain_finished_blocks();
             let started = self.try_start_ready();
-            if !pumped && !appended && !started {
+            if !appended && !started {
                 break;
             }
         }
@@ -505,18 +406,6 @@ impl Executor {
                     .push((number, SeqNo(i as u32)));
             }
         }
-        // Engine choice (deterministic across replicas: the mode is
-        // cluster config and the graph rides in the ordered bundle).
-        let optimistic = match self.shared.spec.execution_mode {
-            ExecutionMode::Pessimistic => false,
-            ExecutionMode::Optimistic => true,
-            ExecutionMode::HybridByContention => hybrid_picks_optimistic(&graph),
-        };
-        let engine = if optimistic {
-            Engine::Optimistic(Box::new(OptState::new(n)))
-        } else {
-            Engine::Pessimistic
-        };
         // Lifecycle stages are observed once, at the observer node, like
         // the commit metrics: attach the recorder before the first
         // `take_ready` so construction-time roots are stamped too.
@@ -535,7 +424,6 @@ impl Executor {
             committed_count: 0,
             xe_buffer: Vec::new(),
             we_remaining,
-            engine,
         };
         let initial = run.tracker.take_ready();
         self.runs.insert(number, run);
@@ -548,26 +436,7 @@ impl Executor {
                 self.shared.metrics.record_boundary_stall(stall);
             }
         }
-        if optimistic {
-            // Under this engine the tracker's readiness gates validation,
-            // not dispatch: record which positions start dependency-free.
-            if let Some(run) = self.runs.get_mut(&number) {
-                if let Engine::Optimistic(opt) = &mut run.engine {
-                    for &seq in &initial {
-                        opt.validate_ready[seq.0 as usize] = true;
-                    }
-                }
-            }
-            // Block-STM: speculate on every own position at once — the
-            // dependency graph only gates validation order, not dispatch.
-            for i in 0..n {
-                if self.runs.get(&number).is_some_and(|r| r.we[i]) {
-                    self.opt_dispatch(number, SeqNo(i as u32));
-                }
-            }
-        } else {
-            self.dispatch_ready(number, &initial);
-        }
+        self.dispatch_ready(number, &initial);
         // Replay commit messages that arrived early (signature-verified
         // on receipt).
         if let Some(held) = self.held_commits.remove(&number) {
@@ -583,10 +452,6 @@ impl Executor {
         let Some(run) = self.runs.get(&number) else {
             return;
         };
-        debug_assert!(
-            matches!(run.engine, Engine::Pessimistic),
-            "optimistic runs dispatch through opt_dispatch"
-        );
         let block_number = run.bundle.block.number();
         let cost = self.shared.spec.costs.per_tx;
         let mut items = Vec::new();
@@ -612,7 +477,6 @@ impl Executor {
             items.push(WorkItem {
                 block: block_number,
                 seq,
-                incarnation: 0,
                 tx,
                 snapshot: SnapshotReader::new(snapshot),
                 contract: Arc::clone(contract),
@@ -640,19 +504,9 @@ impl Executor {
         }
     }
 
+    /// A local execution finished. The result is final the moment it
+    /// lands: its snapshot was the serial-prefix state by construction.
     fn on_completion(&mut self, completion: Completion) {
-        let number = completion.block.0;
-        match self.runs.get(&number).map(|run| &run.engine) {
-            None => return, // stale completion from a finished block
-            Some(Engine::Optimistic(_)) => self.opt_on_completion(completion),
-            Some(Engine::Pessimistic) => self.pess_on_completion(completion),
-        }
-        self.try_advance();
-    }
-
-    /// Pessimistic completion handling: the result is final the moment it
-    /// lands (its snapshot was the serial-prefix state by construction).
-    fn pess_on_completion(&mut self, completion: Completion) {
         let number = completion.block.0;
         let seq = completion.seq;
         let idx = seq.0 as usize;
@@ -698,10 +552,6 @@ impl Executor {
             let version = Version::new(completion.block, seq);
             self.durability.log_effects(version, writes);
             self.state.apply(writes.iter().cloned(), version);
-            // Hybrid pipelines mix engines: a later in-flight optimistic
-            // block may have speculated over these keys already.
-            let keys: Vec<Key> = writes.iter().map(|(k, _)| *k).collect();
-            self.note_writes_applied(version, &keys);
         }
         if let Some(run) = self.runs.get_mut(&number) {
             run.xe_buffer.push((seq, completion.result.clone()));
@@ -717,396 +567,7 @@ impl Executor {
         // Xe membership releases successors for local execution — both
         // in-block (dependency graph) and cross-block (conflict index).
         self.complete_position(number, seq);
-    }
-
-    // ---- The optimistic (Block-STM) engine: speculate, validate,
-    // re-execute (DESIGN.md §11) ----------------------------------------
-
-    /// Speculatively dispatches (or re-dispatches) one own position,
-    /// snapshotting its declared reads against the committed + speculative
-    /// overlay and recording what was observed. A read covered by a
-    /// lower-positioned estimate marker defers the dispatch to the
-    /// marker's writer instead.
-    fn opt_dispatch(&mut self, number: u64, seq: SeqNo) {
-        let idx = seq.0 as usize;
-        let Some(run) = self.runs.get_mut(&number) else {
-            return;
-        };
-        if run.committed[idx] || run.executed[idx] || !run.we[idx] {
-            return;
-        }
-        let block_number = run.bundle.block.number();
-        let tx = run.bundle.block.tx(seq).expect("seq valid").clone();
-        let Engine::Optimistic(opt) = &mut run.engine else {
-            return;
-        };
-        for key in tx.rw_set().reads() {
-            if let Some(&writer) = opt.estimates.get(key) {
-                if writer < seq.0 {
-                    opt.deferred.entry(writer).or_default().push(seq.0);
-                    return;
-                }
-            }
-        }
-        let position = Version::new(block_number, seq);
-        let incarnation = opt.incarnation[idx];
-        let mut snapshot = HashMap::new();
-        let mut recorded = Vec::new();
-        for key in tx.rw_set().reads() {
-            // Strictly below the position: an incarnation must never
-            // observe its own earlier speculative write.
-            let observed = self.state.get_at_speculative(*key, position);
-            snapshot.insert(*key, observed.as_ref().map(|(value, _)| value.clone()));
-            opt.readers.entry(*key).or_default().insert(seq.0);
-            recorded.push((*key, observed));
-        }
-        opt.reads[idx] = recorded;
-        let Ok(contract) = self.shared.registry.contract(tx.app()) else {
-            return;
-        };
-        if incarnation > 0 && self.is_observer {
-            self.shared.metrics.record_re_execution();
-        }
-        let item = WorkItem {
-            block: block_number,
-            seq,
-            incarnation,
-            tx,
-            snapshot: SnapshotReader::new(snapshot),
-            contract: Arc::clone(contract),
-            cost: self.shared.spec.costs.per_tx,
-        };
-        // First-record-wins: a re-execution keeps the first dispatch
-        // timestamp, so the re-execution delay lands in the
-        // executed→validated gap instead of shifting earlier stages.
-        if self.is_observer {
-            self.shared
-                .trace
-                .record(item.tx.id(), parblock_trace::Stage::Dispatched);
-        }
-        match &mut self.backend {
-            ExecBackend::Pool(pool) => pool.dispatch(item),
-            ExecBackend::Inline(queue) => queue.dispatch(item, self.shared.clock.now()),
-        }
-    }
-
-    /// A speculative execution finished: stage its result for validation,
-    /// publish its writes to the speculative overlay, lift its estimate
-    /// markers, and release readers that deferred on it.
-    fn opt_on_completion(&mut self, completion: Completion) {
-        let number = completion.block.0;
-        let seq = completion.seq;
-        let idx = seq.0 as usize;
-        let version = Version::new(completion.block, seq);
-        let (keys, deferred) = {
-            let Some(run) = self.runs.get_mut(&number) else {
-                return;
-            };
-            if run.committed[idx] || run.executed[idx] {
-                return; // already final through votes or validation
-            }
-            let Engine::Optimistic(opt) = &mut run.engine else {
-                return;
-            };
-            if completion.incarnation != opt.incarnation[idx] {
-                return; // stale incarnation, superseded by a re-execution
-            }
-            opt.exec_done[idx] = true;
-            if self.is_observer {
-                if let Some(tx) = run.bundle.block.tx(seq) {
-                    self.shared
-                        .trace
-                        .record(tx.id(), parblock_trace::Stage::Executed);
-                }
-            }
-            let keys: Vec<Key> = match &completion.result {
-                ExecResult::Committed(writes) => writes.iter().map(|(k, _)| *k).collect(),
-                ExecResult::Aborted(_) => Vec::new(),
-            };
-            opt.spec_keys[idx] = keys.clone();
-            opt.pending[idx] = Some(completion.result.clone());
-            // The writer has (re-)executed: lift its estimate markers and
-            // wake the readers that deferred on it.
-            opt.estimates.retain(|_, writer| *writer != seq.0);
-            let deferred = opt.deferred.remove(&seq.0).unwrap_or_default();
-            (keys, deferred)
-        };
-        if let ExecResult::Committed(writes) = &completion.result {
-            self.state
-                .apply_speculative(writes.iter().cloned(), version);
-        }
-        if !keys.is_empty() {
-            self.note_writes_applied(version, &keys);
-        }
-        for reader in deferred {
-            self.opt_dispatch(number, SeqNo(reader));
-        }
-    }
-
-    /// Queues a recheck of recorded reads over `keys` if any optimistic
-    /// run is in flight (writes from any engine can clobber speculation).
-    fn note_writes_applied(&mut self, version: Version, keys: &[Key]) {
-        if keys.is_empty() {
-            return;
-        }
-        let any_optimistic = self
-            .runs
-            .values()
-            .any(|run| matches!(run.engine, Engine::Optimistic(_)));
-        if any_optimistic {
-            self.opt_events.push_back(OptEvent::Recheck {
-                version,
-                keys: keys.to_vec(),
-            });
-        }
-    }
-
-    /// Drains optimistic events and advances validation cursors to a
-    /// fixpoint. Returns `true` if anything happened.
-    fn pump_opt(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            if let Some(OptEvent::Recheck { version, keys }) = self.opt_events.pop_front() {
-                self.handle_recheck(version, &keys);
-                progress = true;
-                continue;
-            }
-            let mut advanced = false;
-            let numbers: Vec<u64> = self.runs.keys().copied().collect();
-            for number in numbers {
-                advanced |= self.validate_scan(number);
-            }
-            if advanced {
-                progress = true;
-                continue;
-            }
-            return progress;
-        }
-    }
-
-    /// Eager invalidation: writes landed (or were retracted) at
-    /// `version`, so speculatively-complete readers of those keys above
-    /// it whose recorded reads no longer resolve identically are aborted
-    /// and re-dispatched now, rather than discovered at their cursor turn.
-    fn handle_recheck(&mut self, version: Version, keys: &[Key]) {
-        let numbers: Vec<u64> = self
-            .runs
-            .iter()
-            .filter(|(n, run)| {
-                **n >= version.block.0 && matches!(run.engine, Engine::Optimistic(_))
-            })
-            .map(|(n, _)| *n)
-            .collect();
-        for number in numbers {
-            let candidates: Vec<u32> = {
-                let Some(run) = self.runs.get(&number) else {
-                    continue;
-                };
-                let block_number = run.bundle.block.number();
-                let Engine::Optimistic(opt) = &run.engine else {
-                    continue;
-                };
-                let mut set = BTreeSet::new();
-                for key in keys {
-                    if let Some(readers) = opt.readers.get(key) {
-                        for &reader in readers {
-                            if Version::new(block_number, SeqNo(reader)) > version {
-                                set.insert(reader);
-                            }
-                        }
-                    }
-                }
-                set.into_iter().collect()
-            };
-            for reader in candidates {
-                let idx = reader as usize;
-                let invalid = {
-                    let Some(run) = self.runs.get(&number) else {
-                        break;
-                    };
-                    if run.committed[idx] || run.executed[idx] {
-                        continue;
-                    }
-                    let Engine::Optimistic(opt) = &run.engine else {
-                        break;
-                    };
-                    // An earlier candidate's cascade may have already
-                    // invalidated this one.
-                    if !opt.exec_done[idx] {
-                        continue;
-                    }
-                    let position = Version::new(run.bundle.block.number(), SeqNo(reader));
-                    !opt.reads[idx]
-                        .iter()
-                        .all(|(k, observed)| self.state.get_at_speculative(*k, position) == *observed)
-                };
-                if invalid {
-                    self.opt_invalidate(number, SeqNo(reader));
-                }
-            }
-        }
-    }
-
-    /// One validation sweep over a run's own positions, ascending: a
-    /// position whose graph predecessors are all final
-    /// (`validate_ready`) and whose current incarnation has finished
-    /// executing gets its recorded reads checked against the live view.
-    /// By readiness, every earlier writer of its declared keys — same
-    /// block or cross-block — is final, so the check compares against the
-    /// serial-prefix values the pessimistic engine would have read: a
-    /// pass finalizes the exact pessimistic result, a fail aborts and
-    /// re-dispatches the next incarnation. Returns `true` on any change.
-    fn validate_scan(&mut self, number: u64) -> bool {
-        let mut progress = false;
-        let n = {
-            let Some(run) = self.runs.get(&number) else {
-                return false;
-            };
-            if !matches!(run.engine, Engine::Optimistic(_)) {
-                return false;
-            }
-            run.bundle.block.len()
-        };
-        for idx in 0..n {
-            let seq = SeqNo(idx as u32);
-            let valid = {
-                let Some(run) = self.runs.get(&number) else {
-                    return progress;
-                };
-                let Engine::Optimistic(opt) = &run.engine else {
-                    return progress;
-                };
-                if run.committed[idx]
-                    || run.executed[idx]
-                    || !run.we[idx]
-                    || !opt.validate_ready[idx]
-                    || !opt.exec_done[idx]
-                {
-                    continue;
-                }
-                let position = Version::new(run.bundle.block.number(), seq);
-                opt.reads[idx]
-                    .iter()
-                    .all(|(k, observed)| self.state.get_at_speculative(*k, position) == *observed)
-            };
-            if self.is_observer {
-                self.shared.metrics.record_validation_pass();
-            }
-            if valid {
-                self.opt_finalize(number, seq);
-            } else {
-                self.opt_invalidate(number, seq);
-            }
-            progress = true;
-        }
-        progress
-    }
-
-    /// Promotes a validated speculative result to final: the speculative
-    /// writes move to the committed layer at the same version, and the
-    /// result flows through the unchanged Algorithm 2/3 paths (buffer,
-    /// cut multicast, own vote, successor release).
-    fn opt_finalize(&mut self, number: u64, seq: SeqNo) {
-        let idx = seq.0 as usize;
-        let (result, spec_keys, cut, version) = {
-            let Some(run) = self.runs.get_mut(&number) else {
-                return;
-            };
-            let block_number = run.bundle.block.number();
-            let (result, spec_keys) = {
-                let Engine::Optimistic(opt) = &mut run.engine else {
-                    return;
-                };
-                let result = opt.pending[idx]
-                    .take()
-                    .expect("validated position holds its result");
-                let spec_keys = std::mem::take(&mut opt.spec_keys[idx]);
-                let reads = std::mem::take(&mut opt.reads[idx]);
-                for (key, _) in &reads {
-                    if let Some(readers) = opt.readers.get_mut(key) {
-                        readers.remove(&seq.0);
-                    }
-                }
-                (result, spec_keys)
-            };
-            run.executed[idx] = true;
-            run.we_remaining -= 1;
-            if self.is_observer {
-                if let Some(tx) = run.bundle.block.tx(seq) {
-                    self.shared
-                        .trace
-                        .record(tx.id(), parblock_trace::Stage::Validated);
-                }
-            }
-            let graph = run
-                .bundle
-                .graph
-                .as_ref()
-                .expect("OXII bundle carries graph");
-            let cut = match self.shared.spec.commit_flush {
-                crate::cluster::CommitFlush::Cut => {
-                    graph.has_foreign_successor(seq) || run.we_remaining == 0
-                }
-                crate::cluster::CommitFlush::PerTransaction => true,
-            };
-            run.xe_buffer.push((seq, result.clone()));
-            (result, spec_keys, cut, Version::new(block_number, seq))
-        };
-        if let ExecResult::Committed(writes) = &result {
-            // Same value at the same version: later readers that observed
-            // the speculative entry stay valid across the promotion.
-            self.state.retract_speculative(version, &spec_keys);
-            self.durability.log_effects(version, writes);
-            self.state.apply(writes.iter().cloned(), version);
-        }
-        if cut {
-            self.flush_commit_buffer(number);
-        }
-        let me = self.endpoint.id();
-        self.record_vote(number, seq, me, result);
-        self.complete_position(number, seq);
-    }
-
-    /// Aborts the current incarnation of a clobbered position: retract
-    /// its speculative writes, leave estimate markers on the retracted
-    /// keys (readers defer rather than chase the hole), and re-dispatch
-    /// the next incarnation.
-    fn opt_invalidate(&mut self, number: u64, seq: SeqNo) {
-        let idx = seq.0 as usize;
-        let (version, spec_keys) = {
-            let Some(run) = self.runs.get_mut(&number) else {
-                return;
-            };
-            let block_number = run.bundle.block.number();
-            let Engine::Optimistic(opt) = &mut run.engine else {
-                return;
-            };
-            if !opt.exec_done[idx] {
-                return;
-            }
-            opt.exec_done[idx] = false;
-            opt.pending[idx] = None;
-            opt.incarnation[idx] += 1;
-            let spec_keys = std::mem::take(&mut opt.spec_keys[idx]);
-            for key in &spec_keys {
-                opt.estimates.insert(*key, seq.0);
-            }
-            let reads = std::mem::take(&mut opt.reads[idx]);
-            for (key, _) in &reads {
-                if let Some(readers) = opt.readers.get_mut(key) {
-                    readers.remove(&seq.0);
-                }
-            }
-            (Version::new(block_number, seq), spec_keys)
-        };
-        self.state.retract_speculative(version, &spec_keys);
-        if self.is_observer {
-            self.shared.metrics.record_spec_abort();
-        }
-        // Readers of the retracted writes are now stale; their re-dispatch
-        // will defer on the estimate markers until the next incarnation.
-        self.note_writes_applied(version, &spec_keys);
-        self.opt_dispatch(number, seq);
+        self.try_advance();
     }
 
     /// Marks a position complete in its run's tracker, dispatches newly
@@ -1114,27 +575,13 @@ impl Executor {
     /// retires the position from the cross-block index, releasing
     /// waiting transactions in later in-flight blocks.
     fn complete_position(&mut self, number: u64, seq: SeqNo) {
-        let (first, dispatch) = {
-            let Some(run) = self.runs.get_mut(&number) else {
-                return;
-            };
-            let first = !run.tracker.is_complete(seq);
-            let newly = run.tracker.complete(seq);
-            // Optimistic runs dispatched everything up front: readiness
-            // unlocks validation (next pump) rather than dispatch.
-            let dispatch = match &mut run.engine {
-                Engine::Pessimistic => newly,
-                Engine::Optimistic(opt) => {
-                    for &ready in &newly {
-                        opt.validate_ready[ready.0 as usize] = true;
-                    }
-                    Vec::new()
-                }
-            };
-            (first, dispatch)
+        let Some(run) = self.runs.get_mut(&number) else {
+            return;
         };
-        if !dispatch.is_empty() {
-            self.dispatch_ready(number, &dispatch);
+        let first = !run.tracker.is_complete(seq);
+        let newly = run.tracker.complete(seq);
+        if !newly.is_empty() {
+            self.dispatch_ready(number, &newly);
         }
         if first {
             self.release_cross_block(number, seq);
@@ -1158,23 +605,10 @@ impl Executor {
             by_block.entry(wait_block).or_default().push(wait_seq);
         }
         for (wait_block, wait_seqs) in by_block {
-            let now_ready = {
-                let Some(run) = self.runs.get_mut(&wait_block) else {
-                    continue;
-                };
-                let newly = run.tracker.release_external_batch(&wait_seqs);
-                match &mut run.engine {
-                    Engine::Pessimistic => newly,
-                    Engine::Optimistic(opt) => {
-                        // Speculation never waited; only validation does.
-                        // The scan picks the positions up on the next pump.
-                        for &ready in &newly {
-                            opt.validate_ready[ready.0 as usize] = true;
-                        }
-                        Vec::new()
-                    }
-                }
+            let Some(run) = self.runs.get_mut(&wait_block) else {
+                continue;
             };
+            let now_ready = run.tracker.release_external_batch(&wait_seqs);
             if !now_ready.is_empty() {
                 self.dispatch_ready(wait_block, &now_ready);
             }
@@ -1322,49 +756,6 @@ impl Executor {
                 }
             }
         }
-        // A quorum decision overrides any local speculation on the
-        // position: cancel the in-flight incarnation, retract its
-        // speculative writes, and wake readers deferred on it. The
-        // committed writes (applied above) may clobber other recorded
-        // reads, so queue a recheck.
-        let hook = {
-            if let Some(run) = self.runs.get_mut(&number) {
-                if let Engine::Optimistic(opt) = &mut run.engine {
-                    opt.incarnation[idx] = opt.incarnation[idx].wrapping_add(1);
-                    opt.exec_done[idx] = false;
-                    opt.pending[idx] = None;
-                    let spec_keys = std::mem::take(&mut opt.spec_keys[idx]);
-                    let reads = std::mem::take(&mut opt.reads[idx]);
-                    for (key, _) in &reads {
-                        if let Some(readers) = opt.readers.get_mut(key) {
-                            readers.remove(&seq.0);
-                        }
-                    }
-                    opt.estimates.retain(|_, writer| *writer != seq.0);
-                    let deferred = opt.deferred.remove(&seq.0).unwrap_or_default();
-                    Some((spec_keys, deferred))
-                } else {
-                    None
-                }
-            } else {
-                None
-            }
-        };
-        if let Some((spec_keys, deferred)) = hook {
-            let version = Version::new(block_number, seq);
-            self.state.retract_speculative(version, &spec_keys);
-            let committed_keys: Vec<Key> = match &result {
-                ExecResult::Committed(writes) => writes.iter().map(|(k, _)| *k).collect(),
-                ExecResult::Aborted(_) => Vec::new(),
-            };
-            // Both the retraction and the committed writes shift what
-            // later readers should have observed.
-            self.note_writes_applied(version, &spec_keys);
-            self.note_writes_applied(version, &committed_keys);
-            for reader in deferred {
-                self.opt_dispatch(number, SeqNo(reader));
-            }
-        }
         // Ce membership releases successors (Algorithm 1's Ce ∪ Xe).
         self.complete_position(number, seq);
     }
@@ -1427,12 +818,13 @@ const COMMIT_DIGEST_VERSION: u8 = 1;
 
 /// Digest of a COMMIT message's contents (signed by the executor).
 ///
-/// Values are serialized with [`Value`]'s canonical wire encoding. An
-/// earlier revision rendered them through `format!("{value:?}")`, which
-/// allocated a `String` per write on the commit hot path and — worse —
-/// made the signature preimage depend on `Debug` output, which Rust
-/// does not guarantee stable across releases (a silent rolling-upgrade
-/// signature break). That pattern is now a `hot-path-alloc` lint error.
+/// Values are serialized with [`parblock_types::Value`]'s canonical
+/// wire encoding. An earlier revision rendered them through
+/// `format!("{value:?}")`, which allocated a `String` per write on the
+/// commit hot path and — worse — made the signature preimage depend on
+/// `Debug` output, which Rust does not guarantee stable across releases
+/// (a silent rolling-upgrade signature break). That pattern is now a
+/// `hot-path-alloc` lint error.
 fn commit_digest(block: BlockNumber, results: &[(SeqNo, ExecResult)]) -> Hash32 {
     use parblock_types::wire::Wire;
     let mut bytes = Vec::new();
@@ -1473,6 +865,7 @@ pub(crate) fn spawn_executor(
 mod tests {
     use super::*;
     use parblock_types::wire::Wire;
+    use parblock_types::{Key, Value};
 
     fn sample_results() -> Vec<(SeqNo, ExecResult)> {
         vec![

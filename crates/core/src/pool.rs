@@ -72,10 +72,6 @@ impl StateReader for SnapshotReader {
 pub(crate) struct WorkItem {
     pub block: BlockNumber,
     pub seq: SeqNo,
-    /// Which attempt at this position the snapshot belongs to: always 0
-    /// under the pessimistic scheduler; the optimistic engine bumps it on
-    /// every abort/re-execute so stale completions are dropped.
-    pub incarnation: u32,
     pub tx: Transaction,
     pub snapshot: SnapshotReader,
     pub contract: Arc<dyn SmartContract>,
@@ -86,8 +82,6 @@ pub(crate) struct WorkItem {
 pub(crate) struct Completion {
     pub block: BlockNumber,
     pub seq: SeqNo,
-    /// Echo of [`WorkItem::incarnation`].
-    pub incarnation: u32,
     pub result: ExecResult,
 }
 
@@ -113,7 +107,6 @@ fn execute_item(item: &WorkItem) -> Completion {
     Completion {
         block: item.block,
         seq: item.seq,
-        incarnation: item.incarnation,
         result,
     }
 }
@@ -152,14 +145,6 @@ impl ExecPool {
             done_rx,
             handles,
         }
-    }
-
-    pub(crate) fn dispatch(&self, item: WorkItem) {
-        self.work_tx
-            .as_ref()
-            .expect("pool running")
-            .send(item)
-            .expect("workers alive");
     }
 
     /// Hands a whole ready set to the workers in one call: the channel
@@ -237,28 +222,22 @@ impl InlineQueue {
         }
     }
 
-    /// Executes `item` now; its completion becomes visible at
-    /// `now + item.cost`.
-    pub(crate) fn dispatch(&mut self, item: WorkItem, now: std::time::Instant) {
-        let due = now + item.cost;
-        let completion = execute_item(&item);
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.pending.push(std::cmp::Reverse(InlineEntry {
-            due,
-            ticket,
-            completion,
-        }));
-    }
-
-    /// Dispatches a whole ready set at one instant: every completion is
-    /// due at `now + cost`, with tickets in input order. One clock read
-    /// covers the batch (per-item [`InlineQueue::dispatch`] reads agree
-    /// anyway under the virtual clock, which only advances between
-    /// settles — so batching is byte-identical, just cheaper).
+    /// Dispatches a whole ready set at one instant: each item executes
+    /// now and its completion becomes visible at `now + item.cost`, with
+    /// tickets in input order. One clock read covers the batch (the
+    /// virtual clock only advances between settles, so per-item reads
+    /// would agree anyway).
     pub(crate) fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: std::time::Instant) {
         for item in items {
-            self.dispatch(item, now);
+            let due = now + item.cost;
+            let completion = execute_item(&item);
+            let ticket = self.next_ticket;
+            self.next_ticket += 1;
+            self.pending.push(std::cmp::Reverse(InlineEntry {
+                due,
+                ticket,
+                completion,
+            }));
         }
     }
 
@@ -306,15 +285,14 @@ mod tests {
         let mut entries = HashMap::new();
         entries.insert(Key(1), Some(Value::Int(10)));
         entries.insert(Key(2), None);
-        pool.dispatch(WorkItem {
+        pool.dispatch_batch(vec![WorkItem {
             block: BlockNumber(1),
             seq: SeqNo(0),
-            incarnation: 0,
             tx,
             snapshot: SnapshotReader::new(entries),
             contract,
             cost: Duration::from_micros(50),
-        });
+        }]);
         let done = pool
             .completions()
             .recv_timeout(Duration::from_secs(1))
@@ -365,7 +343,6 @@ mod tests {
             WorkItem {
                 block: BlockNumber(1),
                 seq: SeqNo(seq),
-                incarnation: 0,
                 tx,
                 snapshot: SnapshotReader::new(HashMap::from([
                     (Key(1), Some(Value::Int(10))),
@@ -377,9 +354,7 @@ mod tests {
         };
         let mut q = InlineQueue::new();
         let t0 = Instant::now();
-        q.dispatch(item(0, 100), t0);
-        q.dispatch(item(1, 50), t0);
-        q.dispatch(item(2, 50), t0);
+        q.dispatch_batch(vec![item(0, 100), item(1, 50), item(2, 50)], t0);
         assert_eq!(q.next_due(), Some(t0 + Duration::from_micros(50)));
         assert!(q.take_due(t0).is_empty(), "nothing due at dispatch time");
         let due = q.take_due(t0 + Duration::from_micros(60));
@@ -405,15 +380,14 @@ mod tests {
         };
         let tx = contract.transaction(ClientId(1), 0, &op);
         // Both accounts declared but absent: source account missing.
-        pool.dispatch(WorkItem {
+        pool.dispatch_batch(vec![WorkItem {
             block: BlockNumber(1),
             seq: SeqNo(3),
-            incarnation: 0,
             tx,
             snapshot: SnapshotReader::new(HashMap::from([(Key(1), None), (Key(2), None)])),
             contract,
             cost: Duration::ZERO,
-        });
+        }]);
         let done = pool
             .completions()
             .recv_timeout(Duration::from_secs(1))
@@ -442,15 +416,14 @@ mod tests {
         let tx = contract.transaction(ClientId(1), 0, &op);
         // Snapshot omits the declared keys entirely (mimics a scheduler
         // bug): previously this committed against silent defaults.
-        pool.dispatch(WorkItem {
+        pool.dispatch_batch(vec![WorkItem {
             block: BlockNumber(1),
             seq: SeqNo(0),
-            incarnation: 0,
             tx,
             snapshot: SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(100)))])),
             contract,
             cost: Duration::ZERO,
-        });
+        }]);
         let done = pool
             .completions()
             .recv_timeout(Duration::from_secs(1))

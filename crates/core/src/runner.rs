@@ -18,15 +18,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parblock_consensus::ProtocolConfig;
-use parblock_net::{Faults, NetworkBuilder, SimNetwork};
+use parblock_net::{Faults, SimNetwork};
 use parblock_types::ArrivalProcess;
 
-use crate::cluster::{ClusterSpec, ConsensusKind, SystemKind};
-use crate::hostcons::AnyConsensus;
+use crate::cluster::{ClusterSpec, SystemKind};
 use crate::metrics::RunReport;
 use crate::msg::Msg;
 use crate::shared::Shared;
+use crate::sim::build_protocol;
 use crate::{driver, orderer, ox, oxii, xov};
 
 /// Offered load for one run.
@@ -72,6 +71,74 @@ impl Default for LoadSpec {
     }
 }
 
+/// A started threaded cluster: the shared context, the network, and one
+/// thread per orderer and peer.
+struct Cluster {
+    shared: Arc<Shared>,
+    net: SimNetwork<Msg>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Cluster {
+    /// Builds the network and spawns every orderer and peer of `spec`.
+    fn start(spec: &ClusterSpec) -> Self {
+        let shared = Shared::new(spec.clone());
+        let net: SimNetwork<Msg> = spec.network_builder().build();
+        let mut handles: Vec<JoinHandle<()>> = Vec::new();
+
+        let graph_mode = match spec.system {
+            SystemKind::Oxii => Some(spec.depgraph_mode),
+            SystemKind::Ox | SystemKind::Xov => None,
+        };
+        for &id in &spec.orderer_ids() {
+            handles.push(orderer::spawn_orderer(
+                Arc::clone(&shared),
+                net.endpoint(id),
+                build_protocol(spec, id),
+                graph_mode,
+            ));
+        }
+
+        // Peers (executors + non-executors).
+        for &id in &spec.peer_ids() {
+            let endpoint = net.endpoint(id);
+            let handle = match spec.system {
+                SystemKind::Oxii => oxii::spawn_executor(Arc::clone(&shared), endpoint),
+                SystemKind::Ox => ox::spawn_peer(Arc::clone(&shared), endpoint),
+                SystemKind::Xov => xov::spawn_peer(Arc::clone(&shared), endpoint),
+            };
+            handles.push(handle);
+        }
+        Cluster {
+            shared,
+            net,
+            handles,
+        }
+    }
+
+    /// Stops every node, joins the fault script (if one ran) and the node
+    /// threads, and takes the report.
+    fn finish(self, fault_script: Option<JoinHandle<()>>) -> RunReport {
+        self.shared.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = fault_script {
+            // A crashed fault script means the faults were never injected —
+            // surface it instead of letting the test pass vacuously.
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        for handle in self.handles {
+            let _ = handle.join();
+        }
+        let messages = self.net.stats().sent();
+        self.net.shutdown();
+        let mut report = self.shared.metrics.report();
+        report.messages = messages;
+        report.trace = self.shared.trace.snapshot();
+        report
+    }
+}
+
 /// Runs one experiment: spins up the cluster described by `spec`,
 /// applies `load`, and returns the measured report.
 ///
@@ -81,52 +148,13 @@ impl Default for LoadSpec {
 /// these are configuration bugs, surfaced early.
 #[must_use]
 pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
-    let shared = Shared::new(spec.clone());
-    let net: SimNetwork<Msg> = NetworkBuilder::new()
-        .topology(spec.build_topology())
-        .seed(spec.seed)
-        .legacy_mailboxes(spec.legacy_mailboxes)
-        .build();
-
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-
-    // Orderers.
-    let orderer_ids = spec.orderer_ids();
-    for &id in &orderer_ids {
-        let protocol_cfg = ProtocolConfig::new(id, orderer_ids.clone());
-        let protocol = match spec.consensus {
-            ConsensusKind::Sequencer => {
-                AnyConsensus::sequencer(protocol_cfg, spec.consensus_timeout)
-            }
-            ConsensusKind::Pbft => AnyConsensus::pbft(protocol_cfg, spec.consensus_timeout),
-        };
-        let graph_mode = match spec.system {
-            SystemKind::Oxii => Some(spec.depgraph_mode),
-            SystemKind::Ox | SystemKind::Xov => None,
-        };
-        handles.push(orderer::spawn_orderer(
-            Arc::clone(&shared),
-            net.endpoint(id),
-            protocol,
-            graph_mode,
-        ));
-    }
-
-    // Peers (executors + non-executors).
-    for &id in &spec.peer_ids() {
-        let endpoint = net.endpoint(id);
-        let handle = match spec.system {
-            SystemKind::Oxii => oxii::spawn_executor(Arc::clone(&shared), endpoint),
-            SystemKind::Ox => ox::spawn_peer(Arc::clone(&shared), endpoint),
-            SystemKind::Xov => xov::spawn_peer(Arc::clone(&shared), endpoint),
-        };
-        handles.push(handle);
-    }
+    let cluster = Cluster::start(spec);
+    let shared = &cluster.shared;
 
     // Client driver (runs on the caller thread). The measurement window
     // is anchored to the driver's schedule origin so warm-up/cool-down
     // spans cut on *intended* arrival times.
-    let client_endpoint = net.endpoint(spec.client_node());
+    let client_endpoint = cluster.net.endpoint(spec.client_node());
     let drive_start = shared.clock.now();
     if (!load.warmup.is_zero() || !load.cooldown.is_zero())
         && load.warmup + load.cooldown < load.duration
@@ -138,25 +166,16 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
     }
     match spec.system {
         SystemKind::Oxii | SystemKind::Ox => {
-            driver::run_driver(&shared, &client_endpoint, load, drive_start);
+            driver::run_driver(shared, &client_endpoint, load, drive_start);
         }
         SystemKind::Xov => {
-            xov::run_xov_driver(&shared, &client_endpoint, load.rate_tps, load.duration);
+            xov::run_xov_driver(shared, &client_endpoint, load.rate_tps, load.duration);
         }
     }
 
     // Let in-flight work drain, then stop everything.
     std::thread::sleep(load.drain);
-    shared.stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        let _ = handle.join();
-    }
-    let messages = net.stats().sent();
-    net.shutdown();
-    let mut report = shared.metrics.report();
-    report.messages = messages;
-    report.trace = shared.trace.snapshot();
-    report
+    cluster.finish(None)
 }
 
 /// Runs a *fixed-count* experiment: submits exactly `count` transactions
@@ -233,46 +252,11 @@ fn run_fixed_impl(
         spec.system != SystemKind::Xov,
         "run_fixed supports OX and OXII only"
     );
-    let shared = Shared::new(spec.clone());
-    let net: SimNetwork<Msg> = NetworkBuilder::new()
-        .topology(spec.build_topology())
-        .seed(spec.seed)
-        .legacy_mailboxes(spec.legacy_mailboxes)
-        .build();
-
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    let orderer_ids = spec.orderer_ids();
-    for &id in &orderer_ids {
-        let protocol_cfg = ProtocolConfig::new(id, orderer_ids.clone());
-        let protocol = match spec.consensus {
-            ConsensusKind::Sequencer => {
-                AnyConsensus::sequencer(protocol_cfg, spec.consensus_timeout)
-            }
-            ConsensusKind::Pbft => AnyConsensus::pbft(protocol_cfg, spec.consensus_timeout),
-        };
-        let graph_mode = match spec.system {
-            SystemKind::Oxii => Some(spec.depgraph_mode),
-            SystemKind::Ox | SystemKind::Xov => None,
-        };
-        handles.push(orderer::spawn_orderer(
-            Arc::clone(&shared),
-            net.endpoint(id),
-            protocol,
-            graph_mode,
-        ));
-    }
-    for &id in &spec.peer_ids() {
-        let endpoint = net.endpoint(id);
-        let handle = match spec.system {
-            SystemKind::Oxii => oxii::spawn_executor(Arc::clone(&shared), endpoint),
-            SystemKind::Ox => ox::spawn_peer(Arc::clone(&shared), endpoint),
-            SystemKind::Xov => unreachable!("rejected above"),
-        };
-        handles.push(handle);
-    }
+    let cluster = Cluster::start(spec);
+    let shared = &cluster.shared;
 
     let script_handle = fault_script.map(|script| {
-        let faults = net.faults();
+        let faults = cluster.net.faults();
         // lint:allow(thread-spawn) — the fault script runs beside the threaded
         // cluster it perturbs; deterministic runs use the sim scheduler instead
         std::thread::Builder::new()
@@ -281,31 +265,15 @@ fn run_fixed_impl(
             .expect("spawn fault script")
     });
 
-    let client_endpoint = net.endpoint(spec.client_node());
-    driver::run_driver_count_from(&shared, &client_endpoint, rate_tps, skip, count);
+    let client_endpoint = cluster.net.endpoint(spec.client_node());
+    driver::run_driver_count_from(shared, &client_endpoint, rate_tps, skip, count);
 
     let expected = count.saturating_sub(skip) as u64;
     let deadline = shared.clock.now() + timeout;
     while shared.metrics.processed() < expected && shared.clock.now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    shared.stop.store(true, Ordering::Relaxed);
-    if let Some(handle) = script_handle {
-        // A crashed fault script means the faults were never injected —
-        // surface it instead of letting the test pass vacuously.
-        if let Err(panic) = handle.join() {
-            std::panic::resume_unwind(panic);
-        }
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    let messages = net.stats().sent();
-    net.shutdown();
-    let mut report = shared.metrics.report();
-    report.messages = messages;
-    report.trace = shared.trace.snapshot();
-    report
+    cluster.finish(script_handle)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parblock_consensus::ProtocolConfig;
-use parblock_net::{NetworkBuilder, SimNetwork};
+use parblock_net::SimNetwork;
 use parblock_types::{ArrivalProcess, Block, BlockNumber, Clock, Hash32, NodeId, Transaction, TxId};
 use parblock_workload::{ArrivalGen, WorkloadGen};
 
@@ -250,7 +250,7 @@ pub struct SimOutcome {
     pub orderers: Vec<OrdererOutcome>,
 }
 
-fn build_protocol(spec: &ClusterSpec, id: NodeId) -> AnyConsensus {
+pub(crate) fn build_protocol(spec: &ClusterSpec, id: NodeId) -> AnyConsensus {
     let cfg = ProtocolConfig::new(id, spec.orderer_ids());
     match spec.consensus {
         ConsensusKind::Sequencer => AnyConsensus::sequencer(cfg, spec.consensus_timeout),
@@ -279,12 +279,10 @@ impl SimCluster {
             "the deterministic simulator runs OXII clusters"
         );
         let shared = Shared::with_clock(spec.clone(), clock.clone());
-        let net: SimNetwork<Msg> = NetworkBuilder::new()
-            .topology(spec.build_topology())
-            .seed(spec.seed)
+        let net: SimNetwork<Msg> = spec
+            .network_builder()
             .clock(clock.clone())
             .manual_delivery()
-            .legacy_mailboxes(spec.legacy_mailboxes)
             .build();
         let orderer_ids = spec.orderer_ids();
         let peer_ids = spec.peer_ids();

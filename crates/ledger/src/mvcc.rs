@@ -34,12 +34,6 @@ use crate::kv::Version;
 pub struct MvccState {
     /// Version chains, each sorted ascending by version.
     chains: HashMap<Key, Vec<(Version, Value)>>,
-    /// Speculative overlay for the optimistic (Block-STM) executor:
-    /// versions written by incarnations that have **not validated yet**.
-    /// Visible only through [`MvccState::get_at_speculative`] — digests,
-    /// snapshots and pruning never see this layer, so an aborted
-    /// incarnation can be retracted without a trace.
-    spec_chains: HashMap<Key, Vec<(Version, Value)>>,
 }
 
 impl MvccState {
@@ -97,84 +91,6 @@ impl MvccState {
             Err(0) => None,
             Err(i) => Some(chain[i - 1].1.clone()),
         }
-    }
-
-    // ---- speculative layer (optimistic execution) -------------------
-
-    /// Writes a **speculative** version of `key`: visible to speculative
-    /// readers positioned above it, invisible to every committed-layer
-    /// accessor (`read_at`/`get_at`/`digest*`/`snapshot_at`/`prune`).
-    /// Promotion is retract-then-[`MvccState::put`] once the writing
-    /// incarnation validates.
-    pub fn put_speculative(&mut self, key: Key, value: Value, version: Version) {
-        let chain = self.spec_chains.entry(key).or_default();
-        match chain.binary_search_by_key(&version, |(v, _)| *v) {
-            Ok(i) => chain[i].1 = value,
-            Err(i) => chain.insert(i, (version, value)),
-        }
-    }
-
-    /// Applies a batch of speculative writes, all stamped with `version`.
-    pub fn apply_speculative<I: IntoIterator<Item = (Key, Value)>>(
-        &mut self,
-        writes: I,
-        version: Version,
-    ) {
-        for (k, v) in writes {
-            self.put_speculative(k, v, version);
-        }
-    }
-
-    /// Removes the speculative versions of `keys` stamped exactly
-    /// `version` (an aborted or promoted incarnation's writes). Missing
-    /// entries are ignored, so retraction is idempotent.
-    pub fn retract_speculative(&mut self, version: Version, keys: &[Key]) {
-        for key in keys {
-            if let Some(chain) = self.spec_chains.get_mut(key) {
-                if let Ok(i) = chain.binary_search_by_key(&version, |(v, _)| *v) {
-                    chain.remove(i);
-                }
-                if chain.is_empty() {
-                    self.spec_chains.remove(key);
-                }
-            }
-        }
-    }
-
-    /// The optimistic executor's read: the newest version **strictly
-    /// below** `position` across the committed *and* speculative layers,
-    /// with the version stamp the reader observed. Strictly below —
-    /// rather than `get_at`'s at-or-below — so a transaction that both
-    /// reads and writes a key never observes its own speculative write
-    /// when its read set is re-validated after execution. On a version
-    /// tie between the layers (an incarnation promoted but not yet
-    /// retracted) the committed value wins.
-    #[must_use]
-    pub fn get_at_speculative(
-        &self,
-        key: Key,
-        position: Version,
-    ) -> Option<(Value, Version)> {
-        let newest_below = |chain: &Vec<(Version, Value)>| {
-            let below = chain.partition_point(|(v, _)| *v < position);
-            below.checked_sub(1).map(|i| chain[i].clone())
-        };
-        let committed = self.chains.get(&key).and_then(newest_below);
-        let speculative = self.spec_chains.get(&key).and_then(newest_below);
-        match (committed, speculative) {
-            (Some((cver, cval)), Some((sver, _))) if cver >= sver => Some((cval, cver)),
-            (_, Some((sver, sval))) => Some((sval, sver)),
-            (Some((cver, cval)), None) => Some((cval, cver)),
-            (None, None) => None,
-        }
-    }
-
-    /// Number of speculative versions currently held (across all keys) —
-    /// must be zero once every in-flight incarnation has validated or
-    /// retracted.
-    #[must_use]
-    pub fn speculative_versions(&self) -> usize {
-        self.spec_chains.values().map(Vec::len).sum()
     }
 
     /// Reads the newest version of `key`.
@@ -411,58 +327,6 @@ mod tests {
         }
         assert_eq!(rebuilt.read_at(Key(1), v(1, u32::MAX)), Value::Int(10));
         assert_eq!(MvccState::new().snapshot_at(v(9, 9)), vec![]);
-    }
-
-    #[test]
-    fn speculative_reads_are_strictly_below_and_prefer_committed_on_ties() {
-        let mut s = MvccState::new();
-        s.put(Key(1), Value::Int(10), v(1, 0));
-        s.put_speculative(Key(1), Value::Int(20), v(1, 2));
-        // Strictly below: a reader AT the speculative version sees past it.
-        assert_eq!(s.get_at_speculative(Key(1), v(1, 2)), Some((Value::Int(10), v(1, 0))));
-        assert_eq!(s.get_at_speculative(Key(1), v(1, 3)), Some((Value::Int(20), v(1, 2))));
-        // Tie between layers: the committed (promoted) value wins.
-        s.put(Key(1), Value::Int(21), v(1, 2));
-        assert_eq!(s.get_at_speculative(Key(1), v(1, 3)), Some((Value::Int(21), v(1, 2))));
-        assert_eq!(s.get_at_speculative(Key(9), v(5, 0)), None);
-        assert_eq!(s.get_at_speculative(Key(1), v(1, 0)), None, "nothing below");
-    }
-
-    #[test]
-    fn speculative_layer_never_leaks_into_committed_accessors() {
-        let mut s = MvccState::new();
-        s.put(Key(1), Value::Int(1), v(1, 0));
-        let digest = s.digest();
-        let horizon = v(9, 0);
-        s.apply_speculative([(Key(1), Value::Int(99)), (Key(2), Value::Int(7))], v(2, 0));
-        assert_eq!(s.speculative_versions(), 2);
-        assert_eq!(s.digest(), digest);
-        assert_eq!(s.digest_at(horizon), digest);
-        assert_eq!(s.snapshot_at(horizon), vec![(Key(1), Value::Int(1), v(1, 0))]);
-        assert_eq!(s.get_at(Key(2), horizon), None);
-        assert_eq!(s.latest(Key(2)), Value::Unit);
-        // Prune ignores the overlay entirely.
-        s.prune(horizon);
-        assert_eq!(s.speculative_versions(), 2);
-        // Retraction restores the empty overlay without touching commits.
-        s.retract_speculative(v(2, 0), &[Key(1), Key(2), Key(3)]);
-        assert_eq!(s.speculative_versions(), 0);
-        assert_eq!(s.digest(), digest);
-    }
-
-    #[test]
-    fn retract_is_exact_and_idempotent() {
-        let mut s = MvccState::new();
-        s.put_speculative(Key(1), Value::Int(1), v(1, 0));
-        s.put_speculative(Key(1), Value::Int(2), v(1, 4));
-        s.retract_speculative(v(1, 4), &[Key(1)]);
-        s.retract_speculative(v(1, 4), &[Key(1)]);
-        assert_eq!(s.speculative_versions(), 1);
-        assert_eq!(s.get_at_speculative(Key(1), v(1, 5)), Some((Value::Int(1), v(1, 0))));
-        // Re-execution overwrites in place (same version, new value).
-        s.put_speculative(Key(1), Value::Int(3), v(1, 0));
-        assert_eq!(s.speculative_versions(), 1);
-        assert_eq!(s.get_at_speculative(Key(1), v(1, 5)), Some((Value::Int(3), v(1, 0))));
     }
 
     #[test]

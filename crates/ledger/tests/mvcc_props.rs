@@ -131,78 +131,4 @@ proptest! {
         }
         prop_assert_eq!(after.digest(), before.digest());
     }
-
-    /// Speculative writes are invisible to every committed-layer accessor
-    /// — `get_at`, `latest`, `digest`, `digest_at`, `snapshot_at` — both
-    /// while they are live and after they are retracted: an optimistic
-    /// incarnation's unvalidated effects can never leak into a state
-    /// digest or a ledger-visible read, aborted or not.
-    #[test]
-    fn speculative_writes_never_leak_into_committed_accessors(
-        puts in arb_puts(),
-        spec_puts in arb_puts(),
-        probe_block in 0u64..6,
-        probe_seq in 0u32..7,
-    ) {
-        let committed_only = build(&puts);
-        let mut overlaid = build(&puts);
-        for (k, ver, val) in &spec_puts {
-            overlaid.put_speculative(*k, val.clone(), *ver);
-        }
-        let probe = v(probe_block, probe_seq);
-        prop_assert_eq!(overlaid.digest(), committed_only.digest());
-        prop_assert_eq!(overlaid.digest_at(probe), committed_only.digest_at(probe));
-        prop_assert_eq!(overlaid.snapshot_at(probe), committed_only.snapshot_at(probe));
-        for key in (0u64..4).map(Key) {
-            prop_assert_eq!(overlaid.get_at(key, probe), committed_only.get_at(key, probe));
-            prop_assert_eq!(overlaid.latest(key), committed_only.latest(key));
-        }
-        // Retract everything (abort path) — still identical, and the
-        // overlay is verifiably empty.
-        for (k, ver, _) in &spec_puts {
-            overlaid.retract_speculative(*ver, std::slice::from_ref(k));
-        }
-        prop_assert_eq!(overlaid.speculative_versions(), 0);
-        prop_assert_eq!(overlaid.digest(), committed_only.digest());
-        prop_assert_eq!(overlaid.snapshot_at(probe), committed_only.snapshot_at(probe));
-    }
-
-    /// `get_at_speculative` returns the newest version **strictly below**
-    /// the reader position across both layers, preferring the committed
-    /// layer on a version tie — checked against a brute-force model.
-    #[test]
-    fn speculative_read_matches_two_layer_model(
-        puts in arb_puts(),
-        spec_puts in arb_puts(),
-        key in (0u64..4).prop_map(Key),
-        block in 0u64..6,
-        seq in 0u32..7,
-    ) {
-        let mut state = build(&puts);
-        for (k, ver, val) in &spec_puts {
-            state.put_speculative(*k, val.clone(), *ver);
-        }
-        let position = v(block, seq);
-        // Model: committed puts shadow speculative puts at equal versions;
-        // last put per (layer, key, version) wins; strictly-below filter.
-        let mut best: Option<(Version, bool, Value)> = None; // (ver, from_committed, val)
-        for (committed, layer) in [(false, &spec_puts), (true, &puts)] {
-            for (k, ver, val) in layer.iter() {
-                if *k != key || *ver >= position {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bv, bc, _)) => {
-                        *ver > *bv || (*ver == *bv && (committed || !bc))
-                    }
-                };
-                if better {
-                    best = Some((*ver, committed, val.clone()));
-                }
-            }
-        }
-        let expected = best.map(|(ver, _, val)| (val, ver));
-        prop_assert_eq!(state.get_at_speculative(key, position), expected);
-    }
 }

@@ -3,14 +3,10 @@
 //! (wall-clock) mode, or under explicit caller control in the *manual*
 //! mode the deterministic simulator uses (DESIGN.md §10, §15).
 //!
-//! Two queue engines exist behind [`NetworkBuilder::legacy_mailboxes`]:
-//! the default **sharded** engine keeps one `(due, seq)`-ordered heap per
+//! The queue engine is **sharded**: one `(due, seq)`-ordered heap per
 //! destination with targeted wakeups (an enqueue only notifies a worker
-//! whose sleep deadline it beats), and the **legacy** engine keeps the
-//! historical single global heap with one delivery thread woken on every
-//! enqueue. Both deliver in the same global `(due, seq)` order; the
-//! legacy engine survives as the ablation baseline the equivalence suite
-//! pins against.
+//! whose sleep deadline it beats). `seq` is global, so manual delivery
+//! merges the shards back into one `(due, seq)` order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -51,7 +47,6 @@ pub struct NetworkBuilder {
     seed: u64,
     clock: Option<Clock>,
     manual: bool,
-    legacy: bool,
 }
 
 impl NetworkBuilder {
@@ -94,16 +89,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Selects the pre-sharding queue engine: one global `(due, seq)`
-    /// heap under a single lock, one delivery thread woken on every
-    /// enqueue. Kept as the ablation baseline for the sharded-mailbox
-    /// rewrite; delivery order is identical in both engines.
-    #[must_use]
-    pub fn legacy_mailboxes(mut self, legacy: bool) -> Self {
-        self.legacy = legacy;
-        self
-    }
-
     /// Builds the network (and starts its delivery workers unless
     /// [`NetworkBuilder::manual_delivery`] was selected).
     ///
@@ -124,7 +109,6 @@ impl NetworkBuilder {
             self.seed,
             clock,
             self.manual,
-            self.legacy,
         )
     }
 }
@@ -147,7 +131,7 @@ impl<M: Clone> Payload<M> {
 }
 
 /// Global delivery-order key: earliest due first, enqueue order breaking
-/// ties — identical across both queue engines.
+/// ties.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapKey {
     due: Instant,
@@ -208,18 +192,12 @@ impl<M> Shard<M> {
     }
 }
 
-enum Engine<M> {
-    /// Pre-sharding baseline: one global queue, one worker, a wakeup per
-    /// enqueue.
-    Legacy(Shard<M>),
-    /// Per-destination shards with targeted wakeups.
-    Sharded(RwLock<HashMap<NodeId, Arc<Shard<M>>>>),
-}
-
 struct Shared<M> {
-    engine: Engine<M>,
+    /// Per-destination shards, created on the first message scheduled to
+    /// a destination.
+    shards: RwLock<HashMap<NodeId, Arc<Shard<M>>>>,
     /// Global enqueue sequence: ties on `due` resolve in enqueue order
-    /// across *all* destinations, in both engines.
+    /// across *all* destinations.
     next_seq: AtomicU64,
     shutdown: AtomicBool,
     manual: bool,
@@ -229,9 +207,20 @@ struct Shared<M> {
     stats: NetStats,
     rng: Mutex<StdRng>,
     clock: Clock,
-    /// Delivery worker handles (legacy: at most one; sharded: one per
-    /// destination shard, spawned lazily).
+    /// Delivery worker handles: one per destination shard, spawned
+    /// lazily (none under manual delivery).
     workers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl<M> Shared<M> {
+    /// Messages queued for future delivery, across all shards.
+    fn queued(&self) -> usize {
+        self.shards
+            .read()
+            .values()
+            .map(|shard| shard.queue.lock().heap.len())
+            .sum()
+    }
 }
 
 /// A simulated network. Cheap to clone; all clones share the same state.
@@ -256,14 +245,9 @@ impl<M: Send + 'static> Clone for SimNetwork<M> {
 }
 
 impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
-    fn start(latency: LatencyModel, seed: u64, clock: Clock, manual: bool, legacy: bool) -> Self {
-        let engine = if legacy {
-            Engine::Legacy(Shard::new())
-        } else {
-            Engine::Sharded(RwLock::new(HashMap::new()))
-        };
+    fn start(latency: LatencyModel, seed: u64, clock: Clock, manual: bool) -> Self {
         let shared = Arc::new(Shared {
-            engine,
+            shards: RwLock::new(HashMap::new()),
             next_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             manual,
@@ -275,23 +259,6 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
             clock,
             workers: Mutex::new(Vec::new()),
         });
-        if !manual {
-            if let Engine::Legacy(_) = shared.engine {
-                let worker_shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("simnet-delivery".into())
-                    .spawn(move || {
-                        let Engine::Legacy(shard) = &worker_shared.engine else {
-                            unreachable!("spawned for the legacy engine");
-                        };
-                        shard_delivery_loop(&worker_shared, shard);
-                    })
-                    .expect("spawn delivery thread");
-                shared.workers.lock().push(handle);
-            }
-            // Sharded workers spawn lazily, one per destination, on the
-            // first message scheduled to that destination.
-        }
         SimNetwork {
             shared,
             token: Arc::new(()),
@@ -365,21 +332,7 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
 
     fn schedule(&self, entry: Entry<M>) {
         self.shared.stats.record_enqueued();
-        let shard = match &self.shared.engine {
-            Engine::Legacy(shard) => {
-                // Historical wake protocol: every enqueue notifies the one
-                // delivery worker, head or not.
-                let mut queue = shard.queue.lock();
-                queue.heap.push(Reverse(entry));
-                drop(queue);
-                if !self.shared.manual {
-                    self.shared.stats.record_wakeup();
-                }
-                shard.wake.notify_one();
-                return;
-            }
-            Engine::Sharded(shards) => self.shard_for(shards, entry.to),
-        };
+        let shard = self.shard_for(entry.to);
         let mut queue = shard.queue.lock();
         // Targeted wakeup: the worker sleeps until its current head's due
         // time, so only an entry that becomes the new head can shorten
@@ -398,11 +351,8 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
 
     /// Gets or creates the shard for `to`, spawning its delivery worker
     /// in threaded mode.
-    fn shard_for(
-        &self,
-        shards: &RwLock<HashMap<NodeId, Arc<Shard<M>>>>,
-        to: NodeId,
-    ) -> Arc<Shard<M>> {
+    fn shard_for(&self, to: NodeId) -> Arc<Shard<M>> {
+        let shards = &self.shared.shards;
         if let Some(shard) = shards.read().get(&to) {
             return Arc::clone(shard);
         }
@@ -430,14 +380,35 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     /// progress at).
     #[must_use]
     pub fn next_due(&self) -> Option<Instant> {
-        match &self.shared.engine {
-            Engine::Legacy(shard) => shard
-                .queue
-                .lock()
-                .heap
-                .peek()
-                .map(|Reverse(entry)| entry.key.due),
-            Engine::Sharded(shards) => shards
+        self.shared
+            .shards
+            .read()
+            .values()
+            .filter_map(|shard| {
+                shard
+                    .queue
+                    .lock()
+                    .heap
+                    .peek()
+                    .map(|Reverse(entry)| entry.key.due)
+            })
+            .min()
+    }
+
+    /// Delivers every queued message due at or before `now`, in
+    /// deterministic `(due, enqueue-seq)` order, merged *across* shards.
+    /// Returns how many were delivered. This is the manual-delivery
+    /// engine tick; it is safe to call in threaded mode too (the delivery
+    /// workers simply find less work).
+    pub fn deliver_due(&self, now: Instant) -> usize {
+        let mut delivered = 0;
+        loop {
+            // Pick the globally smallest due head ≤ now. The key is
+            // unique (seq is), so the min does not depend on map
+            // iteration order.
+            let best = self
+                .shared
+                .shards
                 .read()
                 .values()
                 .filter_map(|shard| {
@@ -446,69 +417,24 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
                         .lock()
                         .heap
                         .peek()
-                        .map(|Reverse(entry)| entry.key)
+                        .filter(|Reverse(entry)| entry.key.due <= now)
+                        .map(|Reverse(entry)| (entry.key, Arc::clone(shard)))
                 })
-                .min()
-                .map(|key| key.due),
-        }
-    }
-
-    /// Delivers every queued message due at or before `now`, in
-    /// deterministic `(due, enqueue-seq)` order — merged *across* shards,
-    /// so the order is bit-identical to the legacy single-queue engine.
-    /// Returns how many were delivered. This is the manual-delivery
-    /// engine tick; it is safe to call in threaded mode too (the delivery
-    /// workers simply find less work).
-    pub fn deliver_due(&self, now: Instant) -> usize {
-        let mut delivered = 0;
-        loop {
-            let entry = match &self.shared.engine {
-                Engine::Legacy(shard) => {
-                    let mut queue = shard.queue.lock();
-                    match queue.heap.peek() {
-                        Some(Reverse(entry)) if entry.key.due <= now => {
-                            let Reverse(entry) = queue.heap.pop().expect("peeked");
-                            Some(entry)
-                        }
-                        _ => None,
-                    }
-                }
-                Engine::Sharded(shards) => {
-                    // Pick the globally smallest due head ≤ now. The key is
-                    // unique (seq is), so the min does not depend on map
-                    // iteration order.
-                    let best = shards
-                        .read()
-                        .values()
-                        .filter_map(|shard| {
-                            shard
-                                .queue
-                                .lock()
-                                .heap
-                                .peek()
-                                .filter(|Reverse(entry)| entry.key.due <= now)
-                                .map(|Reverse(entry)| (entry.key, Arc::clone(shard)))
-                        })
-                        .min_by_key(|(key, _)| *key);
-                    match best {
-                        Some((key, shard)) => {
-                            let mut queue = shard.queue.lock();
-                            match queue.heap.peek() {
-                                // In threaded mode a worker may have raced
-                                // us to this head; re-scan if it moved.
-                                Some(Reverse(entry)) if entry.key == key => {
-                                    let Reverse(entry) = queue.heap.pop().expect("peeked");
-                                    Some(entry)
-                                }
-                                _ => continue,
-                            }
-                        }
-                        None => None,
-                    }
-                }
-            };
-            let Some(entry) = entry else {
+                .min_by_key(|(key, _)| *key);
+            let Some((key, shard)) = best else {
                 return delivered;
+            };
+            let entry = {
+                let mut queue = shard.queue.lock();
+                match queue.heap.peek() {
+                    // In threaded mode a worker may have raced us to this
+                    // head; re-scan if it moved.
+                    Some(Reverse(entry)) if entry.key == key => {
+                        let Reverse(entry) = queue.heap.pop().expect("peeked");
+                        entry
+                    }
+                    _ => continue,
+                }
             };
             deliver_to(
                 &self.shared,
@@ -525,14 +451,7 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     /// Number of messages queued for future delivery.
     #[must_use]
     pub fn queued(&self) -> usize {
-        match &self.shared.engine {
-            Engine::Legacy(shard) => shard.queue.lock().heap.len(),
-            Engine::Sharded(shards) => shards
-                .read()
-                .values()
-                .map(|shard| shard.queue.lock().heap.len())
-                .sum(),
-        }
+        self.shared.queued()
     }
 
     /// Stops the delivery workers, dropping any undelivered messages.
@@ -550,17 +469,9 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
 /// Sets every shutdown flag and wakes every worker (no joining).
 fn signal_shutdown<M: Send + 'static>(shared: &Shared<M>) {
     shared.shutdown.store(true, Ordering::Release);
-    match &shared.engine {
-        Engine::Legacy(shard) => {
-            shard.queue.lock().shutdown = true;
-            shard.wake.notify_all();
-        }
-        Engine::Sharded(shards) => {
-            for shard in shards.read().values() {
-                shard.queue.lock().shutdown = true;
-                shard.wake.notify_all();
-            }
-        }
+    for shard in shared.shards.read().values() {
+        shard.queue.lock().shutdown = true;
+        shard.wake.notify_all();
     }
 }
 
@@ -577,17 +488,9 @@ impl<M: Send + 'static> Drop for SimNetwork<M> {
 
 impl<M: Send + 'static> std::fmt::Debug for SimNetwork<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let queued = match &self.shared.engine {
-            Engine::Legacy(shard) => shard.queue.lock().heap.len(),
-            Engine::Sharded(shards) => shards
-                .read()
-                .values()
-                .map(|shard| shard.queue.lock().heap.len())
-                .sum(),
-        };
         f.debug_struct("SimNetwork")
             .field("mailboxes", &self.shared.mailboxes.read().len())
-            .field("queued", &queued)
+            .field("queued", &self.shared.queued())
             .finish()
     }
 }
@@ -607,8 +510,7 @@ fn deliver_to<M: Send + 'static>(shared: &Shared<M>, to: NodeId, envelope: Envel
     }
 }
 
-/// One delivery worker's loop over one shard (the legacy engine runs
-/// exactly one of these over its single global shard).
+/// One delivery worker's loop over one shard.
 fn shard_delivery_loop<M: Send + Sync + Clone + 'static>(shared: &Shared<M>, shard: &Shard<M>) {
     let mut queue = shard.queue.lock();
     loop {
@@ -827,55 +729,13 @@ mod tests {
         net.shutdown();
     }
 
-    /// Drives the same seeded manual-mode scenario through both queue
-    /// engines and asserts the delivery sequence every node observes is
-    /// identical — the ablation invariant the sharded rewrite must hold.
-    #[test]
-    fn legacy_and_sharded_engines_deliver_identically() {
-        fn run(legacy: bool) -> Vec<(NodeId, NodeId, u32)> {
-            let clock = Clock::simulated();
-            let mut topo =
-                Topology::two_dc(Duration::from_micros(50), Duration::from_millis(1));
-            topo.set_jitter(0.4);
-            topo.place(NodeId(3), crate::DcId(1));
-            let net: SimNetwork<u32> = NetworkBuilder::new()
-                .topology(topo)
-                .seed(99)
-                .clock(clock.clone())
-                .manual_delivery()
-                .legacy_mailboxes(legacy)
-                .build();
-            let endpoints: Vec<_> = (0..4).map(|i| net.endpoint(NodeId(i))).collect();
-            net.faults().set_drop(NodeId(0), NodeId(2), 0.5);
-            let all: Vec<NodeId> = (0..4).map(NodeId).collect();
-            for round in 0..10u32 {
-                endpoints[(round % 4) as usize].multicast(all.iter(), &round);
-                endpoints[0].send(NodeId(3), 100 + round);
-                clock.advance(Duration::from_micros(40));
-                net.deliver_due(clock.now());
-            }
-            clock.advance(Duration::from_millis(5));
-            net.deliver_due(clock.now());
-            let mut seen = Vec::new();
-            for (i, ep) in endpoints.iter().enumerate() {
-                while let Some(env) = ep.try_recv() {
-                    seen.push((NodeId(i as u32), env.from, env.msg));
-                }
-            }
-            net.shutdown();
-            seen
-        }
-        assert_eq!(run(true), run(false));
-    }
-
     /// The sharded wake protocol: a burst of enqueues to one destination
     /// triggers O(1) worker wakeups (only a new earliest-due head
-    /// notifies), while the legacy engine wakes its worker on every
-    /// single enqueue.
+    /// notifies).
     #[test]
     fn sharded_enqueues_per_wakeup_is_batched() {
         let burst = 100u32;
-        // Sharded (default): messages 2..n land behind the head silently.
+        // Messages 2..n land behind the head silently.
         let net = lan(50_000); // 50 ms: the whole burst enqueues while the worker sleeps
         let a = net.endpoint(NodeId(0));
         let b = net.endpoint(NodeId(1));
@@ -891,25 +751,6 @@ mod tests {
         for _ in 0..burst {
             b.recv_timeout(Duration::from_secs(2)).expect("delivered");
         }
-        net.shutdown();
-
-        // Legacy ablation: every enqueue is a wakeup.
-        let net: SimNetwork<u32> = NetworkBuilder::new()
-            .topology(Topology::single_dc(Duration::from_micros(50_000)))
-            .seed(7)
-            .legacy_mailboxes(true)
-            .build();
-        let a = net.endpoint(NodeId(0));
-        let _b = net.endpoint(NodeId(1));
-        for i in 0..burst {
-            a.send(NodeId(1), i);
-        }
-        assert_eq!(net.stats().enqueued(), u64::from(burst));
-        assert_eq!(
-            net.stats().wakeups(),
-            u64::from(burst),
-            "the legacy engine notifies on every enqueue"
-        );
         net.shutdown();
     }
 

@@ -83,8 +83,7 @@ impl NetStats {
 
     /// Delivery-worker condvar notifications. Together with
     /// [`NetStats::enqueued`] this audits the wake protocol: the sharded
-    /// engine keeps enqueues-per-wakeup O(batch), the legacy engine wakes
-    /// once per enqueue (DESIGN.md §15).
+    /// engine keeps enqueues-per-wakeup O(batch) (DESIGN.md §15).
     #[must_use]
     pub fn wakeups(&self) -> u64 {
         self.inner.wakeups.load(Ordering::Relaxed)

@@ -2,7 +2,7 @@
 //! check all four oracles, and print failing seeds as one-line repro
 //! commands.
 
-use parblock_types::{ExecutionMode, Hash32};
+use parblock_types::Hash32;
 use parblock_workload::WorkloadGen;
 use parblockchain::{run_sim, SimOutcome};
 
@@ -25,9 +25,6 @@ pub struct SeedReport {
     pub events: u64,
     /// Blocks sealed by the faulted run.
     pub blocks: u64,
-    /// The execution mode the seed sampled (sweeps assert all three
-    /// modes get coverage).
-    pub mode: ExecutionMode,
 }
 
 impl SeedReport {
@@ -95,7 +92,6 @@ fn evaluate(
         report_digest: faulted.report.digest(),
         events: faulted.events,
         blocks: faulted.report.blocks,
-        mode: spec.execution_mode,
     }
 }
 
@@ -136,17 +132,6 @@ impl ExploreSummary {
     #[must_use]
     pub fn total_events(&self) -> u64 {
         self.reports.iter().map(|r| r.events).sum()
-    }
-
-    /// Execution modes never sampled by the sweep. Large sweeps assert
-    /// this is empty — a silently unexercised engine would hollow out
-    /// the oracle coverage the sweep claims.
-    #[must_use]
-    pub fn unsampled_modes(&self) -> Vec<ExecutionMode> {
-        ExecutionMode::ALL
-            .into_iter()
-            .filter(|mode| self.reports.iter().all(|r| r.mode != *mode))
-            .collect()
     }
 }
 

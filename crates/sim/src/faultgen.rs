@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use parblock_store::testutil::TempDir;
-use parblock_types::{AppId, ExecutionMode, NodeId};
+use parblock_types::{AppId, NodeId};
 use parblockchain::{
     ClusterSpec, DurabilityMode, FaultEvent, FaultKind, FaultPlan, SimConfig, SystemKind,
 };
@@ -115,12 +115,6 @@ pub fn plan_for_seed(seed: u64, explore: &ExploreConfig) -> SeedPlan {
         spec.durability = DurabilityMode::InMemory;
         None
     };
-
-    // Sampled last so adding the execution-mode axis left every earlier
-    // per-seed shape decision (and thus pinned regression seeds'
-    // contention/depth/durability) untouched.
-    let mode = ExecutionMode::ALL[shape_rng.gen_range(0usize..3)];
-    spec.execution_mode = mode;
 
     // Fault window: while load is flowing plus a little drain margin.
     let window_ms = ((explore.count as f64 / explore.rate_tps) * 1_000.0) as u64 + 20;
@@ -241,7 +235,7 @@ pub fn plan_for_seed(seed: u64, explore: &ExploreConfig) -> SeedPlan {
     let mut config = SimConfig::new(spec, explore.count, explore.rate_tps);
     config.plan = FaultPlan::new(events);
     let description = format!(
-        "contention={contention} depth={depth} mode={mode} durability={} faults=[{}]",
+        "contention={contention} depth={depth} durability={} faults=[{}]",
         if on_disk { "on-disk" } else { "in-memory" },
         kinds.join(", ")
     );

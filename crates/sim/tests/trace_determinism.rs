@@ -64,10 +64,9 @@ fn different_seeds_change_the_trace_digest() {
 #[test]
 fn virtual_trace_walks_the_full_stage_ladder() {
     let report = traced_run(11);
-    // Every pipeline gap of the pessimistic in-memory leg must be
-    // populated: submitted→sequenced→cut→graph-ready→dispatched→
-    // executed→committed→durable (validated only exists under the
-    // optimistic engine and folds into its neighbours here).
+    // Every pipeline gap of the in-memory leg must be populated:
+    // submitted→sequenced→cut→graph-ready→dispatched→executed→
+    // committed→durable.
     for (from, to) in [
         (Stage::Submitted, Stage::Sequenced),
         (Stage::Sequenced, Stage::Cut),

@@ -3,10 +3,10 @@
 //! The saturation harness (DESIGN.md §13) says *that* the knee sits at a
 //! rate; this crate says *where* the latency goes. Every transaction
 //! moves through a fixed pipeline of stages — submitted → sequenced →
-//! cut → graph-ready → dispatched → executed → validated → committed →
-//! durable — and the [`TraceRecorder`] stamps each stage with a
-//! timestamp from the injectable [`parblock_types::Clock`], so the
-//! virtual-time sim leg produces bit-reproducible traces.
+//! cut → graph-ready → dispatched → executed → committed → durable —
+//! and the [`TraceRecorder`] stamps each stage with a timestamp from
+//! the injectable [`parblock_types::Clock`], so the virtual-time sim
+//! leg produces bit-reproducible traces.
 //!
 //! Two products come out of a run:
 //!

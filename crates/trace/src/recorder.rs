@@ -315,7 +315,7 @@ mod tests {
         clock.advance(Duration::from_micros(100));
         recorder.record(tx(1), Stage::Sequenced);
         clock.advance(Duration::from_micros(50));
-        // Validated never recorded (pessimistic engine): the fold skips it.
+        // Cut … Executed never recorded: the fold skips them.
         recorder.record(tx(1), Stage::Committed);
         clock.advance(Duration::from_micros(10));
         recorder.record_durable_block([tx(1)]);

@@ -12,8 +12,9 @@ pub struct StagePair {
     /// Earlier stage.
     pub from: Stage,
     /// Later stage (the next one actually recorded for the
-    /// transaction; engines that skip a stage — e.g. pessimistic
-    /// execution never validates — produce the skipping pair).
+    /// transaction; one that skips a stage — e.g. the observer never
+    /// dispatches another application's transaction — produces the
+    /// skipping pair).
     pub to: Stage,
     /// Gap distribution in nanoseconds.
     pub hist: Histogram,

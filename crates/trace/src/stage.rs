@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Number of lifecycle stages — the length of [`Stage::ALL`].
-pub const STAGE_COUNT: usize = 9;
+pub const STAGE_COUNT: usize = 8;
 
 /// One stage of a transaction's lifecycle through an OXII cluster, in
 /// pipeline order. The discriminants are stable (they appear in digest
@@ -22,20 +22,15 @@ pub enum Stage {
     /// Every dependency-graph predecessor completed: the scheduler may
     /// dispatch it.
     GraphReady = 3,
-    /// An executor worker picked it up (first dispatch under
-    /// re-execution).
+    /// An executor worker picked it up.
     Dispatched = 4,
-    /// Contract execution finished (first completion; optimistic
-    /// re-execution latency lands in the gap to the next stage).
+    /// Contract execution finished.
     Executed = 5,
-    /// The optimistic engine's validation scan accepted the speculative
-    /// result (absent under the pessimistic engine).
-    Validated = 6,
     /// The commit quorum was reached on the observer.
-    Committed = 7,
+    Committed = 6,
     /// The block holding the transaction was sealed to the durability
     /// layer (the WAL fsync lands here on-disk).
-    Durable = 8,
+    Durable = 7,
 }
 
 impl Stage {
@@ -47,7 +42,6 @@ impl Stage {
         Stage::GraphReady,
         Stage::Dispatched,
         Stage::Executed,
-        Stage::Validated,
         Stage::Committed,
         Stage::Durable,
     ];
@@ -74,7 +68,6 @@ impl Stage {
             Stage::GraphReady => "graph-ready",
             Stage::Dispatched => "dispatched",
             Stage::Executed => "executed",
-            Stage::Validated => "validated",
             Stage::Committed => "committed",
             Stage::Durable => "durable",
         }

@@ -49,61 +49,21 @@ impl Default for BlockCutConfig {
     }
 }
 
-/// How an OXII executor schedules the transactions of a block.
-///
-/// The paper's scheduler is **pessimistic**: the orderers read declared
+/// How an OXII executor schedules the transactions of a block: the
+/// paper's **pessimistic** scheduler. The orderers read declared
 /// read/write sets and ship a dependency graph, and a transaction only
 /// runs once every predecessor is locally executed or committed
-/// (§IV-C, Algorithm 1). The **optimistic** engine is the Block-STM
-/// alternative ("A theory of transaction parallelism in blockchains"):
-/// run everything speculatively against the multi-version store, record
-/// what each execution read, and validate in log order — aborting and
-/// re-executing any transaction whose reads were clobbered by a
-/// lower-positioned writer. Both engines are serializable against the
-/// same block order, so they commit byte-identical ledgers and states
-/// (`tests/mode_equivalence.rs` pins this).
+/// (§IV-C, Algorithm 1).
+///
+/// Nothing reads this type or `ClusterSpec::execution_mode`: there is
+/// one engine (DESIGN.md §11 records the rejected alternatives). Both
+/// remain only because `benchmark/` assigns the field by name, and go
+/// with the next `benchmark` PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
     /// Dependency-graph scheduling (the paper's Algorithm 1).
     #[default]
     Pessimistic,
-    /// Block-STM style speculate / validate / re-execute.
-    Optimistic,
-    /// Per-block choice: pessimistic for conflict-dense blocks (where
-    /// speculation mostly aborts), optimistic for sparse ones.
-    HybridByContention,
-}
-
-impl ExecutionMode {
-    /// Parses the spelling used by `PARBLOCK_EXEC_MODE` and the CLI
-    /// (`pessimistic` / `optimistic` / `hybrid`).
-    #[must_use]
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "pessimistic" => Some(ExecutionMode::Pessimistic),
-            "optimistic" => Some(ExecutionMode::Optimistic),
-            "hybrid" | "hybrid-by-contention" => Some(ExecutionMode::HybridByContention),
-            _ => None,
-        }
-    }
-
-    /// All three modes, in ablation order.
-    pub const ALL: [ExecutionMode; 3] = [
-        ExecutionMode::Pessimistic,
-        ExecutionMode::Optimistic,
-        ExecutionMode::HybridByContention,
-    ];
-}
-
-impl std::fmt::Display for ExecutionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ExecutionMode::Pessimistic => "pessimistic",
-            ExecutionMode::Optimistic => "optimistic",
-            ExecutionMode::HybridByContention => "hybrid",
-        };
-        f.write_str(s)
-    }
 }
 
 /// The arrival process an open-loop load driver uses to place intended
@@ -378,19 +338,6 @@ mod tests {
         assert_eq!(ArrivalProcess::parse("lognormal"), None);
         assert_eq!(ArrivalProcess::default(), ArrivalProcess::Uniform);
         assert_eq!(ArrivalProcess::default_burst().to_string(), "burst");
-    }
-
-    #[test]
-    fn execution_mode_parse_and_display_round_trip() {
-        for mode in ExecutionMode::ALL {
-            assert_eq!(ExecutionMode::parse(&mode.to_string()), Some(mode));
-        }
-        assert_eq!(
-            ExecutionMode::parse(" Hybrid-By-Contention "),
-            Some(ExecutionMode::HybridByContention)
-        );
-        assert_eq!(ExecutionMode::parse("blockstm"), None);
-        assert_eq!(ExecutionMode::default(), ExecutionMode::Pessimistic);
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! order** (equal ledger head hashes) and converge to the **byte-equal
 //! final state** (equal state digests). Depth 1 is the paper-faithful
 //! barrier, so equality to it proves the pipeline is a pure
-//! optimization.
+//! optimization. Every depth runs both in memory and on the durable
+//! store: persisting effects and sealing blocks must not change what
+//! is committed either.
 
 use std::time::Duration;
 
-use parblockchain::{run_fixed, ClusterSpec, SystemKind};
-use parblockchain_repro as _;
+use parblockchain::{run_fixed, ClusterSpec, DurabilityMode, SystemKind};
+use parblockchain_repro::store::testutil::TempDir;
 
 fn pipelined_spec(contention: f64, depth: usize) -> ClusterSpec {
     let mut spec = ClusterSpec::new(SystemKind::Oxii);
@@ -36,35 +38,51 @@ fn pipelined_spec(contention: f64, depth: usize) -> ClusterSpec {
 }
 
 /// Ledger hashes and final state digests are identical across pipeline
-/// depths 1, 2 and 4 at contention 0.0, 0.5 and 0.9.
+/// depths 1, 2 and 4, in memory and on disk, at contention 0.0, 0.5 and
+/// 0.9.
 #[test]
 fn depths_1_2_4_produce_identical_ledger_and_state() {
     for contention in [0.0, 0.5, 0.9] {
         let mut results = Vec::new();
         for depth in [1usize, 2, 4] {
-            let spec = pipelined_spec(contention, depth);
-            let report = run_fixed(&spec, 200, 2_000.0, Duration::from_secs(30));
-            assert_eq!(
-                report.committed, 200,
-                "depth {depth} at contention {contention}: {report:?}"
-            );
-            assert_eq!(report.aborted, 0, "depth {depth} at contention {contention}");
-            results.push((
-                depth,
-                report.state_digest.expect("digest captured"),
-                report.ledger_head.expect("ledger head recorded"),
-            ));
+            for on_disk in [false, true] {
+                let cell = format!(
+                    "depth {depth}, {}, contention {contention}",
+                    if on_disk { "on-disk" } else { "in-memory" }
+                );
+                let mut spec = pipelined_spec(contention, depth);
+                // The guard keeps the store directory alive for the run.
+                let data_dir = on_disk.then(|| TempDir::new("pipeline-eq"));
+                if let Some(dir) = &data_dir {
+                    spec.durability = DurabilityMode::OnDisk {
+                        data_dir: dir.path().to_path_buf(),
+                        fresh: true,
+                    };
+                }
+                let report = run_fixed(&spec, 200, 2_000.0, Duration::from_secs(30));
+                assert_eq!(report.committed, 200, "{cell}: {report:?}");
+                assert_eq!(report.aborted, 0, "{cell}");
+                assert_eq!(
+                    report.fsync_count > 0,
+                    on_disk,
+                    "{cell}: the durability axis is not live: {report:?}"
+                );
+                results.push((
+                    cell,
+                    report.state_digest.expect("digest captured"),
+                    report.ledger_head.expect("ledger head recorded"),
+                ));
+            }
         }
-        let (_, base_digest, base_head) = results[0];
-        for (depth, digest, head) in &results[1..] {
+        let (_, base_digest, base_head) = &results[0];
+        for (cell, digest, head) in &results[1..] {
             assert_eq!(
-                *digest, base_digest,
-                "state diverged from depth 1 at depth {depth}, contention {contention}"
+                digest, base_digest,
+                "state diverged from in-memory depth 1 at {cell}"
             );
             assert_eq!(
-                *head, base_head,
-                "ledger/commit order diverged from depth 1 at depth {depth}, \
-                 contention {contention}"
+                head, base_head,
+                "ledger/commit order diverged from in-memory depth 1 at {cell}"
             );
         }
     }
