@@ -7,13 +7,6 @@
 //! repro fig6                 # Fig 6(a)-(d): all four levels
 //! repro fig7 --move clients  # Fig 7: one moved group
 //! repro fig7                 # Fig 7(a)-(d): all four groups
-//! repro ablation-commit      # Algorithm 2 vs per-tx commit messages
-//! repro ablation-mv          # single- vs multi-version graphs
-//! repro ablation-streaming   # streaming vs batch graph construction
-//! repro ablation-pipeline    # cross-block execution pipeline vs block barrier
-//! repro ablation-durability  # in-memory vs on-disk (WAL+fsync) execution
-//! repro recover              # kill a durable cluster, recover from disk, verify digests
-//! repro recover --data-dir D # same, persisting under D instead of a tempdir
 //! repro explore --seeds 200  # deterministic simulation: sweep 200 seeds with
 //!                            # crash+partition fault schedules, check all four
 //!                            # oracles (+ pinned regression seeds)
@@ -33,22 +26,43 @@
 //! repro trace --sim --seed 7 # virtual-time leg: byte-reproducible
 //!                            # BENCH_trace.json + Perfetto-loadable
 //!                            # BENCH_trace_events.json
-//! repro all                  # everything
-//! repro all --full           # everything, longer measurement points
+//! repro all                  # the three figures, then the saturation sweep
+//! repro all --full           # the same, longer measurement points
 //! ```
 //!
 //! Results print to stdout and are written as CSV under `bench_results/`.
+//! What a transaction costs (end to end and per layer) is the repo
+//! benchmark's job: `bash benchmark/run.sh`.
 
 use parblock_bench::{
-    ablation_commit_batching, ablation_durability, ablation_mv_graph,
-    ablation_pipeline, ablation_streaming, default_data_dir, default_seed_file, explore_one,
-    explore_sweep, fig5_block_size, fig6_contention, fig7_geo, knee_summary, load_seed_file,
-    check_knee_baseline, parse_rates, recover_demo, run_saturate, run_trace, saturate_table,
-    trace_table, write_saturate_json, write_trace_artifacts, ExperimentScale, SaturateOptions, Table,
-    TraceOptions,
+    check_knee_baseline, default_seed_file, explore_one, explore_sweep, fig5_block_size,
+    fig6_contention, fig7_geo, knee_summary, load_seed_file, parse_rates, run_saturate, run_trace,
+    saturate_table, trace_table, write_saturate_json, write_trace_artifacts, ExperimentScale,
+    SaturateOptions, Table, TraceOptions,
 };
 use parblock_types::ArrivalProcess;
 use parblockchain::MovedGroup;
+
+/// The parsed value after `flag`, or `None` when the flag is absent. A
+/// flag whose value is missing or does not parse is an error, never a
+/// request to fall back to the default sweep: says what it wants and
+/// exits 2.
+fn flag_or_exit<T>(
+    args: &[String],
+    command: &str,
+    flag: &str,
+    wants: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let at = args.iter().position(|a| a == flag)?;
+    let raw = args.get(at + 1).map_or("", String::as_str);
+    let parsed = parse(raw);
+    if parsed.is_none() {
+        eprintln!("{command}: {flag} wants {wants}, got {raw:?}");
+        std::process::exit(2);
+    }
+    parsed
+}
 
 fn emit(name: &str, table: &Table) {
     println!("== {name} ==");
@@ -106,23 +120,23 @@ fn run_saturate_cmd(args: &[String], scale: ExperimentScale) {
         scale,
         ..SaturateOptions::default()
     };
-    if let Some(raw) = arg_value("--rates") {
-        match parse_rates(&raw) {
-            Some(rates) => options.rates = rates,
-            None => {
-                eprintln!("saturate: --rates wants comma-separated positive tps, got {raw:?}");
-                std::process::exit(2);
-            }
-        }
+    if let Some(rates) = flag_or_exit(
+        args,
+        "saturate",
+        "--rates",
+        "comma-separated positive tps",
+        parse_rates,
+    ) {
+        options.rates = rates;
     }
-    if let Some(raw) = arg_value("--arrival") {
-        match ArrivalProcess::parse(&raw) {
-            Some(arrival) => options.arrival = arrival,
-            None => {
-                eprintln!("saturate: --arrival wants uniform|poisson|burst, got {raw:?}");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arrival) = flag_or_exit(
+        args,
+        "saturate",
+        "--arrival",
+        "uniform|poisson|burst",
+        ArrivalProcess::parse,
+    ) {
+        options.arrival = arrival;
     }
     options.sim = args.iter().any(|a| a == "--sim");
     options.on_disk = args.iter().any(|a| a == "--on-disk");
@@ -239,18 +253,25 @@ fn main() {
     match command {
         "fig5" => run_fig5(scale),
         "fig6" => {
-            let level = arg_value("--contention").and_then(|v| v.parse().ok());
+            let level = flag_or_exit(
+                &args,
+                "fig6",
+                "--contention",
+                "a percentage 0..=100",
+                |v| v.parse::<u32>().ok().filter(|l| *l <= 100),
+            );
             run_fig6(level, scale);
         }
         "fig7" => {
-            let moved = arg_value("--move").and_then(|v| parse_move(&v));
+            let moved = flag_or_exit(
+                &args,
+                "fig7",
+                "--move",
+                "clients|orderers|executors|nonexecutors",
+                parse_move,
+            );
             run_fig7(moved, scale);
         }
-        "ablation-commit" => emit("ablation_commit_batching", &ablation_commit_batching(scale)),
-        "ablation-mv" => emit("ablation_mv_graph", &ablation_mv_graph()),
-        "ablation-streaming" => emit("ablation_streaming", &ablation_streaming(scale)),
-        "ablation-pipeline" => emit("ablation_pipeline", &ablation_pipeline(scale)),
-        "ablation-durability" => emit("ablation_durability", &ablation_durability(scale)),
         "explore" => {
             let mut config = parblock_sim::ExploreConfig {
                 faults: !args.iter().any(|a| a == "--no-faults"),
@@ -264,9 +285,14 @@ fn main() {
             let (table, passed) = match arg_value("--seed").and_then(|v| v.parse().ok()) {
                 Some(seed) => explore_one(seed, &config),
                 None => {
-                    let seeds = arg_value("--seeds")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(200);
+                    let seeds = flag_or_exit(
+                        &args,
+                        "explore",
+                        "--seeds",
+                        "a seed count",
+                        |v| v.parse().ok(),
+                    )
+                    .unwrap_or(200);
                     let pinned = load_seed_file(&seed_file);
                     if !pinned.is_empty() {
                         println!(
@@ -286,12 +312,6 @@ fn main() {
         }
         "saturate" => run_saturate_cmd(&args, scale),
         "trace" => run_trace_cmd(&args, scale),
-        "recover" => {
-            let data_dir = arg_value("--data-dir")
-                .map_or_else(default_data_dir, std::path::PathBuf::from);
-            println!("(cluster stores under {})", data_dir.display());
-            emit("recover", &recover_demo(&data_dir));
-        }
         "lint" => {
             let cwd = std::env::current_dir().expect("cwd");
             let Some(root) = parblock_lint::find_workspace_root(&cwd) else {
@@ -318,17 +338,11 @@ fn main() {
             run_fig5(scale);
             run_fig6(None, scale);
             run_fig7(None, scale);
-            emit("ablation_commit_batching", &ablation_commit_batching(scale));
-            emit("ablation_mv_graph", &ablation_mv_graph());
-            emit("ablation_streaming", &ablation_streaming(scale));
-            emit("ablation_pipeline", &ablation_pipeline(scale));
-            emit("ablation_durability", &ablation_durability(scale));
-            emit("recover", &recover_demo(&default_data_dir()));
             run_saturate_cmd(&args, scale);
         }
         other => {
             eprintln!("unknown command: {other}");
-            eprintln!("usage: repro [fig5|fig6|fig7|ablation-commit|ablation-mv|ablation-streaming|ablation-pipeline|ablation-durability|recover|explore|saturate|trace|lint|all] [--contention N] [--move GROUP] [--data-dir DIR] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
+            eprintln!("usage: repro [fig5|fig6|fig7|explore|lint|saturate|trace|all] [--contention N] [--move GROUP] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
             std::process::exit(2);
         }
     }

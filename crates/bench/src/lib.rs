@@ -1,6 +1,8 @@
 //! Experiment runners regenerating every figure of the ParBlockchain
-//! evaluation (§V). The `repro` binary is a thin CLI over this library;
-//! the Criterion benches cover the micro-level ablations.
+//! evaluation (§V), plus the simulation tools (`explore`, `saturate`,
+//! `trace`). The `repro` binary is a thin CLI over this library. What a
+//! transaction costs, end to end and per layer, is measured by the repo
+//! benchmark under `benchmark/`, not here.
 //!
 //! Absolute numbers differ from the paper's EC2 cluster (this is a
 //! single-host simulation with timed-wait cost models — see DESIGN.md
@@ -12,18 +14,14 @@
 
 pub mod experiments;
 pub mod explore_cmd;
-pub mod recover;
 pub mod saturate_cmd;
 pub mod table;
 pub mod trace_cmd;
 
 pub use experiments::{
-    ablation_commit_batching, ablation_durability, ablation_mv_graph,
-    ablation_pipeline, ablation_streaming, fig5_block_size, fig6_contention, fig7_geo,
-    measure_point, peak_search, ExperimentScale, Point,
+    fig5_block_size, fig6_contention, fig7_geo, measure_point, peak_search, ExperimentScale, Point,
 };
 pub use explore_cmd::{default_seed_file, explore_one, explore_sweep, load_seed_file};
-pub use recover::{default_data_dir, recover_demo};
 pub use saturate_cmd::{
     check_knee_baseline, knee_summary, parse_knee_tps, parse_rates, run_saturate, saturate_json,
     saturate_table, write_saturate_json,

@@ -44,4 +44,4 @@ pub use accounting::{AccountingContract, AccountingOp};
 pub use escrow::{EscrowContract, EscrowOp};
 pub use kv_app::{KvContract, KvOp};
 pub use registry::AppRegistry;
-pub use traits::{ExecOutcome, OverlayReader, SmartContract, StateReader};
+pub use traits::{ExecOutcome, SmartContract, StateReader};

@@ -40,38 +40,6 @@ impl StateReader for KvState {
     }
 }
 
-/// A read view over a base state plus an overlay of in-flight writes —
-/// what an executor sees mid-block, after some predecessors committed
-/// locally but before the block is applied to the canonical state.
-#[derive(Debug)]
-pub struct OverlayReader<'a, R: StateReader> {
-    base: &'a R,
-    overlay: &'a std::collections::HashMap<Key, Value>,
-}
-
-impl<'a, R: StateReader> OverlayReader<'a, R> {
-    /// Creates a view of `base` shadowed by `overlay`.
-    pub fn new(base: &'a R, overlay: &'a std::collections::HashMap<Key, Value>) -> Self {
-        OverlayReader { base, overlay }
-    }
-}
-
-impl<R: StateReader> StateReader for OverlayReader<'_, R> {
-    fn read(&self, key: Key) -> Value {
-        self.overlay
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| self.base.read(key))
-    }
-
-    fn try_read(&self, key: Key) -> Option<Value> {
-        match self.overlay.get(&key) {
-            Some(value) => Some(value.clone()),
-            None => self.base.try_read(key),
-        }
-    }
-}
-
 /// The result of executing one transaction.
 ///
 /// An aborted transaction is the paper's `(x, "abort")` entry in a COMMIT
@@ -124,22 +92,9 @@ pub trait SmartContract: Send + Sync {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     use parblock_types::Value;
 
     use super::*;
-
-    #[test]
-    fn overlay_shadows_base() {
-        let base = KvState::with_genesis([(Key(1), Value::Int(1)), (Key(2), Value::Int(2))]);
-        let mut overlay = HashMap::new();
-        overlay.insert(Key(1), Value::Int(10));
-        let view = OverlayReader::new(&base, &overlay);
-        assert_eq!(view.read(Key(1)), Value::Int(10));
-        assert_eq!(view.read(Key(2)), Value::Int(2));
-        assert_eq!(view.read(Key(3)), Value::Unit);
-    }
 
     #[test]
     fn try_read_distinguishes_absent_from_zero() {
@@ -148,12 +103,6 @@ mod tests {
         assert_eq!(state.try_read(Key(1)), Some(Value::Int(0)), "stored zero");
         assert_eq!(state.try_read(Key(2)), None, "absent key");
         assert_eq!(state.read(Key(2)), Value::Unit);
-
-        let overlay_map =
-            HashMap::from([(Key(2), Value::Int(0)), (Key(3), Value::Unit)]);
-        let view = OverlayReader::new(&state, &overlay_map);
-        assert_eq!(view.try_read(Key(2)), Some(Value::Int(0)));
-        assert_eq!(view.try_read(Key(9)), None);
     }
 
     #[test]

@@ -47,17 +47,16 @@ pub enum ConsensusKind {
     Pbft,
 }
 
-/// When OXII executors multicast their COMMIT messages (§IV-C).
+/// When OXII executors multicast their COMMIT messages (§IV-C). One
+/// variant: the per-transaction alternative the paper rejects sends half
+/// as many messages again for no throughput (EXPERIMENTS.md,
+/// "Commit-batching ablation"), so nothing selects it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CommitFlush {
     /// Algorithm 2: buffer results, multicast when a result is needed by
     /// another application's agents (and at end of share).
     #[default]
     Cut,
-    /// Naive alternative the paper rejects: one commit message per
-    /// transaction ("the number of exchanged commit messages will be
-    /// large … n·m messages for the block").
-    PerTransaction,
 }
 
 /// The node group moved to the far datacenter in the Fig 7 experiments.
@@ -154,7 +153,7 @@ pub struct ClusterSpec {
     pub depgraph_mode: DependencyMode,
     /// When the orderers compute each block's graph (OXII only):
     /// incrementally over the transaction stream (default) or as a batch
-    /// rebuild at cut time (the `ablation-streaming` baseline).
+    /// rebuild at cut time (the paper's pipeline, which `repro fig5` runs).
     pub graph_construction: GraphConstruction,
     /// Workload shape (contention etc.). `block_size` is kept in sync
     /// with `block_cut.max_txns` by [`ClusterSpec::workload_config`].
@@ -166,9 +165,8 @@ pub struct ClusterSpec {
     /// How many blocks an OXII executor may keep **in flight** at once,
     /// executing block `n + 1` over multi-version snapshots while block
     /// `n`'s tail still commits (§III-A's multi-version adaptation).
-    /// `1` reproduces the paper's strict block-at-a-time barrier (the
-    /// `ablation-pipeline` baseline). Defaults to 2; values below 1 are
-    /// treated as 1.
+    /// `1` reproduces the paper's strict block-at-a-time barrier.
+    /// Defaults to 2; values below 1 are treated as 1.
     pub exec_pipeline_depth: usize,
     /// **Not read.** There is one execution engine, the paper's
     /// dependency-graph scheduler (DESIGN.md §11). The field survives
@@ -193,7 +191,9 @@ pub struct ClusterSpec {
     /// after every block, exposed as `RunReport::state_digest` (used by
     /// correctness tests; costs one state hash per block).
     pub capture_state: bool,
-    /// OXII commit-message batching strategy (ablation knob).
+    /// **Not read.** Executors always flush COMMITs by Algorithm 2's cut
+    /// rule. The field survives only because `benchmark/` assigns it by
+    /// name; it goes with the next `benchmark` PR.
     pub commit_flush: CommitFlush,
     /// Per-transaction lifecycle tracing (DESIGN.md §14). Disabled by
     /// default: recording costs one branch per stage and the

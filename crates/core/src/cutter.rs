@@ -18,8 +18,8 @@
 //! pushed transaction is fed to a [`StreamingBuilder`], so a cut
 //! hands the orderer block transactions and finished graph together and
 //! the ordering critical path never pays a batch O(n²) rebuild
-//! (DESIGN.md §3). [`GraphConstruction::Batch`] keeps the old rebuild-at-
-//! cut behaviour as the ablation baseline.
+//! (DESIGN.md §3). [`GraphConstruction::Batch`] keeps the paper's
+//! rebuild-at-cut behaviour for Fig 5.
 
 use std::time::Instant;
 
@@ -34,8 +34,8 @@ pub enum GraphConstruction {
     #[default]
     Streaming,
     /// Rebuilt from scratch at cut time (the paper's original pipeline;
-    /// O(n²) in [`DependencyMode::Full`]). Kept as the ablation baseline
-    /// for `repro ablation-streaming`.
+    /// O(n²) in [`DependencyMode::Full`]). Kept because `repro fig5`
+    /// reproduces the paper's rolloff with it.
     Batch,
 }
 

@@ -443,8 +443,7 @@ pub struct RunReport {
     /// WAL records the observer's executor replayed above its checkpoint
     /// when it recovered at startup (zero for a fresh store).
     pub recovery_replay_len: u64,
-    /// Total network messages sent during the run (filled by the runner;
-    /// the commit-batching ablation compares this across strategies).
+    /// Total network messages sent during the run (filled by the runner).
     pub messages: u64,
     /// Total client submissions recorded by the sink (all phases).
     pub submitted: u64,

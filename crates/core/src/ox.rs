@@ -99,10 +99,6 @@ impl OxPeer {
     /// sequentially."
     fn execute_block(&mut self, bundle: &Arc<BlockBundle>) {
         let per_tx = self.shared.spec.costs.per_tx;
-        let per_block = self.shared.spec.costs.per_block;
-        if !per_block.is_zero() {
-            std::thread::sleep(per_block);
-        }
         for (seq, tx) in bundle.block.iter_seq() {
             if !per_tx.is_zero() {
                 std::thread::sleep(per_tx);

@@ -527,19 +527,13 @@ impl Executor {
                 }
             }
             // Algorithm 2: multicast when another application needs this
-            // result, or when our share of the block is complete. The
-            // per-transaction alternative (ablation) flushes every time.
+            // result, or when our share of the block is complete.
             let graph = run
                 .bundle
                 .graph
                 .as_ref()
                 .expect("OXII bundle carries graph");
-            match self.shared.spec.commit_flush {
-                crate::cluster::CommitFlush::Cut => {
-                    graph.has_foreign_successor(seq) || run.we_remaining == 0
-                }
-                crate::cluster::CommitFlush::PerTransaction => true,
-            }
+            graph.has_foreign_successor(seq) || run.we_remaining == 0
         };
         // Apply own writes immediately as a versioned put (deterministic
         // across agents), so successors read them (Xe semantics of

@@ -139,15 +139,35 @@ impl Cluster {
     }
 }
 
+/// The span of a `duration`-long submission whose arrivals are measured
+/// (`duration − warmup − cooldown`).
+///
+/// # Panics
+///
+/// Panics when warm-up plus cool-down leaves no measured span.
+pub(crate) fn measured_span(duration: Duration, warmup: Duration, cooldown: Duration) -> Duration {
+    let phases = warmup + cooldown;
+    assert!(
+        phases < duration,
+        "warm-up + cool-down ({phases:?}) must leave a measured span of {duration:?}"
+    );
+    duration - phases
+}
+
 /// Runs one experiment: spins up the cluster described by `spec`,
 /// applies `load`, and returns the measured report.
 ///
 /// # Panics
 ///
-/// Panics on inconsistent specs (e.g. PBFT with fewer than 4 orderers) —
-/// these are configuration bugs, surfaced early.
+/// Panics on inconsistent specs (e.g. PBFT with fewer than 4 orderers)
+/// and on a warm-up plus cool-down that leaves no measured span — these
+/// are configuration bugs, surfaced before any thread starts.
 #[must_use]
 pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
+    let windowed = !load.warmup.is_zero() || !load.cooldown.is_zero();
+    if windowed {
+        let _ = measured_span(load.duration, load.warmup, load.cooldown);
+    }
     let cluster = Cluster::start(spec);
     let shared = &cluster.shared;
 
@@ -156,9 +176,7 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
     // spans cut on *intended* arrival times.
     let client_endpoint = cluster.net.endpoint(spec.client_node());
     let drive_start = shared.clock.now();
-    if (!load.warmup.is_zero() || !load.cooldown.is_zero())
-        && load.warmup + load.cooldown < load.duration
-    {
+    if windowed {
         shared.metrics.set_measurement_window(
             drive_start + load.warmup,
             drive_start + (load.duration - load.cooldown),
@@ -300,6 +318,14 @@ mod tests {
         spec.topology.intra = Duration::from_micros(50);
         spec.exec_pool = 4;
         spec
+    }
+
+    #[test]
+    #[should_panic(expected = "must leave a measured span")]
+    fn window_that_leaves_no_measured_span_panics_instead_of_measuring_everything() {
+        let mut load = quick_load(500.0);
+        load.warmup = load.duration;
+        let _ = run(&quick_spec(SystemKind::Oxii), &load);
     }
 
     #[test]

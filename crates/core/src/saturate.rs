@@ -10,11 +10,11 @@
 //! the flat, survivor-biased curve a closed-loop driver would report.
 //!
 //! The **knee** is the highest offered rate the system still keeps up
-//! with: achieved ≥ `knee_tolerance` × offered (0.99 by default —
+//! with: achieved ≥ [`SaturateConfig::KNEE_TOLERANCE`] × offered (0.99,
 //! matching the pacing-accuracy bound the driver regression test
 //! enforces below saturation). The sweep stops early once achieved
-//! collapses below `stop_ratio` × offered; further points would only
-//! measure queue growth.
+//! collapses below [`SaturateConfig::STOP_RATIO`] × offered; further
+//! points would only measure queue growth.
 //!
 //! Two legs share this module: [`saturate`] runs the threaded cluster in
 //! real time, [`saturate_sim`] runs the same sweep on the deterministic
@@ -29,7 +29,7 @@ use parblock_workload::ArrivalGen;
 
 use crate::cluster::ClusterSpec;
 use crate::metrics::RunReport;
-use crate::runner::{run, LoadSpec};
+use crate::runner::{measured_span, run, LoadSpec};
 use crate::sim::{run_sim, SimConfig};
 
 /// One saturation sweep: a rate schedule plus the per-step load shape.
@@ -51,18 +51,19 @@ pub struct SaturateConfig {
     pub drain: Duration,
     /// Optional admission-control cap on in-flight transactions.
     pub max_outstanding: Option<u64>,
-    /// Achieved/offered ratio that still counts as keeping up (knee
-    /// detection).
-    pub knee_tolerance: f64,
-    /// Stop the sweep once achieved/offered falls below this — the
-    /// system is past saturation and later points only measure queues.
-    pub stop_ratio: f64,
 }
 
 impl SaturateConfig {
+    /// Achieved/offered ratio that still counts as keeping up (knee
+    /// detection).
+    pub const KNEE_TOLERANCE: f64 = 0.99;
+    /// The sweep stops once achieved/offered falls below this — the
+    /// system is past saturation and later points only measure queues.
+    pub const STOP_RATIO: f64 = 0.7;
+
     /// A sweep over `rates` with the default step shape: 2 s per step
     /// (400 ms warm-up, 200 ms cool-down), uniform arrivals, no
-    /// admission cap, 0.99 knee tolerance, 0.7 stop ratio.
+    /// admission cap.
     #[must_use]
     pub fn new(spec: ClusterSpec, rates: Vec<f64>) -> Self {
         SaturateConfig {
@@ -74,8 +75,6 @@ impl SaturateConfig {
             cooldown: Duration::from_millis(200),
             drain: Duration::from_millis(800),
             max_outstanding: None,
-            knee_tolerance: 0.99,
-            stop_ratio: 0.7,
         }
     }
 
@@ -86,13 +85,7 @@ impl SaturateConfig {
     /// Panics when warm-up plus cool-down leaves no measured span.
     #[must_use]
     pub fn measured_span(&self) -> Duration {
-        let phases = self.warmup + self.cooldown;
-        assert!(
-            phases < self.duration,
-            "warm-up + cool-down ({phases:?}) must leave a measured span of {:?}",
-            self.duration
-        );
-        self.duration - phases
+        measured_span(self.duration, self.warmup, self.cooldown)
     }
 }
 
@@ -195,16 +188,16 @@ pub struct SaturateOutcome {
     /// rates to see how far it got).
     pub points: Vec<SaturatePoint>,
     /// The saturation knee: the highest offered rate whose step kept up
-    /// (achieved ≥ tolerance × offered). `None` when no step kept up —
-    /// the schedule started past saturation.
+    /// (achieved ≥ [`SaturateConfig::KNEE_TOLERANCE`] × offered). `None`
+    /// when no step kept up — the schedule started past saturation.
     pub knee_tps: Option<f64>,
 }
 
 impl SaturateOutcome {
-    fn from_points(points: Vec<SaturatePoint>, tolerance: f64) -> Self {
+    fn from_points(points: Vec<SaturatePoint>) -> Self {
         let knee_tps = points
             .iter()
-            .filter(|p| p.keeps_up(tolerance))
+            .filter(|p| p.keeps_up(SaturateConfig::KNEE_TOLERANCE))
             .map(|p| p.offered_tps)
             .fold(None, |acc: Option<f64>, r| {
                 Some(acc.map_or(r, |a| a.max(r)))
@@ -236,13 +229,13 @@ pub fn saturate(config: &SaturateConfig) -> SaturateOutcome {
         };
         let report = run(&config.spec, &load);
         let point = SaturatePoint::from_report(rate, &report);
-        let stop = !point.keeps_up(config.stop_ratio);
+        let stop = !point.keeps_up(SaturateConfig::STOP_RATIO);
         points.push(point);
         if stop {
             break;
         }
     }
-    SaturateOutcome::from_points(points, config.knee_tolerance)
+    SaturateOutcome::from_points(points)
 }
 
 /// Runs the same sweep on the deterministic virtual-time simulator
@@ -270,13 +263,13 @@ pub fn saturate_sim(config: &SaturateConfig) -> SaturateOutcome {
         sim.virtual_deadline = config.duration + config.drain;
         let outcome = run_sim(&sim);
         let point = SaturatePoint::from_report(rate, &outcome.report);
-        let stop = !point.keeps_up(config.stop_ratio);
+        let stop = !point.keeps_up(SaturateConfig::STOP_RATIO);
         points.push(point);
         if stop {
             break;
         }
     }
-    SaturateOutcome::from_points(points, config.knee_tolerance)
+    SaturateOutcome::from_points(points)
 }
 
 #[cfg(test)]
@@ -325,12 +318,12 @@ mod tests {
         assert!((1_000.0..20_000.0).contains(&knee), "knee {knee}");
         let last = outcome.points.last().unwrap();
         assert!(
-            !last.keeps_up(config.stop_ratio),
+            !last.keeps_up(SaturateConfig::STOP_RATIO),
             "sweep should stop on collapse: {last:?}"
         );
         assert!(
             outcome.points.len() < config.rates.len()
-                || !outcome.points.last().unwrap().keeps_up(config.knee_tolerance),
+                || !outcome.points.last().unwrap().keeps_up(SaturateConfig::KNEE_TOLERANCE),
             "past-saturation points after a collapse"
         );
         // Past the knee the queueing delay must show up in the tail.
@@ -352,23 +345,20 @@ mod tests {
 
     #[test]
     fn knee_is_none_when_nothing_keeps_up() {
-        let outcome = SaturateOutcome::from_points(
-            vec![SaturatePoint {
-                offered_tps: 1_000.0,
-                achieved_tps: 100.0,
-                measured_submitted: 1_000,
-                measured_committed: 100,
-                outstanding: 900,
-                p50: Duration::ZERO,
-                p99: Duration::ZERO,
-                p999: Duration::ZERO,
-                driver_overruns: 0,
-                driver_max_lag: Duration::ZERO,
-                admission_shed: 0,
-                stages: Vec::new(),
-            }],
-            0.99,
-        );
+        let outcome = SaturateOutcome::from_points(vec![SaturatePoint {
+            offered_tps: 1_000.0,
+            achieved_tps: 100.0,
+            measured_submitted: 1_000,
+            measured_committed: 100,
+            outstanding: 900,
+            p50: Duration::ZERO,
+            p99: Duration::ZERO,
+            p999: Duration::ZERO,
+            driver_overruns: 0,
+            driver_max_lag: Duration::ZERO,
+            admission_shed: 0,
+            stages: Vec::new(),
+        }]);
         assert_eq!(outcome.knee_tps, None);
     }
 

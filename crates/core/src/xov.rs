@@ -38,36 +38,6 @@ const TICK: Duration = Duration::from_millis(1);
 
 // ---- envelope wire format ---------------------------------------------
 
-fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Unit => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            i.encode(out);
-        }
-        Value::Text(s) => {
-            out.push(2);
-            s.as_str().encode(out);
-        }
-        Value::Bytes(b) => {
-            out.push(3);
-            b.encode(out);
-        }
-    }
-}
-
-fn decode_value(reader: &mut Reader<'_>) -> Option<Value> {
-    match reader.u8()? {
-        0 => Some(Value::Unit),
-        1 => Some(Value::Int(reader.i64()?)),
-        2 => Some(Value::Text(
-            String::from_utf8(reader.bytes()?.to_vec()).ok()?,
-        )),
-        3 => Some(Value::Bytes(reader.bytes()?.to_vec())),
-        _ => None,
-    }
-}
-
 impl Envelope {
     /// Serializes the envelope into a transaction payload.
     #[must_use]
@@ -88,7 +58,7 @@ impl Envelope {
         (self.writes.len() as u64).encode(&mut out);
         for (key, value) in &self.writes {
             key.0.encode(&mut out);
-            encode_value(value, &mut out);
+            value.encode(&mut out);
         }
         out
     }
@@ -115,7 +85,7 @@ impl Envelope {
         let mut writes = Vec::with_capacity(n_writes.min(4096));
         for _ in 0..n_writes {
             let key = Key(reader.u64()?);
-            writes.push((key, decode_value(&mut reader)?));
+            writes.push((key, Value::decode(&mut reader)?));
         }
         reader.is_exhausted().then_some(Envelope {
             read_versions,
@@ -255,10 +225,6 @@ impl XovPeer {
     /// transaction … by checking the endorsement policy and read-write
     /// conflicts and then updates the ledger").
     fn validate_block(&mut self, bundle: &Arc<BlockBundle>) {
-        let per_block = self.shared.spec.costs.per_block;
-        if !per_block.is_zero() {
-            std::thread::sleep(per_block);
-        }
         for (seq, tx) in bundle.block.iter_seq() {
             let committed = Envelope::decode(tx.payload())
                 .filter(|env| {

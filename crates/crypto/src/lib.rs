@@ -1,8 +1,8 @@
 //! Cryptographic primitives for the ParBlockchain reproduction.
 //!
 //! Everything here is implemented from scratch on top of the standard
-//! library: SHA-256 (validated against the NIST test vectors), HMAC-SHA256,
-//! a Merkle-root helper, and a *simulated* signature scheme.
+//! library: SHA-256 (validated against the NIST test vectors), HMAC-SHA256
+//! and a *simulated* signature scheme.
 //!
 //! # Simulated signatures
 //!
@@ -34,12 +34,10 @@
 #![warn(missing_docs)]
 
 mod hmac;
-mod merkle;
 mod registry;
 mod sha256;
 
 pub use hmac::hmac_sha256;
-pub use merkle::merkle_root;
 pub use registry::{KeyRegistry, SecretKey, Signature, SignerId};
 pub use sha256::{sha256, Sha256};
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use parblock_crypto::{hmac_sha256, merkle_root, sha256, KeyRegistry, Sha256, SignerId};
+use parblock_crypto::{hmac_sha256, sha256, KeyRegistry, Sha256, SignerId};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -67,19 +67,5 @@ proptest! {
         let mut tampered = msg.clone();
         tampered[0] ^= 0xff;
         prop_assert!(!registry.verify(SignerId(signer), &tampered, &sig));
-    }
-
-    /// The Merkle root commits to every leaf and the leaf order.
-    #[test]
-    fn merkle_commits_to_leaves(
-        n in 1usize..24,
-        tamper in 0usize..24,
-    ) {
-        let leaves: Vec<_> = (0..n).map(|i| sha256(&[i as u8, 0x7f])).collect();
-        let root = merkle_root(&leaves);
-        let tamper = tamper % n;
-        let mut modified = leaves.clone();
-        modified[tamper] = sha256(b"tampered");
-        prop_assert_ne!(merkle_root(&modified), root);
     }
 }

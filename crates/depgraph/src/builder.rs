@@ -248,6 +248,31 @@ mod tests {
     }
 
     #[test]
+    fn multi_version_shortens_blind_write_chains_but_not_rmw_chains() {
+        let critical_path = |block: &Block, mode| {
+            crate::ExecutionLayers::compute(&build(block, mode)).critical_path()
+        };
+        // Read-modify-write of one hot key (every workload this repo
+        // serves): each transaction reads its predecessor's write, so the
+        // W→R edges alone already form the chain.
+        let rmw = block_of(vec![RwSet::new([k(1)], [k(1)]); 6]);
+        assert_eq!(critical_path(&rmw, DependencyMode::Full), 6);
+        assert_eq!(critical_path(&rmw, DependencyMode::MultiVersion), 6);
+        // Alternating blind writes and pure reads of one key: with
+        // versions kept, a reader waits only for the writers before it.
+        let blind = block_of(
+            (0..6)
+                .map(|i| match i % 2 {
+                    0 => RwSet::write_only([k(1)]),
+                    _ => RwSet::read_only([k(1)]),
+                })
+                .collect(),
+        );
+        assert_eq!(critical_path(&blind, DependencyMode::Reduced), 6);
+        assert_eq!(critical_path(&blind, DependencyMode::MultiVersion), 2);
+    }
+
+    #[test]
     fn reader_then_writer_edge() {
         let block = block_of(vec![RwSet::read_only([k(5)]), RwSet::write_only([k(5)])]);
         for mode in [DependencyMode::Full, DependencyMode::Reduced] {

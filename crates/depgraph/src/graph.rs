@@ -37,7 +37,7 @@ impl DependencyGraph {
 
     /// Builds the dependency graph of a transaction sequence that has not
     /// been wrapped in a [`Block`] yet (positions follow slice order).
-    /// Used by the block cutter's batch-construction ablation path, where
+    /// Used by the block cutter's batch-construction path (Fig 5), where
     /// the graph is needed before the block header exists.
     #[must_use]
     pub fn build_txs(txs: &[parblock_types::Transaction], mode: DependencyMode) -> Self {

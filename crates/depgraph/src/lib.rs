@@ -46,13 +46,11 @@
 mod analysis;
 mod builder;
 mod graph;
-mod opgraph;
 mod schedule;
 mod streaming;
 
 pub use analysis::{ComponentKind, ConflictStats, GraphComponents};
 pub use builder::DependencyMode;
 pub use graph::DependencyGraph;
-pub use opgraph::{OpGraph, OpKind, OpRef};
 pub use schedule::{ExecutionLayers, ReadyTracker};
 pub use streaming::{CrossBlockIndex, StreamingBuilder};

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use parblock_depgraph::{
-    DependencyGraph, DependencyMode, ExecutionLayers, OpGraph, ReadyTracker, StreamingBuilder,
+    DependencyGraph, DependencyMode, ExecutionLayers, ReadyTracker, StreamingBuilder,
 };
 use parblock_types::{AppId, Block, BlockNumber, ClientId, Hash32, Key, RwSet, SeqNo, Transaction};
 
@@ -161,24 +161,6 @@ proptest! {
         for (i, j) in g.edges() {
             prop_assert!(level[i.0 as usize] < level[j.0 as usize]);
         }
-    }
-
-    /// The operation-level graph is consistent, acyclic (forward edges by
-    /// construction) and never has a *longer* transaction critical path
-    /// than the transaction-level graph — the DGCC-style refinement can
-    /// only expose more parallelism.
-    #[test]
-    fn op_graph_refines_tx_graph(block in arb_block(20, 6)) {
-        let op_graph = OpGraph::build(&block);
-        prop_assert!(op_graph.is_consistent());
-        let tx_graph = DependencyGraph::build(&block, DependencyMode::Full);
-        let tx_cp = ExecutionLayers::compute(&tx_graph).critical_path();
-        prop_assert!(
-            op_graph.tx_critical_path() <= tx_cp.max(1),
-            "op-level {} > tx-level {}",
-            op_graph.tx_critical_path(),
-            tx_cp
-        );
     }
 
     /// Incremental ≡ batch, edge sets: for `Reduced` and `MultiVersion`

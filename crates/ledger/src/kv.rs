@@ -122,19 +122,6 @@ impl KvState {
         self.entries.is_empty()
     }
 
-    /// Validates that every `(key, version)` pair still matches the
-    /// current state — the XOV validation-phase check. Missing keys match
-    /// only a `None` expectation.
-    #[must_use]
-    pub fn versions_match<'a, I>(&self, reads: I) -> bool
-    where
-        I: IntoIterator<Item = (&'a Key, &'a Option<Version>)>,
-    {
-        reads
-            .into_iter()
-            .all(|(key, expected)| self.version_of(*key) == *expected)
-    }
-
     /// Iterates over all `(key, value, version)` entries in arbitrary
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, &Value, Version)> {
@@ -206,29 +193,6 @@ mod tests {
         state.apply([(Key(1), Value::Int(1)), (Key(2), Value::Int(2))], v(2, 0));
         assert_eq!(state.version_of(Key(1)), Some(v(2, 0)));
         assert_eq!(state.version_of(Key(2)), Some(v(2, 0)));
-    }
-
-    #[test]
-    fn versions_match_detects_staleness() {
-        let mut state = KvState::new();
-        state.put(Key(1), Value::Int(1), v(1, 0));
-        let fresh = Some(v(1, 0));
-        let reads = [(&Key(1), &fresh)];
-        assert!(state.versions_match(reads.iter().copied()));
-
-        state.put(Key(1), Value::Int(2), v(2, 0)); // overwritten
-        assert!(!state.versions_match(reads.iter().copied()));
-    }
-
-    #[test]
-    fn versions_match_handles_absent_keys() {
-        let state = KvState::new();
-        let none = None;
-        let reads = [(&Key(9), &none)];
-        assert!(state.versions_match(reads.iter().copied()));
-        let stale = Some(Version::GENESIS);
-        let reads = [(&Key(9), &stale)];
-        assert!(!state.versions_match(reads.iter().copied()));
     }
 
     #[test]

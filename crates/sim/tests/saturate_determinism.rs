@@ -114,7 +114,7 @@ fn sweep_detects_the_cost_model_knee_and_inflates_the_tail() {
     let past = outcome
         .points
         .iter()
-        .find(|p| !p.keeps_up(config.knee_tolerance) && p.measured_committed > 0)
+        .find(|p| !p.keeps_up(SaturateConfig::KNEE_TOLERANCE) && p.measured_committed > 0)
         .expect("an overloaded step with surviving samples");
     assert!(
         past.p99 > below.p99,

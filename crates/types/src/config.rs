@@ -184,35 +184,27 @@ impl CommitPolicy {
 /// Synthetic cost model for contract execution.
 ///
 /// The paper ran on 8-vCPU EC2 instances where contract execution consumed
-/// real CPU. This reproduction host has a single vCPU, so execution cost is
-/// modelled as a timed wait (I/O-bound-like), which preserves the
-/// parallel-vs-sequential shape of the results (see DESIGN.md §3).
+/// real CPU. This reproduction host has two cores, far fewer than the
+/// executor pools have workers, so execution cost is modelled as a timed
+/// wait (I/O-bound-like), which preserves the parallel-vs-sequential
+/// shape of the results (see DESIGN.md §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionCosts {
     /// Time to execute one transaction on an executor.
     pub per_tx: Duration,
-    /// Fixed overhead per block for validation/bookkeeping on each node.
-    pub per_block: Duration,
 }
 
 impl ExecutionCosts {
-    /// A cost model with the given per-transaction execution time and no
-    /// per-block overhead.
+    /// A cost model with the given per-transaction execution time.
     #[must_use]
     pub fn per_tx(cost: Duration) -> Self {
-        ExecutionCosts {
-            per_tx: cost,
-            per_block: Duration::ZERO,
-        }
+        ExecutionCosts { per_tx: cost }
     }
 
     /// Zero-cost execution (useful for logic-only tests).
     #[must_use]
     pub fn zero() -> Self {
-        ExecutionCosts {
-            per_tx: Duration::ZERO,
-            per_block: Duration::ZERO,
-        }
+        ExecutionCosts::per_tx(Duration::ZERO)
     }
 }
 
@@ -222,10 +214,7 @@ impl Default for ExecutionCosts {
     /// XOV ≈ apps/per_tx, OXII ≈ pool·executors/per_tx (contention
     /// permitting) — the OXII > XOV > OX ordering of §V.
     fn default() -> Self {
-        ExecutionCosts {
-            per_tx: Duration::from_millis(1),
-            per_block: Duration::ZERO,
-        }
+        ExecutionCosts::per_tx(Duration::from_millis(1))
     }
 }
 
@@ -345,6 +334,5 @@ mod tests {
         assert_eq!(ExecutionCosts::zero().per_tx, Duration::ZERO);
         let c = ExecutionCosts::per_tx(Duration::from_micros(50));
         assert_eq!(c.per_tx, Duration::from_micros(50));
-        assert_eq!(c.per_block, Duration::ZERO);
     }
 }
