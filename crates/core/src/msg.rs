@@ -25,8 +25,8 @@ pub enum ConsMsg {
 #[derive(Debug)]
 pub struct BlockBundle {
     /// The block `B` with sequence number `n` and hash link `h` inside
-    /// its header.
-    pub block: parblock_types::Block,
+    /// its header. A peer's ledger appends this very object.
+    pub block: Arc<parblock_types::Block>,
     /// `G(B)` — present in OXII; `None` in OX and XOV.
     pub graph: Option<DependencyGraph>,
     /// `H(B)`, the hash executors quorum-match on.

@@ -286,7 +286,11 @@ impl Orderer {
                 .seal_block(&block, graph.as_ref(), hash)
                 .expect("orderer block persist failed");
         }
-        let bundle = Arc::new(BlockBundle { block, graph, hash });
+        let bundle = Arc::new(BlockBundle {
+            block: Arc::new(block),
+            graph,
+            hash,
+        });
         let signer = self.shared.spec.node_signer(self.endpoint.id());
         let sig = self.shared.keys.sign(signer, &hash.0);
         let msg = Msg::NewBlock {

@@ -123,7 +123,7 @@ impl OxPeer {
             }
         }
         self.ledger
-            .append(bundle.block.clone())
+            .append_hashed(Arc::clone(&bundle.block), bundle.hash)
             .expect("blocks arrive in order with verified links");
         if self.is_observer {
             self.shared.metrics.record_block();

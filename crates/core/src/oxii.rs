@@ -376,7 +376,7 @@ impl Executor {
     fn start_block(&mut self, bundle: Arc<BlockBundle>) {
         let graph = bundle
             .graph
-            .clone()
+            .as_ref()
             .expect("OXII NEWBLOCK always carries a dependency graph");
         let number = bundle.block.number().0;
         debug_assert_eq!(number, self.next_to_start, "blocks start in order");
@@ -409,7 +409,7 @@ impl Executor {
         // Lifecycle stages are observed once, at the observer node, like
         // the commit metrics: attach the recorder before the first
         // `take_ready` so construction-time roots are stamped too.
-        let mut tracker = ReadyTracker::with_external(&graph, &external);
+        let mut tracker = ReadyTracker::with_external(graph, &external);
         if self.is_observer && self.shared.trace.enabled() {
             let ids: Vec<TxId> = bundle.block.transactions().iter().map(|tx| tx.id()).collect();
             tracker.set_trace(self.shared.trace.clone(), ids);
@@ -771,7 +771,7 @@ impl Executor {
             self.flush_commit_buffer(next);
             let run = self.runs.remove(&next).expect("checked");
             self.ledger
-                .append(run.bundle.block.clone())
+                .append_hashed(Arc::clone(&run.bundle.block), run.bundle.hash)
                 .expect("blocks arrive in order with verified hash links");
             // Durable seal before the block is acknowledged anywhere
             // (metrics, observers): fsync barrier over the block body

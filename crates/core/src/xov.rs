@@ -249,7 +249,7 @@ impl XovPeer {
             }
         }
         self.ledger
-            .append(bundle.block.clone())
+            .append_hashed(Arc::clone(&bundle.block), bundle.hash)
             .expect("blocks arrive in order with verified links");
         if self.is_observer {
             self.shared.metrics.record_block();

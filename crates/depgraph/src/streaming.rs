@@ -290,7 +290,7 @@ impl CrossBlockIndex {
         // Pass 2: register this block's writers as pending.
         for (i, tx) in txs.iter().enumerate() {
             let seq = SeqNo(u32::try_from(i).expect("block exceeds u32 positions"));
-            let write_keys: Vec<Key> = tx.rw_set().writes().iter().copied().collect();
+            let write_keys = tx.rw_set().writes().to_vec();
             if write_keys.is_empty() {
                 continue;
             }

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use parblock_crypto::hash_wire;
 use parblock_types::{Block, BlockNumber, Hash32};
@@ -60,7 +61,9 @@ impl Error for ChainError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    blocks: Vec<Block>,
+    /// Shared with whoever handed the block over: a peer appends the
+    /// block object it admitted, not a copy of it.
+    blocks: Vec<Arc<Block>>,
     /// `hashes[i]` = H(blocks[i]), cached for O(1) appends.
     hashes: Vec<Hash32>,
 }
@@ -106,7 +109,8 @@ impl Ledger {
     /// The block with number `n`, if appended.
     #[must_use]
     pub fn block(&self, n: BlockNumber) -> Option<&Block> {
-        n.0.checked_sub(1).and_then(|i| self.blocks.get(i as usize))
+        let index = n.0.checked_sub(1)?;
+        self.blocks.get(index as usize).map(Arc::as_ref)
     }
 
     /// The chain head hash *as of* block `n` — i.e. the hash of block `n`
@@ -126,7 +130,7 @@ impl Ledger {
 
     /// Iterates appended blocks in chain order.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
+        self.blocks.iter().map(Arc::as_ref)
     }
 
     /// Appends `block`, checking contiguity and the hash link.
@@ -136,7 +140,21 @@ impl Ledger {
     /// [`ChainError::NonContiguous`] if the block number skips or repeats;
     /// [`ChainError::BrokenLink`] if `prev_hash` does not equal the current
     /// head hash.
-    pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+    pub fn append(&mut self, block: impl Into<Arc<Block>>) -> Result<(), ChainError> {
+        let block = block.into();
+        let hash = hash_wire(block.as_ref());
+        self.append_hashed(block, hash)
+    }
+
+    /// [`Ledger::append`] for a caller that has already verified
+    /// `hash = H(block)`, as NEWBLOCK admission has: the block is not
+    /// hashed again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ledger::append`].
+    pub fn append_hashed(&mut self, block: Arc<Block>, hash: Hash32) -> Result<(), ChainError> {
+        debug_assert_eq!(hash_wire(block.as_ref()), hash, "caller verified the hash");
         let expected = self.next_number();
         if block.number() != expected {
             return Err(ChainError::NonContiguous {
@@ -149,7 +167,6 @@ impl Ledger {
                 block: block.number(),
             });
         }
-        let hash = hash_wire(&block);
         self.blocks.push(block);
         self.hashes.push(hash);
         Ok(())
@@ -163,7 +180,7 @@ impl Ledger {
     pub fn verify(&self) -> Result<(), ChainError> {
         let mut prev = Self::genesis_hash();
         for (i, block) in self.blocks.iter().enumerate() {
-            if block.header().prev_hash != prev || hash_wire(block) != self.hashes[i] {
+            if block.header().prev_hash != prev || hash_wire(block.as_ref()) != self.hashes[i] {
                 return Err(ChainError::BrokenLink {
                     block: block.number(),
                 });
@@ -235,7 +252,7 @@ mod tests {
         assert!(ledger.verify().is_ok());
         // Tamper with a middle block.
         let tampered = Block::new(BlockNumber(2), ledger.hashes[0], vec![tx(99)]);
-        ledger.blocks[1] = tampered;
+        ledger.blocks[1] = Arc::new(tampered);
         assert!(matches!(
             ledger.verify(),
             Err(ChainError::BrokenLink { .. })

@@ -1,7 +1,8 @@
 //! The determinism lint family (DESIGN.md §12): wall-clock reads,
 //! stray thread spawns, file I/O outside the storage crate,
-//! unordered-map iteration inside order-sensitive functions, and heap
-//! allocation inside hot-path encode/digest/multicast functions.
+//! unordered-map iteration inside order-sensitive functions, heap
+//! allocation inside hot-path encode/digest/multicast functions, and
+//! encoding a value only to measure it.
 //!
 //! All rules match *token sequences* from the comment/string-aware
 //! lexer, so `Instant::now` in a doc comment, a string literal, or
@@ -205,7 +206,31 @@ fn unordered_iter(path: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
     }
 }
 
+/// `true` when `toks[i..]` starts with the method call `.name(`.
+fn is_method_call(toks: &[Tok], i: usize, name: &str) -> bool {
+    toks.get(i).is_some_and(|t| t.is_punct('.'))
+        && toks.get(i + 1).is_some_and(|t| t.is_ident(name))
+        && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
+}
+
 fn hot_path_alloc(path: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
+    // Encode-to-measure, in any function: `.wire_bytes().len()` builds
+    // and throws away the whole encoding to learn a number the field
+    // widths already give (the block cutter paid it per transaction).
+    for i in 0..toks.len() {
+        if is_method_call(toks, i, "wire_bytes")
+            && toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
+            && is_method_call(toks, i + 4, "len")
+        {
+            findings.push(Finding::new(
+                Rule::HotPathAlloc,
+                path,
+                toks[i].line,
+                "`.wire_bytes().len()` encodes a value to measure it — compute the \
+                 length from the field widths (`Transaction::encoded_len`)",
+            ));
+        }
+    }
     for (fn_name, (b0, b1)) in fn_bodies(toks) {
         if !HOT_PATH_FN_MARKERS.iter().any(|m| fn_name.contains(m)) {
             continue;
@@ -215,21 +240,14 @@ fn hot_path_alloc(path: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
             // not a stable wire format. `Arc::clone(&x)` is a cheap
             // refcount bump spelled as a path call, so only *method*
             // calls `.clone()` / `.to_string()` are flagged.
-            let what = if toks[i].is_ident("format")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-            {
+            let is_format =
+                toks[i].is_ident("format") && toks.get(i + 1).is_some_and(|t| t.is_punct('!'));
+            let what = if is_format {
                 Some("format!")
-            } else if toks[i].is_punct('.')
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|m| m.is_ident("to_string") || m.is_ident("clone"))
-                && toks.get(i + 2).is_some_and(|p| p.is_punct('('))
-            {
-                Some(if toks[i + 1].is_ident("clone") {
-                    ".clone()"
-                } else {
-                    ".to_string()"
-                })
+            } else if is_method_call(toks, i, "clone") {
+                Some(".clone()")
+            } else if is_method_call(toks, i, "to_string") {
+                Some(".to_string()")
             } else {
                 None
             };

@@ -118,6 +118,16 @@ fn good_hot_path_alloc() {
 }
 
 #[test]
+fn bad_encode_to_measure() {
+    run_fixture("bad_encode_to_measure.rs");
+}
+
+#[test]
+fn good_encode_to_measure() {
+    run_fixture("good_encode_to_measure.rs");
+}
+
+#[test]
 fn allow_ok() {
     run_fixture("allow_ok.rs");
 }

@@ -5,7 +5,6 @@
 //! [`RwSet`] carries both sets and answers the conflict predicates used to
 //! build ordering dependencies.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -33,6 +32,12 @@ impl From<u64> for Key {
 
 /// The declared read set ρ(T) and write set ω(T) of a transaction.
 ///
+/// Each set is a sorted, deduplicated key slice: the sets are one or two
+/// keys long in every workload, iterated far more often than probed, and
+/// their ascending order is what makes the wire encoding canonical.
+/// Every constructor, wire decode included, goes through [`RwSet::new`],
+/// which sorts and deduplicates whatever order the keys arrive in.
+///
 /// # Examples
 ///
 /// ```
@@ -45,20 +50,36 @@ impl From<u64> for Key {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct RwSet {
-    reads: BTreeSet<Key>,
-    writes: BTreeSet<Key>,
+    reads: Vec<Key>,
+    writes: Vec<Key>,
+}
+
+/// The one normalising path: ascending order, no duplicates.
+fn key_set(keys: impl IntoIterator<Item = Key>) -> Vec<Key> {
+    let mut keys: Vec<Key> = keys.into_iter().collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Inserts `key` into a normalised set, keeping it normalised.
+fn insert(set: &mut Vec<Key>, key: Key) {
+    if let Err(at) = set.binary_search(&key) {
+        set.insert(at, key);
+    }
 }
 
 impl RwSet {
-    /// Creates a read/write set from iterators of keys.
+    /// Creates a read/write set from iterators of keys, in any order and
+    /// with any repetition.
     pub fn new<R, W>(reads: R, writes: W) -> Self
     where
         R: IntoIterator<Item = Key>,
         W: IntoIterator<Item = Key>,
     {
         RwSet {
-            reads: reads.into_iter().collect(),
-            writes: writes.into_iter().collect(),
+            reads: key_set(reads),
+            writes: key_set(writes),
         }
     }
 
@@ -72,24 +93,24 @@ impl RwSet {
         Self::new([], writes)
     }
 
-    /// The read set ρ(T).
-    pub fn reads(&self) -> &BTreeSet<Key> {
+    /// The read set ρ(T), ascending and free of duplicates.
+    pub fn reads(&self) -> &[Key] {
         &self.reads
     }
 
-    /// The write set ω(T).
-    pub fn writes(&self) -> &BTreeSet<Key> {
+    /// The write set ω(T), ascending and free of duplicates.
+    pub fn writes(&self) -> &[Key] {
         &self.writes
     }
 
     /// Adds a key to the read set.
     pub fn add_read(&mut self, key: Key) {
-        self.reads.insert(key);
+        insert(&mut self.reads, key);
     }
 
     /// Adds a key to the write set.
     pub fn add_write(&mut self, key: Key) {
-        self.writes.insert(key);
+        insert(&mut self.writes, key);
     }
 
     /// Returns `true` when both sets are empty.
@@ -97,9 +118,10 @@ impl RwSet {
         self.reads.is_empty() && self.writes.is_empty()
     }
 
-    /// Every key touched by the transaction (ρ ∪ ω), deduplicated.
-    pub fn touched(&self) -> BTreeSet<Key> {
-        self.reads.union(&self.writes).copied().collect()
+    /// Every key touched by the transaction (ρ ∪ ω), ascending and
+    /// deduplicated.
+    pub fn touched(&self) -> Vec<Key> {
+        key_set(self.reads.iter().chain(&self.writes).copied())
     }
 
     /// §III-A conflict test: two transactions conflict if they access the
@@ -133,10 +155,10 @@ impl RwSet {
     }
 }
 
-fn intersects(a: &BTreeSet<Key>, b: &BTreeSet<Key>) -> bool {
+fn intersects(a: &[Key], b: &[Key]) -> bool {
     // Iterate the smaller set and probe the larger: O(min·log max).
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small.iter().any(|k| large.contains(k))
+    small.iter().any(|k| large.binary_search(k).is_ok())
 }
 
 impl FromIterator<Key> for RwSet {
@@ -186,7 +208,7 @@ mod tests {
     #[test]
     fn touched_is_union() {
         let s = RwSet::new(keys(&[1, 2]), keys(&[2, 3]));
-        assert_eq!(s.touched(), keys(&[1, 2, 3]).into_iter().collect());
+        assert_eq!(s.touched(), keys(&[1, 2, 3]));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Transactions: a client request for one application, with a declared
 //! read/write set and an opaque, contract-specific payload.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::wire::{self, Wire};
@@ -16,6 +18,11 @@ pub type Timestamp = u64;
 /// set (for dependency-graph generation, §III-A). Executors decode the
 /// payload with the application's smart contract.
 ///
+/// A transaction is immutable once built. The read/write set and the
+/// payload sit behind one shared allocation, so `clone()` is a
+/// reference-count bump: the cutter, the dispatcher and the ledger all
+/// hold the copy the node decoded, not copies of it.
+///
 /// # Examples
 ///
 /// ```
@@ -30,6 +37,12 @@ pub type Timestamp = u64;
 pub struct Transaction {
     id: TxId,
     app: AppId,
+    body: Arc<Body>,
+}
+
+/// The variable-size part of a [`Transaction`].
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct Body {
     rw: RwSet,
     payload: Vec<u8>,
 }
@@ -50,8 +63,7 @@ impl Transaction {
         Transaction {
             id: TxId::new(client, client_ts),
             app,
-            rw,
-            payload,
+            body: Arc::new(Body { rw, payload }),
         }
     }
 
@@ -76,20 +88,27 @@ impl Transaction {
     /// The declared read/write set.
     #[must_use]
     pub fn rw_set(&self) -> &RwSet {
-        &self.rw
+        &self.body.rw
     }
 
     /// The opaque contract payload.
     #[must_use]
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.body.payload
     }
 
-    /// Approximate serialized size in bytes, used by the block cutter's
-    /// maximal-block-size condition (§IV-B).
+    /// Serialized size in bytes, used by the block cutter's
+    /// maximal-block-size condition (§IV-B). Computed from the field
+    /// widths of [`Wire::encode`] below, without encoding.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        self.wire_bytes().len()
+        const LEN_PREFIX: usize = 8;
+        let key_set = |set: &[crate::Key]| LEN_PREFIX + 8 * set.len();
+        4 + 8 + 8 // client, client_ts, app
+            + key_set(self.body.rw.reads())
+            + key_set(self.body.rw.writes())
+            + LEN_PREFIX
+            + self.body.payload.len()
     }
 
     /// Decodes a transaction from a [`Reader`](wire::Reader) positioned at
@@ -103,12 +122,13 @@ impl Transaction {
         let reads = reader.key_set()?;
         let writes = reader.key_set()?;
         let payload = reader.bytes()?.to_vec();
-        Some(Transaction {
-            id: TxId::new(client, client_ts),
+        Some(Transaction::new(
             app,
-            rw: RwSet::new(reads, writes),
+            client,
+            client_ts,
+            RwSet::new(reads, writes),
             payload,
-        })
+        ))
     }
 
     /// Decodes a transaction from exactly these bytes.
@@ -125,9 +145,9 @@ impl Wire for Transaction {
         self.id.client.0.encode(out);
         self.id.client_ts.encode(out);
         u64::from(self.app.0).encode(out);
-        wire::encode_key_set(self.rw.reads(), out);
-        wire::encode_key_set(self.rw.writes(), out);
-        self.payload.encode(out);
+        wire::encode_key_set(self.body.rw.reads(), out);
+        wire::encode_key_set(self.body.rw.writes(), out);
+        self.body.payload.encode(out);
     }
 }
 

@@ -16,8 +16,6 @@
 //! assert_eq!(buf.len(), 8);
 //! ```
 
-use std::collections::BTreeSet;
-
 use crate::Key;
 
 /// Types with a canonical byte encoding used for hashing and signing.
@@ -85,9 +83,10 @@ pub fn encode_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes an ordered set of keys (length-prefixed, ascending order — the
-/// `BTreeSet` iteration order makes this canonical).
-pub fn encode_key_set(set: &BTreeSet<Key>, out: &mut Vec<u8>) {
+/// Encodes a set of keys, length-prefixed, in slice order. The encoding
+/// is canonical because the only slices passed are [`RwSet`](crate::RwSet)'s,
+/// which are ascending and free of duplicates.
+pub fn encode_key_set(set: &[Key], out: &mut Vec<u8>) {
     (set.len() as u64).encode(out);
     for key in set {
         key.0.encode(out);
@@ -159,24 +158,27 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    /// Reads a key set written by [`encode_key_set`].
-    pub fn key_set(&mut self) -> Option<BTreeSet<Key>> {
+    /// Reads a key list in the layout of [`encode_key_set`], in arrival
+    /// order: a malformed sender may repeat or misorder keys, and
+    /// [`RwSet::new`](crate::RwSet::new) is what normalises them.
+    pub fn key_set(&mut self) -> Option<Vec<Key>> {
         let len = self.u64()?;
         let len = usize::try_from(len).ok()?;
         if len > self.remaining() / 8 {
             return None; // each key is 8 bytes; cheap bound check
         }
-        let mut set = BTreeSet::new();
+        let mut keys = Vec::with_capacity(len);
         for _ in 0..len {
-            set.insert(Key(self.u64()?));
+            keys.push(Key(self.u64()?));
         }
-        Some(set)
+        Some(keys)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RwSet;
 
     #[test]
     fn primitives_round_trip_shape() {
@@ -210,13 +212,29 @@ mod tests {
 
     #[test]
     fn key_sets_are_canonical() {
-        let a: BTreeSet<Key> = [Key(3), Key(1), Key(2)].into_iter().collect();
-        let b: BTreeSet<Key> = [Key(1), Key(2), Key(3)].into_iter().collect();
+        let a = RwSet::read_only([Key(3), Key(1), Key(2)]);
+        let b = RwSet::read_only([Key(1), Key(2), Key(3)]);
         let mut ea = Vec::new();
         let mut eb = Vec::new();
-        encode_key_set(&a, &mut ea);
-        encode_key_set(&b, &mut eb);
+        encode_key_set(a.reads(), &mut ea);
+        encode_key_set(b.reads(), &mut eb);
         assert_eq!(ea, eb);
+
+        // A list that arrives unsorted and duplicated decodes as sent,
+        // becomes the same set, and re-encodes to the canonical bytes.
+        let sent = [Key(3), Key(1), Key(3), Key(2), Key(1)];
+        let mut raw = Vec::new();
+        encode_key_set(&sent, &mut raw);
+        assert_ne!(raw, eb);
+        let mut reader = Reader::new(&raw);
+        let arrived = reader.key_set().expect("well-formed list");
+        assert!(reader.is_exhausted());
+        assert_eq!(arrived, sent);
+        let decoded = RwSet::read_only(arrived);
+        assert_eq!(decoded, b);
+        let mut again = Vec::new();
+        encode_key_set(decoded.reads(), &mut again);
+        assert_eq!(again, eb);
     }
 
     #[test]
