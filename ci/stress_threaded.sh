@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# A blocking wait that goes wrong does not assert, it hangs: a lost
+# wake-up leaves a node thread asleep with work queued. So the threaded
+# suites are repeated here under a timeout, in release, where such races
+# have historically shown up about one run in five, and a timeout kill
+# fails the job like any other non-zero exit.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+RUNS=10
+SUITES=(
+    "parblockchain faults"
+    "parblockchain recovery"
+    "parblockchain_repro end_to_end"
+    "parblock_net behaviour"
+)
+
+# Build every binary once, before the first run.
+bins=()
+for suite in "${SUITES[@]}"; do
+    read -r package test <<<"$suite"
+    bin=$(cargo test --release --no-run -p "$package" --test "$test" 2>&1 |
+        sed -n 's/^ *Executable .*(\(.*\))$/\1/p')
+    if [ ! -x "$bin" ]; then
+        echo "stress: no test binary for $package --test $test" >&2
+        exit 1
+    fi
+    bins+=("$bin")
+done
+
+for bin in "${bins[@]}"; do
+    for run in $(seq 1 "$RUNS"); do
+        status=0
+        timeout 120 "$bin" >/dev/null 2>&1 || status=$?
+        if [ "$status" -ne 0 ]; then
+            echo "stress: $bin failed on run $run of $RUNS (exit $status; 124 is a hang)" >&2
+            exit 1
+        fi
+    done
+    echo "stress: $bin passed $RUNS runs"
+done

@@ -43,6 +43,7 @@ mod durability;
 pub mod hostcons;
 pub mod metrics;
 pub mod msg;
+mod node;
 mod orderer;
 pub mod ox;
 pub mod oxii;

@@ -1,0 +1,289 @@
+//! The node runtime (DESIGN.md §17): every orderer and peer is a
+//! [`Node`], and one loop, [`drive_threaded`], runs it on a thread. The
+//! deterministic scheduler in [`sim`](crate::sim) calls the same methods
+//! on the same structs from its single thread.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
+
+use parblock_net::{Endpoint, Waker};
+use parblock_types::NodeId;
+
+use crate::msg::Msg;
+use crate::shared::Shared;
+
+/// What a node does, in the shape both drivers call.
+pub(crate) trait Node {
+    /// Reacts to one message from the mailbox.
+    fn on_msg(&mut self, from: NodeId, msg: Msg);
+
+    /// Does whatever is due at `now` (expired consensus timers, a batch
+    /// flush, the time-cut marker, finished executions) and returns how
+    /// many inputs from outside the mailbox it consumed: finished
+    /// executions. A timer that fires is not one; what it sends arrives
+    /// through a mailbox.
+    fn tick(&mut self, _now: Instant) -> usize {
+        0
+    }
+
+    /// The earliest armed instant **strictly after** `now`, the `now` of
+    /// the preceding [`Node::tick`]. Anything at or before it was
+    /// serviced by that tick or waits on another event; reporting it
+    /// would turn the driver's wait into a spin.
+    fn next_deadline(&self, _now: Instant) -> Option<Instant> {
+        None
+    }
+
+    /// Flushes end-of-run observability, once, when the node stops.
+    fn finalize(&mut self) {}
+}
+
+/// The one threaded node loop: drain the mailbox, tick, and if neither
+/// found anything block until a message arrives, a [`Waker`] of
+/// `mailbox` is raised (an execution finished, the cluster is stopping)
+/// or the next deadline passes. With none of those the thread sleeps.
+pub(crate) fn drive_threaded(node: &mut impl Node, mailbox: &Endpoint<Msg>, shared: &Shared) {
+    // Whoever sets `stop` raises the waker afterwards; the mailbox lock
+    // that wake and wait both take orders the store before this load.
+    // Checked per message too: a backlog is not served after a stop.
+    let stopped = || shared.stop.load(Ordering::Relaxed);
+    while !stopped() {
+        let mut handled = 0;
+        while !stopped() {
+            let Some(envelope) = mailbox.try_recv() else {
+                break;
+            };
+            node.on_msg(envelope.from, envelope.msg);
+            handled += 1;
+        }
+        let now = shared.clock.now();
+        if handled + node.tick(now) == 0 {
+            mailbox.wait_until(node.next_deadline(now));
+        }
+    }
+    node.finalize();
+}
+
+/// Spawns one node's thread: `build` constructs the node there (store
+/// recovery runs beside the other nodes'), then [`drive_threaded`] runs
+/// it until the stop flag is set and the returned waker raised.
+pub(crate) fn spawn_node<N: Node>(
+    role: &str,
+    shared: Arc<Shared>,
+    endpoint: Endpoint<Msg>,
+    build: impl FnOnce(Arc<Shared>, Endpoint<Msg>) -> N + Send + 'static,
+) -> (JoinHandle<()>, Waker<Msg>) {
+    let waker = endpoint.waker();
+    // lint:allow(thread-spawn) — node threads are the threaded runner's
+    // execution model; the deterministic harness uses the sim scheduler
+    let handle = std::thread::Builder::new()
+        .name(format!("{role}-{}", endpoint.id()))
+        .spawn(move || {
+            let mut node = build(Arc::clone(&shared), endpoint.clone());
+            drive_threaded(&mut node, &endpoint, &shared);
+        })
+        .expect("spawn node thread");
+    (handle, waker)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    use parblock_net::NetworkBuilder;
+
+    use super::*;
+    use crate::cluster::{ClusterSpec, SystemKind};
+
+    /// Counts the driver's `tick` calls around any node.
+    pub(crate) struct Counted<N> {
+        inner: N,
+        ticks: Arc<AtomicUsize>,
+    }
+
+    impl<N: Node> Node for Counted<N> {
+        fn on_msg(&mut self, from: NodeId, msg: Msg) {
+            self.inner.on_msg(from, msg);
+        }
+        fn tick(&mut self, now: Instant) -> usize {
+            self.ticks.fetch_add(1, Ordering::SeqCst);
+            self.inner.tick(now)
+        }
+        fn next_deadline(&self, now: Instant) -> Option<Instant> {
+            self.inner.next_deadline(now)
+        }
+    }
+
+    /// A node under [`drive_threaded`] on a thread of its own.
+    pub(crate) struct Driven {
+        shared: Arc<Shared>,
+        pub(crate) waker: Waker<Msg>,
+        ticks: Arc<AtomicUsize>,
+        handle: JoinHandle<()>,
+    }
+
+    impl Driven {
+        pub(crate) fn start<N: Node + Send + 'static>(
+            shared: Arc<Shared>,
+            mailbox: Endpoint<Msg>,
+            node: N,
+        ) -> Self {
+            let ticks = Arc::new(AtomicUsize::new(0));
+            let waker = mailbox.waker();
+            let mut node = Counted {
+                inner: node,
+                ticks: Arc::clone(&ticks),
+            };
+            let handle = {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || drive_threaded(&mut node, &mailbox, &shared))
+            };
+            Driven {
+                shared,
+                waker,
+                ticks,
+                handle,
+            }
+        }
+
+        fn idle<N: Node + Send + 'static>(node: N) -> Self {
+            let shared = Shared::new(ClusterSpec::new(SystemKind::Oxii));
+            let mailbox = NetworkBuilder::new().build::<Msg>().endpoint(NodeId(0));
+            Self::start(shared, mailbox, node)
+        }
+
+        /// Stops the node the way `Cluster::finish` does and returns how
+        /// many times it ticked.
+        pub(crate) fn stop(self) -> usize {
+            self.shared.stop.store(true, Ordering::Relaxed);
+            self.waker.wake();
+            self.handle.join().expect("node thread");
+            self.ticks.load(Ordering::SeqCst)
+        }
+    }
+
+    /// Reports the `now` of every tick; nothing is ever due.
+    struct Idle(mpsc::Sender<Instant>);
+
+    impl Node for Idle {
+        fn on_msg(&mut self, _from: NodeId, _msg: Msg) {}
+        fn tick(&mut self, now: Instant) -> usize {
+            let _ = self.0.send(now);
+            0
+        }
+    }
+
+    #[test]
+    fn an_idle_node_is_not_woken_periodically() {
+        let (ticked, ticks) = mpsc::channel();
+        let driven = Driven::idle(Idle(ticked));
+        ticks.recv().expect("first pass");
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            driven.stop() <= 2,
+            "only the first pass and the stop may tick"
+        );
+    }
+
+    #[test]
+    fn stop_ends_an_idle_wait_at_once() {
+        let (ticked, ticks) = mpsc::channel();
+        let driven = Driven::idle(Idle(ticked));
+        ticks.recv().expect("first pass: the node blocks next");
+        let asked = Instant::now();
+        driven.stop();
+        assert!(asked.elapsed() < Duration::from_millis(50));
+    }
+
+    /// One alarm, reported with the `now` of the tick that fired it.
+    struct Alarm {
+        at: Option<Instant>,
+        fired: mpsc::Sender<Instant>,
+    }
+
+    impl Node for Alarm {
+        fn on_msg(&mut self, _from: NodeId, _msg: Msg) {}
+        fn tick(&mut self, now: Instant) -> usize {
+            if self.at.is_some_and(|at| at <= now) {
+                self.at = None;
+                let _ = self.fired.send(now);
+            }
+            0
+        }
+        fn next_deadline(&self, now: Instant) -> Option<Instant> {
+            self.at.filter(|&at| at > now)
+        }
+    }
+
+    #[test]
+    fn a_deadline_fires_one_tick_and_not_early() {
+        let (fired, fires) = mpsc::channel();
+        let at = Instant::now() + Duration::from_millis(20);
+        let driven = Driven::idle(Alarm {
+            at: Some(at),
+            fired,
+        });
+        let fired_at = fires
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the alarm fires");
+        assert!(fired_at >= at);
+        assert_eq!(driven.stop(), 2, "the first pass, then the deadline");
+    }
+
+    /// Consumes a queue a producer fills beside the mailbox, the way an
+    /// executor consumes its pool's completions.
+    struct Sink {
+        queue: Arc<Mutex<Vec<u32>>>,
+        seen: Vec<u32>,
+        want: usize,
+        done: mpsc::Sender<Vec<u32>>,
+    }
+
+    impl Node for Sink {
+        fn on_msg(&mut self, _from: NodeId, _msg: Msg) {}
+        fn tick(&mut self, _now: Instant) -> usize {
+            let items = std::mem::take(&mut *self.queue.lock().expect("queue"));
+            self.seen.extend(&items);
+            if self.seen.len() == self.want {
+                let _ = self.done.send(std::mem::take(&mut self.seen));
+            }
+            items.len()
+        }
+    }
+
+    #[test]
+    fn push_then_wake_is_never_lost() {
+        const ITEMS: u32 = 10_000;
+        let queue = Arc::new(Mutex::new(Vec::new()));
+        let (done, all_seen) = mpsc::channel();
+        let driven = Driven::idle(Sink {
+            queue: Arc::clone(&queue),
+            seen: Vec::new(),
+            want: ITEMS as usize,
+            done,
+        });
+        let waker = driven.waker.clone();
+        let producer = std::thread::spawn(move || {
+            for item in 0..ITEMS {
+                queue.lock().expect("queue").push(item);
+                waker.wake();
+                if item % 64 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        // No deadline is armed, so only wakes end the consumer's waits:
+        // one lost wake leaves it blocked with items queued.
+        let seen = all_seen
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a wake was lost: the consumer is blocked with items queued");
+        assert_eq!(seen, (0..ITEMS).collect::<Vec<_>>());
+        producer.join().expect("producer");
+        driven.stop();
+    }
+}

@@ -9,7 +9,6 @@
 //! `NEWBLOCK` multicast no longer pays a batch graph rebuild.
 
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,12 +24,11 @@ use crate::batch::Payload;
 use crate::cutter::{BlockCutter, CutBlock};
 use crate::hostcons::{AnyConsensus, TimerTable};
 use crate::msg::{BlockBundle, ConsMsg, Msg};
+use crate::node::Node;
 use crate::shared::Shared;
 
 /// How often buffered requests are flushed into a consensus batch.
 const BATCH_INTERVAL: Duration = Duration::from_millis(1);
-/// Idle receive timeout (stop-flag poll granularity).
-const IDLE_TICK: Duration = Duration::from_micros(500);
 
 pub(crate) struct Orderer {
     shared: Arc<Shared>,
@@ -101,113 +99,11 @@ impl Orderer {
         }
     }
 
-    pub(crate) fn run(mut self) {
-        while !self.shared.stop.load(Ordering::Relaxed) {
-            let wait = self
-                .timers
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(self.shared.clock.now()))
-                .unwrap_or(IDLE_TICK)
-                .min(IDLE_TICK);
-            if let Ok(envelope) = self.endpoint.recv_timeout(wait) {
-                self.on_msg(envelope.from, envelope.msg);
-                // Drain whatever else is queued before housekeeping.
-                while let Some(envelope) = self.endpoint.try_recv() {
-                    self.on_msg(envelope.from, envelope.msg);
-                }
-            }
-            self.tick();
-        }
-    }
-
-    /// One housekeeping pass against the cluster clock: expired protocol
-    /// timers, batch flushing, and the leader's time-cut marker. The
-    /// threaded loop calls this after every receive; the deterministic
-    /// scheduler calls it at every virtual-time step.
-    pub(crate) fn tick(&mut self) {
-        let now = self.shared.clock.now();
-        for timer in self.timers.take_expired(now) {
-            let actions = self.protocol.on_timer(timer);
-            self.apply(actions);
-        }
-        self.flush_batch_if_due(now);
-        self.order_time_cut_if_due(now);
-    }
-
-    /// Drains the mailbox without blocking, then ticks. The deterministic
-    /// scheduler's step function. Returns how many messages were handled.
-    pub(crate) fn step(&mut self) -> usize {
-        let mut handled = 0;
-        while let Some(envelope) = self.endpoint.try_recv() {
-            self.on_msg(envelope.from, envelope.msg);
-            handled += 1;
-        }
-        self.tick();
-        handled
-    }
-
     /// The orderer's chain position: next block number to emit and the
     /// hash of the last emitted block. The simulation's orderer-
     /// convergence oracle compares these across replicas.
     pub(crate) fn chain_position(&self) -> (BlockNumber, Hash32) {
         (self.next_number, self.prev_hash)
-    }
-
-    /// The earliest instant this orderer has *time-driven* work: a
-    /// consensus timer, a due batch flush, or (as leader) the cutter's
-    /// time-cut deadline / marker resend. The deterministic scheduler
-    /// advances virtual time straight to this instant when no message
-    /// traffic is due, so wall-clock cut behaviour fires exactly on its
-    /// deadline instead of being polled.
-    pub(crate) fn next_due(&self) -> Option<Instant> {
-        let mut due = self.timers.next_deadline();
-        let mut merge = |candidate: Option<Instant>| {
-            due = match (due, candidate) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        if !self.batch.is_empty() {
-            merge(Some(self.last_flush + BATCH_INTERVAL));
-        }
-        if self.protocol.is_leader() {
-            merge(self.cutter.time_cut_deadline());
-            if self.cutter.first_pending().is_some() {
-                if let Some(sent) = self.marker_sent {
-                    merge(Some(sent + self.shared.spec.block_cut.max_wait));
-                }
-            }
-        }
-        due
-    }
-
-    fn on_msg(&mut self, from: NodeId, msg: Msg) {
-        match msg {
-            Msg::Request { tx, sig } => {
-                // §III-A: orderers check signatures and access rights and
-                // simply discard invalid requests.
-                let signer = self.shared.spec.client_signer(tx.client());
-                if !self.shared.keys.verify(signer, &tx.wire_bytes(), &sig) {
-                    return;
-                }
-                if self
-                    .shared
-                    .registry
-                    .check_access(tx.client(), tx.app())
-                    .is_err()
-                {
-                    return;
-                }
-                self.batch.push(tx);
-            }
-            Msg::Cons(m) => {
-                let actions = self.protocol.on_message(from, m);
-                self.apply(actions);
-            }
-            // Orderers "do not have access to any smart contract or the
-            // application state" (§III-A): everything else is not theirs.
-            _ => {}
-        }
     }
 
     fn apply(&mut self, actions: Vec<Action<ConsMsg>>) {
@@ -330,7 +226,7 @@ impl Orderer {
         let Some(first_pending) = self.cutter.first_pending() else {
             return;
         };
-        // `>=` so the resend fires exactly at the instant `next_due`
+        // `>=` so the resend fires exactly at the instant `next_deadline`
         // advertises (`sent + max_wait`) — the deterministic scheduler
         // advances the clock to precisely that deadline.
         let resend_due = self.marker_sent.is_none_or(|at| {
@@ -346,18 +242,116 @@ impl Orderer {
     }
 }
 
-/// Spawns an orderer thread.
-pub(crate) fn spawn_orderer(
-    shared: Arc<Shared>,
-    endpoint: Endpoint<Msg>,
-    protocol: AnyConsensus,
-    graph_mode: Option<DependencyMode>,
-) -> std::thread::JoinHandle<()> {
-    let name = format!("orderer-{}", endpoint.id());
-    // lint:allow(thread-spawn) — node threads are the threaded runner's
-    // execution model; the deterministic harness uses the sim scheduler
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || Orderer::new(shared, endpoint, protocol, graph_mode).run())
-        .expect("spawn orderer")
+impl Node for Orderer {
+    fn on_msg(&mut self, from: NodeId, msg: Msg) {
+        match msg {
+            Msg::Request { tx, sig } => {
+                // §III-A: orderers check signatures and access rights and
+                // simply discard invalid requests.
+                let signer = self.shared.spec.client_signer(tx.client());
+                if !self.shared.keys.verify(signer, &tx.wire_bytes(), &sig) {
+                    return;
+                }
+                if self
+                    .shared
+                    .registry
+                    .check_access(tx.client(), tx.app())
+                    .is_err()
+                {
+                    return;
+                }
+                self.batch.push(tx);
+            }
+            Msg::Cons(m) => {
+                let actions = self.protocol.on_message(from, m);
+                self.apply(actions);
+            }
+            // Orderers "do not have access to any smart contract or the
+            // application state" (§III-A): everything else is not theirs.
+            _ => {}
+        }
+    }
+
+    /// One housekeeping pass: expired protocol timers, batch flushing,
+    /// the leader's time-cut marker. Consumes no outside input: 0.
+    fn tick(&mut self, now: Instant) -> usize {
+        for timer in self.timers.take_expired(now) {
+            let actions = self.protocol.on_timer(timer);
+            self.apply(actions);
+        }
+        self.flush_batch_if_due(now);
+        self.order_time_cut_if_due(now);
+        0
+    }
+
+    /// The earliest *time-driven* work after `now`: a consensus timer, a
+    /// due batch flush, or (as leader) the cutter's time-cut deadline or
+    /// the marker's resend. Each candidate is filtered on its own: the
+    /// cut deadline stays in the past for as long as its marker is in
+    /// flight, and would otherwise hide the resend behind it.
+    fn next_deadline(&self, now: Instant) -> Option<Instant> {
+        let leader = self.protocol.is_leader();
+        let flush = (!self.batch.is_empty()).then(|| self.last_flush + BATCH_INTERVAL);
+        let cut = self.cutter.time_cut_deadline().filter(|_| leader);
+        let pending = self.cutter.first_pending().filter(|_| leader);
+        let resend = pending.and(self.marker_sent);
+        let resend = resend.map(|sent| sent + self.shared.spec.block_cut.max_wait);
+        let candidates = [self.timers.next_deadline(), flush, cut, resend];
+        candidates
+            .into_iter()
+            .flatten()
+            .filter(|&due| due > now)
+            .min()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use parblock_net::NetworkBuilder;
+    use parblock_types::{AppId, ClientId, RwSet};
+
+    use super::*;
+    use crate::cluster::{ClusterSpec, SystemKind};
+    use crate::node::tests::Driven;
+    use crate::sim::build_protocol;
+
+    /// A leader with a pending transaction whose cut marker is in flight
+    /// (its followers never answer) has a cut deadline in the past for
+    /// as long as that lasts. The deadline it reports is the marker's
+    /// resend, and the loop sleeps to it: taking the minimum first and
+    /// comparing with `now` afterwards would wait zero, every time.
+    #[test]
+    fn a_cut_deadline_in_the_past_blocks_until_the_marker_resend() {
+        let max_wait = Duration::from_millis(20);
+        let mut spec = ClusterSpec::new(SystemKind::Oxii);
+        spec.block_cut.max_wait = max_wait;
+        let shared = Shared::new(spec);
+        let leader = shared.spec.entry_orderer();
+        let mailbox = NetworkBuilder::new().build::<Msg>().endpoint(leader);
+        let mut orderer = Orderer::new(
+            Arc::clone(&shared),
+            mailbox.clone(),
+            build_protocol(&shared.spec, leader),
+            Some(shared.spec.depgraph_mode),
+        );
+        assert!(orderer.protocol.is_leader());
+
+        let arrived = shared.clock.now();
+        let tx = Transaction::new(AppId(0), ClientId(1), 0, RwSet::default(), vec![]);
+        assert!(orderer.cutter.push(tx, arrived).is_none());
+        let now = arrived + max_wait;
+        assert_eq!(orderer.tick(now), 0);
+        assert_eq!(
+            orderer.marker_sent,
+            Some(now),
+            "the tick ordered the marker"
+        );
+        assert!(orderer.cutter.time_cut_deadline() <= Some(now));
+        assert_eq!(orderer.next_deadline(now), Some(now + max_wait));
+
+        let driven = Driven::start(shared, mailbox, orderer);
+        std::thread::sleep(Duration::from_millis(50));
+        let ticks = driven.stop();
+        assert!(ticks <= 8, "{ticks} ticks in 50 ms: the loop is spinning");
+    }
 }

@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parblock_contracts::ExecOutcome;
 use parblock_crypto::Signature;
@@ -18,15 +17,13 @@ use parblock_net::Endpoint;
 use parblock_types::NodeId;
 
 use crate::msg::{BlockBundle, Msg};
+use crate::node::Node;
 use crate::quorum::NewBlockQuorum;
 use crate::shared::Shared;
-
-const IDLE_TICK: Duration = Duration::from_micros(500);
 
 /// An OX peer: validates NEWBLOCK quorums and executes blocks serially.
 pub(crate) struct OxPeer {
     shared: Arc<Shared>,
-    endpoint: Endpoint<Msg>,
     state: KvState,
     ledger: Ledger,
     admission: NewBlockQuorum,
@@ -41,28 +38,11 @@ impl OxPeer {
         let admission = NewBlockQuorum::new(shared.spec.newblock_quorum());
         OxPeer {
             shared,
-            endpoint,
             state,
             ledger: Ledger::new(),
             admission,
             ready: BTreeMap::new(),
             is_observer,
-        }
-    }
-
-    pub(crate) fn run(mut self) {
-        while !self.shared.stop.load(Ordering::Relaxed) {
-            if let Ok(envelope) = self.endpoint.recv_timeout(IDLE_TICK) {
-                if let Msg::NewBlock {
-                    bundle,
-                    orderer,
-                    sig,
-                } = envelope.msg
-                {
-                    self.on_new_block(envelope.from, bundle, orderer, &sig);
-                }
-            }
-            self.execute_ready_blocks();
         }
     }
 
@@ -79,6 +59,7 @@ impl OxPeer {
                 .admit(&self.shared, from, bundle, orderer, sig, next_needed)
         {
             self.ready.insert(validated.block.number().0, validated);
+            self.execute_ready_blocks();
         }
     }
 
@@ -134,16 +115,17 @@ impl OxPeer {
     }
 }
 
-/// Spawns an OX peer thread.
-pub(crate) fn spawn_peer(
-    shared: Arc<Shared>,
-    endpoint: Endpoint<Msg>,
-) -> std::thread::JoinHandle<()> {
-    let name = format!("ox-peer-{}", endpoint.id());
-    // lint:allow(thread-spawn) — node threads are the threaded runner's
-    // execution model; the deterministic harness uses the sim scheduler
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || OxPeer::new(shared, endpoint).run())
-        .expect("spawn ox peer")
+/// Everything an OX peer does is a reaction to a NEWBLOCK, inside which
+/// it sleeps its cost model; nothing is ever due later.
+impl Node for OxPeer {
+    fn on_msg(&mut self, from: NodeId, msg: Msg) {
+        if let Msg::NewBlock {
+            bundle,
+            orderer,
+            sig,
+        } = msg
+        {
+            self.on_new_block(from, bundle, orderer, &sig);
+        }
+    }
 }

@@ -30,13 +30,14 @@
 //! out of order, but are appended to the ledger strictly in order (the
 //! commit watermark), below which old versions are garbage-collected.
 //! Depth 1 reproduces the paper's block-at-a-time barrier exactly.
+//!
+//! The executor is a `Node` (DESIGN.md §17): `on_msg` takes
+//! a NEWBLOCK or a COMMIT, `tick` the executions that have finished.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::never;
 use parblock_crypto::Signature;
 use parblock_depgraph::{CrossBlockIndex, ReadyTracker};
 use parblock_ledger::{Durability, Ledger, MvccState, Version};
@@ -44,20 +45,10 @@ use parblock_net::Endpoint;
 use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo, TxId};
 
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
-use crate::pool::{Completion, ExecPool, InlineQueue, SnapshotReader, WorkItem};
+use crate::node::Node;
+use crate::pool::{Completion, ExecBackend, ExecPool, InlineQueue, SnapshotReader, WorkItem};
 use crate::quorum::NewBlockQuorum;
 use crate::shared::Shared;
-
-/// Stop-flag poll granularity.
-const IDLE_TICK: Duration = Duration::from_micros(500);
-
-/// Where this executor's contract executions run: a thread pool under
-/// the free-running runner, a virtual-time inline queue under the
-/// deterministic scheduler (DESIGN.md §10).
-pub(crate) enum ExecBackend {
-    Pool(ExecPool),
-    Inline(InlineQueue),
-}
 
 /// Per-block execution state on one executor.
 struct BlockRun {
@@ -89,7 +80,7 @@ impl BlockRun {
 pub(crate) struct Executor {
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
-    backend: ExecBackend,
+    backend: Box<dyn ExecBackend>,
     /// Multi-version blockchain state: every applied write is a versioned
     /// put at the writer's log position, so concurrent blocks read
     /// position-correct snapshots.
@@ -127,21 +118,18 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// Threaded construction: contract executions run on an
-    /// [`ExecPool`] of `spec.exec_pool` workers.
+    /// Under the wall clock contract executions run on an [`ExecPool`]
+    /// of `spec.exec_pool` workers, which wake this node's mailbox wait
+    /// as each finishes. Under the simulated clock there are no worker
+    /// threads: executions complete at `dispatch + cost` in virtual
+    /// time, observed by `tick`.
     pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
-        let backend = ExecBackend::Pool(ExecPool::new(shared.spec.exec_pool));
-        Self::with_backend(shared, endpoint, backend)
-    }
-
-    /// Deterministic construction: no worker threads; executions complete
-    /// at `dispatch + cost` in virtual time, observed via
-    /// [`Executor::step`].
-    pub(crate) fn new_stepped(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
-        Self::with_backend(shared, endpoint, ExecBackend::Inline(InlineQueue::new()))
-    }
-
-    fn with_backend(shared: Arc<Shared>, endpoint: Endpoint<Msg>, backend: ExecBackend) -> Self {
+        let backend: Box<dyn ExecBackend> = if shared.clock.is_simulated() {
+            Box::<InlineQueue>::default()
+        } else {
+            let waker = endpoint.waker();
+            Box::new(ExecPool::new(shared.spec.exec_pool, move || waker.wake()))
+        };
         let mut state = MvccState::with_genesis(shared.genesis.iter().cloned());
         let is_observer = endpoint.id() == shared.spec.observer();
         let commit_dests = shared.spec.peer_ids();
@@ -186,100 +174,6 @@ impl Executor {
         }
     }
 
-    pub(crate) fn run(mut self) {
-        let ExecBackend::Pool(ref pool) = self.backend else {
-            unreachable!("the threaded loop requires the pool backend");
-        };
-        let completions = pool.completions().clone();
-        loop {
-            if self.shared.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            // Select over the network and the pool without borrowing self
-            // across the handler calls.
-            enum Event {
-                Net(parblock_net::Envelope<Msg>),
-                Done(Completion),
-                Idle,
-            }
-            let event = {
-                let net = self.endpoint.receiver();
-                let done = if self.runs.is_empty() {
-                    never()
-                } else {
-                    completions.clone()
-                };
-                crossbeam::select! {
-                    recv(net) -> msg => msg.map(Event::Net).unwrap_or(Event::Idle),
-                    recv(done) -> c => c.map(Event::Done).unwrap_or(Event::Idle),
-                    default(IDLE_TICK) => Event::Idle,
-                }
-            };
-            match event {
-                Event::Net(envelope) => self.on_msg(envelope.from, envelope.msg),
-                Event::Done(completion) => self.on_completion(completion),
-                Event::Idle => {}
-            }
-        }
-        self.finalize();
-        if let ExecBackend::Pool(pool) = self.backend {
-            pool.shutdown();
-        }
-    }
-
-    /// Flushes end-of-run observability (the observer's durability
-    /// counters). Called once when the node stops serving.
-    pub(crate) fn finalize(&mut self) {
-        if self.is_observer {
-            self.shared
-                .metrics
-                .set_durability_stats(self.durability.stats());
-        }
-    }
-
-    /// Deterministic step: drain the mailbox, then surface every
-    /// execution whose virtual completion time has arrived. Returns how
-    /// many events (messages + completions) were handled.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pool-backed executor — stepping is only meaningful
-    /// under the inline backend.
-    pub(crate) fn step(&mut self) -> usize {
-        let mut handled = 0;
-        while let Some(envelope) = self.endpoint.try_recv() {
-            self.on_msg(envelope.from, envelope.msg);
-            handled += 1;
-        }
-        let now = self.shared.clock.now();
-        let due = match &mut self.backend {
-            ExecBackend::Inline(queue) => queue.take_due(now),
-            ExecBackend::Pool(_) => panic!("step() requires the inline backend"),
-        };
-        for completion in due {
-            self.on_completion(completion);
-            handled += 1;
-        }
-        handled
-    }
-
-    /// The earliest instant at which this executor has more work
-    /// (a pending virtual completion), for the scheduler's time advance.
-    pub(crate) fn next_completion_due(&self) -> Option<Instant> {
-        match &self.backend {
-            ExecBackend::Inline(queue) => queue.next_due(),
-            ExecBackend::Pool(_) => None,
-        }
-    }
-
-    /// Whether the inline backend still holds unfinished executions.
-    pub(crate) fn has_pending_work(&self) -> bool {
-        match &self.backend {
-            ExecBackend::Inline(queue) => !queue.is_empty(),
-            ExecBackend::Pool(_) => false,
-        }
-    }
-
     // ---- oracle accessors (deterministic simulation) -------------------
 
     /// The node id.
@@ -305,18 +199,6 @@ impl Executor {
             .digest_at(Version::new(self.watermark(), SeqNo(u32::MAX)))
     }
 
-    fn on_msg(&mut self, from: NodeId, msg: Msg) {
-        match msg {
-            Msg::NewBlock {
-                bundle,
-                orderer,
-                sig,
-            } => self.on_new_block(from, bundle, orderer, &sig),
-            Msg::Commit(commit) => self.on_commit_msg(&commit),
-            _ => {}
-        }
-    }
-
     // ---- NEWBLOCK handling (§IV-C: wait for the specified number of
     // matching new-block messages) --------------------------------------
 
@@ -327,6 +209,12 @@ impl Executor {
         orderer: NodeId,
         sig: &Signature,
     ) {
+        // The orderer's signature covers `H(B)` only. `G(B)` is checked
+        // here, before admission stores anything (an honest copy can
+        // still arrive): `start_block` indexes by the graph's node ids.
+        if bundle.graph.as_ref().map(|graph| graph.len()) != Some(bundle.block.len()) {
+            return;
+        }
         // Blocks below `next_to_start` are started or appended already;
         // duplicate quorum copies of them are dropped at admission.
         let next_needed = self.next_to_start;
@@ -377,7 +265,7 @@ impl Executor {
         let graph = bundle
             .graph
             .as_ref()
-            .expect("OXII NEWBLOCK always carries a dependency graph");
+            .expect("on_new_block admits only bundles with a graph");
         let number = bundle.block.number().0;
         debug_assert_eq!(number, self.next_to_start, "blocks start in order");
         self.next_to_start = number + 1;
@@ -491,16 +379,11 @@ impl Executor {
                     .record_at(item.tx.id(), parblock_trace::Stage::Dispatched, now);
             }
         }
-        // One handoff for the whole ready set (DESIGN.md §15): the
-        // backend is resolved once and, in deterministic mode, one clock
-        // read stamps every completion due time.
+        // One handoff for the whole ready set (DESIGN.md §15): in
+        // deterministic mode, one clock read stamps every completion
+        // due time.
         if !items.is_empty() {
-            match &mut self.backend {
-                ExecBackend::Pool(pool) => pool.dispatch_batch(items),
-                ExecBackend::Inline(queue) => {
-                    queue.dispatch_batch(items, self.shared.clock.now());
-                }
-            }
+            self.backend.dispatch_batch(items, self.shared.clock.now());
         }
     }
 
@@ -532,7 +415,7 @@ impl Executor {
                 .bundle
                 .graph
                 .as_ref()
-                .expect("OXII bundle carries graph");
+                .expect("on_new_block admits only bundles with a graph");
             graph.has_foreign_successor(seq) || run.we_remaining == 0
         };
         // Apply own writes immediately as a versioned put (deterministic
@@ -841,18 +724,44 @@ fn commit_digest(block: BlockNumber, results: &[(SeqNo, ExecResult)]) -> Hash32 
     parblock_crypto::sha256(&bytes)
 }
 
-/// Spawns an OXII executor (or passive peer) thread.
-pub(crate) fn spawn_executor(
-    shared: Arc<Shared>,
-    endpoint: Endpoint<Msg>,
-) -> std::thread::JoinHandle<()> {
-    let name = format!("executor-{}", endpoint.id());
-    // lint:allow(thread-spawn) — node threads are the threaded runner's
-    // execution model; the deterministic harness uses the sim scheduler
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || Executor::new(shared, endpoint).run())
-        .expect("spawn executor")
+impl Node for Executor {
+    fn on_msg(&mut self, from: NodeId, msg: Msg) {
+        match msg {
+            Msg::NewBlock {
+                bundle,
+                orderer,
+                sig,
+            } => self.on_new_block(from, bundle, orderer, &sig),
+            Msg::Commit(commit) => self.on_commit_msg(&commit),
+            _ => {}
+        }
+    }
+
+    /// Surfaces every execution finished by `now`: handed back by the
+    /// pool's workers, or due on the virtual clock.
+    fn tick(&mut self, now: Instant) -> usize {
+        let done = self.backend.take_done(now);
+        let handled = done.len();
+        for completion in done {
+            self.on_completion(completion);
+        }
+        handled
+    }
+
+    /// The next virtual completion. A pool-backed executor arms nothing:
+    /// its workers raise the mailbox waker.
+    fn next_deadline(&self, now: Instant) -> Option<Instant> {
+        self.backend.next_due().filter(|&due| due > now)
+    }
+
+    /// The observer's durability counters.
+    fn finalize(&mut self) {
+        if self.is_observer {
+            self.shared
+                .metrics
+                .set_durability_stats(self.durability.stats());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -876,6 +785,75 @@ mod tests {
                 ExecResult::Committed(vec![(Key(7), Value::Bytes(vec![0xde, 0xad]))]),
             ),
         ]
+    }
+
+    /// `G(B)` rides beside the signed `H(B)` unauthenticated. A known
+    /// orderer announcing block 1 without a graph, or with one of the
+    /// wrong size, must neither panic the executor nor spend the block
+    /// number: the honest announcement that follows still commits.
+    #[test]
+    fn a_malformed_dependency_graph_is_ignored_and_the_honest_copy_commits() {
+        use parblock_contracts::{AccountingContract, AccountingOp};
+        use parblock_depgraph::{DependencyGraph, DependencyMode};
+        use parblock_types::{AppId, Block, ClientId, Clock};
+
+        use crate::cluster::{ClusterSpec, SystemKind};
+
+        let mut spec = ClusterSpec::new(SystemKind::Oxii);
+        spec.costs = parblock_types::ExecutionCosts::zero();
+        spec.commit_quorum = Some(1);
+        let clock = Clock::simulated();
+        let shared = Shared::with_clock(spec, clock.clone());
+        let net = shared
+            .spec
+            .network_builder()
+            .clock(clock.clone())
+            .manual_delivery()
+            .build::<Msg>();
+        let mut executor = Executor::new(Arc::clone(&shared), net.endpoint(shared.spec.observer()));
+
+        let contract = AccountingContract::new(AppId(0));
+        let txs = |count: u64| -> Vec<_> {
+            let op = AccountingOp::Transfer {
+                from: Key(1),
+                to: Key(2),
+                amount: 1,
+            };
+            (0..count)
+                .map(|ts| contract.transaction(ClientId(1), ts, &op))
+                .collect()
+        };
+        let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), txs(2)));
+        let hash = parblock_crypto::hash_wire(block.as_ref());
+        let orderer = shared.spec.entry_orderer();
+        let sig = shared.keys.sign(shared.spec.node_signer(orderer), &hash.0);
+        let announce = |executor: &mut Executor, graph: Option<DependencyGraph>| {
+            let bundle = Arc::new(BlockBundle {
+                block: Arc::clone(&block),
+                graph,
+                hash,
+            });
+            executor.on_msg(
+                orderer,
+                Msg::NewBlock {
+                    bundle,
+                    orderer,
+                    sig,
+                },
+            );
+            // Zero cost: each finished execution is due the instant its
+            // predecessor released it.
+            while executor.tick(clock.now()) > 0 {}
+        };
+
+        let sized = |count: u64| DependencyGraph::build_txs(&txs(count), DependencyMode::Full);
+        for malformed in [None, Some(sized(1)), Some(sized(3))] {
+            announce(&mut executor, malformed);
+            assert_eq!(executor.watermark(), BlockNumber(0));
+        }
+        announce(&mut executor, Some(sized(2)));
+        assert_eq!(executor.watermark(), BlockNumber(1), "honest copy commits");
+        assert_eq!(shared.metrics.processed(), 2);
     }
 
     /// Pins the COMMIT digest preimage layout. If this golden value

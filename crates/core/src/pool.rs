@@ -4,14 +4,15 @@
 //! The executor's main thread owns the blockchain state. When a
 //! transaction becomes ready it snapshots the declared read set and hands
 //! the work item to the pool; workers model the execution cost as a timed
-//! wait (see DESIGN.md §3), run the contract, and report the result back
-//! on a channel the main loop selects on.
+//! wait (see DESIGN.md §3), run the contract, push the result on the
+//! pool's completion channel and wake the executor's node loop, whose
+//! next `tick` drains that channel (DESIGN.md §17).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -111,6 +112,23 @@ fn execute_item(item: &WorkItem) -> Completion {
     }
 }
 
+/// Where an executor's contract executions run: a thread pool under
+/// the free-running runner, a virtual-time inline queue under the
+/// deterministic scheduler (DESIGN.md §10).
+pub(crate) trait ExecBackend {
+    /// Starts executing a whole ready set, dispatched at `now`.
+    fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: Instant);
+
+    /// Removes and returns every execution that has finished by `now`.
+    fn take_done(&mut self, now: Instant) -> Vec<Completion>;
+
+    /// When the next execution finishes, where that is known ahead of
+    /// time. The pool does not know; its workers wake the node instead.
+    fn next_due(&self) -> Option<Instant> {
+        None
+    }
+}
+
 /// A fixed pool of execution workers.
 pub(crate) struct ExecPool {
     work_tx: Option<Sender<WorkItem>>,
@@ -119,7 +137,9 @@ pub(crate) struct ExecPool {
 }
 
 impl ExecPool {
-    pub(crate) fn new(workers: usize) -> Self {
+    /// Starts `workers` threads. Each calls `wake` after pushing a
+    /// completion, so whoever drains them can sleep until there is one.
+    pub(crate) fn new(workers: usize, wake: impl Fn() + Clone + Send + 'static) -> Self {
         let workers = workers.max(1);
         let (work_tx, work_rx) = unbounded::<WorkItem>();
         let (done_tx, done_rx) = unbounded::<Completion>();
@@ -127,6 +147,7 @@ impl ExecPool {
         for i in 0..workers {
             let work_rx = work_rx.clone();
             let done_tx = done_tx.clone();
+            let wake = wake.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("exec-worker-{i}"))
                 .spawn(move || {
@@ -135,6 +156,7 @@ impl ExecPool {
                             std::thread::sleep(item.cost);
                         }
                         let _ = done_tx.send(execute_item(&item));
+                        wake();
                     }
                 })
                 .expect("spawn exec worker");
@@ -146,36 +168,34 @@ impl ExecPool {
             handles,
         }
     }
+}
 
+impl ExecBackend for ExecPool {
     /// Hands a whole ready set to the workers in one call: the channel
     /// handle is resolved once and items stream out back-to-back, so a
     /// 1000-transaction low-conflict block is one handoff, not 1000
     /// (DESIGN.md §15).
-    pub(crate) fn dispatch_batch(&self, items: Vec<WorkItem>) {
+    fn dispatch_batch(&mut self, items: Vec<WorkItem>, _now: Instant) {
         let tx = self.work_tx.as_ref().expect("pool running");
         for item in items {
             tx.send(item).expect("workers alive");
         }
     }
 
-    pub(crate) fn completions(&self) -> &Receiver<Completion> {
-        &self.done_rx
-    }
-
-    /// Stops the workers (drops the work channel and joins).
-    pub(crate) fn shutdown(mut self) {
-        self.work_tx = None;
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+    /// Every completion the workers have pushed, whatever the time.
+    fn take_done(&mut self, _now: Instant) -> Vec<Completion> {
+        std::iter::from_fn(|| self.done_rx.try_recv().ok()).collect()
     }
 }
 
 impl Drop for ExecPool {
     fn drop(&mut self) {
-        // Closing the channel lets workers exit; joining here would risk
-        // blocking in a destructor (C-DTOR-BLOCK), so we only signal.
+        // Closing the work channel lets the workers finish what is
+        // queued and exit; that bounds the join.
         self.work_tx = None;
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -186,81 +206,42 @@ impl Drop for ExecPool {
 /// reaches `dispatch + cost` — the same cost model as the threaded pool,
 /// minus the host scheduler. Completions surface in `(due, dispatch
 /// order)`, a pure function of the schedule.
+#[derive(Default)]
 pub(crate) struct InlineQueue {
-    pending: std::collections::BinaryHeap<std::cmp::Reverse<InlineEntry>>,
+    /// Keyed `(due, dispatch ticket)`: the order completions surface in.
+    pending: BTreeMap<(Instant, u64), Completion>,
     next_ticket: u64,
 }
 
-struct InlineEntry {
-    due: std::time::Instant,
-    ticket: u64,
-    completion: Completion,
-}
-
-impl PartialEq for InlineEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.ticket == other.ticket
-    }
-}
-impl Eq for InlineEntry {}
-impl PartialOrd for InlineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InlineEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.ticket).cmp(&(other.due, other.ticket))
-    }
-}
-
-impl InlineQueue {
-    pub(crate) fn new() -> Self {
-        InlineQueue {
-            pending: std::collections::BinaryHeap::new(),
-            next_ticket: 0,
-        }
-    }
-
+impl ExecBackend for InlineQueue {
     /// Dispatches a whole ready set at one instant: each item executes
     /// now and its completion becomes visible at `now + item.cost`, with
     /// tickets in input order. One clock read covers the batch (the
     /// virtual clock only advances between settles, so per-item reads
     /// would agree anyway).
-    pub(crate) fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: std::time::Instant) {
+    fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: Instant) {
         for item in items {
-            let due = now + item.cost;
-            let completion = execute_item(&item);
-            let ticket = self.next_ticket;
+            let key = (now + item.cost, self.next_ticket);
             self.next_ticket += 1;
-            self.pending.push(std::cmp::Reverse(InlineEntry {
-                due,
-                ticket,
-                completion,
-            }));
+            self.pending.insert(key, execute_item(&item));
         }
     }
 
     /// The earliest pending completion's due time.
-    pub(crate) fn next_due(&self) -> Option<std::time::Instant> {
-        self.pending.peek().map(|std::cmp::Reverse(e)| e.due)
+    fn next_due(&self) -> Option<Instant> {
+        self.pending.keys().next().map(|&(due, _)| due)
     }
 
     /// Removes and returns every completion due at or before `now`.
-    pub(crate) fn take_due(&mut self, now: std::time::Instant) -> Vec<Completion> {
+    fn take_done(&mut self, now: Instant) -> Vec<Completion> {
         let mut out = Vec::new();
-        while let Some(std::cmp::Reverse(entry)) = self.pending.peek() {
-            if entry.due > now {
+        while let Some(entry) = self.pending.first_entry() {
+            if entry.key().0 > now {
                 break;
             }
-            let std::cmp::Reverse(entry) = self.pending.pop().expect("peeked");
-            out.push(entry.completion);
+            out.push(entry.remove());
         }
         out
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 }
 
@@ -271,9 +252,26 @@ mod tests {
 
     use super::*;
 
+    /// A pool whose wake-ups arrive on a channel.
+    fn pool(workers: usize) -> (ExecPool, std::sync::mpsc::Receiver<()>) {
+        let (wake, woken) = std::sync::mpsc::channel();
+        let pool = ExecPool::new(workers, move || {
+            let _ = wake.send(());
+        });
+        (pool, woken)
+    }
+
+    /// Waits for a wake-up, then takes the completion it announced.
+    fn one_done(pool: &mut ExecPool, woken: &std::sync::mpsc::Receiver<()>) -> Completion {
+        woken
+            .recv_timeout(Duration::from_secs(1))
+            .expect("workers wake after pushing a completion");
+        pool.take_done(Instant::now()).pop().expect("completion")
+    }
+
     #[test]
     fn pool_executes_and_reports() {
-        let pool = ExecPool::new(2);
+        let (mut pool, woken) = pool(2);
         let contract = Arc::new(AccountingContract::new(AppId(0)));
         let op = AccountingOp::Transfer {
             from: Key(1),
@@ -285,18 +283,18 @@ mod tests {
         let mut entries = HashMap::new();
         entries.insert(Key(1), Some(Value::Int(10)));
         entries.insert(Key(2), None);
-        pool.dispatch_batch(vec![WorkItem {
-            block: BlockNumber(1),
-            seq: SeqNo(0),
-            tx,
-            snapshot: SnapshotReader::new(entries),
-            contract,
-            cost: Duration::from_micros(50),
-        }]);
-        let done = pool
-            .completions()
-            .recv_timeout(Duration::from_secs(1))
-            .expect("completion");
+        pool.dispatch_batch(
+            vec![WorkItem {
+                block: BlockNumber(1),
+                seq: SeqNo(0),
+                tx,
+                snapshot: SnapshotReader::new(entries),
+                contract,
+                cost: Duration::from_micros(50),
+            }],
+            Instant::now(),
+        );
+        let done = one_done(&mut pool, &woken);
         assert_eq!(done.seq, SeqNo(0));
         match done.result {
             ExecResult::Committed(writes) => {
@@ -304,7 +302,6 @@ mod tests {
             }
             ExecResult::Aborted(r) => panic!("unexpected abort: {r}"),
         }
-        pool.shutdown();
     }
 
     #[test]
@@ -352,26 +349,26 @@ mod tests {
                 cost: Duration::from_micros(cost_us),
             }
         };
-        let mut q = InlineQueue::new();
+        let mut q = InlineQueue::default();
         let t0 = Instant::now();
         q.dispatch_batch(vec![item(0, 100), item(1, 50), item(2, 50)], t0);
         assert_eq!(q.next_due(), Some(t0 + Duration::from_micros(50)));
-        assert!(q.take_due(t0).is_empty(), "nothing due at dispatch time");
-        let due = q.take_due(t0 + Duration::from_micros(60));
+        assert!(q.take_done(t0).is_empty(), "nothing due at dispatch time");
+        let due = q.take_done(t0 + Duration::from_micros(60));
         assert_eq!(
             due.iter().map(|c| c.seq).collect::<Vec<_>>(),
             vec![SeqNo(1), SeqNo(2)],
             "equal due times resolve in dispatch order"
         );
-        let rest = q.take_due(t0 + Duration::from_millis(1));
+        let rest = q.take_done(t0 + Duration::from_millis(1));
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].seq, SeqNo(0));
-        assert!(q.is_empty());
+        assert_eq!(q.next_due(), None);
     }
 
     #[test]
     fn aborts_propagate() {
-        let pool = ExecPool::new(1);
+        let (mut pool, woken) = pool(1);
         let contract = Arc::new(AccountingContract::new(AppId(0)));
         let op = AccountingOp::Transfer {
             from: Key(1),
@@ -380,18 +377,18 @@ mod tests {
         };
         let tx = contract.transaction(ClientId(1), 0, &op);
         // Both accounts declared but absent: source account missing.
-        pool.dispatch_batch(vec![WorkItem {
-            block: BlockNumber(1),
-            seq: SeqNo(3),
-            tx,
-            snapshot: SnapshotReader::new(HashMap::from([(Key(1), None), (Key(2), None)])),
-            contract,
-            cost: Duration::ZERO,
-        }]);
-        let done = pool
-            .completions()
-            .recv_timeout(Duration::from_secs(1))
-            .expect("completion");
+        pool.dispatch_batch(
+            vec![WorkItem {
+                block: BlockNumber(1),
+                seq: SeqNo(3),
+                tx,
+                snapshot: SnapshotReader::new(HashMap::from([(Key(1), None), (Key(2), None)])),
+                contract,
+                cost: Duration::ZERO,
+            }],
+            Instant::now(),
+        );
+        let done = one_done(&mut pool, &woken);
         match done.result {
             ExecResult::Aborted(reason) => {
                 assert!(
@@ -401,12 +398,11 @@ mod tests {
             }
             ExecResult::Committed(_) => panic!("expected abort"),
         }
-        pool.shutdown();
     }
 
     #[test]
     fn undeclared_reads_abort_instead_of_committing_on_defaults() {
-        let pool = ExecPool::new(1);
+        let (mut pool, woken) = pool(1);
         let contract = Arc::new(AccountingContract::new(AppId(0)));
         let op = AccountingOp::Transfer {
             from: Key(1),
@@ -416,24 +412,23 @@ mod tests {
         let tx = contract.transaction(ClientId(1), 0, &op);
         // Snapshot omits the declared keys entirely (mimics a scheduler
         // bug): previously this committed against silent defaults.
-        pool.dispatch_batch(vec![WorkItem {
-            block: BlockNumber(1),
-            seq: SeqNo(0),
-            tx,
-            snapshot: SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(100)))])),
-            contract,
-            cost: Duration::ZERO,
-        }]);
-        let done = pool
-            .completions()
-            .recv_timeout(Duration::from_secs(1))
-            .expect("completion");
+        pool.dispatch_batch(
+            vec![WorkItem {
+                block: BlockNumber(1),
+                seq: SeqNo(0),
+                tx,
+                snapshot: SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(100)))])),
+                contract,
+                cost: Duration::ZERO,
+            }],
+            Instant::now(),
+        );
+        let done = one_done(&mut pool, &woken);
         match done.result {
             ExecResult::Aborted(reason) => {
                 assert!(reason.contains("undeclared read"), "got: {reason}");
             }
             ExecResult::Committed(w) => panic!("must not commit on undeclared reads: {w:?}"),
         }
-        pool.shutdown();
     }
 }

@@ -18,15 +18,20 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parblock_net::{Faults, SimNetwork};
+use parblock_net::{Faults, SimNetwork, Waker};
 use parblock_types::ArrivalProcess;
 
 use crate::cluster::{ClusterSpec, SystemKind};
 use crate::metrics::RunReport;
 use crate::msg::Msg;
+use crate::node::spawn_node;
+use crate::orderer::Orderer;
+use crate::ox::OxPeer;
+use crate::oxii::Executor;
 use crate::shared::Shared;
 use crate::sim::build_protocol;
-use crate::{driver, orderer, ox, oxii, xov};
+use crate::xov::XovPeer;
+use crate::{driver, xov};
 
 /// Offered load for one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +81,8 @@ impl Default for LoadSpec {
 struct Cluster {
     shared: Arc<Shared>,
     net: SimNetwork<Msg>,
-    handles: Vec<JoinHandle<()>>,
+    /// Each node's thread, and the waker that ends its wait at stop.
+    nodes: Vec<(JoinHandle<()>, Waker<Msg>)>,
 }
 
 impl Cluster {
@@ -84,42 +90,42 @@ impl Cluster {
     fn start(spec: &ClusterSpec) -> Self {
         let shared = Shared::new(spec.clone());
         let net: SimNetwork<Msg> = spec.network_builder().build();
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
+        let mut nodes = Vec::new();
 
         let graph_mode = match spec.system {
             SystemKind::Oxii => Some(spec.depgraph_mode),
             SystemKind::Ox | SystemKind::Xov => None,
         };
         for &id in &spec.orderer_ids() {
-            handles.push(orderer::spawn_orderer(
+            let protocol = build_protocol(spec, id);
+            nodes.push(spawn_node(
+                "orderer",
                 Arc::clone(&shared),
                 net.endpoint(id),
-                build_protocol(spec, id),
-                graph_mode,
+                move |shared, endpoint| Orderer::new(shared, endpoint, protocol, graph_mode),
             ));
         }
 
         // Peers (executors + non-executors).
         for &id in &spec.peer_ids() {
             let endpoint = net.endpoint(id);
-            let handle = match spec.system {
-                SystemKind::Oxii => oxii::spawn_executor(Arc::clone(&shared), endpoint),
-                SystemKind::Ox => ox::spawn_peer(Arc::clone(&shared), endpoint),
-                SystemKind::Xov => xov::spawn_peer(Arc::clone(&shared), endpoint),
-            };
-            handles.push(handle);
+            let shared = Arc::clone(&shared);
+            nodes.push(match spec.system {
+                SystemKind::Oxii => spawn_node("executor", shared, endpoint, Executor::new),
+                SystemKind::Ox => spawn_node("ox-peer", shared, endpoint, OxPeer::new),
+                SystemKind::Xov => spawn_node("xov-peer", shared, endpoint, XovPeer::new),
+            });
         }
-        Cluster {
-            shared,
-            net,
-            handles,
-        }
+        Cluster { shared, net, nodes }
     }
 
     /// Stops every node, joins the fault script (if one ran) and the node
     /// threads, and takes the report.
     fn finish(self, fault_script: Option<JoinHandle<()>>) -> RunReport {
         self.shared.stop.store(true, Ordering::Relaxed);
+        for (_, waker) in &self.nodes {
+            waker.wake();
+        }
         if let Some(handle) = fault_script {
             // A crashed fault script means the faults were never injected —
             // surface it instead of letting the test pass vacuously.
@@ -127,7 +133,7 @@ impl Cluster {
                 std::panic::resume_unwind(panic);
             }
         }
-        for handle in self.handles {
+        for (handle, _) in self.nodes {
             let _ = handle.join();
         }
         let messages = self.net.stats().sent();

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parblock_consensus::ProtocolConfig;
-use parblock_net::SimNetwork;
+use parblock_net::{Endpoint, SimNetwork};
 use parblock_types::{ArrivalProcess, Block, BlockNumber, Clock, Hash32, NodeId, Transaction, TxId};
 use parblock_workload::{ArrivalGen, WorkloadGen};
 
@@ -37,6 +37,7 @@ use crate::cluster::{ClusterSpec, ConsensusKind, DurabilityMode, SystemKind};
 use crate::hostcons::AnyConsensus;
 use crate::metrics::RunReport;
 use crate::msg::Msg;
+use crate::node::Node;
 use crate::orderer::Orderer;
 use crate::oxii::Executor;
 use crate::shared::Shared;
@@ -44,11 +45,11 @@ use crate::driver;
 
 /// Scheduler safety net: the virtual clock never advances by more than
 /// this between node housekeeping passes. Every known time-driven
-/// deadline (message due times, execution completions, driver
-/// submissions, fault instants, orderer timers / batch flushes /
-/// cut-marker deadlines) is enumerated explicitly in the time-advance
-/// step, so the grain only bounds the cost of anything unenumerated —
-/// it is not the scheduler's precision.
+/// deadline (message due times, driver submissions, fault instants, and
+/// through `Node::next_deadline` execution completions, orderer timers,
+/// batch flushes and cut-marker deadlines) is enumerated explicitly in
+/// the time-advance step, so the grain only bounds the cost of anything
+/// unenumerated — it is not the scheduler's precision.
 const GRAIN: Duration = Duration::from_millis(1);
 
 /// How long the cluster must stay fully quiet (nothing queued, nothing
@@ -258,6 +259,24 @@ pub(crate) fn build_protocol(spec: &ClusterSpec, id: NodeId) -> AnyConsensus {
     }
 }
 
+/// A live node and the mailbox the scheduler drains into it.
+struct Slot<N> {
+    node: N,
+    mailbox: Endpoint<Msg>,
+}
+
+impl<N: Node> Slot<N> {
+    /// What `drive_threaded` does between two waits: drain, then tick.
+    fn step(&mut self, now: Instant) -> usize {
+        let mut handled = 0;
+        while let Some(envelope) = self.mailbox.try_recv() {
+            self.node.on_msg(envelope.from, envelope.msg);
+            handled += 1;
+        }
+        handled + self.node.tick(now)
+    }
+}
+
 /// The single-threaded cluster: every node is a plain struct stepped in
 /// a fixed order; `None` marks a currently-crashed node.
 struct SimCluster {
@@ -265,8 +284,8 @@ struct SimCluster {
     net: SimNetwork<Msg>,
     orderer_ids: Vec<NodeId>,
     peer_ids: Vec<NodeId>,
-    orderers: Vec<Option<Orderer>>,
-    peers: Vec<Option<Executor>>,
+    orderers: Vec<Option<Slot<Orderer>>>,
+    peers: Vec<Option<Slot<Executor>>>,
     ever_faulted: BTreeSet<NodeId>,
     events: u64,
 }
@@ -286,30 +305,34 @@ impl SimCluster {
             .build();
         let orderer_ids = spec.orderer_ids();
         let peer_ids = spec.peer_ids();
-        let orderers = orderer_ids
-            .iter()
-            .map(|&id| {
-                Some(Orderer::new(
-                    Arc::clone(&shared),
-                    net.endpoint(id),
-                    build_protocol(spec, id),
-                    Some(spec.depgraph_mode),
-                ))
-            })
-            .collect();
-        let peers = peer_ids
-            .iter()
-            .map(|&id| Some(Executor::new_stepped(Arc::clone(&shared), net.endpoint(id))))
-            .collect();
-        SimCluster {
+        let mut cluster = SimCluster {
             shared,
             net,
+            orderers: orderer_ids.iter().map(|_| None).collect(),
+            peers: peer_ids.iter().map(|_| None).collect(),
             orderer_ids,
             peer_ids,
-            orderers,
-            peers,
             ever_faulted: BTreeSet::new(),
             events: 0,
+        };
+        for id in spec.orderer_ids().into_iter().chain(spec.peer_ids()) {
+            cluster.boot(id);
+        }
+        cluster
+    }
+
+    /// Constructs `id`'s node behind a fresh mailbox (start, restart).
+    fn boot(&mut self, id: NodeId) {
+        let mailbox = self.net.endpoint(id);
+        let shared = Arc::clone(&self.shared);
+        if let Some(i) = self.orderer_ids.iter().position(|&o| o == id) {
+            let protocol = build_protocol(&shared.spec, id);
+            let graph_mode = Some(shared.spec.depgraph_mode);
+            let node = Orderer::new(shared, mailbox.clone(), protocol, graph_mode);
+            self.orderers[i] = Some(Slot { node, mailbox });
+        } else if let Some(i) = self.peer_ids.iter().position(|&p| p == id) {
+            let node = Executor::new(shared, mailbox.clone());
+            self.peers[i] = Some(Slot { node, mailbox });
         }
     }
 
@@ -333,20 +356,7 @@ impl SimCluster {
             }
         }
         self.net.faults().restart(node);
-        if let Some(i) = self.orderer_ids.iter().position(|&id| id == node) {
-            self.orderers[i] = Some(Orderer::new(
-                Arc::clone(&self.shared),
-                self.net.endpoint(node),
-                build_protocol(&self.shared.spec, node),
-                Some(self.shared.spec.depgraph_mode),
-            ));
-        }
-        if let Some(i) = self.peer_ids.iter().position(|&id| id == node) {
-            self.peers[i] = Some(Executor::new_stepped(
-                Arc::clone(&self.shared),
-                self.net.endpoint(node),
-            ));
-        }
+        self.boot(node);
     }
 
     fn apply_fault(&mut self, kind: &FaultKind) {
@@ -378,10 +388,10 @@ impl SimCluster {
         loop {
             let mut work = 0;
             for orderer in self.orderers.iter_mut().flatten() {
-                work += orderer.step();
+                work += orderer.step(now);
             }
             for peer in self.peers.iter_mut().flatten() {
-                work += peer.step();
+                work += peer.step(now);
             }
             work += self.net.deliver_due(now);
             self.events += work as u64;
@@ -391,22 +401,22 @@ impl SimCluster {
         }
     }
 
-    /// Earliest pending virtual completion across live executors.
-    fn next_completion_due(&self) -> Option<Instant> {
-        self.peers
-            .iter()
-            .flatten()
-            .filter_map(Executor::next_completion_due)
-            .min()
+    /// The earliest deadline any live node has armed after `now`.
+    fn next_deadline(&self, now: Instant) -> Option<Instant> {
+        let orderers = self.orderers.iter().flatten().map(|s| s.node.next_deadline(now));
+        let peers = self.peers.iter().flatten().map(|s| s.node.next_deadline(now));
+        orderers.chain(peers).flatten().min()
     }
 
-    fn quiet(&self) -> bool {
+    /// Nothing in flight and, after a settle at `now`, no execution
+    /// running (an executor's only deadline is its next completion).
+    fn quiet(&self, now: Instant) -> bool {
         self.net.queued() == 0
             && self
                 .peers
                 .iter()
                 .flatten()
-                .all(|p| !p.has_pending_work())
+                .all(|slot| slot.node.next_deadline(now).is_none())
     }
 }
 
@@ -489,7 +499,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
 
         // 4. Termination.
         let processed = cluster.shared.metrics.processed();
-        if processed >= expected && next_submit == txs.len() && cluster.quiet() {
+        if processed >= expected && next_submit == txs.len() && cluster.quiet(now) {
             match drained_since {
                 // Quiet must *hold* for the grace window: a block cut
                 // marker or retransmission could still be one grain away.
@@ -511,9 +521,9 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         // at all is scheduled (the drain-grace countdown).
         let mut next: Option<Instant> = None;
         // Deadlines at or before `now` were already serviced by this
-        // iteration's settle pass (or are gated on a *different* future
-        // event, like a cut deadline whose marker is already in flight);
-        // only strictly-future instants may drive the advance.
+        // iteration's settle pass; only strictly-future instants may
+        // drive the advance (`Node::next_deadline` holds its own
+        // candidates to the same rule).
         let merge = |next: &mut Option<Instant>, due: Instant| {
             if due > now {
                 *next = Some(next.map_or(due, |n| n.min(due)));
@@ -522,13 +532,8 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         if let Some(due) = cluster.net.next_due() {
             merge(&mut next, due);
         }
-        if let Some(due) = cluster.next_completion_due() {
+        if let Some(due) = cluster.next_deadline(now) {
             merge(&mut next, due);
-        }
-        for orderer in cluster.orderers.iter().flatten() {
-            if let Some(due) = orderer.next_due() {
-                merge(&mut next, due);
-            }
         }
         if next_submit < txs.len() {
             merge(&mut next, submit_at(next_submit));
@@ -543,20 +548,15 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
 
     // Finalize observability, then collect oracle inputs.
     for peer in cluster.peers.iter_mut().flatten() {
-        peer.finalize();
+        peer.node.finalize();
     }
     let observer = config.spec.observer();
-    let observer_chain: Vec<Block> = cluster
-        .peers
-        .iter()
-        .flatten()
+    let live_peers = || cluster.peers.iter().flatten().map(|slot| &slot.node);
+    let observer_chain: Vec<Block> = live_peers()
         .find(|p| p.node_id() == observer)
         .map(|p| p.ledger().iter().cloned().collect())
         .unwrap_or_default();
-    let replicas: Vec<ReplicaOutcome> = cluster
-        .peers
-        .iter()
-        .flatten()
+    let replicas: Vec<ReplicaOutcome> = live_peers()
         .map(|p| ReplicaOutcome {
             node: p.node_id(),
             faulted: cluster.ever_faulted.contains(&p.node_id()),
@@ -571,7 +571,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         .zip(&cluster.orderers)
         .filter_map(|(&node, slot)| {
             slot.as_ref().map(|orderer| {
-                let (next_number, head) = orderer.chain_position();
+                let (next_number, head) = orderer.node.chain_position();
                 OrdererOutcome {
                     node,
                     faulted: cluster.ever_faulted.contains(&node),

@@ -30,10 +30,10 @@ use parblock_types::{
 use parblock_workload::WorkloadGen;
 
 use crate::msg::{BlockBundle, Envelope, Msg};
+use crate::node::Node;
 use crate::quorum::NewBlockQuorum;
 use crate::shared::Shared;
 
-const IDLE_TICK: Duration = Duration::from_micros(500);
 const TICK: Duration = Duration::from_millis(1);
 
 // ---- envelope wire format ---------------------------------------------
@@ -129,23 +129,6 @@ impl XovPeer {
         }
     }
 
-    pub(crate) fn run(mut self) {
-        while !self.shared.stop.load(Ordering::Relaxed) {
-            if let Ok(envelope) = self.endpoint.recv_timeout(IDLE_TICK) {
-                match envelope.msg {
-                    Msg::EndorseReq { tx } => self.endorse(envelope.from, tx),
-                    Msg::NewBlock {
-                        bundle,
-                        orderer,
-                        sig,
-                    } => self.on_new_block(envelope.from, bundle, orderer, &sig),
-                    _ => {}
-                }
-            }
-            self.validate_ready_blocks();
-        }
-    }
-
     /// Phase 1: simulate the transaction and return the endorsement.
     ///
     /// Endorsers execute requests one at a time (the paper: "XOV can
@@ -208,6 +191,7 @@ impl XovPeer {
                 .admit(&self.shared, from, bundle, orderer, sig, next_needed)
         {
             self.ready.insert(validated.block.number().0, validated);
+            self.validate_ready_blocks();
         }
     }
 
@@ -387,18 +371,20 @@ pub(crate) fn run_xov_driver(
     }
 }
 
-/// Spawns an XOV peer thread.
-pub(crate) fn spawn_peer(
-    shared: Arc<Shared>,
-    endpoint: Endpoint<Msg>,
-) -> std::thread::JoinHandle<()> {
-    let name = format!("xov-peer-{}", endpoint.id());
-    // lint:allow(thread-spawn) — node threads are the threaded runner's
-    // execution model; the deterministic harness uses the sim scheduler
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || XovPeer::new(shared, endpoint).run())
-        .expect("spawn xov peer")
+/// An XOV peer reacts to endorsement requests (sleeping its cost model
+/// inside) and to NEWBLOCKs; nothing is ever due later.
+impl Node for XovPeer {
+    fn on_msg(&mut self, from: NodeId, msg: Msg) {
+        match msg {
+            Msg::EndorseReq { tx } => self.endorse(from, tx),
+            Msg::NewBlock {
+                bundle,
+                orderer,
+                sig,
+            } => self.on_new_block(from, bundle, orderer, &sig),
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parblock_types::NodeId;
@@ -43,8 +43,15 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
+/// Ends an [`Endpoint::wait_until`] from another thread without sending
+/// a message; cheap to clone. A wake raised while the owner is not
+/// waiting ends its next wait, so "publish, then wake" is never lost.
+pub type Waker<M> = crossbeam::channel::Waker<Envelope<M>>;
+
 /// A node's handle to the simulated network: a sender for any destination
-/// and a private mailbox.
+/// and a private mailbox. A clone is a second handle on the same node
+/// and mailbox: a runtime receives on one, the node sends through the other.
+#[derive(Clone)]
 pub struct Endpoint<M: Send + 'static> {
     id: NodeId,
     net: SimNetwork<M>,
@@ -114,12 +121,17 @@ impl<M: Send + 'static> Endpoint<M> {
         })
     }
 
-    /// The raw mailbox receiver, for use with `crossbeam::select!` when a
-    /// node must multiplex network traffic with other event sources
-    /// (e.g. an execution pool's completion channel).
+    /// Blocks until the mailbox holds a message (it stays queued for
+    /// [`Endpoint::try_recv`]), a [`Waker`] of this endpoint was raised,
+    /// or `deadline` passes; `None` waits for the first two only.
+    pub fn wait_until(&self, deadline: Option<Instant>) {
+        self.rx.wait_until(deadline);
+    }
+
+    /// A handle that ends this endpoint's [`Endpoint::wait_until`].
     #[must_use]
-    pub fn receiver(&self) -> &Receiver<Envelope<M>> {
-        &self.rx
+    pub fn waker(&self) -> Waker<M> {
+        self.rx.waker()
     }
 
     /// Returns a pending message without blocking, if any.

@@ -45,7 +45,7 @@ mod faults;
 mod stats;
 mod topology;
 
-pub use endpoint::{Endpoint, Envelope, RecvError};
+pub use endpoint::{Endpoint, Envelope, RecvError, Waker};
 pub use engine::{NetworkBuilder, SimNetwork};
 pub use faults::Faults;
 pub use stats::NetStats;

@@ -1,14 +1,16 @@
-//! Offline API-subset shim for `crossbeam`: an unbounded MPMC channel and
-//! the [`select!`] macro shape the workspace uses (`recv` arms plus a
-//! `default(timeout)` arm).
+//! The workspace's channel: an unbounded MPMC queue under the
+//! `crossbeam::channel` names and error types, plus a wake token.
 //!
 //! The channel is a `Mutex<VecDeque>` + `Condvar` queue with sender /
 //! receiver reference counting for crossbeam-compatible disconnect
 //! semantics: `recv` errors once all senders are gone and the queue is
-//! drained; `send` errors once all receivers are gone. [`select!`] is
-//! polling-based (20 µs granularity), which is indistinguishable from
-//! real blocking selection at the simulation's 500 µs idle tick. See
-//! DESIGN.md §8 for the shim policy.
+//! drained; `send` errors once all receivers are gone.
+//!
+//! Beyond crossbeam's API, a consumer with other event sources blocks
+//! in [`channel::Receiver::wait_until`], which a queued message, a
+//! deadline or a [`channel::Waker`] ends. The wake is a sticky token
+//! under the queue lock, so one raised between "drained, found nothing"
+//! and "blocked" is not lost (DESIGN.md §8, §17).
 
 /// MPMC channels with crossbeam-shaped errors.
 pub mod channel {
@@ -19,15 +21,53 @@ pub mod channel {
     use std::time::{Duration, Instant};
 
     struct Chan<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
     }
 
+    struct State<T> {
+        queue: VecDeque<T>,
+        /// Set by [`Waker::wake`], consumed by the `wait_until` it ends.
+        woken: bool,
+    }
+
     impl<T> Chan<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-            self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+        fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// A queued message, or the disconnect that says none will come.
+        fn pop(&self, state: &mut State<T>) -> Option<Result<T, RecvError>> {
+            let popped = state.queue.pop_front().map(Ok);
+            let gone = || self.senders.load(Ordering::Acquire) == 0;
+            popped.or_else(|| gone().then_some(Err(RecvError)))
+        }
+
+        /// Blocks until `poll` yields under the lock or `deadline` passes.
+        fn block_until<R>(
+            &self,
+            deadline: Option<Instant>,
+            mut poll: impl FnMut(&mut State<T>) -> Option<R>,
+        ) -> Option<R> {
+            let mut state = self.lock();
+            loop {
+                if let Some(out) = poll(&mut state) {
+                    return Some(out);
+                }
+                state = match deadline {
+                    None => self
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner),
+                    Some(deadline) => {
+                        let left = deadline.checked_duration_since(Instant::now())?;
+                        let timed = self.ready.wait_timeout(state, left);
+                        timed.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                };
+            }
         }
     }
 
@@ -80,17 +120,23 @@ pub mod channel {
         chan: Arc<Chan<T>>,
     }
 
-    /// The receiving half; cheap to clone (MPMC). A receiver returned by
-    /// [`fn@never`] carries no channel and never produces a message.
+    /// The receiving half; cheap to clone (MPMC).
     pub struct Receiver<T> {
-        chan: Option<Arc<Chan<T>>>,
+        chan: Arc<Chan<T>>,
     }
+
+    /// Ends a [`Receiver::wait_until`] on its channel without sending a
+    /// message; cheap to clone. Counts as neither sender nor receiver.
+    pub struct Waker<T>(Arc<Chan<T>>);
 
     /// Creates an unbounded channel.
     #[must_use]
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                woken: false,
+            }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -99,15 +145,8 @@ pub mod channel {
             Sender {
                 chan: Arc::clone(&chan),
             },
-            Receiver { chan: Some(chan) },
+            Receiver { chan },
         )
-    }
-
-    /// A receiver that never yields a message and never disconnects —
-    /// a neutral arm for [`select!`](crate::select).
-    #[must_use]
-    pub fn never<T>() -> Receiver<T> {
-        Receiver { chan: None }
     }
 
     impl<T> Sender<T> {
@@ -118,13 +157,13 @@ pub mod channel {
             // arbitrated atomically (as in real crossbeam) — send never
             // returns Ok for a channel whose last receiver is already
             // gone.
-            let mut queue = self.chan.lock();
+            let mut state = self.chan.lock();
             if self.chan.receivers.load(Ordering::Acquire) == 0 {
-                drop(queue);
+                drop(state);
                 return Err(SendError(msg));
             }
-            queue.push_back(msg);
-            drop(queue);
+            state.queue.push_back(msg);
+            drop(state);
             self.chan.ready.notify_one();
             Ok(())
         }
@@ -158,81 +197,54 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a message arrives or all senders disconnect.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let Some(chan) = &self.chan else {
-                // `never()`: block forever (matches crossbeam semantics;
-                // unused in practice — select! only polls).
-                loop {
-                    std::thread::park();
-                }
-            };
-            let mut queue = chan.lock();
-            loop {
-                if let Some(msg) = queue.pop_front() {
-                    return Ok(msg);
-                }
-                if chan.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvError);
-                }
-                queue = chan
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            let popped = self.chan.block_until(None, |state| self.chan.pop(state));
+            popped.expect("a wait without a deadline ends with a result")
         }
 
         /// Returns a queued message without blocking.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let Some(chan) = &self.chan else {
-                return Err(TryRecvError::Empty);
-            };
-            let mut queue = chan.lock();
-            match queue.pop_front() {
-                Some(msg) => Ok(msg),
-                None if chan.senders.load(Ordering::Acquire) == 0 => {
-                    Err(TryRecvError::Disconnected)
-                }
+            match self.chan.pop(&mut self.chan.lock()) {
+                Some(Ok(msg)) => Ok(msg),
+                Some(Err(RecvError)) => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
             }
         }
 
         /// Blocks up to `timeout` for a message.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let Some(chan) = &self.chan else {
-                std::thread::sleep(timeout);
-                return Err(RecvTimeoutError::Timeout);
-            };
-            let deadline = Instant::now() + timeout;
-            let mut queue = chan.lock();
-            loop {
-                if let Some(msg) = queue.pop_front() {
-                    return Ok(msg);
-                }
-                if chan.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, _) = chan
-                    .ready
-                    .wait_timeout(queue, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
+            let deadline = Some(Instant::now() + timeout);
+            match self
+                .chan
+                .block_until(deadline, |state| self.chan.pop(state))
+            {
+                Some(Ok(msg)) => Ok(msg),
+                Some(Err(RecvError)) => Err(RecvTimeoutError::Disconnected),
+                None => Err(RecvTimeoutError::Timeout),
             }
         }
 
-        /// Typed disconnect result for the [`select!`](crate::select)
-        /// expansion (ties the `Ok` type to this receiver).
-        #[doc(hidden)]
-        pub fn __select_disconnected(&self) -> Result<T, RecvError> {
-            Err(RecvError)
+        /// Blocks until a message is queued (it stays queued), a
+        /// [`Waker`] of this channel has been raised (the wake is
+        /// consumed), or `deadline` passes, which alone returns `false`;
+        /// `None` waits without limit. For a channel with one consumer:
+        /// `send` wakes one waiter, and this one takes nothing.
+        pub fn wait_until(&self, deadline: Option<Instant>) -> bool {
+            let ready = |state: &mut State<T>| {
+                (std::mem::take(&mut state.woken) || !state.queue.is_empty()).then_some(())
+            };
+            self.chan.block_until(deadline, ready).is_some()
+        }
+
+        /// A handle that ends this channel's [`Receiver::wait_until`].
+        #[must_use]
+        pub fn waker(&self) -> Waker<T> {
+            Waker(Arc::clone(&self.chan))
         }
 
         /// Number of queued messages.
         #[must_use]
         pub fn len(&self) -> usize {
-            self.chan.as_ref().map_or(0, |c| c.lock().len())
+            self.chan.lock().queue.len()
         }
 
         /// Whether the queue is empty.
@@ -242,24 +254,36 @@ pub mod channel {
         }
     }
 
+    impl<T> Waker<T> {
+        /// Ends the current [`Receiver::wait_until`] on this channel, or
+        /// the next one if none is blocked now. Wakes do not accumulate:
+        /// any number raised before a wait end that one wait.
+        pub fn wake(&self) {
+            self.0.lock().woken = true;
+            self.0.ready.notify_all();
+        }
+    }
+
+    impl<T> Clone for Waker<T> {
+        fn clone(&self) -> Self {
+            Waker(Arc::clone(&self.0))
+        }
+    }
+
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            if let Some(chan) = &self.chan {
-                chan.receivers.fetch_add(1, Ordering::Relaxed);
-            }
+            self.chan.receivers.fetch_add(1, Ordering::Relaxed);
             Receiver {
-                chan: self.chan.clone(),
+                chan: Arc::clone(&self.chan),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if let Some(chan) = &self.chan {
-                // Serialize with in-flight sends (see Sender::send).
-                let _queue = chan.lock();
-                chan.receivers.fetch_sub(1, Ordering::AcqRel);
-            }
+            // Serialize with in-flight sends (see Sender::send).
+            let _state = self.chan.lock();
+            self.chan.receivers.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -270,87 +294,10 @@ pub mod channel {
     }
 }
 
-/// Multiplexes `recv` arms with a `default(timeout)` arm.
-///
-/// Supports the crossbeam shape used in this workspace:
-///
-/// ```ignore
-/// crossbeam::select! {
-///     recv(rx_a) -> msg => ...,   // msg: Result<T, RecvError>
-///     recv(rx_b) -> msg => ...,
-///     default(timeout) => ...,
-/// }
-/// ```
-///
-/// Arms are polled in order every 20 µs until one is ready (a message or
-/// a disconnect) or the timeout elapses.
-#[macro_export]
-macro_rules! select {
-    // Fixed-arity entry rules (one, two, or three recv arms): receiver
-    // operands are evaluated ONCE into locals before the poll loop,
-    // matching real crossbeam, so side-effectful or allocating operand
-    // expressions are not re-run every 20 µs.
-    ( recv($rx1:expr) -> $res1:pat => $arm1:expr ,
-      default($timeout:expr) => $default:expr $(,)? ) => {{
-        let __select_rx1 = &$rx1;
-        $crate::select!(@loop ($timeout, $default);
-            (__select_rx1, $res1, $arm1);
-        )
-    }};
-    ( recv($rx1:expr) -> $res1:pat => $arm1:expr ,
-      recv($rx2:expr) -> $res2:pat => $arm2:expr ,
-      default($timeout:expr) => $default:expr $(,)? ) => {{
-        let __select_rx1 = &$rx1;
-        let __select_rx2 = &$rx2;
-        $crate::select!(@loop ($timeout, $default);
-            (__select_rx1, $res1, $arm1);
-            (__select_rx2, $res2, $arm2);
-        )
-    }};
-    ( recv($rx1:expr) -> $res1:pat => $arm1:expr ,
-      recv($rx2:expr) -> $res2:pat => $arm2:expr ,
-      recv($rx3:expr) -> $res3:pat => $arm3:expr ,
-      default($timeout:expr) => $default:expr $(,)? ) => {{
-        let __select_rx1 = &$rx1;
-        let __select_rx2 = &$rx2;
-        let __select_rx3 = &$rx3;
-        $crate::select!(@loop ($timeout, $default);
-            (__select_rx1, $res1, $arm1);
-            (__select_rx2, $res2, $arm2);
-            (__select_rx3, $res3, $arm3);
-        )
-    }};
-    // Internal: the poll loop over pre-bound receiver locals. The
-    // unlabeled `break`s target this `loop` across the expansion.
-    ( @loop ($timeout:expr, $default:expr); $(($rx:ident, $res:pat, $arm:expr);)+ ) => {{
-        let deadline = ::std::time::Instant::now() + $timeout;
-        loop {
-            $(
-                match $rx.try_recv() {
-                    ::std::result::Result::Ok(value) => {
-                        let $res: ::std::result::Result<_, $crate::channel::RecvError> =
-                            ::std::result::Result::Ok(value);
-                        break $arm;
-                    }
-                    ::std::result::Result::Err($crate::channel::TryRecvError::Disconnected) => {
-                        let $res = $rx.__select_disconnected();
-                        break $arm;
-                    }
-                    ::std::result::Result::Err($crate::channel::TryRecvError::Empty) => {}
-                }
-            )+
-            if ::std::time::Instant::now() >= deadline {
-                break $default;
-            }
-            ::std::thread::sleep(::std::time::Duration::from_micros(20));
-        }
-    }};
-}
-
 #[cfg(test)]
 mod tests {
-    use super::channel::{never, unbounded, RecvTimeoutError, TryRecvError};
-    use std::time::Duration;
+    use super::channel::{unbounded, RecvTimeoutError, TryRecvError};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn send_recv_fifo() {
@@ -413,37 +360,30 @@ mod tests {
     }
 
     #[test]
-    fn select_picks_ready_channel() {
-        let (tx, rx) = unbounded();
-        let silent = never::<u32>();
-        tx.send(41).unwrap();
-        let got = crate::select! {
-            recv(rx) -> msg => msg.map(|v| v + 1).unwrap_or(0),
-            recv(silent) -> msg => msg.unwrap_or(0),
-            default(Duration::from_millis(5)) => 0,
-        };
-        assert_eq!(got, 42);
-    }
-
-    #[test]
-    fn select_evaluates_receiver_operands_once() {
+    fn wake_before_the_wait_ends_the_next_wait_and_is_consumed() {
         let (_tx, rx) = unbounded::<u32>();
-        let mut evals = 0;
-        let got = crate::select! {
-            recv({ evals += 1; &rx }) -> _msg => 1,
-            default(Duration::from_millis(5)) => 2,
-        };
-        assert_eq!(got, 2);
-        assert_eq!(evals, 1, "operand must not be re-evaluated per poll");
+        let waker = rx.waker();
+        waker.wake();
+        waker.wake();
+        // No deadline: only the stored token can end this wait.
+        assert!(rx.wait_until(None));
+        // Consumed, however many were raised: the next wait runs out.
+        assert!(!rx.wait_until(Some(Instant::now() + Duration::from_millis(10))));
     }
 
     #[test]
-    fn select_falls_through_to_default() {
-        let rx = never::<u32>();
-        let got = crate::select! {
-            recv(rx) -> _msg => 1,
-            default(Duration::from_millis(5)) => 2,
-        };
-        assert_eq!(got, 2);
+    fn wake_neither_drops_nor_reorders_queued_messages() {
+        let (tx, rx) = unbounded();
+        let waker = rx.waker();
+        tx.send(1).unwrap();
+        waker.wake();
+        tx.send(2).unwrap();
+        assert!(rx.wait_until(None), "token and queue both end the wait");
+        assert!(rx.wait_until(None), "a queued message ends it again");
+        assert_eq!(rx.len(), 2, "waiting takes nothing");
+        assert_eq!(rx.recv().unwrap(), 1);
+        waker.wake();
+        assert_eq!(rx.recv().unwrap(), 2);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
 }
