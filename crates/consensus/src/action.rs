@@ -4,6 +4,8 @@ use std::time::Duration;
 
 use parblock_types::NodeId;
 
+use crate::traits::Payload;
+
 /// Identifies a protocol timer (opaque to the host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub u64);
@@ -29,7 +31,7 @@ pub enum Action<M> {
         /// Position in the total order (0-based, gap-free).
         seq: u64,
         /// The ordered payload.
-        payload: Vec<u8>,
+        payload: Payload,
     },
     /// (Re)arm a timer: the host must call
     /// [`OrderingProtocol::on_timer`](crate::OrderingProtocol::on_timer)
@@ -67,7 +69,7 @@ mod tests {
     fn as_delivery_filters() {
         let d: Action<()> = Action::Deliver {
             seq: 3,
-            payload: vec![1],
+            payload: vec![1].into(),
         };
         assert_eq!(d.as_delivery(), Some((3, &[1u8][..])));
         let s: Action<u8> = Action::Send {

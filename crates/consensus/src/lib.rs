@@ -49,4 +49,4 @@ mod traits;
 pub use action::{Action, TimerId};
 pub use pbft::{Pbft, PbftMsg};
 pub use sequencer::{QuorumSequencer, SeqMsg};
-pub use traits::{OrderingProtocol, ProtocolConfig};
+pub use traits::{OrderingProtocol, Payload, ProtocolConfig};

@@ -23,7 +23,7 @@ use parblock_crypto::sha256;
 use parblock_types::{Hash32, NodeId};
 
 use crate::action::{Action, TimerId};
-use crate::traits::{OrderingProtocol, ProtocolConfig};
+use crate::traits::{OrderingProtocol, Payload, ProtocolConfig};
 
 /// The progress timer: armed while this replica knows of undelivered
 /// work, fires a view change when the primary stalls.
@@ -31,7 +31,7 @@ const PROGRESS_TIMER: TimerId = TimerId(0);
 
 /// A replica's prepared-but-undelivered `(seq, payload)` set, carried in
 /// view-change votes.
-type PreparedSet = Vec<(u64, Vec<u8>)>;
+type PreparedSet = Vec<(u64, Payload)>;
 
 /// PBFT wire messages. Transport authentication supplies the sender.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +39,7 @@ pub enum PbftMsg {
     /// A backup forwards a client payload to the primary.
     Forward {
         /// The client payload.
-        payload: Vec<u8>,
+        payload: Payload,
     },
     /// Primary proposal for slot `seq` in `view`.
     PrePrepare {
@@ -48,7 +48,7 @@ pub enum PbftMsg {
         /// The assigned sequence number.
         seq: u64,
         /// The proposed payload.
-        payload: Vec<u8>,
+        payload: Payload,
     },
     /// A replica's prepare vote.
     Prepare {
@@ -74,7 +74,7 @@ pub enum PbftMsg {
         /// The proposed view.
         new_view: u64,
         /// Prepared-but-undelivered slots at the voter.
-        prepared: Vec<(u64, Vec<u8>)>,
+        prepared: Vec<(u64, Payload)>,
     },
     /// The new primary's installation message, re-proposing the prepared
     /// slots it learned from `2f + 1` view-change votes.
@@ -82,7 +82,7 @@ pub enum PbftMsg {
         /// The installed view.
         view: u64,
         /// Re-proposals `(seq, payload)`.
-        proposals: Vec<(u64, Vec<u8>)>,
+        proposals: Vec<(u64, Payload)>,
     },
 }
 
@@ -91,7 +91,7 @@ struct Slot {
     /// View of the accepted pre-prepare.
     view: u64,
     digest: Option<Hash32>,
-    payload: Option<Vec<u8>>,
+    payload: Option<Payload>,
     prepares: BTreeSet<NodeId>,
     commits: BTreeSet<NodeId>,
     sent_commit: bool,
@@ -125,13 +125,13 @@ pub struct Pbft {
     next_deliver: u64,
     slots: BTreeMap<u64, Slot>,
     /// Payloads awaiting proposal (primary in view change) or forwarding.
-    pending: VecDeque<Vec<u8>>,
+    pending: VecDeque<Payload>,
     /// Payloads this replica forwarded but has not yet seen delivered;
     /// re-issued after a view change so a crashed primary cannot lose
     /// them (the client-retransmission role of full PBFT). Duplicate
     /// proposals are possible and deduplicated by the host layer via
     /// client timestamps.
-    unacked: Vec<(Hash32, Vec<u8>)>,
+    unacked: Vec<(Hash32, Payload)>,
     /// View-change votes: candidate view → voter → prepared set.
     vc_votes: BTreeMap<u64, BTreeMap<NodeId, PreparedSet>>,
     /// The view this replica has voted to move to, if any.
@@ -189,10 +189,10 @@ impl Pbft {
         self.primary_of(self.view) == self.cfg.id && self.vc_target.is_none()
     }
 
-    fn remember_unacked(&mut self, payload: &[u8]) {
+    fn remember_unacked(&mut self, payload: &Payload) {
         let digest = sha256(payload);
         if !self.unacked.iter().any(|(d, _)| *d == digest) {
-            self.unacked.push((digest, payload.to_vec()));
+            self.unacked.push((digest, Payload::clone(payload)));
         }
     }
 
@@ -217,7 +217,7 @@ impl Pbft {
     }
 
     /// Primary-side proposal of one payload.
-    fn propose(&mut self, payload: Vec<u8>, actions: &mut Vec<Action<PbftMsg>>) {
+    fn propose(&mut self, payload: Payload, actions: &mut Vec<Action<PbftMsg>>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let digest = sha256(&payload);
@@ -299,7 +299,7 @@ impl Pbft {
         }
         self.vc_target = Some(target);
         // Prepared-but-undelivered slots travel with the vote.
-        let prepared: Vec<(u64, Vec<u8>)> = self
+        let prepared: Vec<(u64, Payload)> = self
             .slots
             .iter()
             .filter(|(_, s)| s.prepares.len() >= self.quorum() && s.payload.is_some())
@@ -327,7 +327,7 @@ impl Pbft {
         }
         // Merge prepared sets: highest-voted payload per sequence (honest
         // replicas never diverge on a prepared slot).
-        let mut proposals: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut proposals: BTreeMap<u64, Payload> = BTreeMap::new();
         for set in self.vc_votes.remove(&target).expect("checked").into_values() {
             for (seq, payload) in set {
                 if seq >= self.next_deliver {
@@ -335,7 +335,7 @@ impl Pbft {
                 }
             }
         }
-        let proposals: Vec<(u64, Vec<u8>)> = proposals.into_iter().collect();
+        let proposals: Vec<(u64, Payload)> = proposals.into_iter().collect();
         actions.push(Action::Broadcast {
             msg: PbftMsg::NewView {
                 view: target,
@@ -353,7 +353,7 @@ impl Pbft {
     fn install_view(
         &mut self,
         view: u64,
-        proposals: &[(u64, Vec<u8>)],
+        proposals: &[(u64, Payload)],
         actions: &mut Vec<Action<PbftMsg>>,
     ) {
         self.view = view;
@@ -396,7 +396,7 @@ impl Pbft {
             .values()
             .filter_map(|s| s.digest)
             .collect();
-        let to_reissue: Vec<Vec<u8>> = self
+        let to_reissue: Vec<Payload> = self
             .unacked
             .iter()
             .filter(|(d, _)| !in_flight.contains(d))
@@ -424,7 +424,7 @@ impl Pbft {
 impl OrderingProtocol for Pbft {
     type Msg = PbftMsg;
 
-    fn submit(&mut self, payload: Vec<u8>) -> Vec<Action<PbftMsg>> {
+    fn submit(&mut self, payload: Payload) -> Vec<Action<PbftMsg>> {
         let mut actions = Vec::new();
         if self.is_primary() {
             self.propose(payload, &mut actions);
@@ -583,6 +583,7 @@ impl OrderingProtocol for Pbft {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
     use std::time::Duration;
 
     use crate::testing::SimCluster;
@@ -611,6 +612,24 @@ mod tests {
         c.run_to_quiescence();
         assert!(c.all_agree());
         assert_eq!(c.delivered(0).len(), 1);
+    }
+
+    /// One copy: a payload proposed by the primary, or forwarded to it
+    /// by a backup, is delivered everywhere as the submitted allocation.
+    #[test]
+    fn every_delivery_holds_the_submitted_allocation() {
+        let mut c = cluster(4);
+        let proposed: Payload = b"via-primary".as_slice().into();
+        let forwarded: Payload = b"via-backup".as_slice().into();
+        c.submit_shared(0, Payload::clone(&proposed));
+        c.submit_shared(2, Payload::clone(&forwarded));
+        c.run_to_quiescence();
+        for r in 0..4 {
+            let delivered = c.delivered_shared(r);
+            assert_eq!(delivered.len(), 2, "replica {r}");
+            assert!(Arc::ptr_eq(&delivered[0].1, &proposed), "replica {r}");
+            assert!(Arc::ptr_eq(&delivered[1].1, &forwarded), "replica {r}");
+        }
     }
 
     #[test]
@@ -675,7 +694,7 @@ mod tests {
             PbftMsg::PrePrepare {
                 view: 0,
                 seq: 0,
-                payload: b"one".to_vec(),
+                payload: b"one".as_slice().into(),
             },
         );
         assert!(a1
@@ -687,7 +706,7 @@ mod tests {
             PbftMsg::PrePrepare {
                 view: 0,
                 seq: 0,
-                payload: b"two".to_vec(),
+                payload: b"two".as_slice().into(),
             },
         );
         assert!(a2.is_empty());
@@ -705,7 +724,7 @@ mod tests {
             PbftMsg::PrePrepare {
                 view: 0,
                 seq: 0,
-                payload: b"evil".to_vec(),
+                payload: b"evil".as_slice().into(),
             },
         );
         assert!(actions.is_empty());

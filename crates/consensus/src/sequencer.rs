@@ -15,7 +15,7 @@ use std::time::Duration;
 use parblock_types::NodeId;
 
 use crate::action::{Action, TimerId};
-use crate::traits::{OrderingProtocol, ProtocolConfig};
+use crate::traits::{OrderingProtocol, Payload, ProtocolConfig};
 
 const PROGRESS_TIMER: TimerId = TimerId(0);
 
@@ -25,7 +25,7 @@ pub enum SeqMsg {
     /// A follower forwards a client payload to the leader.
     Forward {
         /// The client payload.
-        payload: Vec<u8>,
+        payload: Payload,
     },
     /// Leader replication of `payload` at `offset`.
     Append {
@@ -34,7 +34,7 @@ pub enum SeqMsg {
         /// Log offset.
         offset: u64,
         /// The payload.
-        payload: Vec<u8>,
+        payload: Payload,
     },
     /// Follower acknowledgement of a stored offset.
     Ack {
@@ -68,7 +68,7 @@ pub enum SeqMsg {
 
 #[derive(Debug, Default)]
 struct Entry {
-    payload: Option<Vec<u8>>,
+    payload: Option<Payload>,
     acks: BTreeSet<NodeId>,
     committed: bool,
 }
@@ -92,14 +92,16 @@ pub struct QuorumSequencer {
     next_offset: u64,
     next_deliver: u64,
     log: BTreeMap<u64, Entry>,
-    pending: VecDeque<Vec<u8>>,
+    pending: VecDeque<Payload>,
     timeout: Duration,
     timer_armed: bool,
     /// Delivered payloads retained to answer [`SeqMsg::Fetch`] catch-up
     /// requests from partitioned or restarted replicas. Unbounded by
     /// design for the single-host simulation; a production deployment
-    /// would truncate below a cluster-wide durable watermark.
-    retained: BTreeMap<u64, Vec<u8>>,
+    /// would truncate below a cluster-wide durable watermark. An entry is
+    /// a pointer to the bytes the log and the delivery held, so replicas
+    /// of one process retain one copy between them.
+    retained: BTreeMap<u64, Payload>,
     /// `(gap head, highest offset announced when requested)` of the
     /// outstanding Fetch. Suppresses a replay-per-message burst during
     /// catch-up, but re-arms when a *higher* offset is announced — so a
@@ -171,7 +173,7 @@ impl QuorumSequencer {
         }
     }
 
-    fn append(&mut self, payload: Vec<u8>, actions: &mut Vec<Action<SeqMsg>>) {
+    fn append(&mut self, payload: Payload, actions: &mut Vec<Action<SeqMsg>>) {
         let offset = self.next_offset;
         self.next_offset += 1;
         let entry = self.log.entry(offset).or_default();
@@ -303,7 +305,7 @@ impl QuorumSequencer {
                 .keys()
                 .next_back()
                 .map_or(self.next_deliver, |&last| (last + 1).max(self.next_deliver));
-            let stored: Vec<(u64, Vec<u8>)> = self
+            let stored: Vec<(u64, Payload)> = self
                 .log
                 .iter()
                 .filter(|(_, e)| e.payload.is_some() && !e.committed)
@@ -319,7 +321,7 @@ impl QuorumSequencer {
                 });
                 self.maybe_commit(offset, actions);
             }
-            let pending: Vec<Vec<u8>> = self.pending.drain(..).collect();
+            let pending: Vec<Payload> = self.pending.drain(..).collect();
             for payload in pending {
                 self.append(payload, actions);
             }
@@ -343,7 +345,7 @@ impl QuorumSequencer {
 impl OrderingProtocol for QuorumSequencer {
     type Msg = SeqMsg;
 
-    fn submit(&mut self, payload: Vec<u8>) -> Vec<Action<SeqMsg>> {
+    fn submit(&mut self, payload: Payload) -> Vec<Action<SeqMsg>> {
         let mut actions = Vec::new();
         if self.i_lead() {
             self.append(payload, &mut actions);
@@ -481,6 +483,7 @@ impl OrderingProtocol for QuorumSequencer {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
     use std::time::Duration;
 
     use crate::testing::SimCluster;
@@ -610,6 +613,31 @@ mod tests {
         assert!(c.all_agree());
     }
 
+    /// One copy: what a replica logs, retains, delivers and replays to a
+    /// lagging follower is the allocation that was submitted.
+    #[test]
+    fn every_log_and_delivery_holds_the_submitted_allocation() {
+        let mut c = cluster(3);
+        let first: Payload = b"ordered once".as_slice().into();
+        let second: Payload = b"and kept once".as_slice().into();
+        c.crash(2);
+        c.submit_shared(0, Payload::clone(&first));
+        c.run_to_quiescence();
+        // Replica 2 missed offset 0 and obtains it through a Fetch replay.
+        c.reconnect(2);
+        c.submit_shared(1, Payload::clone(&second));
+        c.run_to_quiescence();
+        for r in 0..3 {
+            let delivered = c.delivered_shared(r);
+            assert_eq!(delivered.len(), 2, "replica {r}");
+            for (offset, submitted) in [(0, &first), (1, &second)] {
+                assert!(Arc::ptr_eq(&delivered[offset].1, submitted), "replica {r}");
+                let retained = &c.node(r).retained[&(offset as u64)];
+                assert!(Arc::ptr_eq(retained, submitted), "replica {r}");
+            }
+        }
+    }
+
     #[test]
     fn lost_commit_for_a_stored_offset_triggers_fetch_exactly_once() {
         let peers: Vec<NodeId> = (0..3).map(NodeId).collect();
@@ -620,7 +648,7 @@ mod tests {
         let append = |offset: u64, payload: &[u8]| SeqMsg::Append {
             epoch: 0,
             offset,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         };
         // Both Appends arrive; Commit(0) is lost to a partition window.
         let _ = follower.on_message(NodeId(0), append(0, b"a"));
@@ -668,8 +696,8 @@ mod tests {
             Duration::from_millis(100),
         );
         // Order two payloads (self-ack + one follower ack each).
-        for payload in [b"x".to_vec(), b"y".to_vec()] {
-            let _ = leader.submit(payload);
+        for payload in [b"x", b"y"] {
+            let _ = leader.submit(payload.as_slice().into());
         }
         for offset in 0..2 {
             let _ = leader.on_message(NodeId(1), SeqMsg::Ack { epoch: 0, offset });
@@ -732,7 +760,7 @@ mod tests {
             SeqMsg::Append {
                 epoch: 0,
                 offset: 0,
-                payload: b"old".to_vec(),
+                payload: b"old".as_slice().into(),
             },
         );
         assert!(actions.is_empty());

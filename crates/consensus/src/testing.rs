@@ -16,13 +16,13 @@ use parblock_types::NodeId;
 use crate::action::{Action, TimerId};
 use crate::pbft::Pbft;
 use crate::sequencer::QuorumSequencer;
-use crate::traits::{OrderingProtocol, ProtocolConfig};
+use crate::traits::{OrderingProtocol, Payload, ProtocolConfig};
 
 /// A single-threaded cluster of protocol replicas.
 pub struct SimCluster<P: OrderingProtocol> {
     nodes: Vec<P>,
     queue: Vec<(NodeId, NodeId, P::Msg)>,
-    delivered: Vec<Vec<(u64, Vec<u8>)>>,
+    delivered: Vec<Vec<(u64, Payload)>>,
     crashed: BTreeSet<usize>,
     timers: BTreeSet<(usize, TimerId)>,
     shuffle: bool,
@@ -109,6 +109,12 @@ where
 
     /// Submits a payload at replica `node`.
     pub fn submit(&mut self, node: usize, payload: Vec<u8>) {
+        self.submit_shared(node, payload.into());
+    }
+
+    /// Submits an already frozen payload at replica `node`, the way a
+    /// host does: replicas hold this allocation, not copies of it.
+    pub fn submit_shared(&mut self, node: usize, payload: Payload) {
         if self.crashed.contains(&node) {
             return;
         }
@@ -205,17 +211,26 @@ where
         }
     }
 
-    /// The delivered `(seq, payload)` log of replica `node`.
+    /// The delivered `(seq, payload)` log of replica `node`, copied out.
     #[must_use]
     pub fn delivered(&self, node: usize) -> Vec<(u64, Vec<u8>)> {
-        self.delivered[node].clone()
+        self.delivered[node]
+            .iter()
+            .map(|(seq, payload)| (*seq, payload.to_vec()))
+            .collect()
+    }
+
+    /// The delivered log of replica `node` as the replica handed it out.
+    #[must_use]
+    pub fn delivered_shared(&self, node: usize) -> &[(u64, Payload)] {
+        &self.delivered[node]
     }
 
     /// Safety check: every pair of non-crashed replicas' logs agree on
     /// their common prefix.
     #[must_use]
     pub fn all_agree(&self) -> bool {
-        let live: Vec<&Vec<(u64, Vec<u8>)>> = self
+        let live: Vec<&Vec<(u64, Payload)>> = self
             .delivered
             .iter()
             .enumerate()

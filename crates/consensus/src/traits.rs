@@ -1,5 +1,7 @@
 //! The ordering-protocol abstraction.
 
+use std::sync::Arc;
+
 use parblock_types::NodeId;
 
 use crate::action::{Action, TimerId};
@@ -45,6 +47,11 @@ impl ProtocolConfig {
     }
 }
 
+/// The bytes being ordered: immutable from [`OrderingProtocol::submit`]
+/// on. Logs, messages and deliveries hold the same allocation, so
+/// replicating, retaining and delivering a payload clones a pointer.
+pub type Payload = Arc<[u8]>;
+
 /// A totally-ordering consensus protocol as a sans-io state machine.
 ///
 /// The host owns the network and the clock; the state machine owns every
@@ -55,7 +62,7 @@ pub trait OrderingProtocol {
     type Msg;
 
     /// A client payload arrived at this replica for ordering.
-    fn submit(&mut self, payload: Vec<u8>) -> Vec<Action<Self::Msg>>;
+    fn submit(&mut self, payload: Payload) -> Vec<Action<Self::Msg>>;
 
     /// A protocol message arrived from `from` (transport-authenticated).
     fn on_message(&mut self, from: NodeId, msg: Self::Msg) -> Vec<Action<Self::Msg>>;

@@ -7,11 +7,18 @@
 //! through consensus — the paper's "the primary sends a cut-block message
 //! in the consensus step" (§IV-B).
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use parblock_types::wire::{Reader, Wire};
 use parblock_types::{ClientId, Transaction, TxId};
 
 const TAG_BATCH: u8 = 0;
 const TAG_CUT: u8 = 1;
+
+/// Where a batch's transaction count sits: a fixed-width `u64` after the
+/// tag, so it can be written last.
+const BATCH_COUNT: Range<usize> = 1..9;
 
 /// A consensus payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +85,62 @@ impl Payload {
     }
 }
 
+/// The batch an entry orderer is filling: the bytes of
+/// [`Payload::Batch`]`(txs).encode()`, written one admitted request at a
+/// time, so a request is encoded once for both its signature check and
+/// its place in the ordered payload.
+#[derive(Debug)]
+pub(crate) struct OpenBatch {
+    /// `TAG_BATCH`, the count's placeholder, then the encoded requests.
+    /// Kept across batches: after the first few it no longer grows.
+    buf: Vec<u8>,
+    count: usize,
+}
+
+impl OpenBatch {
+    pub(crate) fn new() -> Self {
+        let mut buf = vec![TAG_BATCH];
+        0u64.encode(&mut buf);
+        debug_assert_eq!(buf.len(), BATCH_COUNT.end);
+        OpenBatch { buf, count: 0 }
+    }
+
+    /// Transactions admitted since the last [`OpenBatch::freeze`].
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Encodes `tx` at the end of the batch and keeps it if `admit`
+    /// accepts those bytes (the bytes its client signed); a refused
+    /// request leaves no byte behind.
+    pub(crate) fn push(&mut self, tx: &Transaction, admit: impl FnOnce(&[u8]) -> bool) -> bool {
+        let start = self.buf.len();
+        tx.encode(&mut self.buf);
+        let admitted = admit(&self.buf[start..]);
+        if admitted {
+            self.count += 1;
+        } else {
+            self.buf.truncate(start);
+        }
+        admitted
+    }
+
+    /// Closes the batch: the immutable payload to order, byte-equal to
+    /// `Payload::Batch` of the admitted transactions, encoded. The next
+    /// batch starts empty.
+    pub(crate) fn freeze(&mut self) -> Arc<[u8]> {
+        self.buf[BATCH_COUNT].copy_from_slice(&(self.count as u64).to_le_bytes());
+        let payload = Arc::from(self.buf.as_slice());
+        self.buf.truncate(BATCH_COUNT.end);
+        self.count = 0;
+        payload
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use parblock_types::{AppId, ClientId, Key, RwSet, Transaction};
@@ -104,6 +167,22 @@ mod tests {
     fn empty_batch_round_trip() {
         let batch = Payload::Batch(vec![]);
         assert_eq!(Payload::decode(&batch.encode()), Some(batch));
+    }
+
+    #[test]
+    fn an_open_batch_freezes_to_the_encoding_of_what_it_admitted() {
+        let mut open = OpenBatch::new();
+        assert_eq!(&*open.freeze(), Payload::Batch(vec![]).encode());
+        for round in 0..2 {
+            let base = round * 10;
+            assert!(open.push(&tx(base + 1), |bytes| bytes == tx(base + 1).wire_bytes()));
+            assert!(!open.push(&tx(base + 2), |_| false));
+            assert!(open.push(&tx(base + 3), |_| true));
+            assert_eq!(open.len(), 2);
+            let expected = Payload::Batch(vec![tx(base + 1), tx(base + 3)]).encode();
+            assert_eq!(&*open.freeze(), expected, "round {round}");
+            assert_eq!(open.len(), 0);
+        }
     }
 
     #[test]

@@ -178,7 +178,10 @@ pub struct ClusterSpec {
     /// tests lower it so a redundant agent set tolerates a crashed or
     /// silenced agent. Clamped to `1..=executors_per_app`.
     pub commit_quorum: Option<usize>,
-    /// Maximum transactions per consensus batch.
+    /// Maximum transactions per consensus batch: a cap. The entry orderer
+    /// orders its open batch the moment it holds this many admitted
+    /// requests, so no consensus payload carries more; a batch that stays
+    /// short of it is ordered after 1 ms by the orderer's `tick`.
     pub batch_max: usize,
     /// Consensus view-change timeout.
     pub consensus_timeout: Duration,

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use parblock_consensus::{
-    Action, OrderingProtocol, Pbft, ProtocolConfig, QuorumSequencer, TimerId,
+    Action, OrderingProtocol, Payload, Pbft, ProtocolConfig, QuorumSequencer, TimerId,
 };
 use parblock_types::NodeId;
 
@@ -51,7 +51,7 @@ impl AnyConsensus {
 impl OrderingProtocol for AnyConsensus {
     type Msg = ConsMsg;
 
-    fn submit(&mut self, payload: Vec<u8>) -> Vec<Action<ConsMsg>> {
+    fn submit(&mut self, payload: Payload) -> Vec<Action<ConsMsg>> {
         match self {
             AnyConsensus::Pbft(p) => map_actions(p.submit(payload), ConsMsg::Pbft),
             AnyConsensus::Seq(s) => map_actions(s.submit(payload), ConsMsg::Seq),
@@ -175,7 +175,7 @@ mod tests {
         let cfg = ProtocolConfig::new(NodeId(0), peers(3));
         let mut leader = AnyConsensus::sequencer(cfg, Duration::from_millis(100));
         assert!(leader.is_leader());
-        let actions = leader.submit(b"p".to_vec());
+        let actions = leader.submit(b"p".as_slice().into());
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Broadcast { msg: ConsMsg::Seq(_) })));
@@ -196,7 +196,9 @@ mod tests {
         let mut seq = AnyConsensus::sequencer(cfg, Duration::from_millis(100));
         let actions = seq.on_message(
             NodeId(1),
-            ConsMsg::Pbft(parblock_consensus::PbftMsg::Forward { payload: vec![] }),
+            ConsMsg::Pbft(parblock_consensus::PbftMsg::Forward {
+                payload: Payload::from([]),
+            }),
         );
         assert!(actions.is_empty());
     }
@@ -247,7 +249,11 @@ mod tests {
     #[test]
     fn unused_import_guard() {
         // PbftMsg/SeqMsg are re-exported through ConsMsg construction.
-        let _ = ConsMsg::Pbft(PbftMsg::Forward { payload: vec![] });
-        let _ = ConsMsg::Seq(SeqMsg::Forward { payload: vec![] });
+        let _ = ConsMsg::Pbft(PbftMsg::Forward {
+            payload: Payload::from([]),
+        });
+        let _ = ConsMsg::Seq(SeqMsg::Forward {
+            payload: Payload::from([]),
+        });
     }
 }

@@ -40,10 +40,17 @@ pub(crate) trait Node {
     fn finalize(&mut self) {}
 }
 
-/// The one threaded node loop: drain the mailbox, tick, and if neither
-/// found anything block until a message arrives, a [`Waker`] of
-/// `mailbox` is raised (an execution finished, the cluster is stopping)
-/// or the next deadline passes. With none of those the thread sleeps.
+/// How many messages one pass handles before it ticks. A node that is
+/// behind still services its deadlines (consensus timers, the time-cut
+/// marker, the partial-batch flush) and surfaces finished executions
+/// every this many messages, not once the backlog is gone.
+const DRAIN_RUN: usize = 256;
+
+/// The one threaded node loop: handle up to [`DRAIN_RUN`] queued
+/// messages, tick, and if neither found anything block until a message
+/// arrives, a [`Waker`] of `mailbox` is raised (an execution finished,
+/// the cluster is stopping) or the next deadline passes. With none of
+/// those the thread sleeps.
 pub(crate) fn drive_threaded(node: &mut impl Node, mailbox: &Endpoint<Msg>, shared: &Shared) {
     // Whoever sets `stop` raises the waker afterwards; the mailbox lock
     // that wake and wait both take orders the store before this load.
@@ -51,7 +58,7 @@ pub(crate) fn drive_threaded(node: &mut impl Node, mailbox: &Endpoint<Msg>, shar
     let stopped = || shared.stop.load(Ordering::Relaxed);
     while !stopped() {
         let mut handled = 0;
-        while !stopped() {
+        while handled < DRAIN_RUN && !stopped() {
             let Some(envelope) = mailbox.try_recv() else {
                 break;
             };
@@ -96,6 +103,7 @@ pub(crate) mod tests {
     use std::time::Duration;
 
     use parblock_net::NetworkBuilder;
+    use parblock_types::{AppId, ClientId, RwSet, Transaction};
 
     use super::*;
     use crate::cluster::{ClusterSpec, SystemKind};
@@ -233,6 +241,70 @@ pub(crate) mod tests {
             .expect("the alarm fires");
         assert!(fired_at >= at);
         assert_eq!(driven.stop(), 2, "the first pass, then the deadline");
+    }
+
+    /// Records the order of what it handles and the length of each run
+    /// of `on_msg` calls that a `tick` ended.
+    struct Backlogged {
+        handled: Vec<u64>,
+        run: usize,
+        runs: Vec<usize>,
+        want: usize,
+        done: mpsc::Sender<(Vec<u64>, Vec<usize>)>,
+    }
+
+    impl Node for Backlogged {
+        fn on_msg(&mut self, _from: NodeId, msg: Msg) {
+            let Msg::EndorseReq { tx } = msg else {
+                panic!("only requests were queued");
+            };
+            self.handled.push(tx.id().client_ts);
+            self.run += 1;
+        }
+        fn tick(&mut self, _now: Instant) -> usize {
+            self.runs.push(std::mem::take(&mut self.run));
+            if self.handled.len() == self.want {
+                let report = (std::mem::take(&mut self.handled), self.runs.clone());
+                let _ = self.done.send(report);
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn a_backlog_does_not_starve_tick() {
+        const QUEUED: u64 = 5_000;
+        let shared = Shared::new(ClusterSpec::new(SystemKind::Oxii));
+        let net = NetworkBuilder::new().manual_delivery().build::<Msg>();
+        let mailbox = net.endpoint(NodeId(0));
+        let sender = net.endpoint(NodeId(1));
+        for ts in 0..QUEUED {
+            let tx = Transaction::new(AppId(0), ClientId(1), ts, RwSet::default(), vec![]);
+            sender.send(NodeId(0), Msg::EndorseReq { tx });
+        }
+        // Everything is in the mailbox before the node's first pass.
+        let all_due = shared.clock.now() + Duration::from_secs(1);
+        assert_eq!(net.deliver_due(all_due), QUEUED as usize);
+        let (done, reports) = mpsc::channel();
+        let driven = Driven::start(
+            shared,
+            mailbox,
+            Backlogged {
+                handled: Vec::new(),
+                run: 0,
+                runs: Vec::new(),
+                want: QUEUED as usize,
+                done,
+            },
+        );
+        let (handled, runs) = reports
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the backlog is worked off");
+        driven.stop();
+        assert_eq!(handled, (0..QUEUED).collect::<Vec<_>>(), "in order, once");
+        let longest = runs.iter().copied().max().expect("it ticked");
+        assert_eq!(longest, DRAIN_RUN, "a full run, then a tick");
+        assert!(runs.len() >= QUEUED as usize / DRAIN_RUN);
     }
 
     /// Consumes a queue a producer fills beside the mailbox, the way an

@@ -17,17 +17,16 @@ use parblock_crypto::hash_wire;
 use parblock_depgraph::DependencyMode;
 use parblock_ledger::Ledger;
 use parblock_net::Endpoint;
-use parblock_types::wire::Wire;
 use parblock_types::{Block, BlockNumber, Hash32, NodeId, Transaction, TxId};
 
-use crate::batch::Payload;
+use crate::batch::{OpenBatch, Payload};
 use crate::cutter::{BlockCutter, CutBlock};
 use crate::hostcons::{AnyConsensus, TimerTable};
 use crate::msg::{BlockBundle, ConsMsg, Msg};
 use crate::node::Node;
 use crate::shared::Shared;
 
-/// How often buffered requests are flushed into a consensus batch.
+/// How long a batch short of `batch_max` waits before it is ordered.
 const BATCH_INTERVAL: Duration = Duration::from_millis(1);
 
 pub(crate) struct Orderer {
@@ -36,7 +35,7 @@ pub(crate) struct Orderer {
     protocol: AnyConsensus,
     cutter: BlockCutter,
     timers: TimerTable,
-    batch: Vec<Transaction>,
+    batch: OpenBatch,
     last_flush: Instant,
     marker_sent: Option<Instant>,
     seen: HashSet<TxId>,
@@ -88,7 +87,7 @@ impl Orderer {
             protocol,
             cutter,
             timers: TimerTable::new(),
-            batch: Vec::new(),
+            batch: OpenBatch::new(),
             last_flush: now,
             marker_sent: None,
             seen,
@@ -199,19 +198,14 @@ impl Orderer {
         self.next_number = self.next_number.next();
     }
 
-    fn flush_batch_if_due(&mut self, now: Instant) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let due = self.batch.len() >= self.shared.spec.batch_max
-            || now.saturating_duration_since(self.last_flush) >= BATCH_INTERVAL;
-        if due {
-            let txs = std::mem::take(&mut self.batch);
-            let payload = Payload::Batch(txs).encode();
-            let actions = self.protocol.submit(payload);
-            self.apply(actions);
-            self.last_flush = now;
-        }
+    /// Orders the open batch. A batch closes in one of two ways: the
+    /// request that fills it to `batch_max` (in `on_msg`, so a backlog
+    /// becomes many payloads of that size and never one of its own), or
+    /// `BATCH_INTERVAL` passing over a partial one (in `tick`).
+    fn flush_batch(&mut self, now: Instant) {
+        let actions = self.protocol.submit(self.batch.freeze());
+        self.apply(actions);
+        self.last_flush = now;
     }
 
     /// §IV-B: the time-based cut condition is made deterministic by the
@@ -236,7 +230,7 @@ impl Orderer {
             self.marker_sent = Some(now);
             let actions = self
                 .protocol
-                .submit(Payload::CutMarker { first_pending }.encode());
+                .submit(Payload::CutMarker { first_pending }.encode().into());
             self.apply(actions);
         }
     }
@@ -249,18 +243,14 @@ impl Node for Orderer {
                 // §III-A: orderers check signatures and access rights and
                 // simply discard invalid requests.
                 let signer = self.shared.spec.client_signer(tx.client());
-                if !self.shared.keys.verify(signer, &tx.wire_bytes(), &sig) {
-                    return;
+                let (keys, registry) = (&self.shared.keys, &self.shared.registry);
+                let admitted = self.batch.push(&tx, |signed| {
+                    keys.verify(signer, signed, &sig)
+                        && registry.check_access(tx.client(), tx.app()).is_ok()
+                });
+                if admitted && self.batch.len() >= self.shared.spec.batch_max {
+                    self.flush_batch(self.shared.clock.now());
                 }
-                if self
-                    .shared
-                    .registry
-                    .check_access(tx.client(), tx.app())
-                    .is_err()
-                {
-                    return;
-                }
-                self.batch.push(tx);
             }
             Msg::Cons(m) => {
                 let actions = self.protocol.on_message(from, m);
@@ -279,7 +269,10 @@ impl Node for Orderer {
             let actions = self.protocol.on_timer(timer);
             self.apply(actions);
         }
-        self.flush_batch_if_due(now);
+        let waited = now.saturating_duration_since(self.last_flush);
+        if !self.batch.is_empty() && waited >= BATCH_INTERVAL {
+            self.flush_batch(now);
+        }
         self.order_time_cut_if_due(now);
         0
     }
@@ -307,13 +300,139 @@ impl Node for Orderer {
 
 #[cfg(test)]
 mod tests {
+    use parblock_consensus::SeqMsg;
     use parblock_net::NetworkBuilder;
-    use parblock_types::{AppId, ClientId, RwSet};
+    use parblock_types::wire::Wire;
+    use parblock_types::{AppId, ClientId, Clock, RwSet};
 
     use super::*;
     use crate::cluster::{ClusterSpec, SystemKind};
     use crate::node::tests::Driven;
     use crate::sim::build_protocol;
+
+    /// The entry orderer alone on a manual network under a simulated
+    /// clock, with one follower's mailbox to read what it broadcasts.
+    struct Entry {
+        shared: Arc<Shared>,
+        net: parblock_net::SimNetwork<Msg>,
+        orderer: Orderer,
+        follower: Endpoint<Msg>,
+    }
+
+    impl Entry {
+        fn new() -> Self {
+            let spec = ClusterSpec::new(SystemKind::Oxii);
+            let shared = Shared::with_clock(spec, Clock::simulated());
+            let net = shared
+                .spec
+                .network_builder()
+                .clock(shared.clock.clone())
+                .manual_delivery()
+                .build::<Msg>();
+            let ids = shared.spec.orderer_ids();
+            let orderer = Orderer::new(
+                Arc::clone(&shared),
+                net.endpoint(ids[0]),
+                build_protocol(&shared.spec, ids[0]),
+                Some(shared.spec.depgraph_mode),
+            );
+            assert!(orderer.protocol.is_leader());
+            let follower = net.endpoint(ids[1]);
+            Entry {
+                shared,
+                net,
+                orderer,
+                follower,
+            }
+        }
+
+        fn sign(&self, tx: &Transaction) -> parblock_crypto::Signature {
+            let signer = self.shared.spec.client_signer(tx.client());
+            self.shared.keys.sign(signer, &tx.wire_bytes())
+        }
+
+        fn request(&self, app: AppId, ts: u64) -> (Transaction, Msg) {
+            let tx = Transaction::new(app, ClientId(1), ts, RwSet::default(), vec![7; 16]);
+            let sig = self.sign(&tx);
+            (tx.clone(), Msg::Request { tx, sig })
+        }
+
+        /// The payloads appended since the last call, in offset order.
+        fn appended(&self) -> Vec<Arc<[u8]>> {
+            let all_due = self.shared.clock.now() + Duration::from_secs(1);
+            self.net.deliver_due(all_due);
+            let mut payloads = Vec::new();
+            while let Some(envelope) = self.follower.try_recv() {
+                if let Msg::Cons(ConsMsg::Seq(SeqMsg::Append { payload, .. })) = envelope.msg {
+                    payloads.push(payload);
+                }
+            }
+            payloads
+        }
+    }
+
+    /// `batch_max` is a cap: a backlog handled without a `tick` in
+    /// between is ordered as full batches, each the canonical encoding of
+    /// its transactions, and the remainder waits for `BATCH_INTERVAL`.
+    #[test]
+    fn a_backlog_is_ordered_in_batches_of_at_most_batch_max() {
+        let mut entry = Entry::new();
+        let batch_max = entry.shared.spec.batch_max;
+        let mut sent = Vec::new();
+        for ts in 0..(10 * batch_max + 3) as u64 {
+            let (tx, request) = entry.request(AppId(0), ts);
+            entry.orderer.on_msg(NodeId(100), request);
+            sent.push(tx);
+        }
+        let full = entry.appended();
+        assert_eq!(full.len(), 10);
+        for (payload, txs) in full.iter().zip(sent.chunks(batch_max)) {
+            assert_eq!(
+                Payload::decode(payload),
+                Some(Payload::Batch(txs.to_vec())),
+                "exactly batch_max transactions, in arrival order"
+            );
+            assert_eq!(&**payload, Payload::Batch(txs.to_vec()).encode());
+        }
+
+        let now = entry.shared.clock.now();
+        let due = entry.orderer.next_deadline(now);
+        assert_eq!(due, Some(now + BATCH_INTERVAL), "the partial batch");
+        entry.shared.clock.advance(BATCH_INTERVAL);
+        entry.orderer.tick(entry.shared.clock.now());
+        let rest = entry.appended();
+        assert_eq!(rest.len(), 1);
+        let left_over = Payload::Batch(sent[10 * batch_max..].to_vec());
+        assert_eq!(&*rest[0], left_over.encode());
+    }
+
+    /// A refused request (bad signature, no access to the application)
+    /// leaves no byte in the open batch.
+    #[test]
+    fn refused_requests_leave_nothing_in_the_payload() {
+        let mut entry = Entry::new();
+        let (first, valid_first) = entry.request(AppId(0), 1);
+        let (other, _) = entry.request(AppId(0), 2);
+        let (forged, _) = entry.request(AppId(0), 3);
+        let bad_signature = Msg::Request {
+            sig: entry.sign(&other),
+            tx: forged,
+        };
+        let undeployed = AppId(entry.shared.spec.apps as u16);
+        let (_, no_access) = entry.request(undeployed, 4);
+        let (last, valid_last) = entry.request(AppId(0), 5);
+        for request in [valid_first, bad_signature, no_access, valid_last] {
+            entry.orderer.on_msg(NodeId(100), request);
+        }
+        assert!(entry.appended().is_empty(), "a partial batch waits");
+        entry.shared.clock.advance(BATCH_INTERVAL);
+        entry.orderer.tick(entry.shared.clock.now());
+        let payloads = entry.appended();
+        assert_eq!(payloads.len(), 1);
+        let admitted = Payload::Batch(vec![first, last]);
+        assert_eq!(&*payloads[0], admitted.encode());
+        assert_eq!(Payload::decode(&payloads[0]), Some(admitted));
+    }
 
     /// A leader with a pending transaction whose cut marker is in flight
     /// (its followers never answer) has a cut deadline in the past for

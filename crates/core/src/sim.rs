@@ -267,6 +267,8 @@ struct Slot<N> {
 
 impl<N: Node> Slot<N> {
     /// What `drive_threaded` does between two waits: drain, then tick.
+    /// (Its cap on one drain run is about a thread falling behind a
+    /// producer; here nothing is produced while a node steps.)
     fn step(&mut self, now: Instant) -> usize {
         let mut handled = 0;
         while let Some(envelope) = self.mailbox.try_recv() {

@@ -1,6 +1,7 @@
 //! Behavioural tests of the simulated network under load, jitter and
 //! probabilistic faults.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parblock_net::{NetworkBuilder, Topology};
@@ -105,6 +106,29 @@ fn high_fanout_multicast_delivers_everything() {
         }
     }
     assert_eq!(net.stats().delivered(), 50 * 8);
+    net.shutdown();
+}
+
+/// A multicast clones the message once per destination but the last; a
+/// message that owns shared bytes hands every endpoint the same
+/// allocation, so a consensus payload is not copied per orderer.
+#[test]
+fn multicast_of_shared_bytes_delivers_one_allocation() {
+    let net = NetworkBuilder::new()
+        .topology(Topology::single_dc(Duration::ZERO))
+        .build::<(u64, Arc<[u8]>)>();
+    let sender = net.endpoint(NodeId(0));
+    let receivers: Vec<_> = (1..=3).map(|i| net.endpoint(NodeId(i))).collect();
+    let dests: Vec<NodeId> = (1..=3).map(NodeId).collect();
+    let bytes: Arc<[u8]> = vec![9; 4096].into();
+    sender.multicast(dests.iter(), &(7, Arc::clone(&bytes)));
+    for receiver in &receivers {
+        let envelope = receiver
+            .recv_timeout(Duration::from_secs(2))
+            .expect("delivery");
+        assert_eq!(envelope.msg.0, 7);
+        assert!(Arc::ptr_eq(&envelope.msg.1, &bytes));
+    }
     net.shutdown();
 }
 
