@@ -12,9 +12,6 @@
 //!                            # oracles (+ pinned regression seeds)
 //! repro explore --seed 17    # replay one seed twice, assert bit-reproducibility
 //! repro explore --no-faults  # pure schedule exploration, faults disabled
-//! repro lint                 # workspace static analysis: rwset coverage +
-//!                            # determinism lints (exit 1 on any violation)
-//! repro lint --json          # machine-readable findings for CI annotations
 //! repro saturate             # open-loop saturation sweep: rate-vs-latency
 //!                            # curve with honest percentiles + detected knee
 //! repro saturate --sim       # same sweep in virtual time (bit-reproducible)
@@ -164,7 +161,10 @@ fn run_saturate_cmd(args: &[String], scale: ExperimentScale) {
     // Performance ratchet: diff the detected knee against a committed
     // baseline artifact; a >10% regression fails the run (CI gate).
     if let Some(baseline_path) = arg_value("--check-baseline") {
-        // lint:allow(file-io) — reads the committed knee-baseline artifact
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reads the committed knee-baseline artifact"
+        )]
         let baseline = match std::fs::read_to_string(&baseline_path) {
             Ok(text) => text,
             Err(e) => {
@@ -312,28 +312,6 @@ fn main() {
         }
         "saturate" => run_saturate_cmd(&args, scale),
         "trace" => run_trace_cmd(&args, scale),
-        "lint" => {
-            let cwd = std::env::current_dir().expect("cwd");
-            let Some(root) = parblock_lint::find_workspace_root(&cwd) else {
-                eprintln!("lint: no workspace root found above {}", cwd.display());
-                std::process::exit(2);
-            };
-            let report = match parblock_lint::run_workspace(&root) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("lint: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if args.iter().any(|a| a == "--json") {
-                print!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            if !report.is_clean() {
-                std::process::exit(1);
-            }
-        }
         "all" => {
             run_fig5(scale);
             run_fig6(None, scale);
@@ -342,7 +320,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown command: {other}");
-            eprintln!("usage: repro [fig5|fig6|fig7|explore|lint|saturate|trace|all] [--contention N] [--move GROUP] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
+            eprintln!("usage: repro [fig5|fig6|fig7|explore|saturate|trace|all] [--contention N] [--move GROUP] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
             std::process::exit(2);
         }
     }

@@ -11,6 +11,13 @@
 //! Exit status is non-zero when any oracle fails, which is what the CI
 //! `explore-seeds` job gates on.
 
+// Experiment artifacts are measurement plumbing, not replicated
+// durability, so they stay outside parblock_store (DESIGN.md §12).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "reads the pinned regression-seed file"
+)]
+
 use std::path::Path;
 
 use parblock_sim::{run_seed, run_seed_twice, ExploreConfig, SeedReport};

@@ -7,6 +7,13 @@
 //! pure function of the seed (the CI smoke job uses that leg so the
 //! artifact is stable across runners).
 
+// Experiment artifacts are measurement plumbing, not replicated
+// durability, so they stay outside parblock_store (DESIGN.md §12).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "writes BENCH_saturate.json and wipes the on-disk sweep's scratch dir"
+)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;

@@ -1,5 +1,12 @@
 //! Plain-text table rendering and CSV output for experiment results.
 
+// Experiment artifacts are measurement plumbing, not replicated
+// durability, so they stay outside parblock_store (DESIGN.md §12).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "writes result CSVs under bench_results/"
+)]
+
 use std::fmt::Write as _;
 use std::path::Path;
 

@@ -9,6 +9,13 @@
 //! of the seed and two runs produce byte-identical artifacts (the CI
 //! trace-smoke job pins exactly that).
 
+// Experiment artifacts are measurement plumbing, not replicated
+// durability, so they stay outside parblock_store (DESIGN.md §12).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "writes BENCH_trace*.json and wipes the on-disk trace run's scratch dir"
+)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;

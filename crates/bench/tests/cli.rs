@@ -36,7 +36,7 @@ fn an_unknown_command_lists_exactly_the_commands_that_exist() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(
-        stderr.contains("usage: repro [fig5|fig6|fig7|explore|lint|saturate|trace|all] "),
+        stderr.contains("usage: repro [fig5|fig6|fig7|explore|saturate|trace|all] "),
         "{stderr}"
     );
 }

@@ -83,8 +83,11 @@ pub(crate) fn spawn_node<N: Node>(
     build: impl FnOnce(Arc<Shared>, Endpoint<Msg>) -> N + Send + 'static,
 ) -> (JoinHandle<()>, Waker<Msg>) {
     let waker = endpoint.waker();
-    // lint:allow(thread-spawn) — node threads are the threaded runner's
-    // execution model; the deterministic harness uses the sim scheduler
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "node threads are the threaded runner's execution model; \
+                  the deterministic harness uses the sim scheduler"
+    )]
     let handle = std::thread::Builder::new()
         .name(format!("{role}-{}", endpoint.id()))
         .spawn(move || {

@@ -543,20 +543,27 @@ impl Executor {
     fn apply_commit(&mut self, commit: &Arc<CommitMsg>) {
         let number = commit.block.0;
         for (seq, result) in &commit.results {
-            // Algorithm 3 checks the sender is an agent of x's app.
-            let app = {
+            let counts = {
                 let Some(run) = self.runs.get(&number) else {
                     return;
                 };
-                match run.bundle.block.tx(*seq) {
-                    Some(tx) => tx.app(),
-                    None => continue,
-                }
+                let Some(tx) = run.bundle.block.tx(*seq) else {
+                    continue;
+                };
+                // Algorithm 3 checks the sender is an agent of x's app.
+                // A write outside x's declared write set is no honest
+                // agent's result either: `pool::execute_item` aborts it.
+                self.shared.registry.is_agent(commit.executor, tx.app())
+                    && match result {
+                        ExecResult::Committed(writes) => writes
+                            .iter()
+                            .all(|(key, _)| tx.rw_set().declares_write(*key)),
+                        ExecResult::Aborted(_) => true,
+                    }
             };
-            if !self.shared.registry.is_agent(commit.executor, app) {
-                continue;
+            if counts {
+                self.record_vote(number, *seq, commit.executor, result.clone());
             }
-            self.record_vote(number, *seq, commit.executor, result.clone());
         }
     }
 
@@ -767,8 +774,12 @@ impl Node for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parblock_contracts::{AccountingContract, AccountingOp};
+    use parblock_depgraph::{DependencyGraph, DependencyMode};
     use parblock_types::wire::Wire;
-    use parblock_types::{Key, Value};
+    use parblock_types::{AppId, Block, ClientId, Clock, Key, Transaction, Value};
+
+    use crate::cluster::{ClusterSpec, SystemKind};
 
     fn sample_results() -> Vec<(SeqNo, ExecResult)> {
         vec![
@@ -787,21 +798,9 @@ mod tests {
         ]
     }
 
-    /// `G(B)` rides beside the signed `H(B)` unauthenticated. A known
-    /// orderer announcing block 1 without a graph, or with one of the
-    /// wrong size, must neither panic the executor nor spend the block
-    /// number: the honest announcement that follows still commits.
-    #[test]
-    fn a_malformed_dependency_graph_is_ignored_and_the_honest_copy_commits() {
-        use parblock_contracts::{AccountingContract, AccountingOp};
-        use parblock_depgraph::{DependencyGraph, DependencyMode};
-        use parblock_types::{AppId, Block, ClientId, Clock};
-
-        use crate::cluster::{ClusterSpec, SystemKind};
-
-        let mut spec = ClusterSpec::new(SystemKind::Oxii);
-        spec.costs = parblock_types::ExecutionCosts::zero();
-        spec.commit_quorum = Some(1);
+    /// An executor at `node`, stepped by hand under a simulated clock:
+    /// messages go in through `on_msg`, nothing is delivered on its own.
+    fn stepped_executor(spec: ClusterSpec, node: NodeId) -> (Arc<Shared>, Clock, Executor) {
         let clock = Clock::simulated();
         let shared = Shared::with_clock(spec, clock.clone());
         let net = shared
@@ -810,50 +809,133 @@ mod tests {
             .clock(clock.clone())
             .manual_delivery()
             .build::<Msg>();
-        let mut executor = Executor::new(Arc::clone(&shared), net.endpoint(shared.spec.observer()));
+        let executor = Executor::new(Arc::clone(&shared), net.endpoint(node));
+        (shared, clock, executor)
+    }
 
-        let contract = AccountingContract::new(AppId(0));
-        let txs = |count: u64| -> Vec<_> {
-            let op = AccountingOp::Transfer {
-                from: Key(1),
-                to: Key(2),
-                amount: 1,
-            };
-            (0..count)
-                .map(|ts| contract.transaction(ClientId(1), ts, &op))
-                .collect()
-        };
-        let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), txs(2)));
+    /// The entry orderer's signed NEWBLOCK for `block` with `graph`,
+    /// then every execution it releases (zero cost: each is due the
+    /// instant its predecessor released it).
+    fn announce(
+        shared: &Shared,
+        clock: &Clock,
+        executor: &mut Executor,
+        block: &Arc<Block>,
+        graph: Option<DependencyGraph>,
+    ) {
         let hash = parblock_crypto::hash_wire(block.as_ref());
         let orderer = shared.spec.entry_orderer();
         let sig = shared.keys.sign(shared.spec.node_signer(orderer), &hash.0);
-        let announce = |executor: &mut Executor, graph: Option<DependencyGraph>| {
-            let bundle = Arc::new(BlockBundle {
-                block: Arc::clone(&block),
-                graph,
-                hash,
-            });
-            executor.on_msg(
+        let bundle = Arc::new(BlockBundle {
+            block: Arc::clone(block),
+            graph,
+            hash,
+        });
+        executor.on_msg(
+            orderer,
+            Msg::NewBlock {
+                bundle,
                 orderer,
-                Msg::NewBlock {
-                    bundle,
-                    orderer,
-                    sig,
-                },
-            );
-            // Zero cost: each finished execution is due the instant its
-            // predecessor released it.
-            while executor.tick(clock.now()) > 0 {}
-        };
+                sig,
+            },
+        );
+        while executor.tick(clock.now()) > 0 {}
+    }
 
-        let sized = |count: u64| DependencyGraph::build_txs(&txs(count), DependencyMode::Full);
+    /// τ(A) = 1, zero execution cost.
+    fn single_vote_spec() -> ClusterSpec {
+        let mut spec = ClusterSpec::new(SystemKind::Oxii);
+        spec.costs = parblock_types::ExecutionCosts::zero();
+        spec.commit_quorum = Some(1);
+        spec
+    }
+
+    fn transfers(count: u64) -> Vec<Transaction> {
+        let contract = AccountingContract::new(AppId(0));
+        let op = AccountingOp::Transfer {
+            from: Key(1),
+            to: Key(2),
+            amount: 1,
+        };
+        (0..count)
+            .map(|ts| contract.transaction(ClientId(1), ts, &op))
+            .collect()
+    }
+
+    /// `G(B)` rides beside the signed `H(B)` unauthenticated. A known
+    /// orderer announcing block 1 without a graph, or with one of the
+    /// wrong size, must neither panic the executor nor spend the block
+    /// number: the honest announcement that follows still commits.
+    #[test]
+    fn a_malformed_dependency_graph_is_ignored_and_the_honest_copy_commits() {
+        let spec = single_vote_spec();
+        let observer = spec.observer();
+        let (shared, clock, mut executor) = stepped_executor(spec, observer);
+        let block = Arc::new(Block::new(
+            BlockNumber(1),
+            Ledger::genesis_hash(),
+            transfers(2),
+        ));
+        let sized =
+            |count: u64| DependencyGraph::build_txs(&transfers(count), DependencyMode::Full);
         for malformed in [None, Some(sized(1)), Some(sized(3))] {
-            announce(&mut executor, malformed);
+            announce(&shared, &clock, &mut executor, &block, malformed);
             assert_eq!(executor.watermark(), BlockNumber(0));
         }
-        announce(&mut executor, Some(sized(2)));
+        announce(&shared, &clock, &mut executor, &block, Some(sized(2)));
         assert_eq!(executor.watermark(), BlockNumber(1), "honest copy commits");
         assert_eq!(shared.metrics.processed(), 2);
+    }
+
+    /// With τ(A) = 1 one agent's COMMIT decides a transaction. A result
+    /// that writes outside the declared write set must not count, even
+    /// signed by a genuine agent: honest executors abort such a write,
+    /// and counting it would put a write no dependency edge orders into
+    /// every replica's state. The honest vote that follows commits.
+    #[test]
+    fn a_commit_vote_with_an_undeclared_write_is_not_counted() {
+        let mut spec = single_vote_spec();
+        spec.executors_per_app = 2;
+        let [liar, honest] = spec.agents_of(AppId(0))[..] else {
+            panic!("two agents of app 0");
+        };
+        // An agent of another application: it only counts app-0 votes.
+        let node = spec.agents_of(AppId(1))[0];
+        let (shared, clock, mut executor) = stepped_executor(spec, node);
+        let txs = transfers(1);
+        let graph = DependencyGraph::build_txs(&txs, DependencyMode::Full);
+        let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), txs));
+        announce(&shared, &clock, &mut executor, &block, Some(graph));
+
+        let vote = |executor: &mut Executor, agent: NodeId, writes: Vec<(Key, Value)>| {
+            let results = vec![(SeqNo(0), ExecResult::Committed(writes))];
+            let digest = commit_digest(BlockNumber(1), &results);
+            let sig = shared.keys.sign(shared.spec.node_signer(agent), &digest.0);
+            let commit = CommitMsg {
+                block: BlockNumber(1),
+                results,
+                executor: agent,
+                sig,
+            };
+            executor.on_msg(agent, Msg::Commit(Arc::new(commit)));
+        };
+        let declared = vec![(Key(1), Value::Int(0)), (Key(2), Value::Int(1))];
+        let mut overreach = declared.clone();
+        overreach.push((Key(u64::MAX), Value::Int(1)));
+        vote(&mut executor, liar, overreach);
+        assert_eq!(executor.watermark(), BlockNumber(0), "the vote was counted");
+        vote(&mut executor, honest, declared);
+        assert_eq!(
+            executor.watermark(),
+            BlockNumber(1),
+            "the honest vote commits"
+        );
+        let everything = Version::new(BlockNumber(2), SeqNo(0));
+        assert_eq!(executor.state.get_at(Key(u64::MAX), everything), None);
+        assert_eq!(
+            executor.state.get_at(Key(2), everything),
+            Some(Value::Int(1))
+        );
     }
 
     /// Pins the COMMIT digest preimage layout. If this golden value

@@ -90,20 +90,31 @@ pub(crate) struct Completion {
 /// the caller's concern: threaded workers sleep it, the deterministic
 /// queue charges it as a virtual completion delay instead).
 fn execute_item(item: &WorkItem) -> Completion {
-    let outcome = item.contract.execute(&item.tx, &item.snapshot);
-    // A read outside the declared set executed against state the
-    // scheduler never ordered: abort deterministically (every agent sees
-    // the same declared set, so all agents agree).
-    let result = if item.snapshot.undeclared_read() {
-        ExecResult::Aborted(format!(
+    let tx = &item.tx;
+    let outcome = item.contract.execute(tx, &item.snapshot);
+    // An access outside the declared sets escapes the dependency graph: a
+    // read saw state the scheduler never ordered, a write would land
+    // where no edge orders it. Either aborts, decided from the
+    // transaction and its snapshot alone, so every agent agrees.
+    let result = match outcome {
+        _ if item.snapshot.undeclared_read() => ExecResult::Aborted(format!(
             "undeclared read outside the declared read set of {:?}",
-            item.tx.id()
-        ))
-    } else {
-        match outcome {
-            ExecOutcome::Commit(writes) => ExecResult::Committed(writes),
-            ExecOutcome::Abort(reason) => ExecResult::Aborted(reason),
+            tx.id()
+        )),
+        ExecOutcome::Commit(writes) => {
+            let undeclared = writes
+                .iter()
+                .map(|(key, _)| *key)
+                .find(|key| !tx.rw_set().declares_write(*key));
+            match undeclared {
+                Some(key) => ExecResult::Aborted(format!(
+                    "undeclared write to {key} outside the declared write set of {:?}",
+                    tx.id()
+                )),
+                None => ExecResult::Committed(writes),
+            }
         }
+        ExecOutcome::Abort(reason) => ExecResult::Aborted(reason),
     };
     Completion {
         block: item.block,
@@ -148,6 +159,10 @@ impl ExecPool {
             let work_rx = work_rx.clone();
             let done_tx = done_tx.clone();
             let wake = wake.clone();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the threaded executor pool; the deterministic backend is InlineQueue"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("exec-worker-{i}"))
                 .spawn(move || {
@@ -429,6 +444,58 @@ mod tests {
                 assert!(reason.contains("undeclared read"), "got: {reason}");
             }
             ExecResult::Committed(w) => panic!("must not commit on undeclared reads: {w:?}"),
+        }
+    }
+
+    /// Commits what the accounting contract commits, plus one key its
+    /// declared write set leaves out.
+    struct Overreach(AccountingContract);
+
+    impl SmartContract for Overreach {
+        fn app(&self) -> AppId {
+            self.0.app()
+        }
+
+        fn name(&self) -> &str {
+            "overreach"
+        }
+
+        fn execute(&self, tx: &Transaction, state: &dyn StateReader) -> ExecOutcome {
+            match self.0.execute(tx, state) {
+                ExecOutcome::Commit(mut writes) => {
+                    writes.push((Key(99), Value::Int(1)));
+                    ExecOutcome::Commit(writes)
+                }
+                abort => abort,
+            }
+        }
+    }
+
+    #[test]
+    fn undeclared_writes_abort_instead_of_committing() {
+        let contract = Overreach(AccountingContract::new(AppId(0)));
+        let op = AccountingOp::Transfer {
+            from: Key(1),
+            to: Key(2),
+            amount: 5,
+        };
+        let tx = contract.0.transaction(ClientId(1), 0, &op);
+        let done = execute_item(&WorkItem {
+            block: BlockNumber(1),
+            seq: SeqNo(0),
+            tx,
+            snapshot: SnapshotReader::new(HashMap::from([
+                (Key(1), Some(Value::Int(10))),
+                (Key(2), None),
+            ])),
+            contract: Arc::new(contract),
+            cost: Duration::ZERO,
+        });
+        match done.result {
+            ExecResult::Aborted(reason) => {
+                assert!(reason.contains("undeclared write"), "got: {reason}");
+            }
+            ExecResult::Committed(w) => panic!("must not commit an undeclared write: {w:?}"),
         }
     }
 }

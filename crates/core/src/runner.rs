@@ -279,10 +279,13 @@ fn run_fixed_impl(
     let cluster = Cluster::start(spec);
     let shared = &cluster.shared;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fault script runs beside the threaded cluster it perturbs; \
+                  deterministic runs use the sim scheduler instead"
+    )]
     let script_handle = fault_script.map(|script| {
         let faults = cluster.net.faults();
-        // lint:allow(thread-spawn) — the fault script runs beside the threaded
-        // cluster it perturbs; deterministic runs use the sim scheduler instead
         std::thread::Builder::new()
             .name("fault-script".into())
             .spawn(move || script(faults))

@@ -45,8 +45,11 @@ impl Shared {
             fresh: true,
         } = &spec.durability
         {
-            // lint:allow(file-io) — wiping the previous run's store dir is
-            // setup, not durability; the store owns all live-path file I/O
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wiping the previous run's store dir is setup, not \
+                          durability; the store owns all live-path file I/O"
+            )]
             let _ = std::fs::remove_dir_all(data_dir);
         }
         let genesis = WorkloadGen::new(spec.workload_config()).genesis();

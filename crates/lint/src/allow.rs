@@ -1,14 +1,13 @@
-//! Suppression machinery: inline `lint:allow` markers and the
-//! workspace `lint.allow` allowlist — both re-verified, so a
-//! suppression that no longer suppresses anything is itself an error.
+//! Suppression machinery: inline `lint:allow` markers, re-verified, so
+//! a suppression that no longer suppresses anything is itself an error.
 //!
-//! Inline marker grammar (inside a `//` comment, on the violating line
-//! or above it — blank lines and continuation comments between the
-//! marker and the code it covers are skipped):
+//! Marker grammar (inside a `//` comment, on the violating line or
+//! above it — blank lines and continuation comments between the marker
+//! and the code it covers are skipped):
 //!
 //! ```text
-//! // lint:allow(wall-clock) — the watchdog measures real elapsed time
-//! // lint:allow(file-io, thread-spawn) -- justification covers both
+//! // lint:allow(unordered-iter) — digest_entries sorts by key before hashing
+//! // lint:allow(unordered-iter, hot-path-alloc) -- justification covers both
 //! ```
 //!
 //! The justification (after `—`, `--`, or `:`) is mandatory: an
@@ -170,151 +169,28 @@ pub fn apply_markers(
     out
 }
 
-/// One entry of the workspace allowlist file (`lint.allow` at the
-/// workspace root): `<rule> <path> — <justification>` per line,
-/// suppressing every finding of `rule` in `path`.
-#[derive(Debug, Clone)]
-pub struct AllowlistEntry {
-    /// The suppressed rule.
-    pub rule: Rule,
-    /// Workspace-relative path the suppression applies to.
-    pub path: String,
-    /// 1-indexed line in the allowlist file (for stale reports).
-    pub line: u32,
-    /// Mandatory justification.
-    pub justification: String,
-}
-
-/// Parses the allowlist file. Unparseable lines and unknown rules come
-/// back as `stale-allow` findings against the allowlist file itself.
-#[must_use]
-pub fn parse_allowlist(file_name: &str, src: &str) -> (Vec<AllowlistEntry>, Vec<Finding>) {
-    let mut entries = Vec::new();
-    let mut findings = Vec::new();
-    for (idx, raw_line) in src.lines().enumerate() {
-        let line_no = (idx + 1) as u32;
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (head, justification) = match split_justification(line) {
-            Some(parts) => parts,
-            None => {
-                findings.push(Finding::new(
-                    Rule::StaleAllow,
-                    file_name,
-                    line_no,
-                    "allowlist entry carries no justification (append `— <why>`)",
-                ));
-                continue;
-            }
-        };
-        let mut fields = head.split_whitespace();
-        let (Some(rule_id), Some(path), None) = (fields.next(), fields.next(), fields.next())
-        else {
-            findings.push(Finding::new(
-                Rule::StaleAllow,
-                file_name,
-                line_no,
-                "malformed allowlist entry (expected `<rule> <path> — <justification>`)",
-            ));
-            continue;
-        };
-        let Some(rule) = Rule::from_id(rule_id) else {
-            findings.push(Finding::new(
-                Rule::StaleAllow,
-                file_name,
-                line_no,
-                format!("allowlist entry names unknown rule `{rule_id}`"),
-            ));
-            continue;
-        };
-        entries.push(AllowlistEntry {
-            rule,
-            path: path.to_string(),
-            line: line_no,
-            justification: justification.to_string(),
-        });
-    }
-    (entries, findings)
-}
-
-fn split_justification(line: &str) -> Option<(&str, &str)> {
-    for sep in ["—", "--"] {
-        if let Some(at) = line.find(sep) {
-            let j = line[at + sep.len()..].trim();
-            if !j.is_empty() {
-                return Some((line[..at].trim(), j));
-            }
-        }
-    }
-    None
-}
-
-/// Applies the allowlist to the workspace-wide finding set. An entry
-/// that suppresses nothing becomes a `stale-allow` finding against the
-/// allowlist file.
-#[must_use]
-pub fn apply_allowlist(
-    file_name: &str,
-    entries: &[AllowlistEntry],
-    findings: Vec<Finding>,
-    suppressions: &mut usize,
-) -> Vec<Finding> {
-    let mut used = vec![false; entries.len()];
-    let mut out: Vec<Finding> = Vec::with_capacity(findings.len());
-    for finding in findings {
-        let mut suppressed = false;
-        for (e, entry) in entries.iter().enumerate() {
-            if entry.rule == finding.rule && entry.path == finding.path {
-                used[e] = true;
-                suppressed = true;
-            }
-        }
-        if suppressed {
-            *suppressions += 1;
-        } else {
-            out.push(finding);
-        }
-    }
-    for (e, entry) in entries.iter().enumerate() {
-        if !used[e] {
-            out.push(Finding::new(
-                Rule::StaleAllow,
-                file_name,
-                entry.line,
-                format!(
-                    "stale allowlist entry: no {} violation left in {}",
-                    entry.rule, entry.path
-                ),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn markers_parse_rules_and_justification() {
-        let src = "let x = 1; // lint:allow(wall-clock, file-io) — measured on purpose\n";
+        let src = "let x = 1; // lint:allow(unordered-iter, hot-path-alloc) — sorted on purpose\n";
         let markers = parse_markers(src);
         assert_eq!(markers.len(), 1);
-        assert_eq!(markers[0].rules, vec![Rule::WallClock, Rule::FileIo]);
-        assert_eq!(markers[0].justification, "measured on purpose");
+        assert_eq!(markers[0].rules, vec![Rule::UnorderedIter, Rule::HotPathAlloc]);
+        assert_eq!(markers[0].justification, "sorted on purpose");
     }
 
     #[test]
     fn marker_suppresses_same_and_next_line() {
-        let src = "// lint:allow(wall-clock) — intended\ncall();\n";
+        let src = "// lint:allow(unordered-iter) — intended\ncall();\n";
         let markers = parse_markers(src);
         let mut n = 0;
         let out = apply_markers(
             "f.rs",
             &markers,
-            vec![Finding::new(Rule::WallClock, "f.rs", 2, "x")],
+            vec![Finding::new(Rule::UnorderedIter, "f.rs", 2, "x")],
             &mut n,
         );
         assert!(out.is_empty(), "{out:?}");
@@ -323,14 +199,14 @@ mod tests {
 
     #[test]
     fn marker_skips_continuation_comments_and_blank_lines() {
-        let src = "// lint:allow(wall-clock) — a justification that\n// wraps onto a second comment line\n\ncall();\n";
+        let src = "// lint:allow(unordered-iter) — a justification that\n// wraps onto a second comment line\n\ncall();\n";
         let markers = parse_markers(src);
         assert_eq!(markers[0].target, 4);
         let mut n = 0;
         let out = apply_markers(
             "f.rs",
             &markers,
-            vec![Finding::new(Rule::WallClock, "f.rs", 4, "x")],
+            vec![Finding::new(Rule::UnorderedIter, "f.rs", 4, "x")],
             &mut n,
         );
         assert!(out.is_empty(), "{out:?}");
@@ -339,60 +215,29 @@ mod tests {
 
     #[test]
     fn unjustified_marker_is_stale_even_when_matching() {
-        let src = "// lint:allow(wall-clock)\ncall();\n";
+        let src = "// lint:allow(unordered-iter)\ncall();\n";
         let markers = parse_markers(src);
         let mut n = 0;
         let out = apply_markers(
             "f.rs",
             &markers,
-            vec![Finding::new(Rule::WallClock, "f.rs", 2, "x")],
+            vec![Finding::new(Rule::UnorderedIter, "f.rs", 2, "x")],
             &mut n,
         );
         // The original finding survives AND the marker is reported.
         assert_eq!(out.len(), 2);
         assert!(out.iter().any(|f| f.rule == Rule::StaleAllow));
-        assert!(out.iter().any(|f| f.rule == Rule::WallClock));
+        assert!(out.iter().any(|f| f.rule == Rule::UnorderedIter));
     }
 
     #[test]
     fn marker_without_match_is_stale() {
-        let src = "// lint:allow(wall-clock) — why\nclean();\n";
+        let src = "// lint:allow(unordered-iter) — why\nclean();\n";
         let markers = parse_markers(src);
         let mut n = 0;
         let out = apply_markers("f.rs", &markers, vec![], &mut n);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, Rule::StaleAllow);
         assert_eq!(out[0].line, 1);
-    }
-
-    #[test]
-    fn allowlist_round_trip_and_stale() {
-        let (entries, errs) =
-            parse_allowlist("lint.allow", "# c\nfile-io crates/bench/src/table.rs — CSV output\n");
-        assert!(errs.is_empty(), "{errs:?}");
-        assert_eq!(entries.len(), 1);
-        let mut n = 0;
-        let out = apply_allowlist(
-            "lint.allow",
-            &entries,
-            vec![Finding::new(Rule::FileIo, "crates/bench/src/table.rs", 9, "x")],
-            &mut n,
-        );
-        assert!(out.is_empty());
-        assert_eq!(n, 1);
-        let out = apply_allowlist("lint.allow", &entries, vec![], &mut n);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, Rule::StaleAllow);
-    }
-
-    #[test]
-    fn allowlist_rejects_malformed_lines() {
-        let (entries, errs) = parse_allowlist(
-            "lint.allow",
-            "file-io — missing path\nnot-a-rule a.rs — x\nfile-io a.rs\n",
-        );
-        assert!(entries.is_empty());
-        assert_eq!(errs.len(), 3, "{errs:?}");
-        assert!(errs.iter().all(|f| f.rule == Rule::StaleAllow));
     }
 }

@@ -1,11 +1,11 @@
-//! The determinism lint family (DESIGN.md §12): wall-clock reads,
-//! stray thread spawns, file I/O outside the storage crate,
-//! unordered-map iteration inside order-sensitive functions, heap
-//! allocation inside hot-path encode/digest/multicast functions, and
-//! encoding a value only to measure it.
+//! The two token rules (DESIGN.md §12): unordered-map iteration inside
+//! order-sensitive functions, and heap allocation inside hot-path
+//! encode/digest/multicast functions (plus encoding a value only to
+//! measure it). Both key on the enclosing function's *name*, which is
+//! what clippy cannot express.
 //!
-//! All rules match *token sequences* from the comment/string-aware
-//! lexer, so `Instant::now` in a doc comment, a string literal, or
+//! Both rules match *token sequences* from the comment/string-aware
+//! lexer, so `.iter()` in a doc comment, a string literal, or
 //! `#[cfg(test)]` code can never trip them.
 
 use crate::lexer::{matching, Tok, TokKind};
@@ -37,106 +37,15 @@ const ITER_METHODS: [&str; 10] = [
     "into_values",
 ];
 
-/// Runs every determinism rule over one file's (cfg-test-stripped)
-/// token stream. `path` is workspace-relative with `/` separators and
-/// drives the per-rule exemptions:
-///
-/// - `wall-clock` exempts `crates/types/src/clock.rs` (the one place
-///   allowed to read the machine clock);
-/// - `file-io` exempts `crates/store/` (`parblock_store` owns
-///   durability);
-/// - `thread-spawn` exempts the executor pool and the network engine.
+/// Runs both token rules over one file's (cfg-test-stripped) token
+/// stream. `path` is workspace-relative with `/` separators: every
+/// function in `crates/depgraph/` counts as order-sensitive.
 #[must_use]
 pub fn check_file(path: &str, toks: &[Tok]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if !path.ends_with("crates/types/src/clock.rs") {
-        wall_clock(path, toks, &mut findings);
-    }
-    if !path.ends_with("crates/core/src/pool.rs") && !path.ends_with("crates/network/src/engine.rs")
-    {
-        thread_spawn(path, toks, &mut findings);
-    }
-    if !path.contains("crates/store/") {
-        file_io(path, toks, &mut findings);
-    }
     unordered_iter(path, toks, &mut findings);
     hot_path_alloc(path, toks, &mut findings);
     findings
-}
-
-/// `true` when `toks[i..]` starts with the path `a :: b`.
-fn is_path2(toks: &[Tok], i: usize, a: &str, b: &str) -> bool {
-    toks.len() > i + 3
-        && toks[i].is_ident(a)
-        && toks[i + 1].is_punct(':')
-        && toks[i + 2].is_punct(':')
-        && toks[i + 3].is_ident(b)
-}
-
-fn wall_clock(path: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        for ty in ["Instant", "SystemTime"] {
-            if t.is_ident(ty) && is_path2(toks, i, ty, "now") {
-                findings.push(Finding::new(
-                    Rule::WallClock,
-                    path,
-                    t.line,
-                    format!(
-                        "`{ty}::now()` outside crates/types/src/clock.rs — \
-                         thread the injected Clock instead"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-fn thread_spawn(path: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if is_path2(toks, i, "thread", "spawn") || is_path2(toks, i, "thread", "Builder") {
-            findings.push(Finding::new(
-                Rule::ThreadSpawn,
-                path,
-                t.line,
-                "`thread::spawn` outside the executor pool / network engine \
-                 — threads escape the deterministic simulation harness",
-            ));
-        }
-    }
-}
-
-fn file_io(path: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        let hit = if t.is_ident("fs") && toks.len() > i + 3 && toks[i + 1].is_punct(':') {
-            // Any `fs::<item>` use (std::fs or a `use std::fs;` alias).
-            is_path2(toks, i, "fs", &toks[i + 3].text)
-                .then(|| format!("fs::{}", toks[i + 3].text))
-        } else if ["open", "create", "create_new", "options"]
-            .iter()
-            .any(|m| is_path2(toks, i, "File", m))
-        {
-            Some(format!("File::{}", toks[i + 3].text))
-        } else if is_path2(toks, i, "OpenOptions", "new") {
-            Some("OpenOptions::new".to_string())
-        } else if t.is_punct('.')
-            && toks
-                .get(i + 1)
-                .is_some_and(|m| m.is_ident("sync_all") || m.is_ident("sync_data"))
-            && toks.get(i + 2).is_some_and(|p| p.is_punct('('))
-        {
-            Some(toks[i + 1].text.clone())
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            findings.push(Finding::new(
-                Rule::FileIo,
-                path,
-                t.line,
-                format!("file I/O (`{what}`) outside parblock_store — durability belongs there"),
-            ));
-        }
-    }
 }
 
 fn is_canonical_fn(path: &str, name: &str) -> bool {
@@ -363,7 +272,7 @@ fn push_unique(names: &mut Vec<String>, name: &str) {
 
 /// Yields `(name, (body_start, body_end))` for every `fn` with a body,
 /// where the range excludes the braces themselves.
-pub(crate) fn fn_bodies(toks: &[Tok]) -> Vec<(String, (usize, usize))> {
+fn fn_bodies(toks: &[Tok]) -> Vec<(String, (usize, usize))> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 1 < toks.len() {
@@ -404,37 +313,6 @@ mod tests {
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
         check_file(path, &tokenize(src))
-    }
-
-    #[test]
-    fn flags_instant_and_system_time() {
-        let src = "fn f() { let t = Instant::now(); let u = std::time::SystemTime::now(); }";
-        let findings = run("crates/core/src/x.rs", src);
-        assert_eq!(findings.len(), 2);
-        assert!(findings.iter().all(|f| f.rule == Rule::WallClock));
-    }
-
-    #[test]
-    fn clock_rs_is_exempt_from_wall_clock() {
-        let src = "fn now() { Instant::now(); }";
-        assert!(run("crates/types/src/clock.rs", src).is_empty());
-    }
-
-    #[test]
-    fn flags_thread_spawn_but_not_in_pool() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert_eq!(run("crates/core/src/driver.rs", src).len(), 1);
-        assert!(run("crates/core/src/pool.rs", src).is_empty());
-        assert!(run("crates/network/src/engine.rs", src).is_empty());
-    }
-
-    #[test]
-    fn flags_fs_and_sync_but_not_in_store() {
-        let src = "fn f() { std::fs::write(\"a\", b\"x\").unwrap(); file.sync_all().unwrap(); }";
-        let findings = run("crates/core/src/x.rs", src);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().all(|f| f.rule == Rule::FileIo));
-        assert!(run("crates/store/src/wal.rs", src).is_empty());
     }
 
     #[test]
@@ -503,7 +381,7 @@ mod tests {
 
     #[test]
     fn string_literals_never_trip_rules() {
-        let src = "fn f() { let s = \"Instant::now thread::spawn fs::write\"; drop(s); }";
+        let src = "fn digest(m: &HashMap<u64, u64>) { let s = \"m.iter() format!(x) v.clone()\"; drop(s); }";
         assert!(run("crates/core/src/x.rs", src).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! A comment- and string-aware Rust lexer.
 //!
 //! The analyzers in this crate work on token sequences, never on raw
-//! text, so `Instant::now` inside a doc comment or a string literal can
+//! text, so `format!` inside a doc comment or a string literal can
 //! never trip a rule. The lexer is deliberately small: it distinguishes
 //! identifiers, literals and punctuation, tracks line numbers, and gets
 //! Rust's awkward cases right (nested block comments, raw strings,
@@ -425,30 +425,6 @@ pub fn matching(toks: &[Tok], open: usize) -> usize {
     toks.len()
 }
 
-/// Splits the token range `(start, end)` (exclusive of the enclosing
-/// brackets) at top-level commas, returning the sub-ranges.
-#[must_use]
-pub fn split_commas(toks: &[Tok], start: usize, end: usize) -> Vec<(usize, usize)> {
-    let mut parts = Vec::new();
-    let mut depth = 0i32;
-    let mut part_start = start;
-    for (i, tok) in toks.iter().enumerate().take(end).skip(start) {
-        match tok.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "," if depth == 0 => {
-                parts.push((part_start, i));
-                part_start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if part_start < end {
-        parts.push((part_start, end));
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,11 +495,10 @@ mod tests {
     }
 
     #[test]
-    fn matching_and_split_commas() {
+    fn matching_finds_the_closing_bracket() {
         let toks = tokenize("f(a, (b, c), [d, e])");
-        let open = 1;
-        assert_eq!(matching(&toks, open), toks.len() - 1);
-        let parts = split_commas(&toks, 2, toks.len() - 1);
-        assert_eq!(parts.len(), 3);
+        assert_eq!(matching(&toks, 1), toks.len() - 1);
+        assert_eq!(matching(&toks, 4), 8, "nested parens close first");
+        assert_eq!(matching(&toks, 0), toks.len(), "not a bracket");
     }
 }

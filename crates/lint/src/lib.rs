@@ -1,21 +1,22 @@
-//! `parblock_lint` — workspace static analysis (DESIGN.md §12).
+//! `parblock_lint` — the workspace's two token rules (DESIGN.md §12).
 //!
-//! Two analyzer families guard the invariants the rest of the system
-//! merely assumes:
+//! Clippy's `disallowed-methods` (the root `clippy.toml`) gates wall
+//! clocks, thread spawns and file I/O, and the executors abort any
+//! execution that reads or writes outside its declared read/write set.
+//! What is left here is what neither can say, because it depends on the
+//! *name* of the enclosing function ([`determinism`]):
 //!
-//! 1. **rwset coverage** ([`rwset`]): a contract's declared read/write
-//!    set must cover every key its `execute` can touch — OXII's
-//!    orderer schedules from declarations alone, so an under-declared
-//!    set silently breaks conflict serializability.
-//! 2. **determinism lints** ([`determinism`]): wall-clock reads,
-//!    stray thread spawns, file I/O outside the storage crate, and
-//!    unordered-map iteration in digest/wire/graph-emission code —
-//!    the preconditions of the bit-reproducible simulation harness.
+//! 1. **`unordered-iter`**: `HashMap`/`HashSet` iteration inside a
+//!    digest, wire or graph-emission function — the precondition of
+//!    bit-reproducible digests.
+//! 2. **`hot-path-alloc`**: per-item heap allocation (and `Debug`
+//!    renderings) inside encode / digest / multicast functions, and
+//!    encoding a value only to measure it.
 //!
 //! Violations are errors unless suppressed by an inline
-//! `// lint:allow(<rule>) — <justification>` marker or the workspace
-//! `lint.allow` file; both are re-verified on every run ([`allow`]),
-//! so a suppression that stops suppressing becomes an error itself.
+//! `// lint:allow(<rule>) — <justification>` marker; markers are
+//! re-verified on every run ([`allow`]), so a suppression that stops
+//! suppressing becomes an error itself.
 //!
 //! The crate is std-only by design: a hand-rolled lexer ([`lexer`])
 //! keeps the gate dependency-free, so it can never be broken by the
@@ -25,7 +26,6 @@ pub mod allow;
 pub mod determinism;
 pub mod lexer;
 pub mod report;
-pub mod rwset;
 
 use std::path::{Path, PathBuf};
 
@@ -38,7 +38,7 @@ pub enum FileClass {
     /// crate's own known-bad fixtures.
     Skip,
     /// Integration tests, benches, and examples: exempt from every
-    /// rule (they may spawn threads, read clocks, and write files).
+    /// rule (they are not on any digest or hot path).
     TestLike,
     /// Production code: all rules apply (with `#[cfg(test)]` items
     /// stripped first).
@@ -67,8 +67,7 @@ pub fn classify(path: &str) -> FileClass {
 
 /// Lints one source file given its workspace-relative `path` and raw
 /// `src`, applying inline `lint:allow` markers. This is the unit the
-/// fixture tests drive directly; [`run_workspace`] calls it per file
-/// and then applies the `lint.allow` allowlist on top.
+/// fixture tests drive directly; [`run_workspace`] calls it per file.
 ///
 /// Returns `(findings, suppressions_honored)`.
 #[must_use]
@@ -77,10 +76,7 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Finding>, usize) {
         FileClass::Skip | FileClass::TestLike => (Vec::new(), 0),
         FileClass::Product => {
             let toks = lexer::strip_cfg_test(&lexer::tokenize(src));
-            let mut findings = determinism::check_file(path, &toks);
-            if path.contains("crates/contracts/src/") {
-                findings.extend(rwset::check_contract_file(path, &toks));
-            }
+            let findings = determinism::check_file(path, &toks);
             let markers = allow::parse_markers(src);
             let mut suppressions = 0usize;
             let findings = allow::apply_markers(path, &markers, findings, &mut suppressions);
@@ -89,9 +85,8 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Finding>, usize) {
     }
 }
 
-/// Runs every analyzer over the workspace rooted at `root` and applies
-/// the `lint.allow` allowlist (if present). Findings come back sorted
-/// by `(path, line, rule)`.
+/// Runs both rules over the workspace rooted at `root`. Findings come
+/// back sorted by `(path, line, rule)`.
 ///
 /// # Errors
 /// Propagates I/O errors from walking the tree or reading sources.
@@ -100,44 +95,38 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     collect_rs_files(root, root, &mut files)?;
     files.sort();
     let mut report = Report::default();
-    let mut findings = Vec::new();
     for rel in &files {
         if classify(rel) != FileClass::Product {
             continue;
         }
-        // lint:allow(file-io) — the linter must read the sources it analyzes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the linter must read the sources it analyzes"
+        )]
         let src = std::fs::read_to_string(root.join(rel))?;
         let (file_findings, suppressed) = lint_source(rel, &src);
-        findings.extend(file_findings);
+        report.findings.extend(file_findings);
         report.suppressions += suppressed;
         report.files_scanned += 1;
     }
-    // Workspace allowlist, re-verified against the surviving findings.
-    let allow_path = root.join("lint.allow");
-    if allow_path.exists() {
-        // lint:allow(file-io) — the linter must read its own allowlist
-        let src = std::fs::read_to_string(&allow_path)?;
-        let (entries, mut parse_findings) = allow::parse_allowlist("lint.allow", &src);
-        findings =
-            allow::apply_allowlist("lint.allow", &entries, findings, &mut report.suppressions);
-        findings.append(&mut parse_findings);
-    }
-    findings.sort_by(|a, b| {
+    report.findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
     });
-    report.findings = findings;
     Ok(report)
 }
 
 /// Locates the workspace root by walking up from `start` to the first
 /// directory containing a `Cargo.toml` with a `[workspace]` table.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "workspace-root discovery reads manifests"
+)]
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
         let manifest = d.join("Cargo.toml");
         if manifest.exists() {
-            // lint:allow(file-io) — workspace-root discovery reads manifests
             if let Ok(text) = std::fs::read_to_string(&manifest) {
                 if text.contains("[workspace]") {
                     return Some(d);
@@ -151,9 +140,12 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Recursively collects `.rs` files as workspace-relative paths with
 /// `/` separators, in a deterministic (sorted) order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the linter must walk the tree it analyzes"
+)]
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = Vec::new();
-    // lint:allow(file-io) — the linter must walk the tree it analyzes
     for entry in std::fs::read_dir(dir)? {
         entries.push(entry?.path());
     }
@@ -189,7 +181,7 @@ mod tests {
         assert_eq!(classify("crates/ledger/tests/mvcc_props.rs"), FileClass::TestLike);
         assert_eq!(classify("shims/rand/src/lib.rs"), FileClass::Skip);
         assert_eq!(
-            classify("crates/lint/tests/fixtures/bad_wall_clock.rs"),
+            classify("crates/lint/tests/fixtures/bad_unordered_iter.rs"),
             FileClass::Skip
         );
         assert_eq!(classify("target/debug/build/x.rs"), FileClass::Skip);
@@ -197,13 +189,14 @@ mod tests {
 
     #[test]
     fn lint_source_end_to_end_with_marker() {
-        let bad = "fn f() { let t = Instant::now(); }";
+        let bad = "fn encode(v: &V) -> String { v.name.to_string() }";
         let (findings, n) = lint_source("crates/core/src/x.rs", bad);
         assert_eq!(findings.len(), 1);
         assert_eq!(n, 0);
 
-        let allowed =
-            "fn f() {\n    // lint:allow(wall-clock) — measuring real startup latency\n    let t = Instant::now();\n}";
+        let allowed = "fn encode(v: &V) -> String {\n    \
+             // lint:allow(hot-path-alloc) — a frozen legacy preimage\n    \
+             v.name.to_string()\n}";
         let (findings, n) = lint_source("crates/core/src/x.rs", allowed);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(n, 1);
@@ -211,7 +204,8 @@ mod tests {
 
     #[test]
     fn test_like_files_are_exempt() {
-        let bad = "fn f() { thread::spawn(|| Instant::now()); }";
+        let bad = "fn digest(m: &HashMap<u64, u64>) -> String { format!(\"{:?}\", m.iter()) }";
+        assert!(!lint_source("crates/core/src/x.rs", bad).0.is_empty());
         let (findings, _) = lint_source("crates/core/tests/e2e.rs", bad);
         assert!(findings.is_empty());
     }

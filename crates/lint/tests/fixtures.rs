@@ -6,6 +6,9 @@
 //! `(line, rule)` multiset, so a fixture that starts over- or
 //! under-reporting fails loudly.
 
+// Test code reads its fixtures from disk.
+#![allow(clippy::disallowed_methods)]
+
 use std::fs;
 use std::path::Path;
 
@@ -58,36 +61,6 @@ fn run_fixture(name: &str) {
 }
 
 #[test]
-fn bad_wall_clock() {
-    run_fixture("bad_wall_clock.rs");
-}
-
-#[test]
-fn good_wall_clock() {
-    run_fixture("good_wall_clock.rs");
-}
-
-#[test]
-fn bad_thread_spawn() {
-    run_fixture("bad_thread_spawn.rs");
-}
-
-#[test]
-fn good_thread_spawn() {
-    run_fixture("good_thread_spawn.rs");
-}
-
-#[test]
-fn bad_file_io() {
-    run_fixture("bad_file_io.rs");
-}
-
-#[test]
-fn good_file_io() {
-    run_fixture("good_file_io.rs");
-}
-
-#[test]
 fn bad_unordered_iter() {
     run_fixture("bad_unordered_iter.rs");
 }
@@ -95,16 +68,6 @@ fn bad_unordered_iter() {
 #[test]
 fn good_unordered_iter() {
     run_fixture("good_unordered_iter.rs");
-}
-
-#[test]
-fn bad_rwset() {
-    run_fixture("bad_rwset.rs");
-}
-
-#[test]
-fn good_rwset() {
-    run_fixture("good_rwset.rs");
 }
 
 #[test]

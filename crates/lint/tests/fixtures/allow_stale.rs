@@ -1,16 +1,16 @@
 //@ path: crates/core/src/fixture_stale.rs
 // Known-bad: markers that suppress nothing, carry no justification,
 // or name unknown rules are themselves `stale-allow` violations.
-pub fn quiet() -> u32 {
-    // lint:allow(wall-clock) — nothing here actually reads the clock
+pub fn encode_quiet() -> u32 {
+    // lint:allow(hot-path-alloc) — nothing here actually allocates
     //~^ stale-allow
     41 + 1
 }
 
-pub fn unjustified() -> std::time::SystemTime {
-    // lint:allow(wall-clock)
+pub fn encode_unjustified(label: &str) -> String {
+    // lint:allow(hot-path-alloc)
     //~^ stale-allow
-    std::time::SystemTime::now() //~ wall-clock
+    label.to_string() //~ hot-path-alloc
 }
 
 pub fn unknown_rule() -> u32 {

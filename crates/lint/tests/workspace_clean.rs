@@ -1,6 +1,6 @@
-//! The workspace itself must stay lint-clean: this is the same gate
-//! `repro lint` (and CI) runs, wired into plain `cargo test` so a
-//! violation fails the suite even when nobody runs the binary.
+//! The workspace itself must stay lint-clean: the two token rules run
+//! inside plain `cargo test`, so a violation fails the suite (clippy's
+//! `disallowed-methods` covers clocks, threads and file I/O).
 
 use std::path::Path;
 

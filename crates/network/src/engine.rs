@@ -366,6 +366,10 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
         if !self.shared.manual && !self.shared.shutdown.load(Ordering::Acquire) {
             let worker_shared = Arc::clone(&self.shared);
             let worker_shard = Arc::clone(&shard);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "free-running delivery workers; manual delivery spawns none"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("simnet-delivery-{}", to.0))
                 .spawn(move || shard_delivery_loop(&worker_shared, &worker_shard))

@@ -1,6 +1,9 @@
 //! Behavioural tests of the simulated network under load, jitter and
 //! probabilistic faults.
 
+// Behavioural tests measure real elapsed time.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -105,9 +105,15 @@ pub fn serial_replay(
                 aborted += 1;
                 continue;
             };
-            let outcome = contract.execute(tx, &reader);
-            match outcome {
-                ExecOutcome::Commit(writes) if !reader.undeclared.load(Ordering::Relaxed) => {
+            // Mirrors `pool::execute_item`: an access outside the
+            // declared sets aborts.
+            match contract.execute(tx, &reader) {
+                ExecOutcome::Commit(writes)
+                    if !reader.undeclared.load(Ordering::Relaxed)
+                        && writes
+                            .iter()
+                            .all(|(key, _)| tx.rw_set().declares_write(*key)) =>
+                {
                     state.apply(writes, position);
                     committed += 1;
                 }

@@ -17,12 +17,15 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use parblock_contracts::{AppRegistry, ExecOutcome, KvContract, KvOp, SmartContract, StateReader};
+use parblock_contracts::{
+    AccountingContract, AccountingOp, AppRegistry, ExecOutcome, KvContract, KvOp, SmartContract,
+    StateReader,
+};
 use parblock_depgraph::{DependencyGraph, DependencyMode, ReadyTracker};
 use parblock_ledger::{MvccState, Version};
 use parblock_sim::serial_replay;
 use parblock_types::{
-    AppId, Block, BlockNumber, ClientId, Hash32, Key, NodeId, SeqNo, Value,
+    AppId, Block, BlockNumber, ClientId, Hash32, Key, NodeId, SeqNo, Transaction, Value,
 };
 
 fn registry() -> AppRegistry {
@@ -212,4 +215,48 @@ fn replay_counts_and_heads_are_consistent() {
     // Mix read 5, wrote 6: verify through an independent serial pass.
     let digest = history_digest(&block, &contract, &[SeqNo(0), SeqNo(1)]);
     assert_eq!(digest, replay.digests[1]);
+}
+
+/// Commits what the accounting contract commits, plus one key its
+/// declared write set leaves out (the contract of
+/// `pool::tests::undeclared_writes_abort_instead_of_committing`).
+struct Overreach(AccountingContract);
+
+impl SmartContract for Overreach {
+    fn app(&self) -> AppId {
+        self.0.app()
+    }
+
+    fn name(&self) -> &str {
+        "overreach"
+    }
+
+    fn execute(&self, tx: &Transaction, state: &dyn StateReader) -> ExecOutcome {
+        match self.0.execute(tx, state) {
+            ExecOutcome::Commit(mut writes) => {
+                writes.push((Key(99), Value::Int(1)));
+                ExecOutcome::Commit(writes)
+            }
+            abort => abort,
+        }
+    }
+}
+
+/// The reference replay aborts a write outside the declared write set,
+/// as every executor does, so the oracle and the executors agree.
+#[test]
+fn replay_aborts_an_undeclared_write() {
+    let contract = Overreach(AccountingContract::new(AppId(0)));
+    let op = AccountingOp::Transfer {
+        from: Key(1),
+        to: Key(2),
+        amount: 1,
+    };
+    let tx = contract.0.transaction(ClientId(1), 0, &op);
+    let block = Block::new(BlockNumber(1), parblock_ledger::Ledger::genesis_hash(), vec![tx]);
+    let mut registry = AppRegistry::new();
+    registry.deploy(Arc::new(contract), [NodeId(0)]);
+    let replay = serial_replay(std::slice::from_ref(&block), &genesis(), &registry);
+    assert_eq!((replay.committed, replay.aborted), (0, 1));
+    assert_eq!(replay.digests[1], replay.digests[0], "state untouched");
 }

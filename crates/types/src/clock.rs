@@ -73,6 +73,10 @@ impl Clock {
     /// A simulated clock starting at virtual time zero. Time only moves
     /// when [`Clock::advance`] (or [`Clock::advance_to`]) is called.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a virtual clock's epoch; only offsets from it are ever observed"
+    )]
     pub fn simulated() -> Self {
         Clock {
             inner: ClockInner::Virtual(Arc::new(VirtualCore {
@@ -90,6 +94,10 @@ impl Clock {
 
     /// The current time.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall clock behind the injected Clock: the one place product code reads it"
+    )]
     pub fn now(&self) -> Instant {
         match &self.inner {
             ClockInner::Wall => Instant::now(),

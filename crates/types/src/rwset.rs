@@ -103,6 +103,14 @@ impl RwSet {
         &self.writes
     }
 
+    /// Whether `key` is in the declared write set ω(T). Executors abort
+    /// a commit that writes outside it: the dependency graph never
+    /// ordered that write.
+    #[must_use]
+    pub fn declares_write(&self, key: Key) -> bool {
+        self.writes.binary_search(&key).is_ok()
+    }
+
     /// Adds a key to the read set.
     pub fn add_read(&mut self, key: Key) {
         insert(&mut self.reads, key);
@@ -220,6 +228,8 @@ mod tests {
         assert!(!s.is_empty());
         assert!(s.reads().contains(&Key(7)));
         assert!(s.writes().contains(&Key(8)));
+        assert!(s.declares_write(Key(8)));
+        assert!(!s.declares_write(Key(7)), "a read is not a declared write");
     }
 
     #[test]
