@@ -47,14 +47,14 @@ pub enum ConsensusKind {
     Pbft,
 }
 
-/// When OXII executors multicast their COMMIT messages (§IV-C). One
-/// variant: the per-transaction alternative the paper rejects sends half
-/// as many messages again for no throughput (EXPERIMENTS.md,
-/// "Commit-batching ablation"), so nothing selects it.
+/// When OXII executors multicast their COMMIT messages (§IV-C). **Not
+/// read**: executors have one rule, and the type survives only because
+/// `benchmark/` assigns [`ClusterSpec::commit_flush`] by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CommitFlush {
-    /// Algorithm 2: buffer results, multicast when a result is needed by
-    /// another application's agents (and at end of share).
+    /// Algorithm 2 as executors run it: each in-flight block's results
+    /// finished in one `tick` leave as one COMMIT at the end of that tick
+    /// (DESIGN.md §2).
     #[default]
     Cut,
 }
@@ -194,9 +194,10 @@ pub struct ClusterSpec {
     /// after every block, exposed as `RunReport::state_digest` (used by
     /// correctness tests; costs one state hash per block).
     pub capture_state: bool,
-    /// **Not read.** Executors always flush COMMITs by Algorithm 2's cut
-    /// rule. The field survives only because `benchmark/` assigns it by
-    /// name; it goes with the next `benchmark` PR.
+    /// **Not read.** Executors always flush COMMITs once per `tick`
+    /// ([`CommitFlush::Cut`]). The field survives only because
+    /// `benchmark/` assigns it by name; it goes with the next `benchmark`
+    /// PR.
     pub commit_flush: CommitFlush,
     /// Per-transaction lifecycle tracing (DESIGN.md §14). Disabled by
     /// default: recording costs one branch per stage and the

@@ -58,8 +58,8 @@ impl ExecResult {
     }
 }
 
-/// An executor's COMMIT message (§IV-C, Algorithm 2): the accumulated
-/// execution results `S = {(x, r)}` since its last cut.
+/// An executor's COMMIT message (§IV-C, Algorithm 2): the execution
+/// results `S = {(x, r)}` of one block that one node tick finished.
 #[derive(Debug)]
 pub struct CommitMsg {
     /// The block the results belong to.

@@ -4,10 +4,13 @@
 //! * **Algorithm 1** — execute the transactions this node is an agent for,
 //!   following the dependency graph: a transaction runs once all its
 //!   predecessors are locally executed or committed.
-//! * **Algorithm 2** — buffer execution results and multicast a COMMIT
-//!   message when a result is needed by another application's agents
-//!   (a successor across the application cut), or when the node's share
-//!   of the block is finished.
+//! * **Algorithm 2** — buffer execution results and multicast them as one
+//!   COMMIT message per block at the end of every `tick` that finished
+//!   executions. This deviates from §IV-C, which holds results until
+//!   another application's agents need one or the node's share of the
+//!   block is done (DESIGN.md §2): under load a tick drains many
+//!   completions, so COMMITs stay batched, and along a chain each result
+//!   leaves as soon as it exists.
 //! * **Algorithm 3** — collect COMMIT messages, and once τ(A) matching
 //!   results arrive for a transaction, apply them to the blockchain
 //!   state.
@@ -35,6 +38,7 @@
 //! a NEWBLOCK or a COMMIT, `tick` the executions that have finished.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeBounds;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,10 +68,9 @@ struct BlockRun {
     /// Committed positions (the set `Ce`).
     committed: Vec<bool>,
     committed_count: usize,
-    /// Algorithm 2 buffer: executed results not yet multicast.
+    /// Algorithm 2 buffer: results executed in the current `tick`, not
+    /// yet multicast.
     xe_buffer: Vec<(SeqNo, ExecResult)>,
-    /// Outstanding local executions.
-    we_remaining: usize,
 }
 
 impl BlockRun {
@@ -115,6 +118,9 @@ pub(crate) struct Executor {
     is_observer: bool,
     /// Peers that receive this node's COMMIT messages.
     commit_dests: Vec<NodeId>,
+    /// Scratch buffer every COMMIT digest preimage is built in, signed
+    /// or verified.
+    digest_buf: Vec<u8>,
 }
 
 impl Executor {
@@ -171,6 +177,7 @@ impl Executor {
             pending_stall: None,
             is_observer,
             commit_dests,
+            digest_buf: Vec::new(),
         }
     }
 
@@ -271,14 +278,12 @@ impl Executor {
         self.next_to_start = number + 1;
         let n = bundle.block.len();
         let me = self.endpoint.id();
-        let mut we = vec![false; n];
-        let mut we_remaining = 0;
-        for (seq, tx) in bundle.block.iter_seq() {
-            if self.shared.registry.is_agent(me, tx.app()) {
-                we[seq.0 as usize] = true;
-                we_remaining += 1;
-            }
-        }
+        let we = bundle
+            .block
+            .transactions()
+            .iter()
+            .map(|tx| self.shared.registry.is_agent(me, tx.app()))
+            .collect();
         // Cross-block dependencies: pending writers of still-in-flight
         // earlier blocks that touch this block's keys. At depth 1 the
         // previous block fully committed before this one starts, so the
@@ -311,7 +316,6 @@ impl Executor {
             committed: vec![false; n],
             committed_count: 0,
             xe_buffer: Vec::new(),
-            we_remaining,
         };
         let initial = run.tracker.take_ready();
         self.runs.insert(number, run);
@@ -393,48 +397,33 @@ impl Executor {
         let number = completion.block.0;
         let seq = completion.seq;
         let idx = seq.0 as usize;
-        let cut = {
-            let Some(run) = self.runs.get_mut(&number) else {
-                return; // stale completion from a finished block
-            };
-            if run.executed[idx] {
-                return;
-            }
-            run.executed[idx] = true;
-            run.we_remaining -= 1;
-            if self.is_observer {
-                if let Some(tx) = run.bundle.block.tx(seq) {
-                    self.shared
-                        .trace
-                        .record(tx.id(), parblock_trace::Stage::Executed);
-                }
-            }
-            // Algorithm 2: multicast when another application needs this
-            // result, or when our share of the block is complete.
-            let graph = run
-                .bundle
-                .graph
-                .as_ref()
-                .expect("on_new_block admits only bundles with a graph");
-            graph.has_foreign_successor(seq) || run.we_remaining == 0
+        let Some(run) = self.runs.get_mut(&number) else {
+            return; // stale completion from a finished block
         };
+        if run.executed[idx] {
+            return;
+        }
+        run.executed[idx] = true;
+        if self.is_observer {
+            if let Some(tx) = run.bundle.block.tx(seq) {
+                self.shared
+                    .trace
+                    .record(tx.id(), parblock_trace::Stage::Executed);
+            }
+        }
+        // Algorithm 2: buffered until the end of this tick.
+        run.xe_buffer.push((seq, completion.result.clone()));
         // Apply own writes immediately as a versioned put (deterministic
         // across agents), so successors read them (Xe semantics of
         // Algorithm 1). Effects hit the WAL (group-commit buffered)
-        // before the COMMIT multicast below; they become durable at the
-        // latest at the block's seal fsync — a crash before that loses
-        // only unsealed results, which recovery re-executes
+        // before the tick-end COMMIT multicast; they become durable at
+        // the latest at the block's seal fsync — a crash before that
+        // loses only unsealed results, which recovery re-executes
         // deterministically (DESIGN.md §9).
         if let ExecResult::Committed(writes) = &completion.result {
             let version = Version::new(completion.block, seq);
             self.durability.log_effects(version, writes);
             self.state.apply(writes.iter().cloned(), version);
-        }
-        if let Some(run) = self.runs.get_mut(&number) {
-            run.xe_buffer.push((seq, completion.result.clone()));
-        }
-        if cut {
-            self.flush_commit_buffer(number);
         }
 
         // Vote our own result (Algorithm 3 treats it like any agent's).
@@ -494,33 +483,34 @@ impl Executor {
 
     // ---- Algorithm 2: multicasting the results ------------------------
 
-    fn flush_commit_buffer(&mut self, number: u64) {
-        let Some(run) = self.runs.get_mut(&number) else {
-            return;
-        };
-        if run.xe_buffer.is_empty() {
-            return;
-        }
-        let results = std::mem::take(&mut run.xe_buffer);
-        let block = run.bundle.block.number();
+    /// Multicasts each in-flight block's buffered results, among the
+    /// block numbers in `blocks`, as one signed COMMIT per block.
+    fn flush_commit_buffers(&mut self, blocks: impl RangeBounds<u64>) {
         let me = self.endpoint.id();
-        let digest = commit_digest(block, &results);
         let signer = self.shared.spec.node_signer(me);
-        let sig = self.shared.keys.sign(signer, &digest.0);
-        let msg = Msg::Commit(Arc::new(CommitMsg {
-            block,
-            results,
-            executor: me,
-            sig,
-        }));
-        self.endpoint.multicast(self.commit_dests.iter(), &msg);
+        for (_, run) in self.runs.range_mut(blocks) {
+            if run.xe_buffer.is_empty() {
+                continue;
+            }
+            let results = std::mem::take(&mut run.xe_buffer);
+            let block = run.bundle.block.number();
+            let digest = commit_digest(block, &results, &mut self.digest_buf);
+            let sig = self.shared.keys.sign(signer, &digest.0);
+            let msg = Msg::Commit(Arc::new(CommitMsg {
+                block,
+                results,
+                executor: me,
+                sig,
+            }));
+            self.endpoint.multicast(self.commit_dests.iter(), &msg);
+        }
     }
 
     // ---- Algorithm 3: updating the blockchain state -------------------
 
     fn on_commit_msg(&mut self, commit: &Arc<CommitMsg>) {
         let signer = self.shared.spec.node_signer(commit.executor);
-        let digest = commit_digest(commit.block, &commit.results);
+        let digest = commit_digest(commit.block, &commit.results, &mut self.digest_buf);
         if !self.shared.keys.verify(signer, &digest.0, &commit.sig) {
             return;
         }
@@ -654,11 +644,10 @@ impl Executor {
             if !self.runs.get(&next).is_some_and(BlockRun::is_done) {
                 return appended;
             }
-            // Flush any tail results not yet multicast: with τ(A) below
-            // the full agent set, a block can fully commit on remote
-            // votes before this node's own share finishes executing, so
-            // the `we_remaining == 0` cut may never have fired.
-            self.flush_commit_buffer(next);
+            // Flush the results this tick buffered: a block can finish on
+            // its own vote inside `on_completion`, before the tick-end
+            // flush runs.
+            self.flush_commit_buffers(next..=next);
             let run = self.runs.remove(&next).expect("checked");
             self.ledger
                 .append_hashed(Arc::clone(&run.bundle.block), run.bundle.hash)
@@ -700,7 +689,9 @@ impl Executor {
 /// change so preimages from different layouts can never collide.
 const COMMIT_DIGEST_VERSION: u8 = 1;
 
-/// Digest of a COMMIT message's contents (signed by the executor).
+/// Digest of a COMMIT message's contents (signed by the executor). The
+/// preimage is built in `bytes`, cleared first, so an executor reuses one
+/// buffer for every COMMIT it signs or verifies.
 ///
 /// Values are serialized with [`parblock_types::Value`]'s canonical
 /// wire encoding. An earlier revision rendered them through
@@ -709,26 +700,30 @@ const COMMIT_DIGEST_VERSION: u8 = 1;
 /// `Debug` output, which Rust does not guarantee stable across releases
 /// (a silent rolling-upgrade signature break). That pattern is now a
 /// `hot-path-alloc` lint error.
-fn commit_digest(block: BlockNumber, results: &[(SeqNo, ExecResult)]) -> Hash32 {
+fn commit_digest(
+    block: BlockNumber,
+    results: &[(SeqNo, ExecResult)],
+    bytes: &mut Vec<u8>,
+) -> Hash32 {
     use parblock_types::wire::Wire;
-    let mut bytes = Vec::new();
-    COMMIT_DIGEST_VERSION.encode(&mut bytes);
-    block.0.encode(&mut bytes);
+    bytes.clear();
+    COMMIT_DIGEST_VERSION.encode(bytes);
+    block.0.encode(bytes);
     for (seq, result) in results {
-        u64::from(seq.0).encode(&mut bytes);
+        u64::from(seq.0).encode(bytes);
         match result {
             ExecResult::Committed(writes) => {
-                0u8.encode(&mut bytes);
-                (writes.len() as u64).encode(&mut bytes);
+                0u8.encode(bytes);
+                (writes.len() as u64).encode(bytes);
                 for (key, value) in writes {
-                    key.0.encode(&mut bytes);
-                    value.encode(&mut bytes);
+                    key.0.encode(bytes);
+                    value.encode(bytes);
                 }
             }
-            ExecResult::Aborted(_) => 1u8.encode(&mut bytes),
+            ExecResult::Aborted(_) => 1u8.encode(bytes),
         }
     }
-    parblock_crypto::sha256(&bytes)
+    parblock_crypto::sha256(bytes)
 }
 
 impl Node for Executor {
@@ -745,12 +740,17 @@ impl Node for Executor {
     }
 
     /// Surfaces every execution finished by `now`: handed back by the
-    /// pool's workers, or due on the virtual clock.
+    /// pool's workers, or due on the virtual clock. Then Algorithm 2:
+    /// each in-flight block multicasts the results this tick finished as
+    /// one COMMIT.
     fn tick(&mut self, now: Instant) -> usize {
         let done = self.backend.take_done(now);
         let handled = done.len();
         for completion in done {
             self.on_completion(completion);
+        }
+        if handled > 0 {
+            self.flush_commit_buffers(..);
         }
         handled
     }
@@ -773,9 +773,12 @@ impl Node for Executor {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use parblock_contracts::{AccountingContract, AccountingOp};
     use parblock_depgraph::{DependencyGraph, DependencyMode};
+    use parblock_net::SimNetwork;
     use parblock_types::wire::Wire;
     use parblock_types::{AppId, Block, ClientId, Clock, Key, Transaction, Value};
 
@@ -798,9 +801,17 @@ mod tests {
         ]
     }
 
+    /// [`super::commit_digest`] into a fresh preimage buffer.
+    fn commit_digest(block: BlockNumber, results: &[(SeqNo, ExecResult)]) -> Hash32 {
+        super::commit_digest(block, results, &mut Vec::new())
+    }
+
     /// An executor at `node`, stepped by hand under a simulated clock:
     /// messages go in through `on_msg`, nothing is delivered on its own.
-    fn stepped_executor(spec: ClusterSpec, node: NodeId) -> (Arc<Shared>, Clock, Executor) {
+    fn stepped_executor(
+        spec: ClusterSpec,
+        node: NodeId,
+    ) -> (Arc<Shared>, Clock, Executor, SimNetwork<Msg>) {
         let clock = Clock::simulated();
         let shared = Shared::with_clock(spec, clock.clone());
         let net = shared
@@ -810,7 +821,7 @@ mod tests {
             .manual_delivery()
             .build::<Msg>();
         let executor = Executor::new(Arc::clone(&shared), net.endpoint(node));
-        (shared, clock, executor)
+        (shared, clock, executor, net)
     }
 
     /// The entry orderer's signed NEWBLOCK for `block` with `graph`,
@@ -870,7 +881,7 @@ mod tests {
     fn a_malformed_dependency_graph_is_ignored_and_the_honest_copy_commits() {
         let spec = single_vote_spec();
         let observer = spec.observer();
-        let (shared, clock, mut executor) = stepped_executor(spec, observer);
+        let (shared, clock, mut executor, _net) = stepped_executor(spec, observer);
         let block = Arc::new(Block::new(
             BlockNumber(1),
             Ledger::genesis_hash(),
@@ -887,6 +898,47 @@ mod tests {
         assert_eq!(shared.metrics.processed(), 2);
     }
 
+    /// Algorithm 2 multicasts at the end of every tick that finished an
+    /// execution. An agent running a same-application chain must not hold
+    /// the head's result until its whole share is done: the COMMIT for
+    /// position 0 is on its way to the other peers before position 1
+    /// has executed.
+    #[test]
+    fn a_chain_head_is_multicast_before_its_successor_executes() {
+        let mut spec = single_vote_spec();
+        let cost = Duration::from_micros(500);
+        spec.costs = parblock_types::ExecutionCosts::per_tx(cost);
+        let agent = spec.agents_of(AppId(0))[0];
+        let other = spec.peer_ids().into_iter().find(|&id| id != agent);
+        let (shared, clock, mut executor, net) = stepped_executor(spec, agent);
+        let peer = net.endpoint(other.expect("a second peer"));
+        let txs = transfers(2);
+        let graph = DependencyGraph::build_txs(&txs, DependencyMode::Full);
+        assert!(graph.has_edge(SeqNo(0), SeqNo(1)), "a chain");
+        let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), txs));
+        announce(&shared, &clock, &mut executor, &block, Some(graph));
+
+        // The positions every COMMIT delivered to `peer` so far carries.
+        let multicast = || {
+            net.deliver_due(clock.now() + Duration::from_secs(1));
+            let mut seqs = Vec::new();
+            while let Some(envelope) = peer.try_recv() {
+                if let Msg::Commit(commit) = envelope.msg {
+                    seqs.extend(commit.results.iter().map(|(seq, _)| *seq));
+                }
+            }
+            seqs
+        };
+        assert!(multicast().is_empty(), "nothing has executed yet");
+        clock.advance(cost);
+        assert_eq!(executor.tick(clock.now()), 1);
+        assert_eq!(multicast(), [SeqNo(0)], "the head waits for its successor");
+        clock.advance(cost);
+        assert_eq!(executor.tick(clock.now()), 1);
+        assert_eq!(multicast(), [SeqNo(1)]);
+        assert_eq!(executor.watermark(), BlockNumber(1));
+    }
+
     /// With τ(A) = 1 one agent's COMMIT decides a transaction. A result
     /// that writes outside the declared write set must not count, even
     /// signed by a genuine agent: honest executors abort such a write,
@@ -901,7 +953,7 @@ mod tests {
         };
         // An agent of another application: it only counts app-0 votes.
         let node = spec.agents_of(AppId(1))[0];
-        let (shared, clock, mut executor) = stepped_executor(spec, node);
+        let (shared, clock, mut executor, _net) = stepped_executor(spec, node);
         let txs = transfers(1);
         let graph = DependencyGraph::build_txs(&txs, DependencyMode::Full);
         let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), txs));

@@ -22,7 +22,7 @@ pub enum ComponentKind {
     /// can execute independently and multicast once at the end.
     AppDisjoint,
     /// At least one component mixes applications (Fig 4c): agents must
-    /// exchange commit messages during execution (Algorithm 2's cut).
+    /// exchange commit messages during execution (Algorithm 2).
     CrossApp,
 }
 

@@ -10,8 +10,8 @@ use crate::builder::{self, DependencyMode};
 ///
 /// Vertices are in-block positions ([`SeqNo`]); every edge `(i, j)` has
 /// `i < j`, so the graph is a DAG by construction. The graph also records
-/// each transaction's application so executors can find cross-application
-/// dependencies (Algorithm 2).
+/// each transaction's application, so cross-application dependencies
+/// (§IV-C, Fig 4) can be told apart from in-application ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependencyGraph {
     /// `preds[j]` = Pre(Tj): positions with an edge into `j`, ascending.
@@ -136,22 +136,6 @@ impl DependencyGraph {
         self.succs.iter().enumerate().flat_map(|(i, succs)| {
             succs.iter().map(move |&j| (SeqNo(i as u32), j))
         })
-    }
-
-    /// Whether transaction `x` has a successor in a *different*
-    /// application — the trigger for Algorithm 2's commit-message cut.
-    #[must_use]
-    pub fn has_foreign_successor(&self, x: SeqNo) -> bool {
-        let app = self.app_of(x);
-        self.successors(x).iter().any(|&s| self.app_of(s) != app)
-    }
-
-    /// Whether any edge connects two applications. When `false`, the
-    /// agents of each application can execute independently and send a
-    /// single commit message at the end of the block (§IV-C, Fig 4a/4b).
-    #[must_use]
-    pub fn has_cross_app_edges(&self) -> bool {
-        self.edges().any(|(i, j)| self.app_of(i) != self.app_of(j))
     }
 
     /// Appends a canonical byte encoding of the graph (apps, edges, mode)
@@ -286,16 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_app_detection() {
-        let g = diamond();
-        assert!(g.has_cross_app_edges());
-        // Position 1 (app 0) has successor 3 (app 1).
-        assert!(g.has_foreign_successor(SeqNo(1)));
-        // Position 2 (app 1) has successor 3 (app 1): same app.
-        assert!(!g.has_foreign_successor(SeqNo(2)));
-    }
-
-    #[test]
     fn edges_iterator_lists_all() {
         let g = diamond();
         let edges: Vec<_> = g.edges().collect();
@@ -348,6 +322,5 @@ mod tests {
         let g = DependencyGraph::from_edges(vec![], &[], DependencyMode::Full);
         assert!(g.is_empty());
         assert_eq!(g.edge_count(), 0);
-        assert!(!g.has_cross_app_edges());
     }
 }

@@ -26,7 +26,9 @@
 //!   hence the partial order executors obey — is exactly the batch
 //!   `Full` closure, with at most O(accesses) edges.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use parblock_types::{AppId, Key, SeqNo, Transaction};
 
@@ -244,11 +246,17 @@ impl StreamingBuilder {
 #[derive(Debug, Default)]
 pub struct CrossBlockIndex {
     /// Pending writers per key, ascending by `(block, seq)`.
-    writers: HashMap<Key, Vec<(u64, SeqNo)>>,
+    writers: HashMap<Key, Vec<(u64, SeqNo)>, FixedState>,
     /// Reverse map: pending writer → keys it writes (for O(writes)
     /// removal on completion).
-    by_writer: HashMap<(u64, SeqNo), Vec<Key>>,
+    by_writer: HashMap<(u64, SeqNo), Vec<Key>, FixedState>,
 }
+
+/// A hasher with fixed keys. Both maps of [`CrossBlockIndex`] churn
+/// inserts and removals, so when their tables grow depends on where
+/// entries hash; under a per-process `RandomState` that differs run to
+/// run, and so would an executor's allocations.
+type FixedState = BuildHasherDefault<DefaultHasher>;
 
 impl CrossBlockIndex {
     /// Creates an empty index.

@@ -5,9 +5,7 @@ use std::sync::Arc;
 
 /// Network-wide traffic statistics.
 ///
-/// Cloning shares the counters. Used by the commit-batching ablation to
-/// compare Algorithm 2's cut-based multicast against naive per-transaction
-/// commits.
+/// Cloning shares the counters.
 #[derive(Debug, Clone, Default)]
 pub struct NetStats {
     inner: Arc<Counters>,

@@ -111,6 +111,10 @@ fn pipeline_depths_agree_under_time_cuts_in_simulation() {
 /// delivery order or in the executor's scheduling decisions moves these.
 /// They replace the cross-engine comparisons that used to guard both.
 ///
+/// Re-pinned once, on purpose, when executors began multicasting one
+/// COMMIT per tick: seed 14's message counts and latencies moved, its
+/// blocks did not (seeds 4 and 17 kept their digests).
+///
 /// * seed 4: on-disk, depth 2, orderer partition;
 /// * seed 14: on-disk, depth 4, contention 0.9, orderer crash;
 /// * seed 17: in-memory, five concurrent faults.
@@ -118,7 +122,7 @@ fn pipeline_depths_agree_under_time_cuts_in_simulation() {
 fn pinned_seeds_replay_to_their_golden_report_digests() {
     let golden = [
         (4u64, "437d80e0913ac7df0b5337b3f5a1030995b3702953dc2146856ecf8ab6a05245"),
-        (14, "7c26cd2ab0e5650047cc30fbccce9c8d618308548a5fb4d2fde67bb4cb57fd63"),
+        (14, "41d64266dce783689850fb3986d14797713716270652a1852a5f7a62e6f4652d"),
         (17, "1a5a2575e3fca293643d77182abfeba5f18ae9ede5c7108b8889d7eb0b7428e0"),
     ];
     for (seed, digest) in golden {
