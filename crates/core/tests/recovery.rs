@@ -10,10 +10,15 @@
 //! reference run: recovery loses nothing sealed and re-executes exactly
 //! the unsealed suffix.
 
+// The kill polls the stores on disk against a wall-clock deadline.
+#![allow(clippy::disallowed_methods)]
+
+use std::fs;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parblock_store::Store;
+use parblock_types::DurabilityConfig;
 use parblockchain::{
     run_fixed, run_fixed_from, run_fixed_with_faults, ClusterSpec, DurabilityMode, SystemKind,
 };
@@ -45,6 +50,24 @@ fn recovery_spec(data_dir: &Path) -> ClusterSpec {
     spec
 }
 
+/// The sealed watermark `reconcile_cluster` would read from the store
+/// under `node_dir`, or `None` while the copy races a write. Opening a
+/// store truncates torn tails, so this opens a copy in `probe`. The WAL
+/// goes first: a body is appended before its seal record, so every seal
+/// copied has its body. Checkpoints are skipped: the WAL keeps the seal
+/// record of the newest checkpoint's block.
+fn sealed_watermark(node_dir: &Path, probe: &Path, config: DurabilityConfig) -> Option<u64> {
+    let _ = fs::remove_dir_all(probe);
+    fs::create_dir_all(probe.join("wal")).ok()?;
+    for entry in fs::read_dir(node_dir.join("wal")).ok()? {
+        let from = entry.ok()?.path();
+        fs::copy(&from, probe.join("wal").join(from.file_name()?)).ok()?;
+    }
+    fs::copy(node_dir.join("blocks.log"), probe.join("blocks.log")).ok()?;
+    let (store, _) = Store::open(probe, config).ok()?;
+    Some(store.watermark().0)
+}
+
 #[test]
 fn killed_cluster_recovers_to_byte_equal_ledger_and_state() {
     // Uninterrupted reference (durability mode does not affect the
@@ -58,10 +81,13 @@ fn killed_cluster_recovers_to_byte_equal_ledger_and_state() {
         report
     };
 
-    // Phase 1: run the same workload and kill every node mid-run. The
-    // run cannot finish; the short timeout just bounds the wait.
+    // Phase 1: run the same workload and kill every node as soon as some
+    // peer has sealed a block. The run cannot finish; the short timeout
+    // just bounds the wait.
     let data_dir = tmp.path().join("cluster");
+    let probe = tmp.path().join("probe");
     let spec = recovery_spec(&data_dir);
+    let config = spec.durability_config;
     let orderers: Vec<u32> = spec.orderer_ids().iter().map(|n| n.0).collect();
     let peers: Vec<u32> = spec.peer_ids().iter().map(|n| n.0).collect();
     let all: Vec<_> = spec
@@ -69,13 +95,25 @@ fn killed_cluster_recovers_to_byte_equal_ledger_and_state() {
         .into_iter()
         .chain(spec.peer_ids())
         .collect();
+    let peer_dirs: Vec<_> = peers
+        .iter()
+        .map(|&peer| Store::node_dir(&data_dir, peer))
+        .collect();
     let killed = run_fixed_with_faults(
         &spec,
         COUNT,
         2_000.0,
         Duration::from_secs(3),
         move |faults| {
-            std::thread::sleep(Duration::from_millis(60));
+            let sealed = || {
+                peer_dirs
+                    .iter()
+                    .any(|dir| sealed_watermark(dir, &probe, config).is_some_and(|w| w >= 1))
+            };
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !sealed() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             for &node in &all {
                 faults.crash(node);
             }
@@ -93,7 +131,7 @@ fn killed_cluster_recovers_to_byte_equal_ledger_and_state() {
             .expect("reconcile");
     assert!(
         watermark.0 >= 1,
-        "no block sealed before the crash; move the kill later"
+        "no block sealed within the kill's deadline"
     );
     assert!(
         (watermark.0 as usize) < COUNT / BLOCK_TXNS,

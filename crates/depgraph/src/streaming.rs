@@ -171,8 +171,6 @@ impl StreamingBuilder {
     fn observe_multi_version(&mut self, tx: &Transaction, j: SeqNo) {
         for key in tx.rw_set().reads() {
             if let Some(index) = self.keys.get(key) {
-                // lint:allow(unordered-iter) — `index.writers` is a Vec in
-                // observation order, not the `writers` map of PendingWriters
                 for &w in &index.writers {
                     self.edges.push((w, j));
                 }
@@ -317,8 +315,6 @@ impl CrossBlockIndex {
         let Some(keys) = self.by_writer.remove(&(block, seq)) else {
             return;
         };
-        // lint:allow(unordered-iter) — `keys` is this writer's Vec<Key> in
-        // declaration order, not the StreamingBuilder conflict-index map
         for key in keys {
             if let Some(pending) = self.writers.get_mut(&key) {
                 pending.retain(|&w| w != (block, seq));

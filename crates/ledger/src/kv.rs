@@ -134,7 +134,7 @@ impl KvState {
     /// versions that produced them differ.
     #[must_use]
     pub fn digest(&self) -> parblock_types::Hash32 {
-        // lint:allow(unordered-iter) — digest_entries sorts by key before hashing
+        // Hash order is harmless: digest_entries sorts by key before hashing.
         digest_entries(self.entries.iter().map(|(k, (v, _))| (*k, v)))
     }
 }
@@ -147,16 +147,14 @@ pub(crate) fn digest_entries<'a, I>(entries: I) -> parblock_types::Hash32
 where
     I: IntoIterator<Item = (Key, &'a Value)>,
 {
-    // lint:allow(unordered-iter) — collected into a Vec and sorted by key below
     let mut entries: Vec<(Key, &Value)> = entries.into_iter().collect();
     entries.sort_by_key(|(k, _)| *k);
     let mut hasher = parblock_crypto::Sha256::new();
-    // lint:allow(unordered-iter) — iterates the Vec sorted by key just above
     for (key, value) in entries {
         hasher.update(&key.0.to_le_bytes());
-        // lint:allow(hot-path-alloc) — frozen preimage: historical RunReport
-        // digests pin this rendering, and it runs once per run (capture_state),
-        // never on the commit hot path. Changing it requires a version bump.
+        // Frozen preimage: historical RunReport digests pin this rendering,
+        // and it runs once per run (capture_state), never on the commit hot
+        // path. Changing it requires a version bump.
         hasher.update(format!("{value:?}").as_bytes());
     }
     hasher.finalize()

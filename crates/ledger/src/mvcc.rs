@@ -133,9 +133,9 @@ impl MvccState {
     /// share a digest.
     #[must_use]
     pub fn digest(&self) -> parblock_types::Hash32 {
+        // Hash order is harmless: digest_entries sorts by key before hashing.
         crate::kv::digest_entries(
             self.chains
-                // lint:allow(unordered-iter) — digest_entries sorts by key before hashing
                 .iter()
                 .filter_map(|(k, chain)| chain.last().map(|(_, v)| (*k, v))),
         )
@@ -150,13 +150,11 @@ impl MvccState {
     /// still-in-flight blocks.
     #[must_use]
     pub fn digest_at(&self, horizon: Version) -> parblock_types::Hash32 {
-        crate::kv::digest_entries(
-            // lint:allow(unordered-iter) — digest_entries sorts by key before hashing
-            self.chains.iter().filter_map(|(k, chain)| {
-                let below = chain.partition_point(|(v, _)| *v <= horizon);
-                below.checked_sub(1).map(|i| (*k, &chain[i].1))
-            }),
-        )
+        // Hash order is harmless: digest_entries sorts by key before hashing.
+        crate::kv::digest_entries(self.chains.iter().filter_map(|(k, chain)| {
+            let below = chain.partition_point(|(v, _)| *v <= horizon);
+            below.checked_sub(1).map(|i| (*k, &chain[i].1))
+        }))
     }
 
     /// The newest version at or below `horizon` for every key, i.e. the
@@ -184,6 +182,10 @@ impl MvccState {
     /// Garbage-collects versions strictly older than `horizon`, keeping at
     /// least the newest version at or below the horizon (it is still
     /// visible to readers positioned at the horizon).
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "each chain is pruned on its own; the visit order changes nothing"
+    )]
     pub fn prune(&mut self, horizon: Version) {
         for chain in self.chains.values_mut() {
             // Index of the first version > horizon.

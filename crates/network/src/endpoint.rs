@@ -90,7 +90,6 @@ impl<M: Send + 'static> Endpoint<M> {
         M: Sync + Clone,
         I: IntoIterator<Item = &'a NodeId>,
     {
-        // lint:allow(hot-path-alloc) — one clone total, shared by every recipient
         let payload = Arc::new(msg.clone());
         for &to in dests {
             if to != self.id {

@@ -471,6 +471,10 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
 }
 
 /// Sets every shutdown flag and wakes every worker (no joining).
+#[expect(
+    clippy::iter_over_hash_type,
+    reason = "every shard is flagged and woken; the order is unobservable"
+)]
 fn signal_shutdown<M: Send + 'static>(shared: &Shared<M>) {
     shared.shutdown.store(true, Ordering::Release);
     for shard in shared.shards.read().values() {

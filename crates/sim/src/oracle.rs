@@ -253,22 +253,20 @@ pub fn check_convergence(outcome: &SimOutcome, replay: &Replay) -> Result<(), St
 /// chain, a chain transaction that was never submitted, or (for drained
 /// runs) a submitted transaction missing from the chain.
 pub fn check_exactly_once(outcome: &SimOutcome) -> Result<(), String> {
+    let submitted: HashSet<TxId> = outcome.submitted.iter().copied().collect();
     let mut in_chain: HashSet<TxId> = HashSet::new();
     for block in &outcome.observer_chain {
         for tx in block.transactions() {
-            if !in_chain.insert(tx.id()) {
+            let id = tx.id();
+            if !in_chain.insert(id) {
                 return Err(format!(
-                    "transaction {:?} appears twice in the chain (block {})",
-                    tx.id(),
+                    "transaction {id:?} appears twice in the chain (block {})",
                     block.number()
                 ));
             }
-        }
-    }
-    let submitted: HashSet<TxId> = outcome.submitted.iter().copied().collect();
-    for id in &in_chain {
-        if !submitted.contains(id) {
-            return Err(format!("chain contains never-submitted transaction {id:?}"));
+            if !submitted.contains(&id) {
+                return Err(format!("chain contains never-submitted transaction {id:?}"));
+            }
         }
     }
     if outcome.completed {
@@ -350,4 +348,37 @@ pub fn chain_heads(chain: &[Block]) -> Vec<Hash32> {
 #[must_use]
 pub fn position(block: u64, seq: u32) -> Version {
     Version::new(BlockNumber(block), SeqNo(seq))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use parblock_types::{AppId, ClientId, RwSet, Transaction};
+    use parblockchain::RunReport;
+
+    use super::*;
+
+    /// The offender named is the first in chain order, not whichever a
+    /// hash set yields first, so a re-run of a failing seed names the
+    /// same transaction the sweep did.
+    #[test]
+    fn exactly_once_names_the_earliest_never_submitted_transaction() {
+        let txs: Vec<Transaction> = (0..=64)
+            .map(|ts| Transaction::new(AppId(0), ClientId(1), ts, RwSet::default(), vec![]))
+            .collect();
+        let first_stray = txs[1].id();
+        let outcome = SimOutcome {
+            report: RunReport::default(),
+            completed: false,
+            virtual_elapsed: Duration::ZERO,
+            events: 0,
+            submitted: vec![txs[0].id()],
+            observer_chain: vec![Block::new(BlockNumber(1), Hash32::ZERO, txs)],
+            replicas: Vec::new(),
+            orderers: Vec::new(),
+        };
+        let named = format!("chain contains never-submitted transaction {first_stray:?}");
+        assert_eq!(check_exactly_once(&outcome), Err(named));
+    }
 }

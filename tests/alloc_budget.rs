@@ -72,7 +72,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
 
-use parblock_types::{AppId, BlockCutConfig, ClientId, ExecutionCosts, Key, RwSet, Transaction};
+use parblock_net::{NetworkBuilder, Topology};
+use parblock_types::{
+    AppId, BlockCutConfig, ClientId, Clock, ExecutionCosts, Key, NodeId, RwSet, Transaction,
+};
 use parblockchain::{run_sim, ClusterSpec, SimConfig, SystemKind};
 use parblockchain_repro as _;
 
@@ -251,4 +254,32 @@ fn cloning_a_transaction_allocates_nothing() {
     let (allocs, _) = measured(|| copy = Some(tx.clone()));
     assert_eq!(allocs, 0);
     assert_eq!(copy, Some(tx));
+}
+
+/// A multicast copies its message once, into one `Arc` every recipient
+/// shares: two allocations however many destinations there are. The run
+/// budget cannot see a copy per destination (a few allocations per
+/// transaction among a hundred), so this pins it directly.
+#[test]
+fn a_multicast_clones_its_message_once() {
+    for n in [3u32, 8] {
+        let clock = Clock::simulated();
+        let net = NetworkBuilder::new()
+            .topology(Topology::single_dc(Duration::from_micros(100)))
+            .clock(clock.clone())
+            .manual_delivery()
+            .build::<Vec<u8>>();
+        let sender = net.endpoint(NodeId(0));
+        let dests: Vec<NodeId> = (1..=n).map(NodeId).collect();
+        let _mailboxes: Vec<_> = dests.iter().map(|&id| net.endpoint(id)).collect();
+        let msg = vec![7u8; 256];
+        // Warm-up: the first multicast creates each destination's shard
+        // and grows its heap; delivering it leaves both in place.
+        sender.multicast(&dests, &msg);
+        clock.advance(Duration::from_millis(1));
+        assert_eq!(net.deliver_due(clock.now()), n as usize);
+        let (allocs, _) = measured(|| sender.multicast(&dests, &msg));
+        assert_eq!(allocs, 2, "{n} destinations: one clone and one Arc");
+        assert_eq!(net.queued(), n as usize);
+    }
 }
