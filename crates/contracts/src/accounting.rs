@@ -228,20 +228,20 @@ impl SmartContract for AccountingContract {
 
 #[cfg(test)]
 mod tests {
-    use parblock_ledger::KvState;
+    use parblock_ledger::MvccState;
 
     use super::*;
 
-    fn setup() -> (AccountingContract, KvState) {
+    fn setup() -> (AccountingContract, MvccState) {
         let contract = AccountingContract::new(AppId(0));
-        let state = KvState::with_genesis([
+        let state = MvccState::with_genesis([
             (Key(1001), Value::Int(100)),
             (Key(1002), Value::Int(50)),
         ]);
         (contract, state)
     }
 
-    fn run(contract: &AccountingContract, state: &KvState, op: AccountingOp) -> ExecOutcome {
+    fn run(contract: &AccountingContract, state: &MvccState, op: AccountingOp) -> ExecOutcome {
         let tx = contract.transaction(ClientId(1), 0, &op);
         contract.execute(&tx, state)
     }

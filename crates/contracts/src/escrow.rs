@@ -239,15 +239,15 @@ impl SmartContract for EscrowContract {
 
 #[cfg(test)]
 mod tests {
-    use parblock_ledger::{KvState, Version};
+    use parblock_ledger::{MvccState, Version};
 
     use super::*;
 
-    fn apply(state: &mut KvState, outcome: &ExecOutcome) {
+    fn apply(state: &mut MvccState, outcome: &ExecOutcome) {
         state.apply(outcome.writes().unwrap().iter().cloned(), Version::GENESIS);
     }
 
-    fn open_escrow(contract: &EscrowContract, state: &mut KvState) {
+    fn open_escrow(contract: &EscrowContract, state: &mut MvccState) {
         let op = EscrowOp::Open {
             escrow: Key(500),
             buyer: Key(1),
@@ -260,9 +260,9 @@ mod tests {
         apply(state, &outcome);
     }
 
-    fn setup() -> (EscrowContract, KvState) {
+    fn setup() -> (EscrowContract, MvccState) {
         let contract = EscrowContract::new(AppId(2));
-        let state = KvState::with_genesis([(Key(1), Value::Int(100)), (Key(2), Value::Int(0))]);
+        let state = MvccState::with_genesis([(Key(1), Value::Int(100)), (Key(2), Value::Int(0))]);
         (contract, state)
     }
 
@@ -270,7 +270,7 @@ mod tests {
     fn open_then_release_pays_seller() {
         let (contract, mut state) = setup();
         open_escrow(&contract, &mut state);
-        assert_eq!(state.get(Key(1)), Value::Int(60));
+        assert_eq!(state.latest(Key(1)), Value::Int(60));
 
         let op = EscrowOp::Release {
             escrow: Key(500),
@@ -279,8 +279,8 @@ mod tests {
         let tx = contract.transaction(ClientId(1), 1, &op);
         let outcome = contract.execute(&tx, &state);
         apply(&mut state, &outcome);
-        assert_eq!(state.get(Key(2)), Value::Int(40));
-        assert!(state.get(Key(500)).is_unit());
+        assert_eq!(state.latest(Key(2)), Value::Int(40));
+        assert!(state.latest(Key(500)).is_unit());
     }
 
     #[test]
@@ -294,7 +294,7 @@ mod tests {
         let tx = contract.transaction(ClientId(1), 1, &op);
         let outcome = contract.execute(&tx, &state);
         apply(&mut state, &outcome);
-        assert_eq!(state.get(Key(1)), Value::Int(100));
+        assert_eq!(state.latest(Key(1)), Value::Int(100));
     }
 
     #[test]

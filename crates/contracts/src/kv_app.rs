@@ -163,14 +163,14 @@ impl SmartContract for KvContract {
 
 #[cfg(test)]
 mod tests {
-    use parblock_ledger::KvState;
+    use parblock_ledger::MvccState;
 
     use super::*;
 
     #[test]
     fn put_and_incr() {
         let c = KvContract::new(AppId(1));
-        let state = KvState::with_genesis([(Key(1), Value::Int(5))]);
+        let state = MvccState::with_genesis([(Key(1), Value::Int(5))]);
         let tx = c.transaction(ClientId(1), 0, &KvOp::Put { key: Key(2), value: 9 });
         assert_eq!(
             c.execute(&tx, &state).writes().unwrap(),
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn mix_reads_feed_writes() {
         let c = KvContract::new(AppId(1));
-        let state = KvState::with_genesis([(Key(1), Value::Int(10)), (Key(2), Value::Int(20))]);
+        let state = MvccState::with_genesis([(Key(1), Value::Int(10)), (Key(2), Value::Int(20))]);
         let op = KvOp::Mix {
             reads: vec![Key(1), Key(2)],
             writes: vec![Key(3), Key(4)],
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn malformed_payload_aborts() {
         let c = KvContract::new(AppId(1));
-        let state = KvState::new();
+        let state = MvccState::new();
         let tx = Transaction::new(AppId(1), ClientId(1), 0, RwSet::default(), vec![77]);
         assert!(!c.execute(&tx, &state).is_commit());
     }

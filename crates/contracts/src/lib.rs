@@ -20,11 +20,11 @@
 //!
 //! ```
 //! use parblock_contracts::{AccountingContract, AccountingOp, SmartContract};
-//! use parblock_ledger::KvState;
+//! use parblock_ledger::MvccState;
 //! use parblock_types::{AppId, ClientId, Key, Value};
 //!
 //! let contract = AccountingContract::new(AppId(0));
-//! let state = KvState::with_genesis([(Key(1), Value::Int(100)), (Key(2), Value::Int(0))]);
+//! let state = MvccState::with_genesis([(Key(1), Value::Int(100)), (Key(2), Value::Int(0))]);
 //! let op = AccountingOp::Transfer { from: Key(1), to: Key(2), amount: 30 };
 //! let tx = contract.transaction(ClientId(1), 0, &op);
 //! let outcome = contract.execute(&tx, &state);

@@ -1,6 +1,6 @@
 //! The smart-contract execution interface.
 
-use parblock_ledger::KvState;
+use parblock_ledger::MvccState;
 use parblock_types::{AppId, Key, Transaction, Value};
 
 /// A read view of the blockchain state presented to contracts.
@@ -10,33 +10,25 @@ use parblock_types::{AppId, Key, Transaction, Value};
 /// transaction commits (Algorithm 3). This keeps execution deterministic
 /// and side-effect free, as the paper's model requires.
 pub trait StateReader {
-    /// Reads the current value of `key` ([`Value::Unit`] if absent).
-    fn read(&self, key: Key) -> Value;
-
     /// Reads `key`, distinguishing **absence** (`None`) from a stored
     /// value — including stored zeros and empty strings, which `read`
     /// cannot tell apart from a missing key when a contract stores
     /// [`Value::Unit`]-adjacent data. Contract aborts on missing state
     /// should be built on this, so they stay observable.
-    ///
-    /// The default maps [`Value::Unit`] to `None`, matching stores that
-    /// use `Unit` as their absence marker; presence-tracking readers
-    /// override it.
-    fn try_read(&self, key: Key) -> Option<Value> {
-        match self.read(key) {
-            Value::Unit => None,
-            value => Some(value),
-        }
+    fn try_read(&self, key: Key) -> Option<Value>;
+
+    /// Reads the current value of `key` ([`Value::Unit`] if absent).
+    fn read(&self, key: Key) -> Value {
+        self.try_read(key).unwrap_or_default()
     }
 }
 
-impl StateReader for KvState {
-    fn read(&self, key: Key) -> Value {
-        self.get(key)
-    }
-
+/// Reads the newest version of every key, for contract tests and
+/// examples. Executors read through position-bound snapshots of the
+/// declared read set instead.
+impl StateReader for MvccState {
     fn try_read(&self, key: Key) -> Option<Value> {
-        self.get_versioned(key).map(|(value, _)| value)
+        self.get_at(key, self.latest_version(key)?)
     }
 }
 
@@ -98,7 +90,7 @@ mod tests {
 
     #[test]
     fn try_read_distinguishes_absent_from_zero() {
-        let state = KvState::with_genesis([(Key(1), Value::Int(0))]);
+        let state = MvccState::with_genesis([(Key(1), Value::Int(0))]);
         assert_eq!(state.read(Key(1)), Value::Int(0));
         assert_eq!(state.try_read(Key(1)), Some(Value::Int(0)), "stored zero");
         assert_eq!(state.try_read(Key(2)), None, "absent key");

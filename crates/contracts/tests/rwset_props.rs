@@ -20,17 +20,17 @@ use parblock_contracts::{
     AccountingContract, AccountingOp, EscrowContract, EscrowOp, KvContract, KvOp, SmartContract,
     StateReader,
 };
-use parblock_ledger::{KvState, Version};
+use parblock_ledger::{MvccState, Version};
 use parblock_types::{AppId, BlockNumber, ClientId, Key, SeqNo, Transaction, Value};
 
 /// A state view that records every key read through it.
 struct RecordingReader<'a> {
-    inner: &'a KvState,
+    inner: &'a MvccState,
     reads: RefCell<BTreeSet<Key>>,
 }
 
 impl<'a> RecordingReader<'a> {
-    fn new(inner: &'a KvState) -> Self {
+    fn new(inner: &'a MvccState) -> Self {
         RecordingReader {
             inner,
             reads: RefCell::new(BTreeSet::new()),
@@ -39,11 +39,6 @@ impl<'a> RecordingReader<'a> {
 }
 
 impl StateReader for RecordingReader<'_> {
-    fn read(&self, key: Key) -> Value {
-        self.reads.borrow_mut().insert(key);
-        self.inner.read(key)
-    }
-
     fn try_read(&self, key: Key) -> Option<Value> {
         self.reads.borrow_mut().insert(key);
         self.inner.try_read(key)
@@ -57,7 +52,7 @@ impl StateReader for RecordingReader<'_> {
 fn check_and_apply(
     contract: &dyn SmartContract,
     tx: &Transaction,
-    state: &mut KvState,
+    state: &mut MvccState,
     step: u32,
 ) -> Result<(), TestCaseError> {
     let reader = RecordingReader::new(state);
@@ -171,7 +166,7 @@ proptest! {
         ops in proptest::collection::vec(arb_accounting_op(), 1..12),
     ) {
         let contract = AccountingContract::new(AppId(0));
-        let mut state = KvState::with_genesis(genesis);
+        let mut state = MvccState::with_genesis(genesis);
         for (i, op) in ops.iter().enumerate() {
             let tx = contract.transaction(ClientId(1), i as u64, op);
             check_and_apply(&contract, &tx, &mut state, i as u32)?;
@@ -184,7 +179,7 @@ proptest! {
         ops in proptest::collection::vec(arb_escrow_op(), 1..12),
     ) {
         let contract = EscrowContract::new(AppId(1));
-        let mut state = KvState::with_genesis(genesis);
+        let mut state = MvccState::with_genesis(genesis);
         for (i, op) in ops.iter().enumerate() {
             let tx = contract.transaction(ClientId(1), i as u64, op);
             check_and_apply(&contract, &tx, &mut state, i as u32)?;
@@ -197,7 +192,7 @@ proptest! {
         ops in proptest::collection::vec(arb_kv_op(), 1..12),
     ) {
         let contract = KvContract::new(AppId(2));
-        let mut state = KvState::with_genesis(genesis);
+        let mut state = MvccState::with_genesis(genesis);
         for (i, op) in ops.iter().enumerate() {
             let tx = contract.transaction(ClientId(1), i as u64, op);
             check_and_apply(&contract, &tx, &mut state, i as u32)?;

@@ -470,6 +470,12 @@ pub struct RunReport {
     pub admission_shed: u64,
 }
 
+/// Version tag leading every [`RunReport::digest`] preimage, which then
+/// holds every scalar field as a `u64`, both sample lists length-prefixed,
+/// both optional hashes tagged, and the histogram and trace encodings.
+/// Bump it on any layout change, and re-pin the golden digests with it.
+const REPORT_DIGEST_VERSION: u8 = 1;
+
 impl RunReport {
     /// A digest over every field of the report, for bit-reproducibility
     /// checks: two deterministic-simulation runs of the same seed must
@@ -478,37 +484,20 @@ impl RunReport {
     #[must_use]
     pub fn digest(&self) -> parblock_types::Hash32 {
         use parblock_types::wire::Wire;
-        let mut bytes = Vec::new();
-        self.committed.encode(&mut bytes);
-        self.aborted.encode(&mut bytes);
-        self.outstanding.encode(&mut bytes);
-        self.blocks.encode(&mut bytes);
-        (self.window.as_nanos() as u64).encode(&mut bytes);
-        (self.latencies_us.len() as u64).encode(&mut bytes);
-        for &l in &self.latencies_us {
-            l.encode(&mut bytes);
-        }
-        for digest in [self.state_digest, self.ledger_head] {
-            match digest {
-                Some(h) => bytes.extend_from_slice(&h.0),
-                None => bytes.push(0),
-            }
-        }
-        (self.pipeline_occupancy.len() as u64).encode(&mut bytes);
-        for &o in &self.pipeline_occupancy {
-            o.encode(&mut bytes);
-        }
-        (self.boundary_stall.as_nanos() as u64).encode(&mut bytes);
-        self.boundary_stalls.encode(&mut bytes);
-        self.wal_bytes_written.encode(&mut bytes);
-        self.fsync_count.encode(&mut bytes);
-        self.checkpoint_count.encode(&mut bytes);
-        self.recovery_replay_len.encode(&mut bytes);
-        self.messages.encode(&mut bytes);
-        // The open-loop driver counters entered the report after seeds
-        // were pinned on the old encoding: encode them only when set, so
-        // historical reports keep byte-identical digests.
-        let driver_group = [
+        let mut bytes = vec![REPORT_DIGEST_VERSION];
+        for v in [
+            self.committed,
+            self.aborted,
+            self.outstanding,
+            self.blocks,
+            self.window.as_nanos() as u64,
+            self.boundary_stall.as_nanos() as u64,
+            self.boundary_stalls,
+            self.wal_bytes_written,
+            self.fsync_count,
+            self.checkpoint_count,
+            self.recovery_replay_len,
+            self.messages,
             self.submitted,
             self.measured_submitted,
             self.measured_committed,
@@ -516,25 +505,27 @@ impl RunReport {
             self.driver_overruns,
             self.driver_max_lag.as_nanos() as u64,
             self.admission_shed,
-        ];
-        if driver_group.iter().any(|&v| v != 0) {
-            for v in driver_group {
+            self.latency_overflow,
+        ] {
+            v.encode(&mut bytes);
+        }
+        for list in [&self.latencies_us, &self.pipeline_occupancy] {
+            (list.len() as u64).encode(&mut bytes);
+            for &v in list {
                 v.encode(&mut bytes);
             }
         }
-        // Latency-buffer overflow (added with the sample cap): runs
-        // small enough to keep every exact sample — all historical runs
-        // — encode nothing new.
-        if self.latency_overflow != 0 {
-            self.latency_overflow.encode(&mut bytes);
-            self.latency_hist.encode_into(&mut bytes);
+        for digest in [self.state_digest, self.ledger_head] {
+            match digest {
+                Some(h) => {
+                    bytes.push(1);
+                    bytes.extend_from_slice(&h.0);
+                }
+                None => bytes.push(0),
+            }
         }
-        // Lifecycle trace (DESIGN.md §14), gated the same way: only
-        // runs that enabled tracing encode the group, so every
-        // pre-tracing digest stays byte-identical.
-        if self.trace.is_active() {
-            self.trace.encode_into(&mut bytes);
-        }
+        self.latency_hist.encode_into(&mut bytes);
+        self.trace.encode_into(&mut bytes);
         parblock_crypto::sha256(&bytes)
     }
 
@@ -890,22 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_driver_counters_keep_the_historical_digest() {
-        // The open-loop driver fields entered the report after seeds
-        // were pinned, so an all-zero group must hash exactly as before
-        // they existed.
-        let mut r = RunReport::default();
-        let legacy = r.digest();
-        r.driver_overruns = 1;
-        assert_ne!(r.digest(), legacy);
-        r.driver_overruns = 0;
-        r.measure_window = Duration::from_secs(1);
-        assert_ne!(r.digest(), legacy);
-        r.measure_window = Duration::ZERO;
-        assert_eq!(r.digest(), legacy);
-    }
-
-    #[test]
     fn simulated_clock_makes_latencies_exact() {
         let clock = Clock::simulated();
         let m = Metrics::with_clock(clock.clone());
@@ -952,15 +927,10 @@ mod tests {
                 "p{p}: histogram {got} vs exact {want}"
             );
         }
-        // The overflow group participates in the digest.
-        let mut pinned = RunReport::default();
-        let legacy = pinned.digest();
-        pinned.latency_overflow = 1;
-        assert_ne!(pinned.digest(), legacy);
     }
 
     #[test]
-    fn under_cap_runs_keep_exact_percentiles_and_legacy_digest() {
+    fn under_cap_runs_keep_exact_percentiles() {
         let clock = Clock::simulated();
         let m = Metrics::with_clock(clock.clone());
         m.record_submit(tx(1));
@@ -970,22 +940,6 @@ mod tests {
         assert_eq!(r.latency_overflow, 0);
         assert_eq!(r.latency_percentile(1.0), Duration::from_micros(17), "exact path");
         assert_eq!(r.latency_hist.count(), 1, "histogram fed in parallel");
-        // A populated histogram alone (no overflow, no trace) encodes
-        // nothing new: byte-stable with a report that predates it.
-        let mut stripped = r.clone();
-        stripped.latency_hist = Histogram::default();
-        assert_eq!(r.digest(), stripped.digest());
-    }
-
-    #[test]
-    fn inactive_trace_keeps_the_historical_digest() {
-        let mut r = RunReport::default();
-        let legacy = r.digest();
-        assert!(!r.trace.is_active());
-        r.trace.enabled = true;
-        assert_ne!(r.digest(), legacy, "an enabled trace must be visible");
-        r.trace = TraceReport::default();
-        assert_eq!(r.digest(), legacy);
     }
 
     #[test]

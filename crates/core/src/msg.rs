@@ -56,6 +56,15 @@ impl ExecResult {
             _ => false,
         }
     }
+
+    /// The writes of a committed result; `None` for an abort.
+    #[must_use]
+    pub fn into_writes(self) -> Option<Vec<(Key, Value)>> {
+        match self {
+            ExecResult::Committed(writes) => Some(writes),
+            ExecResult::Aborted(_) => None,
+        }
+    }
 }
 
 /// An executor's COMMIT message (§IV-C, Algorithm 2): the execution

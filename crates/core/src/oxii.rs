@@ -50,8 +50,10 @@ use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo, TxId};
 
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
 use crate::node::Node;
-use crate::pool::{Completion, ExecBackend, ExecPool, InlineQueue, SnapshotReader, WorkItem};
-use crate::quorum::NewBlockQuorum;
+use crate::pool::{
+    undeclared_write, Completion, ExecBackend, ExecPool, InlineQueue, SnapshotReader, WorkItem,
+};
+use crate::quorum::{matched_by, NewBlockQuorum};
 use crate::shared::Shared;
 
 /// Per-block execution state on one executor.
@@ -361,16 +363,13 @@ impl Executor {
             // the dependency graph; cross-block: the conflict index), so
             // this is the serial-order prefix state for these keys even
             // while other blocks execute concurrently.
-            let position = Version::new(block_number, seq);
-            let mut snapshot = HashMap::new();
-            for key in tx.rw_set().reads() {
-                snapshot.insert(*key, self.state.get_at(*key, position));
-            }
+            let snapshot =
+                SnapshotReader::at(&self.state, &tx, Version::new(block_number, seq));
             items.push(WorkItem {
                 block: block_number,
                 seq,
                 tx,
-                snapshot: SnapshotReader::new(snapshot),
+                snapshot,
                 contract: Arc::clone(contract),
                 cost,
             });
@@ -542,12 +541,10 @@ impl Executor {
                 };
                 // Algorithm 3 checks the sender is an agent of x's app.
                 // A write outside x's declared write set is no honest
-                // agent's result either: `pool::execute_item` aborts it.
+                // agent's result either: `pool::execute` aborts it.
                 self.shared.registry.is_agent(commit.executor, tx.app())
                     && match result {
-                        ExecResult::Committed(writes) => writes
-                            .iter()
-                            .all(|(key, _)| tx.rw_set().declares_write(*key)),
+                        ExecResult::Committed(writes) => undeclared_write(tx, writes).is_none(),
                         ExecResult::Aborted(_) => true,
                     }
             };
@@ -579,18 +576,7 @@ impl Executor {
             .expect("valid position")
             .app();
         let required = self.shared.spec.commit_policy().required(app);
-        // Find a result with enough matching votes.
-        let winner = votes
-            .iter()
-            .map(|(_, candidate)| {
-                (
-                    candidate,
-                    votes.iter().filter(|(_, r)| r.matches(candidate)).count(),
-                )
-            })
-            .find(|(_, count)| *count >= required)
-            .map(|(r, _)| r.clone());
-        if let Some(result) = winner {
+        if let Some(result) = matched_by(votes, required, ExecResult::matches).cloned() {
             self.commit_tx(number, seq, result);
         }
     }
@@ -783,6 +769,7 @@ mod tests {
     use parblock_types::{AppId, Block, ClientId, Clock, Key, Transaction, Value};
 
     use crate::cluster::{ClusterSpec, SystemKind};
+    use crate::shared::testing;
 
     fn sample_results() -> Vec<(SeqNo, ExecResult)> {
         vec![
@@ -806,20 +793,12 @@ mod tests {
         super::commit_digest(block, results, &mut Vec::new())
     }
 
-    /// An executor at `node`, stepped by hand under a simulated clock:
-    /// messages go in through `on_msg`, nothing is delivered on its own.
+    /// An executor at `node`, stepped by hand under a simulated clock.
     fn stepped_executor(
         spec: ClusterSpec,
         node: NodeId,
     ) -> (Arc<Shared>, Clock, Executor, SimNetwork<Msg>) {
-        let clock = Clock::simulated();
-        let shared = Shared::with_clock(spec, clock.clone());
-        let net = shared
-            .spec
-            .network_builder()
-            .clock(clock.clone())
-            .manual_delivery()
-            .build::<Msg>();
+        let (shared, clock, net) = testing::stepped(spec);
         let executor = Executor::new(Arc::clone(&shared), net.endpoint(node));
         (shared, clock, executor, net)
     }
@@ -834,22 +813,8 @@ mod tests {
         block: &Arc<Block>,
         graph: Option<DependencyGraph>,
     ) {
-        let hash = parblock_crypto::hash_wire(block.as_ref());
-        let orderer = shared.spec.entry_orderer();
-        let sig = shared.keys.sign(shared.spec.node_signer(orderer), &hash.0);
-        let bundle = Arc::new(BlockBundle {
-            block: Arc::clone(block),
-            graph,
-            hash,
-        });
-        executor.on_msg(
-            orderer,
-            Msg::NewBlock {
-                bundle,
-                orderer,
-                sig,
-            },
-        );
+        let (orderer, msg) = testing::new_block(shared, block, graph);
+        executor.on_msg(orderer, msg);
         while executor.tick(clock.now()) > 0 {}
     }
 

@@ -1,7 +1,12 @@
-//! The executor-side worker pool: parallel contract execution against
-//! per-transaction read snapshots.
+//! The one execution rule every paradigm shares, and the executor-side
+//! worker pool that runs it in parallel for OXII.
 //!
-//! The executor's main thread owns the blockchain state. When a
+//! A transaction executes through [`execute`] against a [`SnapshotReader`]
+//! of its declared read set at a log position (its own under OXII and OX,
+//! just after the ledger head at an XOV endorser); an access outside the
+//! declared sets aborts.
+//!
+//! The OXII executor's main thread owns the blockchain state. When a
 //! transaction becomes ready it snapshots the declared read set and hands
 //! the work item to the pool; workers model the execution cost as a timed
 //! wait (see DESIGN.md §3), run the contract, push the result on the
@@ -17,6 +22,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use parblock_contracts::{ExecOutcome, SmartContract, StateReader};
+use parblock_ledger::{MvccState, Version};
 use parblock_types::{BlockNumber, Key, SeqNo, Transaction, Value};
 
 use crate::msg::ExecResult;
@@ -40,11 +46,21 @@ pub(crate) struct SnapshotReader {
 }
 
 impl SnapshotReader {
-    pub(crate) fn new(entries: HashMap<Key, Option<Value>>) -> Self {
+    fn new(entries: HashMap<Key, Option<Value>>) -> Self {
         SnapshotReader {
             entries,
             undeclared: AtomicBool::new(false),
         }
+    }
+
+    /// Snapshots `tx`'s declared read set as `state` holds it at
+    /// `position`: per key, the greatest version at or below it.
+    pub(crate) fn at(state: &MvccState, tx: &Transaction, position: Version) -> Self {
+        let mut entries = HashMap::new();
+        for key in tx.rw_set().reads() {
+            entries.insert(*key, state.get_at(*key, position));
+        }
+        Self::new(entries)
     }
 
     /// Whether the contract read a key outside the declared read set.
@@ -54,10 +70,6 @@ impl SnapshotReader {
 }
 
 impl StateReader for SnapshotReader {
-    fn read(&self, key: Key) -> Value {
-        self.try_read(key).unwrap_or_default()
-    }
-
     fn try_read(&self, key: Key) -> Option<Value> {
         match self.entries.get(&key) {
             Some(present) => present.clone(),
@@ -86,40 +98,50 @@ pub(crate) struct Completion {
     pub result: ExecResult,
 }
 
+/// The first key in `writes` outside `tx`'s declared write set. Honest
+/// execution aborts such a write, so neither a COMMIT vote nor an XOV
+/// envelope carrying one may apply it.
+pub(crate) fn undeclared_write(tx: &Transaction, writes: &[(Key, Value)]) -> Option<Key> {
+    writes
+        .iter()
+        .map(|(key, _)| *key)
+        .find(|key| !tx.rw_set().declares_write(*key))
+}
+
+/// Executes `tx` against `snapshot`. An access outside the declared sets
+/// escapes the dependency graph: a read saw state the scheduler never
+/// ordered, a write would land where no edge orders it. Either aborts,
+/// decided from the transaction and its snapshot alone, so every agent
+/// agrees.
+pub(crate) fn execute(
+    contract: &dyn SmartContract,
+    tx: &Transaction,
+    snapshot: &SnapshotReader,
+) -> ExecResult {
+    match contract.execute(tx, snapshot) {
+        _ if snapshot.undeclared_read() => ExecResult::Aborted(format!(
+            "undeclared read outside the declared read set of {:?}",
+            tx.id()
+        )),
+        ExecOutcome::Commit(writes) => match undeclared_write(tx, &writes) {
+            Some(key) => ExecResult::Aborted(format!(
+                "undeclared write to {key} outside the declared write set of {:?}",
+                tx.id()
+            )),
+            None => ExecResult::Committed(writes),
+        },
+        ExecOutcome::Abort(reason) => ExecResult::Aborted(reason),
+    }
+}
+
 /// Executes one work item against its snapshot (the cost model wait is
 /// the caller's concern: threaded workers sleep it, the deterministic
 /// queue charges it as a virtual completion delay instead).
 fn execute_item(item: &WorkItem) -> Completion {
-    let tx = &item.tx;
-    let outcome = item.contract.execute(tx, &item.snapshot);
-    // An access outside the declared sets escapes the dependency graph: a
-    // read saw state the scheduler never ordered, a write would land
-    // where no edge orders it. Either aborts, decided from the
-    // transaction and its snapshot alone, so every agent agrees.
-    let result = match outcome {
-        _ if item.snapshot.undeclared_read() => ExecResult::Aborted(format!(
-            "undeclared read outside the declared read set of {:?}",
-            tx.id()
-        )),
-        ExecOutcome::Commit(writes) => {
-            let undeclared = writes
-                .iter()
-                .map(|(key, _)| *key)
-                .find(|key| !tx.rw_set().declares_write(*key));
-            match undeclared {
-                Some(key) => ExecResult::Aborted(format!(
-                    "undeclared write to {key} outside the declared write set of {:?}",
-                    tx.id()
-                )),
-                None => ExecResult::Committed(writes),
-            }
-        }
-        ExecOutcome::Abort(reason) => ExecResult::Aborted(reason),
-    };
     Completion {
         block: item.block,
         seq: item.seq,
-        result,
+        result: execute(item.contract.as_ref(), &item.tx, &item.snapshot),
     }
 }
 
@@ -261,7 +283,7 @@ impl ExecBackend for InlineQueue {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use parblock_contracts::{AccountingContract, AccountingOp};
     use parblock_types::{AppId, ClientId};
 
@@ -284,26 +306,33 @@ mod tests {
         pool.take_done(Instant::now()).pop().expect("completion")
     }
 
-    #[test]
-    fn pool_executes_and_reports() {
-        let (mut pool, woken) = pool(2);
-        let contract = Arc::new(AccountingContract::new(AppId(0)));
+    /// A transfer of 5 from `Key(1)` to `Key(2)`.
+    fn transfer(contract: &AccountingContract, ts: u64) -> Transaction {
         let op = AccountingOp::Transfer {
             from: Key(1),
             to: Key(2),
             amount: 5,
         };
-        let tx = contract.transaction(ClientId(1), 0, &op);
-        // `to` is declared but absent: transfers create the destination.
-        let mut entries = HashMap::new();
-        entries.insert(Key(1), Some(Value::Int(10)));
-        entries.insert(Key(2), None);
+        contract.transaction(ClientId(1), ts, &op)
+    }
+
+    /// `Key(1)` holds 10; `Key(2)` is declared but absent: transfers
+    /// create the destination.
+    fn funded() -> SnapshotReader {
+        SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(10))), (Key(2), None)]))
+    }
+
+    #[test]
+    fn pool_executes_and_reports() {
+        let (mut pool, woken) = pool(2);
+        let contract = Arc::new(AccountingContract::new(AppId(0)));
+        let tx = transfer(&contract, 0);
         pool.dispatch_batch(
             vec![WorkItem {
                 block: BlockNumber(1),
                 seq: SeqNo(0),
                 tx,
-                snapshot: SnapshotReader::new(entries),
+                snapshot: funded(),
                 contract,
                 cost: Duration::from_micros(50),
             }],
@@ -342,27 +371,15 @@ mod tests {
 
     #[test]
     fn inline_queue_orders_completions_by_due_then_dispatch() {
-        use std::time::Instant;
-        let contract: Arc<dyn SmartContract> = Arc::new(AccountingContract::new(AppId(0)));
-        let maker = AccountingContract::new(AppId(0));
-        let item = |seq: u32, cost_us: u64| {
-            let op = AccountingOp::Transfer {
-                from: Key(1),
-                to: Key(2),
-                amount: 1,
-            };
-            let tx = maker.transaction(ClientId(1), u64::from(seq), &op);
-            WorkItem {
-                block: BlockNumber(1),
-                seq: SeqNo(seq),
-                tx,
-                snapshot: SnapshotReader::new(HashMap::from([
-                    (Key(1), Some(Value::Int(10))),
-                    (Key(2), None),
-                ])),
-                contract: Arc::clone(&contract),
-                cost: Duration::from_micros(cost_us),
-            }
+        let contract = AccountingContract::new(AppId(0));
+        let shared: Arc<dyn SmartContract> = Arc::new(AccountingContract::new(AppId(0)));
+        let item = |seq: u32, cost_us: u64| WorkItem {
+            block: BlockNumber(1),
+            seq: SeqNo(seq),
+            tx: transfer(&contract, u64::from(seq)),
+            snapshot: funded(),
+            contract: Arc::clone(&shared),
+            cost: Duration::from_micros(cost_us),
         };
         let mut q = InlineQueue::default();
         let t0 = Instant::now();
@@ -383,28 +400,10 @@ mod tests {
 
     #[test]
     fn aborts_propagate() {
-        let (mut pool, woken) = pool(1);
-        let contract = Arc::new(AccountingContract::new(AppId(0)));
-        let op = AccountingOp::Transfer {
-            from: Key(1),
-            to: Key(2),
-            amount: 5,
-        };
-        let tx = contract.transaction(ClientId(1), 0, &op);
+        let contract = AccountingContract::new(AppId(0));
         // Both accounts declared but absent: source account missing.
-        pool.dispatch_batch(
-            vec![WorkItem {
-                block: BlockNumber(1),
-                seq: SeqNo(3),
-                tx,
-                snapshot: SnapshotReader::new(HashMap::from([(Key(1), None), (Key(2), None)])),
-                contract,
-                cost: Duration::ZERO,
-            }],
-            Instant::now(),
-        );
-        let done = one_done(&mut pool, &woken);
-        match done.result {
+        let snapshot = SnapshotReader::new(HashMap::from([(Key(1), None), (Key(2), None)]));
+        match execute(&contract, &transfer(&contract, 0), &snapshot) {
             ExecResult::Aborted(reason) => {
                 assert!(
                     reason.contains("missing"),
@@ -417,29 +416,11 @@ mod tests {
 
     #[test]
     fn undeclared_reads_abort_instead_of_committing_on_defaults() {
-        let (mut pool, woken) = pool(1);
-        let contract = Arc::new(AccountingContract::new(AppId(0)));
-        let op = AccountingOp::Transfer {
-            from: Key(1),
-            to: Key(2),
-            amount: 5,
-        };
-        let tx = contract.transaction(ClientId(1), 0, &op);
-        // Snapshot omits the declared keys entirely (mimics a scheduler
+        let contract = AccountingContract::new(AppId(0));
+        // Snapshot omits a declared key entirely (mimics a scheduler
         // bug): previously this committed against silent defaults.
-        pool.dispatch_batch(
-            vec![WorkItem {
-                block: BlockNumber(1),
-                seq: SeqNo(0),
-                tx,
-                snapshot: SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(100)))])),
-                contract,
-                cost: Duration::ZERO,
-            }],
-            Instant::now(),
-        );
-        let done = one_done(&mut pool, &woken);
-        match done.result {
+        let snapshot = SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(100)))]));
+        match execute(&contract, &transfer(&contract, 0), &snapshot) {
             ExecResult::Aborted(reason) => {
                 assert!(reason.contains("undeclared read"), "got: {reason}");
             }
@@ -449,7 +430,17 @@ mod tests {
 
     /// Commits what the accounting contract commits, plus one key its
     /// declared write set leaves out.
-    struct Overreach(AccountingContract);
+    pub(crate) struct Overreach(pub(crate) AccountingContract);
+
+    impl Overreach {
+        /// The lying contract for `app`, and a transfer of 5 from
+        /// `Key(1)` to `Key(2)` it commits with an extra write to `Key(99)`.
+        pub(crate) fn with_transfer(app: AppId) -> (Arc<dyn SmartContract>, Transaction) {
+            let contract = Overreach(AccountingContract::new(app));
+            let tx = transfer(&contract.0, 0);
+            (Arc::new(contract), tx)
+        }
+    }
 
     impl SmartContract for Overreach {
         fn app(&self) -> AppId {
@@ -473,25 +464,8 @@ mod tests {
 
     #[test]
     fn undeclared_writes_abort_instead_of_committing() {
-        let contract = Overreach(AccountingContract::new(AppId(0)));
-        let op = AccountingOp::Transfer {
-            from: Key(1),
-            to: Key(2),
-            amount: 5,
-        };
-        let tx = contract.0.transaction(ClientId(1), 0, &op);
-        let done = execute_item(&WorkItem {
-            block: BlockNumber(1),
-            seq: SeqNo(0),
-            tx,
-            snapshot: SnapshotReader::new(HashMap::from([
-                (Key(1), Some(Value::Int(10))),
-                (Key(2), None),
-            ])),
-            contract: Arc::new(contract),
-            cost: Duration::ZERO,
-        });
-        match done.result {
+        let (contract, tx) = Overreach::with_transfer(AppId(0));
+        match execute(contract.as_ref(), &tx, &funded()) {
             ExecResult::Aborted(reason) => {
                 assert!(reason.contains("undeclared write"), "got: {reason}");
             }

@@ -13,6 +13,20 @@ use parblock_types::{Hash32, NodeId};
 use crate::msg::BlockBundle;
 use crate::shared::Shared;
 
+/// The first vote that at least `required` of `votes` match: the τ(A)
+/// rule an executor commits a result by and an XOV client assembles an
+/// envelope by.
+pub(crate) fn matched_by<T>(
+    votes: &[(NodeId, T)],
+    required: usize,
+    matches: impl Fn(&T, &T) -> bool,
+) -> Option<&T> {
+    votes
+        .iter()
+        .map(|(_, candidate)| candidate)
+        .find(|candidate| votes.iter().filter(|(_, v)| matches(v, candidate)).count() >= required)
+}
+
 /// The content kept for one claimed hash, and who has signed that hash.
 struct Candidate {
     /// The first announcement's bundle, whose block hashes to the key

@@ -66,3 +66,66 @@ impl Shared {
         })
     }
 }
+
+/// Nodes stepped by hand in unit tests: messages go in through
+/// `on_msg`, and the network delivers nothing on its own.
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::sync::Arc;
+
+    use parblock_depgraph::DependencyGraph;
+    use parblock_net::SimNetwork;
+    use parblock_types::{AppId, Block, Clock, NodeId, Transaction};
+
+    use super::Shared;
+    use crate::cluster::ClusterSpec;
+    use crate::msg::{BlockBundle, Msg};
+    use crate::pool::tests::Overreach;
+
+    /// A cluster context under a simulated clock, and a network on it
+    /// with manual delivery.
+    pub(crate) fn stepped(spec: ClusterSpec) -> (Arc<Shared>, Clock, SimNetwork<Msg>) {
+        let clock = Clock::simulated();
+        let shared = Shared::with_clock(spec, clock.clone());
+        let net = shared
+            .spec
+            .network_builder()
+            .clock(clock.clone())
+            .manual_delivery()
+            .build::<Msg>();
+        (shared, clock, net)
+    }
+
+    /// [`stepped`], with application 0 running [`Overreach`], and the
+    /// lying transfer it commits with a write outside its declared set.
+    pub(crate) fn lying(spec: ClusterSpec) -> (Arc<Shared>, Clock, SimNetwork<Msg>, Transaction) {
+        let agents = spec.agents_of(AppId(0));
+        let (mut shared, clock, net) = stepped(spec);
+        let (contract, tx) = Overreach::with_transfer(AppId(0));
+        let registry = &mut Arc::get_mut(&mut shared).expect("unshared").registry;
+        registry.deploy(contract, agents);
+        (shared, clock, net, tx)
+    }
+
+    /// The entry orderer and its signed NEWBLOCK for `block` with `graph`.
+    pub(crate) fn new_block(
+        shared: &Shared,
+        block: &Arc<Block>,
+        graph: Option<DependencyGraph>,
+    ) -> (NodeId, Msg) {
+        let hash = parblock_crypto::hash_wire(block.as_ref());
+        let orderer = shared.spec.entry_orderer();
+        let sig = shared.keys.sign(shared.spec.node_signer(orderer), &hash.0);
+        let bundle = Arc::new(BlockBundle {
+            block: Arc::clone(block),
+            graph,
+            hash,
+        });
+        let msg = Msg::NewBlock {
+            bundle,
+            orderer,
+            sig,
+        };
+        (orderer, msg)
+    }
+}

@@ -13,25 +13,30 @@
 //!
 //! Contention therefore translates directly into validation aborts, which
 //! is the effect Figs 5–6 measure.
+//!
+//! The state is OXII's [`MvccState`] and the validation loop is OX's
+//! `SerialChain`. An endorser simulates through `pool::execute` at the
+//! position just after its ledger head, so an undeclared read or write
+//! endorses an empty write set; a validator aborts an envelope whose
+//! writes leave the transaction's declared write set.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parblock_contracts::ExecOutcome;
-use parblock_crypto::{sha256, Signature};
-use parblock_ledger::{KvState, Ledger, Version};
+use parblock_crypto::sha256;
+use parblock_ledger::{MvccState, Version};
 use parblock_net::Endpoint;
 use parblock_types::wire::{Reader, Wire};
-use parblock_types::{
-    BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, TxId, Value,
-};
+use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, TxId, Value};
 use parblock_workload::WorkloadGen;
 
-use crate::msg::{BlockBundle, Envelope, Msg};
+use crate::msg::{Envelope, Msg};
 use crate::node::Node;
-use crate::quorum::NewBlockQuorum;
+use crate::ox::SerialChain;
+use crate::pool::{self, undeclared_write, SnapshotReader};
+use crate::quorum::matched_by;
 use crate::shared::Shared;
 
 const TICK: Duration = Duration::from_millis(1);
@@ -104,29 +109,14 @@ impl Envelope {
 
 /// An XOV peer: endorser for its applications, validator for all blocks.
 pub(crate) struct XovPeer {
-    shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
-    state: KvState,
-    ledger: Ledger,
-    admission: NewBlockQuorum,
-    ready: BTreeMap<u64, Arc<BlockBundle>>,
-    is_observer: bool,
+    chain: SerialChain,
 }
 
 impl XovPeer {
     pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
-        let state = KvState::with_genesis(shared.genesis.iter().cloned());
-        let is_observer = endpoint.id() == shared.spec.observer();
-        let admission = NewBlockQuorum::new(shared.spec.newblock_quorum());
-        XovPeer {
-            shared,
-            endpoint,
-            state,
-            ledger: Ledger::new(),
-            admission,
-            ready: BTreeMap::new(),
-            is_observer,
-        }
+        let chain = SerialChain::new(shared, endpoint.id());
+        XovPeer { endpoint, chain }
     }
 
     /// Phase 1: simulate the transaction and return the endorsement.
@@ -136,37 +126,40 @@ impl XovPeer {
     /// parallel", i.e. one per endorser).
     fn endorse(&mut self, client_node: NodeId, tx: Transaction) {
         let me = self.endpoint.id();
-        if !self.shared.registry.is_agent(me, tx.app()) {
+        let (shared, state) = (&self.chain.shared, &self.chain.state);
+        if !shared.registry.is_agent(me, tx.app()) {
             return;
         }
-        let per_tx = self.shared.spec.costs.per_tx;
+        let per_tx = shared.spec.costs.per_tx;
         if !per_tx.is_zero() {
             std::thread::sleep(per_tx);
         }
-        let Ok(contract) = self.shared.registry.contract(tx.app()) else {
+        let Ok(contract) = shared.registry.contract(tx.app()) else {
             return;
         };
-        let writes = match contract.execute(&tx, &self.state) {
-            ExecOutcome::Commit(writes) => writes,
-            // Application-level rejection: endorse an empty write set; the
-            // client will still order it and validation will commit the
-            // no-op (Fabric endorsers would refuse; the difference does
-            // not affect the measured paths because the workload's
-            // transactions are balance-valid).
-            ExecOutcome::Abort(_) => Vec::new(),
-        };
+        // Just after the ledger head, where every sealed write is visible.
+        let head = Version::new(self.chain.ledger.next_number(), SeqNo(0));
+        let snapshot = SnapshotReader::at(state, &tx, head);
+        // A rejection, by the application or by the access rule, endorses
+        // an empty write set; the client will still order it and
+        // validation will commit the no-op (Fabric endorsers would
+        // refuse; the difference does not affect the measured paths
+        // because the workload's transactions are balance-valid).
+        let writes = pool::execute(contract.as_ref(), &tx, &snapshot)
+            .into_writes()
+            .unwrap_or_default();
         let read_versions = tx
             .rw_set()
             .reads()
             .iter()
-            .map(|k| (*k, self.state.version_of(*k)))
+            .map(|k| (*k, state.latest_version(*k)))
             .collect();
         let envelope = Envelope {
             read_versions,
             writes,
         };
-        let signer = self.shared.spec.node_signer(me);
-        let sig = self.shared.keys.sign(signer, &envelope.digest().0);
+        let signer = shared.spec.node_signer(me);
+        let sig = shared.keys.sign(signer, &envelope.digest().0);
         self.endpoint.send(
             client_node,
             Msg::Endorsement {
@@ -177,71 +170,26 @@ impl XovPeer {
             },
         );
     }
+}
 
-    fn on_new_block(
-        &mut self,
-        from: NodeId,
-        bundle: Arc<BlockBundle>,
-        orderer: NodeId,
-        sig: &Signature,
-    ) {
-        let next_needed = self.ledger.next_number().0;
-        if let Some(validated) =
-            self.admission
-                .admit(&self.shared, from, bundle, orderer, sig, next_needed)
-        {
-            self.ready.insert(validated.block.number().0, validated);
-            self.validate_ready_blocks();
-        }
-    }
-
-    fn validate_ready_blocks(&mut self) {
-        loop {
-            let next = self.ledger.next_number().0;
-            let Some(bundle) = self.ready.remove(&next) else {
-                return;
-            };
-            self.validate_block(&bundle);
-        }
-    }
-
-    /// Phase 3: the MVCC validation pass (§II: Fabric "validates a
-    /// transaction … by checking the endorsement policy and read-write
-    /// conflicts and then updates the ledger").
-    fn validate_block(&mut self, bundle: &Arc<BlockBundle>) {
-        for (seq, tx) in bundle.block.iter_seq() {
-            let committed = Envelope::decode(tx.payload())
-                .filter(|env| {
-                    env.read_versions
-                        .iter()
-                        .all(|(key, version)| self.state.version_of(*key) == *version)
-                })
-                .map(|env| env.writes);
-            match committed {
-                Some(writes) => {
-                    let version = Version::new(bundle.block.number(), seq);
-                    self.state.apply(writes, version);
-                    if self.is_observer {
-                        self.shared.metrics.record_commit(tx.id());
-                    }
-                }
-                None => {
-                    if self.is_observer {
-                        self.shared.metrics.record_abort(tx.id());
-                    }
-                }
-            }
-        }
-        self.ledger
-            .append_hashed(Arc::clone(&bundle.block), bundle.hash)
-            .expect("blocks arrive in order with verified links");
-        if self.is_observer {
-            self.shared.metrics.record_block();
-            if self.shared.spec.capture_state {
-                self.shared.metrics.set_state_digest(self.state.digest());
-            }
-        }
-    }
+/// Phase 3: the MVCC validation pass (§II: Fabric "validates a
+/// transaction … by checking the endorsement policy and read-write
+/// conflicts and then updates the ledger"), plus the access rule: an
+/// envelope writing outside its transaction's declared write set aborts.
+fn validate(
+    _shared: &Shared,
+    state: &MvccState,
+    tx: &Transaction,
+    _position: Version,
+) -> Option<Vec<(Key, Value)>> {
+    Envelope::decode(tx.payload())
+        .filter(|env| {
+            env.read_versions
+                .iter()
+                .all(|(key, version)| state.latest_version(*key) == *version)
+                && undeclared_write(tx, &env.writes).is_none()
+        })
+        .map(|env| env.writes)
 }
 
 // ---- client driver -------------------------------------------------------
@@ -327,26 +275,9 @@ pub(crate) fn run_xov_driver(
                 continue;
             }
             entry_state.votes.push((endorser, endorsement));
-            let required = shared
-                .spec
-                .commit_policy()
-                .required(entry_state.tx.app());
+            let required = shared.spec.commit_policy().required(entry_state.tx.app());
             // Enough matching endorsements → assemble and order.
-            let matched = entry_state
-                .votes
-                .iter()
-                .map(|(_, candidate)| {
-                    (
-                        candidate,
-                        entry_state
-                            .votes
-                            .iter()
-                            .filter(|(_, e)| e == candidate)
-                            .count(),
-                    )
-                })
-                .find(|(_, count)| *count >= required)
-                .map(|(e, _)| e.clone());
+            let matched = matched_by(&entry_state.votes, required, Envelope::eq).cloned();
             if let Some(envelope) = matched {
                 let pending_tx = pending.remove(&tx_id).expect("present");
                 let tx = pending_tx.tx;
@@ -381,7 +312,9 @@ impl Node for XovPeer {
                 bundle,
                 orderer,
                 sig,
-            } => self.on_new_block(from, bundle, orderer, &sig),
+            } => self
+                .chain
+                .on_new_block(from, bundle, orderer, &sig, validate),
             _ => {}
         }
     }
@@ -389,7 +322,60 @@ impl Node for XovPeer {
 
 #[cfg(test)]
 mod tests {
+    use parblock_ledger::Ledger;
+    use parblock_net::SimNetwork;
+    use parblock_types::{Block, Clock, ExecutionCosts};
+
     use super::*;
+    use crate::cluster::{ClusterSpec, SystemKind};
+    use crate::shared::testing;
+
+    /// The observer, an agent of application 0, as a stepped XOV peer
+    /// with `Key(1)` at 10, under [`testing::lying`].
+    fn lying_peer() -> (Arc<Shared>, Clock, SimNetwork<Msg>, XovPeer, Transaction) {
+        let mut spec = ClusterSpec::new(SystemKind::Xov);
+        spec.costs = ExecutionCosts::zero();
+        let (shared, clock, net, tx) = testing::lying(spec);
+        let mut peer = XovPeer::new(Arc::clone(&shared), net.endpoint(shared.spec.observer()));
+        peer.chain.state = MvccState::with_genesis([(Key(1), Value::Int(10))]);
+        (shared, clock, net, peer, tx)
+    }
+
+    /// An endorser simulates under the access rule: the lying contract's
+    /// undeclared write aborts, so it endorses an empty write set.
+    #[test]
+    fn an_undeclared_write_is_endorsed_as_an_empty_write_set() {
+        let (shared, clock, net, mut peer, tx) = lying_peer();
+        let client = net.endpoint(shared.spec.client_node());
+        peer.on_msg(client.id(), Msg::EndorseReq { tx });
+        net.deliver_due(clock.now() + Duration::from_secs(1));
+        let Some(Msg::Endorsement { envelope, .. }) = client.try_recv().map(|e| e.msg) else {
+            panic!("no endorsement reached the client");
+        };
+        assert_eq!(envelope.writes, vec![]);
+        let genesis = Some(Version::GENESIS);
+        assert_eq!(envelope.read_versions, vec![(Key(1), genesis), (Key(2), None)]);
+    }
+
+    /// A validator aborts an envelope whose writes leave its
+    /// transaction's declared write set, even with fresh read versions.
+    #[test]
+    fn an_envelope_writing_outside_the_declared_set_aborts() {
+        let (shared, _clock, _net, mut peer, tx) = lying_peer();
+        let envelope = Envelope {
+            read_versions: vec![(Key(1), Some(Version::GENESIS)), (Key(2), None)],
+            writes: vec![(Key(1), Value::Int(5)), (Key(99), Value::Int(1))],
+        };
+        let rw = tx.rw_set().clone();
+        let lying = Transaction::new(tx.app(), tx.client(), 0, rw, envelope.encode());
+        let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), vec![lying]));
+        let (orderer, msg) = testing::new_block(&shared, &block, None);
+        peer.on_msg(orderer, msg);
+        let report = shared.metrics.report();
+        assert_eq!((report.committed, report.aborted), (0, 1));
+        assert_eq!(peer.chain.state.latest_version(Key(99)), None);
+        assert_eq!(peer.chain.state.latest(Key(1)), Value::Int(10));
+    }
 
     #[test]
     fn envelope_round_trip() {

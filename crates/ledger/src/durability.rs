@@ -19,8 +19,7 @@
 use parblock_depgraph::DependencyGraph;
 use parblock_types::{Block, Hash32, Key, SeqNo, Value};
 
-use crate::kv::Version;
-use crate::mvcc::MvccState;
+use crate::mvcc::{MvccState, Version};
 
 /// Counters a [`Durability`] implementation accumulates over its life,
 /// surfaced through `RunReport` for durability-overhead observability.

@@ -1,4 +1,4 @@
-//! A multi-version key-value store.
+//! The blockchain state: a multi-version key-value store.
 //!
 //! §III-A: "The dependency graph generator … can also be adapted to a
 //! multi-version database system. In a multi-version database, each write
@@ -8,11 +8,44 @@
 
 use std::collections::HashMap;
 
-use parblock_types::{Key, Value};
+use serde::{Deserialize, Serialize};
 
-use crate::kv::Version;
+use parblock_types::wire::Wire;
+use parblock_types::{BlockNumber, Hash32, Key, SeqNo, Value};
 
-/// A store keeping every written version of each key.
+/// The version of a record: the block and in-block position of the
+/// transaction that wrote it (Fabric-style `(block, tx)` versions).
+///
+/// XOV endorsers record the versions they read; the validation phase
+/// aborts a transaction whose read versions are stale.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+)]
+pub struct Version {
+    /// Block of the writing transaction.
+    pub block: BlockNumber,
+    /// In-block position of the writing transaction.
+    pub seq: SeqNo,
+}
+
+impl Version {
+    /// Creates a version stamp.
+    #[must_use]
+    pub fn new(block: BlockNumber, seq: SeqNo) -> Self {
+        Version { block, seq }
+    }
+
+    /// The version of values present before any block executed.
+    pub const GENESIS: Version = Version {
+        block: BlockNumber(0),
+        seq: SeqNo(0),
+    };
+}
+
+/// A store keeping every written version of each key. Every paradigm's
+/// executors hold their state in one: OXII reads it at each
+/// transaction's log position, OX at its serial position, XOV at its
+/// ledger head.
 ///
 /// # Examples
 ///
@@ -103,6 +136,16 @@ impl MvccState {
             .unwrap_or_default()
     }
 
+    /// The newest version of `key`, if it was ever written: the read
+    /// version an XOV endorser records and its validator checks.
+    #[must_use]
+    pub fn latest_version(&self, key: Key) -> Option<Version> {
+        self.chains
+            .get(&key)
+            .and_then(|chain| chain.last())
+            .map(|(v, _)| *v)
+    }
+
     /// Number of stored versions of `key`.
     #[must_use]
     pub fn version_count(&self, key: Key) -> usize {
@@ -126,19 +169,21 @@ impl MvccState {
         self.chains.values().map(Vec::len).sum()
     }
 
+    /// Per key, the newest version at or below `horizon` and its value,
+    /// in hash order.
+    fn visible_at(&self, horizon: Version) -> impl Iterator<Item = (Key, &(Version, Value))> {
+        self.chains.iter().filter_map(move |(key, chain)| {
+            let below = chain.partition_point(|(v, _)| *v <= horizon);
+            below.checked_sub(1).map(|i| (*key, &chain[i]))
+        })
+    }
+
     /// A digest of the **latest** values (keys and contents, not version
-    /// histories), byte-compatible with [`crate::KvState::digest`] (the
-    /// serialization is shared): a multi-version store and a
-    /// single-version store that converged to the same key→value mapping
-    /// share a digest.
+    /// histories): two stores that converged to the same key→value
+    /// mapping share a digest, whatever writes produced it.
     #[must_use]
-    pub fn digest(&self) -> parblock_types::Hash32 {
-        // Hash order is harmless: digest_entries sorts by key before hashing.
-        crate::kv::digest_entries(
-            self.chains
-                .iter()
-                .filter_map(|(k, chain)| chain.last().map(|(_, v)| (*k, v))),
-        )
+    pub fn digest(&self) -> Hash32 {
+        self.digest_at(Version::new(BlockNumber(u64::MAX), SeqNo(u32::MAX)))
     }
 
     /// A digest of the values visible at `horizon` (the newest version at
@@ -149,12 +194,9 @@ impl MvccState {
     /// replica has already applied quorum-voted writes from later,
     /// still-in-flight blocks.
     #[must_use]
-    pub fn digest_at(&self, horizon: Version) -> parblock_types::Hash32 {
+    pub fn digest_at(&self, horizon: Version) -> Hash32 {
         // Hash order is harmless: digest_entries sorts by key before hashing.
-        crate::kv::digest_entries(self.chains.iter().filter_map(|(k, chain)| {
-            let below = chain.partition_point(|(v, _)| *v <= horizon);
-            below.checked_sub(1).map(|i| (*k, &chain[i].1))
-        }))
+        digest_entries(self.visible_at(horizon).map(|(key, (_, value))| (key, value)))
     }
 
     /// The newest version at or below `horizon` for every key, i.e. the
@@ -165,15 +207,8 @@ impl MvccState {
     #[must_use]
     pub fn snapshot_at(&self, horizon: Version) -> Vec<(Key, Value, Version)> {
         let mut entries: Vec<(Key, Value, Version)> = self
-            .chains
-            .iter()
-            .filter_map(|(key, chain)| {
-                let below = chain.partition_point(|(v, _)| *v <= horizon);
-                below.checked_sub(1).map(|i| {
-                    let (version, value) = &chain[i];
-                    (*key, value.clone(), *version)
-                })
-            })
+            .visible_at(horizon)
+            .map(|(key, (version, value))| (key, value.clone(), *version))
             .collect();
         entries.sort_unstable_by_key(|(k, _, _)| *k);
         entries
@@ -197,10 +232,34 @@ impl MvccState {
     }
 }
 
+/// Version tag leading every state-digest preimage; bump it on any layout
+/// change. (The unversioned layout before it hashed `Debug` renderings.)
+const STATE_DIGEST_VERSION: u8 = 1;
+
+/// Hashes a key→value mapping into the state digest: the version tag, then
+/// per key in ascending order its bytes and the value's canonical [`Wire`]
+/// encoding (tagged and length-prefixed, so the concatenation is
+/// unambiguous), each entry written into one reused buffer.
+fn digest_entries<'a, I>(entries: I) -> Hash32
+where
+    I: IntoIterator<Item = (Key, &'a Value)>,
+{
+    let mut entries: Vec<(Key, &Value)> = entries.into_iter().collect();
+    entries.sort_by_key(|(k, _)| *k);
+    let mut hasher = parblock_crypto::Sha256::new();
+    hasher.update(&[STATE_DIGEST_VERSION]);
+    let mut buf = Vec::new();
+    for (key, value) in entries {
+        buf.clear();
+        key.0.encode(&mut buf);
+        value.encode(&mut buf);
+        hasher.update(&buf);
+    }
+    hasher.finalize()
+}
+
 #[cfg(test)]
 mod tests {
-    use parblock_types::{BlockNumber, SeqNo};
-
     use super::*;
 
     fn v(block: u64, seq: u32) -> Version {
@@ -277,18 +336,41 @@ mod tests {
         assert_eq!(s.read_at(Key(2), v(9, 0)), Value::Unit);
     }
 
+    /// A store with a version history digests like one holding a single
+    /// version per key with the same latest values.
     #[test]
     fn digest_matches_kv_state_on_same_mapping() {
         let mut mv = MvccState::new();
         mv.put(Key(1), Value::Int(1), v(1, 0));
         mv.put(Key(1), Value::Int(7), v(2, 3)); // history differs, latest wins
         mv.put(Key(2), Value::Int(2), v(1, 1));
-        let mut kv = crate::KvState::new();
+        let mut kv = MvccState::new();
         kv.put(Key(1), Value::Int(7), v(5, 5));
         kv.put(Key(2), Value::Int(2), v(1, 1));
         assert_eq!(mv.digest(), kv.digest());
         mv.put(Key(2), Value::Int(3), v(3, 0));
         assert_ne!(mv.digest(), kv.digest());
+    }
+
+    /// Pins the state-digest preimage. If this golden value moves,
+    /// `STATE_DIGEST_VERSION` must be bumped in the same change, and every
+    /// pinned `RunReport` digest re-pinned with it.
+    #[test]
+    fn state_digest_is_pinned_and_not_debug_rendered() {
+        let state = MvccState::with_genesis([
+            (Key(2), Value::Text("paid".into())),
+            (Key(1), Value::Int(5)),
+        ]);
+        assert_eq!(
+            state.digest().to_hex(),
+            "25d5b08905047d522f2afcc6e820f4c545f03055e4203be269cb124c4d0c196c"
+        );
+        let mut debug_rendered = parblock_crypto::Sha256::new();
+        debug_rendered.update(&1u64.to_le_bytes());
+        debug_rendered.update(b"Int(5)");
+        debug_rendered.update(&2u64.to_le_bytes());
+        debug_rendered.update(b"Text(\"paid\")");
+        assert_ne!(state.digest(), debug_rendered.finalize());
     }
 
     #[test]

@@ -90,12 +90,8 @@ impl<M: Send + 'static> Endpoint<M> {
         M: Sync + Clone,
         I: IntoIterator<Item = &'a NodeId>,
     {
-        let payload = Arc::new(msg.clone());
-        for &to in dests {
-            if to != self.id {
-                self.net.route_shared(self.id, to, Arc::clone(&payload));
-            }
-        }
+        let dests = dests.into_iter().copied().filter(|&to| to != self.id);
+        self.net.route_multicast(self.id, dests, &Arc::new(msg.clone()));
     }
 
     /// Blocks until a message arrives.

@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use parblock_types::{Clock, NodeId};
 
 use crate::endpoint::{Endpoint, Envelope};
-use crate::faults::Faults;
+use crate::faults::{FaultState, Faults};
 use crate::stats::NetStats;
 use crate::topology::{LatencyModel, Topology};
 
@@ -287,28 +287,38 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     }
 
     pub(crate) fn route(&self, from: NodeId, to: NodeId, msg: M) {
-        self.route_payload(from, to, Payload::Owned(msg));
+        self.route_payload(&self.shared.faults.plan(), from, to, Payload::Owned(msg));
     }
 
-    /// Routes one handle of an `Arc`-shared multicast payload: the fault
-    /// and latency draws are per-destination (identical to a unicast
-    /// send), only the message body is shared.
-    pub(crate) fn route_shared(&self, from: NodeId, to: NodeId, msg: Arc<M>) {
-        self.route_payload(from, to, Payload::Shared(msg));
+    /// Routes one handle of an `Arc`-shared payload to each of `dests`:
+    /// the fault and latency draws are per-destination (identical to a
+    /// unicast send), only the message body is shared. The fault plan is
+    /// held across the whole multicast, so a crash of the sender reaches
+    /// all of its copies or none.
+    pub(crate) fn route_multicast(
+        &self,
+        from: NodeId,
+        dests: impl Iterator<Item = NodeId>,
+        msg: &Arc<M>,
+    ) {
+        let faults = self.shared.faults.plan();
+        for to in dests {
+            self.route_payload(&faults, from, to, Payload::Shared(Arc::clone(msg)));
+        }
     }
 
-    fn route_payload(&self, from: NodeId, to: NodeId, payload: Payload<M>) {
+    fn route_payload(&self, faults: &FaultState, from: NodeId, to: NodeId, payload: Payload<M>) {
         self.shared.stats.record_sent();
         let (drop_unit, jitter_unit) = {
             let mut rng = self.shared.rng.lock();
             (rng.gen::<f64>(), rng.gen::<f64>())
         };
-        if self.shared.faults.should_drop(from, to, drop_unit) {
+        if faults.should_drop(from, to, drop_unit) {
             self.shared.stats.record_dropped();
             return;
         }
-        let delay = self.shared.latency.sample(from, to, jitter_unit)
-            + self.shared.faults.extra_delay(from, to);
+        let delay =
+            self.shared.latency.sample(from, to, jitter_unit) + faults.extra_delay(from, to);
         if delay.is_zero() {
             deliver_to(
                 &self.shared,
@@ -384,19 +394,21 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     /// progress at).
     #[must_use]
     pub fn next_due(&self) -> Option<Instant> {
+        self.earliest_head().map(|(key, _)| key.due)
+    }
+
+    /// The globally smallest queued key and its shard. The key is unique
+    /// (seq is), so the min does not depend on map iteration order.
+    fn earliest_head(&self) -> Option<(HeapKey, Arc<Shard<M>>)> {
         self.shared
             .shards
             .read()
             .values()
             .filter_map(|shard| {
-                shard
-                    .queue
-                    .lock()
-                    .heap
-                    .peek()
-                    .map(|Reverse(entry)| entry.key.due)
+                let head = shard.queue.lock().heap.peek().map(|Reverse(entry)| entry.key);
+                head.map(|key| (key, Arc::clone(shard)))
             })
-            .min()
+            .min_by_key(|(key, _)| *key)
     }
 
     /// Delivers every queued message due at or before `now`, in
@@ -407,24 +419,7 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     pub fn deliver_due(&self, now: Instant) -> usize {
         let mut delivered = 0;
         loop {
-            // Pick the globally smallest due head ≤ now. The key is
-            // unique (seq is), so the min does not depend on map
-            // iteration order.
-            let best = self
-                .shared
-                .shards
-                .read()
-                .values()
-                .filter_map(|shard| {
-                    shard
-                        .queue
-                        .lock()
-                        .heap
-                        .peek()
-                        .filter(|Reverse(entry)| entry.key.due <= now)
-                        .map(|Reverse(entry)| (entry.key, Arc::clone(shard)))
-                })
-                .min_by_key(|(key, _)| *key);
+            let best = self.earliest_head().filter(|(key, _)| key.due <= now);
             let Some((key, shard)) = best else {
                 return delivered;
             };
@@ -711,7 +706,11 @@ mod tests {
         a.send(NodeId(2), 1); // far: 1 ms
         a.send(NodeId(1), 2); // near: 10 µs
         clock.advance(Duration::from_micros(10));
-        assert_eq!(net.deliver_due(clock.now()), 1, "only the near message is due");
+        assert_eq!(
+            net.deliver_due(clock.now()),
+            1,
+            "only the near message is due"
+        );
         clock.advance(Duration::from_millis(1));
         assert_eq!(net.deliver_due(clock.now()), 1);
         net.shutdown();

@@ -1,14 +1,15 @@
 //! Runtime fault injection: drops, partitions, and extra delay.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard};
 use std::time::Duration;
 
 use parking_lot::RwLock;
 use parblock_types::NodeId;
 
+/// One consistent view of the fault plan, see [`Faults::plan`].
 #[derive(Debug, Default)]
-struct FaultState {
+pub(crate) struct FaultState {
     /// Per-link drop probability, keyed `(from, to)`.
     drop_prob: HashMap<(NodeId, NodeId), f64>,
     /// Crashed nodes: everything to/from them is dropped.
@@ -39,6 +40,19 @@ struct FaultState {
 #[derive(Debug, Clone, Default)]
 pub struct Faults {
     state: Arc<RwLock<FaultState>>,
+}
+
+impl FaultState {
+    pub(crate) fn should_drop(&self, from: NodeId, to: NodeId, unit: f64) -> bool {
+        self.crashed.contains(&from)
+            || self.crashed.contains(&to)
+            || self.partitioned.contains(&unordered(from, to))
+            || self.drop_prob.get(&(from, to)).is_some_and(|&p| unit < p)
+    }
+
+    pub(crate) fn extra_delay(&self, from: NodeId, to: NodeId) -> Duration {
+        self.extra_delay.get(&(from, to)).copied().unwrap_or(Duration::ZERO)
+    }
 }
 
 fn unordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -136,28 +150,20 @@ impl Faults {
     /// sample `unit` in `[0, 1)`.
     #[must_use]
     pub fn should_drop(&self, from: NodeId, to: NodeId, unit: f64) -> bool {
-        let state = self.state.read();
-        if state.crashed.contains(&from) || state.crashed.contains(&to) {
-            return true;
-        }
-        if state.partitioned.contains(&unordered(from, to)) {
-            return true;
-        }
-        state
-            .drop_prob
-            .get(&(from, to))
-            .is_some_and(|&p| unit < p)
+        self.state.read().should_drop(from, to, unit)
     }
 
     /// The extra delay configured on `from → to`.
     #[must_use]
     pub fn extra_delay(&self, from: NodeId, to: NodeId) -> Duration {
-        self.state
-            .read()
-            .extra_delay
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(Duration::ZERO)
+        self.state.read().extra_delay(from, to)
+    }
+
+    /// The plan, held unchanged while the guard lives: every copy of one
+    /// multicast is judged against the same plan, so a crash or heal
+    /// lands between a node's sends, never inside one of them.
+    pub(crate) fn plan(&self) -> RwLockReadGuard<'_, FaultState> {
+        self.state.read()
     }
 }
 

@@ -40,10 +40,6 @@ struct ReplayReader {
 }
 
 impl StateReader for ReplayReader {
-    fn read(&self, key: Key) -> Value {
-        self.try_read(key).unwrap_or_default()
-    }
-
     fn try_read(&self, key: Key) -> Option<Value> {
         match self.entries.get(&key) {
             Some(present) => present.clone(),
@@ -105,7 +101,7 @@ pub fn serial_replay(
                 aborted += 1;
                 continue;
             };
-            // Mirrors `pool::execute_item`: an access outside the
+            // Mirrors `pool::execute`: an access outside the
             // declared sets aborts.
             match contract.execute(tx, &reader) {
                 ExecOutcome::Commit(writes)

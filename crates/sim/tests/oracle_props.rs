@@ -56,9 +56,6 @@ fn history_digest(block: &Block, contract: &KvContract, order: &[SeqNo]) -> Hash
             .collect();
         struct Snap(HashMap<Key, Option<Value>>);
         impl StateReader for Snap {
-            fn read(&self, key: Key) -> Value {
-                self.try_read(key).unwrap_or_default()
-            }
             fn try_read(&self, key: Key) -> Option<Value> {
                 self.0.get(&key).cloned().flatten()
             }

@@ -106,6 +106,6 @@ fn disabled_tracing_keeps_the_report_inactive() {
     let report = run_sim(&sim).report;
     assert!(
         !report.trace.is_active(),
-        "default-off tracing must leave no trace group in the digest"
+        "default-off tracing must record nothing"
     );
 }

@@ -56,9 +56,9 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// `true` when this report carries (or could have carried) data —
-    /// the digest-gating predicate: a default report encodes nothing,
-    /// keeping historical `RunReport::digest()` values byte-stable.
+    /// `true` when this report carries (or could have carried) data:
+    /// tracing was enabled, or something was recorded. A default report
+    /// is inactive.
     #[must_use]
     pub fn is_active(&self) -> bool {
         self.enabled

@@ -371,14 +371,14 @@ mod tests {
     #[test]
     fn transactions_are_valid_against_genesis() {
         use parblock_contracts::{AccountingContract, SmartContract};
-        use parblock_ledger::KvState;
+        use parblock_ledger::MvccState;
 
         let mut gen = WorkloadGen::new(WorkloadConfig {
             contention: 0.5,
             block_size: 40,
             ..WorkloadConfig::default()
         });
-        let state = KvState::with_genesis(gen.genesis());
+        let state = MvccState::with_genesis(gen.genesis());
         let contract = AccountingContract::new(AppId(0));
         for tx in gen.window() {
             let outcome = contract.execute(&tx, &state);
@@ -482,14 +482,14 @@ mod tests {
     #[test]
     fn hotspot_transactions_are_valid_against_genesis() {
         use parblock_contracts::{AccountingContract, SmartContract};
-        use parblock_ledger::KvState;
+        use parblock_ledger::MvccState;
 
         let mut gen = WorkloadGen::new(WorkloadConfig {
             hotspot: Some(HotspotConfig::default()),
             block_size: 50,
             ..WorkloadConfig::default()
         });
-        let state = KvState::with_genesis(gen.genesis());
+        let state = MvccState::with_genesis(gen.genesis());
         let contract = AccountingContract::new(AppId(0));
         for tx in gen.window() {
             assert!(contract.execute(&tx, &state).is_commit());

@@ -12,13 +12,13 @@ use rand::SeedableRng;
 
 use parblockchain_repro::contracts::{ExecOutcome, KvContract, KvOp, SmartContract};
 use parblockchain_repro::depgraph::{DependencyGraph, DependencyMode, ReadyTracker};
-use parblockchain_repro::ledger::{KvState, Version};
+use parblockchain_repro::ledger::{MvccState, Version};
 use parblockchain_repro::types::{
     AppId, Block, BlockNumber, ClientId, Hash32, Key, SeqNo, Value,
 };
 
 /// Serial reference: execute in block order, applying writes directly.
-fn serial_state(block: &Block, contract: &KvContract, genesis: &KvState) -> KvState {
+fn serial_state(block: &Block, contract: &KvContract, genesis: &MvccState) -> MvccState {
     let mut state = genesis.clone();
     for (seq, tx) in block.iter_seq() {
         match contract.execute(tx, &state) {
@@ -37,10 +37,10 @@ fn serial_state(block: &Block, contract: &KvContract, genesis: &KvState) -> KvSt
 fn scheduled_state(
     block: &Block,
     contract: &KvContract,
-    genesis: &KvState,
+    genesis: &MvccState,
     graph: &DependencyGraph,
     seed: u64,
-) -> KvState {
+) -> MvccState {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut state = genesis.clone();
     let mut tracker = ReadyTracker::new(graph);
@@ -50,9 +50,9 @@ fn scheduled_state(
         let seq = frontier.pop().expect("non-empty");
         let tx = block.tx(seq).expect("valid");
         if let ExecOutcome::Commit(writes) = contract.execute(tx, &state) {
-            state.apply_versioned(writes, Version::new(block.number(), seq));
+            state.apply(writes, Version::new(block.number(), seq));
         }
-        frontier.extend(tracker.complete(seq));
+        let _ = tracker.complete(seq); // take_ready() drains what this queues
         frontier.extend(tracker.take_ready());
     }
     assert!(tracker.is_done());
@@ -93,7 +93,7 @@ proptest! {
         mode_reduced in any::<bool>(),
     ) {
         let contract = KvContract::new(AppId(0));
-        let genesis = KvState::with_genesis((0..6).map(|k| (Key(k), Value::Int(k as i64))));
+        let genesis = MvccState::with_genesis((0..6).map(|k| (Key(k), Value::Int(k as i64))));
         let mode = if mode_reduced {
             DependencyMode::Reduced
         } else {
@@ -111,8 +111,6 @@ proptest! {
 /// store: a reader positioned at seq s sees the latest write ≤ s.
 #[test]
 fn multi_version_reads_route_correctly_under_mv_schedule() {
-    use parblockchain_repro::ledger::MvccState;
-
     // T0 writes k=10; T1 writes k=20 (WW — concurrent under MV);
     // T2 reads k (depends on both).
     let contract = KvContract::new(AppId(0));

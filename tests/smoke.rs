@@ -38,13 +38,13 @@ fn umbrella_reexports_resolve() {
     assert_eq!(layers.critical_path(), 1);
 
     // ledger
-    let mut state = ledger::KvState::new();
+    let mut state = ledger::MvccState::new();
     state.put(
         key,
         types::Value::Int(3),
         ledger::Version::new(types::BlockNumber(1), types::SeqNo(0)),
     );
-    assert_eq!(state.get(key), types::Value::Int(3));
+    assert_eq!(state.latest(key), types::Value::Int(3));
 
     // contracts
     let contract = contracts::KvContract::new(types::AppId(0));
