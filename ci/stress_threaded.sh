@@ -8,21 +8,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUNS=10
+# A package, then the cargo target selector of one test binary. The
+# network's lib tests are here because an endpoint's receive path does
+# its own delivery timing (`engine.rs`, `endpoint.rs`).
 SUITES=(
-    "parblockchain faults"
-    "parblockchain recovery"
-    "parblockchain_repro end_to_end"
-    "parblock_net behaviour"
+    "parblockchain --test faults"
+    "parblockchain --test recovery"
+    "parblockchain_repro --test end_to_end"
+    "parblock_net --test behaviour"
+    "parblock_net --lib"
 )
 
 # Build every binary once, before the first run.
 bins=()
 for suite in "${SUITES[@]}"; do
-    read -r package test <<<"$suite"
-    bin=$(cargo test --release --no-run -p "$package" --test "$test" 2>&1 |
+    read -r package target <<<"$suite"
+    # Unquoted on purpose: the selector is one or two words.
+    bin=$(cargo test --release --no-run -p "$package" $target 2>&1 |
         sed -n 's/^ *Executable .*(\(.*\))$/\1/p')
     if [ ! -x "$bin" ]; then
-        echo "stress: no test binary for $package --test $test" >&2
+        echo "stress: no test binary for $package $target" >&2
         exit 1
     fi
     bins+=("$bin")

@@ -4,10 +4,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, TryRecvError};
 use parblock_types::NodeId;
 
-use crate::engine::SimNetwork;
+use crate::engine::{ShardRef, SimNetwork};
 
 /// A message together with its authenticated sender.
 ///
@@ -51,16 +51,33 @@ pub type Waker<M> = crossbeam::channel::Waker<Envelope<M>>;
 /// A node's handle to the simulated network: a sender for any destination
 /// and a private mailbox. A clone is a second handle on the same node
 /// and mailbox: a runtime receives on one, the node sends through the other.
+///
+/// In threaded mode the endpoint is its own delivery: every receive and
+/// every wait first moves the messages in flight to this node that are
+/// due into the mailbox, in `(due, seq)` order (DESIGN.md §15).
 #[derive(Clone)]
 pub struct Endpoint<M: Send + 'static> {
     id: NodeId,
     net: SimNetwork<M>,
     rx: Receiver<Envelope<M>>,
+    /// This node's shard of messages in flight; `None` under manual
+    /// delivery, where only [`SimNetwork::deliver_due`] moves them.
+    inbound: Option<ShardRef<M>>,
 }
 
-impl<M: Send + 'static> Endpoint<M> {
-    pub(crate) fn new(id: NodeId, net: SimNetwork<M>, rx: Receiver<Envelope<M>>) -> Self {
-        Endpoint { id, net, rx }
+impl<M: Send + Sync + Clone + 'static> Endpoint<M> {
+    pub(crate) fn new(
+        id: NodeId,
+        net: SimNetwork<M>,
+        rx: Receiver<Envelope<M>>,
+        inbound: Option<ShardRef<M>>,
+    ) -> Self {
+        Endpoint {
+            id,
+            net,
+            rx,
+            inbound,
+        }
     }
 
     /// This endpoint's node id.
@@ -71,10 +88,7 @@ impl<M: Send + 'static> Endpoint<M> {
 
     /// Sends `msg` to `to` (fire-and-forget, like UDP with FIFO-ish
     /// delivery; protocols needing reliability retransmit).
-    pub fn send(&self, to: NodeId, msg: M)
-    where
-        M: Sync + Clone,
-    {
+    pub fn send(&self, to: NodeId, msg: M) {
         self.net.route(self.id, to, msg);
     }
 
@@ -87,7 +101,6 @@ impl<M: Send + 'static> Endpoint<M> {
     /// stay per-destination, exactly as if each copy were sent alone.
     pub fn multicast<'a, I>(&self, dests: I, msg: &M)
     where
-        M: Sync + Clone,
         I: IntoIterator<Item = &'a NodeId>,
     {
         let dests = dests.into_iter().copied().filter(|&to| to != self.id);
@@ -98,29 +111,49 @@ impl<M: Send + 'static> Endpoint<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`RecvError::Disconnected`] if the network shut down.
+    /// Returns [`RecvError::Disconnected`] once the network is shut down
+    /// and the mailbox drained.
     pub fn recv(&self) -> Result<Envelope<M>, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
+        self.recv_by(None)
     }
 
-    /// Blocks up to `timeout` for a message.
+    /// Blocks up to `timeout`, on the network's clock, for a message.
     ///
     /// # Errors
     ///
     /// [`RecvError::Timeout`] if nothing arrived in time;
     /// [`RecvError::Disconnected`] if the network shut down.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
+        self.recv_by(Some(self.net.now() + timeout))
+    }
+
+    /// Receives, waiting until `deadline` at most. A wait ends for the
+    /// same reasons as [`Endpoint::wait_until`]'s, so a raised
+    /// [`Waker`] of this endpoint is consumed here too.
+    fn recv_by(&self, deadline: Option<Instant>) -> Result<Envelope<M>, RecvError> {
+        loop {
+            let next = self.take_due();
+            match self.rx.try_recv() {
+                Ok(envelope) => return Ok(envelope),
+                Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
+                Err(TryRecvError::Empty) => {}
+            }
+            let wait = earliest(deadline, next);
+            if !self.rx.wait_until(wait) && wait == deadline {
+                return Err(RecvError::Timeout);
+            }
+        }
     }
 
     /// Blocks until the mailbox holds a message (it stays queued for
     /// [`Endpoint::try_recv`]), a [`Waker`] of this endpoint was raised,
-    /// or `deadline` passes; `None` waits for the first two only.
+    /// or `deadline` passes; `None` waits for the first two only. In
+    /// threaded mode the wait also ends when the earliest message in
+    /// flight to this node falls due, and a send that makes a new
+    /// earliest one raises the waker; the next receive takes it in.
     pub fn wait_until(&self, deadline: Option<Instant>) {
-        self.rx.wait_until(deadline);
+        let next = self.take_due();
+        self.rx.wait_until(earliest(deadline, next));
     }
 
     /// A handle that ends this endpoint's [`Endpoint::wait_until`].
@@ -132,13 +165,29 @@ impl<M: Send + 'static> Endpoint<M> {
     /// Returns a pending message without blocking, if any.
     #[must_use]
     pub fn try_recv(&self) -> Option<Envelope<M>> {
+        self.take_due();
         self.rx.try_recv().ok()
     }
 
-    /// Number of messages waiting in the mailbox.
+    /// Number of messages waiting in the mailbox (not those in flight).
     #[must_use]
     pub fn pending(&self) -> usize {
         self.rx.len()
+    }
+
+    /// Threaded mode: moves this node's due messages into the mailbox
+    /// and returns when the next one falls due. Manual mode: nothing.
+    fn take_due(&self) -> Option<Instant> {
+        let shard = self.inbound.as_deref()?;
+        self.net.deliver_shard(shard)
+    }
+}
+
+/// The earlier of two deadlines, `None` meaning never.
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 

@@ -1,28 +1,30 @@
-//! The delivery engine: applies latency, jitter and faults, then delivers
-//! to mailboxes — via per-destination delivery workers in the default
-//! (wall-clock) mode, or under explicit caller control in the *manual*
-//! mode the deterministic simulator uses (DESIGN.md §10, §15).
+//! The delivery engine: applies latency, jitter and faults, then holds
+//! each message in its destination's shard until it is due (DESIGN.md
+//! §10, §15). Nothing here runs on its own. In the default (wall-clock)
+//! mode the receiving [`Endpoint`] moves its own due messages into its
+//! mailbox whenever it receives or waits; in the *manual* mode the
+//! deterministic simulator uses, only [`SimNetwork::deliver_due`] moves
+//! them.
 //!
-//! The queue engine is **sharded**: one `(due, seq)`-ordered heap per
-//! destination with targeted wakeups (an enqueue only notifies a worker
-//! whose sleep deadline it beats). `seq` is global, so manual delivery
-//! merges the shards back into one `(due, seq)` order.
+//! A shard is one `(due, seq)`-ordered heap per destination. `seq` is
+//! global, so manual delivery merges the shards back into one
+//! `(due, seq)` order.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use parblock_types::{Clock, NodeId};
 
-use crate::endpoint::{Endpoint, Envelope};
+use crate::endpoint::{Endpoint, Envelope, Waker};
 use crate::faults::{FaultState, Faults};
 use crate::stats::NetStats;
 use crate::topology::{LatencyModel, Topology};
@@ -78,10 +80,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Switches to *manual delivery*: no delivery workers are spawned,
-    /// and queued messages only move when the caller invokes
-    /// [`SimNetwork::deliver_due`]. This is the deterministic-simulation
-    /// mode — delivery order becomes a pure function of `(due, seq)`,
+    /// Switches to *manual delivery*: queued messages move only when the
+    /// caller invokes [`SimNetwork::deliver_due`], and endpoints never
+    /// move their own. This is the deterministic-simulation mode —
+    /// delivery order becomes a pure function of `(due, seq)`,
     /// independent of host scheduling.
     #[must_use]
     pub fn manual_delivery(mut self) -> Self {
@@ -89,13 +91,14 @@ impl NetworkBuilder {
         self
     }
 
-    /// Builds the network (and starts its delivery workers unless
-    /// [`NetworkBuilder::manual_delivery`] was selected).
+    /// Builds the network. It starts no thread in either mode: without
+    /// [`NetworkBuilder::manual_delivery`], each endpoint moves its own
+    /// due messages when it receives or waits.
     ///
     /// # Panics
     ///
     /// Panics when a simulated clock is combined with threaded delivery:
-    /// the delivery workers wait on real time and would never observe
+    /// endpoints wait for due times on real time and would never observe
     /// virtual time advancing.
     #[must_use]
     pub fn build<M: Send + Sync + Clone + 'static>(self) -> SimNetwork<M> {
@@ -104,12 +107,19 @@ impl NetworkBuilder {
             self.manual || !clock.is_simulated(),
             "a simulated clock requires manual_delivery()"
         );
-        SimNetwork::start(
-            LatencyModel::new(self.topology),
-            self.seed,
-            clock,
-            self.manual,
-        )
+        SimNetwork {
+            shared: Arc::new(Shared {
+                shards: RwLock::new(HashMap::new()),
+                next_seq: AtomicU64::new(0),
+                manual: self.manual,
+                mailboxes: RwLock::new(HashMap::new()),
+                latency: LatencyModel::new(self.topology),
+                faults: Faults::new(),
+                stats: NetStats::new(),
+                rng: Mutex::new(StdRng::seed_from_u64(self.seed)),
+                clock,
+            }),
+        }
     }
 }
 
@@ -162,44 +172,25 @@ impl<M> Ord for Entry<M> {
     }
 }
 
-struct QueueState<M> {
+/// One destination's messages in flight, earliest `(due, seq)` first,
+/// and — in threaded mode, once the destination has registered — the
+/// wake token of the endpoint that moves them.
+pub(crate) struct Shard<M> {
     heap: BinaryHeap<Reverse<Entry<M>>>,
-    shutdown: bool,
+    waker: Option<Waker<M>>,
 }
 
-impl<M> QueueState<M> {
-    fn new() -> Self {
-        QueueState {
-            heap: BinaryHeap::new(),
-            shutdown: false,
-        }
-    }
-}
-
-/// One destination's mailbox queue: its own lock, its own condvar, and
-/// (in threaded mode) its own delivery worker.
-struct Shard<M> {
-    queue: Mutex<QueueState<M>>,
-    wake: Condvar,
-}
-
-impl<M> Shard<M> {
-    fn new() -> Self {
-        Shard {
-            queue: Mutex::new(QueueState::new()),
-            wake: Condvar::new(),
-        }
-    }
-}
+/// A shard behind its own lock, shared by the senders that fill it and
+/// the endpoint that empties it.
+pub(crate) type ShardRef<M> = Arc<Mutex<Shard<M>>>;
 
 struct Shared<M> {
     /// Per-destination shards, created on the first message scheduled to
-    /// a destination.
-    shards: RwLock<HashMap<NodeId, Arc<Shard<M>>>>,
+    /// a destination or, in threaded mode, when its endpoint registers.
+    shards: RwLock<HashMap<NodeId, ShardRef<M>>>,
     /// Global enqueue sequence: ties on `due` resolve in enqueue order
     /// across *all* destinations.
     next_seq: AtomicU64,
-    shutdown: AtomicBool,
     manual: bool,
     mailboxes: RwLock<HashMap<NodeId, Sender<Envelope<M>>>>,
     latency: LatencyModel,
@@ -207,9 +198,6 @@ struct Shared<M> {
     stats: NetStats,
     rng: Mutex<StdRng>,
     clock: Clock,
-    /// Delivery worker handles: one per destination shard, spawned
-    /// lazily (none under manual delivery).
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<M> Shared<M> {
@@ -218,60 +206,35 @@ impl<M> Shared<M> {
         self.shards
             .read()
             .values()
-            .map(|shard| shard.queue.lock().heap.len())
+            .map(|shard| shard.lock().heap.len())
             .sum()
     }
 }
 
 /// A simulated network. Cheap to clone; all clones share the same state.
 ///
-/// See the crate docs for the model. Dropping the last handle signals the
-/// delivery workers to stop; call [`SimNetwork::shutdown`] to stop them
-/// deterministically.
+/// See the crate docs for the model. No thread runs inside it, so
+/// dropping the last handle (endpoints hold one each) frees everything.
+#[derive(Clone)]
 pub struct SimNetwork<M: Send + 'static> {
     shared: Arc<Shared<M>>,
-    /// Counts *user* handles only (workers never clone it), so `Drop`
-    /// can signal shutdown when the last user handle goes away.
-    token: Arc<()>,
-}
-
-impl<M: Send + 'static> Clone for SimNetwork<M> {
-    fn clone(&self) -> Self {
-        SimNetwork {
-            shared: Arc::clone(&self.shared),
-            token: Arc::clone(&self.token),
-        }
-    }
 }
 
 impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
-    fn start(latency: LatencyModel, seed: u64, clock: Clock, manual: bool) -> Self {
-        let shared = Arc::new(Shared {
-            shards: RwLock::new(HashMap::new()),
-            next_seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            manual,
-            mailboxes: RwLock::new(HashMap::new()),
-            latency,
-            faults: Faults::new(),
-            stats: NetStats::new(),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            clock,
-            workers: Mutex::new(Vec::new()),
-        });
-        SimNetwork {
-            shared,
-            token: Arc::new(()),
-        }
-    }
-
     /// Registers (or replaces) the mailbox for `node` and returns its
-    /// endpoint.
+    /// endpoint. In threaded mode the endpoint takes over moving its
+    /// shard's due messages, and the shard wakes it from now on; an
+    /// endpoint it replaces reports a disconnect once drained.
     #[must_use]
     pub fn endpoint(&self, node: NodeId) -> Endpoint<M> {
         let (tx, rx) = unbounded();
         self.shared.mailboxes.write().insert(node, tx);
-        Endpoint::new(node, self.clone(), rx)
+        let inbound = (!self.shared.manual).then(|| {
+            let shard = self.shard_for(node);
+            shard.lock().waker = Some(rx.waker());
+            shard
+        });
+        Endpoint::new(node, self.clone(), rx, inbound)
     }
 
     /// The shared fault-injection plan.
@@ -284,6 +247,11 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     #[must_use]
     pub fn stats(&self) -> NetStats {
         self.shared.stats.clone()
+    }
+
+    /// The network's clock: due times are instants on it.
+    pub(crate) fn now(&self) -> Instant {
+        self.shared.clock.now()
     }
 
     pub(crate) fn route(&self, from: NodeId, to: NodeId, msg: M) {
@@ -343,50 +311,54 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     fn schedule(&self, entry: Entry<M>) {
         self.shared.stats.record_enqueued();
         let shard = self.shard_for(entry.to);
-        let mut queue = shard.queue.lock();
-        // Targeted wakeup: the worker sleeps until its current head's due
-        // time, so only an entry that becomes the new head can shorten
-        // that deadline. Everything else lands silently.
+        let mut queue = shard.lock();
+        // Targeted wakeup: the receiving endpoint waits at most until its
+        // shard's earliest due time, so only an entry that becomes the
+        // new earliest can shorten that wait. Everything else lands
+        // silently. Under manual delivery no endpoint registers a waker.
         let new_head = queue
             .heap
             .peek()
             .is_none_or(|Reverse(head)| entry.key < head.key);
         queue.heap.push(Reverse(entry));
+        let waker = if new_head { queue.waker.clone() } else { None };
         drop(queue);
-        if new_head && !self.shared.manual {
+        if let Some(waker) = waker {
             self.shared.stats.record_wakeup();
-            shard.wake.notify_one();
+            waker.wake();
         }
     }
 
-    /// Gets or creates the shard for `to`, spawning its delivery worker
-    /// in threaded mode.
-    fn shard_for(&self, to: NodeId) -> Arc<Shard<M>> {
-        let shards = &self.shared.shards;
-        if let Some(shard) = shards.read().get(&to) {
+    /// Gets or creates the shard for `to`.
+    fn shard_for(&self, to: NodeId) -> ShardRef<M> {
+        if let Some(shard) = self.shared.shards.read().get(&to) {
             return Arc::clone(shard);
         }
-        let mut map = shards.write();
-        if let Some(shard) = map.get(&to) {
-            return Arc::clone(shard);
+        let mut shards = self.shared.shards.write();
+        let shard = shards.entry(to).or_insert_with(|| {
+            Arc::new(Mutex::new(Shard {
+                heap: BinaryHeap::new(),
+                waker: None,
+            }))
+        });
+        Arc::clone(shard)
+    }
+
+    /// Threaded delivery, called by the receiving endpoint: moves every
+    /// entry of `shard` due by now into the mailbox, in `(due, seq)`
+    /// order, and returns the due time of the earliest entry left. The
+    /// moves happen under the shard lock, so two handles of one endpoint
+    /// draining at once still fill the mailbox in order.
+    pub(crate) fn deliver_shard(&self, shard: &Mutex<Shard<M>>) -> Option<Instant> {
+        let now = self.shared.clock.now();
+        let mut queue = shard.lock();
+        while let Some(head) = queue.heap.peek_mut() {
+            if head.0.key.due > now {
+                return Some(head.0.key.due);
+            }
+            deliver_entry(&self.shared, PeekMut::pop(head).0);
         }
-        let shard = Arc::new(Shard::new());
-        map.insert(to, Arc::clone(&shard));
-        drop(map);
-        if !self.shared.manual && !self.shared.shutdown.load(Ordering::Acquire) {
-            let worker_shared = Arc::clone(&self.shared);
-            let worker_shard = Arc::clone(&shard);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "free-running delivery workers; manual delivery spawns none"
-            )]
-            let handle = std::thread::Builder::new()
-                .name(format!("simnet-delivery-{}", to.0))
-                .spawn(move || shard_delivery_loop(&worker_shared, &worker_shard))
-                .expect("spawn shard delivery worker");
-            self.shared.workers.lock().push(handle);
-        }
-        shard
+        None
     }
 
     /// The due time of the earliest queued message, if any (manual
@@ -399,52 +371,37 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
 
     /// The globally smallest queued key and its shard. The key is unique
     /// (seq is), so the min does not depend on map iteration order.
-    fn earliest_head(&self) -> Option<(HeapKey, Arc<Shard<M>>)> {
+    fn earliest_head(&self) -> Option<(HeapKey, ShardRef<M>)> {
         self.shared
             .shards
             .read()
             .values()
             .filter_map(|shard| {
-                let head = shard.queue.lock().heap.peek().map(|Reverse(entry)| entry.key);
+                let head = shard.lock().heap.peek().map(|Reverse(entry)| entry.key);
                 head.map(|key| (key, Arc::clone(shard)))
             })
             .min_by_key(|(key, _)| *key)
     }
 
     /// Delivers every queued message due at or before `now`, in
-    /// deterministic `(due, enqueue-seq)` order, merged *across* shards.
-    /// Returns how many were delivered. This is the manual-delivery
-    /// engine tick; it is safe to call in threaded mode too (the delivery
-    /// workers simply find less work).
+    /// deterministic `(due, enqueue-seq)` order, merged *across* shards,
+    /// and returns how many it delivered. This is manual delivery's
+    /// engine tick and the only thing that moves messages there. In
+    /// threaded mode endpoints move their own, so nothing needs to call
+    /// it; a call finds only what they have not taken in yet.
     pub fn deliver_due(&self, now: Instant) -> usize {
         let mut delivered = 0;
-        loop {
-            let best = self.earliest_head().filter(|(key, _)| key.due <= now);
-            let Some((key, shard)) = best else {
-                return delivered;
-            };
-            let entry = {
-                let mut queue = shard.queue.lock();
-                match queue.heap.peek() {
-                    // In threaded mode a worker may have raced us to this
-                    // head; re-scan if it moved.
-                    Some(Reverse(entry)) if entry.key == key => {
-                        let Reverse(entry) = queue.heap.pop().expect("peeked");
-                        entry
-                    }
-                    _ => continue,
-                }
-            };
-            deliver_to(
-                &self.shared,
-                entry.to,
-                Envelope {
-                    from: entry.from,
-                    msg: entry.payload.into_msg(),
-                },
-            );
-            delivered += 1;
+        while let Some((key, shard)) = self.earliest_head().filter(|(key, _)| key.due <= now) {
+            let mut queue = shard.lock();
+            // A sender on another thread may have pushed a new head
+            // since the scan; then scan again.
+            let head = queue.heap.peek_mut().filter(|head| head.0.key == key);
+            if let Some(head) = head {
+                deliver_entry(&self.shared, PeekMut::pop(head).0);
+                delivered += 1;
+            }
         }
+        delivered
     }
 
     /// Number of messages queued for future delivery.
@@ -453,39 +410,13 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
         self.shared.queued()
     }
 
-    /// Stops the delivery workers, dropping any undelivered messages.
-    ///
-    /// Idempotent; called implicitly when the last handle is dropped.
+    /// Closes every mailbox: each endpoint's receive reports
+    /// [`RecvError::Disconnected`](crate::RecvError::Disconnected) once
+    /// its mailbox is drained, and no message still in flight or sent
+    /// later is delivered (each counts as dropped). There is no thread
+    /// to stop. Idempotent.
     pub fn shutdown(&self) {
-        signal_shutdown(&self.shared);
-        let handles: Vec<JoinHandle<()>> = self.shared.workers.lock().drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Sets every shutdown flag and wakes every worker (no joining).
-#[expect(
-    clippy::iter_over_hash_type,
-    reason = "every shard is flagged and woken; the order is unobservable"
-)]
-fn signal_shutdown<M: Send + 'static>(shared: &Shared<M>) {
-    shared.shutdown.store(true, Ordering::Release);
-    for shard in shared.shards.read().values() {
-        shard.queue.lock().shutdown = true;
-        shard.wake.notify_all();
-    }
-}
-
-impl<M: Send + 'static> Drop for SimNetwork<M> {
-    fn drop(&mut self) {
-        // Workers never hold the token, so a count of one means this is
-        // the user's last clone: signal shutdown without joining
-        // (C-DTOR-BLOCK) — the workers exit promptly on their own.
-        if Arc::strong_count(&self.token) == 1 {
-            signal_shutdown(&self.shared);
-        }
+        self.shared.mailboxes.write().clear();
     }
 }
 
@@ -496,6 +427,14 @@ impl<M: Send + 'static> std::fmt::Debug for SimNetwork<M> {
             .field("queued", &self.shared.queued())
             .finish()
     }
+}
+
+fn deliver_entry<M: Send + Clone + 'static>(shared: &Shared<M>, entry: Entry<M>) {
+    let envelope = Envelope {
+        from: entry.from,
+        msg: entry.payload.into_msg(),
+    };
+    deliver_to(shared, entry.to, envelope);
 }
 
 fn deliver_to<M: Send + 'static>(shared: &Shared<M>, to: NodeId, envelope: Envelope<M>) {
@@ -510,49 +449,6 @@ fn deliver_to<M: Send + 'static>(shared: &Shared<M>, to: NodeId, envelope: Envel
             }
         }
         _ => shared.stats.record_dropped(),
-    }
-}
-
-/// One delivery worker's loop over one shard.
-fn shard_delivery_loop<M: Send + Sync + Clone + 'static>(shared: &Shared<M>, shard: &Shard<M>) {
-    let mut queue = shard.queue.lock();
-    loop {
-        if queue.shutdown {
-            return;
-        }
-        let now = shared.clock.now();
-        // Deliver everything due.
-        while let Some(Reverse(head)) = queue.heap.peek() {
-            if head.key.due > now {
-                break;
-            }
-            let Reverse(entry) = queue.heap.pop().expect("peeked");
-            // Deliver without holding the queue lock.
-            parking_lot::MutexGuard::unlocked(&mut queue, || {
-                deliver_to(
-                    shared,
-                    entry.to,
-                    Envelope {
-                        from: entry.from,
-                        msg: entry.payload.into_msg(),
-                    },
-                );
-            });
-        }
-        // Re-check before sleeping: `shutdown` may have been set (and its
-        // notification sent) while the queue lock was released inside the
-        // delivery pass above; the lock is then held from this check until
-        // the wait parks, so the flag cannot be missed again.
-        if queue.shutdown {
-            return;
-        }
-        match queue.heap.peek() {
-            Some(Reverse(head)) => {
-                let wait = head.key.due.saturating_duration_since(shared.clock.now());
-                let _ = shard.wake.wait_for(&mut queue, wait);
-            }
-            None => shard.wake.wait(&mut queue),
-        }
     }
 }
 
@@ -665,6 +561,51 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_ends_a_blocked_receive_and_closes_every_mailbox() {
+        let net = lan(1000);
+        let a = net.endpoint(NodeId(0));
+        let b = net.endpoint(NodeId(1));
+        a.send(NodeId(1), 1);
+        let blocked = b.clone();
+        let waiter = std::thread::spawn(move || blocked.recv());
+        net.shutdown();
+        // The wait ended: the message was either taken in before the
+        // shutdown or dropped by it, never received afterwards.
+        let outcome = waiter.join().unwrap();
+        assert!(matches!(
+            outcome,
+            Ok(_) | Err(crate::RecvError::Disconnected)
+        ));
+        a.send(NodeId(1), 2);
+        assert_eq!(b.recv(), Err(crate::RecvError::Disconnected));
+    }
+
+    /// Re-registering a node moves its shard's wake token to the new
+    /// endpoint: a send to an empty shard must end the new endpoint's
+    /// unbounded wait, and the replaced endpoint reports a disconnect.
+    #[test]
+    fn a_reregistered_endpoint_is_woken_and_the_old_one_disconnected() {
+        let net = lan(1000);
+        let a = net.endpoint(NodeId(0));
+        let old = net.endpoint(NodeId(1));
+        let new = net.endpoint(NodeId(1));
+        let (got, arrivals) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || loop {
+            match new.try_recv() {
+                Some(envelope) => break got.send(envelope.msg).unwrap(),
+                None => new.wait_until(None),
+            }
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        a.send(NodeId(1), 5);
+        let msg = arrivals.recv_timeout(Duration::from_secs(10));
+        assert_eq!(msg, Ok(5), "the send must wake the endpoint now registered");
+        receiver.join().unwrap();
+        assert_eq!(old.recv(), Err(crate::RecvError::Disconnected));
+        net.shutdown();
+    }
+
+    #[test]
     fn manual_mode_holds_messages_until_delivered() {
         let clock = Clock::simulated();
         let net: SimNetwork<u32> = NetworkBuilder::new()
@@ -737,13 +678,13 @@ mod tests {
     }
 
     /// The sharded wake protocol: a burst of enqueues to one destination
-    /// triggers O(1) worker wakeups (only a new earliest-due head
-    /// notifies).
+    /// raises its endpoint's waker O(1) times (only a new earliest-due
+    /// head wakes).
     #[test]
     fn sharded_enqueues_per_wakeup_is_batched() {
         let burst = 100u32;
         // Messages 2..n land behind the head silently.
-        let net = lan(50_000); // 50 ms: the whole burst enqueues while the worker sleeps
+        let net = lan(50_000); // 50 ms: the whole burst enqueues before the first is due
         let a = net.endpoint(NodeId(0));
         let b = net.endpoint(NodeId(1));
         for i in 0..burst {

@@ -8,9 +8,12 @@
 //! This crate reproduces that model in one process:
 //!
 //! * each node owns an [`Endpoint`] with a private mailbox;
-//! * a delivery engine thread applies a per-link [`LatencyModel`] derived
-//!   from a [`Topology`] of datacenters before handing a message to the
-//!   destination mailbox;
+//! * a send applies a per-link [`LatencyModel`] derived from a
+//!   [`Topology`] of datacenters and holds the message in its
+//!   destination's shard until it is due; the receiving endpoint then
+//!   moves it into its own mailbox when it next receives or waits (or,
+//!   under manual delivery, [`SimNetwork::deliver_due`] does). No thread
+//!   runs inside the network;
 //! * [`Faults`] injects drops, extra delay, and partitions at runtime;
 //! * [`NetStats`] counts traffic for the message-complexity ablations.
 //!

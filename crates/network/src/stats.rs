@@ -79,7 +79,8 @@ impl NetStats {
         self.inner.enqueued.load(Ordering::Relaxed)
     }
 
-    /// Delivery-worker condvar notifications. Together with
+    /// Wake tokens raised at a receiving endpoint by a send that became
+    /// its earliest message in flight. Together with
     /// [`NetStats::enqueued`] this audits the wake protocol: the sharded
     /// engine keeps enqueues-per-wakeup O(batch) (DESIGN.md §15).
     #[must_use]

@@ -4,7 +4,7 @@
 // Behavioural tests measure real elapsed time.
 #![allow(clippy::disallowed_methods)]
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parblock_net::{NetworkBuilder, Topology};
@@ -148,5 +148,94 @@ fn crashed_node_receives_nothing_until_restart() {
     net.faults().restart(NodeId(1));
     a.send(NodeId(1), 2);
     assert_eq!(b.recv_timeout(Duration::from_secs(1)).expect("after restart").msg, 2);
+    net.shutdown();
+}
+
+/// Lost wake-ups: four senders race one receiver that blocks the way the
+/// node loop does, `try_recv` and then `wait_until(None)`. Only the
+/// earliest due time and a send's wake can end that wait, so one lost
+/// wake leaves the receiver asleep with messages in flight.
+#[test]
+fn racing_senders_never_strand_a_waiting_receiver() {
+    const SENDERS: u32 = 4;
+    const EACH: u32 = 2_500;
+    let latency = Duration::from_micros(200);
+    let net = NetworkBuilder::new()
+        .topology(Topology::single_dc(latency))
+        .seed(11)
+        .build::<(u32, u32, Instant)>();
+    let receiver = net.endpoint(NodeId(0));
+    let (done, report) = mpsc::channel();
+    let consumer = std::thread::spawn(move || {
+        let mut next = [0u32; SENDERS as usize];
+        let (mut early, mut reordered) = (0, 0);
+        for _ in 0..SENDERS * EACH {
+            let envelope = loop {
+                match receiver.try_recv() {
+                    Some(envelope) => break envelope,
+                    None => receiver.wait_until(None),
+                }
+            };
+            let (sender, n, sent) = envelope.msg;
+            early += usize::from(sent.elapsed() < latency);
+            reordered += usize::from(n != next[sender as usize]);
+            next[sender as usize] = n + 1;
+        }
+        done.send((early, reordered)).expect("report");
+    });
+    let senders: Vec<_> = (1..=SENDERS)
+        .map(|id| {
+            let endpoint = net.endpoint(NodeId(id));
+            std::thread::spawn(move || {
+                for n in 0..EACH {
+                    endpoint.send(NodeId(0), (id - 1, n, Instant::now()));
+                    if n % 64 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        })
+        .collect();
+    for sender in senders {
+        sender.join().expect("sender");
+    }
+    let (early, reordered) = report
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a wake was lost: the receiver sleeps with messages in flight");
+    consumer.join().expect("receiver");
+    assert_eq!(early, 0, "no message may arrive before its link latency");
+    assert_eq!(reordered, 0, "a sender's messages arrive in order");
+    net.shutdown();
+}
+
+/// The network runs no thread of its own: delayed delivery to eight
+/// destinations leaves no delivery worker behind (Linux names a thread
+/// in `/proc/self/task/*/comm`, cut to 15 bytes).
+#[cfg(target_os = "linux")]
+#[test]
+fn delayed_delivery_spawns_no_thread() {
+    let net = NetworkBuilder::new()
+        .topology(Topology::single_dc(Duration::from_micros(200)))
+        .build::<u32>();
+    let sender = net.endpoint(NodeId(0));
+    let receivers: Vec<_> = (1..=8).map(|i| net.endpoint(NodeId(i))).collect();
+    let dests: Vec<NodeId> = (1..=8).map(NodeId).collect();
+    sender.multicast(dests.iter(), &7);
+    for receiver in &receivers {
+        let envelope = receiver.recv_timeout(Duration::from_secs(2));
+        assert_eq!(envelope.expect("delivery").msg, 7);
+    }
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .map(|task| {
+            let comm = task.expect("task entry").path().join("comm");
+            std::fs::read_to_string(comm).unwrap_or_default()
+        })
+        .collect();
+    let workers: Vec<&String> = names
+        .iter()
+        .filter(|name| name.starts_with("simnet-deliver"))
+        .collect();
+    assert!(workers.is_empty(), "delivery threads: {workers:?}");
     net.shutdown();
 }

@@ -182,7 +182,9 @@ pub mod channel {
         fn drop(&mut self) {
             if self.chan.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake blocked receivers so they observe
-                // the disconnect.
+                // the disconnect. Taking the lock first means a receiver
+                // that found senders left is already asleep to hear it.
+                drop(self.chan.lock());
                 self.chan.ready.notify_all();
             }
         }
@@ -225,12 +227,15 @@ pub mod channel {
 
         /// Blocks until a message is queued (it stays queued), a
         /// [`Waker`] of this channel has been raised (the wake is
-        /// consumed), or `deadline` passes, which alone returns `false`;
-        /// `None` waits without limit. For a channel with one consumer:
-        /// `send` wakes one waiter, and this one takes nothing.
+        /// consumed), every sender is gone, or `deadline` passes, which
+        /// alone returns `false`; `None` waits without limit. For a
+        /// channel with one consumer: `send` wakes one waiter, and this
+        /// one takes nothing.
         pub fn wait_until(&self, deadline: Option<Instant>) -> bool {
+            let gone = || self.chan.senders.load(Ordering::Acquire) == 0;
             let ready = |state: &mut State<T>| {
-                (std::mem::take(&mut state.woken) || !state.queue.is_empty()).then_some(())
+                let woken = std::mem::take(&mut state.woken);
+                (woken || !state.queue.is_empty() || gone()).then_some(())
             };
             self.chan.block_until(deadline, ready).is_some()
         }
@@ -369,6 +374,15 @@ mod tests {
         assert!(rx.wait_until(None));
         // Consumed, however many were raised: the next wait runs out.
         assert!(!rx.wait_until(Some(Instant::now() + Duration::from_millis(10))));
+    }
+
+    #[test]
+    fn the_last_sender_leaving_ends_a_wait() {
+        let (tx, rx) = unbounded::<u32>();
+        let waiter = std::thread::spawn(move || rx.wait_until(None));
+        std::thread::sleep(Duration::from_millis(10));
+        drop(tx);
+        assert!(waiter.join().unwrap());
     }
 
     #[test]
