@@ -12,7 +12,6 @@ RUNS=10
 # network's lib tests are here because an endpoint's receive path does
 # its own delivery timing (`engine.rs`, `endpoint.rs`).
 SUITES=(
-    "parblockchain --test faults"
     "parblockchain --test recovery"
     "parblockchain_repro --test end_to_end"
     "parblock_net --test behaviour"

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parblock_net::{Faults, SimNetwork, Waker};
+use parblock_net::{SimNetwork, Waker};
 use parblock_types::ArrivalProcess;
 
 use crate::cluster::{ClusterSpec, SystemKind};
@@ -119,22 +119,26 @@ impl Cluster {
         Cluster { shared, net, nodes }
     }
 
-    /// Stops every node, joins the fault script (if one ran) and the node
-    /// threads, and takes the report.
-    fn finish(self, fault_script: Option<JoinHandle<()>>) -> RunReport {
+    /// Stops every node, joins the node threads, and takes the report.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first node-thread panic once every node is joined:
+    /// a node that died mid-run fails the run instead of leaving a
+    /// partial report behind.
+    fn finish(self) -> RunReport {
         self.shared.stop.store(true, Ordering::Relaxed);
         for (_, waker) in &self.nodes {
             waker.wake();
         }
-        if let Some(handle) = fault_script {
-            // A crashed fault script means the faults were never injected —
-            // surface it instead of letting the test pass vacuously.
+        let mut first_panic = None;
+        for (handle, _) in self.nodes {
             if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
+                first_panic.get_or_insert(panic);
             }
         }
-        for (handle, _) in self.nodes {
-            let _ = handle.join();
+        if let Some(panic) = first_panic {
+            std::panic::resume_unwind(panic);
         }
         let messages = self.net.stats().sent();
         self.net.shutdown();
@@ -199,7 +203,7 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
 
     // Let in-flight work drain, then stop everything.
     std::thread::sleep(load.drain);
-    cluster.finish(None)
+    cluster.finish()
 }
 
 /// Runs a *fixed-count* experiment: submits exactly `count` transactions
@@ -217,7 +221,7 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
 /// invalid anyway because XOV aborts conflicting transactions.
 #[must_use]
 pub fn run_fixed(spec: &ClusterSpec, count: usize, rate_tps: f64, timeout: Duration) -> RunReport {
-    run_fixed_impl(spec, 0, count, rate_tps, timeout, None)
+    run_fixed_from(spec, 0, count, rate_tps, timeout)
 }
 
 /// Like [`run_fixed`], but resumes a recovered cluster: transactions
@@ -229,7 +233,7 @@ pub fn run_fixed(spec: &ClusterSpec, count: usize, rate_tps: f64, timeout: Durat
 /// `skip` must equal `watermark × block_size` of the reconciled stores
 /// (see `parblock_store::reconcile_cluster`), and the spec must use
 /// count-only block cuts so block boundaries are deterministic — the
-/// same requirement the fault suite's byte-equality assertions rely on.
+/// same requirement the recovery test's byte-equality assertions rely on.
 ///
 /// # Panics
 ///
@@ -242,55 +246,12 @@ pub fn run_fixed_from(
     rate_tps: f64,
     timeout: Duration,
 ) -> RunReport {
-    run_fixed_impl(spec, skip, count, rate_tps, timeout, None)
-}
-
-/// Like [`run_fixed`], but hands the network's live [`Faults`] plan to
-/// `fault_script` on a separate thread once the cluster is up, so a test
-/// can crash/restart nodes or drop links **mid-run**. The script must
-/// return (it is joined before the report is taken).
-///
-/// # Panics
-///
-/// Panics for [`SystemKind::Xov`], like [`run_fixed`].
-#[must_use]
-pub fn run_fixed_with_faults(
-    spec: &ClusterSpec,
-    count: usize,
-    rate_tps: f64,
-    timeout: Duration,
-    fault_script: impl FnOnce(Faults) + Send + 'static,
-) -> RunReport {
-    run_fixed_impl(spec, 0, count, rate_tps, timeout, Some(Box::new(fault_script)))
-}
-
-fn run_fixed_impl(
-    spec: &ClusterSpec,
-    skip: usize,
-    count: usize,
-    rate_tps: f64,
-    timeout: Duration,
-    fault_script: Option<Box<dyn FnOnce(Faults) + Send>>,
-) -> RunReport {
     assert!(
         spec.system != SystemKind::Xov,
         "run_fixed supports OX and OXII only"
     );
     let cluster = Cluster::start(spec);
     let shared = &cluster.shared;
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the fault script runs beside the threaded cluster it perturbs; \
-                  deterministic runs use the sim scheduler instead"
-    )]
-    let script_handle = fault_script.map(|script| {
-        let faults = cluster.net.faults();
-        std::thread::Builder::new()
-            .name("fault-script".into())
-            .spawn(move || script(faults))
-            .expect("spawn fault script")
-    });
 
     let client_endpoint = cluster.net.endpoint(spec.client_node());
     driver::run_driver_count_from(shared, &client_endpoint, rate_tps, skip, count);
@@ -300,7 +261,7 @@ fn run_fixed_impl(
     while shared.metrics.processed() < expected && shared.clock.now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    cluster.finish(script_handle)
+    cluster.finish()
 }
 
 #[cfg(test)]
@@ -327,6 +288,21 @@ mod tests {
         spec.topology.intra = Duration::from_micros(50);
         spec.exec_pool = 4;
         spec
+    }
+
+    #[test]
+    #[should_panic(expected = "node thread died")]
+    fn a_panicking_node_thread_fails_the_run() {
+        let spec = quick_spec(SystemKind::Oxii);
+        let net: SimNetwork<Msg> = spec.network_builder().build();
+        let waker = net.endpoint(spec.orderer_ids()[0]).waker();
+        let node = std::thread::spawn(|| panic!("node thread died"));
+        let cluster = Cluster {
+            shared: Shared::new(spec),
+            net,
+            nodes: vec![(node, waker)],
+        };
+        let _ = cluster.finish();
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! after stalls, so below saturation the achieved rate must track the
 //! offered rate within 1 % — the bound the saturation harness's knee
 //! detection relies on.
+//!
+//! These run threaded because only a real clock can be late: the
+//! simulator submits every arrival exactly at its virtual instant.
 
 use std::time::Duration;
 

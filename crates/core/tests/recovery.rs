@@ -1,34 +1,35 @@
-//! Crash/recovery integration (ISSUE 4, satellite 2; DESIGN.md §9).
+//! Crash/recovery integration (DESIGN.md §9).
 //!
-//! A cluster running a fixed deterministic workload is killed mid-block
-//! (every node crash-faulted), its per-node stores are reconciled to one
-//! consistent watermark (`parblock_store::reconcile_cluster` — the
-//! file-level startup state transfer), and a fresh cluster recovers from
-//! disk via `Store::recover` inside each node's startup, resuming the
-//! workload from the recovered watermark. The resumed run's ledger head
-//! hash and state digest must be **byte-equal** to an uninterrupted
-//! reference run: recovery loses nothing sealed and re-executes exactly
-//! the unsealed suffix.
+//! A simulated cluster running a fixed deterministic workload is killed
+//! mid-block (every node crashes at one virtual instant), its per-node
+//! stores are reconciled to one consistent watermark
+//! (`parblock_store::reconcile_cluster` — the file-level startup state
+//! transfer), and a fresh cluster recovers from disk via
+//! `Store::recover` inside each node's startup, resuming the workload
+//! from the recovered watermark. The resumed run's ledger head hash and
+//! state digest must be **byte-equal** to an uninterrupted reference
+//! run: recovery loses nothing sealed and re-executes exactly the
+//! unsealed suffix.
+//!
+//! The resume runs threaded: the simulator always submits its workload
+//! from the first transaction, so it cannot continue a stream past a
+//! recovered prefix until executors catch up by block sync instead.
 
-// The kill polls the stores on disk against a wall-clock deadline.
-#![allow(clippy::disallowed_methods)]
-
-use std::fs;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parblock_store::Store;
-use parblock_types::DurabilityConfig;
 use parblockchain::{
-    run_fixed, run_fixed_from, run_fixed_with_faults, ClusterSpec, DurabilityMode, SystemKind,
+    run_fixed, run_fixed_from, run_sim, ClusterSpec, DurabilityMode, FaultEvent, FaultKind,
+    FaultPlan, SimConfig, SystemKind,
 };
 
 const COUNT: usize = 200;
 const BLOCK_TXNS: usize = 25;
 
-/// Count-cut-only OXII spec (deterministic block boundaries, as the
-/// fault suite requires) with an aggressive checkpoint cadence so the
-/// killed run exercises checkpoint + WAL-truncation recovery too.
+/// Count-cut-only OXII spec (deterministic block boundaries, which the
+/// byte-equality assertions need) with an aggressive checkpoint cadence
+/// so the killed run exercises checkpoint + WAL-truncation recovery too.
 fn recovery_spec(data_dir: &Path) -> ClusterSpec {
     let mut spec = ClusterSpec::new(SystemKind::Oxii);
     spec.block_cut = parblock_types::BlockCutConfig {
@@ -50,24 +51,6 @@ fn recovery_spec(data_dir: &Path) -> ClusterSpec {
     spec
 }
 
-/// The sealed watermark `reconcile_cluster` would read from the store
-/// under `node_dir`, or `None` while the copy races a write. Opening a
-/// store truncates torn tails, so this opens a copy in `probe`. The WAL
-/// goes first: a body is appended before its seal record, so every seal
-/// copied has its body. Checkpoints are skipped: the WAL keeps the seal
-/// record of the newest checkpoint's block.
-fn sealed_watermark(node_dir: &Path, probe: &Path, config: DurabilityConfig) -> Option<u64> {
-    let _ = fs::remove_dir_all(probe);
-    fs::create_dir_all(probe.join("wal")).ok()?;
-    for entry in fs::read_dir(node_dir.join("wal")).ok()? {
-        let from = entry.ok()?.path();
-        fs::copy(&from, probe.join("wal").join(from.file_name()?)).ok()?;
-    }
-    fs::copy(node_dir.join("blocks.log"), probe.join("blocks.log")).ok()?;
-    let (store, _) = Store::open(probe, config).ok()?;
-    Some(store.watermark().0)
-}
-
 #[test]
 fn killed_cluster_recovers_to_byte_equal_ledger_and_state() {
     // Uninterrupted reference (durability mode does not affect the
@@ -81,62 +64,36 @@ fn killed_cluster_recovers_to_byte_equal_ledger_and_state() {
         report
     };
 
-    // Phase 1: run the same workload and kill every node as soon as some
-    // peer has sealed a block. The run cannot finish; the short timeout
-    // just bounds the wait.
+    // Phase 1: run the same workload on the simulator and crash every
+    // node at one virtual instant, mid-block.
     let data_dir = tmp.path().join("cluster");
-    let probe = tmp.path().join("probe");
     let spec = recovery_spec(&data_dir);
-    let config = spec.durability_config;
-    let orderers: Vec<u32> = spec.orderer_ids().iter().map(|n| n.0).collect();
-    let peers: Vec<u32> = spec.peer_ids().iter().map(|n| n.0).collect();
-    let all: Vec<_> = spec
-        .orderer_ids()
-        .into_iter()
-        .chain(spec.peer_ids())
-        .collect();
-    let peer_dirs: Vec<_> = peers
-        .iter()
-        .map(|&peer| Store::node_dir(&data_dir, peer))
-        .collect();
-    let killed = run_fixed_with_faults(
-        &spec,
-        COUNT,
-        2_000.0,
-        Duration::from_secs(3),
-        move |faults| {
-            let sealed = || {
-                peer_dirs
-                    .iter()
-                    .any(|dir| sealed_watermark(dir, &probe, config).is_some_and(|w| w >= 1))
-            };
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while !sealed() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            for &node in &all {
-                faults.crash(node);
-            }
-        },
+    let mut kill = SimConfig::new(spec.clone(), COUNT, 2_000.0);
+    kill.plan = FaultPlan::new(
+        spec.orderer_ids()
+            .into_iter()
+            .chain(spec.peer_ids())
+            .map(|node| FaultEvent {
+                at: Duration::from_millis(60),
+                kind: FaultKind::Crash { node },
+            })
+            .collect(),
     );
+    let killed = run_sim(&kill);
+    assert!(!killed.completed, "the kill came after the run drained");
     assert!(
-        killed.committed < COUNT as u64,
-        "crash landed too late to interrupt the run: {killed:?}"
+        killed.replicas.is_empty() && killed.orderers.is_empty(),
+        "a node outlived the kill"
     );
 
     // Phase 2: startup state transfer — reconcile every store to the
     // most advanced *peer* watermark (orderer stores carry no effects).
+    let orderers: Vec<u32> = spec.orderer_ids().iter().map(|n| n.0).collect();
+    let peers: Vec<u32> = spec.peer_ids().iter().map(|n| n.0).collect();
     let watermark =
         parblock_store::reconcile_cluster(&data_dir, &peers, &orderers, spec.durability_config)
             .expect("reconcile");
-    assert!(
-        watermark.0 >= 1,
-        "no block sealed within the kill's deadline"
-    );
-    assert!(
-        (watermark.0 as usize) < COUNT / BLOCK_TXNS,
-        "cluster finished before the crash; move the kill earlier"
-    );
+    assert_eq!(watermark.0, 4, "blocks sealed before the kill");
 
     // Phase 3: a fresh cluster recovers from disk and resumes the
     // deterministic workload past the recovered prefix.

@@ -1,5 +1,9 @@
 //! Behavioural tests of the simulated network under load, jitter and
 //! probabilistic faults.
+//!
+//! They drive the threaded network: senders and receivers racing on
+//! their own threads against the wall clock take the wake-up paths that
+//! the simulator's single-threaded manual delivery never does.
 
 // Behavioural tests measure real elapsed time.
 #![allow(clippy::disallowed_methods)]

@@ -3,11 +3,10 @@
 //! commands.
 
 use parblock_types::Hash32;
-use parblock_workload::WorkloadGen;
 use parblockchain::{run_sim, SimOutcome};
 
 use crate::faultgen::{plan_for_seed, ExploreConfig};
-use crate::oracle;
+use crate::oracle::check_oracles;
 
 /// The verdict of one seed.
 #[derive(Debug)]
@@ -63,32 +62,10 @@ fn evaluate(
     reference_config.plan = parblockchain::FaultPlan::none();
     let reference = run_sim(&reference_config);
 
-    let spec = &plan.config.spec;
-    let genesis = WorkloadGen::new(spec.workload_config()).genesis();
-    let registry = spec.registry();
-    let replay = oracle::serial_replay(&faulted.observer_chain, &genesis, &registry);
-
-    let mut failures = Vec::new();
-    let mut record = |name: &str, result: Result<(), String>| {
-        if let Err(why) = result {
-            failures.push(format!("[{name}] {why}"));
-        }
-    };
-    record(
-        "serializability",
-        oracle::check_serializability(spec, faulted, &replay),
-    );
-    record("convergence", oracle::check_convergence(faulted, &replay));
-    record("exactly-once", oracle::check_exactly_once(faulted));
-    record(
-        "recovery",
-        oracle::check_recovery_equivalence(faulted, &reference),
-    );
-
     SeedReport {
         seed,
         description: plan.description.clone(),
-        failures,
+        failures: check_oracles(&plan.config.spec, faulted, &reference),
         report_digest: faulted.report.digest(),
         events: faulted.events,
         blocks: faulted.report.blocks,

@@ -38,6 +38,6 @@ pub mod oracle;
 pub use explore::{explore, run_seed, run_seed_twice, ExploreSummary, SeedReport};
 pub use faultgen::{plan_for_seed, ExploreConfig, SeedPlan};
 pub use oracle::{
-    chain_heads, check_convergence, check_exactly_once, check_recovery_equivalence,
-    check_serializability, serial_replay, Replay,
+    chain_heads, check_convergence, check_exactly_once, check_oracles,
+    check_recovery_equivalence, check_serializability, serial_replay, Replay,
 };

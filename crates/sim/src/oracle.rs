@@ -29,6 +29,7 @@ use parblock_contracts::{AppRegistry, ExecOutcome, StateReader};
 use parblock_crypto::hash_wire;
 use parblock_ledger::{Ledger, MvccState, Version};
 use parblock_types::{Block, BlockNumber, Hash32, Key, SeqNo, TxId, Value};
+use parblock_workload::WorkloadGen;
 use parblockchain::{ClusterSpec, SimOutcome};
 
 /// A snapshot of a transaction's declared read set, mirroring the
@@ -328,6 +329,32 @@ pub fn check_recovery_equivalence(
         ));
     }
     Ok(())
+}
+
+/// Checks all four oracles on `faulted` (a run of `spec`), the last
+/// against `reference`, an uninterrupted run of the same spec and seed.
+/// Returns one `"[oracle] why"` line per violation, in oracle order;
+/// empty means every oracle passed.
+#[must_use]
+pub fn check_oracles(
+    spec: &ClusterSpec,
+    faulted: &SimOutcome,
+    reference: &SimOutcome,
+) -> Vec<String> {
+    let genesis = WorkloadGen::new(spec.workload_config()).genesis();
+    let replay = serial_replay(&faulted.observer_chain, &genesis, &spec.registry());
+    [
+        (
+            "serializability",
+            check_serializability(spec, faulted, &replay),
+        ),
+        ("convergence", check_convergence(faulted, &replay)),
+        ("exactly-once", check_exactly_once(faulted)),
+        ("recovery", check_recovery_equivalence(faulted, reference)),
+    ]
+    .into_iter()
+    .filter_map(|(name, result)| result.err().map(|why| format!("[{name}] {why}")))
+    .collect()
 }
 
 /// Helper for oracle construction/tests: the chain's head hash at every

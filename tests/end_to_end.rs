@@ -1,8 +1,18 @@
 //! Cross-crate integration tests: full clusters, all three paradigms.
+//!
+//! All but the PBFT crash test run the threaded cluster, because the
+//! simulator cannot show what they check: it runs only OXII, on one
+//! thread with executions completing inline, so OX and XOV, the
+//! executor pool's real parallelism and wall-clock latency across
+//! datacenters exist only here.
 
 use std::time::Duration;
 
-use parblockchain::{run, run_fixed, ClusterSpec, LoadSpec, MovedGroup, SystemKind};
+use parblock_sim::check_oracles;
+use parblockchain::{
+    run, run_fixed, run_sim, ClusterSpec, FaultEvent, FaultKind, FaultPlan, LoadSpec, MovedGroup,
+    SimConfig, SystemKind,
+};
 use parblockchain_repro as _;
 
 fn quick_spec(system: SystemKind) -> ClusterSpec {
@@ -140,14 +150,26 @@ fn xov_with_two_endorsers_per_app_commits() {
     assert!(report.committed > 30, "{report:?}");
 }
 
-/// PBFT-ordered OXII commits under a crashed backup orderer (f = 1).
+/// PBFT-ordered OXII commits everything under a crashed backup orderer
+/// (f = 1), and the chain and state match the crash-free run's. It runs
+/// on the simulator, where the crash lands at an exact instant.
 #[test]
 fn oxii_pbft_tolerates_one_orderer_crash() {
-    let spec = quick_spec(SystemKind::Oxii).with_pbft();
-    // Run normally; crash injection of a *backup* happens via the fault
-    // plan at the network level — here we simply verify the PBFT path
-    // commits (crash tests live in the consensus crate's harness, which
-    // controls schedules deterministically).
-    let report = run(&spec, &quick_load(300.0));
-    assert!(report.committed > 30, "{report:?}");
+    let mut spec = quick_spec(SystemKind::Oxii).with_pbft();
+    spec.capture_state = true;
+    let backup = spec.orderer_ids()[3];
+    let clean = SimConfig::new(spec, 200, 2_000.0);
+    let mut crashed = clean.clone();
+    crashed.plan = FaultPlan::new(vec![FaultEvent {
+        at: Duration::from_millis(10),
+        kind: FaultKind::Crash { node: backup },
+    }]);
+    let outcome = run_sim(&crashed);
+    assert!(outcome.completed, "{:?}", outcome.report);
+    assert!(
+        outcome.orderers.iter().all(|o| o.node != backup),
+        "the backup outlived its crash"
+    );
+    let failures = check_oracles(&crashed.spec, &outcome, &run_sim(&clean));
+    assert!(failures.is_empty(), "{failures:#?}");
 }

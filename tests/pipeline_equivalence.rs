@@ -8,6 +8,11 @@
 //! optimization. Every depth runs both in memory and on the durable
 //! store: persisting effects and sealing blocks must not change what
 //! is committed either.
+//!
+//! The suite runs threaded because the simulator cannot reorder what it
+//! checks: there, executions complete inline at virtual instants and
+//! an fsync costs no virtual time, while here pool workers finish in whatever order
+//! the host schedules them and a seal waits on a real disk.
 
 use std::time::Duration;
 
