@@ -10,10 +10,14 @@ cd "$(dirname "$0")/.."
 RUNS=10
 # A package, then the cargo target selector of one test binary. The
 # network's lib tests are here because an endpoint's receive path does
-# its own delivery timing (`engine.rs`, `endpoint.rs`).
+# its own delivery timing (`engine.rs`, `endpoint.rs`). The pipeline
+# grid is the threaded OXII executor across depth, durability and
+# contention: it wakes for its next execution on its own deadline, so a
+# deadline it fails to report hangs there.
 SUITES=(
     "parblockchain --test recovery"
     "parblockchain_repro --test end_to_end"
+    "parblockchain_repro --test pipeline_equivalence"
     "parblock_net --test behaviour"
     "parblock_net --lib"
 )

@@ -160,7 +160,8 @@ pub struct ClusterSpec {
     pub workload: WorkloadConfig,
     /// Latency topology.
     pub topology: TopologySpec,
-    /// Worker threads per OXII executor.
+    /// How many executions one OXII executor runs at once (the lanes of
+    /// its execution queue; values below 1 are treated as 1).
     pub exec_pool: usize,
     /// How many blocks an OXII executor may keep **in flight** at once,
     /// executing block `n + 1` over multi-version snapshots while block

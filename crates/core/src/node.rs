@@ -53,9 +53,8 @@ const DRAIN_RUN: usize = 256;
 
 /// The one threaded node loop: handle up to [`DRAIN_RUN`] queued
 /// messages, tick, and if neither found anything block until a message
-/// arrives, a [`Waker`] of `mailbox` is raised (an execution finished,
-/// the cluster is stopping) or the next deadline passes. With none of
-/// those the thread sleeps.
+/// arrives, a [`Waker`] of `mailbox` is raised (the cluster is stopping)
+/// or the next deadline passes. With none of those the thread sleeps.
 pub(crate) fn drive_threaded<N>(node: &mut N, mailbox: &Endpoint<Msg>, shared: &Shared)
 where
     N: Node + ?Sized,
@@ -335,8 +334,8 @@ pub(crate) mod tests {
         assert!(runs.len() >= QUEUED as usize / DRAIN_RUN);
     }
 
-    /// Consumes a queue a producer fills beside the mailbox, the way an
-    /// executor consumes its pool's completions.
+    /// Consumes a queue another thread fills beside the mailbox, raising
+    /// the mailbox's waker after each push.
     struct Sink {
         queue: Arc<Mutex<Vec<u32>>>,
         seen: Vec<u32>,

@@ -50,9 +50,7 @@ use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo, TxId};
 
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
 use crate::node::{Node, Peer};
-use crate::pool::{
-    undeclared_write, Completion, ExecBackend, ExecPool, InlineQueue, SnapshotReader, WorkItem,
-};
+use crate::pool::{self, undeclared_write, Completion, InlineQueue, SnapshotReader};
 use crate::quorum::{matched_by, NewBlockQuorum};
 use crate::shared::Shared;
 
@@ -85,7 +83,9 @@ impl BlockRun {
 pub(crate) struct Executor {
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
-    backend: Box<dyn ExecBackend>,
+    /// Executions running on `exec_pool` lanes, each due `per_tx` after
+    /// it starts.
+    running: InlineQueue,
     /// Multi-version blockchain state: every applied write is a versioned
     /// put at the writer's log position, so concurrent blocks read
     /// position-correct snapshots.
@@ -126,18 +126,10 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// Under the wall clock contract executions run on an [`ExecPool`]
-    /// of `spec.exec_pool` workers, which wake this node's mailbox wait
-    /// as each finishes. Under the simulated clock there are no worker
-    /// threads: executions complete at `dispatch + cost` in virtual
-    /// time, observed by `tick`.
+    /// On every clock, up to `spec.exec_pool` executions run at once,
+    /// each held until its cost has passed and surfaced by `tick`.
     pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
-        let backend: Box<dyn ExecBackend> = if shared.clock.is_simulated() {
-            Box::<InlineQueue>::default()
-        } else {
-            let waker = endpoint.waker();
-            Box::new(ExecPool::new(shared.spec.exec_pool, move || waker.wake()))
-        };
+        let running = InlineQueue::new(shared.spec.exec_pool);
         let mut state = MvccState::with_genesis(shared.genesis.iter().cloned());
         let is_observer = endpoint.id() == shared.spec.observer();
         let commit_dests = shared.spec.peer_ids();
@@ -164,7 +156,7 @@ impl Executor {
         Executor {
             shared,
             endpoint,
-            backend,
+            running,
             state,
             ledger,
             durability,
@@ -317,18 +309,22 @@ impl Executor {
 
     // ---- Algorithm 1: execution following the dependency graph --------
 
+    /// Starts the ready positions this node is an agent for, all at one
+    /// instant: each executes now against its snapshot and completes on
+    /// the earliest-free lane, in `ready` order.
     fn dispatch_ready(&mut self, number: u64, ready: &[SeqNo]) {
         let Some(run) = self.runs.get(&number) else {
             return;
         };
-        let block_number = run.bundle.block.number();
+        let block = run.bundle.block.number();
         let cost = self.shared.spec.costs.per_tx;
-        let mut items = Vec::new();
+        let now = self.shared.clock.now();
+        let traced = self.is_observer && self.shared.trace.enabled();
         for &seq in ready {
             if !run.we[seq.0 as usize] || run.executed[seq.0 as usize] {
                 continue;
             }
-            let tx = run.bundle.block.tx(seq).expect("seq valid").clone();
+            let tx = run.bundle.block.tx(seq).expect("seq valid");
             let Ok(contract) = self.shared.registry.contract(tx.app()) else {
                 continue;
             };
@@ -338,30 +334,15 @@ impl Executor {
             // the dependency graph; cross-block: the conflict index), so
             // this is the serial-order prefix state for these keys even
             // while other blocks execute concurrently.
-            let snapshot =
-                SnapshotReader::at(&self.state, &tx, Version::new(block_number, seq));
-            items.push(WorkItem {
-                block: block_number,
-                seq,
-                tx,
-                snapshot,
-                contract: Arc::clone(contract),
-                cost,
-            });
-        }
-        if self.is_observer && self.shared.trace.enabled() {
-            let now = self.shared.clock.now();
-            for item in &items {
+            let snapshot = SnapshotReader::at(&self.state, tx, Version::new(block, seq));
+            let result = pool::execute(contract.as_ref(), tx, &snapshot);
+            if traced {
                 self.shared
                     .trace
-                    .record_at(item.tx.id(), parblock_trace::Stage::Dispatched, now);
+                    .record_at(tx.id(), parblock_trace::Stage::Dispatched, now);
             }
-        }
-        // One handoff for the whole ready set (DESIGN.md §15): in
-        // deterministic mode, one clock read stamps every completion
-        // due time.
-        if !items.is_empty() {
-            self.backend.dispatch_batch(items, self.shared.clock.now());
+            self.running
+                .hold_in_turn(Completion { block, seq, result }, now, cost);
         }
     }
 
@@ -706,12 +687,11 @@ impl Node for Executor {
         }
     }
 
-    /// Surfaces every execution finished by `now`: handed back by the
-    /// pool's workers, or due on the virtual clock. Then Algorithm 2:
-    /// each in-flight block multicasts the results this tick finished as
-    /// one COMMIT.
+    /// Surfaces every execution due by `now`. Then Algorithm 2: each
+    /// in-flight block multicasts the results this tick finished as one
+    /// COMMIT.
     fn tick(&mut self, now: Instant) -> usize {
-        let done = self.backend.take_done(now);
+        let done = self.running.take_done(now);
         let handled = done.len();
         for completion in done {
             self.on_completion(completion);
@@ -722,10 +702,9 @@ impl Node for Executor {
         handled
     }
 
-    /// The next virtual completion. A pool-backed executor arms nothing:
-    /// its workers raise the mailbox waker.
+    /// When the next running execution is due.
     fn next_deadline(&self, now: Instant) -> Option<Instant> {
-        self.backend.next_due().filter(|&due| due > now)
+        self.running.next_due().filter(|&due| due > now)
     }
 
     /// The observer's durability counters.

@@ -1,25 +1,20 @@
-//! The one execution rule every paradigm shares, and the executor-side
-//! worker pool that runs it in parallel for OXII.
+//! The one execution rule every paradigm shares, and the queue every
+//! node's executions wait in.
 //!
 //! A transaction executes through [`execute`] against a [`SnapshotReader`]
 //! of its declared read set at a log position (its own under OXII and OX,
 //! just after the ledger head at an XOV endorser); an access outside the
 //! declared sets aborts.
 //!
-//! The OXII executor's main thread owns the blockchain state. When a
-//! transaction becomes ready it snapshots the declared read set and hands
-//! the work item to the pool; workers model the execution cost as a timed
-//! wait (see DESIGN.md §3), run the contract, push the result on the
-//! pool's completion channel and wake the executor's node loop, whose
-//! next `tick` drains that channel (DESIGN.md §17).
+//! No node sleeps an execution's cost (DESIGN.md §3): the node runs the
+//! contract when it dispatches the execution and holds the result in an
+//! [`InlineQueue`] until the cost has passed on the cluster clock. The
+//! OXII executor's queue has `exec_pool` lanes, so that many of its
+//! executions overlap; an OX peer, XOV endorser or XOV validator has one.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use parblock_contracts::{ExecOutcome, SmartContract, StateReader};
 use parblock_ledger::{MvccState, Version};
@@ -27,7 +22,7 @@ use parblock_types::{BlockNumber, Key, SeqNo, Transaction, Value};
 
 use crate::msg::ExecResult;
 
-/// A read view over a snapshot taken by the executor's main thread.
+/// A read view over a snapshot of the state.
 ///
 /// Entries cover the transaction's **declared** read set; `Some(value)`
 /// is a key present at the reader's version position, `None` a key with
@@ -36,20 +31,20 @@ use crate::msg::ExecResult;
 /// abort observably on missing state.
 ///
 /// A read outside the declared set is a scheduling-contract violation
-/// (the dependency graph never ordered it): it is flagged, and the
-/// worker pool deterministically aborts the execution instead of
+/// (the dependency graph never ordered it): it is flagged, and
+/// [`execute`] deterministically aborts the execution instead of
 /// silently serving a default value.
 #[derive(Debug)]
 pub(crate) struct SnapshotReader {
     entries: HashMap<Key, Option<Value>>,
-    undeclared: AtomicBool,
+    undeclared: Cell<bool>,
 }
 
 impl SnapshotReader {
     fn new(entries: HashMap<Key, Option<Value>>) -> Self {
         SnapshotReader {
             entries,
-            undeclared: AtomicBool::new(false),
+            undeclared: Cell::new(false),
         }
     }
 
@@ -65,7 +60,7 @@ impl SnapshotReader {
 
     /// Whether the contract read a key outside the declared read set.
     pub(crate) fn undeclared_read(&self) -> bool {
-        self.undeclared.load(Ordering::Relaxed)
+        self.undeclared.get()
     }
 }
 
@@ -74,21 +69,11 @@ impl StateReader for SnapshotReader {
         match self.entries.get(&key) {
             Some(present) => present.clone(),
             None => {
-                self.undeclared.store(true, Ordering::Relaxed);
+                self.undeclared.set(true);
                 None
             }
         }
     }
-}
-
-/// One unit of work: execute `tx` against `snapshot`.
-pub(crate) struct WorkItem {
-    pub block: BlockNumber,
-    pub seq: SeqNo,
-    pub tx: Transaction,
-    pub snapshot: SnapshotReader,
-    pub contract: Arc<dyn SmartContract>,
-    pub cost: Duration,
 }
 
 /// A completed execution.
@@ -134,148 +119,52 @@ pub(crate) fn execute(
     }
 }
 
-/// Executes one work item against its snapshot (the cost model wait is
-/// the caller's concern: threaded workers sleep it, the deterministic
-/// queue charges it as a virtual completion delay instead).
-fn execute_item(item: &WorkItem) -> Completion {
-    Completion {
-        block: item.block,
-        seq: item.seq,
-        result: execute(item.contract.as_ref(), &item.tx, &item.snapshot),
-    }
-}
-
-/// Where an executor's contract executions run: a thread pool under
-/// the free-running runner, a virtual-time inline queue under the
-/// deterministic scheduler (DESIGN.md §10).
-pub(crate) trait ExecBackend {
-    /// Starts executing a whole ready set, dispatched at `now`.
-    fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: Instant);
-
-    /// Removes and returns every execution that has finished by `now`.
-    fn take_done(&mut self, now: Instant) -> Vec<Completion>;
-
-    /// When the next execution finishes, where that is known ahead of
-    /// time. The pool does not know; its workers wake the node instead.
-    fn next_due(&self) -> Option<Instant> {
-        None
-    }
-}
-
-/// A fixed pool of execution workers.
-pub(crate) struct ExecPool {
-    work_tx: Option<Sender<WorkItem>>,
-    done_rx: Receiver<Completion>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ExecPool {
-    /// Starts `workers` threads. Each calls `wake` after pushing a
-    /// completion, so whoever drains them can sleep until there is one.
-    pub(crate) fn new(workers: usize, wake: impl Fn() + Clone + Send + 'static) -> Self {
-        let workers = workers.max(1);
-        let (work_tx, work_rx) = unbounded::<WorkItem>();
-        let (done_tx, done_rx) = unbounded::<Completion>();
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            let wake = wake.clone();
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the threaded executor pool; the deterministic backend is InlineQueue"
-            )]
-            let handle = std::thread::Builder::new()
-                .name(format!("exec-worker-{i}"))
-                .spawn(move || {
-                    while let Ok(item) = work_rx.recv() {
-                        if !item.cost.is_zero() {
-                            std::thread::sleep(item.cost);
-                        }
-                        let _ = done_tx.send(execute_item(&item));
-                        wake();
-                    }
-                })
-                .expect("spawn exec worker");
-            handles.push(handle);
-        }
-        ExecPool {
-            work_tx: Some(work_tx),
-            done_rx,
-            handles,
-        }
-    }
-}
-
-impl ExecBackend for ExecPool {
-    /// Hands a whole ready set to the workers in one call: the channel
-    /// handle is resolved once and items stream out back-to-back, so a
-    /// 1000-transaction low-conflict block is one handoff, not 1000
-    /// (DESIGN.md §15).
-    fn dispatch_batch(&mut self, items: Vec<WorkItem>, _now: Instant) {
-        let tx = self.work_tx.as_ref().expect("pool running");
-        for item in items {
-            tx.send(item).expect("workers alive");
-        }
-    }
-
-    /// Every completion the workers have pushed, whatever the time.
-    fn take_done(&mut self, _now: Instant) -> Vec<Completion> {
-        std::iter::from_fn(|| self.done_rx.try_recv().ok()).collect()
-    }
-}
-
-impl Drop for ExecPool {
-    fn drop(&mut self) {
-        // Closing the work channel lets the workers finish what is
-        // queued and exit; that bounds the join.
-        self.work_tx = None;
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Work charged on the clock instead of slept (DESIGN.md §10, §17): a
-/// result is computed when its work starts (its snapshot is taken, so it
-/// is position-correct whenever it is *observed*) and held until its due
-/// instant. Results surface in `(due, hold order)`, a pure function of
-/// the schedule. OXII's deterministic backend holds completions at
-/// `dispatch + cost`, the pool's cost model minus the host scheduler; an
-/// OX peer, XOV endorser or XOV validator is one worker and holds its
-/// jobs in turn ([`InlineQueue::hold_in_turn`]).
+/// Work charged on the clock instead of slept (DESIGN.md §3, §17): a
+/// result is computed when its work is dispatched (its snapshot is taken,
+/// so it is position-correct whenever it is *observed*) and held on one
+/// of the queue's lanes until it is due ([`InlineQueue::hold_in_turn`]).
+/// Results surface in `(due, hold order)`, a pure function of the
+/// schedule.
 pub(crate) struct InlineQueue<T = Completion> {
     /// Keyed `(due, hold ticket)`: the order results surface in.
     pending: BTreeMap<(Instant, u64), T>,
     next_ticket: u64,
-    /// When the last job held in turn is done.
-    free_at: Option<Instant>,
+    /// When each lane's last job is done; `None` for a lane never used.
+    lanes: Vec<Option<Instant>>,
 }
 
+/// One lane: a node that serves one job at a time.
 impl<T> Default for InlineQueue<T> {
     fn default() -> Self {
-        InlineQueue {
-            pending: BTreeMap::new(),
-            next_ticket: 0,
-            free_at: None,
-        }
+        InlineQueue::new(1)
     }
 }
 
 impl<T> InlineQueue<T> {
-    /// Holds `result` until `due`.
-    pub(crate) fn hold(&mut self, result: T, due: Instant) {
-        self.pending.insert((due, self.next_ticket), result);
-        self.next_ticket += 1;
+    /// A queue running up to `lanes` jobs at once (at least one).
+    pub(crate) fn new(lanes: usize) -> Self {
+        InlineQueue {
+            pending: BTreeMap::new(),
+            next_ticket: 0,
+            lanes: vec![None; lanes.max(1)],
+        }
     }
 
-    /// Holds `result` as one worker's next job: the job starts at the
-    /// later of `ready` and the end of the job held in turn before it, and
-    /// is done `cost` after. A late caller shifts nothing after it.
+    /// Holds `result` as the next job of the earliest-free lane (the
+    /// lowest such lane on a tie): the job starts at the later of `ready`
+    /// and the end of that lane's previous job, and is done `cost` after.
+    /// While no more jobs overlap than there are lanes, each is due at
+    /// `ready + cost`. A late caller shifts nothing after it.
     pub(crate) fn hold_in_turn(&mut self, result: T, ready: Instant, cost: Duration) {
-        let due = self.free_at.map_or(ready, |free| free.max(ready)) + cost;
-        self.free_at = Some(due);
-        self.hold(result, due);
+        let lane = self
+            .lanes
+            .iter_mut()
+            .min_by_key(|free| **free)
+            .expect("a queue has at least one lane");
+        let due = lane.map_or(ready, |free| free.max(ready)) + cost;
+        *lane = Some(due);
+        self.pending.insert((due, self.next_ticket), result);
+        self.next_ticket += 1;
     }
 
     /// The earliest held result's due time.
@@ -295,50 +184,14 @@ impl<T> InlineQueue<T> {
     }
 }
 
-impl ExecBackend for InlineQueue {
-    /// Dispatches a whole ready set at one instant: each item executes
-    /// now and its completion becomes visible at `now + item.cost`, with
-    /// tickets in input order. One clock read covers the batch (the
-    /// virtual clock only advances between settles, so per-item reads
-    /// would agree anyway).
-    fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: Instant) {
-        for item in items {
-            self.hold(execute_item(&item), now + item.cost);
-        }
-    }
-
-    fn next_due(&self) -> Option<Instant> {
-        InlineQueue::next_due(self)
-    }
-
-    fn take_done(&mut self, now: Instant) -> Vec<Completion> {
-        InlineQueue::take_done(self, now)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::sync::Arc;
+
     use parblock_contracts::{AccountingContract, AccountingOp};
     use parblock_types::{AppId, ClientId};
 
     use super::*;
-
-    /// A pool whose wake-ups arrive on a channel.
-    fn pool(workers: usize) -> (ExecPool, std::sync::mpsc::Receiver<()>) {
-        let (wake, woken) = std::sync::mpsc::channel();
-        let pool = ExecPool::new(workers, move || {
-            let _ = wake.send(());
-        });
-        (pool, woken)
-    }
-
-    /// Waits for a wake-up, then takes the completion it announced.
-    fn one_done(pool: &mut ExecPool, woken: &std::sync::mpsc::Receiver<()>) -> Completion {
-        woken
-            .recv_timeout(Duration::from_secs(1))
-            .expect("workers wake after pushing a completion");
-        pool.take_done(Instant::now()).pop().expect("completion")
-    }
 
     /// A transfer of 5 from `Key(1)` to `Key(2)`.
     fn transfer(contract: &AccountingContract, ts: u64) -> Transaction {
@@ -357,35 +210,6 @@ pub(crate) mod tests {
             (Key(1), Some(Value::Int(10))),
             (Key(2), None),
         ]))
-    }
-
-    #[test]
-    fn pool_executes_and_reports() {
-        let (mut pool, woken) = pool(2);
-        let contract = Arc::new(AccountingContract::new(AppId(0)));
-        let tx = transfer(&contract, 0);
-        pool.dispatch_batch(
-            vec![WorkItem {
-                block: BlockNumber(1),
-                seq: SeqNo(0),
-                tx,
-                snapshot: funded(),
-                contract,
-                cost: Duration::from_micros(50),
-            }],
-            Instant::now(),
-        );
-        let done = one_done(&mut pool, &woken);
-        assert_eq!(done.seq, SeqNo(0));
-        match done.result {
-            ExecResult::Committed(writes) => {
-                assert_eq!(
-                    writes,
-                    vec![(Key(1), Value::Int(5)), (Key(2), Value::Int(5))]
-                );
-            }
-            ExecResult::Aborted(r) => panic!("unexpected abort: {r}"),
-        }
     }
 
     #[test]
@@ -411,30 +235,41 @@ pub(crate) mod tests {
 
     #[test]
     fn inline_queue_orders_completions_by_due_then_dispatch() {
-        let contract = AccountingContract::new(AppId(0));
-        let shared: Arc<dyn SmartContract> = Arc::new(AccountingContract::new(AppId(0)));
-        let item = |seq: u32, cost_us: u64| WorkItem {
-            block: BlockNumber(1),
-            seq: SeqNo(seq),
-            tx: transfer(&contract, u64::from(seq)),
-            snapshot: funded(),
-            contract: Arc::clone(&shared),
-            cost: Duration::from_micros(cost_us),
-        };
-        let mut q = InlineQueue::default();
+        let us = Duration::from_micros;
+        let mut q = InlineQueue::new(3);
         let t0 = Instant::now();
-        q.dispatch_batch(vec![item(0, 100), item(1, 50), item(2, 50)], t0);
-        assert_eq!(q.next_due(), Some(t0 + Duration::from_micros(50)));
+        for (job, cost) in [(0, 100), (1, 50), (2, 50)] {
+            q.hold_in_turn(job, t0, us(cost));
+        }
+        assert_eq!(q.next_due(), Some(t0 + us(50)));
         assert!(q.take_done(t0).is_empty(), "nothing due at dispatch time");
-        let due = q.take_done(t0 + Duration::from_micros(60));
         assert_eq!(
-            due.iter().map(|c| c.seq).collect::<Vec<_>>(),
-            vec![SeqNo(1), SeqNo(2)],
+            q.take_done(t0 + us(60)),
+            [1, 2],
             "equal due times resolve in dispatch order"
         );
-        let rest = q.take_done(t0 + Duration::from_millis(1));
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].seq, SeqNo(0));
+        assert_eq!(q.take_done(t0 + us(1_000)), [0]);
+        assert_eq!(q.next_due(), None);
+    }
+
+    /// Two lanes serve five jobs held at one instant two at a time; a
+    /// job held later takes whichever lane is free first.
+    #[test]
+    fn inline_queue_runs_as_many_jobs_at_once_as_it_has_lanes() {
+        let cost = Duration::from_micros(100);
+        let mut q = InlineQueue::new(2);
+        let t = Instant::now();
+        for job in 0..5 {
+            q.hold_in_turn(job, t, cost);
+        }
+        assert_eq!(q.take_done(t + cost), [0, 1]);
+        assert_eq!(q.take_done(t + cost * 2), [2, 3]);
+        q.hold_in_turn(5, t + cost * 2, cost);
+        assert_eq!(
+            q.take_done(t + cost * 3),
+            [4, 5],
+            "the second lane was free"
+        );
         assert_eq!(q.next_due(), None);
     }
 

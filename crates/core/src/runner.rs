@@ -324,6 +324,36 @@ mod tests {
         );
     }
 
+    /// Executions wait on the clock in the executor's own thread: a
+    /// running OXII cluster has node threads and nothing else (Linux
+    /// names a thread in `/proc/self/task/*/comm`; the worker pool this
+    /// replaced named its threads `exec-…`).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_running_oxii_cluster_starts_no_execution_threads() {
+        let cluster = Cluster::start(&quick_spec(SystemKind::Oxii));
+        // Every agent has executed by the time the observer has seen
+        // each transaction commit.
+        driver::run_driver_count_from(&cluster.shared, &cluster.client, 1_000.0, 0, 40);
+        let deadline = cluster.shared.clock.now() + Duration::from_secs(20);
+        while cluster.shared.metrics.processed() < 40 && cluster.shared.clock.now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .map(|task| {
+                let comm = task.expect("task entry").path().join("comm");
+                std::fs::read_to_string(comm).unwrap_or_default()
+            })
+            .collect();
+        let _ = cluster.finish();
+        let executors: Vec<&String> = names
+            .iter()
+            .filter(|name| name.starts_with("exec"))
+            .collect();
+        assert!(executors.is_empty(), "execution threads: {executors:?}");
+    }
+
     #[test]
     fn oxii_does_not_abort_under_full_contention() {
         let mut spec = quick_spec(SystemKind::Oxii);

@@ -6,9 +6,10 @@
 //! peers and the XOV client node, the same network engine, the same
 //! stores — under a seeded, virtual-time cooperative scheduler instead:
 //!
-//! * one thread, no pools: executions complete on the virtual clock
-//!   (`dispatch + cost` for OXII, one after another on each OX peer and
-//!   XOV endorser), network messages deliver in `(due, seq)` order
+//! * one thread: executions complete on the virtual clock, the same
+//!   `InlineQueue` rule as on the wall clock (`exec_pool` at a time on
+//!   an OXII executor, one after another on each OX peer and XOV
+//!   endorser), network messages deliver in `(due, seq)` order
 //!   via [`SimNetwork::deliver_due`], and node steps happen in a fixed
 //!   node order — the whole schedule is a pure function of
 //!   `ClusterSpec::seed` and the [`FaultPlan`];
@@ -22,8 +23,7 @@
 //!   exactly-once / recovery oracles in `parblock_sim` consume.
 //!
 //! All three [`SystemKind`]s run here. What the simulator does not model:
-//! `InlineQueue` runs any number of OXII executions at once (no
-//! `exec_pool` cap), and handling a message costs no virtual time.
+//! handling a message costs no virtual time.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

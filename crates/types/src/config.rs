@@ -184,10 +184,10 @@ impl CommitPolicy {
 /// Synthetic cost model for contract execution.
 ///
 /// The paper ran on 8-vCPU EC2 instances where contract execution consumed
-/// real CPU. This reproduction host has two cores, far fewer than the
-/// executor pools have workers, so execution cost is modelled as a timed
-/// wait (I/O-bound-like), which preserves the parallel-vs-sequential
-/// shape of the results (see DESIGN.md §3).
+/// real CPU. This reproduction host has two cores, far fewer than an
+/// executor runs executions at once, so execution cost is modelled as a
+/// wait on the cluster clock (I/O-bound-like), which preserves the
+/// parallel-vs-sequential shape of the results (see DESIGN.md §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionCosts {
     /// Time to execute one transaction on an executor.
@@ -209,9 +209,9 @@ impl ExecutionCosts {
 }
 
 impl Default for ExecutionCosts {
-    /// 1 ms per transaction. With the default 16-worker executor pools
-    /// this yields the paper's relative ceilings: OX ≈ 1/per_tx,
-    /// XOV ≈ apps/per_tx, OXII ≈ pool·executors/per_tx (contention
+    /// 1 ms per transaction. With the default 16 executions at once per
+    /// executor this yields the paper's relative ceilings: OX ≈ 1/per_tx,
+    /// XOV ≈ apps/per_tx, OXII ≈ exec_pool·executors/per_tx (contention
     /// permitting) — the OXII > XOV > OX ordering of §V.
     fn default() -> Self {
         ExecutionCosts::per_tx(Duration::from_millis(1))

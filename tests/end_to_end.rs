@@ -2,10 +2,10 @@
 //!
 //! The paradigm comparisons run on the simulator, on the injected clock,
 //! so their verdicts are exact and deterministic. The threaded tests
-//! left check what the simulator cannot show: it runs on one thread,
-//! OXII executions complete inline with no worker cap, and handling a
-//! message costs no time, so the executor pool's real parallelism and
-//! wall-clock latency across datacenters exist only there.
+//! left check what the simulator cannot show: it runs on one thread and
+//! handling a message costs no time, so wall-clock latency across
+//! datacenters and the node threads' real interleavings exist only
+//! there.
 
 use std::time::Duration;
 
@@ -120,7 +120,12 @@ fn oxii_cross_app_contention_commits_everything() {
 /// count-only cuts: the virtual makespan is the time to work off the
 /// burst, the inverse of the peak throughput Figs 5 and 6 plot.
 fn burst(system: SystemKind, contention: f64) -> SimOutcome {
-    let mut spec = quick_spec(system);
+    burst_on(quick_spec(system), contention)
+}
+
+/// [`burst`] on `spec`.
+fn burst_on(mut spec: ClusterSpec, contention: f64) -> SimOutcome {
+    let system = spec.system;
     spec.costs = parblockchain_repro::types::ExecutionCosts::per_tx(Duration::from_micros(500));
     spec.block_cut.max_wait = Duration::from_secs(5);
     spec.workload.contention = contention;
@@ -149,6 +154,24 @@ fn fig5_makespan_orders_oxii_before_xov_before_ox() {
     assert!(
         (2.5..3.5).contains(&speedup),
         "Fig 5: XOV is {speedup:.2}× OX"
+    );
+}
+
+/// `exec_pool` is how many executions one executor runs at once: the
+/// uncontended burst (100 transactions per agent) works off in about
+/// 100 / `exec_pool` costs, until the 25-transaction blocks and their
+/// message rounds bound it.
+#[test]
+fn oxii_makespan_honours_exec_pool() {
+    let makespans = [1, 2, 4, 16].map(|exec_pool| {
+        let mut spec = quick_spec(SystemKind::Oxii);
+        spec.exec_pool = exec_pool;
+        burst_on(spec, 0.0).virtual_elapsed
+    });
+    assert_eq!(
+        makespans,
+        [56_250, 29_250, 15_750, 6_450].map(Duration::from_micros),
+        "makespans at 1, 2, 4 and 16 lanes"
     );
 }
 
