@@ -9,7 +9,9 @@ cd "$(dirname "$0")/.."
 
 RUNS=10
 # A package, then the cargo target selector of one test binary. The
-# network's lib tests are here because an endpoint's receive path does
+# channel shim's lib tests are here because every node thread blocks in
+# its timed wait (`block_until`), which also sets the thread's timer
+# slack. The network's lib tests are here because an endpoint's receive path does
 # its own delivery timing (`engine.rs`, `endpoint.rs`). The pipeline
 # grid is the threaded OXII executor across depth, durability and
 # contention: it wakes for its next execution on its own deadline, so a
@@ -20,6 +22,7 @@ SUITES=(
     "parblockchain_repro --test pipeline_equivalence"
     "parblock_net --test behaviour"
     "parblock_net --lib"
+    "crossbeam --lib"
 )
 
 # Build every binary once, before the first run.

@@ -95,6 +95,8 @@ pub(crate) struct OpenBatch {
     /// Kept across batches: after the first few it no longer grows.
     buf: Vec<u8>,
     count: usize,
+    /// The first admitted transaction: what names the batch in flight.
+    first: Option<TxId>,
 }
 
 impl OpenBatch {
@@ -102,7 +104,11 @@ impl OpenBatch {
         let mut buf = vec![TAG_BATCH];
         0u64.encode(&mut buf);
         debug_assert_eq!(buf.len(), BATCH_COUNT.end);
-        OpenBatch { buf, count: 0 }
+        OpenBatch {
+            buf,
+            count: 0,
+            first: None,
+        }
     }
 
     /// Transactions admitted since the last [`OpenBatch::freeze`].
@@ -114,6 +120,12 @@ impl OpenBatch {
         self.count == 0
     }
 
+    /// The first transaction admitted since the last
+    /// [`OpenBatch::freeze`].
+    pub(crate) fn first(&self) -> Option<TxId> {
+        self.first
+    }
+
     /// Encodes `tx` at the end of the batch and keeps it if `admit`
     /// accepts those bytes (the bytes its client signed); a refused
     /// request leaves no byte behind.
@@ -123,6 +135,7 @@ impl OpenBatch {
         let admitted = admit(&self.buf[start..]);
         if admitted {
             self.count += 1;
+            self.first.get_or_insert(tx.id());
         } else {
             self.buf.truncate(start);
         }
@@ -137,6 +150,7 @@ impl OpenBatch {
         let payload = Arc::from(self.buf.as_slice());
         self.buf.truncate(BATCH_COUNT.end);
         self.count = 0;
+        self.first = None;
         payload
     }
 }
@@ -179,9 +193,11 @@ mod tests {
             assert!(!open.push(&tx(base + 2), |_| false));
             assert!(open.push(&tx(base + 3), |_| true));
             assert_eq!(open.len(), 2);
+            assert_eq!(open.first(), Some(tx(base + 1).id()));
             let expected = Payload::Batch(vec![tx(base + 1), tx(base + 3)]).encode();
             assert_eq!(&*open.freeze(), expected, "round {round}");
             assert_eq!(open.len(), 0);
+            assert_eq!(open.first(), None);
         }
     }
 

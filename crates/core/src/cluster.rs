@@ -182,7 +182,8 @@ pub struct ClusterSpec {
     /// Maximum transactions per consensus batch: a cap. The entry orderer
     /// orders its open batch the moment it holds this many admitted
     /// requests, so no consensus payload carries more; a batch that stays
-    /// short of it is ordered after 1 ms by the orderer's `tick`.
+    /// short of it is ordered as soon as none of the entry orderer's
+    /// batches is in flight, or 1 ms after the last one at the latest.
     pub batch_max: usize,
     /// Consensus view-change timeout.
     pub consensus_timeout: Duration,

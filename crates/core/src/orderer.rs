@@ -25,7 +25,9 @@ use crate::msg::{BlockBundle, ConsMsg, Msg};
 use crate::node::Node;
 use crate::shared::Shared;
 
-/// How long a batch short of `batch_max` waits before it is ordered.
+/// How long a batch short of `batch_max` waits for this orderer's own
+/// batches in flight before it is ordered anyway: the fallback for an
+/// instance that is lost. A delivered instance ends the wait sooner.
 const BATCH_INTERVAL: Duration = Duration::from_millis(1);
 
 pub(crate) struct Orderer {
@@ -36,6 +38,10 @@ pub(crate) struct Orderer {
     timers: TimerTable,
     batch: OpenBatch,
     last_flush: Instant,
+    /// The first transaction of each batch this orderer submitted that
+    /// has not been delivered yet. Empty means consensus is idle for
+    /// this orderer, and a partial batch is ordered at once.
+    in_flight: Vec<TxId>,
     marker_sent: Option<Instant>,
     seen: HashSet<TxId>,
     prev_hash: Hash32,
@@ -87,6 +93,7 @@ impl Orderer {
             timers: TimerTable::new(),
             batch: OpenBatch::new(),
             last_flush: now,
+            in_flight: Vec::new(),
             marker_sent: None,
             seen,
             prev_hash,
@@ -129,6 +136,8 @@ impl Orderer {
         let traces = self.traces_stages();
         match Payload::decode(payload) {
             Some(Payload::Batch(txs)) => {
+                let first = txs.first().map(Transaction::id);
+                let ours = self.in_flight.iter().position(|&id| Some(id) == first);
                 for tx in txs {
                     // Exactly-once: client timestamps deduplicate
                     // deterministic re-proposals after view changes.
@@ -143,6 +152,14 @@ impl Orderer {
                     }
                     if let Some(full) = self.cutter.push(tx, now) {
                         self.emit_block(full);
+                    }
+                }
+                // The delivery that empties this orderer's pipeline
+                // orders what gathered while it was in flight.
+                if let Some(ours) = ours {
+                    self.in_flight.remove(ours);
+                    if self.in_flight.is_empty() && !self.batch.is_empty() {
+                        self.flush_batch(self.shared.clock.now());
                     }
                 }
             }
@@ -196,14 +213,22 @@ impl Orderer {
         self.next_number = self.next_number.next();
     }
 
-    /// Orders the open batch. A batch closes in one of two ways: the
-    /// request that fills it to `batch_max` (in `on_msg`, so a backlog
-    /// becomes many payloads of that size and never one of its own), or
-    /// `BATCH_INTERVAL` passing over a partial one (in `tick`).
+    /// Orders the open batch. A batch closes as soon as consensus is
+    /// idle for this orderer: a request that finds none of its batches
+    /// in flight is ordered at once (in `on_msg`), and the delivery that
+    /// empties the pipeline orders what gathered meanwhile (in
+    /// `on_delivery`). Under a backlog, `batch_max` caps a batch: the
+    /// request that fills it closes it. `BATCH_INTERVAL` after the last
+    /// flush, a partial batch stops waiting for an instance that may be
+    /// lost (in `tick`).
     fn flush_batch(&mut self, now: Instant) {
+        let Some(first) = self.batch.first() else {
+            return;
+        };
+        self.in_flight.push(first);
+        self.last_flush = now;
         let actions = self.protocol.submit(self.batch.freeze());
         self.apply(actions);
-        self.last_flush = now;
     }
 
     /// §IV-B: the time-based cut condition is made deterministic by the
@@ -246,7 +271,8 @@ impl Node for Orderer {
                     keys.verify(signer, signed, &sig)
                         && registry.check_access(tx.client(), tx.app()).is_ok()
                 });
-                if admitted && self.batch.len() >= self.shared.spec.batch_max {
+                let full = self.batch.len() >= self.shared.spec.batch_max;
+                if admitted && (full || self.in_flight.is_empty()) {
                     self.flush_batch(self.shared.clock.now());
                 }
             }
@@ -269,6 +295,10 @@ impl Node for Orderer {
         }
         let waited = now.saturating_duration_since(self.last_flush);
         if !self.batch.is_empty() && waited >= BATCH_INTERVAL {
+            // A partial batch waits only while a batch is in flight, and
+            // every one of those was submitted `BATCH_INTERVAL` ago or
+            // earlier: stop waiting for any of them.
+            self.in_flight.clear();
             self.flush_batch(now);
         }
         self.order_time_cut_if_due(now);
@@ -276,10 +306,11 @@ impl Node for Orderer {
     }
 
     /// The earliest *time-driven* work after `now`: a consensus timer, a
-    /// due batch flush, or (as leader) the cutter's time-cut deadline or
-    /// the marker's resend. Each candidate is filtered on its own: the
-    /// cut deadline stays in the past for as long as its marker is in
-    /// flight, and would otherwise hide the resend behind it.
+    /// partial batch's fallback flush, or (as leader) the cutter's
+    /// time-cut deadline or the marker's resend. Each candidate is
+    /// filtered on its own: the cut deadline stays in the past for as
+    /// long as its marker is in flight, and would otherwise hide the
+    /// resend behind it.
     fn next_deadline(&self, now: Instant) -> Option<Instant> {
         let leader = self.protocol.is_leader();
         let flush = (!self.batch.is_empty()).then(|| self.last_flush + BATCH_INTERVAL);
@@ -368,9 +399,24 @@ mod tests {
         }
     }
 
-    /// `batch_max` is a cap: a backlog handled without a `tick` in
-    /// between is ordered as full batches, each the canonical encoding of
-    /// its transactions, and the remainder waits for `BATCH_INTERVAL`.
+    /// A request that finds none of this orderer's batches in flight is
+    /// ordered at once, alone: it waits for neither `batch_max` nor
+    /// `BATCH_INTERVAL`.
+    #[test]
+    fn a_request_to_an_idle_orderer_is_ordered_at_once() {
+        let mut entry = Entry::new();
+        let (tx, request) = entry.request(AppId(0), 1);
+        entry.orderer.on_msg(NodeId(100), request);
+        let payloads = entry.appended();
+        assert_eq!(payloads.len(), 1);
+        assert_eq!(&*payloads[0], Payload::Batch(vec![tx]).encode());
+        assert!(entry.orderer.batch.is_empty());
+    }
+
+    /// `batch_max` is a cap: a backlog that arrives while a batch is in
+    /// flight is ordered as full batches, each the canonical encoding of
+    /// its transactions, and the remainder waits until the delivery that
+    /// empties the pipeline orders it.
     #[test]
     fn a_backlog_is_ordered_in_batches_of_at_most_batch_max() {
         let mut entry = Entry::new();
@@ -381,9 +427,13 @@ mod tests {
             entry.orderer.on_msg(NodeId(100), request);
             sent.push(tx);
         }
-        let full = entry.appended();
-        assert_eq!(full.len(), 10);
-        for (payload, txs) in full.iter().zip(sent.chunks(batch_max)) {
+        let ordered = entry.appended();
+        assert_eq!(ordered.len(), 11);
+        let first = Payload::Batch(sent[..1].to_vec());
+        assert_eq!(&*ordered[0], first.encode(), "the idle orderer's first");
+        let full = sent[1..].chunks_exact(batch_max);
+        let left_over = Payload::Batch(full.remainder().to_vec());
+        for (payload, txs) in ordered[1..].iter().zip(full) {
             assert_eq!(
                 Payload::decode(payload),
                 Some(Payload::Batch(txs.to_vec())),
@@ -392,15 +442,53 @@ mod tests {
             assert_eq!(&**payload, Payload::Batch(txs.to_vec()).encode());
         }
 
+        let (last, rest) = ordered.split_last().expect("eleven");
+        for payload in rest {
+            entry.orderer.on_delivery(payload);
+            assert!(entry.appended().is_empty(), "a batch is still in flight");
+        }
+        entry.orderer.on_delivery(last);
+        let rest = entry.appended();
+        assert_eq!(rest.len(), 1, "the delivery that empties the pipeline");
+        assert_eq!(&*rest[0], left_over.encode());
+    }
+
+    /// A batch waits for this orderer's batch in flight only up to
+    /// `BATCH_INTERVAL` after it was submitted: an instance that never
+    /// delivers does not hold the next one back for longer.
+    #[test]
+    fn a_batch_whose_instance_never_delivers_is_ordered_after_batch_interval() {
+        let mut entry = Entry::new();
+        let (first, request) = entry.request(AppId(0), 1);
+        entry.orderer.on_msg(NodeId(100), request);
+        let submitted = entry.shared.clock.now();
+        assert_eq!(entry.appended().len(), 1, "ordered at once");
+
+        let (second, request) = entry.request(AppId(0), 2);
+        entry.shared.clock.advance(BATCH_INTERVAL / 2);
+        entry.orderer.on_msg(NodeId(100), request);
+        assert!(entry.appended().is_empty(), "the first is in flight");
         let now = entry.shared.clock.now();
         let due = entry.orderer.next_deadline(now);
-        assert_eq!(due, Some(now + BATCH_INTERVAL), "the partial batch");
-        entry.shared.clock.advance(BATCH_INTERVAL);
+        assert_eq!(due, Some(submitted + BATCH_INTERVAL));
+
+        let almost = BATCH_INTERVAL / 2 - Duration::from_nanos(1);
+        entry.shared.clock.advance(almost);
         entry.orderer.tick(entry.shared.clock.now());
-        let rest = entry.appended();
-        assert_eq!(rest.len(), 1);
-        let left_over = Payload::Batch(sent[10 * batch_max..].to_vec());
-        assert_eq!(&*rest[0], left_over.encode());
+        assert!(entry.appended().is_empty(), "not yet due");
+        entry.shared.clock.advance(Duration::from_nanos(1));
+        entry.orderer.tick(entry.shared.clock.now());
+        let payloads = entry.appended();
+        assert_eq!(payloads.len(), 1);
+        assert_eq!(&*payloads[0], Payload::Batch(vec![second]).encode());
+
+        // The lost instance is no longer waited for, and a late delivery
+        // of it is harmless.
+        assert_eq!(entry.orderer.in_flight.len(), 1);
+        entry
+            .orderer
+            .on_delivery(&Payload::Batch(vec![first]).encode());
+        assert_eq!(entry.orderer.in_flight.len(), 1);
     }
 
     /// A refused request (bad signature, no access to the application)
@@ -408,6 +496,10 @@ mod tests {
     #[test]
     fn refused_requests_leave_nothing_in_the_payload() {
         let mut entry = Entry::new();
+        // A batch in flight, so the requests below gather in one batch.
+        let (_, busy) = entry.request(AppId(0), 0);
+        entry.orderer.on_msg(NodeId(100), busy);
+        assert_eq!(entry.appended().len(), 1);
         let (first, valid_first) = entry.request(AppId(0), 1);
         let (other, _) = entry.request(AppId(0), 2);
         let (forged, _) = entry.request(AppId(0), 3);

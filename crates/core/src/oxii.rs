@@ -51,7 +51,7 @@ use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo, TxId};
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
 use crate::node::{Node, Peer};
 use crate::pool::{self, undeclared_write, Completion, InlineQueue, SnapshotReader};
-use crate::quorum::{matched_by, NewBlockQuorum};
+use crate::quorum::{self, NewBlockQuorum};
 use crate::shared::Shared;
 
 /// Per-block execution state on one executor.
@@ -336,21 +336,25 @@ impl Executor {
             // while other blocks execute concurrently.
             let snapshot = SnapshotReader::at(&self.state, tx, Version::new(block, seq));
             let result = pool::execute(contract.as_ref(), tx, &snapshot);
+            let completion = Completion { block, seq, result };
+            let started = self.running.hold_in_turn(completion, now, cost);
+            // Dispatched is when the execution's lane starts it: the
+            // wait for a free lane is graph-ready→dispatched, and
+            // dispatched→executed is its cost plus the wake-up's
+            // lateness.
             if traced {
                 self.shared
                     .trace
-                    .record_at(tx.id(), parblock_trace::Stage::Dispatched, now);
+                    .record_at(tx.id(), parblock_trace::Stage::Dispatched, started);
             }
-            self.running
-                .hold_in_turn(Completion { block, seq, result }, now, cost);
         }
     }
 
     /// A local execution finished. The result is final the moment it
     /// lands: its snapshot was the serial-prefix state by construction.
     fn on_completion(&mut self, completion: Completion) {
-        let number = completion.block.0;
-        let seq = completion.seq;
+        let Completion { block, seq, result } = completion;
+        let number = block.0;
         let idx = seq.0 as usize;
         let Some(run) = self.runs.get_mut(&number) else {
             return; // stale completion from a finished block
@@ -366,8 +370,6 @@ impl Executor {
                     .record(tx.id(), parblock_trace::Stage::Executed);
             }
         }
-        // Algorithm 2: buffered until the end of this tick.
-        run.xe_buffer.push((seq, completion.result.clone()));
         // Apply own writes immediately as a versioned put (deterministic
         // across agents), so successors read them (Xe semantics of
         // Algorithm 1). Effects hit the WAL (group-commit buffered)
@@ -375,15 +377,20 @@ impl Executor {
         // the latest at the block's seal fsync — a crash before that
         // loses only unsealed results, which recovery re-executes
         // deterministically (DESIGN.md §9).
-        if let ExecResult::Committed(writes) = &completion.result {
-            let version = Version::new(completion.block, seq);
+        if let ExecResult::Committed(writes) = &result {
+            let version = Version::new(block, seq);
             self.durability.log_effects(version, writes);
             self.state.apply(writes.iter().cloned(), version);
         }
 
         // Vote our own result (Algorithm 3 treats it like any agent's).
         let me = self.endpoint.id();
-        self.record_vote(number, seq, me, completion.result);
+        self.record_vote(number, seq, me, &result);
+        // Algorithm 2: buffered until the end of this tick. Nothing
+        // above ends the run: blocks drain in `try_advance`, below.
+        if let Some(run) = self.runs.get_mut(&number) {
+            run.xe_buffer.push((seq, result));
+        }
 
         // Xe membership releases successors for local execution — both
         // in-block (dependency graph) and cross-block (conflict index).
@@ -505,14 +512,16 @@ impl Executor {
                     }
             };
             if counts {
-                self.record_vote(number, *seq, commit.executor, result.clone());
+                self.record_vote(number, *seq, commit.executor, result);
             }
         }
     }
 
     /// Records one agent's result for `seq`; commits the transaction once
-    /// τ(A) matching results are present.
-    fn record_vote(&mut self, number: u64, seq: SeqNo, agent: NodeId, result: ExecResult) {
+    /// τ(A) matching results are present. A vote that completes τ(A)
+    /// commits from the borrowed result; only a vote that must wait for
+    /// more is stored.
+    fn record_vote(&mut self, number: u64, seq: SeqNo, agent: NodeId, result: &ExecResult) {
         let Some(run) = self.runs.get_mut(&number) else {
             return;
         };
@@ -520,24 +529,23 @@ impl Executor {
         if run.committed[idx] {
             return;
         }
-        let votes = run.votes.entry(seq).or_default();
-        if votes.iter().any(|(a, _)| *a == agent) {
-            return; // one vote per agent
-        }
-        votes.push((agent, result));
-        let app = run
-            .bundle
-            .block
-            .tx(seq)
-            .expect("valid position")
-            .app();
+        let app = run.bundle.block.tx(seq).expect("valid position").app();
         let required = self.shared.spec.commit_policy().required(app);
-        if let Some(result) = matched_by(votes, required, ExecResult::matches).cloned() {
-            self.commit_tx(number, seq, result);
+        let votes = run.votes.get(&seq).map_or(&[][..], Vec::as_slice);
+        match quorum::completes(votes, agent, result, required, ExecResult::matches) {
+            None => {} // one vote per agent
+            Some(true) => {
+                run.votes.remove(&seq);
+                self.commit_tx(number, seq, result);
+            }
+            Some(false) => {
+                let votes = run.votes.entry(seq).or_default();
+                votes.push((agent, result.clone()));
+            }
         }
     }
 
-    fn commit_tx(&mut self, number: u64, seq: SeqNo, result: ExecResult) {
+    fn commit_tx(&mut self, number: u64, seq: SeqNo, result: &ExecResult) {
         let idx = seq.0 as usize;
         let (block_number, tx_id, executed_locally) = {
             let Some(run) = self.runs.get_mut(&number) else {
@@ -551,7 +559,7 @@ impl Executor {
             let tx_id: TxId = run.bundle.block.tx(seq).expect("valid").id();
             (run.bundle.block.number(), tx_id, run.executed[idx])
         };
-        match &result {
+        match result {
             ExecResult::Committed(writes) => {
                 // Agents applied their own writes at execution time; a
                 // re-applied identical version is idempotent. Remote

@@ -154,17 +154,20 @@ impl<T> InlineQueue<T> {
     /// lowest such lane on a tie): the job starts at the later of `ready`
     /// and the end of that lane's previous job, and is done `cost` after.
     /// While no more jobs overlap than there are lanes, each is due at
-    /// `ready + cost`. A late caller shifts nothing after it.
-    pub(crate) fn hold_in_turn(&mut self, result: T, ready: Instant, cost: Duration) {
+    /// `ready + cost`. A late caller shifts nothing after it. Returns
+    /// when the job starts.
+    pub(crate) fn hold_in_turn(&mut self, result: T, ready: Instant, cost: Duration) -> Instant {
         let lane = self
             .lanes
             .iter_mut()
             .min_by_key(|free| **free)
             .expect("a queue has at least one lane");
-        let due = lane.map_or(ready, |free| free.max(ready)) + cost;
+        let start = lane.map_or(ready, |free| free.max(ready));
+        let due = start + cost;
         *lane = Some(due);
         self.pending.insert((due, self.next_ticket), result);
         self.next_ticket += 1;
+        start
     }
 
     /// The earliest held result's due time.
@@ -252,19 +255,19 @@ pub(crate) mod tests {
         assert_eq!(q.next_due(), None);
     }
 
-    /// Two lanes serve five jobs held at one instant two at a time; a
-    /// job held later takes whichever lane is free first.
+    /// Two lanes serve five jobs held at one instant two at a time, each
+    /// starting when its lane is free; a job held later takes whichever
+    /// lane is free first.
     #[test]
     fn inline_queue_runs_as_many_jobs_at_once_as_it_has_lanes() {
         let cost = Duration::from_micros(100);
         let mut q = InlineQueue::new(2);
         let t = Instant::now();
-        for job in 0..5 {
-            q.hold_in_turn(job, t, cost);
-        }
+        let starts: Vec<_> = (0..5).map(|job| q.hold_in_turn(job, t, cost)).collect();
+        assert_eq!(starts, [t, t, t + cost, t + cost, t + cost * 2]);
         assert_eq!(q.take_done(t + cost), [0, 1]);
         assert_eq!(q.take_done(t + cost * 2), [2, 3]);
-        q.hold_in_turn(5, t + cost * 2, cost);
+        assert_eq!(q.hold_in_turn(5, t + cost * 2, cost), t + cost * 2);
         assert_eq!(
             q.take_done(t + cost * 3),
             [4, 5],

@@ -13,18 +13,23 @@ use parblock_types::{Hash32, NodeId};
 use crate::msg::BlockBundle;
 use crate::shared::Shared;
 
-/// The first vote that at least `required` of `votes` match: the τ(A)
-/// rule an executor commits a result by and an XOV client assembles an
-/// envelope by.
-pub(crate) fn matched_by<T>(
+/// The τ(A) rule an executor commits a result by and an XOV client
+/// assembles an envelope by, applied one vote at a time: whether `vote`
+/// from `agent`, with the earlier `votes`, makes `required` that match
+/// it. `None` if `agent` has voted already. Callers stop counting once a
+/// vote completes the rule, so before this vote no result had `required`
+/// matches and only this vote's can reach them now.
+pub(crate) fn completes<T>(
     votes: &[(NodeId, T)],
+    agent: NodeId,
+    vote: &T,
     required: usize,
     matches: impl Fn(&T, &T) -> bool,
-) -> Option<&T> {
-    votes
-        .iter()
-        .map(|(_, candidate)| candidate)
-        .find(|candidate| votes.iter().filter(|(_, v)| matches(v, candidate)).count() >= required)
+) -> Option<bool> {
+    if votes.iter().any(|(voter, _)| *voter == agent) {
+        return None;
+    }
+    Some(1 + votes.iter().filter(|(_, v)| matches(v, vote)).count() >= required)
 }
 
 /// The content kept for one claimed hash, and who has signed that hash.

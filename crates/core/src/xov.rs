@@ -38,7 +38,7 @@ use crate::msg::{Envelope, Msg};
 use crate::node::{Node, Peer};
 use crate::ox::SerialChain;
 use crate::pool::{self, undeclared_write, InlineQueue, SnapshotReader};
-use crate::quorum::matched_by;
+use crate::quorum::completes;
 use crate::shared::Shared;
 
 // ---- envelope wire format ---------------------------------------------
@@ -325,20 +325,21 @@ impl Node for XovClient {
             return;
         }
         let required = shared.spec.commit_policy().required(tx.app());
+        let endorsed = (tx, envelope);
         let votes = self.votes.entry(id).or_default();
-        if votes.iter().any(|(voter, _)| *voter == endorser) {
+        let Some(matched) = completes(votes, endorser, &endorsed, required, PartialEq::eq) else {
             return;
-        }
-        votes.push((endorser, (tx, envelope)));
-        let matched = matched_by(votes, required, PartialEq::eq).cloned();
-        if matched.is_none() && votes.len() < shared.spec.executors_per_app {
+        };
+        if !matched && votes.len() + 1 < shared.spec.executors_per_app {
+            votes.push((endorser, endorsed));
             return;
         }
         self.votes.remove(&id);
         self.decided.insert(id);
-        let Some((tx, envelope)) = matched else {
+        if !matched {
             return;
-        };
+        }
+        let (tx, envelope) = endorsed;
         let envelope_tx = Transaction::new(
             tx.app(),
             tx.client(),

@@ -22,23 +22,52 @@ const BLOCK_LEN: usize = 64;
 /// ```
 #[must_use]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Hash32 {
-    // Keys longer than the block size are hashed first.
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        key_block[..32].copy_from_slice(&sha256(key).0);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacKey::new(key).mac(&[message])
+}
+
+/// An HMAC-SHA256 key with both pads already hashed: the SHA-256 states
+/// after the inner (`key ^ 0x36`) and outer (`key ^ 0x5c`) blocks. Each
+/// MAC clones them, which saves the two compressions a fresh
+/// [`hmac_sha256`] spends on the pads.
+#[derive(Clone)]
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacKey {
+    /// Redacted: the pad states stand in for the key itself.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        // Keys longer than the block size are hashed first.
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            key_block[..32].copy_from_slice(&sha256(key).0);
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacKey { inner, outer }
     }
 
-    let mut inner = Sha256::new();
-    inner.update(&key_block.map(|b| b ^ 0x36));
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&key_block.map(|b| b ^ 0x5c));
-    outer.update(&inner_digest.0);
-    outer.finalize()
+    /// The MAC of the concatenation of `parts`.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> Hash32 {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize().0);
+        outer.finalize()
+    }
 }
 
 #[cfg(test)]

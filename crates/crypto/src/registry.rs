@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
 
 /// Identifies a signing principal (any node or client).
 ///
@@ -49,7 +49,9 @@ impl fmt::Debug for Signature {
 /// An in-process registry of signing keys, shared by all simulated nodes.
 ///
 /// Cloning is cheap (the key table is behind an `Arc`), so a single
-/// registry can be handed to every node of a simulated cluster.
+/// registry can be handed to every node of a simulated cluster. A key
+/// is held with its HMAC pads already hashed, so signing and verifying
+/// hash only the signer tag and the message.
 ///
 /// # Examples
 ///
@@ -63,7 +65,7 @@ impl fmt::Debug for Signature {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KeyRegistry {
-    keys: Arc<RwLock<Vec<Option<SecretKey>>>>,
+    keys: Arc<RwLock<Vec<Option<HmacKey>>>>,
 }
 
 impl KeyRegistry {
@@ -94,7 +96,7 @@ impl KeyRegistry {
         if keys.len() <= idx {
             keys.resize(idx + 1, None);
         }
-        keys[idx] = Some(key);
+        keys[idx] = Some(HmacKey::new(&key.0));
     }
 
     /// Number of registered signers (highest index + 1).
@@ -122,10 +124,7 @@ impl KeyRegistry {
             .get(signer.0 as usize)
             .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("no key registered for signer {signer}"));
-        let mut tagged = Vec::with_capacity(message.len() + 4);
-        tagged.extend_from_slice(&signer.0.to_le_bytes());
-        tagged.extend_from_slice(message);
-        Signature(hmac_sha256(&key.0, &tagged).0)
+        Signature(key.mac(&[&signer.0.to_le_bytes(), message]).0)
     }
 
     /// Verifies that `sig` is `signer`'s signature over `message`.
@@ -138,10 +137,7 @@ impl KeyRegistry {
         let Some(key) = keys.get(signer.0 as usize).and_then(Option::as_ref) else {
             return false;
         };
-        let mut tagged = Vec::with_capacity(message.len() + 4);
-        tagged.extend_from_slice(&signer.0.to_le_bytes());
-        tagged.extend_from_slice(message);
-        let expected = hmac_sha256(&key.0, &tagged).0;
+        let expected = key.mac(&[&signer.0.to_le_bytes(), message]).0;
         // Constant-time comparison, as a verifier should.
         expected
             .iter()
@@ -204,6 +200,9 @@ mod tests {
     fn debug_never_prints_key_material() {
         let key = SecretKey([7; 32]);
         assert_eq!(format!("{key:?}"), "SecretKey(<redacted>)");
+        let reg = KeyRegistry::new();
+        reg.register(SignerId(0), key);
+        assert!(format!("{reg:?}").contains("HmacKey(<redacted>)"));
     }
 
     #[test]

@@ -37,8 +37,9 @@ const H0: [u32; 8] = [
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    /// Bytes not yet forming a full 64-byte chunk.
-    buffer: Vec<u8>,
+    /// Bytes not yet forming a full 64-byte chunk: `buffer[..buffered]`.
+    buffer: [u8; 64],
+    buffered: usize,
     /// Total message length in bytes.
     length: u64,
 }
@@ -49,21 +50,33 @@ impl Sha256 {
     pub fn new() -> Self {
         Sha256 {
             state: H0,
-            buffer: Vec::with_capacity(64),
+            buffer: [0; 64],
+            buffered: 0,
             length: 0,
         }
     }
 
     /// Feeds bytes into the hash.
-    pub fn update(&mut self, data: &[u8]) {
+    pub fn update(&mut self, mut data: &[u8]) {
         self.length += data.len() as u64;
-        self.buffer.extend_from_slice(data);
-        let full_chunks = self.buffer.len() / 64;
-        for i in 0..full_chunks {
-            let chunk: [u8; 64] = self.buffer[i * 64..(i + 1) * 64].try_into().expect("64");
-            compress(&mut self.state, &chunk);
+        if self.buffered > 0 {
+            let take = data.len().min(64 - self.buffered);
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        self.buffer.drain(..full_chunks * 64);
+        let mut chunks = data.chunks_exact(64);
+        for chunk in &mut chunks {
+            compress(&mut self.state, chunk.try_into().expect("64"));
+        }
+        let rest = chunks.remainder();
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Consumes the hasher and returns the digest.
@@ -71,14 +84,14 @@ impl Sha256 {
     pub fn finalize(mut self) -> Hash32 {
         let bit_len = self.length * 8;
         // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.buffer.push(0x80);
-        while self.buffer.len() % 64 != 56 {
-            self.buffer.push(0);
-        }
-        self.buffer.extend_from_slice(&bit_len.to_be_bytes());
-        for chunk in self.buffer.chunks_exact(64) {
-            let chunk: [u8; 64] = chunk.try_into().expect("64");
-            compress(&mut self.state, &chunk);
+        let mut tail = [0u8; 128];
+        let used = self.buffered;
+        tail[..used].copy_from_slice(&self.buffer[..used]);
+        tail[used] = 0x80;
+        let end = if used < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        for chunk in tail[..end].chunks_exact(64) {
+            compress(&mut self.state, chunk.try_into().expect("64"));
         }
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {

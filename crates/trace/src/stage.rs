@@ -22,7 +22,8 @@ pub enum Stage {
     /// Every dependency-graph predecessor completed: the scheduler may
     /// dispatch it.
     GraphReady = 3,
-    /// An executor worker picked it up.
+    /// One of the executor's execution lanes started it (the wait for
+    /// a free lane falls before this stage).
     Dispatched = 4,
     /// Contract execution finished.
     Executed = 5,

@@ -11,6 +11,76 @@
 //! deadline or a [`channel::Waker`] ends. The wake is a sticky token
 //! under the queue lock, so one raised between "drained, found nothing"
 //! and "blocked" is not lost (DESIGN.md §8, §17).
+//!
+//! Every node thread blocks in one place, `block_until`. On a thread's
+//! first timed wait it sets the thread's timer slack to 1 µs, so a
+//! deadline wakes the thread within about a microsecond instead of the
+//! kernel's default 50 µs (DESIGN.md §17).
+
+#![deny(unsafe_code)]
+
+/// The calling thread's timer slack: how late the kernel may end a
+/// timed wait so it can coalesce wake-ups. Linux only; elsewhere the
+/// wait keeps the platform's precision.
+mod slack {
+    use std::cell::Cell;
+
+    /// The slack, in nanoseconds, a thread's timed waits run with once
+    /// it has made its first one.
+    pub(crate) const PRECISE_NS: u64 = 1_000;
+
+    thread_local! {
+        static PRECISE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Sets this thread's timer slack to [`PRECISE_NS`], once per thread.
+    pub(crate) fn make_precise() {
+        PRECISE.with(|done| {
+            if !done.replace(true) {
+                set(PRECISE_NS);
+            }
+        });
+    }
+
+    #[cfg(target_os = "linux")]
+    const PR_SET_TIMERSLACK: i32 = 29;
+
+    #[cfg(target_os = "linux")]
+    fn set(ns: u64) {
+        // A failure leaves the default slack: the wait is only later.
+        let _ = prctl(PR_SET_TIMERSLACK, ns);
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn set(_ns: u64) {}
+
+    /// This thread's current timer slack in nanoseconds.
+    #[cfg(all(test, target_os = "linux"))]
+    pub(crate) fn current_ns() -> u64 {
+        const PR_GET_TIMERSLACK: i32 = 30;
+        u64::try_from(prctl(PR_GET_TIMERSLACK, 0)).expect("PR_GET_TIMERSLACK succeeds")
+    }
+
+    #[cfg(target_os = "linux")]
+    fn prctl(option: i32, arg: u64) -> i32 {
+        use std::ffi::{c_int, c_ulong};
+        extern "C" {
+            fn prctl(option: c_int, ...) -> c_int;
+        }
+        let (arg, unused) = (arg as c_ulong, 0 as c_ulong);
+        #[expect(
+            unsafe_code,
+            reason = "the workspace's one FFI call: glibc's prctl, for the thread's timer slack"
+        )]
+        // SAFETY: `prctl` is glibc's variadic `int prctl(int, ...)`. The
+        // two options used here read or set the calling thread's timer
+        // slack from one `unsigned long`; no pointer crosses the call,
+        // and the unused arguments are zero, as prctl(2) asks.
+        unsafe {
+            prctl(option, arg, unused, unused, unused)
+        }
+    }
+}
 
 /// MPMC channels with crossbeam-shaped errors.
 pub mod channel {
@@ -62,6 +132,7 @@ pub mod channel {
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner),
                     Some(deadline) => {
+                        crate::slack::make_precise();
                         let left = deadline.checked_duration_since(Instant::now())?;
                         let timed = self.ready.wait_timeout(state, left);
                         timed.unwrap_or_else(PoisonError::into_inner).0
@@ -302,6 +373,7 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel::{unbounded, RecvTimeoutError, TryRecvError};
+    use super::slack;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -399,5 +471,34 @@ mod tests {
         waker.wake();
         assert_eq!(rx.recv().unwrap(), 2);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    /// A thread's first timed wait leaves its timer slack at 1 µs. A
+    /// thread that has only waited without a deadline keeps the slack
+    /// it started with (inherited from the thread that spawned it).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_timed_wait_and_only_a_timed_wait_makes_the_slack_precise() {
+        let timed = std::thread::spawn(|| {
+            let (_tx, rx) = unbounded::<u32>();
+            assert!(!rx.wait_until(Some(Instant::now() + Duration::from_millis(1))));
+            slack::current_ns()
+        });
+        assert_eq!(timed.join().unwrap(), slack::PRECISE_NS);
+
+        let (tx, rx) = unbounded::<u32>();
+        let untimed = std::thread::spawn(move || {
+            let before = slack::current_ns();
+            assert!(rx.wait_until(None));
+            assert_eq!(rx.recv(), Ok(1));
+            (before, slack::current_ns())
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        tx.send(1).unwrap();
+        let (before, after) = untimed.join().unwrap();
+        assert_eq!(
+            after, before,
+            "a wait without a deadline leaves the slack alone"
+        );
     }
 }
