@@ -14,8 +14,6 @@ use parblock_types::{
 };
 use parblock_workload::WorkloadConfig;
 
-pub use crate::cutter::GraphConstruction;
-
 /// Which of the three systems to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
@@ -57,6 +55,18 @@ pub enum CommitFlush {
     /// (DESIGN.md §2).
     #[default]
     Cut,
+}
+
+/// When OXII orderers compute each block's dependency graph. **Not
+/// read**: orderers always build it while transactions stream in, and
+/// the type survives only because `benchmark/` assigns
+/// [`ClusterSpec::graph_construction`] by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum GraphConstruction {
+    /// Incrementally while transactions stream in; cut-time emission is
+    /// O(pending).
+    #[default]
+    Streaming,
 }
 
 /// The node group moved to the far datacenter in the Fig 7 experiments.
@@ -149,11 +159,15 @@ pub struct ClusterSpec {
     pub block_cut: BlockCutConfig,
     /// Synthetic execution cost model.
     pub costs: ExecutionCosts,
-    /// Dependency-graph construction mode (OXII only).
+    /// **Not read.** OXII orderers always build reduced
+    /// (last-writer/reader) graphs. The field survives only because
+    /// `benchmark/` assigns it by name and hands it to its own
+    /// `StreamingBuilder`; it goes with the next `benchmark` PR.
     pub depgraph_mode: DependencyMode,
-    /// When the orderers compute each block's graph (OXII only):
-    /// incrementally over the transaction stream (default) or as a batch
-    /// rebuild at cut time (the paper's pipeline, which `repro fig5` runs).
+    /// **Not read.** OXII orderers always build each block's graph while
+    /// its transactions stream in ([`GraphConstruction::Streaming`]). The
+    /// field survives only because `benchmark/` assigns it by name; it
+    /// goes with the next `benchmark` PR.
     pub graph_construction: GraphConstruction,
     /// Workload shape (contention etc.). `block_size` is kept in sync
     /// with `block_cut.max_txns` by [`ClusterSpec::workload_config`].
@@ -358,9 +372,12 @@ impl ClusterSpec {
     }
 
     /// The mode orderers build each block's dependency graph in: OXII
-    /// blocks carry a graph, OX and XOV blocks none.
+    /// blocks carry a graph, OX and XOV blocks none. It is always the
+    /// reduced rules: they ship the transitive closure of the §III-A
+    /// conflict order in O(accesses) edges, and every schedule consistent
+    /// with that order is equivalent, so executors need nothing more.
     pub(crate) fn graph_mode(&self) -> Option<DependencyMode> {
-        (self.system == SystemKind::Oxii).then_some(self.depgraph_mode)
+        (self.system == SystemKind::Oxii).then_some(DependencyMode::Reduced)
     }
 
     /// How many matching NEWBLOCK copies a peer waits for (`f + 1` under

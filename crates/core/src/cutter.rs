@@ -17,34 +17,12 @@
 //! For OXII the cutter also *co-maintains the dependency graph*: each
 //! pushed transaction is fed to a [`StreamingBuilder`], so a cut
 //! hands the orderer block transactions and finished graph together and
-//! the ordering critical path never pays a batch O(n²) rebuild
-//! (DESIGN.md §3). [`GraphConstruction::Batch`] keeps the paper's
-//! rebuild-at-cut behaviour for Fig 5.
+//! the ordering critical path never pays an O(n²) rebuild (DESIGN.md §3).
 
 use std::time::Instant;
 
 use parblock_depgraph::{DependencyGraph, DependencyMode, StreamingBuilder};
 use parblock_types::{BlockCutConfig, Transaction, TxId};
-
-/// When the OXII orderer computes each block's dependency graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GraphConstruction {
-    /// Incrementally while transactions stream in; cut-time emission is
-    /// O(pending). The default.
-    #[default]
-    Streaming,
-    /// Rebuilt from scratch at cut time (the paper's original pipeline;
-    /// O(n²) in [`DependencyMode::Full`]). Kept because `repro fig5`
-    /// reproduces the paper's rolloff with it.
-    Batch,
-}
-
-/// How the cutter obtains graphs, per [`GraphConstruction`].
-#[derive(Debug)]
-enum GraphEngine {
-    Streaming(StreamingBuilder),
-    Batch(DependencyMode),
-}
 
 /// One cut block: the transactions plus, for OXII cutters, the finished
 /// dependency graph over them (positions = vector order).
@@ -65,7 +43,7 @@ pub struct BlockCutter {
     /// When the first pending transaction arrived (leader's local clock;
     /// used only to decide when to *order* a cut marker).
     first_arrival: Option<Instant>,
-    graph: Option<GraphEngine>,
+    graph: Option<StreamingBuilder>,
 }
 
 impl BlockCutter {
@@ -75,22 +53,14 @@ impl BlockCutter {
         Self::build(cfg, None)
     }
 
-    /// Creates an OXII cutter that attaches a dependency graph to every
-    /// cut, computed per `construction`.
+    /// Creates an OXII cutter that attaches a dependency graph, tagged
+    /// `mode`, to every cut.
     #[must_use]
-    pub fn with_graph(
-        cfg: BlockCutConfig,
-        mode: DependencyMode,
-        construction: GraphConstruction,
-    ) -> Self {
-        let engine = match construction {
-            GraphConstruction::Streaming => GraphEngine::Streaming(StreamingBuilder::new(mode)),
-            GraphConstruction::Batch => GraphEngine::Batch(mode),
-        };
-        Self::build(cfg, Some(engine))
+    pub fn with_graph(cfg: BlockCutConfig, mode: DependencyMode) -> Self {
+        Self::build(cfg, Some(StreamingBuilder::new(mode)))
     }
 
-    fn build(cfg: BlockCutConfig, graph: Option<GraphEngine>) -> Self {
+    fn build(cfg: BlockCutConfig, graph: Option<StreamingBuilder>) -> Self {
         BlockCutter {
             cfg,
             pending: Vec::new(),
@@ -98,12 +68,6 @@ impl BlockCutter {
             first_arrival: None,
             graph,
         }
-    }
-
-    /// Number of transactions waiting for a cut.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Id of the oldest pending transaction — the tag a leader puts on a
@@ -123,7 +87,7 @@ impl BlockCutter {
         if self.pending.is_empty() {
             self.first_arrival = Some(now);
         }
-        if let Some(GraphEngine::Streaming(builder)) = &mut self.graph {
+        if let Some(builder) = &mut self.graph {
             builder.observe(&tx);
         }
         self.pending_bytes += tx.encoded_len();
@@ -168,16 +132,9 @@ impl BlockCutter {
     fn cut(&mut self) -> CutBlock {
         self.pending_bytes = 0;
         self.first_arrival = None;
-        let graph = match &mut self.graph {
-            None => None,
-            Some(GraphEngine::Streaming(builder)) => Some(builder.finish()),
-            Some(GraphEngine::Batch(mode)) => {
-                Some(DependencyGraph::build_txs(&self.pending, *mode))
-            }
-        };
         CutBlock {
             txs: std::mem::take(&mut self.pending),
-            graph,
+            graph: self.graph.as_mut().map(StreamingBuilder::finish),
         }
     }
 }
@@ -226,7 +183,7 @@ mod tests {
         let block = cutter.push(tx(3, 0), Instant::now()).expect("cut at 3");
         assert_eq!(block.txs.len(), 3);
         assert!(block.graph.is_none(), "no graph without a mode");
-        assert_eq!(cutter.pending_len(), 0);
+        assert_eq!(cutter.first_pending(), None, "nothing left pending");
     }
 
     #[test]
@@ -268,7 +225,11 @@ mod tests {
             cutter.cut_marker(marker_tag).is_none(),
             "stale marker must not cut the fresh block"
         );
-        assert_eq!(cutter.pending_len(), 1, "T3 still pending");
+        assert_eq!(
+            cutter.first_pending().map(|id| id.client_ts),
+            Some(3),
+            "T3 still pending"
+        );
 
         // A marker tagged for the *current* pending set does cut.
         let fresh_tag = cutter.first_pending().expect("T3 pending");
@@ -315,11 +276,7 @@ mod tests {
 
     #[test]
     fn streaming_cutter_attaches_graphs_and_resets_between_blocks() {
-        let mut cutter = BlockCutter::with_graph(
-            cfg(2, usize::MAX, 1000),
-            DependencyMode::Reduced,
-            GraphConstruction::Streaming,
-        );
+        let mut cutter = BlockCutter::with_graph(cfg(2, usize::MAX, 1000), DependencyMode::Reduced);
         // Block 1: two writers of key 7 — one edge.
         assert!(cutter.push(writer(1, 7), Instant::now()).is_none());
         let b1 = cutter.push(writer(2, 7), Instant::now()).expect("first block");
@@ -337,31 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_batch_cutters_agree() {
-        let feed = [writer(1, 1), writer(2, 1), writer(3, 2), writer(4, 1)];
-        let mut graphs = Vec::new();
-        for construction in [GraphConstruction::Streaming, GraphConstruction::Batch] {
-            let mut cutter = BlockCutter::with_graph(
-                cfg(4, usize::MAX, 1000),
-                DependencyMode::Reduced,
-                construction,
-            );
-            let mut cut = None;
-            for tx in feed.iter().cloned() {
-                cut = cut.or(cutter.push(tx, Instant::now()));
-            }
-            graphs.push(cut.expect("cut at 4").graph.expect("graph"));
-        }
-        assert_eq!(graphs[0], graphs[1]);
-    }
-
-    #[test]
     fn marker_cut_emits_graph_over_partial_block() {
-        let mut cutter = BlockCutter::with_graph(
-            cfg(100, usize::MAX, 1000),
-            DependencyMode::Reduced,
-            GraphConstruction::Streaming,
-        );
+        let mut cutter =
+            BlockCutter::with_graph(cfg(100, usize::MAX, 1000), DependencyMode::Reduced);
         cutter.push(writer(1, 5), Instant::now());
         cutter.push(writer(2, 5), Instant::now());
         let first = cutter.first_pending().expect("pending");

@@ -63,11 +63,7 @@ impl Orderer {
     ) -> Self {
         let cutter = match shared.spec.graph_mode() {
             None => BlockCutter::new(shared.spec.block_cut.clone()),
-            Some(mode) => BlockCutter::with_graph(
-                shared.spec.block_cut.clone(),
-                mode,
-                shared.spec.graph_construction,
-            ),
+            Some(mode) => BlockCutter::with_graph(shared.spec.block_cut.clone(), mode),
         };
         let dests = shared.spec.peer_ids();
         let mut seen = HashSet::new();

@@ -820,8 +820,10 @@ mod tests {
             Ledger::genesis_hash(),
             transfers(2),
         ));
-        let sized =
-            |count: u64| DependencyGraph::build_txs(&transfers(count), DependencyMode::Full);
+        let sized = |count: u64| {
+            let other = Block::new(BlockNumber(1), Ledger::genesis_hash(), transfers(count));
+            DependencyGraph::build(&other, DependencyMode::Full)
+        };
         for malformed in [None, Some(sized(1)), Some(sized(3))] {
             announce(&shared, &clock, &mut executor, &block, malformed);
             assert_eq!(executor.ledger.next_number(), BlockNumber(1));
@@ -849,10 +851,13 @@ mod tests {
         let other = spec.peer_ids().into_iter().find(|&id| id != agent);
         let (shared, clock, mut executor, net) = stepped_executor(spec, agent);
         let peer = net.endpoint(other.expect("a second peer"));
-        let txs = transfers(2);
-        let graph = DependencyGraph::build_txs(&txs, DependencyMode::Full);
+        let block = Arc::new(Block::new(
+            BlockNumber(1),
+            Ledger::genesis_hash(),
+            transfers(2),
+        ));
+        let graph = DependencyGraph::build(&block, DependencyMode::Full);
         assert!(graph.has_edge(SeqNo(0), SeqNo(1)), "a chain");
-        let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), txs));
         announce(&shared, &clock, &mut executor, &block, Some(graph));
 
         // The positions every COMMIT delivered to `peer` so far carries.
@@ -891,9 +896,12 @@ mod tests {
         // An agent of another application: it only counts app-0 votes.
         let node = spec.agents_of(AppId(1))[0];
         let (shared, clock, mut executor, _net) = stepped_executor(spec, node);
-        let txs = transfers(1);
-        let graph = DependencyGraph::build_txs(&txs, DependencyMode::Full);
-        let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), txs));
+        let block = Arc::new(Block::new(
+            BlockNumber(1),
+            Ledger::genesis_hash(),
+            transfers(1),
+        ));
+        let graph = DependencyGraph::build(&block, DependencyMode::Full);
         announce(&shared, &clock, &mut executor, &block, Some(graph));
 
         let vote = |executor: &mut Executor, agent: NodeId, writes: Vec<(Key, Value)>| {

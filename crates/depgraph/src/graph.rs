@@ -25,23 +25,14 @@ pub struct DependencyGraph {
 }
 
 impl DependencyGraph {
-    /// Builds the dependency graph of `block` under the given mode.
-    ///
-    /// This is the orderer-side "dependency graph generator" module. Its
-    /// cost grows with the block size — the effect behind the throughput
-    /// rolloff in Fig 5.
+    /// Builds the dependency graph of a whole `block` under the given
+    /// mode: `Reduced` feeds the block through a
+    /// [`StreamingBuilder`](crate::StreamingBuilder), the builder orderers
+    /// run as transactions are ordered; `Full` is the O(n²) pairwise
+    /// reference definition, which tests and examples compare against.
     #[must_use]
     pub fn build(block: &Block, mode: DependencyMode) -> Self {
         builder::build(block, mode)
-    }
-
-    /// Builds the dependency graph of a transaction sequence that has not
-    /// been wrapped in a [`Block`] yet (positions follow slice order).
-    /// Used by the block cutter's batch-construction path (Fig 5), where
-    /// the graph is needed before the block header exists.
-    #[must_use]
-    pub fn build_txs(txs: &[parblock_types::Transaction], mode: DependencyMode) -> Self {
-        builder::build_txs(txs, mode)
     }
 
     /// Constructs a graph from raw adjacency data. Used by the builder;
@@ -146,7 +137,6 @@ impl DependencyGraph {
         let mode_tag: u8 = match self.mode {
             DependencyMode::Full => 0,
             DependencyMode::Reduced => 1,
-            DependencyMode::MultiVersion => 2,
         };
         mode_tag.encode(out);
         (self.apps.len() as u64).encode(out);
@@ -177,7 +167,6 @@ impl DependencyGraph {
         let mode = match reader.u8()? {
             0 => DependencyMode::Full,
             1 => DependencyMode::Reduced,
-            2 => DependencyMode::MultiVersion,
             _ => return None,
         };
         let n = usize::try_from(reader.u64()?).ok()?;
@@ -290,7 +279,7 @@ mod tests {
         for g in [
             diamond(),
             DependencyGraph::from_edges(vec![], &[], DependencyMode::Reduced),
-            DependencyGraph::from_edges(vec![AppId(3)], &[], DependencyMode::MultiVersion),
+            DependencyGraph::from_edges(vec![AppId(3)], &[], DependencyMode::Full),
         ] {
             let bytes = g.wire_bytes();
             let mut reader = parblock_types::wire::Reader::new(&bytes);
@@ -310,11 +299,18 @@ mod tests {
                 "cut {cut}"
             );
         }
-        // Unknown mode tag.
-        let mut bad = bytes.clone();
-        bad[0] = 9;
-        let mut reader = parblock_types::wire::Reader::new(&bad);
-        assert!(DependencyGraph::decode_wire(&mut reader).is_none());
+        // Unknown mode tags. Tag 2 was the retired multi-version rule set:
+        // a NEWBLOCK graph stamped with it by an older build is rejected,
+        // never a panic.
+        for tag in [2, 9] {
+            let mut bad = bytes.clone();
+            bad[0] = tag;
+            let mut reader = parblock_types::wire::Reader::new(&bad);
+            assert!(
+                DependencyGraph::decode_wire(&mut reader).is_none(),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -66,7 +66,8 @@ impl ReadyTracker {
     /// waits for `external[i]` out-of-graph predecessors (cross-block
     /// dependencies on still-pending writers of earlier blocks). A missing
     /// entry counts as zero. External predecessors are released through
-    /// [`ReadyTracker::release_external`], not [`ReadyTracker::complete`].
+    /// [`ReadyTracker::release_external_batch`], not
+    /// [`ReadyTracker::complete`].
     #[must_use]
     pub fn with_external(graph: &DependencyGraph, external: &[u32]) -> Self {
         let n = graph.len();
@@ -126,7 +127,7 @@ impl ReadyTracker {
     ///
     /// Panics if `x` has no outstanding predecessors — an external release
     /// must match a count registered via [`ReadyTracker::with_external`].
-    pub fn release_external(&mut self, x: SeqNo) -> bool {
+    fn release_external(&mut self, x: SeqNo) -> bool {
         let idx = x.0 as usize;
         if self.pending_preds[idx] == u32::MAX {
             return false; // already complete (e.g. committed from votes)
@@ -147,11 +148,19 @@ impl ReadyTracker {
 
     /// Releases one external predecessor of **each** position in
     /// `positions`, returning the positions that became ready, in input
-    /// order. Semantics per position match
-    /// [`ReadyTracker::release_external`]; batching lets a cross-block
-    /// writer that unblocks many waiters of one block hand the whole
-    /// newly-ready set to the execution backend in a single dispatch
-    /// instead of one per waiter (DESIGN.md §15).
+    /// order. A position whose last outstanding predecessor this releases
+    /// becomes ready (and is queued for [`ReadyTracker::take_ready`]); a
+    /// position that already completed — committed from remote votes
+    /// before its cross-block writer retired — is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position has no outstanding predecessors: each release
+    /// must match a count registered via [`ReadyTracker::with_external`].
+    ///
+    /// Batching lets a cross-block writer that unblocks many waiters of
+    /// one block hand the whole newly-ready set to the execution backend
+    /// in a single dispatch instead of one per waiter (DESIGN.md §15).
     pub fn release_external_batch(&mut self, positions: &[SeqNo]) -> Vec<SeqNo> {
         positions
             .iter()
@@ -163,12 +172,6 @@ impl ReadyTracker {
     /// Drains and returns every transaction that is currently ready.
     pub fn take_ready(&mut self) -> Vec<SeqNo> {
         self.ready.drain(..).collect()
-    }
-
-    /// Returns `true` when there are ready transactions waiting.
-    #[must_use]
-    pub fn has_ready(&self) -> bool {
-        !self.ready.is_empty()
     }
 
     /// Marks `x` complete (executed locally or committed from remote
@@ -211,12 +214,6 @@ impl ReadyTracker {
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.completed == self.pending_preds.len()
-    }
-
-    /// Number of completed transactions.
-    #[must_use]
-    pub fn completed_count(&self) -> usize {
-        self.completed
     }
 }
 
@@ -312,7 +309,6 @@ mod tests {
         assert_eq!(t.complete(SeqNo(2)), vec![SeqNo(3)]);
         t.complete(SeqNo(3));
         assert!(t.is_done());
-        assert_eq!(t.completed_count(), 4);
     }
 
     #[test]
@@ -333,10 +329,17 @@ mod tests {
         let g = graph(3, &[(0, 1)]);
         let mut t = ReadyTracker::with_external(&g, &[2, 0, 1]);
         assert!(t.take_ready().is_empty(), "every root has external deps");
-        assert!(!t.release_external(SeqNo(0)), "one of two released");
-        assert!(t.release_external(SeqNo(0)), "second release readies it");
-        assert_eq!(t.take_ready(), vec![SeqNo(0)]);
-        assert!(t.release_external(SeqNo(2)));
+        assert!(
+            t.release_external_batch(&[SeqNo(0)]).is_empty(),
+            "one of two released"
+        );
+        assert!(t.take_ready().is_empty());
+        assert_eq!(
+            t.release_external_batch(&[SeqNo(0), SeqNo(2)]),
+            vec![SeqNo(0), SeqNo(2)],
+            "second release readies 0, the only one readies 2"
+        );
+        assert_eq!(t.take_ready(), vec![SeqNo(0), SeqNo(2)]);
         assert_eq!(t.complete(SeqNo(0)), vec![SeqNo(1)]);
         t.complete(SeqNo(1));
         t.complete(SeqNo(2));
@@ -350,7 +353,8 @@ mod tests {
         let g = graph(1, &[]);
         let mut t = ReadyTracker::with_external(&g, &[1]);
         assert!(t.complete(SeqNo(0)).is_empty());
-        assert!(!t.release_external(SeqNo(0)));
+        assert!(t.release_external_batch(&[SeqNo(0)]).is_empty());
+        assert!(t.take_ready().is_empty());
         assert!(t.is_done());
     }
 
@@ -359,7 +363,7 @@ mod tests {
         let g = graph(3, &[]);
         let mut t = ReadyTracker::with_external(&g, &[1]);
         assert_eq!(t.take_ready(), vec![SeqNo(1), SeqNo(2)]);
-        assert!(t.release_external(SeqNo(0)));
+        assert_eq!(t.release_external_batch(&[SeqNo(0)]), vec![SeqNo(0)]);
     }
 
     #[test]
@@ -367,7 +371,7 @@ mod tests {
         let g = graph(5, &[]);
         let mut t = ReadyTracker::new(&g);
         assert_eq!(t.take_ready().len(), 5);
-        assert!(!t.has_ready());
+        assert!(t.take_ready().is_empty(), "taking drains the ready set");
     }
 
     #[test]

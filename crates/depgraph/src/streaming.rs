@@ -1,30 +1,23 @@
 //! Incremental dependency-graph construction over the transaction stream.
 //!
-//! The batch builders in [`crate::builder`] pay their whole cost at cut
-//! time — in [`DependencyMode::Full`] that is an O(n²) pairwise sweep
-//! executed *between* cutting a block and multicasting `NEWBLOCK`, which
-//! is exactly the orderer-side load the paper blames for the Fig 5
-//! throughput rolloff ("generating the dependency graph … increases the
-//! load on the orderers", §IV-B).
+//! [`StreamingBuilder`] is the one implementation of the reduced
+//! (last-writer/reader) rules. Orderers feed it each transaction as it
+//! is ordered: each [`StreamingBuilder::observe`] updates a per-key
+//! conflict index (last writer, readers since that write) and appends
+//! the new transaction's dependency edges. [`StreamingBuilder::finish`]
+//! then materialises the [`DependencyGraph`] in time proportional to the
+//! pending block (its vertices and accumulated edges), so cutting a block
+//! never pays the O(n²) pairwise sweep that the paper blames for
+//! orderer load ("generating the dependency graph … increases the load
+//! on the orderers", §IV-B).
 //!
-//! [`StreamingBuilder`] moves that work onto the ordered transaction
-//! stream instead: each [`StreamingBuilder::observe`] updates a per-key
-//! conflict index (last writer, readers since that write, and — for
-//! multi-version rules — all writers) and appends the new transaction's
-//! dependency edges. [`StreamingBuilder::finish`] then materialises the
-//! [`DependencyGraph`] in time proportional to the pending block (its
-//! vertices and accumulated edges), not the square of its size.
-//!
-//! Equivalence with the batch builders (property-tested, DESIGN.md §6):
-//!
-//! * [`DependencyMode::Reduced`] and [`DependencyMode::MultiVersion`] —
-//!   the streaming edge set is **identical** to the batch edge set.
-//! * [`DependencyMode::Full`] — emitting every conflicting pair is
-//!   inherently Ω(n²) (all-writers-of-one-key blocks have that many
-//!   edges), so the streaming builder emits the *closure-equivalent*
-//!   last-writer/reader edge set instead: the transitive closure — and
-//!   hence the partial order executors obey — is exactly the batch
-//!   `Full` closure, with at most O(accesses) edges.
+//! Under either [`DependencyMode`] the builder emits the reduced edge
+//! set; the mode is only the tag the graph carries. Emitting every
+//! conflicting pair is inherently Ω(n²) (all-writers-of-one-key blocks
+//! have that many edges), whereas the reduced set has at most
+//! O(accesses) edges and the same transitive closure — the partial order
+//! executors obey — as the pairwise `Full` definition (property-tested,
+//! DESIGN.md §6).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -38,17 +31,14 @@ use crate::graph::DependencyGraph;
 /// Per-key conflict index entry.
 #[derive(Debug, Default)]
 struct KeyIndex {
-    /// The last transaction that wrote this key (single-version rules).
+    /// The last transaction that wrote this key.
     last_writer: Option<SeqNo>,
-    /// Readers since that write (single-version rules).
+    /// Readers since that write.
     readers_since_write: Vec<SeqNo>,
-    /// Every writer of this key so far (multi-version rules: writes make
-    /// versions, so *all* of them constrain a later reader).
-    writers: Vec<SeqNo>,
 }
 
 /// Incrementally builds a block's dependency graph as transactions are
-/// delivered, so cut time pays O(pending) instead of an O(n²) rebuild.
+/// ordered, so cutting a block costs O(pending).
 ///
 /// # Examples
 ///
@@ -74,7 +64,7 @@ pub struct StreamingBuilder {
 }
 
 impl StreamingBuilder {
-    /// Creates an empty builder for `mode`.
+    /// Creates an empty builder whose graphs carry the tag `mode`.
     #[must_use]
     pub fn new(mode: DependencyMode) -> Self {
         StreamingBuilder {
@@ -85,30 +75,11 @@ impl StreamingBuilder {
         }
     }
 
-    /// The dependency rules this builder applies.
-    #[must_use]
-    pub fn mode(&self) -> DependencyMode {
-        self.mode
-    }
-
-    /// Number of transactions observed since the last [`Self::finish`].
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.apps.len()
-    }
-
     /// Whether no transaction has been observed since the last
     /// [`Self::finish`].
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.apps.is_empty()
-    }
-
-    /// Number of dependency edges accumulated so far (before adjacency
-    /// deduplication; an upper bound on the finished graph's edge count).
-    #[must_use]
-    pub fn edge_upper_bound(&self) -> usize {
-        self.edges.len()
     }
 
     /// Feeds the next transaction of the pending block, updating the
@@ -118,19 +89,6 @@ impl StreamingBuilder {
     pub fn observe(&mut self, tx: &Transaction) {
         let j = SeqNo(u32::try_from(self.apps.len()).expect("block exceeds u32 positions"));
         self.apps.push(tx.app());
-        match self.mode {
-            // `Full` and `Reduced` share the last-writer/reader rules;
-            // `Full` differs from the batch builder only in emitting the
-            // closure-equivalent subset (see the module docs).
-            DependencyMode::Full | DependencyMode::Reduced => self.observe_single_version(tx, j),
-            DependencyMode::MultiVersion => self.observe_multi_version(tx, j),
-        }
-    }
-
-    /// Single-version rules, mirroring `builder::build_reduced` step for
-    /// step so the streaming `Reduced` edge set matches the batch one
-    /// exactly.
-    fn observe_single_version(&mut self, tx: &Transaction, j: SeqNo) {
         // W→R: the last writer of each read key precedes us.
         for key in tx.rw_set().reads() {
             if let Some(index) = self.keys.get(key) {
@@ -163,23 +121,6 @@ impl StreamingBuilder {
             if index.last_writer != Some(j) {
                 index.readers_since_write.push(j);
             }
-        }
-    }
-
-    /// Multi-version rules: only ω(Ti) ∩ ρ(Tj) forces `Ti ⤳ Tj`, and every
-    /// earlier writer of a read key constrains the reader.
-    fn observe_multi_version(&mut self, tx: &Transaction, j: SeqNo) {
-        for key in tx.rw_set().reads() {
-            if let Some(index) = self.keys.get(key) {
-                for &w in &index.writers {
-                    self.edges.push((w, j));
-                }
-            }
-        }
-        // Writes are registered after reads, so a read-modify-write
-        // transaction never self-depends.
-        for key in tx.rw_set().writes() {
-            self.keys.entry(*key).or_default().writers.push(j);
         }
     }
 
@@ -237,9 +178,10 @@ impl StreamingBuilder {
 /// // Block 2 reads the key block 1 still holds pending.
 /// let deps = index.admit_block(2, &[tx(2, RwSet::read_only([Key(7)]))]);
 /// assert_eq!(deps[0], vec![(1, SeqNo(0))]);
-/// // Once the writer's result is applied, nothing is pending.
+/// // Once the writer's result is applied, a later reader waits for nothing.
 /// index.complete(1, SeqNo(0));
-/// assert_eq!(index.pending_writers(), 0);
+/// let deps = index.admit_block(3, &[tx(3, RwSet::read_only([Key(7)]))]);
+/// assert!(deps[0].is_empty());
 /// ```
 #[derive(Debug, Default)]
 pub struct CrossBlockIndex {
@@ -261,12 +203,6 @@ impl CrossBlockIndex {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of writers whose completion the index is still awaiting.
-    #[must_use]
-    pub fn pending_writers(&self) -> usize {
-        self.by_writer.len()
     }
 
     /// Admits the transactions of block `block` (positions follow slice
@@ -344,13 +280,13 @@ mod tests {
         builder.finish()
     }
 
-    fn batch(mode: DependencyMode, rw_sets: &[RwSet]) -> DependencyGraph {
+    fn block_of(rw_sets: &[RwSet]) -> Block {
         let txs = rw_sets
             .iter()
             .enumerate()
             .map(|(i, rw)| tx(i as u64, rw.clone()))
             .collect();
-        DependencyGraph::build(&Block::new(BlockNumber(1), Hash32::ZERO, txs), mode)
+        Block::new(BlockNumber(1), Hash32::ZERO, txs)
     }
 
     fn k(raw: u64) -> Key {
@@ -359,49 +295,42 @@ mod tests {
 
     #[test]
     fn reduced_streaming_equals_batch_on_write_chain() {
+        // Four writers of one key: the reduced rules emit exactly the
+        // chain, whether fed one transaction at a time or a whole block.
         let sets = vec![RwSet::write_only([k(1)]); 4];
-        assert_eq!(
-            stream(DependencyMode::Reduced, &sets),
-            batch(DependencyMode::Reduced, &sets)
+        let chain = DependencyGraph::from_edges(
+            vec![AppId(0); 4],
+            &[
+                (SeqNo(0), SeqNo(1)),
+                (SeqNo(1), SeqNo(2)),
+                (SeqNo(2), SeqNo(3)),
+            ],
+            DependencyMode::Reduced,
         );
-    }
-
-    #[test]
-    fn multi_version_streaming_keeps_all_writer_edges() {
-        // W(a), W(a), R(a): both writers constrain the reader.
-        let sets = vec![
-            RwSet::write_only([k(1)]),
-            RwSet::write_only([k(1)]),
-            RwSet::read_only([k(1)]),
-        ];
-        let g = stream(DependencyMode::MultiVersion, &sets);
-        assert_eq!(g, batch(DependencyMode::MultiVersion, &sets));
-        assert!(g.has_edge(SeqNo(0), SeqNo(2)));
-        assert!(g.has_edge(SeqNo(1), SeqNo(2)));
-        assert!(!g.has_edge(SeqNo(0), SeqNo(1)), "WW dropped under MV");
+        assert_eq!(stream(DependencyMode::Reduced, &sets), chain);
+        let whole = DependencyGraph::build(&block_of(&sets), DependencyMode::Reduced);
+        assert_eq!(whole, chain);
     }
 
     #[test]
     fn full_streaming_emits_closure_equivalent_subset() {
-        // Three writers of one key: batch Full has 3 edges, streaming
-        // Full emits the 2-edge chain with the same transitive closure.
+        // Three writers of one key: the pairwise definition has 3 edges,
+        // streaming Full emits the 2-edge chain with the same transitive
+        // closure.
         let sets = vec![RwSet::write_only([k(1)]); 3];
         let g = stream(DependencyMode::Full, &sets);
         assert_eq!(g.mode(), DependencyMode::Full);
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(SeqNo(0), SeqNo(1)));
         assert!(g.has_edge(SeqNo(1), SeqNo(2)));
-        assert_eq!(batch(DependencyMode::Full, &sets).edge_count(), 3);
+        let pairwise = DependencyGraph::build(&block_of(&sets), DependencyMode::Full);
+        assert_eq!(pairwise.edge_count(), 3);
     }
 
     #[test]
     fn rmw_transaction_does_not_self_depend() {
         let sets = vec![RwSet::new([k(1)], [k(1)])];
-        for mode in [
-            DependencyMode::Full,
-            DependencyMode::Reduced,
-            DependencyMode::MultiVersion,
-        ] {
+        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
             assert_eq!(stream(mode, &sets).edge_count(), 0, "{mode:?}");
         }
     }
@@ -414,7 +343,6 @@ mod tests {
         let first = builder.finish();
         assert_eq!(first.edge_count(), 1);
         assert!(builder.is_empty());
-        assert_eq!(builder.edge_upper_bound(), 0);
 
         // Same key again: must not see block 1's writer.
         builder.observe(&tx(3, RwSet::read_only([k(9)])));
@@ -474,7 +402,10 @@ mod tests {
         index.admit_block(1, &[tx(1, RwSet::read_only([k(5)]))]);
         let deps = index.admit_block(2, &[tx(2, RwSet::write_only([k(5)]))]);
         assert!(deps[0].is_empty());
-        assert_eq!(index.pending_writers(), 1, "only the block-2 writer");
+        // Only the block-2 writer is pending: a block-3 reader waits on it
+        // alone.
+        let deps = index.admit_block(3, &[tx(3, RwSet::read_only([k(5)]))]);
+        assert_eq!(deps[0], vec![(2, SeqNo(0))]);
     }
 
     #[test]
@@ -497,12 +428,13 @@ mod tests {
     fn cross_block_complete_is_idempotent_and_skips_non_writers() {
         let mut index = CrossBlockIndex::new();
         index.admit_block(1, &[tx(1, RwSet::read_only([k(1)]))]);
-        assert_eq!(index.pending_writers(), 0, "readers are never pending");
+        let deps = index.admit_block(2, &[tx(2, RwSet::write_only([k(1)]))]);
+        assert!(deps[0].is_empty(), "readers are never pending");
         index.complete(1, SeqNo(0));
         index.complete(9, SeqNo(9)); // unknown writer: no-op
-        index.admit_block(2, &[tx(2, RwSet::write_only([k(1)]))]);
         index.complete(2, SeqNo(0));
         index.complete(2, SeqNo(0));
-        assert_eq!(index.pending_writers(), 0);
+        let deps = index.admit_block(3, &[tx(3, RwSet::read_only([k(1)]))]);
+        assert!(deps[0].is_empty(), "the retired writer blocks nothing");
     }
 }

@@ -32,8 +32,8 @@ fn arb_block(max_txns: usize, key_space: u64) -> impl Strategy<Value = Block> {
     })
 }
 
-/// Feeds a block through a [`StreamingBuilder`] the way the streaming
-/// block cutter does, returning the emitted graph.
+/// Feeds a block through a [`StreamingBuilder`] the way the block
+/// cutter does, returning the emitted graph.
 fn stream_build(block: &Block, mode: DependencyMode) -> DependencyGraph {
     let mut builder = StreamingBuilder::new(mode);
     for tx in block.transactions() {
@@ -68,7 +68,7 @@ proptest! {
     /// construction), in every mode.
     #[test]
     fn edges_point_forward(block in arb_block(24, 8)) {
-        for mode in [DependencyMode::Full, DependencyMode::Reduced, DependencyMode::MultiVersion] {
+        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
             let g = DependencyGraph::build(&block, mode);
             for (i, j) in g.edges() {
                 prop_assert!(i < j, "{mode:?}: edge ({i:?},{j:?}) not forward");
@@ -85,16 +85,14 @@ proptest! {
         prop_assert_eq!(closure(&full), closure(&reduced));
     }
 
-    /// Reduced is a subgraph of full, and multi-version is a subgraph of
-    /// full.
+    /// Reduced is a subgraph of full: it never invents an ordering
+    /// constraint.
     #[test]
     fn subgraph_relations(block in arb_block(20, 6)) {
         let full = DependencyGraph::build(&block, DependencyMode::Full);
-        for mode in [DependencyMode::Reduced, DependencyMode::MultiVersion] {
-            let g = DependencyGraph::build(&block, mode);
-            for (i, j) in g.edges() {
-                prop_assert!(full.has_edge(i, j), "{mode:?} edge ({i:?},{j:?}) not in full");
-            }
+        let reduced = DependencyGraph::build(&block, DependencyMode::Reduced);
+        for (i, j) in reduced.edges() {
+            prop_assert!(full.has_edge(i, j), "reduced edge ({i:?},{j:?}) not in full");
         }
     }
 
@@ -163,25 +161,13 @@ proptest! {
         }
     }
 
-    /// Incremental ≡ batch, edge sets: for `Reduced` and `MultiVersion`
-    /// the streaming builder emits exactly the batch builder's graph
-    /// (apps, edges, and mode all equal).
-    #[test]
-    fn streaming_equals_batch_edge_sets(block in arb_block(20, 6)) {
-        for mode in [DependencyMode::Reduced, DependencyMode::MultiVersion] {
-            let streamed = stream_build(&block, mode);
-            let batch = DependencyGraph::build(&block, mode);
-            prop_assert_eq!(streamed, batch, "{:?}", mode);
-        }
-    }
-
-    /// Incremental ≡ batch, transitive closure: in every mode —
+    /// Incremental ≡ whole-block build, transitive closure: in both modes —
     /// including `Full`, where the streaming builder emits the
-    /// closure-equivalent subset instead of all Ω(n²) pairwise edges —
-    /// executors see the same partial order.
+    /// closure-equivalent reduced set instead of all Ω(n²) pairwise
+    /// edges — executors see the same partial order.
     #[test]
     fn streaming_closure_equals_batch_closure(block in arb_block(16, 5)) {
-        for mode in [DependencyMode::Full, DependencyMode::Reduced, DependencyMode::MultiVersion] {
+        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
             let streamed = stream_build(&block, mode);
             let batch = DependencyGraph::build(&block, mode);
             prop_assert_eq!(closure(&streamed), closure(&batch), "{:?}", mode);
@@ -203,7 +189,7 @@ proptest! {
     /// fresh builder per block: `finish` fully resets the conflict index.
     #[test]
     fn streaming_builder_reuse_is_reset(first in arb_block(12, 4), second in arb_block(12, 4)) {
-        for mode in [DependencyMode::Full, DependencyMode::Reduced, DependencyMode::MultiVersion] {
+        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
             let mut builder = StreamingBuilder::new(mode);
             for tx in first.transactions() {
                 builder.observe(tx);

@@ -105,36 +105,3 @@ proptest! {
         prop_assert_eq!(serial.digest(), scheduled.digest());
     }
 }
-
-/// The multi-version graph admits schedules that are *not* value-serial
-/// under single-version storage, but remains correct on a multi-version
-/// store: a reader positioned at seq s sees the latest write ≤ s.
-#[test]
-fn multi_version_reads_route_correctly_under_mv_schedule() {
-    // T0 writes k=10; T1 writes k=20 (WW — concurrent under MV);
-    // T2 reads k (depends on both).
-    let contract = KvContract::new(AppId(0));
-    let t0 = contract.transaction(ClientId(1), 0, &KvOp::Put { key: Key(1), value: 10 });
-    let t1 = contract.transaction(ClientId(1), 1, &KvOp::Put { key: Key(1), value: 20 });
-    let t2 = contract.transaction(
-        ClientId(1),
-        2,
-        &KvOp::Mix { reads: vec![Key(1)], writes: vec![Key(2)] },
-    );
-    let block = Block::new(BlockNumber(1), Hash32::ZERO, vec![t0, t1, t2]);
-    let graph = DependencyGraph::build(&block, DependencyMode::MultiVersion);
-    // WW edge dropped; both writers feed the reader.
-    assert!(!graph.has_edge(SeqNo(0), SeqNo(1)));
-    assert!(graph.has_edge(SeqNo(0), SeqNo(2)));
-    assert!(graph.has_edge(SeqNo(1), SeqNo(2)));
-
-    // Apply the writers in *reverse* order into the MV store; the reader
-    // at position 2 still sees T1's value (latest version ≤ its seq).
-    let mut mv = MvccState::new();
-    mv.put(Key(1), Value::Int(20), Version::new(BlockNumber(1), SeqNo(1)));
-    mv.put(Key(1), Value::Int(10), Version::new(BlockNumber(1), SeqNo(0)));
-    assert_eq!(
-        mv.read_at(Key(1), Version::new(BlockNumber(1), SeqNo(2))),
-        Value::Int(20)
-    );
-}
