@@ -77,8 +77,7 @@ impl Table {
     }
 
     /// Serializes as CSV.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let esc = |s: &String| {
             if s.contains(',') || s.contains('"') {

@@ -1,10 +1,10 @@
 //! The application registry: Σ : A → 2^E (agents per application),
-//! installed contracts, and client access control.
+//! installed contracts, and the orderers' access check.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use parblock_types::{AppId, ClientId, NodeId, TypeError};
+use parblock_types::{AppId, NodeId, TypeError};
 
 use crate::traits::SmartContract;
 
@@ -13,13 +13,10 @@ use crate::traits::SmartContract;
 struct AppEntry {
     contract: Arc<dyn SmartContract>,
     agents: BTreeSet<NodeId>,
-    /// `None` = every client allowed (the common benchmark setting);
-    /// `Some(set)` = only listed clients.
-    allowed_clients: Option<BTreeSet<ClientId>>,
 }
 
-/// The shared deployment map: which contract implements each application,
-/// which executor peers are its agents, and which clients may use it.
+/// The shared deployment map: which contract implements each application
+/// and which executor peers are its agents.
 ///
 /// Orderers consult it for access control and the NEWBLOCK app set;
 /// executors consult it to decide which transactions they execute.
@@ -67,30 +64,7 @@ impl AppRegistry {
             "Σ({}) must be non-empty (§III)",
             contract.app()
         );
-        self.apps.insert(
-            contract.app(),
-            AppEntry {
-                contract,
-                agents,
-                allowed_clients: None,
-            },
-        );
-    }
-
-    /// Restricts `app` to the listed clients (default: all allowed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `app` is not deployed.
-    pub fn restrict_clients<I: IntoIterator<Item = ClientId>>(&mut self, app: AppId, clients: I) {
-        let entry = self.apps.get_mut(&app).expect("app not deployed");
-        entry.allowed_clients = Some(clients.into_iter().collect());
-    }
-
-    /// The deployed application ids.
-    #[must_use]
-    pub fn app_ids(&self) -> Vec<AppId> {
-        self.apps.keys().copied().collect()
+        self.apps.insert(contract.app(), AppEntry { contract, agents });
     }
 
     /// Number of deployed applications.
@@ -134,31 +108,17 @@ impl AppRegistry {
             .is_some_and(|e| e.agents.contains(&node))
     }
 
-    /// The union of all agent sets: every node that executes anything.
-    #[must_use]
-    pub fn all_agents(&self) -> BTreeSet<NodeId> {
-        self.apps
-            .values()
-            .flat_map(|e| e.agents.iter().copied())
-            .collect()
-    }
-
     /// Orderer-side access control (§III-A): "if a client is not
     /// authorized to perform an operation on the requested application,
-    /// orderers simply discard that request".
+    /// orderers simply discard that request". Every client may use every
+    /// deployed application, so only requests for an undeployed one are
+    /// refused.
     ///
     /// # Errors
     ///
-    /// [`TypeError::UnknownApp`] for undeployed applications and
-    /// [`TypeError::Unauthorized`] for disallowed clients.
-    pub fn check_access(&self, client: ClientId, app: AppId) -> Result<(), TypeError> {
-        let entry = self.apps.get(&app).ok_or(TypeError::UnknownApp(app))?;
-        match &entry.allowed_clients {
-            Some(allowed) if !allowed.contains(&client) => {
-                Err(TypeError::Unauthorized { client, app })
-            }
-            _ => Ok(()),
-        }
+    /// [`TypeError::UnknownApp`] for undeployed applications.
+    pub fn check_access(&self, app: AppId) -> Result<(), TypeError> {
+        self.apps.get(&app).map(|_| ()).ok_or(TypeError::UnknownApp(app))
     }
 }
 
@@ -198,7 +158,6 @@ mod tests {
         assert!(r.is_agent(NodeId(4), AppId(0)));
         assert!(!r.is_agent(NodeId(4), AppId(1)));
         assert!(r.agents(AppId(9)).is_empty());
-        assert_eq!(r.all_agents().len(), 3);
         assert_eq!(r.len(), 2);
     }
 
@@ -213,25 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn access_control_defaults_open_then_restricts() {
-        let mut r = registry();
-        assert!(r.check_access(ClientId(1), AppId(0)).is_ok());
-        r.restrict_clients(AppId(0), [ClientId(1)]);
-        assert!(r.check_access(ClientId(1), AppId(0)).is_ok());
-        assert_eq!(
-            r.check_access(ClientId(2), AppId(0)).unwrap_err(),
-            TypeError::Unauthorized {
-                client: ClientId(2),
-                app: AppId(0)
-            }
-        );
-    }
-
-    #[test]
     fn unknown_app_access_is_rejected() {
         let r = registry();
         assert_eq!(
-            r.check_access(ClientId(1), AppId(7)).unwrap_err(),
+            r.check_access(AppId(7)).unwrap_err(),
             TypeError::UnknownApp(AppId(7))
         );
     }

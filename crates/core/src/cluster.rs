@@ -111,12 +111,6 @@ impl DurabilityMode {
             fresh: false,
         }
     }
-
-    /// `true` for any on-disk variant.
-    #[must_use]
-    pub fn is_on_disk(&self) -> bool {
-        matches!(self, DurabilityMode::OnDisk { .. })
-    }
 }
 
 /// Datacenter latency model for an experiment.
@@ -315,8 +309,7 @@ impl ClusterSpec {
     }
 
     /// Total number of network nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.orderers + self.apps * self.executors_per_app + self.non_executors + 1
     }
 
@@ -540,7 +533,6 @@ mod tests {
     fn durability_mode_constructors() {
         let spec = ClusterSpec::new(SystemKind::Oxii);
         let explicit = DurabilityMode::on_disk("/tmp/x");
-        assert!(explicit.is_on_disk());
         assert_eq!(
             explicit,
             DurabilityMode::OnDisk {
@@ -548,7 +540,6 @@ mod tests {
                 fresh: false
             }
         );
-        assert!(!DurabilityMode::InMemory.is_on_disk());
         assert!(spec.durability_config.flush_interval >= 1);
     }
 

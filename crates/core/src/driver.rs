@@ -6,10 +6,12 @@
 //! # Pacing
 //!
 //! The driver is open-loop against an **absolute intended-arrival
-//! schedule**: the full schedule (arrival offset + transaction) is
-//! materialised before the first send, and the paced loop sleeps toward
-//! each intended instant, submitting late arrivals back-to-back when it
-//! falls behind. Two classes of bug shaped this design:
+//! schedule**: arrival `i` is due at `start + offset[i]`, and the paced
+//! loop sleeps toward each intended instant, submitting late arrivals
+//! back-to-back when it falls behind. Offsets (`ArrivalGen`) and
+//! transactions (`WorkloadGen::stream`, one window at a time) are
+//! generated as they are submitted, so the driver holds one window of
+//! input however long the run. Two classes of bug shaped this design:
 //!
 //! * **Pacing drift.** The previous per-tick accrual (`acc += per_tick`
 //!   once per loop iteration) credited exactly one tick of budget per
@@ -18,16 +20,21 @@
 //!   achieved rate fell below the offered rate without anything
 //!   reporting it. An absolute schedule cannot drift: lateness is
 //!   caught up, not forgotten.
-//! * **Generation stalls.** Workload generation used to run inside the
-//!   paced loop (refilling a window buffer between sends), so a slow
-//!   window materialisation stalled the submit path and showed up as
-//!   tail latency of the *system*. Generation and signing inputs are now
-//!   prepared entirely off the hot path.
+//! * **Coordinated omission.** Every submission is stamped with its
+//!   intended arrival ([`crate::metrics::Metrics::record_submit_at`]),
+//!   so a generation hiccup, a late wake-up or a wait for the window
+//!   below inflates the reported latency instead of hiding it, and is
+//!   counted separately as `driver_overruns` for self-checks.
 //!
-//! Lateness that does occur is charged honestly: every submission is
-//! stamped with its intended arrival ([`crate::metrics::Metrics::record_submit_at`]),
-//! so driver overruns inflate the reported latency instead of hiding it,
-//! and are counted separately as `driver_overruns` for self-checks.
+//! # Admission
+//!
+//! An open-loop run never waits: with `LoadSpec::max_outstanding` set,
+//! an arrival that finds that many transactions outstanding is shed and
+//! counted. A fixed-count run never sheds, since it needs the exact set:
+//! an arrival that finds [`COUNT_WINDOW`] transactions outstanding waits
+//! until a commit or abort at the observer makes room, as a client is
+//! held back by its connection. The simulator's client loop applies the
+//! same window ([`window_open`]).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -43,17 +50,57 @@ use crate::msg::Msg;
 use crate::runner::LoadSpec;
 use crate::shared::Shared;
 
-/// Longest single sleep of the paced loop — the stop flag is re-checked
-/// at least this often.
+/// Most transactions a fixed-count run keeps outstanding. It sits above
+/// every simulated run the tests and CI artifacts pin, so none of them
+/// ever waits, and well below a drain of tens of thousands of
+/// transactions, whose input would otherwise queue whole in the entry
+/// orderer's mailbox.
+pub(crate) const COUNT_WINDOW: u64 = 8_192;
+
+/// Longest single sleep of the paced loop and of a wait for the window
+/// — the stop flag and the window are re-checked at least this often.
 const TICK: Duration = Duration::from_millis(1);
 
-/// Within this distance of the intended arrival the driver yields
-/// instead of sleeping: `thread::sleep` overshoots by whole scheduler
-/// ticks (commonly 1–4 ms), which would turn every sub-millisecond gap
-/// into a counted overrun. Yielding (rather than spinning) keeps the
-/// cluster runnable on low-core hosts — residual lag there is expected,
-/// counted, and charged to the latency samples rather than hidden.
+/// Within this distance of the intended arrival the paced loop yields
+/// instead of sleeping. A sleep ends late by the timer slack plus the
+/// time the scheduler takes to run the driver again, and a send 1 ms
+/// late is a counted overrun; a yield loop sees the instant within one
+/// pass of the scheduler, and yielding rather than spinning leaves the
+/// cores to the cluster (DESIGN.md §13 has what the spin costs).
 const SPIN_THRESHOLD: Duration = Duration::from_millis(2);
+
+/// What the driver does with an arrival that finds the cluster busy.
+#[derive(Debug, Clone, Copy)]
+enum Admission {
+    /// Open loop: shed the arrival when this many transactions are
+    /// outstanding; `None` submits every arrival.
+    Shed(Option<u64>),
+    /// Fixed count: wait until fewer than [`COUNT_WINDOW`] are
+    /// outstanding, giving up at `deadline`.
+    Window {
+        /// When a wait for the window ends the run's submissions.
+        deadline: Instant,
+    },
+}
+
+/// Whether a fixed-count run may submit its next transaction: fewer than
+/// [`COUNT_WINDOW`] are outstanding.
+pub(crate) fn window_open(shared: &Shared) -> bool {
+    shared.metrics.outstanding() < COUNT_WINDOW
+}
+
+/// The intended arrival offsets of an open-loop run, one at a time:
+/// every arrival of `load`'s seeded process before `load.duration`.
+fn open_loop_offsets(load: &LoadSpec, seed: u64) -> impl Iterator<Item = Duration> {
+    let horizon = load.duration;
+    ArrivalGen::new(load.arrival, load.rate_tps, seed).take_while(move |&offset| offset < horizon)
+}
+
+/// The intended arrival offsets of a fixed-count run, one at a time:
+/// `n` arrivals uniformly spaced at `rate_tps`.
+fn count_offsets(rate_tps: f64, seed: u64, n: usize) -> impl Iterator<Item = Duration> {
+    ArrivalGen::new(ArrivalProcess::Uniform, rate_tps, seed).take(n)
+}
 
 /// Runs an open-loop driver: the arrival schedule of `load` (rate,
 /// arrival process, duration), anchored at `start`, then returns
@@ -65,48 +112,44 @@ pub(crate) fn run_driver(
     load: &LoadSpec,
     start: Instant,
 ) {
-    let offsets =
-        ArrivalGen::new(load.arrival, load.rate_tps, shared.spec.seed).take_until(load.duration);
-    run_schedule(shared, endpoint, &offsets, 0, start, load.max_outstanding);
+    let mut gen = WorkloadGen::new(shared.spec.workload_config());
+    let arrivals = open_loop_offsets(load, shared.spec.seed).zip(gen.stream());
+    run_schedule(shared, endpoint, arrivals, start, Admission::Shed(load.max_outstanding));
 }
 
 /// Submits transactions `[skip, count)` of the deterministic workload
 /// stream at `rate_tps` with uniform spacing: the first `skip` are
 /// generated and discarded (they are already in the recovered chain of a
-/// resumed cluster), the rest are submitted. No shedding — fixed-count
-/// runs need the exact set.
+/// resumed cluster), the rest are submitted, at most [`COUNT_WINDOW`]
+/// outstanding at a time. No shedding — fixed-count runs need the exact
+/// set. A wait for the window that reaches `deadline` ends the
+/// submissions.
 pub(crate) fn run_driver_count_from(
     shared: &Arc<Shared>,
     endpoint: &Endpoint<Msg>,
     rate_tps: f64,
     skip: usize,
     count: usize,
+    deadline: Instant,
 ) {
     let n = count.saturating_sub(skip);
-    let mut gen = ArrivalGen::new(ArrivalProcess::Uniform, rate_tps, shared.spec.seed);
-    let offsets: Vec<Duration> = (0..n).map(|_| gen.next_offset()).collect();
+    let mut gen = WorkloadGen::new(shared.spec.workload_config());
+    let arrivals = count_offsets(rate_tps, shared.spec.seed, n).zip(gen.stream().skip(skip));
     let start = shared.clock.now();
-    run_schedule(shared, endpoint, &offsets, skip, start, None);
+    run_schedule(shared, endpoint, arrivals, start, Admission::Window { deadline });
 }
 
-/// Paces `offsets.len()` transactions of the workload stream (after
-/// discarding the first `skip`) so that transaction `i` is submitted at
-/// `start + offsets[i]`, or as soon after as the driver manages.
+/// Paces `arrivals` so that each transaction is submitted at `start` +
+/// its offset, or as soon after as the driver and `admission` allow.
 fn run_schedule(
     shared: &Arc<Shared>,
     endpoint: &Endpoint<Msg>,
-    offsets: &[Duration],
-    skip: usize,
+    arrivals: impl Iterator<Item = (Duration, Transaction)>,
     start: Instant,
-    max_outstanding: Option<u64>,
+    admission: Admission,
 ) {
-    // Materialise the whole transaction stream before pacing begins:
-    // generation never runs on the hot submit path.
-    let mut txs = WorkloadGen::new(shared.spec.workload_config()).take_txs(skip + offsets.len());
-    txs.drain(..skip);
-
     let entry = shared.spec.entry_orderer();
-    for (&offset, tx) in offsets.iter().zip(txs) {
+    for (offset, tx) in arrivals {
         let intended = start + offset;
         // Sleep toward the intended arrival in short chunks (the stop
         // flag stays responsive), spinning out the last stretch where
@@ -129,10 +172,19 @@ fn run_schedule(
                 std::thread::yield_now();
             }
         }
-        if let Some(cap) = max_outstanding {
-            if shared.metrics.outstanding() >= cap {
+        match admission {
+            Admission::Shed(Some(cap)) if shared.metrics.outstanding() >= cap => {
                 shared.metrics.record_admission_shed();
                 continue;
+            }
+            Admission::Shed(_) => {}
+            Admission::Window { deadline } => {
+                while !window_open(shared) {
+                    if shared.clock.now() >= deadline {
+                        return;
+                    }
+                    std::thread::sleep(TICK);
+                }
             }
         }
         submit_at(shared, endpoint, entry, tx, intended);
@@ -166,5 +218,37 @@ pub(crate) fn submit_at(
         );
     } else {
         endpoint.send(entry, Msg::Request { tx, sig });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The driver pulls offsets one at a time; they must be the
+    /// schedule `take_until` and `next_offset` materialise.
+    #[test]
+    fn streamed_offsets_equal_the_materialised_schedule() {
+        for arrival in [
+            ArrivalProcess::Uniform,
+            ArrivalProcess::Poisson,
+            ArrivalProcess::default_burst(),
+        ] {
+            for seed in [3, 42] {
+                let load = LoadSpec {
+                    rate_tps: 5_000.0,
+                    duration: Duration::from_millis(250),
+                    arrival,
+                    ..LoadSpec::default()
+                };
+                let streamed: Vec<Duration> = open_loop_offsets(&load, seed).collect();
+                let expect = ArrivalGen::new(arrival, load.rate_tps, seed).take_until(load.duration);
+                assert!(!expect.is_empty());
+                assert_eq!(streamed, expect, "{arrival} seed {seed}");
+            }
+        }
+        let mut gen = ArrivalGen::new(ArrivalProcess::Uniform, 1e9, 42);
+        let expect: Vec<Duration> = (0..1_000).map(|_| gen.next_offset()).collect();
+        assert_eq!(count_offsets(1e9, 42, 1_000).collect::<Vec<_>>(), expect);
     }
 }

@@ -28,7 +28,7 @@
 //! still tracked (and still commits) but contributes no samples. Without
 //! a window every transaction is measured (the legacy behaviour).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,14 +67,14 @@ struct Inner {
     /// pure function of the schedule.
     clock: Clock,
     /// Intended arrival instant and whether the transaction falls inside
-    /// the measurement window (always `true` when no window is set).
+    /// the measurement window (always `true` when no window is set), for
+    /// every submission not yet resolved. Removing the entry is what
+    /// counts a commit or abort, so a transaction resolves once and one
+    /// way: re-observations (quorum re-delivery, duplicate COMMIT
+    /// processing) find no entry and are ignored.
     submits: Mutex<HashMap<TxId, (Instant, bool)>>,
     /// `[begin, end)` of intended arrival times that count as measured.
     measure_window: Mutex<Option<(Instant, Instant)>>,
-    /// Ids already counted as committed or aborted; re-observations
-    /// (quorum re-delivery, duplicate COMMIT processing) must not
-    /// double-count, and a transaction resolves exactly one way.
-    resolved_ids: Mutex<HashSet<TxId>>,
     /// Latencies of committed transactions (µs), exact samples capped
     /// at [`LATENCY_SAMPLE_CAP`].
     latencies: Mutex<Vec<u64>>,
@@ -196,45 +196,44 @@ impl Metrics {
 
     /// Records a commit observed at the designated observer peer.
     ///
-    /// Each transaction id is counted **once**: a re-observed commit
-    /// (e.g. duplicate quorum delivery) is ignored entirely, so the
-    /// committed count and the latency samples stay in step. Unknown
-    /// transaction ids (e.g. warm-up traffic submitted before
-    /// measurement started) are counted but contribute no latency sample.
+    /// A commit counts only if it resolves a submission recorded on this
+    /// sink, and so at most once per transaction: a re-observed commit
+    /// (e.g. duplicate quorum delivery), or one for a transaction nobody
+    /// submitted here, is ignored entirely, so the committed count and
+    /// the latency samples stay in step. Warm-up and cool-down traffic
+    /// counts but contributes no latency sample.
     pub fn record_commit(&self, tx: TxId) {
-        if !self.inner.resolved_ids.lock().insert(tx) {
+        let Some((intended, measured)) = self.inner.submits.lock().remove(&tx) else {
             return;
-        }
+        };
         let now = self.inner.clock.now();
         self.inner.trace.record_at(tx, Stage::Committed, now);
         self.inner.committed.fetch_add(1, Ordering::Relaxed);
-        if let Some((intended, measured)) = self.inner.submits.lock().remove(&tx) {
-            if measured {
-                let micros = now.saturating_duration_since(intended).as_micros() as u64;
-                self.inner.latency_hist.lock().record(micros);
-                let mut latencies = self.inner.latencies.lock();
-                if latencies.len() < LATENCY_SAMPLE_CAP {
-                    latencies.push(micros);
-                } else {
-                    self.inner.latency_overflow.fetch_add(1, Ordering::Relaxed);
-                }
-                drop(latencies);
-                self.inner.measured_committed.fetch_add(1, Ordering::Relaxed);
+        if measured {
+            let micros = now.saturating_duration_since(intended).as_micros() as u64;
+            self.inner.latency_hist.lock().record(micros);
+            let mut latencies = self.inner.latencies.lock();
+            if latencies.len() < LATENCY_SAMPLE_CAP {
+                latencies.push(micros);
+            } else {
+                self.inner.latency_overflow.fetch_add(1, Ordering::Relaxed);
             }
+            drop(latencies);
+            self.inner.measured_committed.fetch_add(1, Ordering::Relaxed);
         }
         *self.inner.last_commit.lock() = Some(now);
     }
 
     /// Records an abort observed at the observer peer (XOV validation
-    /// failures, contract-level rejections). Deduplicated like
-    /// [`Metrics::record_commit`]: a re-observed abort, or an abort for a
-    /// transaction already counted as committed, is ignored.
+    /// failures, contract-level rejections). Counted like
+    /// [`Metrics::record_commit`]: only when it resolves a submission, so
+    /// a re-observed abort, or an abort for a transaction already
+    /// counted as committed, is ignored.
     pub fn record_abort(&self, tx: TxId) {
-        if !self.inner.resolved_ids.lock().insert(tx) {
+        if self.inner.submits.lock().remove(&tx).is_none() {
             return;
         }
         self.inner.aborted.fetch_add(1, Ordering::Relaxed);
-        self.inner.submits.lock().remove(&tx);
         self.inner.trace.drop_tx(tx);
     }
 
@@ -309,10 +308,11 @@ impl Metrics {
     /// Pruning: submissions still unmatched at report time (dropped by
     /// the network under fault injection, or in flight when the run
     /// ended) are counted into [`RunReport::outstanding`] and **removed**
-    /// from the submit map, and the commit/abort dedup set is released,
-    /// so a long-lived sink does not keep per-transaction state past the
-    /// end of a run. (The aggregate counters stay monotonic; per-run
-    /// measurements should use a fresh sink, as the runner does.)
+    /// from the submit map, so a long-lived sink does not keep
+    /// per-transaction state past the end of a run; a commit or abort
+    /// that arrives after the report resolves nothing and is not counted.
+    /// (The aggregate counters stay monotonic; per-run measurements
+    /// should use a fresh sink, as the runner does.)
     #[must_use]
     pub fn report(&self) -> RunReport {
         let outstanding = {
@@ -322,11 +322,6 @@ impl Metrics {
             submits.shrink_to_fit();
             n
         };
-        {
-            let mut resolved = self.inner.resolved_ids.lock();
-            resolved.clear();
-            resolved.shrink_to_fit();
-        }
         let mut latencies = self.inner.latencies.lock().clone();
         latencies.sort_unstable();
         let window = match (
@@ -640,13 +635,14 @@ mod tests {
     }
 
     #[test]
-    fn unknown_commit_counts_without_latency() {
+    fn commit_or_abort_of_an_unsubmitted_tx_is_ignored() {
         let m = Metrics::new();
         m.record_commit(tx(9));
+        m.record_abort(tx(8));
         let r = m.report();
-        assert_eq!(r.committed, 1);
+        assert_eq!((r.committed, r.aborted), (0, 0));
         assert!(r.latencies_us.is_empty());
-        assert_eq!(r.avg_latency(), Duration::ZERO);
+        assert_eq!(r.window, Duration::ZERO, "no commit stamped");
     }
 
     #[test]
@@ -677,12 +673,14 @@ mod tests {
     #[test]
     fn duplicate_abort_counts_once_and_commit_wins_over_late_abort() {
         let m = Metrics::new();
+        m.record_submit(tx(1));
         m.record_abort(tx(1));
         m.record_abort(tx(1));
         let r = m.report();
         assert_eq!(r.aborted, 1, "re-observed abort double-counted");
 
         let m = Metrics::new();
+        m.record_submit(tx(2));
         m.record_commit(tx(2));
         m.record_abort(tx(2));
         assert_eq!(m.committed(), 1);

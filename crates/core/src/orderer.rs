@@ -265,7 +265,7 @@ impl Node for Orderer {
                 let (keys, registry) = (&self.shared.keys, &self.shared.registry);
                 let admitted = self.batch.push(&tx, |signed| {
                     keys.verify(signer, signed, &sig)
-                        && registry.check_access(tx.client(), tx.app()).is_ok()
+                        && registry.check_access(tx.app()).is_ok()
                 });
                 let full = self.batch.len() >= self.shared.spec.batch_max;
                 if admitted && (full || self.in_flight.is_empty()) {

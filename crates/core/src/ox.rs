@@ -210,6 +210,7 @@ mod tests {
         let mut peer = OxPeer::new(Arc::clone(&shared), net.endpoint(shared.spec.observer()));
         peer.0.state = MvccState::with_genesis([(Key(1), Value::Int(10))]);
         let block = Arc::new(Block::new(BlockNumber(1), Ledger::genesis_hash(), vec![tx]));
+        testing::submit_all(&shared, &block);
         let (orderer, msg) = testing::new_block(&shared, &block, None);
         peer.on_msg(orderer, msg);
         let report = shared.metrics.report();

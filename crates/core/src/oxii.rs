@@ -820,6 +820,7 @@ mod tests {
             Ledger::genesis_hash(),
             transfers(2),
         ));
+        testing::submit_all(&shared, &block);
         let sized = |count: u64| {
             let other = Block::new(BlockNumber(1), Ledger::genesis_hash(), transfers(count));
             DependencyGraph::build(&other, DependencyMode::Full)

@@ -196,8 +196,9 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
 }
 
 /// Runs a *fixed-count* experiment: submits exactly `count` transactions
-/// at `rate_tps`, then waits (up to `timeout`) until the observer has
-/// processed all of them. Returns the report.
+/// at `rate_tps`, at most `COUNT_WINDOW` (8 192) outstanding at a time,
+/// and waits until the observer has processed all of them or `timeout`
+/// has passed since the first submission. Returns the report.
 ///
 /// Used by correctness tests that compare final states across systems —
 /// the committed transaction *set* is identical run-to-run, so state
@@ -229,10 +230,10 @@ pub fn run_fixed_from(
 ) -> RunReport {
     let cluster = Cluster::start(spec);
     let shared = &cluster.shared;
-    driver::run_driver_count_from(shared, &cluster.client, rate_tps, skip, count);
+    let deadline = shared.clock.now() + timeout;
+    driver::run_driver_count_from(shared, &cluster.client, rate_tps, skip, count, deadline);
 
     let expected = count.saturating_sub(skip) as u64;
-    let deadline = shared.clock.now() + timeout;
     while shared.metrics.processed() < expected && shared.clock.now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -334,8 +335,8 @@ mod tests {
         let cluster = Cluster::start(&quick_spec(SystemKind::Oxii));
         // Every agent has executed by the time the observer has seen
         // each transaction commit.
-        driver::run_driver_count_from(&cluster.shared, &cluster.client, 1_000.0, 0, 40);
         let deadline = cluster.shared.clock.now() + Duration::from_secs(20);
+        driver::run_driver_count_from(&cluster.shared, &cluster.client, 1_000.0, 0, 40, deadline);
         while cluster.shared.metrics.processed() < 40 && cluster.shared.clock.now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -107,6 +107,15 @@ pub(crate) mod testing {
         (shared, clock, net, tx)
     }
 
+    /// Records every transaction of `block` as submitted now, as the
+    /// driver would have: the observer's commits and aborts count only
+    /// for submitted transactions.
+    pub(crate) fn submit_all(shared: &Shared, block: &Block) {
+        for tx in block.transactions() {
+            shared.metrics.record_submit_at(tx.id(), shared.clock.now());
+        }
+    }
+
     /// The entry orderer and its signed NEWBLOCK for `block` with `graph`.
     pub(crate) fn new_block(
         shared: &Shared,

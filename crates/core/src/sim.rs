@@ -239,6 +239,9 @@ pub struct SimOutcome {
     pub events: u64,
     /// Every submitted transaction id, in submission order.
     pub submitted: Vec<TxId>,
+    /// The most transactions outstanding at once, read after each round
+    /// of submissions: the driver's window caps it at 8 192.
+    pub peak_outstanding: u64,
     /// The observer's sealed chain (the reference history the
     /// serializability oracle replays).
     pub observer_chain: Vec<Block>,
@@ -472,6 +475,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     }
 
     let mut next_submit = 0usize;
+    let mut peak_outstanding = 0u64;
     let mut next_fault = 0usize;
     let mut drained_since: Option<Instant> = None;
     let completed = loop {
@@ -486,9 +490,13 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
             next_fault += 1;
         }
 
-        // 2. Driver submissions due, stamped at their intended arrival
-        // (== now except when several events share an instant).
-        while next_submit < txs.len() && submit_at(next_submit) <= now {
+        // 2. Driver submissions due and admitted by the window, stamped
+        // at their intended arrival (== now unless several events share
+        // an instant or the window held them back).
+        while next_submit < txs.len()
+            && submit_at(next_submit) <= now
+            && driver::window_open(&cluster.shared)
+        {
             driver::submit_at(
                 &cluster.shared,
                 &cluster.client,
@@ -498,6 +506,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
             );
             next_submit += 1;
         }
+        peak_outstanding = peak_outstanding.max(cluster.shared.metrics.outstanding());
 
         // 3. Deliver due traffic and step the cluster to a fixpoint
         // (settle's loop starts with a delivery pass of its own, and
@@ -542,8 +551,11 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         if let Some(due) = cluster.next_deadline(now) {
             merge(&mut next, due);
         }
-        if next_submit < txs.len() {
-            merge(&mut next, submit_at(next_submit));
+        // A submission the window held back goes out as soon as the
+        // window has room again; while it is full, only the cluster's own
+        // events can make room.
+        if next_submit < txs.len() && driver::window_open(&cluster.shared) {
+            merge(&mut next, submit_at(next_submit).max(now + Duration::from_nanos(1)));
         }
         if next_fault < config.plan.events().len() {
             merge(&mut next, start + config.plan.events()[next_fault].at);
@@ -605,6 +617,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         virtual_elapsed,
         events,
         submitted,
+        peak_outstanding,
         observer_chain,
         replicas,
         orderers,
@@ -651,6 +664,23 @@ mod tests {
             real_start.elapsed() < outcome.virtual_elapsed + Duration::from_secs(5),
             "simulation wall time should not track virtual waits"
         );
+    }
+
+    /// A fixed-count load offered all at once, larger than the driver's
+    /// window: the window fills exactly, never overflows, and every
+    /// transaction still commits.
+    #[test]
+    fn a_fixed_count_run_keeps_at_most_the_window_outstanding() {
+        let mut spec = sim_spec(5);
+        spec.block_cut = parblock_types::BlockCutConfig::with_max_txns(500);
+        spec.costs = parblock_types::ExecutionCosts::zero();
+        let count = driver::COUNT_WINDOW as usize + 1_000;
+        let outcome = run_sim(&SimConfig::new(spec, count, 0.0));
+        assert!(outcome.completed, "{:?}", outcome.report);
+        assert_eq!(outcome.peak_outstanding, driver::COUNT_WINDOW);
+        assert_eq!(outcome.report.submitted, count as u64);
+        assert_eq!(outcome.report.committed, count as u64);
+        assert_eq!(outcome.report.aborted, 0);
     }
 
     #[test]

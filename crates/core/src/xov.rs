@@ -568,6 +568,7 @@ mod tests {
             Ledger::genesis_hash(),
             vec![lying],
         ));
+        testing::submit_all(&shared, &block);
         let (orderer, msg) = testing::new_block(&shared, &block, None);
         peer.on_msg(orderer, msg);
         let report = shared.metrics.report();

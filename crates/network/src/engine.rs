@@ -285,8 +285,7 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
             self.shared.stats.record_dropped();
             return;
         }
-        let delay =
-            self.shared.latency.sample(from, to, jitter_unit) + faults.extra_delay(from, to);
+        let delay = self.shared.latency.sample(from, to, jitter_unit);
         if delay.is_zero() {
             deliver_to(
                 &self.shared,

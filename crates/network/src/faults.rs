@@ -1,8 +1,7 @@
-//! Runtime fault injection: drops, partitions, and extra delay.
+//! Runtime fault injection: drops, crashes and partitions.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLockReadGuard};
-use std::time::Duration;
 
 use parking_lot::RwLock;
 use parblock_types::NodeId;
@@ -16,8 +15,6 @@ pub(crate) struct FaultState {
     crashed: HashSet<NodeId>,
     /// Partitioned unordered pairs.
     partitioned: HashSet<(NodeId, NodeId)>,
-    /// Extra one-way delay per link.
-    extra_delay: HashMap<(NodeId, NodeId), Duration>,
 }
 
 /// Shared, runtime-mutable fault plan.
@@ -48,10 +45,6 @@ impl FaultState {
             || self.crashed.contains(&to)
             || self.partitioned.contains(&unordered(from, to))
             || self.drop_prob.get(&(from, to)).is_some_and(|&p| unit < p)
-    }
-
-    pub(crate) fn extra_delay(&self, from: NodeId, to: NodeId) -> Duration {
-        self.extra_delay.get(&(from, to)).copied().unwrap_or(Duration::ZERO)
     }
 }
 
@@ -106,26 +99,16 @@ impl Faults {
         }
     }
 
-    /// Adds one-way extra delay on `from → to`.
-    pub fn add_delay(&self, from: NodeId, to: NodeId, delay: Duration) {
-        self.state.write().extra_delay.insert((from, to), delay);
-    }
-
     /// Clears all faults.
     pub fn heal(&self) {
         *self.state.write() = FaultState::default();
     }
 
-    /// Removes the partition of the unordered pair `{a, b}` only, leaving
-    /// every other fault in place (unlike the global [`Faults::heal`] —
-    /// the deterministic fault scheduler overlaps independent fault
-    /// windows and must end them independently).
-    pub fn unpartition(&self, a: NodeId, b: NodeId) {
-        self.state.write().partitioned.remove(&unordered(a, b));
-    }
-
     /// Removes every cross pair between the two groups (the inverse of
-    /// [`Faults::partition_groups`]).
+    /// [`Faults::partition_groups`]), leaving every other fault in place
+    /// (unlike the global [`Faults::heal`] — the deterministic fault
+    /// scheduler overlaps independent fault windows and must end them
+    /// independently).
     pub fn unpartition_groups(&self, left: &[NodeId], right: &[NodeId]) {
         let mut state = self.state.write();
         for &a in left {
@@ -140,23 +123,11 @@ impl Faults {
         self.state.write().drop_prob.remove(&(from, to));
     }
 
-    /// Whether `node` is currently crashed.
-    #[must_use]
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.state.read().crashed.contains(&node)
-    }
-
     /// Whether a message on `from → to` should be dropped, given a uniform
     /// sample `unit` in `[0, 1)`.
     #[must_use]
     pub fn should_drop(&self, from: NodeId, to: NodeId, unit: f64) -> bool {
         self.state.read().should_drop(from, to, unit)
-    }
-
-    /// The extra delay configured on `from → to`.
-    #[must_use]
-    pub fn extra_delay(&self, from: NodeId, to: NodeId) -> Duration {
-        self.state.read().extra_delay(from, to)
     }
 
     /// The plan, held unchanged while the guard lives: every copy of one
@@ -211,14 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn extra_delay_lookup() {
-        let f = Faults::new();
-        assert_eq!(f.extra_delay(NodeId(0), NodeId(1)), Duration::ZERO);
-        f.add_delay(NodeId(0), NodeId(1), Duration::from_millis(7));
-        assert_eq!(f.extra_delay(NodeId(0), NodeId(1)), Duration::from_millis(7));
-    }
-
-    #[test]
     #[should_panic(expected = "probability must be in [0, 1]")]
     fn invalid_probability_panics() {
         Faults::new().set_drop(NodeId(0), NodeId(1), 1.5);
@@ -232,20 +195,17 @@ mod tests {
         f.set_drop(NodeId(5), NodeId(6), 1.0);
         f.crash(NodeId(7));
 
-        f.unpartition(NodeId(1), NodeId(0));
-        assert!(!f.should_drop(NodeId(0), NodeId(1), 0.99));
-        assert!(f.should_drop(NodeId(2), NodeId(3), 0.99), "group intact");
-
         f.unpartition_groups(&[NodeId(2)], &[NodeId(3), NodeId(4)]);
         assert!(!f.should_drop(NodeId(2), NodeId(4), 0.99));
+        assert!(f.should_drop(NodeId(0), NodeId(1), 0.99), "pair intact");
 
         assert!(f.should_drop(NodeId(5), NodeId(6), 0.5), "drop intact");
         f.clear_drop(NodeId(5), NodeId(6));
         assert!(!f.should_drop(NodeId(5), NodeId(6), 0.0));
 
-        assert!(f.is_crashed(NodeId(7)), "crash untouched by scoped heals");
+        assert!(f.should_drop(NodeId(7), NodeId(0), 0.0), "crash untouched by scoped heals");
         f.restart(NodeId(7));
-        assert!(!f.is_crashed(NodeId(7)));
+        assert!(!f.should_drop(NodeId(7), NodeId(0), 0.0));
     }
 
     #[test]

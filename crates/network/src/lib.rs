@@ -14,7 +14,7 @@
 //!   moves it into its own mailbox when it next receives or waits (or,
 //!   under manual delivery, [`SimNetwork::deliver_due`] does). No thread
 //!   runs inside the network;
-//! * [`Faults`] injects drops, extra delay, and partitions at runtime;
+//! * [`Faults`] injects drops, crashes and partitions at runtime;
 //! * [`NetStats`] counts traffic for the message-complexity ablations.
 //!
 //! Messages are plain Rust values (`M: Send`): transport serialization is

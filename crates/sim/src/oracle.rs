@@ -397,6 +397,7 @@ mod tests {
             virtual_elapsed: Duration::ZERO,
             events: 0,
             submitted: vec![txs[0].id()],
+            peak_outstanding: 1,
             observer_chain: vec![Block::new(BlockNumber(1), Hash32::ZERO, txs)],
             replicas: Vec::new(),
             orderers: Vec::new(),

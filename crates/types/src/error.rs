@@ -3,20 +3,13 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{AppId, ClientId, TxId};
+use crate::{AppId, TxId};
 
-/// Errors arising from malformed or unauthorized requests, detected by the
-/// ordering service's access-control and validity checks (§III-A).
+/// Errors arising from malformed requests, detected by the ordering
+/// service's access-control and validity checks (§III-A).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TypeError {
-    /// The client is not authorized to submit requests for the application.
-    Unauthorized {
-        /// The offending client.
-        client: ClientId,
-        /// The application the client attempted to use.
-        app: AppId,
-    },
     /// A message signature failed verification.
     BadSignature {
         /// Human-readable description of the signed artifact.
@@ -32,9 +25,6 @@ pub enum TypeError {
 impl fmt::Display for TypeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TypeError::Unauthorized { client, app } => {
-                write!(f, "client {client} is not authorized for application {app}")
-            }
             TypeError::BadSignature { what } => write!(f, "invalid signature on {what}"),
             TypeError::DuplicateTransaction(id) => {
                 write!(f, "duplicate transaction {id}")
@@ -49,14 +39,10 @@ impl Error for TypeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClientId;
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = TypeError::Unauthorized {
-            client: ClientId(1),
-            app: AppId(2),
-        };
-        assert_eq!(e.to_string(), "client c1 is not authorized for application A2");
         let e = TypeError::DuplicateTransaction(TxId::new(ClientId(1), 5));
         assert!(e.to_string().contains("t1.5"));
         let e = TypeError::UnknownApp(AppId(9));

@@ -43,15 +43,6 @@ impl Value {
         }
     }
 
-    /// Returns the text content, if this is a [`Value::Text`].
-    #[must_use]
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Returns the byte content, if this is a [`Value::Bytes`].
     #[must_use]
     pub fn as_bytes(&self) -> Option<&[u8]> {
@@ -154,7 +145,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::Int(5).as_int(), Some(5));
-        assert_eq!(Value::from("hi").as_text(), Some("hi"));
         assert_eq!(Value::from(vec![1u8]).as_bytes(), Some(&[1u8][..]));
         assert!(Value::Unit.is_unit());
         assert!(Value::default().is_unit());

@@ -293,16 +293,18 @@ impl WorkloadGen {
         txs
     }
 
-    /// Generates `count` transactions by concatenating windows (the tail
-    /// window is truncated).
+    /// The endless transaction stream: windows concatenated, each
+    /// generated only when the previous one is used up, so a consumer
+    /// holds at most one window at a time.
+    pub fn stream(&mut self) -> impl Iterator<Item = Transaction> + '_ {
+        std::iter::from_fn(|| Some(self.window())).flatten()
+    }
+
+    /// The first `count` transactions of [`WorkloadGen::stream`] (the
+    /// tail window is truncated).
     pub fn take_txs(&mut self, count: usize) -> Vec<Transaction> {
         let mut out = Vec::with_capacity(count);
-        while out.len() < count {
-            let mut window = self.window();
-            let need = count - out.len();
-            window.truncate(need);
-            out.append(&mut window);
-        }
+        out.extend(self.stream().take(count));
         out
     }
 }
@@ -398,6 +400,39 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for tx in gen.take_txs(120) {
             assert!(seen.insert(tx.id()), "duplicate {:?}", tx.id());
+        }
+    }
+
+    /// The driver takes `stream().skip(skip)` one transaction at a time;
+    /// it must see exactly what `take_txs` materialises, and `take_txs`
+    /// exactly the windows concatenated.
+    #[test]
+    fn stream_yields_exactly_take_txs() {
+        let configs = [
+            WorkloadConfig { contention: 0.0, ..WorkloadConfig::default() },
+            WorkloadConfig { contention: 0.8, ..WorkloadConfig::default() },
+            WorkloadConfig { contention: 0.8, cross_app: true, ..WorkloadConfig::default() },
+            WorkloadConfig { hotspot: Some(HotspotConfig::default()), ..WorkloadConfig::default() },
+        ];
+        for base in configs {
+            for seed in [1, 42, 7_777] {
+                let cfg = WorkloadConfig { seed, block_size: 30, ..base.clone() };
+                let n = 100;
+                for skip in [0, 1, 29, 30, 95] {
+                    let expect = WorkloadGen::new(cfg.clone()).take_txs(skip + n);
+                    let mut gen = WorkloadGen::new(cfg.clone());
+                    let streamed: Vec<Transaction> = gen.stream().skip(skip).take(n).collect();
+                    assert_eq!(streamed.len(), n);
+                    for (got, want) in streamed.iter().zip(&expect[skip..]) {
+                        assert_eq!(got.id(), want.id(), "{cfg:?} skip {skip}");
+                        assert_eq!(got.rw_set(), want.rw_set(), "{cfg:?} skip {skip}");
+                        assert_eq!(got.payload(), want.payload(), "{cfg:?} skip {skip}");
+                    }
+                }
+                let mut gen = WorkloadGen::new(cfg.clone());
+                let windows: Vec<Transaction> = (0..5).flat_map(|_| gen.window()).collect();
+                assert_eq!(WorkloadGen::new(cfg).take_txs(140), windows[..140]);
+            }
         }
     }
 
