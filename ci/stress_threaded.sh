@@ -9,6 +9,8 @@ cd "$(dirname "$0")/.."
 
 RUNS=10
 # A package, then the cargo target selector of one test binary. The
+# recovery suite's reference run and idle restart recover stores inside
+# node threads (its crash-and-resume runs in the simulator). The
 # channel shim's lib tests are here because every node thread blocks in
 # its timed wait (`block_until`), which also sets the thread's timer
 # slack. The network's lib tests are here because an endpoint's receive path does

@@ -89,13 +89,13 @@ impl SaturateOptions {
             None => DurabilityMode::InMemory,
         };
         let mut config = SaturateConfig::new(spec, self.rates.clone());
-        config.arrival = self.arrival;
-        config.max_outstanding = self.max_outstanding;
+        config.load.arrival = self.arrival;
+        config.load.max_outstanding = self.max_outstanding;
         if matches!(self.scale, ExperimentScale::Quick) {
-            config.duration = Duration::from_millis(1_000);
-            config.warmup = Duration::from_millis(250);
-            config.cooldown = Duration::from_millis(150);
-            config.drain = Duration::from_millis(500);
+            config.load.duration = Duration::from_millis(1_000);
+            config.load.warmup = Duration::from_millis(250);
+            config.load.cooldown = Duration::from_millis(150);
+            config.load.drain = Duration::from_millis(500);
         }
         config
     }

@@ -20,8 +20,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use parblock_types::{ArrivalProcess, BlockCutConfig, ExecutionCosts};
-use parblock_workload::ArrivalGen;
+use parblock_types::{BlockCutConfig, ExecutionCosts};
 use parblockchain::sim::{run_sim, SimConfig};
 use parblockchain::{
     run, ClusterSpec, DurabilityMode, Histogram, LoadSpec, RunReport, Stage, SystemKind,
@@ -103,23 +102,15 @@ pub fn run_trace(options: &TraceOptions) -> RunReport {
         .then(|| std::env::temp_dir().join(format!("parblock-trace-{}", std::process::id())));
     let spec = options.spec(scratch.as_deref());
     let duration = options.duration();
-    let drain = duration / 2;
+    let load = LoadSpec {
+        rate_tps: options.rate_tps,
+        duration,
+        drain: duration / 2,
+        ..LoadSpec::default()
+    };
     let report = if options.sim {
-        // The sim leg submits exactly the arrivals of [0, duration) — the
-        // same schedule the threaded driver would pace.
-        let count = ArrivalGen::new(ArrivalProcess::Uniform, options.rate_tps, spec.seed)
-            .take_until(duration)
-            .len();
-        let mut sim = SimConfig::new(spec, count, options.rate_tps);
-        sim.virtual_deadline = duration + drain;
-        run_sim(&sim).report
+        run_sim(&SimConfig::open_loop(spec, &load)).report
     } else {
-        let load = LoadSpec {
-            rate_tps: options.rate_tps,
-            duration,
-            drain,
-            ..LoadSpec::default()
-        };
         run(&spec, &load)
     };
     if let Some(dir) = scratch {

@@ -33,16 +33,24 @@
 //! counted. A fixed-count run never sheds, since it needs the exact set:
 //! an arrival that finds [`COUNT_WINDOW`] transactions outstanding waits
 //! until a commit or abort at the observer makes room, as a client is
-//! held back by its connection. The simulator's client loop applies the
-//! same window ([`window_open`]).
+//! held back by its connection.
+//!
+//! # One client, two clocks
+//!
+//! A [`Client`] is everything a run's load decides: the arrivals, the
+//! admission rule, the measurement window and the entry orderer. It has
+//! two operations, [`Client::submit_due`] and [`Client::next_instant`].
+//! The threaded runner waits for the next instant on the wall clock
+//! ([`drive`]); the simulator merges it into its time advance.
 
+use std::iter::Peekable;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parblock_net::Endpoint;
 use parblock_types::wire::Wire;
-use parblock_types::{ArrivalProcess, Transaction};
+use parblock_types::{ArrivalProcess, NodeId, Transaction, TxId};
 use parblock_workload::{ArrivalGen, WorkloadGen};
 
 use crate::cluster::SystemKind;
@@ -69,24 +77,37 @@ const TICK: Duration = Duration::from_millis(1);
 /// cores to the cluster (DESIGN.md §13 has what the spin costs).
 const SPIN_THRESHOLD: Duration = Duration::from_millis(2);
 
-/// What the driver does with an arrival that finds the cluster busy.
+/// What a run submits.
+#[derive(Debug, Clone)]
+pub(crate) enum Load {
+    /// Transactions `[skip, count)` of the workload stream, uniformly
+    /// spaced at `rate_tps` (at rate 0 every arrival is due at the
+    /// start), at most [`COUNT_WINDOW`] outstanding. The first `skip`
+    /// are generated and discarded: they are already in the recovered
+    /// chain of a resumed cluster.
+    Count {
+        /// Length of the stream prefix the run covers.
+        count: usize,
+        /// Uniform arrival rate; 0 submits everything at once.
+        rate_tps: f64,
+        /// Transactions of the prefix not submitted.
+        skip: usize,
+    },
+    /// The open-loop arrivals of a [`LoadSpec`]: its process, rate and
+    /// duration, measured between its warm-up and cool-down, shed past
+    /// its `max_outstanding`.
+    Open(LoadSpec),
+}
+
+/// What the client does with an arrival that finds the cluster busy.
 #[derive(Debug, Clone, Copy)]
 enum Admission {
     /// Open loop: shed the arrival when this many transactions are
     /// outstanding; `None` submits every arrival.
     Shed(Option<u64>),
-    /// Fixed count: wait until fewer than [`COUNT_WINDOW`] are
-    /// outstanding, giving up at `deadline`.
-    Window {
-        /// When a wait for the window ends the run's submissions.
-        deadline: Instant,
-    },
-}
-
-/// Whether a fixed-count run may submit its next transaction: fewer than
-/// [`COUNT_WINDOW`] are outstanding.
-pub(crate) fn window_open(shared: &Shared) -> bool {
-    shared.metrics.outstanding() < COUNT_WINDOW
+    /// Fixed count: hold it until fewer than [`COUNT_WINDOW`] are
+    /// outstanding.
+    Window,
 }
 
 /// The intended arrival offsets of an open-loop run, one at a time:
@@ -97,97 +118,142 @@ fn open_loop_offsets(load: &LoadSpec, seed: u64) -> impl Iterator<Item = Duratio
 }
 
 /// The intended arrival offsets of a fixed-count run, one at a time:
-/// `n` arrivals uniformly spaced at `rate_tps`.
+/// `n` arrivals uniformly spaced at `rate_tps`, or all at zero when the
+/// rate is zero.
 fn count_offsets(rate_tps: f64, seed: u64, n: usize) -> impl Iterator<Item = Duration> {
-    ArrivalGen::new(ArrivalProcess::Uniform, rate_tps, seed).take(n)
+    let mut gen =
+        (rate_tps > 0.0).then(|| ArrivalGen::new(ArrivalProcess::Uniform, rate_tps, seed));
+    (0..n).map(move |_| gen.as_mut().map_or(Duration::ZERO, ArrivalGen::next_offset))
 }
 
-/// Runs an open-loop driver: the arrival schedule of `load` (rate,
-/// arrival process, duration), anchored at `start`, then returns
-/// (commits continue to drain afterwards). Arrivals beyond
-/// `load.max_outstanding` in-flight transactions are shed.
-pub(crate) fn run_driver(
-    shared: &Arc<Shared>,
-    endpoint: &Endpoint<Msg>,
-    load: &LoadSpec,
-    start: Instant,
-) {
-    let mut gen = WorkloadGen::new(shared.spec.workload_config());
-    let arrivals = open_loop_offsets(load, shared.spec.seed).zip(gen.stream());
-    run_schedule(shared, endpoint, arrivals, start, Admission::Shed(load.max_outstanding));
-}
-
-/// Submits transactions `[skip, count)` of the deterministic workload
-/// stream at `rate_tps` with uniform spacing: the first `skip` are
-/// generated and discarded (they are already in the recovered chain of a
-/// resumed cluster), the rest are submitted, at most [`COUNT_WINDOW`]
-/// outstanding at a time. No shedding — fixed-count runs need the exact
-/// set. A wait for the window that reaches `deadline` ends the
-/// submissions.
-pub(crate) fn run_driver_count_from(
-    shared: &Arc<Shared>,
-    endpoint: &Endpoint<Msg>,
-    rate_tps: f64,
-    skip: usize,
-    count: usize,
-    deadline: Instant,
-) {
-    let n = count.saturating_sub(skip);
-    let mut gen = WorkloadGen::new(shared.spec.workload_config());
-    let arrivals = count_offsets(rate_tps, shared.spec.seed, n).zip(gen.stream().skip(skip));
-    let start = shared.clock.now();
-    run_schedule(shared, endpoint, arrivals, start, Admission::Window { deadline });
-}
-
-/// Paces `arrivals` so that each transaction is submitted at `start` +
-/// its offset, or as soon after as the driver and `admission` allow.
-fn run_schedule(
-    shared: &Arc<Shared>,
-    endpoint: &Endpoint<Msg>,
-    arrivals: impl Iterator<Item = (Duration, Transaction)>,
+/// One run's client: its arrivals, generated as they are submitted,
+/// anchored at the run's start instant.
+pub(crate) struct Client {
+    arrivals: Peekable<Box<dyn Iterator<Item = (Duration, Transaction)>>>,
     start: Instant,
     admission: Admission,
-) {
-    let entry = shared.spec.entry_orderer();
-    for (offset, tx) in arrivals {
-        let intended = start + offset;
-        // Sleep toward the intended arrival in short chunks (the stop
-        // flag stays responsive), spinning out the last stretch where
-        // sleep granularity would overshoot. When behind schedule, fall
-        // through and submit immediately — due arrivals go out
-        // back-to-back and the lag lands in the latency samples, not in
-        // a stretched schedule.
-        loop {
-            if shared.stop.load(Ordering::Relaxed) {
+    entry: NodeId,
+}
+
+impl Client {
+    /// The client of `load` on `shared`'s cluster, starting at `start`.
+    /// An open-loop load with a warm-up or cool-down sets the
+    /// measurement window on intended arrival times.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an open-loop load's warm-up plus cool-down leaves no
+    /// measured span, or its rate is not positive.
+    pub(crate) fn new(shared: &Shared, load: &Load, start: Instant) -> Self {
+        let seed = shared.spec.seed;
+        let stream = WorkloadGen::new(shared.spec.workload_config()).stream();
+        let (arrivals, admission): (Box<dyn Iterator<Item = _>>, _) = match load {
+            Load::Count {
+                count,
+                rate_tps,
+                skip,
+            } => {
+                let offsets = count_offsets(*rate_tps, seed, count.saturating_sub(*skip));
+                (Box::new(offsets.zip(stream.skip(*skip))), Admission::Window)
+            }
+            Load::Open(load) => {
+                if let Some((begin, end)) = load.measurement_window() {
+                    shared
+                        .metrics
+                        .set_measurement_window(start + begin, start + end);
+                }
+                let offsets = open_loop_offsets(load, seed);
+                (
+                    Box::new(offsets.zip(stream)),
+                    Admission::Shed(load.max_outstanding),
+                )
+            }
+        };
+        Client {
+            arrivals: arrivals.peekable(),
+            start,
+            admission,
+            entry: shared.spec.entry_orderer(),
+        }
+    }
+
+    /// Whether a held arrival must wait for a commit to make room.
+    fn held(&self, shared: &Shared) -> bool {
+        matches!(self.admission, Admission::Window) && shared.metrics.outstanding() >= COUNT_WINDOW
+    }
+
+    /// Submits every arrival due by `now` that admission lets through,
+    /// each stamped at its intended arrival, handing each submitted id
+    /// to `submitted`. A shed arrival is consumed and counted; a held
+    /// one stays first in line.
+    pub(crate) fn submit_due(
+        &mut self,
+        shared: &Arc<Shared>,
+        endpoint: &Endpoint<Msg>,
+        now: Instant,
+        mut submitted: impl FnMut(TxId),
+    ) {
+        while let Some(&(offset, _)) = self.arrivals.peek() {
+            let intended = self.start + offset;
+            if intended > now || self.held(shared) {
                 return;
             }
-            let now = shared.clock.now();
-            if now >= intended {
-                break;
-            }
-            let remaining = intended - now;
-            if remaining > SPIN_THRESHOLD {
-                std::thread::sleep((remaining - SPIN_THRESHOLD).min(TICK));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        match admission {
-            Admission::Shed(Some(cap)) if shared.metrics.outstanding() >= cap => {
-                shared.metrics.record_admission_shed();
-                continue;
-            }
-            Admission::Shed(_) => {}
-            Admission::Window { deadline } => {
-                while !window_open(shared) {
-                    if shared.clock.now() >= deadline {
-                        return;
-                    }
-                    std::thread::sleep(TICK);
+            let (_, tx) = self.arrivals.next().expect("peeked");
+            if let Admission::Shed(Some(cap)) = self.admission {
+                if shared.metrics.outstanding() >= cap {
+                    shared.metrics.record_admission_shed();
+                    continue;
                 }
             }
+            submitted(tx.id());
+            submit_at(shared, endpoint, self.entry, tx, intended);
         }
-        submit_at(shared, endpoint, entry, tx, intended);
+    }
+
+    /// The next instant the client needs: the intended arrival of its
+    /// next transaction. `None` when the input is exhausted, or when the
+    /// window is full and only a commit can reopen it.
+    pub(crate) fn next_instant(&mut self, shared: &Shared) -> Option<Instant> {
+        if self.held(shared) {
+            return None;
+        }
+        self.arrivals.peek().map(|&(offset, _)| self.start + offset)
+    }
+
+    /// Whether every arrival has been submitted or shed.
+    pub(crate) fn exhausted(&mut self) -> bool {
+        self.arrivals.peek().is_none()
+    }
+}
+
+/// Submits `load` on the wall clock from now: sleeps toward each
+/// intended arrival in chunks of at most [`TICK`], yields through the
+/// last [`SPIN_THRESHOLD`], and when behind schedule submits the due
+/// arrivals back-to-back, so the lag lands in the latency samples and
+/// not in a stretched schedule. Returns once the input is exhausted,
+/// when the stop flag is set, or when a wait for the window reaches
+/// `deadline` (commits continue to drain afterwards).
+pub(crate) fn drive(
+    shared: &Arc<Shared>,
+    endpoint: &Endpoint<Msg>,
+    load: &Load,
+    deadline: Instant,
+) {
+    let mut client = Client::new(shared, load, shared.clock.now());
+    loop {
+        if shared.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        let now = shared.clock.now();
+        match client.next_instant(shared) {
+            Some(due) if due <= now => client.submit_due(shared, endpoint, now, |_| {}),
+            Some(due) if due - now > SPIN_THRESHOLD => {
+                std::thread::sleep((due - now - SPIN_THRESHOLD).min(TICK));
+            }
+            Some(_) => std::thread::yield_now(),
+            None if client.exhausted() || now >= deadline => return,
+            None => std::thread::sleep(TICK),
+        }
     }
 }
 
@@ -195,10 +261,10 @@ fn run_schedule(
 /// arrival: a REQUEST to `entry`, or under XOV an endorsement request to
 /// every agent of its application (the `XovClient` node orders the
 /// envelope).
-pub(crate) fn submit_at(
+fn submit_at(
     shared: &Arc<Shared>,
     endpoint: &Endpoint<Msg>,
-    entry: parblock_types::NodeId,
+    entry: NodeId,
     tx: Transaction,
     intended: Instant,
 ) {
@@ -224,11 +290,33 @@ pub(crate) fn submit_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterSpec;
 
-    /// The driver pulls offsets one at a time; they must be the
-    /// schedule `take_until` and `next_offset` materialise.
+    /// Every arrival of `load`'s client on a cluster of `spec`, drained
+    /// without a cluster: (intended offset, transaction id).
+    fn arrivals(spec: ClusterSpec, load: &Load) -> Vec<(Duration, TxId)> {
+        let shared = Shared::new(spec);
+        let client = Client::new(&shared, load, shared.clock.now());
+        client
+            .arrivals
+            .map(|(offset, tx)| (offset, tx.id()))
+            .collect()
+    }
+
+    /// The client pulls offsets and transactions one at a time; they
+    /// must be the schedule `take_until` and `next_offset` materialise,
+    /// zipped with the workload stream past its skipped prefix.
     #[test]
     fn streamed_offsets_equal_the_materialised_schedule() {
+        let spec = |seed| {
+            let mut spec = ClusterSpec::new(SystemKind::Oxii);
+            spec.seed = seed;
+            spec
+        };
+        let ids = |seed, skip, n| -> Vec<TxId> {
+            let txs = WorkloadGen::new(spec(seed).workload_config()).stream();
+            txs.skip(skip).take(n).map(|tx| tx.id()).collect()
+        };
         for arrival in [
             ArrivalProcess::Uniform,
             ArrivalProcess::Poisson,
@@ -241,14 +329,34 @@ mod tests {
                     arrival,
                     ..LoadSpec::default()
                 };
-                let streamed: Vec<Duration> = open_loop_offsets(&load, seed).collect();
-                let expect = ArrivalGen::new(arrival, load.rate_tps, seed).take_until(load.duration);
-                assert!(!expect.is_empty());
-                assert_eq!(streamed, expect, "{arrival} seed {seed}");
+                let offsets =
+                    ArrivalGen::new(arrival, load.rate_tps, seed).take_until(load.duration);
+                assert!(!offsets.is_empty());
+                let expect: Vec<_> = offsets
+                    .iter()
+                    .copied()
+                    .zip(ids(seed, 0, offsets.len()))
+                    .collect();
+                assert_eq!(
+                    arrivals(spec(seed), &Load::Open(load)),
+                    expect,
+                    "{arrival} seed {seed}"
+                );
             }
         }
-        let mut gen = ArrivalGen::new(ArrivalProcess::Uniform, 1e9, 42);
-        let expect: Vec<Duration> = (0..1_000).map(|_| gen.next_offset()).collect();
-        assert_eq!(count_offsets(1e9, 42, 1_000).collect::<Vec<_>>(), expect);
+        let (count, skip) = (1_000, 37);
+        let n = count - skip;
+        let uniform: Vec<Duration> = ArrivalGen::new(ArrivalProcess::Uniform, 1e9, 42)
+            .take(n)
+            .collect();
+        for (rate_tps, offsets) in [(0.0, vec![Duration::ZERO; n]), (1e9, uniform)] {
+            let expect: Vec<_> = offsets.into_iter().zip(ids(42, skip, n)).collect();
+            let load = Load::Count {
+                count,
+                rate_tps,
+                skip,
+            };
+            assert_eq!(arrivals(spec(42), &load), expect, "rate {rate_tps}");
+        }
     }
 }

@@ -68,7 +68,7 @@ pub use parblock_trace::{
     Histogram, Stage, StagePair, TraceConfig, TraceRecorder, TraceReport, TxTimeline, STAGE_COUNT,
 };
 pub use parblock_types::ArrivalProcess;
-pub use runner::{run, run_fixed, run_fixed_from, LoadSpec};
+pub use runner::{run, run_fixed, LoadSpec};
 pub use saturate::{
     saturate, saturate_sim, SaturateConfig, SaturateOutcome, SaturatePoint, StageSummary,
 };

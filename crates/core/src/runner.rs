@@ -3,6 +3,14 @@
 //! way: one node thread per orderer and peer (plus the client node under
 //! XOV), and one driver on the caller's thread.
 //!
+//! The driver is the client the simulator steps too (`driver::Client`):
+//! [`run`]'s [`LoadSpec`] is `SimConfig::open_loop`'s, and [`run_fixed`]'s
+//! count is `SimConfig::new`'s, so a load submits the same arrivals by
+//! the same admission rule on either clock. Only the waiting differs:
+//! here the caller's thread sleeps toward the client's next instant.
+//! Resuming a recovered cluster past its prefix is a simulator run
+//! (`SimConfig::with_skip`).
+//!
 //! # Measurement methodology
 //!
 //! Load is open-loop: the driver submits at a fixed rate regardless of
@@ -25,7 +33,7 @@ use parblock_net::{Endpoint, SimNetwork, Waker};
 use parblock_types::ArrivalProcess;
 
 use crate::cluster::{ClusterSpec, SystemKind};
-use crate::driver;
+use crate::driver::{self, Load};
 use crate::metrics::RunReport;
 use crate::msg::Msg;
 use crate::node::{peer, spawn_node};
@@ -61,6 +69,28 @@ pub struct LoadSpec {
     /// [`RunReport::admission_shed`], never submitted). `None` submits
     /// unconditionally — the honest open-loop default.
     pub max_outstanding: Option<u64>,
+}
+
+impl LoadSpec {
+    /// The measured span of intended arrivals, as offsets from the start
+    /// of submission: `None` (everything measured) without a warm-up or
+    /// cool-down.
+    ///
+    /// # Panics
+    ///
+    /// Panics when warm-up plus cool-down leaves no measured span.
+    pub(crate) fn measurement_window(&self) -> Option<(Duration, Duration)> {
+        if self.warmup.is_zero() && self.cooldown.is_zero() {
+            return None;
+        }
+        let phases = self.warmup + self.cooldown;
+        assert!(
+            phases < self.duration,
+            "warm-up + cool-down ({phases:?}) must leave a measured span of {:?}",
+            self.duration
+        );
+        Some((self.warmup, self.duration - self.cooldown))
+    }
 }
 
 impl Default for LoadSpec {
@@ -146,21 +176,6 @@ impl Cluster {
     }
 }
 
-/// The span of a `duration`-long submission whose arrivals are measured
-/// (`duration − warmup − cooldown`).
-///
-/// # Panics
-///
-/// Panics when warm-up plus cool-down leaves no measured span.
-pub(crate) fn measured_span(duration: Duration, warmup: Duration, cooldown: Duration) -> Duration {
-    let phases = warmup + cooldown;
-    assert!(
-        phases < duration,
-        "warm-up + cool-down ({phases:?}) must leave a measured span of {duration:?}"
-    );
-    duration - phases
-}
-
 /// Runs one experiment: spins up the cluster described by `spec`,
 /// applies `load`, and returns the measured report.
 ///
@@ -171,24 +186,13 @@ pub(crate) fn measured_span(duration: Duration, warmup: Duration, cooldown: Dura
 /// are configuration bugs, surfaced before any thread starts.
 #[must_use]
 pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
-    let windowed = !load.warmup.is_zero() || !load.cooldown.is_zero();
-    if windowed {
-        let _ = measured_span(load.duration, load.warmup, load.cooldown);
-    }
+    let _ = load.measurement_window();
     let cluster = Cluster::start(spec);
     let shared = &cluster.shared;
-
-    // Client driver (runs on the caller thread). The measurement window
-    // is anchored to the driver's schedule origin so warm-up/cool-down
-    // spans cut on *intended* arrival times.
-    let drive_start = shared.clock.now();
-    if windowed {
-        shared.metrics.set_measurement_window(
-            drive_start + load.warmup,
-            drive_start + (load.duration - load.cooldown),
-        );
-    }
-    driver::run_driver(shared, &cluster.client, load, drive_start);
+    // The client runs on the caller thread; its schedule ends by
+    // `duration`, so the deadline never cuts it short.
+    let deadline = shared.clock.now() + load.duration;
+    driver::drive(shared, &cluster.client, &Load::Open(load.clone()), deadline);
 
     // Let in-flight work drain, then stop everything.
     std::thread::sleep(load.drain);
@@ -196,9 +200,10 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
 }
 
 /// Runs a *fixed-count* experiment: submits exactly `count` transactions
-/// at `rate_tps`, at most `COUNT_WINDOW` (8 192) outstanding at a time,
-/// and waits until the observer has processed all of them or `timeout`
-/// has passed since the first submission. Returns the report.
+/// at `rate_tps` (at 0, all at once), at most `COUNT_WINDOW` (8 192)
+/// outstanding at a time, and waits until the observer has processed all
+/// of them or `timeout` has passed since the first submission. Returns
+/// the report.
 ///
 /// Used by correctness tests that compare final states across systems —
 /// the committed transaction *set* is identical run-to-run, so state
@@ -207,34 +212,12 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
 /// the transactions whose endorsed reads went stale.
 #[must_use]
 pub fn run_fixed(spec: &ClusterSpec, count: usize, rate_tps: f64, timeout: Duration) -> RunReport {
-    run_fixed_from(spec, 0, count, rate_tps, timeout)
-}
-
-/// Like [`run_fixed`], but resumes a recovered cluster: transactions
-/// `[0, skip)` of the deterministic workload stream are generated and
-/// *discarded* (they are already in the chain the nodes recovered from
-/// disk), transactions `[skip, count)` are submitted, and the runner
-/// waits until `count - skip` of them are processed at the observer.
-///
-/// `skip` must equal `watermark × block_size` of the reconciled stores
-/// (see `parblock_store::reconcile_cluster`), and the spec must use
-/// count-only block cuts so block boundaries are deterministic — the
-/// same requirement the recovery test's byte-equality assertions rely on.
-#[must_use]
-pub fn run_fixed_from(
-    spec: &ClusterSpec,
-    skip: usize,
-    count: usize,
-    rate_tps: f64,
-    timeout: Duration,
-) -> RunReport {
     let cluster = Cluster::start(spec);
     let shared = &cluster.shared;
     let deadline = shared.clock.now() + timeout;
-    driver::run_driver_count_from(shared, &cluster.client, rate_tps, skip, count, deadline);
-
-    let expected = count.saturating_sub(skip) as u64;
-    while shared.metrics.processed() < expected && shared.clock.now() < deadline {
+    let load = Load::Count { count, rate_tps, skip: 0 };
+    driver::drive(shared, &cluster.client, &load, deadline);
+    while shared.metrics.processed() < count as u64 && shared.clock.now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     cluster.finish()
@@ -336,7 +319,8 @@ mod tests {
         // Every agent has executed by the time the observer has seen
         // each transaction commit.
         let deadline = cluster.shared.clock.now() + Duration::from_secs(20);
-        driver::run_driver_count_from(&cluster.shared, &cluster.client, 1_000.0, 0, 40, deadline);
+        let load = Load::Count { count: 40, rate_tps: 1_000.0, skip: 0 };
+        driver::drive(&cluster.shared, &cluster.client, &load, deadline);
         while cluster.shared.metrics.processed() < 40 && cluster.shared.clock.now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -353,6 +337,15 @@ mod tests {
             .filter(|name| name.starts_with("exec"))
             .collect();
         assert!(executors.is_empty(), "execution threads: {executors:?}");
+    }
+
+    /// At rate 0 every arrival is due at the start: the window paces the
+    /// run instead of the schedule.
+    #[test]
+    fn a_fixed_count_run_at_rate_zero_commits_its_count() {
+        let report = run_fixed(&quick_spec(SystemKind::Oxii), 200, 0.0, Duration::from_secs(20));
+        assert_eq!(report.committed, 200, "{report:?}");
+        assert_eq!(report.aborted, 0);
     }
 
     #[test]

@@ -16,20 +16,19 @@
 //! collapses below [`SaturateConfig::STOP_RATIO`] × offered; further
 //! points would only measure queue growth.
 //!
-//! Two legs share this module: [`saturate`] runs the threaded cluster in
-//! real time, [`saturate_sim`] runs the same sweep on the deterministic
-//! virtual-time simulator, where a repeated seed reproduces the curve
-//! bit-for-bit (the property `crates/sim/tests/saturate_determinism.rs`
-//! pins).
+//! Both legs are one sweep over each step's [`LoadSpec`]: [`saturate`]
+//! hands it to the threaded cluster in real time, [`saturate_sim`] to the
+//! deterministic virtual-time simulator, where a repeated seed reproduces
+//! the curve bit-for-bit (the property
+//! `crates/sim/tests/saturate_determinism.rs` pins). The same client
+//! submits it on either clock, so the two legs admit, shed and measure
+//! by one rule.
 
 use std::time::Duration;
 
-use parblock_types::ArrivalProcess;
-use parblock_workload::ArrivalGen;
-
 use crate::cluster::ClusterSpec;
 use crate::metrics::RunReport;
-use crate::runner::{measured_span, run, LoadSpec};
+use crate::runner::{run, LoadSpec};
 use crate::sim::{run_sim, SimConfig};
 
 /// One saturation sweep: a rate schedule plus the per-step load shape.
@@ -39,18 +38,10 @@ pub struct SaturateConfig {
     pub spec: ClusterSpec,
     /// Offered rates to sweep, in order (transactions per second).
     pub rates: Vec<f64>,
-    /// Arrival process of every step.
-    pub arrival: ArrivalProcess,
-    /// Submission span of one step (warm-up and cool-down included).
-    pub duration: Duration,
-    /// Initial span of `duration` excluded from measurement.
-    pub warmup: Duration,
-    /// Final span of `duration` excluded from measurement.
-    pub cooldown: Duration,
-    /// Post-submission grace for in-flight commits.
-    pub drain: Duration,
-    /// Optional admission-control cap on in-flight transactions.
-    pub max_outstanding: Option<u64>,
+    /// Every step's load but its rate: arrival process, duration,
+    /// warm-up, cool-down, drain and admission cap. Each step replaces
+    /// `rate_tps` with its own.
+    pub load: LoadSpec,
 }
 
 impl SaturateConfig {
@@ -69,23 +60,13 @@ impl SaturateConfig {
         SaturateConfig {
             spec,
             rates,
-            arrival: ArrivalProcess::Uniform,
-            duration: Duration::from_secs(2),
-            warmup: Duration::from_millis(400),
-            cooldown: Duration::from_millis(200),
-            drain: Duration::from_millis(800),
-            max_outstanding: None,
+            load: LoadSpec {
+                duration: Duration::from_secs(2),
+                warmup: Duration::from_millis(400),
+                cooldown: Duration::from_millis(200),
+                ..LoadSpec::default()
+            },
         }
-    }
-
-    /// The measured span of one step (`duration − warmup − cooldown`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when warm-up plus cool-down leaves no measured span.
-    #[must_use]
-    pub fn measured_span(&self) -> Duration {
-        measured_span(self.duration, self.warmup, self.cooldown)
     }
 }
 
@@ -211,58 +192,34 @@ impl SaturateOutcome {
 ///
 /// # Panics
 ///
-/// Panics on an empty measured span (see
-/// [`SaturateConfig::measured_span`]) or on inconsistent cluster specs.
+/// Panics when the step's warm-up plus cool-down leaves no measured
+/// span, or on inconsistent cluster specs.
 #[must_use]
 pub fn saturate(config: &SaturateConfig) -> SaturateOutcome {
-    let _ = config.measured_span();
-    let mut points = Vec::with_capacity(config.rates.len());
-    for &rate in &config.rates {
-        let load = LoadSpec {
-            rate_tps: rate,
-            duration: config.duration,
-            drain: config.drain,
-            arrival: config.arrival,
-            warmup: config.warmup,
-            cooldown: config.cooldown,
-            max_outstanding: config.max_outstanding,
-        };
-        let report = run(&config.spec, &load);
-        let point = SaturatePoint::from_report(rate, &report);
-        let stop = !point.keeps_up(SaturateConfig::STOP_RATIO);
-        points.push(point);
-        if stop {
-            break;
-        }
-    }
-    SaturateOutcome::from_points(points)
+    sweep(config, |load| run(&config.spec, load))
 }
 
-/// Runs the same sweep on the deterministic virtual-time simulator
-/// (OXII only): every step is a [`run_sim`] with the step's arrival
-/// schedule and measurement window, so the whole curve — achieved
-/// rates, every percentile — is a pure function of the spec's seed and
-/// reproduces bit-for-bit.
+/// Runs the same sweep on the deterministic virtual-time simulator:
+/// every step is a [`run_sim`] of the step's load, so the whole curve —
+/// achieved rates, every percentile — is a pure function of the spec's
+/// seed and reproduces bit-for-bit.
 ///
 /// # Panics
 ///
-/// Panics on non-OXII specs or an empty measured span.
+/// Panics when the step's warm-up plus cool-down leaves no measured
+/// span.
 #[must_use]
 pub fn saturate_sim(config: &SaturateConfig) -> SaturateOutcome {
-    let _ = config.measured_span();
+    sweep(config, |load| run_sim(&SimConfig::open_loop(config.spec.clone(), load)).report)
+}
+
+/// Runs `step` on each rate's load in schedule order, stopping after the
+/// first step that collapses below [`SaturateConfig::STOP_RATIO`].
+fn sweep(config: &SaturateConfig, step: impl Fn(&LoadSpec) -> RunReport) -> SaturateOutcome {
     let mut points = Vec::with_capacity(config.rates.len());
-    for &rate in &config.rates {
-        // The step submits exactly the arrivals of [0, duration) — the
-        // same schedule the threaded driver would pace.
-        let count = ArrivalGen::new(config.arrival, rate, config.spec.seed)
-            .take_until(config.duration)
-            .len();
-        let mut sim = SimConfig::new(config.spec.clone(), count, rate);
-        sim.arrival = config.arrival;
-        sim.measure = Some((config.warmup, config.duration - config.cooldown));
-        sim.virtual_deadline = config.duration + config.drain;
-        let outcome = run_sim(&sim);
-        let point = SaturatePoint::from_report(rate, &outcome.report);
+    for &rate_tps in &config.rates {
+        let load = LoadSpec { rate_tps, ..config.load.clone() };
+        let point = SaturatePoint::from_report(rate_tps, &step(&load));
         let stop = !point.keeps_up(SaturateConfig::STOP_RATIO);
         points.push(point);
         if stop {
@@ -287,8 +244,7 @@ mod tests {
         spec.costs = parblock_types::ExecutionCosts::per_tx(Duration::from_micros(500));
         // Full contention makes each block's dependency graph a chain, so
         // virtual execution is serialized at 500 µs/tx — a hard capacity
-        // of 2 000 tps the sweep must find (the simulator's inline queue
-        // has no lane limit; only dependencies bound its throughput).
+        // of 2 000 tps per block the sweep must find.
         spec.workload.contention = 1.0;
         spec.durability = DurabilityMode::InMemory;
         spec.seed = 42;
@@ -297,10 +253,10 @@ mod tests {
 
     fn quick_config(rates: Vec<f64>) -> SaturateConfig {
         let mut config = SaturateConfig::new(sweep_spec(), rates);
-        config.duration = Duration::from_millis(600);
-        config.warmup = Duration::from_millis(150);
-        config.cooldown = Duration::from_millis(100);
-        config.drain = Duration::from_millis(300);
+        config.load.duration = Duration::from_millis(600);
+        config.load.warmup = Duration::from_millis(150);
+        config.load.cooldown = Duration::from_millis(100);
+        config.load.drain = Duration::from_millis(300);
         config
     }
 
@@ -366,7 +322,7 @@ mod tests {
     #[should_panic(expected = "must leave a measured span")]
     fn degenerate_window_panics() {
         let mut config = SaturateConfig::new(sweep_spec(), vec![100.0]);
-        config.warmup = config.duration;
+        config.load.warmup = config.load.duration;
         let _ = saturate(&config);
     }
 }

@@ -32,18 +32,16 @@ use std::time::{Duration, Instant};
 use parblock_consensus::ProtocolConfig;
 use parblock_net::{Endpoint, SimNetwork};
 use parblock_ledger::Version;
-use parblock_types::{
-    ArrivalProcess, Block, BlockNumber, Clock, Hash32, NodeId, SeqNo, Transaction, TxId,
-};
-use parblock_workload::{ArrivalGen, WorkloadGen};
+use parblock_types::{Block, BlockNumber, Clock, Hash32, NodeId, SeqNo, TxId};
 
 use crate::cluster::{ClusterSpec, ConsensusKind, DurabilityMode, SystemKind};
-use crate::driver;
+use crate::driver::{self, Load};
 use crate::hostcons::AnyConsensus;
 use crate::metrics::RunReport;
 use crate::msg::Msg;
 use crate::node::{self, Node, Peer};
 use crate::orderer::Orderer;
+use crate::runner::LoadSpec;
 use crate::shared::Shared;
 use crate::xov::XovClient;
 
@@ -152,25 +150,14 @@ impl FaultPlan {
     }
 }
 
-/// One deterministic run specification.
+/// One deterministic run specification: a cluster, the load its client
+/// submits — the same client the threaded runner drives — a deadline
+/// and a fault schedule.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The cluster, of any [`SystemKind`].
     pub spec: ClusterSpec,
-    /// Exactly this many transactions of the seeded workload stream are
-    /// submitted.
-    pub count: usize,
-    /// Open-loop submission rate in virtual transactions per second.
-    pub rate_tps: f64,
-    /// Shape of the virtual arrival process. [`ArrivalProcess::Uniform`]
-    /// reproduces the simulator's historical closed-form schedule
-    /// bit-for-bit, so pinned exploration seeds replay unchanged.
-    pub arrival: ArrivalProcess,
-    /// Measurement window as `(begin, end)` offsets from run start on
-    /// *intended* arrival times (see
-    /// [`crate::Metrics::set_measurement_window`]); `None` measures
-    /// everything (the historical behaviour).
-    pub measure: Option<(Duration, Duration)>,
+    load: Load,
     /// Hard cap on virtual time; a run that has not drained by then is
     /// reported with `completed = false` instead of hanging.
     pub virtual_deadline: Duration,
@@ -179,18 +166,56 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A config with the default deadline (30 virtual seconds).
+    /// A fixed-count run, as [`crate::run_fixed`] submits it: exactly
+    /// `count` transactions of the seeded workload stream, uniformly
+    /// spaced at `rate_tps` (at 0, all at the start), at most 8 192
+    /// outstanding. The deadline is 30 virtual seconds.
     #[must_use]
     pub fn new(spec: ClusterSpec, count: usize, rate_tps: f64) -> Self {
         SimConfig {
             spec,
-            count,
-            rate_tps,
-            arrival: ArrivalProcess::Uniform,
-            measure: None,
+            load: Load::Count { count, rate_tps, skip: 0 },
             virtual_deadline: Duration::from_secs(30),
             plan: FaultPlan::none(),
         }
+    }
+
+    /// An open-loop run, as [`crate::run`] submits `load`: its arrival
+    /// process and rate for its duration, measured between its warm-up
+    /// and cool-down, shed past its `max_outstanding`. The deadline is
+    /// the submission span plus the drain.
+    ///
+    /// # Panics
+    ///
+    /// Panics when warm-up plus cool-down leaves no measured span.
+    #[must_use]
+    pub fn open_loop(spec: ClusterSpec, load: &LoadSpec) -> Self {
+        let _ = load.measurement_window();
+        SimConfig {
+            spec,
+            load: Load::Open(load.clone()),
+            virtual_deadline: load.duration + load.drain,
+            plan: FaultPlan::none(),
+        }
+    }
+
+    /// Resumes a recovered cluster: the first `skip` transactions of the
+    /// fixed count are generated and discarded (they are already in the
+    /// chain the nodes recover from disk), the rest are submitted.
+    /// `skip` must equal `watermark × block_size` of the reconciled
+    /// stores (`parblock_store::reconcile_cluster`), and the spec must
+    /// cut blocks by count only, so that block boundaries replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an open-loop config, which has no prefix to skip.
+    #[must_use]
+    pub fn with_skip(mut self, skip: usize) -> Self {
+        let Load::Count { skip: skipped, .. } = &mut self.load else {
+            panic!("only a fixed-count run resumes past a prefix");
+        };
+        *skipped = skip;
+        self
     }
 }
 
@@ -229,18 +254,21 @@ pub struct SimOutcome {
     /// The usual measurement report (deterministic under the virtual
     /// clock — compare [`RunReport::digest`] across reruns).
     pub report: RunReport,
-    /// Whether the observer processed every submitted transaction before
-    /// the virtual deadline.
+    /// Whether, before the virtual deadline, the client submitted or
+    /// shed its whole load and the observer processed every submitted
+    /// transaction.
     pub completed: bool,
     /// Virtual time consumed.
     pub virtual_elapsed: Duration,
     /// Scheduler events handled (messages + completions), a cheap
     /// schedule fingerprint.
     pub events: u64,
-    /// Every submitted transaction id, in submission order.
+    /// Every submitted transaction id, in submission order (shed and
+    /// skipped arrivals excluded).
     pub submitted: Vec<TxId>,
     /// The most transactions outstanding at once, read after each round
-    /// of submissions: the driver's window caps it at 8 192.
+    /// of submissions: a fixed count's window caps it at 8 192, an open
+    /// loop's `max_outstanding` at that cap.
     pub peak_outstanding: u64,
     /// The observer's sealed chain (the reference history the
     /// serializability oracle replays).
@@ -447,34 +475,11 @@ impl SimCluster {
 pub fn run_sim(config: &SimConfig) -> SimOutcome {
     let clock = Clock::simulated();
     let mut cluster = SimCluster::new(&config.spec, &clock);
-    let entry = config.spec.entry_orderer();
-
-    // The deterministic workload prefix this run submits, with its
-    // intended virtual arrival schedule. For the Uniform process the
-    // offsets are bit-identical to the historical closed-form
-    // `(1e9 / rate) as u64 * i`, so pinned seeds replay unchanged.
-    let txs: Vec<Transaction> =
-        WorkloadGen::new(config.spec.workload_config()).take_txs(config.count);
-    let submitted: Vec<TxId> = txs.iter().map(Transaction::id).collect();
-    let offsets: Vec<Duration> = if config.rate_tps > 0.0 {
-        let mut arrivals = ArrivalGen::new(config.arrival, config.rate_tps, config.spec.seed);
-        (0..config.count).map(|_| arrivals.next_offset()).collect()
-    } else {
-        vec![Duration::ZERO; config.count]
-    };
-
     let start = clock.now();
     let deadline = start + config.virtual_deadline;
-    let expected = config.count as u64;
-    let submit_at = |i: usize| start + offsets[i];
-    if let Some((begin, end)) = config.measure {
-        cluster
-            .shared
-            .metrics
-            .set_measurement_window(start + begin, start + end);
-    }
+    let mut client = driver::Client::new(&cluster.shared, &config.load, start);
 
-    let mut next_submit = 0usize;
+    let mut submitted = Vec::new();
     let mut peak_outstanding = 0u64;
     let mut next_fault = 0usize;
     let mut drained_since: Option<Instant> = None;
@@ -490,22 +495,9 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
             next_fault += 1;
         }
 
-        // 2. Driver submissions due and admitted by the window, stamped
-        // at their intended arrival (== now unless several events share
-        // an instant or the window held them back).
-        while next_submit < txs.len()
-            && submit_at(next_submit) <= now
-            && driver::window_open(&cluster.shared)
-        {
-            driver::submit_at(
-                &cluster.shared,
-                &cluster.client,
-                entry,
-                txs[next_submit].clone(),
-                submit_at(next_submit),
-            );
-            next_submit += 1;
-        }
+        // 2. Client submissions due and admitted, stamped at their
+        // intended arrival (== now unless the window held them back).
+        client.submit_due(&cluster.shared, &cluster.client, now, |id| submitted.push(id));
         peak_outstanding = peak_outstanding.max(cluster.shared.metrics.outstanding());
 
         // 3. Deliver due traffic and step the cluster to a fixpoint
@@ -515,7 +507,8 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
 
         // 4. Termination.
         let processed = cluster.shared.metrics.processed();
-        if processed >= expected && next_submit == txs.len() && cluster.quiet(now) {
+        let done = client.exhausted() && processed >= submitted.len() as u64;
+        if done && cluster.quiet(now) {
             match drained_since {
                 // Quiet must *hold* for the grace window: a block cut
                 // marker or retransmission could still be one grain away.
@@ -527,7 +520,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
             drained_since = None;
         }
         if now >= deadline {
-            break processed >= expected;
+            break done;
         }
 
         // 5. Advance virtual time to the earliest scheduled event —
@@ -554,8 +547,8 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         // A submission the window held back goes out as soon as the
         // window has room again; while it is full, only the cluster's own
         // events can make room.
-        if next_submit < txs.len() && driver::window_open(&cluster.shared) {
-            merge(&mut next, submit_at(next_submit).max(now + Duration::from_nanos(1)));
+        if let Some(due) = client.next_instant(&cluster.shared) {
+            merge(&mut next, due.max(now + Duration::from_nanos(1)));
         }
         if next_fault < config.plan.events().len() {
             merge(&mut next, start + config.plan.events()[next_fault].at);
@@ -681,6 +674,53 @@ mod tests {
         assert_eq!(outcome.report.submitted, count as u64);
         assert_eq!(outcome.report.committed, count as u64);
         assert_eq!(outcome.report.aborted, 0);
+    }
+
+    /// An open-loop run past saturation under an admission cap: every
+    /// arrival of the load is either submitted or shed, and the cap
+    /// holds.
+    #[test]
+    fn an_open_loop_run_sheds_past_its_cap() {
+        let mut spec = sim_spec(42);
+        spec.costs = parblock_types::ExecutionCosts::per_tx(Duration::from_micros(500));
+        spec.workload.contention = 1.0;
+        let load = LoadSpec {
+            rate_tps: 4_000.0,
+            duration: Duration::from_millis(500),
+            max_outstanding: Some(50),
+            ..LoadSpec::default()
+        };
+        let outcome = run_sim(&SimConfig::open_loop(spec, &load));
+        let report = &outcome.report;
+        assert!(report.admission_shed > 0, "{report:?}");
+        // Uniform arrivals 250 µs apart in 500 ms.
+        assert_eq!(report.submitted + report.admission_shed, 2_000);
+        assert_eq!(outcome.submitted.len() as u64, report.submitted);
+        assert!(outcome.peak_outstanding <= 50, "{}", outcome.peak_outstanding);
+    }
+
+    /// An open loop never waits for the fixed count's window: with more
+    /// than [`driver::COUNT_WINDOW`] in flight, every arrival still goes
+    /// out at its intended instant.
+    #[test]
+    fn an_open_loop_run_is_not_held_by_the_count_window() {
+        let mut spec = sim_spec(5);
+        spec.block_cut = parblock_types::BlockCutConfig::with_max_txns(500);
+        spec.costs = parblock_types::ExecutionCosts::zero();
+        let load = LoadSpec {
+            rate_tps: 10_000_000.0,
+            duration: Duration::from_micros(920),
+            drain: Duration::from_secs(30),
+            ..LoadSpec::default()
+        };
+        let outcome = run_sim(&SimConfig::open_loop(spec, &load));
+        let report = &outcome.report;
+        assert!(outcome.completed, "{report:?}");
+        assert!(outcome.peak_outstanding > driver::COUNT_WINDOW, "{}", outcome.peak_outstanding);
+        assert_eq!(report.submitted, 9_200);
+        assert_eq!(report.committed, 9_200);
+        assert_eq!(report.driver_overruns, 0);
+        assert_eq!(report.driver_max_lag, Duration::ZERO);
     }
 
     #[test]

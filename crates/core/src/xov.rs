@@ -24,7 +24,7 @@
 //! endorses an empty write set; a validator aborts an envelope whose
 //! writes leave the transaction's declared write set.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -279,8 +279,10 @@ pub(crate) struct XovClient {
     /// Verified endorsements per transaction, one per endorser, until
     /// τ(A) match or every agent has answered.
     votes: HashMap<TxId, Vec<(NodeId, Endorsed)>>,
-    /// Transactions whose tally is over: later endorsements are dropped.
-    decided: HashSet<TxId>,
+    /// Transactions whose tally is over before every agent answered,
+    /// with the agents still to answer: their endorsements are dropped,
+    /// and the entry goes with the last of them.
+    decided: HashMap<TxId, Vec<NodeId>>,
 }
 
 impl XovClient {
@@ -289,7 +291,7 @@ impl XovClient {
             shared,
             endpoint,
             votes: HashMap::new(),
-            decided: HashSet::new(),
+            decided: HashMap::new(),
         }
     }
 }
@@ -308,10 +310,14 @@ impl Node for XovClient {
             return;
         };
         let (shared, id) = (&self.shared, tx.id());
-        if from != endorser
-            || self.decided.contains(&id)
-            || !shared.registry.is_agent(endorser, tx.app())
-        {
+        if from != endorser || !shared.registry.is_agent(endorser, tx.app()) {
+            return;
+        }
+        if let Some(pending) = self.decided.get_mut(&id) {
+            pending.retain(|&agent| agent != endorser);
+            if pending.is_empty() {
+                self.decided.remove(&id);
+            }
             return;
         }
         let wire = tx.wire_bytes();
@@ -330,12 +336,17 @@ impl Node for XovClient {
         let Some(matched) = completes(votes, endorser, &endorsed, required, PartialEq::eq) else {
             return;
         };
-        if !matched && votes.len() + 1 < shared.spec.executors_per_app {
+        let answered = votes.len() + 1;
+        if !matched && answered < shared.spec.executors_per_app {
             votes.push((endorser, endorsed));
             return;
         }
-        self.votes.remove(&id);
-        self.decided.insert(id);
+        let votes = self.votes.remove(&id).unwrap_or_default();
+        if answered < shared.spec.executors_per_app {
+            let mut pending = shared.registry.agents(endorsed.0.app());
+            pending.retain(|&agent| agent != endorser && votes.iter().all(|(v, _)| *v != agent));
+            self.decided.insert(id, pending);
+        }
         if !matched {
             return;
         }
@@ -520,10 +531,14 @@ mod tests {
     /// The client submits only the transaction it signed, and once: an
     /// endorser that returns an altered transaction (signing its own
     /// endorsement of it) gets nothing ordered, and a repeated
-    /// endorsement after the submission is dropped.
+    /// endorsement after the submission is dropped while the
+    /// application's other agent has yet to answer.
     #[test]
     fn the_client_submits_only_the_transaction_it_signed() {
-        let (shared, clock, net) = testing::stepped(ClusterSpec::new(SystemKind::Xov));
+        let mut spec = ClusterSpec::new(SystemKind::Xov);
+        spec.executors_per_app = 2;
+        spec.commit_quorum = Some(1);
+        let (shared, clock, net) = testing::stepped(spec);
         let mut client =
             XovClient::new(Arc::clone(&shared), net.endpoint(shared.spec.client_node()));
         let orderer = net.endpoint(shared.spec.entry_orderer());
@@ -550,6 +565,36 @@ mod tests {
         assert_eq!(submitted(), 1, "the signed one is");
         client.on_msg(endorser, endorsement(&shared, endorser, tx, sig));
         assert_eq!(submitted(), 0, "a late endorsement is dropped");
+    }
+
+    /// Once every agent of its application has answered, the client
+    /// holds nothing for a transaction, whether the deciding answer came
+    /// first (τ(A) = 1 of 2) or last (τ(A) = 2 of 2).
+    #[test]
+    fn the_client_forgets_a_transaction_every_agent_answered() {
+        for quorum in [1, 2] {
+            let mut spec = ClusterSpec::new(SystemKind::Xov);
+            spec.executors_per_app = 2;
+            spec.commit_quorum = Some(quorum);
+            let (shared, _clock, net) = testing::stepped(spec);
+            let mut client =
+                XovClient::new(Arc::clone(&shared), net.endpoint(shared.spec.client_node()));
+            let block = WorkloadGen::new(shared.spec.workload_config()).take_txs(20);
+            for agent in 0..2 {
+                for tx in &block {
+                    let endorser = shared.registry.agents(tx.app())[agent];
+                    let sig = client_sig(&shared, tx);
+                    client.on_msg(endorser, endorsement(&shared, endorser, tx.clone(), sig));
+                }
+                let held = client.votes.len() + client.decided.len();
+                assert_eq!(
+                    held,
+                    [block.len(), 0][agent],
+                    "τ(A) = {quorum}, {} answered",
+                    agent + 1
+                );
+            }
+        }
     }
 
     /// A validator aborts an envelope whose writes leave its

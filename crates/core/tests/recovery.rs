@@ -4,23 +4,22 @@
 //! mid-block (every node crashes at one virtual instant), its per-node
 //! stores are reconciled to one consistent watermark
 //! (`parblock_store::reconcile_cluster` — the file-level startup state
-//! transfer), and a fresh cluster recovers from disk via
+//! transfer), and a fresh simulated cluster recovers from disk via
 //! `Store::recover` inside each node's startup, resuming the workload
-//! from the recovered watermark. The resumed run's ledger head hash and
-//! state digest must be **byte-equal** to an uninterrupted reference
-//! run: recovery loses nothing sealed and re-executes exactly the
-//! unsealed suffix.
+//! past the recovered watermark (`SimConfig::with_skip`). The resumed
+//! run's ledger head hash and state digest must be **byte-equal** to an
+//! uninterrupted reference run: recovery loses nothing sealed and
+//! re-executes exactly the unsealed suffix.
 //!
-//! The resume runs threaded: the simulator always submits its workload
-//! from the first transaction, so it cannot continue a stream past a
-//! recovered prefix until executors catch up by block sync instead.
+//! The reference run and the idle restart run threaded, so recovery
+//! inside a node thread keeps a test too.
 
 use std::path::Path;
 use std::time::Duration;
 
 use parblock_store::Store;
 use parblockchain::{
-    run_fixed, run_fixed_from, run_sim, ClusterSpec, DurabilityMode, FaultEvent, FaultKind,
+    run_fixed, run_sim, ClusterSpec, DurabilityMode, FaultEvent, FaultKind,
     FaultPlan, SimConfig, SystemKind,
 };
 
@@ -98,7 +97,10 @@ fn killed_cluster_recovers_to_byte_equal_ledger_and_state() {
     // Phase 3: a fresh cluster recovers from disk and resumes the
     // deterministic workload past the recovered prefix.
     let skip = watermark.0 as usize * BLOCK_TXNS;
-    let resumed = run_fixed_from(&spec, skip, COUNT, 2_000.0, Duration::from_secs(30));
+    let resume = run_sim(&SimConfig::new(spec.clone(), COUNT, 2_000.0).with_skip(skip));
+    assert!(resume.completed, "resumed run did not drain: {:?}", resume.report);
+    assert_eq!(resume.submitted.len(), COUNT - skip);
+    let resumed = resume.report;
     assert_eq!(
         resumed.committed,
         (COUNT - skip) as u64,
@@ -139,7 +141,7 @@ fn restart_after_clean_finish_changes_nothing() {
     let first = run_fixed(&spec, COUNT, 2_000.0, Duration::from_secs(30));
     assert_eq!(first.committed, COUNT as u64, "{first:?}");
 
-    let restarted = run_fixed_from(&spec, COUNT, COUNT, 2_000.0, Duration::from_secs(10));
+    let restarted = run_fixed(&spec, 0, 2_000.0, Duration::from_secs(10));
     assert_eq!(restarted.committed, 0, "{restarted:?}");
     assert_eq!(restarted.blocks, 0, "a restarted idle cluster re-sealed blocks");
 

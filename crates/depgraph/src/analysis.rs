@@ -1,123 +1,14 @@
-//! Graph analytics: connected components, cross-application structure and
-//! conflict statistics.
+//! Conflict statistics of a block's dependency graph.
 //!
 //! §IV-C distinguishes three situations for a block (Fig 4): all
-//! transactions in one application; several applications whose components
-//! are disjoint; and components mixing applications, which force agents to
-//! exchange commit messages mid-block. [`GraphComponents`] computes that
-//! classification.
-
-use std::collections::BTreeSet;
-
-use parblock_types::{AppId, SeqNo};
+//! transactions in one application (4a); several applications whose
+//! components are disjoint (4b); and components mixing applications,
+//! which force agents to exchange commit messages mid-block (4c). A
+//! component that mixes applications contains an edge between two of
+//! them, so [`ConflictStats::cross_app_edge_fraction`] tells 4(c) from
+//! 4(b).
 
 use crate::graph::DependencyGraph;
-
-/// Classification of a block's dependency structure (Fig 4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComponentKind {
-    /// Every transaction belongs to one application (Fig 4a).
-    SingleApp,
-    /// Multiple applications, but no component mixes two (Fig 4b): agents
-    /// can execute independently and multicast once at the end.
-    AppDisjoint,
-    /// At least one component mixes applications (Fig 4c): agents must
-    /// exchange commit messages during execution (Algorithm 2).
-    CrossApp,
-}
-
-/// The weakly connected components of a dependency graph.
-#[derive(Debug, Clone)]
-pub struct GraphComponents {
-    /// Component index per position.
-    component_of: Vec<usize>,
-    /// Members of each component, ascending.
-    members: Vec<Vec<SeqNo>>,
-}
-
-impl GraphComponents {
-    /// Computes weakly connected components with a union-find pass.
-    #[must_use]
-    pub fn compute(graph: &DependencyGraph) -> Self {
-        let n = graph.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-
-        fn find(parent: &mut [usize], x: usize) -> usize {
-            let mut root = x;
-            while parent[root] != root {
-                root = parent[root];
-            }
-            // Path compression.
-            let mut cur = x;
-            while parent[cur] != root {
-                let next = parent[cur];
-                parent[cur] = root;
-                cur = next;
-            }
-            root
-        }
-
-        for (i, j) in graph.edges() {
-            let (a, b) = (find(&mut parent, i.0 as usize), find(&mut parent, j.0 as usize));
-            if a != b {
-                parent[a] = b;
-            }
-        }
-
-        let mut component_of = vec![usize::MAX; n];
-        let mut members: Vec<Vec<SeqNo>> = Vec::new();
-        for i in 0..n {
-            let root = find(&mut parent, i);
-            if component_of[root] == usize::MAX {
-                component_of[root] = members.len();
-                members.push(Vec::new());
-            }
-            component_of[i] = component_of[root];
-            members[component_of[root]].push(SeqNo(i as u32));
-        }
-        GraphComponents {
-            component_of,
-            members,
-        }
-    }
-
-    /// Number of components.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The component index of position `x`.
-    #[must_use]
-    pub fn component_of(&self, x: SeqNo) -> usize {
-        self.component_of[x.0 as usize]
-    }
-
-    /// Members of component `c`, ascending by position.
-    #[must_use]
-    pub fn members(&self, c: usize) -> &[SeqNo] {
-        &self.members[c]
-    }
-
-    /// Classifies the block per Fig 4 (see [`ComponentKind`]).
-    #[must_use]
-    pub fn classify(&self, graph: &DependencyGraph) -> ComponentKind {
-        let apps: BTreeSet<AppId> = graph.apps().iter().copied().collect();
-        if apps.len() <= 1 {
-            return ComponentKind::SingleApp;
-        }
-        let mixed = self.members.iter().any(|members| {
-            let mut apps = members.iter().map(|&m| graph.app_of(m));
-            let first = apps.next();
-            apps.any(|a| Some(a) != first)
-        });
-        if mixed {
-            ComponentKind::CrossApp
-        } else {
-            ComponentKind::AppDisjoint
-        }
-    }
-}
 
 /// Summary statistics of a block's conflict structure, used to validate
 /// workload generators and report benchmark context.
@@ -170,6 +61,8 @@ impl ConflictStats {
 
 #[cfg(test)]
 mod tests {
+    use parblock_types::{AppId, SeqNo};
+
     use crate::builder::DependencyMode;
 
     use super::*;
@@ -182,11 +75,22 @@ mod tests {
         DependencyGraph::from_edges(apps, &edges, DependencyMode::Full)
     }
 
+    /// Fig 4's classification over the statistics: one application is
+    /// 4(a); otherwise a cross-application edge makes 4(c), none 4(b).
+    fn fig4(g: &DependencyGraph) -> &'static str {
+        let apps: std::collections::BTreeSet<AppId> = g.apps().iter().copied().collect();
+        let cross = ConflictStats::compute(g).cross_app_edge_fraction;
+        match (apps.len(), cross > 0.0) {
+            (0 | 1, _) => "4(a)",
+            (_, true) => "4(c)",
+            (_, false) => "4(b)",
+        }
+    }
+
     #[test]
     fn fig4a_single_app() {
         let g = graph(vec![AppId(1); 7], &[(0, 2), (1, 3), (4, 5)]);
-        let c = GraphComponents::compute(&g);
-        assert_eq!(c.classify(&g), ComponentKind::SingleApp);
+        assert_eq!(fig4(&g), "4(a)");
     }
 
     #[test]
@@ -196,9 +100,7 @@ mod tests {
             vec![AppId(1), AppId(1), AppId(2), AppId(2)],
             &[(0, 1), (2, 3)],
         );
-        let c = GraphComponents::compute(&g);
-        assert_eq!(c.count(), 2);
-        assert_eq!(c.classify(&g), ComponentKind::AppDisjoint);
+        assert_eq!(fig4(&g), "4(b)");
     }
 
     #[test]
@@ -207,26 +109,13 @@ mod tests {
             vec![AppId(1), AppId(2), AppId(1)],
             &[(0, 1), (1, 2)],
         );
-        let c = GraphComponents::compute(&g);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.classify(&g), ComponentKind::CrossApp);
-    }
-
-    #[test]
-    fn isolated_vertices_are_singleton_components() {
-        let g = graph(vec![AppId(1); 3], &[]);
-        let c = GraphComponents::compute(&g);
-        assert_eq!(c.count(), 3);
-        for i in 0..3 {
-            assert_eq!(c.members(c.component_of(SeqNo(i))), &[SeqNo(i)]);
-        }
+        assert_eq!(fig4(&g), "4(c)");
     }
 
     #[test]
     fn multiple_apps_no_edges_is_app_disjoint() {
         let g = graph(vec![AppId(1), AppId(2)], &[]);
-        let c = GraphComponents::compute(&g);
-        assert_eq!(c.classify(&g), ComponentKind::AppDisjoint);
+        assert_eq!(fig4(&g), "4(b)");
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod graph;
 mod schedule;
 mod streaming;
 
-pub use analysis::{ComponentKind, ConflictStats, GraphComponents};
+pub use analysis::ConflictStats;
 pub use builder::DependencyMode;
 pub use graph::DependencyGraph;
 pub use schedule::{ExecutionLayers, ReadyTracker};

@@ -28,11 +28,11 @@ fn sweep_spec(seed: u64) -> ClusterSpec {
 
 fn sweep_config(seed: u64, arrival: ArrivalProcess, rates: Vec<f64>) -> SaturateConfig {
     let mut config = SaturateConfig::new(sweep_spec(seed), rates);
-    config.arrival = arrival;
-    config.duration = Duration::from_millis(800);
-    config.warmup = Duration::from_millis(200);
-    config.cooldown = Duration::from_millis(100);
-    config.drain = Duration::from_millis(400);
+    config.load.arrival = arrival;
+    config.load.duration = Duration::from_millis(800);
+    config.load.warmup = Duration::from_millis(200);
+    config.load.cooldown = Duration::from_millis(100);
+    config.load.drain = Duration::from_millis(400);
     config
 }
 

@@ -296,13 +296,13 @@ impl WorkloadGen {
     /// The endless transaction stream: windows concatenated, each
     /// generated only when the previous one is used up, so a consumer
     /// holds at most one window at a time.
-    pub fn stream(&mut self) -> impl Iterator<Item = Transaction> + '_ {
-        std::iter::from_fn(|| Some(self.window())).flatten()
+    pub fn stream(mut self) -> impl Iterator<Item = Transaction> {
+        std::iter::from_fn(move || Some(self.window())).flatten()
     }
 
     /// The first `count` transactions of [`WorkloadGen::stream`] (the
     /// tail window is truncated).
-    pub fn take_txs(&mut self, count: usize) -> Vec<Transaction> {
+    pub fn take_txs(self, count: usize) -> Vec<Transaction> {
         let mut out = Vec::with_capacity(count);
         out.extend(self.stream().take(count));
         out
@@ -392,7 +392,7 @@ mod tests {
     fn client_timestamps_are_unique_per_client() {
         // The in-stream order is shuffled, but each client's timestamps
         // must be distinct (exactly-once semantics rest on them).
-        let mut gen = WorkloadGen::new(WorkloadConfig {
+        let gen = WorkloadGen::new(WorkloadConfig {
             clients: 4,
             block_size: 30,
             ..WorkloadConfig::default()
@@ -420,8 +420,8 @@ mod tests {
                 let n = 100;
                 for skip in [0, 1, 29, 30, 95] {
                     let expect = WorkloadGen::new(cfg.clone()).take_txs(skip + n);
-                    let mut gen = WorkloadGen::new(cfg.clone());
-                    let streamed: Vec<Transaction> = gen.stream().skip(skip).take(n).collect();
+                    let streamed: Vec<Transaction> =
+                        WorkloadGen::new(cfg.clone()).stream().skip(skip).take(n).collect();
                     assert_eq!(streamed.len(), n);
                     for (got, want) in streamed.iter().zip(&expect[skip..]) {
                         assert_eq!(got.id(), want.id(), "{cfg:?} skip {skip}");
@@ -438,7 +438,7 @@ mod tests {
 
     #[test]
     fn take_txs_returns_exact_count() {
-        let mut gen = WorkloadGen::new(WorkloadConfig {
+        let gen = WorkloadGen::new(WorkloadConfig {
             block_size: 7,
             ..WorkloadConfig::default()
         });

@@ -9,7 +9,7 @@
 
 use parblockchain_repro::contracts::{AccountingContract, AccountingOp, EscrowContract, EscrowOp};
 use parblockchain_repro::depgraph::{
-    ComponentKind, DependencyGraph, DependencyMode, ExecutionLayers, GraphComponents, ReadyTracker,
+    ConflictStats, DependencyGraph, DependencyMode, ExecutionLayers, ReadyTracker,
 };
 use parblockchain_repro::types::{AppId, Block, BlockNumber, ClientId, Hash32, Key};
 
@@ -51,11 +51,14 @@ fn main() {
     println!("block of {} transactions, {} dependency edges", block.len(), graph.edge_count());
     println!("{}", graph.to_dot());
 
-    let components = GraphComponents::compute(&graph);
-    match components.classify(&graph) {
-        ComponentKind::SingleApp => println!("Fig 4(a): single application"),
-        ComponentKind::AppDisjoint => println!("Fig 4(b): apps independent"),
-        ComponentKind::CrossApp => {
+    // Fig 4: one application is 4(a); a component mixing applications
+    // holds a cross-application edge, 4(c); otherwise 4(b).
+    let apps: std::collections::BTreeSet<AppId> = graph.apps().iter().copied().collect();
+    let cross = ConflictStats::compute(&graph).cross_app_edge_fraction > 0.0;
+    match (apps.len(), cross) {
+        (0 | 1, _) => println!("Fig 4(a): single application"),
+        (_, false) => println!("Fig 4(b): apps independent"),
+        (_, true) => {
             println!("Fig 4(c): cross-application dependencies — agents must exchange commit messages mid-block")
         }
     }

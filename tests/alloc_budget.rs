@@ -50,6 +50,8 @@
 //! |                                          | 0.8 |  69.83 | 3 761 |
 //! | partial batch ordered when idle          | 0.0 |  63.65 | 3 579 |
 //! |                                          | 0.8 |  77.91 | 3 829 |
+//! | the simulator's client streams its input | 0.0 |  63.65 | 3 341 |
+//! |                                          | 0.8 |  77.91 | 3 591 |
 //!
 //! (The first row was recorded here as 110.35 / 3 725; the tree at that
 //! change reads 110.50 / 3 722.) The streaming ordering path encodes a
@@ -108,8 +110,18 @@
 //! peak-bytes figures are still inside their budgets, which stay where
 //! the stack-pads row set them.
 //!
-//! The allocation budgets sit 5 % above the last row of each contention,
-//! the peak-bytes budgets 5 % above the stack-pads row, and the
+//! `run_sim` used to materialise its whole input before the first
+//! submission: every transaction of the run and every arrival offset.
+//! It now submits through the threaded runner's client, which generates
+//! one workload window at a time and moves each transaction into its
+//! request. That took 238.24 peak bytes per transaction off at both
+//! contentions (3 578.77 → 3 340.53, 3 829.46 → 3 591.21) and moved no
+//! allocation count: a transaction clone was a reference count, and the
+//! window's vectors replace the input's. The peak-bytes budgets were
+//! lowered with it.
+//!
+//! The allocation budgets sit 5 % above the partial-batch row of each
+//! contention, the peak-bytes budgets 5 % above the last row, and the
 //! ratchet is two-sided: a figure over its budget fails, and so does a
 //! figure more than 8 % under it, because a budget nobody lowered no
 //! longer guards what was gained. A change that has to raise a budget
@@ -245,13 +257,13 @@ fn run(contention: f64) -> Cost {
 /// messages per transaction along a chain. Both allocation budgets fell
 /// by 20 with the canonical state-digest preimage, by two per HMAC call
 /// with stack pads, and again with hashed keys and moved results (see
-/// the header). The peak-bytes budgets sit 5 % above the 3 511.45 and
-/// 3 758.49 measured with stack pads; the 3 578.77 and 3 829.46 measured
-/// since partial batches are ordered when idle are about 3 % under them.
+/// the header). The peak-bytes budgets sit 5 % above the 3 340.53 and
+/// 3 591.21 measured since the simulator streams its input, in both
+/// profiles.
 const BUDGETS: [(f64, f64, f64); 2] = if cfg!(debug_assertions) {
-    [(0.0, 67.25, 3_688.0), (0.8, 82.23, 3_947.0)]
+    [(0.0, 67.25, 3_508.0), (0.8, 82.23, 3_771.0)]
 } else {
-    [(0.0, 66.83, 3_688.0), (0.8, 81.81, 3_947.0)]
+    [(0.0, 66.83, 3_508.0), (0.8, 81.81, 3_771.0)]
 };
 
 /// A figure below this share of its budget means the budget is stale.
