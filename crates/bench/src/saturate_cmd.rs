@@ -372,6 +372,32 @@ mod tests {
         );
     }
 
+    /// At full contention the 6 000 tps step commits every measured
+    /// arrival, so its achieved rate keeps up; but it ends with
+    /// transactions outstanding and a p99 many times the 400 tps step's.
+    /// It is past the knee.
+    #[test]
+    fn a_step_that_queues_is_past_the_knee() {
+        let options = SaturateOptions {
+            rates: vec![400.0, 1_600.0, 6_000.0],
+            sim: true,
+            contention: 1.0,
+            scale: ExperimentScale::Quick,
+            ..SaturateOptions::default()
+        };
+        let outcome = run_saturate(&options);
+        let [lowest, _, queued] = &outcome.points[..] else {
+            panic!("three steps: {outcome:?}");
+        };
+        assert!(
+            queued.keeps_up(SaturateConfig::KNEE_TOLERANCE),
+            "{queued:?}"
+        );
+        assert!(queued.outstanding > 0, "{queued:?}");
+        assert!(queued.p99 > lowest.p99.mul_f64(SaturateConfig::KNEE_P99_FACTOR));
+        assert_eq!(outcome.knee_tps, Some(1_600.0));
+    }
+
     #[test]
     fn knee_parses_from_artifact_json() {
         assert_eq!(parse_knee_tps("{\n  \"knee_tps\": 1600.0,\n}"), Some(1600.0));

@@ -49,33 +49,3 @@ pub enum Action<M> {
         id: TimerId,
     },
 }
-
-impl<M> Action<M> {
-    /// The delivered `(seq, payload)`, if this is a delivery.
-    #[must_use]
-    pub fn as_delivery(&self) -> Option<(u64, &[u8])> {
-        match self {
-            Action::Deliver { seq, payload } => Some((*seq, payload)),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn as_delivery_filters() {
-        let d: Action<()> = Action::Deliver {
-            seq: 3,
-            payload: vec![1].into(),
-        };
-        assert_eq!(d.as_delivery(), Some((3, &[1u8][..])));
-        let s: Action<u8> = Action::Send {
-            to: NodeId(1),
-            msg: 9,
-        };
-        assert_eq!(s.as_delivery(), None);
-    }
-}

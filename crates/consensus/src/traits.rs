@@ -36,15 +36,6 @@ impl ProtocolConfig {
     pub fn n(&self) -> usize {
         self.peers.len()
     }
-
-    /// Index of this replica in the peer list.
-    #[must_use]
-    pub fn self_index(&self) -> usize {
-        self.peers
-            .iter()
-            .position(|&p| p == self.id)
-            .expect("validated in new()")
-    }
 }
 
 /// The bytes being ordered: immutable from [`OrderingProtocol::submit`]
@@ -88,7 +79,6 @@ mod tests {
     fn config_accessors() {
         let cfg = ProtocolConfig::new(NodeId(2), vec![NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(cfg.n(), 3);
-        assert_eq!(cfg.self_index(), 1);
     }
 
     #[test]

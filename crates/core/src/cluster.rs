@@ -200,9 +200,10 @@ pub struct ClusterSpec {
     pub durability: DurabilityMode,
     /// Fsync batching and checkpoint cadence for on-disk durability.
     pub durability_config: DurabilityConfig,
-    /// When set, the observer records a digest of the blockchain state
-    /// after every block, exposed as `RunReport::state_digest` (used by
-    /// correctness tests; costs one state hash per block).
+    /// When set, the report carries the observer's state digest at its
+    /// sealed watermark, taken once when the run ends, as
+    /// `RunReport::state_digest` (used by correctness tests; costs one
+    /// state hash per run).
     pub capture_state: bool,
     /// **Not read.** Executors always flush COMMITs once per `tick`
     /// ([`CommitFlush::Cut`]). The field survives only because

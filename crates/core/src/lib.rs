@@ -44,7 +44,7 @@ pub mod cutter;
 mod driver;
 mod durability;
 pub mod hostcons;
-pub mod metrics;
+mod metrics;
 pub mod msg;
 mod node;
 mod orderer;
@@ -63,7 +63,7 @@ pub use cluster::{
     SystemKind, TopologySpec,
 };
 pub use parblock_types::ExecutionMode;
-pub use metrics::{Metrics, RunReport};
+pub use metrics::RunReport;
 pub use parblock_trace::{
     Histogram, Stage, StagePair, TraceConfig, TraceRecorder, TraceReport, TxTimeline, STAGE_COUNT,
 };

@@ -1,10 +1,25 @@
-//! End-to-end measurement: submit/commit timestamps, throughput and
-//! latency reporting.
+//! End-to-end measurement: the client's books of submit/commit
+//! timestamps, and the [`RunReport`] a run ends with.
 //!
 //! Latency follows the paper's definition for OXII: "when the executors
 //! execute the messages and receive enough number of matching results
 //! from other executors, the transaction is counted as committed"
 //! (§V-C) — i.e. submit-at-client → commit-at-observer-peer.
+//!
+//! # Where a report's fields come from
+//!
+//! [`RunReport::assemble`] builds every report, under the threaded
+//! runner and the simulator alike, from four sources:
+//!
+//! * the client's [`Metrics`]: submissions, the measurement window,
+//!   latency samples, commit and abort counts, driver self-checks. A
+//!   peer writes here only through [`Metrics::record_commit`] and
+//!   [`Metrics::record_abort`], the observer's stamp of §V-C;
+//! * the network's count of messages sent;
+//! * the lifecycle trace's snapshot;
+//! * the observer's own summary, read once when the run ends: blocks
+//!   sealed, ledger head, state digest at its watermark, durability
+//!   counters and pipeline gauges (`PeerSummary`, DESIGN.md §17).
 //!
 //! # Coordinated omission
 //!
@@ -29,15 +44,15 @@
 //! a window every transaction is measured (the legacy behaviour).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use parblock_ledger::DurabilityStats;
 use parblock_trace::{Histogram, Stage, TraceRecorder, TraceReport};
 use parblock_types::{Clock, TxId};
+
+use crate::node::PeerSummary;
 
 /// Send lag at which a submission counts as a driver overrun — one
 /// pacing tick of the open-loop driver.
@@ -53,97 +68,70 @@ const DRIVER_OVERRUN_LAG: Duration = Duration::from_millis(1);
 /// forever.
 const LATENCY_SAMPLE_CAP: usize = 65_536;
 
-/// Shared metrics sink. Cloning shares the underlying state.
+/// The client's books: what was submitted when, and how the observer
+/// resolved it. Cloning shares the underlying state.
 #[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
+pub(crate) struct Metrics {
     /// The time source submit/commit stamps are taken from — the wall
     /// clock by default, the simulated clock under the deterministic
     /// scheduler so latency samples and the measurement window are a
     /// pure function of the schedule.
     clock: Clock,
+    /// Lifecycle recorder ([`Stage::Committed`] is stamped here, where
+    /// commit dedup already lives; aborts drop their partial trace).
+    trace: TraceRecorder,
+    books: Arc<Mutex<Books>>,
+}
+
+/// Everything [`Metrics`] counts, behind its one lock.
+#[derive(Debug, Default)]
+struct Books {
     /// Intended arrival instant and whether the transaction falls inside
     /// the measurement window (always `true` when no window is set), for
     /// every submission not yet resolved. Removing the entry is what
     /// counts a commit or abort, so a transaction resolves once and one
     /// way: re-observations (quorum re-delivery, duplicate COMMIT
     /// processing) find no entry and are ignored.
-    submits: Mutex<HashMap<TxId, (Instant, bool)>>,
+    submits: HashMap<TxId, (Instant, bool)>,
     /// `[begin, end)` of intended arrival times that count as measured.
-    measure_window: Mutex<Option<(Instant, Instant)>>,
+    measure_window: Option<(Instant, Instant)>,
     /// Latencies of committed transactions (µs), exact samples capped
     /// at [`LATENCY_SAMPLE_CAP`].
-    latencies: Mutex<Vec<u64>>,
+    latencies: Vec<u64>,
     /// Log-bucketed histogram over **all** measured latencies (µs),
     /// authoritative once the exact buffer overflows.
-    latency_hist: Mutex<Histogram>,
+    latency_hist: Histogram,
     /// Measured samples that arrived after the exact buffer was full.
-    latency_overflow: AtomicU64,
-    /// Lifecycle recorder ([`Stage::Committed`] is stamped here, where
-    /// commit dedup already lives; aborts drop their partial trace).
-    trace: TraceRecorder,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    blocks: AtomicU64,
+    latency_overflow: u64,
+    committed: u64,
+    aborted: u64,
     /// Driver-side open-loop accounting: total submissions, submissions
     /// whose intended arrival fell inside the measurement window, and
     /// commits of those measured submissions.
-    submitted: AtomicU64,
-    measured_submitted: AtomicU64,
-    measured_committed: AtomicU64,
+    submitted: u64,
+    measured_submitted: u64,
+    measured_committed: u64,
     /// Driver self-checks: submissions sent ≥ one pacing tick after
     /// their intended arrival, the worst such lag (µs), and arrivals
     /// shed by an admission-control cap instead of being submitted.
-    driver_overruns: AtomicU64,
-    driver_max_lag_us: AtomicU64,
-    admission_shed: AtomicU64,
-    first_submit: Mutex<Option<Instant>>,
-    last_commit: Mutex<Option<Instant>>,
-    state_digest: Mutex<Option<parblock_types::Hash32>>,
-    ledger_head: Mutex<Option<parblock_types::Hash32>>,
-    /// `pipeline_occupancy[d]` counts block starts observed with `d`
-    /// blocks in flight (the just-started one included); index 0 unused.
-    pipeline_occupancy: Mutex<Vec<u64>>,
-    /// Time the observer's next block sat admitted-but-unstarted because
-    /// the execution pipeline was full (µs), and how often that happened.
-    boundary_stall_us: AtomicU64,
-    boundary_stalls: AtomicU64,
-    /// Durability counters of the observer's executor (zeroes when
-    /// running in-memory), set once when the executor shuts down.
-    durability: Mutex<DurabilityStats>,
+    driver_overruns: u64,
+    driver_max_lag_us: u64,
+    admission_shed: u64,
+    first_submit: Option<Instant>,
+    last_commit: Option<Instant>,
 }
 
 impl Metrics {
-    /// Creates an empty sink stamping against the wall clock.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty sink stamping against `clock`. Under a simulated
-    /// clock every duration in the resulting [`RunReport`] — latency
-    /// samples, the measurement window, boundary stalls — is
+    /// Creates empty books stamping against `clock` that also record the
+    /// [`Stage::Committed`] lifecycle stage into `trace` (the
+    /// commit-dedup logic lives here, so the trace inherits it). Under a
+    /// simulated clock every duration in the resulting [`RunReport`] is
     /// bit-deterministic for a given schedule.
-    #[must_use]
-    pub fn with_clock(clock: Clock) -> Self {
-        Self::with_clock_and_trace(clock, TraceRecorder::default())
-    }
-
-    /// Creates an empty sink stamping against `clock` that also records
-    /// the [`Stage::Committed`] lifecycle stage into `trace` (the
-    /// commit-dedup logic lives here, so the trace inherits it).
-    #[must_use]
-    pub fn with_clock_and_trace(clock: Clock, trace: TraceRecorder) -> Self {
+    pub(crate) fn with_clock_and_trace(clock: Clock, trace: TraceRecorder) -> Self {
         Metrics {
-            inner: Arc::new(Inner {
-                clock,
-                trace,
-                ..Inner::default()
-            }),
+            clock,
+            trace,
+            books: Arc::default(),
         }
     }
 
@@ -153,29 +141,22 @@ impl Metrics {
     /// queueing delay instead of silently omitting it (see the module
     /// docs on coordinated omission). Send lag of at least one pacing
     /// tick is counted as a driver overrun.
-    pub fn record_submit_at(&self, tx: TxId, intended: Instant) {
-        let now = self.inner.clock.now();
-        let lag = now.saturating_duration_since(intended);
+    pub(crate) fn record_submit_at(&self, tx: TxId, intended: Instant) {
+        let lag = self.clock.now().saturating_duration_since(intended);
+        let mut books = self.books.lock();
         if lag >= DRIVER_OVERRUN_LAG {
-            self.inner.driver_overruns.fetch_add(1, Ordering::Relaxed);
+            books.driver_overruns += 1;
         }
-        self.inner
-            .driver_max_lag_us
-            .fetch_max(lag.as_micros() as u64, Ordering::Relaxed);
-        let measured = self
-            .inner
+        books.driver_max_lag_us = books.driver_max_lag_us.max(lag.as_micros() as u64);
+        let measured = books
             .measure_window
-            .lock()
             .is_none_or(|(begin, end)| intended >= begin && intended < end);
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
+        books.submitted += 1;
         if measured {
-            self.inner.measured_submitted.fetch_add(1, Ordering::Relaxed);
+            books.measured_submitted += 1;
         }
-        self.inner.submits.lock().insert(tx, (intended, measured));
-        let mut first = self.inner.first_submit.lock();
-        if first.is_none() {
-            *first = Some(intended);
-        }
+        books.submits.insert(tx, (intended, measured));
+        books.first_submit.get_or_insert(intended);
     }
 
     /// Marks the `[begin, end)` span of intended arrival times whose
@@ -183,45 +164,45 @@ impl Metrics {
     /// [`RunReport::measured_committed`] and the latency samples. Call
     /// before the first submission; traffic outside the window (warm-up,
     /// cool-down) is tracked but contributes no samples.
-    pub fn set_measurement_window(&self, begin: Instant, end: Instant) {
-        *self.inner.measure_window.lock() = Some((begin, end));
+    pub(crate) fn set_measurement_window(&self, begin: Instant, end: Instant) {
+        self.books.lock().measure_window = Some((begin, end));
     }
 
     /// Records one arrival shed by the driver's admission-control cap
     /// (never submitted, so it can neither commit nor count as
     /// outstanding — only this counter remembers it).
-    pub fn record_admission_shed(&self) {
-        self.inner.admission_shed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_admission_shed(&self) {
+        self.books.lock().admission_shed += 1;
     }
 
     /// Records a commit observed at the designated observer peer.
     ///
-    /// A commit counts only if it resolves a submission recorded on this
-    /// sink, and so at most once per transaction: a re-observed commit
+    /// A commit counts only if it resolves a submission recorded in these
+    /// books, and so at most once per transaction: a re-observed commit
     /// (e.g. duplicate quorum delivery), or one for a transaction nobody
     /// submitted here, is ignored entirely, so the committed count and
     /// the latency samples stay in step. Warm-up and cool-down traffic
     /// counts but contributes no latency sample.
-    pub fn record_commit(&self, tx: TxId) {
-        let Some((intended, measured)) = self.inner.submits.lock().remove(&tx) else {
+    pub(crate) fn record_commit(&self, tx: TxId) {
+        let now = self.clock.now();
+        let mut books = self.books.lock();
+        let Some((intended, measured)) = books.submits.remove(&tx) else {
             return;
         };
-        let now = self.inner.clock.now();
-        self.inner.trace.record_at(tx, Stage::Committed, now);
-        self.inner.committed.fetch_add(1, Ordering::Relaxed);
+        books.committed += 1;
         if measured {
             let micros = now.saturating_duration_since(intended).as_micros() as u64;
-            self.inner.latency_hist.lock().record(micros);
-            let mut latencies = self.inner.latencies.lock();
-            if latencies.len() < LATENCY_SAMPLE_CAP {
-                latencies.push(micros);
+            books.latency_hist.record(micros);
+            if books.latencies.len() < LATENCY_SAMPLE_CAP {
+                books.latencies.push(micros);
             } else {
-                self.inner.latency_overflow.fetch_add(1, Ordering::Relaxed);
+                books.latency_overflow += 1;
             }
-            drop(latencies);
-            self.inner.measured_committed.fetch_add(1, Ordering::Relaxed);
+            books.measured_committed += 1;
         }
-        *self.inner.last_commit.lock() = Some(now);
+        books.last_commit = Some(now);
+        drop(books);
+        self.trace.record_at(tx, Stage::Committed, now);
     }
 
     /// Records an abort observed at the observer peer (XOV validation
@@ -229,147 +210,71 @@ impl Metrics {
     /// [`Metrics::record_commit`]: only when it resolves a submission, so
     /// a re-observed abort, or an abort for a transaction already
     /// counted as committed, is ignored.
-    pub fn record_abort(&self, tx: TxId) {
-        if self.inner.submits.lock().remove(&tx).is_none() {
+    pub(crate) fn record_abort(&self, tx: TxId) {
+        let mut books = self.books.lock();
+        if books.submits.remove(&tx).is_none() {
             return;
         }
-        self.inner.aborted.fetch_add(1, Ordering::Relaxed);
-        self.inner.trace.drop_tx(tx);
-    }
-
-    /// Records a block fully processed at the observer.
-    pub fn record_block(&self) {
-        self.inner.blocks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of committed transactions so far.
-    #[must_use]
-    pub fn committed(&self) -> u64 {
-        self.inner.committed.load(Ordering::Relaxed)
+        books.aborted += 1;
+        drop(books);
+        self.trace.drop_tx(tx);
     }
 
     /// Number of processed (committed + aborted) transactions so far.
-    #[must_use]
-    pub fn processed(&self) -> u64 {
-        self.inner.committed.load(Ordering::Relaxed) + self.inner.aborted.load(Ordering::Relaxed)
+    pub(crate) fn processed(&self) -> u64 {
+        let books = self.books.lock();
+        books.committed + books.aborted
     }
 
     /// Submitted transactions that have neither committed nor aborted —
     /// in-flight during a run; dropped (fault injection) once it ends.
     /// Without [`Metrics::report`]'s pruning these entries would
-    /// accumulate in the submit map for as long as the sink lives.
-    #[must_use]
-    pub fn outstanding(&self) -> u64 {
-        self.inner.submits.lock().len() as u64
+    /// accumulate in the submit map for as long as the books live.
+    pub(crate) fn outstanding(&self) -> u64 {
+        self.books.lock().submits.len() as u64
     }
 
-    /// Records the observer's state digest after a block (see
-    /// `ClusterSpec::capture_state`).
-    pub fn set_state_digest(&self, digest: parblock_types::Hash32) {
-        *self.inner.state_digest.lock() = Some(digest);
-    }
-
-    /// Records the observer's ledger head hash after a block append. The
-    /// hash chain covers block contents *and* order, so two runs with
-    /// equal heads committed the same blocks in the same order.
-    pub fn set_ledger_head(&self, head: parblock_types::Hash32) {
-        *self.inner.ledger_head.lock() = Some(head);
-    }
-
-    /// Records how many blocks were in flight on the observer's executor
-    /// when a block started (the started block included, so depth-1
-    /// execution always records 1).
-    pub fn record_pipeline_occupancy(&self, in_flight: usize) {
-        let mut occupancy = self.inner.pipeline_occupancy.lock();
-        if occupancy.len() <= in_flight {
-            occupancy.resize(in_flight + 1, 0);
-        }
-        occupancy[in_flight] += 1;
-    }
-
-    /// Records the observer executor's durability counters (WAL bytes,
-    /// fsyncs, checkpoints, recovery replay length). Called once at
-    /// executor shutdown; all zeroes under in-memory durability.
-    pub fn set_durability_stats(&self, stats: DurabilityStats) {
-        *self.inner.durability.lock() = stats;
-    }
-
-    /// Records one boundary stall: the observer's next block was admitted
-    /// and ready, but the execution pipeline was at capacity for `stall`.
-    pub fn record_boundary_stall(&self, stall: Duration) {
-        self.inner
-            .boundary_stall_us
-            .fetch_add(stall.as_micros() as u64, Ordering::Relaxed);
-        self.inner.boundary_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Freezes the sink into a report.
+    /// Freezes the books into the client's half of a report: every
+    /// field but the observer's and the run-wide counts
+    /// ([`RunReport::assemble`] adds those).
     ///
     /// Pruning: submissions still unmatched at report time (dropped by
     /// the network under fault injection, or in flight when the run
     /// ended) are counted into [`RunReport::outstanding`] and **removed**
-    /// from the submit map, so a long-lived sink does not keep
+    /// from the submit map, so long-lived books do not keep
     /// per-transaction state past the end of a run; a commit or abort
     /// that arrives after the report resolves nothing and is not counted.
     /// (The aggregate counters stay monotonic; per-run measurements
-    /// should use a fresh sink, as the runner does.)
-    #[must_use]
-    pub fn report(&self) -> RunReport {
-        let outstanding = {
-            let mut submits = self.inner.submits.lock();
-            let n = submits.len() as u64;
-            submits.clear();
-            submits.shrink_to_fit();
-            n
-        };
-        let mut latencies = self.inner.latencies.lock().clone();
-        latencies.sort_unstable();
-        let window = match (
-            *self.inner.first_submit.lock(),
-            *self.inner.last_commit.lock(),
-        ) {
+    /// should use fresh books, as the runner does.)
+    pub(crate) fn report(&self) -> RunReport {
+        let mut books = self.books.lock();
+        let outstanding = books.submits.len() as u64;
+        books.submits = HashMap::new();
+        let mut latencies_us = books.latencies.clone();
+        latencies_us.sort_unstable();
+        let window = match (books.first_submit, books.last_commit) {
             (Some(a), Some(b)) if b > a => b - a,
             _ => Duration::ZERO,
         };
-        let durability = *self.inner.durability.lock();
-        let measure_window = self
-            .inner
-            .measure_window
-            .lock()
-            .map_or(Duration::ZERO, |(begin, end)| {
-                end.saturating_duration_since(begin)
-            });
+        let measure_window = books.measure_window.map_or(Duration::ZERO, |(begin, end)| {
+            end.saturating_duration_since(begin)
+        });
         RunReport {
-            committed: self.inner.committed.load(Ordering::Relaxed),
-            aborted: self.inner.aborted.load(Ordering::Relaxed),
+            committed: books.committed,
+            aborted: books.aborted,
             outstanding,
-            blocks: self.inner.blocks.load(Ordering::Relaxed),
             window,
-            latencies_us: latencies,
-            latency_hist: self.inner.latency_hist.lock().clone(),
-            latency_overflow: self.inner.latency_overflow.load(Ordering::Relaxed),
-            trace: TraceReport::default(),
-            state_digest: *self.inner.state_digest.lock(),
-            ledger_head: *self.inner.ledger_head.lock(),
-            pipeline_occupancy: self.inner.pipeline_occupancy.lock().clone(),
-            boundary_stall: Duration::from_micros(
-                self.inner.boundary_stall_us.load(Ordering::Relaxed),
-            ),
-            boundary_stalls: self.inner.boundary_stalls.load(Ordering::Relaxed),
-            wal_bytes_written: durability.wal_bytes_written,
-            fsync_count: durability.fsync_count,
-            checkpoint_count: durability.checkpoint_count,
-            recovery_replay_len: durability.recovery_replay_len,
-            messages: 0,
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            measured_submitted: self.inner.measured_submitted.load(Ordering::Relaxed),
-            measured_committed: self.inner.measured_committed.load(Ordering::Relaxed),
+            latencies_us,
+            latency_hist: books.latency_hist.clone(),
+            latency_overflow: books.latency_overflow,
+            submitted: books.submitted,
+            measured_submitted: books.measured_submitted,
+            measured_committed: books.measured_committed,
             measure_window,
-            driver_overruns: self.inner.driver_overruns.load(Ordering::Relaxed),
-            driver_max_lag: Duration::from_micros(
-                self.inner.driver_max_lag_us.load(Ordering::Relaxed),
-            ),
-            admission_shed: self.inner.admission_shed.load(Ordering::Relaxed),
+            driver_overruns: books.driver_overruns,
+            driver_max_lag: Duration::from_micros(books.driver_max_lag_us),
+            admission_shed: books.admission_shed,
+            ..RunReport::default()
         }
     }
 }
@@ -384,7 +289,8 @@ pub struct RunReport {
     /// Submitted transactions that never reached a commit or abort by the
     /// end of the run (lost to fault injection, or still in flight).
     pub outstanding: u64,
-    /// Blocks processed at the observer.
+    /// Blocks the observer sealed during the run (a prefix it recovered
+    /// at start is not counted).
     pub blocks: u64,
     /// First submission → last commit.
     pub window: Duration,
@@ -401,13 +307,14 @@ pub struct RunReport {
     pub latency_overflow: u64,
     /// Per-transaction lifecycle trace: stage-pair latency histograms
     /// and sampled timelines (DESIGN.md §14). Default/empty unless the
-    /// spec enabled tracing; filled in by the runner alongside
-    /// [`RunReport::messages`].
+    /// spec enabled tracing.
     pub trace: parblock_trace::TraceReport,
-    /// Observer's final state digest (when capture was enabled).
+    /// The observer's state digest at its sealed watermark when the run
+    /// ended (when capture was enabled and it sealed a block).
     pub state_digest: Option<parblock_types::Hash32>,
     /// Observer's final ledger head hash — equal heads mean the same
-    /// blocks were committed in the same order.
+    /// blocks were committed in the same order. `None` when it sealed no
+    /// block during the run.
     pub ledger_head: Option<parblock_types::Hash32>,
     /// `pipeline_occupancy[d]` = block starts at the observer with `d`
     /// blocks in flight (index 0 unused); `[0, n, 0, …]` means strictly
@@ -429,9 +336,9 @@ pub struct RunReport {
     /// WAL records the observer's executor replayed above its checkpoint
     /// when it recovered at startup (zero for a fresh store).
     pub recovery_replay_len: u64,
-    /// Total network messages sent during the run (filled by the runner).
+    /// Total network messages sent during the run.
     pub messages: u64,
-    /// Total client submissions recorded by the sink (all phases).
+    /// Total client submissions (all phases).
     pub submitted: u64,
     /// Submissions whose intended arrival fell inside the measurement
     /// window (equals [`RunReport::submitted`] when no window was set).
@@ -463,6 +370,35 @@ pub struct RunReport {
 const REPORT_DIGEST_VERSION: u8 = 1;
 
 impl RunReport {
+    /// Builds a run's report from its four sources, on either clock: the
+    /// client's books, the messages the network sent, the trace snapshot
+    /// and the observer's own summary (`None` when the observer was down
+    /// at the end). The only place a report field's source is decided.
+    pub(crate) fn assemble(
+        client: &Metrics,
+        messages: u64,
+        trace: TraceReport,
+        observer: Option<PeerSummary>,
+    ) -> RunReport {
+        let observer = observer.unwrap_or_default();
+        let durability = observer.durability;
+        RunReport {
+            blocks: observer.blocks,
+            trace,
+            state_digest: observer.state_digest,
+            ledger_head: observer.ledger_head,
+            pipeline_occupancy: observer.pipeline_occupancy,
+            boundary_stall: observer.boundary_stall,
+            boundary_stalls: observer.boundary_stalls,
+            wal_bytes_written: durability.wal_bytes_written,
+            fsync_count: durability.fsync_count,
+            checkpoint_count: durability.checkpoint_count,
+            recovery_replay_len: durability.recovery_replay_len,
+            messages,
+            ..client.report()
+        }
+    }
+
     /// A digest over every field of the report, for bit-reproducibility
     /// checks: two deterministic-simulation runs of the same seed must
     /// produce byte-identical reports, and comparing 32 bytes is how the
@@ -604,21 +540,93 @@ impl RunReport {
 
 #[cfg(test)]
 mod tests {
-    use parblock_types::ClientId;
+    use parblock_contracts::{AccountingContract, AccountingOp};
+    use parblock_depgraph::{DependencyGraph, DependencyMode};
+    use parblock_ledger::Ledger;
+    use parblock_types::{AppId, Block, BlockNumber, ClientId, ExecutionCosts, Key};
 
     use super::*;
+    use crate::cluster::{ClusterSpec, DurabilityMode, SystemKind};
+    use crate::node::{Node, Peer};
+    use crate::oxii::Executor;
+    use crate::shared::{testing, Shared};
 
     fn tx(n: u64) -> TxId {
         TxId::new(ClientId(0), n)
     }
 
     impl Metrics {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn with_clock(clock: Clock) -> Self {
+            Self::with_clock_and_trace(clock, TraceRecorder::default())
+        }
+
+        fn committed(&self) -> u64 {
+            self.books.lock().committed
+        }
+
         /// A submission stamped at the current instant: every driver,
         /// XOV's included, stamps its intended arrival instead.
         fn record_submit(&self, tx: TxId) {
-            let now = self.inner.clock.now();
+            let now = self.clock.now();
             self.record_submit_at(tx, now);
         }
+    }
+
+    const COST: Duration = Duration::from_micros(500);
+
+    /// An executor at the first agent of `app`, τ(A) = 1 and 500 µs per
+    /// transaction, stepped by hand under a simulated clock.
+    fn stepped_agent(mut spec: ClusterSpec, app: AppId) -> (Arc<Shared>, Clock, Executor) {
+        spec.costs = ExecutionCosts::per_tx(COST);
+        spec.commit_quorum = Some(1);
+        let agent = spec.agents_of(app)[0];
+        let (shared, clock, net) = testing::stepped(spec);
+        let executor = Executor::new(Arc::clone(&shared), net.endpoint(agent));
+        (shared, clock, executor)
+    }
+
+    /// Announces `count` linked blocks of one `app` transfer each, all
+    /// on the same two keys, so each block waits on the one before.
+    fn announce_chain(shared: &Shared, executor: &mut Executor, app: AppId, count: u64) {
+        let contract = AccountingContract::new(app);
+        let op = AccountingOp::Transfer {
+            from: Key(1),
+            to: Key(2),
+            amount: 1,
+        };
+        let mut prev = Ledger::genesis_hash();
+        for n in 1..=count {
+            let tx = contract.transaction(ClientId(1), n, &op);
+            let block = Arc::new(Block::new(BlockNumber(n), prev, vec![tx]));
+            prev = parblock_crypto::hash_wire(block.as_ref());
+            let graph = DependencyGraph::build(&block, DependencyMode::Full);
+            let (orderer, msg) = testing::new_block(shared, &block, Some(graph));
+            executor.on_msg(orderer, msg);
+        }
+    }
+
+    /// Advances `clock` one execution cost at a time until `executor`
+    /// has sealed `height` blocks.
+    fn run_to(clock: &Clock, executor: &mut Executor, height: usize) {
+        while executor.chain().0.height() < height {
+            clock.advance(COST);
+            executor.tick(clock.now());
+        }
+    }
+
+    /// The report a run ending now would produce with `executor` as the
+    /// observer.
+    fn report_of(shared: &Shared, executor: &Executor) -> RunReport {
+        RunReport::assemble(
+            &shared.metrics,
+            0,
+            TraceReport::default(),
+            Some(executor.summary()),
+        )
     }
 
     #[test]
@@ -750,45 +758,69 @@ mod tests {
         assert_eq!(r.ledger_head, None);
     }
 
+    /// Every executor counts its own pipeline gauges, the observer or
+    /// not. At depth 2 a chain of four blocks starts blocks 1 and 2 at
+    /// once; 3 and 4 each wait one execution (500 µs) for a free slot.
     #[test]
     fn pipeline_occupancy_and_stalls_accumulate() {
-        let m = Metrics::new();
-        m.record_pipeline_occupancy(1);
-        m.record_pipeline_occupancy(2);
-        m.record_pipeline_occupancy(2);
-        m.record_boundary_stall(Duration::from_micros(300));
-        m.record_boundary_stall(Duration::from_micros(200));
-        let r = m.report();
-        assert_eq!(r.pipeline_occupancy, vec![0, 1, 2]);
+        let spec = ClusterSpec::new(SystemKind::Oxii);
+        assert_eq!(spec.exec_pipeline_depth, 2);
+        assert_ne!(spec.agents_of(AppId(1))[0], spec.observer());
+        let (shared, clock, mut executor) = stepped_agent(spec, AppId(1));
+        assert_eq!(report_of(&shared, &executor).max_occupancy(), 0);
+        announce_chain(&shared, &mut executor, AppId(1), 4);
+        run_to(&clock, &mut executor, 4);
+        let r = report_of(&shared, &executor);
+        assert_eq!(r.blocks, 4);
+        assert_eq!(r.pipeline_occupancy, vec![0, 1, 3]);
         assert_eq!(r.max_occupancy(), 2);
-        assert_eq!(r.boundary_stall, Duration::from_micros(500));
+        assert_eq!(r.boundary_stall, 2 * COST);
         assert_eq!(r.boundary_stalls, 2);
-        assert_eq!(Metrics::new().report().max_occupancy(), 0);
     }
 
+    /// The observer's durability counters reach the report: zeroes in
+    /// memory, the store's own counters on disk.
     #[test]
     fn durability_stats_flow_into_report() {
-        let m = Metrics::new();
-        assert_eq!(m.report().fsync_count, 0);
-        m.set_durability_stats(DurabilityStats {
-            wal_bytes_written: 100,
-            fsync_count: 7,
-            checkpoint_count: 2,
-            recovery_replay_len: 42,
-        });
-        let r = m.report();
-        assert_eq!(r.wal_bytes_written, 100);
-        assert_eq!(r.fsync_count, 7);
-        assert_eq!(r.checkpoint_count, 2);
-        assert_eq!(r.recovery_replay_len, 42);
+        let spec = ClusterSpec::new(SystemKind::Oxii);
+        let (shared, clock, mut executor) = stepped_agent(spec.clone(), AppId(0));
+        announce_chain(&shared, &mut executor, AppId(0), 2);
+        run_to(&clock, &mut executor, 2);
+        assert_eq!(report_of(&shared, &executor).fsync_count, 0);
+
+        let tmp = parblock_store::testutil::TempDir::new("core-summary-durability");
+        let mut on_disk = spec;
+        on_disk.durability = DurabilityMode::on_disk(tmp.path());
+        let (shared, clock, mut executor) = stepped_agent(on_disk, AppId(0));
+        announce_chain(&shared, &mut executor, AppId(0), 2);
+        run_to(&clock, &mut executor, 2);
+        let stats = executor.summary().durability;
+        assert!(
+            stats.fsync_count > 0 && stats.wal_bytes_written > 0,
+            "{stats:?}"
+        );
+        let r = report_of(&shared, &executor);
+        assert_eq!(r.wal_bytes_written, stats.wal_bytes_written);
+        assert_eq!(r.fsync_count, stats.fsync_count);
+        assert_eq!(r.checkpoint_count, stats.checkpoint_count);
+        assert_eq!(r.recovery_replay_len, stats.recovery_replay_len);
     }
 
+    /// The report's head is the observer's latest, and `None` until it
+    /// seals a block.
     #[test]
     fn ledger_head_records_latest() {
-        let m = Metrics::new();
-        m.set_ledger_head(parblock_types::Hash32([1; 32]));
-        m.set_ledger_head(parblock_types::Hash32([2; 32]));
-        assert_eq!(m.report().ledger_head, Some(parblock_types::Hash32([2; 32])));
+        let spec = ClusterSpec::new(SystemKind::Oxii);
+        let (shared, clock, mut executor) = stepped_agent(spec, AppId(0));
+        announce_chain(&shared, &mut executor, AppId(0), 2);
+        assert_eq!(report_of(&shared, &executor).ledger_head, None);
+        run_to(&clock, &mut executor, 1);
+        let first = executor.chain().0.head_hash();
+        assert_eq!(report_of(&shared, &executor).ledger_head, Some(first));
+        run_to(&clock, &mut executor, 2);
+        let head = report_of(&shared, &executor).ledger_head;
+        assert_ne!(head, Some(first));
+        assert_eq!(head, Some(executor.chain().0.head_hash()));
     }
 
     #[test]
@@ -967,7 +999,6 @@ mod tests {
             let m = Metrics::with_clock(clock.clone());
             m.record_submit(tx(1));
             m.record_commit(tx(1));
-            m.record_block();
             m.report()
         };
         let (a, b) = (run(), run());

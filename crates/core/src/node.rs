@@ -6,11 +6,11 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use parblock_ledger::{Ledger, MvccState};
+use parblock_ledger::{DurabilityStats, Ledger, MvccState, Version};
 use parblock_net::{Endpoint, Waker};
-use parblock_types::NodeId;
+use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo};
 
 use crate::cluster::SystemKind;
 use crate::msg::Msg;
@@ -40,9 +40,6 @@ pub(crate) trait Node {
     fn next_deadline(&self, _now: Instant) -> Option<Instant> {
         None
     }
-
-    /// Flushes end-of-run observability, once, when the node stops.
-    fn finalize(&mut self) {}
 }
 
 /// How many messages one pass handles before it ticks. A node that is
@@ -77,18 +74,20 @@ where
             mailbox.wait_until(node.next_deadline(now));
         }
     }
-    node.finalize();
 }
 
 /// Spawns one node's thread: `build` constructs the node there (store
 /// recovery runs beside the other nodes'), then [`drive_threaded`] runs
-/// it until the stop flag is set and the returned waker raised.
-pub(crate) fn spawn_node<N: Node + ?Sized>(
+/// it until the stop flag is set and the returned waker raised. The
+/// thread hands back what `done` reads off the stopped node, and drops
+/// the node itself where it lived.
+pub(crate) fn spawn_node<N: Node + ?Sized, R: Send + 'static>(
     role: &str,
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
     build: impl FnOnce(Arc<Shared>, Endpoint<Msg>) -> Box<N> + Send + 'static,
-) -> (JoinHandle<()>, Waker<Msg>) {
+    done: impl FnOnce(&N) -> R + Send + 'static,
+) -> (JoinHandle<R>, Waker<Msg>) {
     let waker = endpoint.waker();
     #[expect(
         clippy::disallowed_methods,
@@ -100,6 +99,7 @@ pub(crate) fn spawn_node<N: Node + ?Sized>(
         .spawn(move || {
             let mut node = build(Arc::clone(&shared), endpoint.clone());
             drive_threaded(&mut *node, &endpoint, &shared);
+            done(&*node)
         })
         .expect("spawn node thread");
     (handle, waker)
@@ -110,6 +110,63 @@ pub(crate) fn spawn_node<N: Node + ?Sized>(
 pub(crate) trait Peer: Node {
     /// The sealed ledger and the state, for the simulator's oracles.
     fn chain(&self) -> (&Ledger, &MvccState);
+
+    /// The peer's own account of the run so far (DESIGN.md §17). The
+    /// report reads the observer's once, when the run ends.
+    fn summary(&self) -> PeerSummary;
+}
+
+/// What a peer counted itself over one run: its chain position and, for
+/// an OXII executor, its durability counters and pipeline gauges.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct PeerSummary {
+    /// Blocks sealed since the node started (a recovered prefix is not
+    /// counted, so an idle restart reports 0).
+    pub blocks: u64,
+    /// The ledger head; `None` when no block was sealed since the start.
+    pub ledger_head: Option<Hash32>,
+    /// The state digest at the sealed watermark, under
+    /// `ClusterSpec::capture_state` and once a block was sealed.
+    pub state_digest: Option<Hash32>,
+    /// WAL bytes, fsyncs, checkpoints and replay length (all zero in
+    /// memory).
+    pub durability: DurabilityStats,
+    /// `pipeline_occupancy[d]` counts block starts with `d` blocks in
+    /// flight, the started one included; index 0 unused.
+    pub pipeline_occupancy: Vec<u64>,
+    /// Time the next block sat ready while the pipeline was full, summed
+    /// in whole microseconds per stall.
+    pub boundary_stall: Duration,
+    /// How many stalls make up `boundary_stall`.
+    pub boundary_stalls: u64,
+}
+
+impl PeerSummary {
+    /// The chain half of a summary: what `ledger` sealed above
+    /// `start_height`, and `state` at its watermark when `capture_state`.
+    pub(crate) fn sealed(
+        ledger: &Ledger,
+        state: &MvccState,
+        start_height: usize,
+        capture_state: bool,
+    ) -> Self {
+        let blocks = (ledger.height() - start_height) as u64;
+        let sealed = blocks > 0;
+        PeerSummary {
+            blocks,
+            ledger_head: sealed.then(|| ledger.head_hash()),
+            state_digest: (sealed && capture_state).then(|| watermark_digest(ledger, state)),
+            ..PeerSummary::default()
+        }
+    }
+}
+
+/// The digest of `state` at `ledger`'s commit watermark: writes of blocks
+/// still in flight are excluded, so replicas at one height compare equal
+/// whatever they have applied above it.
+pub(crate) fn watermark_digest(ledger: &Ledger, state: &MvccState) -> Hash32 {
+    let height = ledger.height() as u64;
+    state.digest_at(Version::new(BlockNumber(height), SeqNo(u32::MAX)))
 }
 
 /// The peer `shared.spec.system` runs at `endpoint`.

@@ -25,7 +25,7 @@ use parblock_net::Endpoint;
 use parblock_types::{Key, NodeId, SeqNo, Transaction, TxId, Value};
 
 use crate::msg::{BlockBundle, Msg};
-use crate::node::{Node, Peer};
+use crate::node::{Node, Peer, PeerSummary};
 use crate::pool::{self, InlineQueue, SnapshotReader};
 use crate::quorum::NewBlockQuorum;
 use crate::shared::Shared;
@@ -38,8 +38,8 @@ pub(crate) type Decide = fn(&Shared, &MvccState, &Transaction, Version) -> Decis
 
 /// What OX peers and XOV validators share: NEWBLOCK admission, then
 /// blocks taken one at a time in ledger order, each transaction decided
-/// in position order, and a seal after each block (ledger append, version
-/// pruning, the observer's metrics).
+/// in position order, and a seal after each block (ledger append and
+/// version pruning).
 pub(crate) struct SerialChain {
     pub(crate) shared: Arc<Shared>,
     pub(crate) state: MvccState,
@@ -137,13 +137,12 @@ impl SerialChain {
             .append_hashed(Arc::clone(&bundle.block), bundle.hash)
             .expect("blocks arrive in order with verified links");
         prune_to_sealed(&bundle.block, &mut self.state);
-        if self.is_observer {
-            self.shared.metrics.record_block();
-            self.shared.metrics.set_ledger_head(bundle.hash);
-            if self.shared.spec.capture_state {
-                self.shared.metrics.set_state_digest(self.state.digest());
-            }
-        }
+    }
+
+    /// The chain's summary: it starts from genesis and persists nothing.
+    pub(crate) fn summary(&self) -> PeerSummary {
+        let capture_state = self.shared.spec.capture_state;
+        PeerSummary::sealed(&self.ledger, &self.state, 0, capture_state)
     }
 }
 
@@ -168,6 +167,10 @@ impl OxPeer {
 impl Peer for OxPeer {
     fn chain(&self) -> (&Ledger, &MvccState) {
         (&self.0.ledger, &self.0.state)
+    }
+
+    fn summary(&self) -> PeerSummary {
+        self.0.summary()
     }
 }
 

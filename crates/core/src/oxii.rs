@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeBounds;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parblock_crypto::Signature;
 use parblock_depgraph::{CrossBlockIndex, ReadyTracker};
@@ -49,7 +49,7 @@ use parblock_net::Endpoint;
 use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo, TxId};
 
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
-use crate::node::{Node, Peer};
+use crate::node::{Node, Peer, PeerSummary};
 use crate::pool::{self, undeclared_write, Completion, InlineQueue, SnapshotReader};
 use crate::quorum::{self, NewBlockQuorum};
 use crate::shared::Shared;
@@ -117,6 +117,14 @@ pub(crate) struct Executor {
     depth: usize,
     /// When the next block became ready while the pipeline was full.
     pending_stall: Option<Instant>,
+    /// `occupancy[d]`: block starts with `d` blocks in flight.
+    occupancy: Vec<u64>,
+    /// Boundary stalls, and their total in whole microseconds per stall.
+    stalls: u64,
+    stall_us: u64,
+    /// Ledger height recovered at start: blocks below it were not
+    /// sealed by this run.
+    start_height: usize,
     is_observer: bool,
     /// Peers that receive this node's COMMIT messages.
     commit_dests: Vec<NodeId>,
@@ -153,6 +161,7 @@ impl Executor {
             recovered.overlay_state(&mut state);
         }
         let next_to_start = ledger.next_number().0;
+        let start_height = ledger.height();
         Executor {
             shared,
             endpoint,
@@ -169,6 +178,10 @@ impl Executor {
             next_to_start,
             depth,
             pending_stall: None,
+            occupancy: Vec::new(),
+            stalls: 0,
+            stall_us: 0,
+            start_height,
             is_observer,
             commit_dests,
             digest_buf: Vec::new(),
@@ -288,14 +301,15 @@ impl Executor {
         };
         let initial = run.tracker.take_ready();
         self.runs.insert(number, run);
-        if self.is_observer {
-            self.shared.metrics.record_pipeline_occupancy(self.runs.len());
+        let in_flight = self.runs.len();
+        if self.occupancy.len() <= in_flight {
+            self.occupancy.resize(in_flight + 1, 0);
         }
+        self.occupancy[in_flight] += 1;
         if let Some(since) = self.pending_stall.take() {
-            if self.is_observer {
-                let stall = self.shared.clock.now().saturating_duration_since(since);
-                self.shared.metrics.record_boundary_stall(stall);
-            }
+            let stall = self.shared.clock.now().saturating_duration_since(since);
+            self.stall_us += stall.as_micros() as u64;
+            self.stalls += 1;
         }
         self.dispatch_ready(number, &initial);
         // Replay commit messages that arrived early (signature-verified
@@ -616,11 +630,6 @@ impl Executor {
                 &mut self.state,
             );
             if self.is_observer {
-                self.shared.metrics.record_block();
-                self.shared.metrics.set_ledger_head(self.ledger.head_hash());
-                if self.shared.spec.capture_state {
-                    self.shared.metrics.set_state_digest(self.state.digest());
-                }
                 // The seal above is synchronous, so stamping after it
                 // returns charges the fsync (on disk) to the
                 // committed→durable gap — in memory the gap collapses
@@ -680,6 +689,17 @@ impl Peer for Executor {
     fn chain(&self) -> (&Ledger, &MvccState) {
         (&self.ledger, &self.state)
     }
+
+    fn summary(&self) -> PeerSummary {
+        let capture_state = self.shared.spec.capture_state;
+        PeerSummary {
+            durability: self.durability.stats(),
+            pipeline_occupancy: self.occupancy.clone(),
+            boundary_stall: Duration::from_micros(self.stall_us),
+            boundary_stalls: self.stalls,
+            ..PeerSummary::sealed(&self.ledger, &self.state, self.start_height, capture_state)
+        }
+    }
 }
 
 impl Node for Executor {
@@ -713,15 +733,6 @@ impl Node for Executor {
     /// When the next running execution is due.
     fn next_deadline(&self, now: Instant) -> Option<Instant> {
         self.running.next_due().filter(|&due| due > now)
-    }
-
-    /// The observer's durability counters.
-    fn finalize(&mut self) {
-        if self.is_observer {
-            self.shared
-                .metrics
-                .set_durability_stats(self.durability.stats());
-        }
     }
 }
 

@@ -3,6 +3,12 @@
 //! way: one node thread per orderer and peer (plus the client node under
 //! XOV), and one driver on the caller's thread.
 //!
+//! At the end every node thread stops and is joined. The observer's
+//! thread hands back its own summary of the run (blocks, ledger head,
+//! state digest, durability counters, pipeline gauges), and the report is
+//! built from it and the client's books the way `run_sim` builds one
+//! (DESIGN.md §17).
+//!
 //! The driver is the client the simulator steps too (`driver::Client`):
 //! [`run`]'s [`LoadSpec`] is `SimConfig::open_loop`'s, and [`run_fixed`]'s
 //! count is `SimConfig::new`'s, so a load submits the same arrivals by
@@ -36,7 +42,7 @@ use crate::cluster::{ClusterSpec, SystemKind};
 use crate::driver::{self, Load};
 use crate::metrics::RunReport;
 use crate::msg::Msg;
-use crate::node::{peer, spawn_node};
+use crate::node::{peer, spawn_node, PeerSummary};
 use crate::orderer::Orderer;
 use crate::shared::Shared;
 use crate::sim::build_protocol;
@@ -113,8 +119,9 @@ struct Cluster {
     shared: Arc<Shared>,
     net: SimNetwork<Msg>,
     client: Endpoint<Msg>,
-    /// Each node's thread, and the waker that ends its wait at stop.
-    nodes: Vec<(JoinHandle<()>, Waker<Msg>)>,
+    /// Each node's thread, and the waker that ends its wait at stop. The
+    /// observer's thread returns its summary; every other returns `None`.
+    nodes: Vec<(JoinHandle<Option<PeerSummary>>, Waker<Msg>)>,
 }
 
 impl Cluster {
@@ -130,10 +137,19 @@ impl Cluster {
                 Arc::clone(&shared),
                 net.endpoint(id),
                 move |shared, endpoint| Box::new(Orderer::new(shared, endpoint, protocol)),
+                |_| None,
             ));
         }
+        let observer = spec.observer();
         for &id in &spec.peer_ids() {
-            nodes.push(spawn_node("peer", Arc::clone(&shared), net.endpoint(id), peer));
+            let endpoint = net.endpoint(id);
+            nodes.push(spawn_node(
+                "peer",
+                Arc::clone(&shared),
+                endpoint,
+                peer,
+                move |peer| (id == observer).then(|| peer.summary()),
+            ));
         }
         // The XOV client node receives on the driver's endpoint: a second
         // `net.endpoint` would replace the mailbox the driver's endpoint
@@ -141,12 +157,19 @@ impl Cluster {
         let client = net.endpoint(spec.client_node());
         if spec.system == SystemKind::Xov {
             let build = |shared, endpoint| Box::new(XovClient::new(shared, endpoint));
-            nodes.push(spawn_node("client", Arc::clone(&shared), client.clone(), build));
+            nodes.push(spawn_node(
+                "client",
+                Arc::clone(&shared),
+                client.clone(),
+                build,
+                |_| None,
+            ));
         }
         Cluster { shared, net, client, nodes }
     }
 
-    /// Stops every node, joins the node threads, and takes the report.
+    /// Stops every node, joins the node threads, and builds the report
+    /// from the observer's summary.
     ///
     /// # Panics
     ///
@@ -159,9 +182,13 @@ impl Cluster {
             waker.wake();
         }
         let mut first_panic = None;
+        let mut observer = None;
         for (handle, _) in self.nodes {
-            if let Err(panic) = handle.join() {
-                first_panic.get_or_insert(panic);
+            match handle.join() {
+                Ok(summary) => observer = observer.or(summary),
+                Err(panic) => {
+                    first_panic.get_or_insert(panic);
+                }
             }
         }
         if let Some(panic) = first_panic {
@@ -169,10 +196,8 @@ impl Cluster {
         }
         let messages = self.net.stats().sent();
         self.net.shutdown();
-        let mut report = self.shared.metrics.report();
-        report.messages = messages;
-        report.trace = self.shared.trace.snapshot();
-        report
+        let trace = self.shared.trace.snapshot();
+        RunReport::assemble(&self.shared.metrics, messages, trace, observer)
     }
 }
 

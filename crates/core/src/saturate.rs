@@ -10,11 +10,20 @@
 //! the flat, survivor-biased curve a closed-loop driver would report.
 //!
 //! The **knee** is the highest offered rate the system still keeps up
-//! with: achieved ≥ [`SaturateConfig::KNEE_TOLERANCE`] × offered (0.99,
-//! matching the pacing-accuracy bound the driver regression test
-//! enforces below saturation). The sweep stops early once achieved
-//! collapses below [`SaturateConfig::STOP_RATIO`] × offered; further
-//! points would only measure queue growth.
+//! with, and a step keeps up only when all three hold (DESIGN.md §13):
+//!
+//! * achieved ≥ [`SaturateConfig::KNEE_TOLERANCE`] × offered (0.99,
+//!   matching the pacing-accuracy bound the driver regression test
+//!   enforces below saturation);
+//! * nothing is outstanding when the step ends: every submission, the
+//!   cool-down's included, resolved within the drain;
+//! * its p99 is at most [`SaturateConfig::KNEE_P99_FACTOR`] × the p99 of
+//!   the lowest offered rate: a backlog that drains during cool-down
+//!   still commits every measured arrival, and shows only in the tail.
+//!
+//! The sweep stops early once achieved collapses below
+//! [`SaturateConfig::STOP_RATIO`] × offered; further points would only
+//! measure queue growth.
 //!
 //! Both legs are one sweep over each step's [`LoadSpec`]: [`saturate`]
 //! hands it to the threaded cluster in real time, [`saturate_sim`] to the
@@ -48,6 +57,11 @@ impl SaturateConfig {
     /// Achieved/offered ratio that still counts as keeping up (knee
     /// detection).
     pub const KNEE_TOLERANCE: f64 = 0.99;
+    /// How many times the lowest offered rate's p99 a step's p99 may
+    /// reach and still count as keeping up: past it, the tail waits in a
+    /// queue for longer than the whole unloaded path takes (DESIGN.md
+    /// §13).
+    pub const KNEE_P99_FACTOR: f64 = 2.0;
     /// The sweep stops once achieved/offered falls below this — the
     /// system is past saturation and later points only measure queues.
     pub const STOP_RATIO: f64 = 0.7;
@@ -154,10 +168,19 @@ impl SaturatePoint {
         }
     }
 
-    /// Whether this step kept up with its offered rate.
+    /// Whether this step's achieved rate kept up with its offered rate.
     #[must_use]
     pub fn keeps_up(&self, tolerance: f64) -> bool {
         self.achieved_tps >= tolerance * self.offered_tps
+    }
+
+    /// Whether this step counts toward the knee, against the p99 of the
+    /// lowest offered rate: it kept up, left nothing outstanding, and
+    /// its tail did not queue.
+    fn below_knee(&self, base_p99: Duration) -> bool {
+        self.keeps_up(SaturateConfig::KNEE_TOLERANCE)
+            && self.outstanding == 0
+            && self.p99 <= base_p99.mul_f64(SaturateConfig::KNEE_P99_FACTOR)
     }
 }
 
@@ -169,16 +192,20 @@ pub struct SaturateOutcome {
     /// rates to see how far it got).
     pub points: Vec<SaturatePoint>,
     /// The saturation knee: the highest offered rate whose step kept up
-    /// (achieved ≥ [`SaturateConfig::KNEE_TOLERANCE`] × offered). `None`
-    /// when no step kept up — the schedule started past saturation.
+    /// by the module's three-part rule. `None` when no step kept up — the
+    /// schedule started past saturation.
     pub knee_tps: Option<f64>,
 }
 
 impl SaturateOutcome {
     fn from_points(points: Vec<SaturatePoint>) -> Self {
+        let lowest = points
+            .iter()
+            .min_by(|a, b| a.offered_tps.total_cmp(&b.offered_tps));
+        let base_p99 = lowest.map_or(Duration::ZERO, |p| p.p99);
         let knee_tps = points
             .iter()
-            .filter(|p| p.keeps_up(SaturateConfig::KNEE_TOLERANCE))
+            .filter(|p| p.below_knee(base_p99))
             .map(|p| p.offered_tps)
             .fold(None, |acc: Option<f64>, r| {
                 Some(acc.map_or(r, |a| a.max(r)))

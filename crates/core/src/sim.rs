@@ -31,8 +31,7 @@ use std::time::{Duration, Instant};
 
 use parblock_consensus::ProtocolConfig;
 use parblock_net::{Endpoint, SimNetwork};
-use parblock_ledger::Version;
-use parblock_types::{Block, BlockNumber, Clock, Hash32, NodeId, SeqNo, TxId};
+use parblock_types::{Block, BlockNumber, Clock, Hash32, NodeId, TxId};
 
 use crate::cluster::{ClusterSpec, ConsensusKind, DurabilityMode, SystemKind};
 use crate::driver::{self, Load};
@@ -558,28 +557,31 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     };
     let virtual_elapsed = clock.now().duration_since(start);
 
-    // Finalize observability, then collect oracle inputs.
-    for peer in cluster.peers.iter_mut().flatten() {
-        peer.node.finalize();
-    }
+    // The observer's summary and the oracle inputs, read off the live
+    // nodes.
     let observer = config.spec.observer();
     let live_peers = || {
         let slots = cluster.peers.iter().flatten();
-        slots.map(|slot| (slot.mailbox.id(), slot.node.chain()))
+        slots.map(|slot| (slot.mailbox.id(), &*slot.node))
     };
-    let observer_chain: Vec<Block> = live_peers()
+    let observer_peer = live_peers()
         .find(|&(id, _)| id == observer)
-        .map(|(_, (ledger, _))| ledger.iter().cloned().collect())
+        .map(|(_, peer)| peer);
+    let observer_chain: Vec<Block> = observer_peer
+        .map(|peer| peer.chain().0.iter().cloned().collect())
         .unwrap_or_default();
+    let summary = observer_peer.map(Peer::summary);
     let replicas: Vec<ReplicaOutcome> = live_peers()
-        .map(|(node, (ledger, state))| {
-            let height = ledger.height() as u64;
-            // Writes of blocks still in flight are excluded, so lagging
-            // replicas compare prefix against prefix.
-            let watermark = Version::new(BlockNumber(height), SeqNo(u32::MAX));
-            let faulted = cluster.ever_faulted.contains(&node);
-            let state_digest = state.digest_at(watermark);
-            ReplicaOutcome { node, faulted, height, head: ledger.head_hash(), state_digest }
+        .map(|(node, peer)| {
+            let (ledger, state) = peer.chain();
+            ReplicaOutcome {
+                node,
+                faulted: cluster.ever_faulted.contains(&node),
+                height: ledger.height() as u64,
+                head: ledger.head_hash(),
+                // Lagging replicas compare prefix against prefix.
+                state_digest: node::watermark_digest(ledger, state),
+            }
         })
         .collect();
     let orderers: Vec<OrdererOutcome> = cluster
@@ -599,9 +601,9 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         })
         .collect();
 
-    let mut report = cluster.shared.metrics.report();
-    report.messages = cluster.net.stats().sent();
-    report.trace = cluster.shared.trace.snapshot();
+    let messages = cluster.net.stats().sent();
+    let trace = cluster.shared.trace.snapshot();
+    let report = RunReport::assemble(&cluster.shared.metrics, messages, trace, summary);
     let events = cluster.events;
     cluster.net.shutdown();
     SimOutcome {
@@ -735,6 +737,32 @@ mod tests {
             assert_eq!(a.events, b.events, "{system}: schedules diverged");
             assert_eq!(a.observer_chain, b.observer_chain, "{system}");
         }
+    }
+
+    /// A run cut off by its deadline with blocks in flight at depth 2
+    /// reports the observer's state at its sealed watermark: the digest
+    /// the convergence oracle compares, not one that counts writes of
+    /// blocks still executing. (A digest taken at every seal over the
+    /// whole state included them, and read differently here.)
+    #[test]
+    fn a_cut_off_run_reports_the_observer_state_at_its_watermark() {
+        let mut spec = sim_spec(7);
+        spec.costs = parblock_types::ExecutionCosts::per_tx(Duration::from_micros(500));
+        assert_eq!(spec.exec_pipeline_depth, 2);
+        let observer = spec.observer();
+        let mut config = SimConfig::new(spec, 200, 0.0);
+        config.virtual_deadline = Duration::from_micros(3_500);
+        let outcome = run_sim(&config);
+        assert!(!outcome.completed, "{:?}", outcome.report);
+        let replica = outcome
+            .replicas
+            .iter()
+            .find(|r| r.node == observer)
+            .expect("observer");
+        assert_eq!(outcome.report.blocks, 6);
+        assert_eq!(replica.height, 6, "blocks 7 and 8 are still in flight");
+        assert_eq!(outcome.report.ledger_head, Some(replica.head));
+        assert_eq!(outcome.report.state_digest, Some(replica.state_digest));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use parblock_types::wire::{Reader, Wire};
 use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, TxId, Value};
 
 use crate::msg::{Envelope, Msg};
-use crate::node::{Node, Peer};
+use crate::node::{Node, Peer, PeerSummary};
 use crate::ox::SerialChain;
 use crate::pool::{self, undeclared_write, InlineQueue, SnapshotReader};
 use crate::quorum::completes;
@@ -215,6 +215,10 @@ fn validate(
 impl Peer for XovPeer {
     fn chain(&self) -> (&Ledger, &MvccState) {
         (&self.chain.ledger, &self.chain.state)
+    }
+
+    fn summary(&self) -> PeerSummary {
+        self.chain.summary()
     }
 }
 

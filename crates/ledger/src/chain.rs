@@ -113,21 +113,6 @@ impl Ledger {
         self.blocks.get(index as usize).map(Arc::as_ref)
     }
 
-    /// The chain head hash *as of* block `n` — i.e. the hash of block `n`
-    /// (the genesis hash for `n = 0`). `None` when `n` exceeds the
-    /// height. Two ledgers agree on a common prefix iff their hashes at
-    /// the shorter height are equal, which is how the simulation oracles
-    /// check prefix consistency of lagging replicas.
-    #[must_use]
-    pub fn hash_at(&self, n: BlockNumber) -> Option<Hash32> {
-        if n.0 == 0 {
-            return Some(Self::genesis_hash());
-        }
-        n.0.checked_sub(1)
-            .and_then(|i| self.hashes.get(i as usize))
-            .copied()
-    }
-
     /// Iterates appended blocks in chain order.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
         self.blocks.iter().map(Arc::as_ref)
@@ -257,19 +242,6 @@ mod tests {
             ledger.verify(),
             Err(ChainError::BrokenLink { .. })
         ));
-    }
-
-    #[test]
-    fn hash_at_walks_the_chain() {
-        let mut ledger = Ledger::new();
-        extend(&mut ledger, 3);
-        assert_eq!(ledger.hash_at(BlockNumber(0)), Some(Ledger::genesis_hash()));
-        assert_eq!(ledger.hash_at(BlockNumber(3)), Some(ledger.head_hash()));
-        assert_eq!(ledger.hash_at(BlockNumber(4)), None);
-        // A shorter replica holding the same prefix agrees at its height.
-        let mut shorter = Ledger::new();
-        extend(&mut shorter, 2);
-        assert_eq!(ledger.hash_at(BlockNumber(2)), Some(shorter.head_hash()));
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl ExploreSummary {
     pub fn all_passed(&self) -> bool {
         self.reports.iter().all(SeedReport::passed)
     }
-
-    /// Total scheduler events across the sweep.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.reports.iter().map(|r| r.events).sum()
-    }
 }
 
 /// Sweeps `seeds`, checking every oracle on every seed.

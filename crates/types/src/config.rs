@@ -268,17 +268,6 @@ impl DurabilityConfig {
     }
 }
 
-/// Top-level knobs shared by all three systems (OX, XOV, OXII).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SystemConfig {
-    /// Block-cutting conditions.
-    pub block_cut: BlockCutConfig,
-    /// Commit / endorsement policy τ.
-    pub commit_policy: CommitPolicy,
-    /// Synthetic execution cost model.
-    pub costs: ExecutionCosts,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

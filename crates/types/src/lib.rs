@@ -32,7 +32,6 @@ pub use block::{Block, BlockHeader, Hash32};
 pub use clock::Clock;
 pub use config::{
     ArrivalProcess, BlockCutConfig, CommitPolicy, DurabilityConfig, ExecutionCosts, ExecutionMode,
-    SystemConfig,
 };
 pub use error::TypeError;
 pub use ids::{AppId, BlockNumber, ClientId, NodeId, Role, SeqNo, TxId};

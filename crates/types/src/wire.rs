@@ -75,14 +75,6 @@ impl Wire for str {
     }
 }
 
-/// Encodes a slice of `Wire` values with a length prefix.
-pub fn encode_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
-    (items.len() as u64).encode(out);
-    for item in items {
-        item.encode(out);
-    }
-}
-
 /// Encodes a set of keys, length-prefixed, in slice order. The encoding
 /// is canonical because the only slices passed are [`RwSet`](crate::RwSet)'s,
 /// which are ascending and free of duplicates.
@@ -235,13 +227,5 @@ mod tests {
         let mut again = Vec::new();
         encode_key_set(decoded.reads(), &mut again);
         assert_eq!(again, eb);
-    }
-
-    #[test]
-    fn slices_of_wire_types_encode() {
-        let xs: Vec<u64> = vec![1, 2, 3];
-        let mut enc = Vec::new();
-        encode_slice(&xs, &mut enc);
-        assert_eq!(enc.len(), 8 + 3 * 8);
     }
 }

@@ -1,15 +1,14 @@
 //! Offline API-subset shim for `parking_lot`, layered over `std::sync`.
 //!
 //! Mirrors the upstream ergonomics the workspace relies on: guard-returning
-//! `lock()` / `read()` / `write()` without `Result`, a [`Condvar`] that
-//! takes `&mut MutexGuard`, and [`MutexGuard::unlocked`]. Poisoning — the
+//! `lock()` / `read()` / `write()` without `Result`, and a [`Condvar`]
+//! that takes `&mut MutexGuard`. Poisoning — the
 //! one std behavior parking_lot removes — is neutralized by unwrapping
 //! into the inner guard, which matches parking_lot's "no poisoning"
 //! semantics. See DESIGN.md §8 for the shim policy.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::Duration;
 
 /// A mutex whose `lock` returns the guard directly (no poisoning).
 #[derive(Debug, Default)]
@@ -35,7 +34,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            lock: &self.inner,
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
@@ -46,35 +44,10 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// RAII guard for [`Mutex`]; supports temporary release via
-/// [`MutexGuard::unlocked`] and re-acquisition by [`Condvar`].
+/// RAII guard for [`Mutex`]; a [`Condvar`] releases and re-acquires it.
 pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a sync::Mutex<T>,
-    /// `None` only transiently, while unlocked or parked on a condvar.
+    /// `None` only transiently, while parked on a condvar.
     inner: Option<sync::MutexGuard<'a, T>>,
-}
-
-impl<'a, T: ?Sized> MutexGuard<'a, T> {
-    /// Runs `f` with the mutex released, then re-acquires it — also on
-    /// unwind, matching parking_lot: a caller that catches a panic from
-    /// `f` still holds a locked guard.
-    pub fn unlocked<F, R>(guard: &mut Self, f: F) -> R
-    where
-        F: FnOnce() -> R,
-    {
-        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
-        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
-            fn drop(&mut self) {
-                self.0.inner =
-                    Some(self.0.lock.lock().unwrap_or_else(PoisonError::into_inner));
-            }
-        }
-        guard.inner = None;
-        let relock = Relock(guard);
-        let result = f();
-        drop(relock);
-        result
-    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -87,20 +60,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard is locked")
-    }
-}
-
-/// Result of a timed condvar wait.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    #[must_use]
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
     }
 }
 
@@ -123,23 +82,6 @@ impl Condvar {
         let inner = guard.inner.take().expect("guard is locked");
         let inner = self.inner.wait(inner).unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(inner);
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("guard is locked");
-        let (inner, result) = self
-            .inner
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-        WaitTimeoutResult {
-            timed_out: result.timed_out(),
-        }
     }
 
     /// Wakes one waiter.
@@ -189,32 +131,7 @@ impl<T: ?Sized> RwLock<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
-
-    #[test]
-    fn unlocked_releases_and_reacquires() {
-        let m = Arc::new(Mutex::new(0u32));
-        let mut guard = m.lock();
-        *guard = 1;
-        let other = Arc::clone(&m);
-        MutexGuard::unlocked(&mut guard, move || {
-            // The lock must be free here.
-            let mut g = other.lock();
-            *g += 1;
-        });
-        assert_eq!(*guard, 2);
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let start = Instant::now();
-        let result = cv.wait_for(&mut g, Duration::from_millis(20));
-        assert!(result.timed_out());
-        assert!(start.elapsed() >= Duration::from_millis(15));
-    }
+    use std::time::Duration;
 
     #[test]
     fn condvar_wakes_waiter() {
