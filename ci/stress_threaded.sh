@@ -17,8 +17,11 @@ RUNS=10
 # its own delivery timing (`engine.rs`, `endpoint.rs`). The pipeline
 # grid is the threaded OXII executor across depth, durability and
 # contention: it wakes for its next execution on its own deadline, so a
-# deadline it fails to report hangs there.
+# deadline it fails to report hangs there. The core crate's lib tests
+# hold the threaded node loop's own tests (`node.rs`) and the runner's
+# whole-cluster smoke runs of every paradigm (`runner.rs`).
 SUITES=(
+    "parblockchain --lib"
     "parblockchain --test recovery"
     "parblockchain_repro --test end_to_end"
     "parblockchain_repro --test pipeline_equivalence"

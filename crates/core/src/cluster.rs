@@ -400,22 +400,29 @@ impl ClusterSpec {
     }
 
     /// The network every runner builds its cluster on: this spec's
-    /// topology and seed (callers add the clock and delivery mode).
+    /// topology (callers add the clock and delivery mode). Both runners
+    /// call it on the caller's thread before any node starts, so it is
+    /// also where a spec no node could run on is refused.
     ///
     /// # Panics
     ///
-    /// Panics when [`ClusterSpec::legacy_mailboxes`] is set: the engine
-    /// it selected no longer exists, and running the sharded engine in
-    /// its place would silently measure something else.
+    /// Panics on PBFT with fewer than 4 orderers, which each orderer
+    /// would otherwise find only when it builds its replica on its own
+    /// thread. Panics when [`ClusterSpec::legacy_mailboxes`] is set: the
+    /// engine it selected no longer exists, and running the sharded
+    /// engine in its place would silently measure something else.
     pub(crate) fn network_builder(&self) -> NetworkBuilder {
+        assert!(
+            self.consensus != ConsensusKind::Pbft || self.orderers >= 4,
+            "PBFT needs n ≥ 4 (n = 3f + 1), got {} orderers",
+            self.orderers
+        );
         assert!(
             !self.legacy_mailboxes,
             "ClusterSpec::legacy_mailboxes = true, but PR 17 deleted the legacy \
              single-queue mailbox engine; the field is inert and must stay false"
         );
-        NetworkBuilder::new()
-            .topology(self.build_topology())
-            .seed(self.seed)
+        NetworkBuilder::new().topology(self.build_topology())
     }
 
     /// The workload configuration, with the conflict-shaping window tied

@@ -1,7 +1,10 @@
-//! The node runtime (DESIGN.md §17): every orderer and peer is a
-//! [`Node`], and one loop, [`drive_threaded`], runs it on a thread. The
-//! deterministic scheduler in [`sim`](crate::sim) calls the same methods
-//! on the same structs from its single thread.
+//! The node runtime (DESIGN.md §17). This module alone decides which
+//! node runs at an id: [`ids`] lists them in step order and [`boot`]
+//! builds each one, an orderer, the paradigm's peer or the XOV client.
+//! One drain-then-tick pass, [`step`], moves any [`Node`]: the threaded
+//! runner loops it on the node's own thread ([`drive_threaded`], started
+//! by [`spawn`]), and the deterministic scheduler in [`sim`](crate::sim)
+//! calls it on every node in id order from its single thread.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -12,12 +15,13 @@ use parblock_ledger::{DurabilityStats, Ledger, MvccState, Version};
 use parblock_net::{Endpoint, Waker};
 use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo};
 
-use crate::cluster::SystemKind;
+use crate::cluster::{ClusterSpec, SystemKind};
 use crate::msg::Msg;
+use crate::orderer::Orderer;
 use crate::ox::OxPeer;
 use crate::oxii::Executor;
 use crate::shared::Shared;
-use crate::xov::XovPeer;
+use crate::xov::{XovClient, XovPeer};
 
 /// What a node does, in the shape both drivers call.
 pub(crate) trait Node {
@@ -40,54 +44,106 @@ pub(crate) trait Node {
     fn next_deadline(&self, _now: Instant) -> Option<Instant> {
         None
     }
+
+    /// The peer this node is, if it is one.
+    fn as_peer(&self) -> Option<&dyn Peer> {
+        None
+    }
+
+    /// An orderer's chain position: the next block number it would emit
+    /// and the hash of the last one it emitted (genesis before any).
+    fn chain_position(&self) -> Option<(BlockNumber, Hash32)> {
+        None
+    }
 }
 
-/// How many messages one pass handles before it ticks. A node that is
-/// behind still services its deadlines (consensus timers, the time-cut
-/// marker, the partial-batch flush) and surfaces finished executions
-/// every this many messages, not once the backlog is gone.
+/// The ids a cluster of `spec` runs a node at, in step order: the
+/// orderers, then the peers, then, under XOV, the client node. They are
+/// `0..n`, so a table of nodes can be indexed by id.
+pub(crate) fn ids(spec: &ClusterSpec) -> impl Iterator<Item = NodeId> {
+    let client = (spec.system == SystemKind::Xov).then(|| spec.client_node());
+    spec.orderer_ids().into_iter().chain(spec.peer_ids()).chain(client)
+}
+
+/// Builds the node at `endpoint`'s id, one of [`ids`]: an orderer, the
+/// peer of `shared.spec.system`, or the XOV client at `client_node()`.
+/// Both clocks construct every node here, and the simulator again at
+/// each restart.
+pub(crate) fn boot(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Box<dyn Node> {
+    let id = endpoint.id();
+    if (id.0 as usize) < shared.spec.orderers {
+        return Box::new(Orderer::new(shared, endpoint));
+    }
+    if id == shared.spec.client_node() {
+        return Box::new(XovClient::new(shared, endpoint));
+    }
+    match shared.spec.system {
+        SystemKind::Ox => Box::new(OxPeer::new(shared, endpoint)),
+        SystemKind::Xov => Box::new(XovPeer::new(shared, endpoint)),
+        SystemKind::Oxii => Box::new(Executor::new(shared, endpoint)),
+    }
+}
+
+/// How many messages one threaded pass handles before it ticks. A node
+/// that is behind still services its deadlines (consensus timers, the
+/// time-cut marker, the partial-batch flush) and surfaces finished
+/// executions every this many messages, not once the backlog is gone.
 const DRAIN_RUN: usize = 256;
 
-/// The one threaded node loop: handle up to [`DRAIN_RUN`] queued
-/// messages, tick, and if neither found anything block until a message
-/// arrives, a [`Waker`] of `mailbox` is raised (the cluster is stopping)
-/// or the next deadline passes. With none of those the thread sleeps.
+/// One pass of a node on either clock: handle up to `run` queued
+/// messages (none once the cluster is stopping), then tick at the
+/// clock's now. Returns what the pass handled, messages plus what the
+/// tick consumed, and that now.
+pub(crate) fn step<N>(
+    node: &mut N,
+    mailbox: &Endpoint<Msg>,
+    shared: &Shared,
+    run: usize,
+) -> (usize, Instant)
+where
+    N: Node + ?Sized,
+{
+    // Checked per message: a backlog is not served after a stop.
+    let mut handled = 0;
+    while handled < run && !shared.stop.load(Ordering::Relaxed) {
+        let Some(envelope) = mailbox.try_recv() else {
+            break;
+        };
+        node.on_msg(envelope.from, envelope.msg);
+        handled += 1;
+    }
+    let now = shared.clock.now();
+    (handled + node.tick(now), now)
+}
+
+/// The one threaded node loop: [`step`] over at most [`DRAIN_RUN`]
+/// messages, and if it found nothing block until a message arrives, a
+/// [`Waker`] of `mailbox` is raised (the cluster is stopping) or the
+/// next deadline passes. With none of those the thread sleeps.
 pub(crate) fn drive_threaded<N>(node: &mut N, mailbox: &Endpoint<Msg>, shared: &Shared)
 where
     N: Node + ?Sized,
 {
     // Whoever sets `stop` raises the waker afterwards; the mailbox lock
     // that wake and wait both take orders the store before this load.
-    // Checked per message too: a backlog is not served after a stop.
-    let stopped = || shared.stop.load(Ordering::Relaxed);
-    while !stopped() {
-        let mut handled = 0;
-        while handled < DRAIN_RUN && !stopped() {
-            let Some(envelope) = mailbox.try_recv() else {
-                break;
-            };
-            node.on_msg(envelope.from, envelope.msg);
-            handled += 1;
-        }
-        let now = shared.clock.now();
-        if handled + node.tick(now) == 0 {
+    while !shared.stop.load(Ordering::Relaxed) {
+        let (work, now) = step(node, mailbox, shared, DRAIN_RUN);
+        if work == 0 {
             mailbox.wait_until(node.next_deadline(now));
         }
     }
 }
 
-/// Spawns one node's thread: `build` constructs the node there (store
-/// recovery runs beside the other nodes'), then [`drive_threaded`] runs
-/// it until the stop flag is set and the returned waker raised. The
-/// thread hands back what `done` reads off the stopped node, and drops
-/// the node itself where it lived.
-pub(crate) fn spawn_node<N: Node + ?Sized, R: Send + 'static>(
-    role: &str,
+/// Spawns the thread of the node at `endpoint`'s id: [`boot`] constructs
+/// it there (store recovery runs beside the other nodes'), then
+/// [`drive_threaded`] runs it until the stop flag is set and the
+/// returned waker raised. The observer's thread hands back its summary
+/// of the run, every other thread `None`, and each drops its node where
+/// it lived.
+pub(crate) fn spawn(
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
-    build: impl FnOnce(Arc<Shared>, Endpoint<Msg>) -> Box<N> + Send + 'static,
-    done: impl FnOnce(&N) -> R + Send + 'static,
-) -> (JoinHandle<R>, Waker<Msg>) {
+) -> (JoinHandle<Option<PeerSummary>>, Waker<Msg>) {
     let waker = endpoint.waker();
     #[expect(
         clippy::disallowed_methods,
@@ -95,18 +151,19 @@ pub(crate) fn spawn_node<N: Node + ?Sized, R: Send + 'static>(
                   the deterministic harness uses the sim scheduler"
     )]
     let handle = std::thread::Builder::new()
-        .name(format!("{role}-{}", endpoint.id()))
+        .name(format!("node-{}", endpoint.id()))
         .spawn(move || {
-            let mut node = build(Arc::clone(&shared), endpoint.clone());
+            let mut node = boot(Arc::clone(&shared), endpoint.clone());
             drive_threaded(&mut *node, &endpoint, &shared);
-            done(&*node)
+            let observer = endpoint.id() == shared.spec.observer();
+            node.as_peer().filter(|_| observer).map(Peer::summary)
         })
         .expect("spawn node thread");
     (handle, waker)
 }
 
-/// A peer of whichever paradigm the cluster runs: what the threaded
-/// runner spawns and the simulator steps.
+/// A peer of whichever paradigm the cluster runs, as the end-of-run
+/// summary and the simulator's oracles read it.
 pub(crate) trait Peer: Node {
     /// The sealed ledger and the state, for the simulator's oracles.
     fn chain(&self) -> (&Ledger, &MvccState);
@@ -169,15 +226,6 @@ pub(crate) fn watermark_digest(ledger: &Ledger, state: &MvccState) -> Hash32 {
     state.digest_at(Version::new(BlockNumber(height), SeqNo(u32::MAX)))
 }
 
-/// The peer `shared.spec.system` runs at `endpoint`.
-pub(crate) fn peer(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Box<dyn Peer> {
-    match shared.spec.system {
-        SystemKind::Ox => Box::new(OxPeer::new(shared, endpoint)),
-        SystemKind::Xov => Box::new(XovPeer::new(shared, endpoint)),
-        SystemKind::Oxii => Box::new(Executor::new(shared, endpoint)),
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use std::sync::atomic::AtomicUsize;
@@ -189,7 +237,6 @@ pub(crate) mod tests {
     use parblock_types::{AppId, ClientId, RwSet, Transaction};
 
     use super::*;
-    use crate::cluster::{ClusterSpec, SystemKind};
 
     /// Counts the driver's `tick` calls around any node.
     pub(crate) struct Counted<N> {

@@ -12,13 +12,14 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parblock_consensus::{Action, OrderingProtocol};
+use parblock_consensus::{Action, OrderingProtocol, ProtocolConfig};
 use parblock_crypto::hash_wire;
 use parblock_ledger::Ledger;
 use parblock_net::Endpoint;
 use parblock_types::{Block, BlockNumber, Hash32, NodeId, Transaction, TxId};
 
 use crate::batch::{OpenBatch, Payload};
+use crate::cluster::ConsensusKind;
 use crate::cutter::{BlockCutter, CutBlock};
 use crate::hostcons::{AnyConsensus, TimerTable};
 use crate::msg::{BlockBundle, ConsMsg, Msg};
@@ -56,11 +57,15 @@ pub(crate) struct Orderer {
 }
 
 impl Orderer {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        endpoint: Endpoint<Msg>,
-        protocol: AnyConsensus,
-    ) -> Self {
+    /// The orderer at `endpoint`'s id, hosting its replica of the
+    /// consensus protocol the spec names.
+    pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
+        let spec = &shared.spec;
+        let cfg = ProtocolConfig::new(endpoint.id(), spec.orderer_ids());
+        let protocol = match spec.consensus {
+            ConsensusKind::Sequencer => AnyConsensus::sequencer(cfg, spec.consensus_timeout),
+            ConsensusKind::Pbft => AnyConsensus::pbft(cfg, spec.consensus_timeout),
+        };
         let cutter = match shared.spec.graph_mode() {
             None => BlockCutter::new(shared.spec.block_cut.clone()),
             Some(mode) => BlockCutter::with_graph(shared.spec.block_cut.clone(), mode),
@@ -97,13 +102,6 @@ impl Orderer {
             dests,
             store,
         }
-    }
-
-    /// The orderer's chain position: next block number to emit and the
-    /// hash of the last emitted block. The simulation's orderer-
-    /// convergence oracle compares these across replicas.
-    pub(crate) fn chain_position(&self) -> (BlockNumber, Hash32) {
-        (self.next_number, self.prev_hash)
     }
 
     fn apply(&mut self, actions: Vec<Action<ConsMsg>>) {
@@ -321,6 +319,10 @@ impl Node for Orderer {
             .filter(|&due| due > now)
             .min()
     }
+
+    fn chain_position(&self) -> Option<(BlockNumber, Hash32)> {
+        Some((self.next_number, self.prev_hash))
+    }
 }
 
 #[cfg(test)]
@@ -333,7 +335,6 @@ mod tests {
     use super::*;
     use crate::cluster::{ClusterSpec, SystemKind};
     use crate::node::tests::Driven;
-    use crate::sim::build_protocol;
 
     /// The entry orderer alone on a manual network under a simulated
     /// clock, with one follower's mailbox to read what it broadcasts.
@@ -355,11 +356,7 @@ mod tests {
                 .manual_delivery()
                 .build::<Msg>();
             let ids = shared.spec.orderer_ids();
-            let orderer = Orderer::new(
-                Arc::clone(&shared),
-                net.endpoint(ids[0]),
-                build_protocol(&shared.spec, ids[0]),
-            );
+            let orderer = Orderer::new(Arc::clone(&shared), net.endpoint(ids[0]));
             assert!(orderer.protocol.is_leader());
             let follower = net.endpoint(ids[1]);
             Entry {
@@ -532,11 +529,7 @@ mod tests {
         let shared = Shared::new(spec);
         let leader = shared.spec.entry_orderer();
         let mailbox = NetworkBuilder::new().build::<Msg>().endpoint(leader);
-        let mut orderer = Orderer::new(
-            Arc::clone(&shared),
-            mailbox.clone(),
-            build_protocol(&shared.spec, leader),
-        );
+        let mut orderer = Orderer::new(Arc::clone(&shared), mailbox.clone());
         assert!(orderer.protocol.is_leader());
 
         let arrived = shared.clock.now();

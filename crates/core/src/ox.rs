@@ -190,6 +190,10 @@ impl Node for OxPeer {
     fn next_deadline(&self, now: Instant) -> Option<Instant> {
         self.0.running.next_due().filter(|&due| due > now)
     }
+
+    fn as_peer(&self) -> Option<&dyn Peer> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]

@@ -664,7 +664,7 @@ fn commit_digest(
     results: &[(SeqNo, ExecResult)],
     bytes: &mut Vec<u8>,
 ) -> Hash32 {
-    use parblock_types::wire::Wire;
+    use parblock_types::wire::{encode_writes, Wire};
     bytes.clear();
     COMMIT_DIGEST_VERSION.encode(bytes);
     block.0.encode(bytes);
@@ -673,11 +673,7 @@ fn commit_digest(
         match result {
             ExecResult::Committed(writes) => {
                 0u8.encode(bytes);
-                (writes.len() as u64).encode(bytes);
-                for (key, value) in writes {
-                    key.0.encode(bytes);
-                    value.encode(bytes);
-                }
+                encode_writes(writes, bytes);
             }
             ExecResult::Aborted(_) => 1u8.encode(bytes),
         }
@@ -733,6 +729,10 @@ impl Node for Executor {
     /// When the next running execution is due.
     fn next_deadline(&self, now: Instant) -> Option<Instant> {
         self.running.next_due().filter(|&due| due > now)
+    }
+
+    fn as_peer(&self) -> Option<&dyn Peer> {
+        Some(self)
     }
 }
 

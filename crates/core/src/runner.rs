@@ -1,7 +1,9 @@
 //! The experiment runner: builds a threaded cluster per the spec, applies
 //! load, and reports throughput/latency. All three paradigms run the same
-//! way: one node thread per orderer and peer (plus the client node under
-//! XOV), and one driver on the caller's thread.
+//! way: one loop over `node::ids` spawns one thread per node, which
+//! builds its node with `node::boot` (the constructor the simulator
+//! calls too) and runs it, and one driver submits on the caller's
+//! thread.
 //!
 //! At the end every node thread stops and is joined. The observer's
 //! thread hands back its own summary of the run (blocks, ledger head,
@@ -38,15 +40,12 @@ use std::time::Duration;
 use parblock_net::{Endpoint, SimNetwork, Waker};
 use parblock_types::ArrivalProcess;
 
-use crate::cluster::{ClusterSpec, SystemKind};
+use crate::cluster::ClusterSpec;
 use crate::driver::{self, Load};
 use crate::metrics::RunReport;
 use crate::msg::Msg;
-use crate::node::{peer, spawn_node, PeerSummary};
-use crate::orderer::Orderer;
+use crate::node::{self, PeerSummary};
 use crate::shared::Shared;
-use crate::sim::build_protocol;
-use crate::xov::XovClient;
 
 /// Offered load for one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,42 +128,16 @@ impl Cluster {
     fn start(spec: &ClusterSpec) -> Self {
         let shared = Shared::new(spec.clone());
         let net: SimNetwork<Msg> = spec.network_builder().build();
-        let mut nodes = Vec::new();
-        for &id in &spec.orderer_ids() {
-            let protocol = build_protocol(spec, id);
-            nodes.push(spawn_node(
-                "orderer",
-                Arc::clone(&shared),
-                net.endpoint(id),
-                move |shared, endpoint| Box::new(Orderer::new(shared, endpoint, protocol)),
-                |_| None,
-            ));
-        }
-        let observer = spec.observer();
-        for &id in &spec.peer_ids() {
-            let endpoint = net.endpoint(id);
-            nodes.push(spawn_node(
-                "peer",
-                Arc::clone(&shared),
-                endpoint,
-                peer,
-                move |peer| (id == observer).then(|| peer.summary()),
-            ));
-        }
         // The XOV client node receives on the driver's endpoint: a second
         // `net.endpoint` would replace the mailbox the driver's endpoint
         // holds.
         let client = net.endpoint(spec.client_node());
-        if spec.system == SystemKind::Xov {
-            let build = |shared, endpoint| Box::new(XovClient::new(shared, endpoint));
-            nodes.push(spawn_node(
-                "client",
-                Arc::clone(&shared),
-                client.clone(),
-                build,
-                |_| None,
-            ));
-        }
+        let nodes = node::ids(spec)
+            .map(|id| {
+                let endpoint = if id == client.id() { client.clone() } else { net.endpoint(id) };
+                node::spawn(Arc::clone(&shared), endpoint)
+            })
+            .collect();
         Cluster { shared, net, client, nodes }
     }
 
@@ -232,9 +205,10 @@ pub fn run(spec: &ClusterSpec, load: &LoadSpec) -> RunReport {
 ///
 /// Used by correctness tests that compare final states across systems —
 /// the committed transaction *set* is identical run-to-run, so state
-/// digests are comparable. Under [`SystemKind::Xov`] the count holds too,
-/// but the final state differs from OX's under contention: XOV aborts
-/// the transactions whose endorsed reads went stale.
+/// digests are comparable. Under
+/// [`SystemKind::Xov`](crate::SystemKind::Xov) the count holds too, but
+/// the final state differs from OX's under contention: XOV aborts the
+/// transactions whose endorsed reads went stale.
 #[must_use]
 pub fn run_fixed(spec: &ClusterSpec, count: usize, rate_tps: f64, timeout: Duration) -> RunReport {
     let cluster = Cluster::start(spec);
@@ -251,6 +225,7 @@ pub fn run_fixed(spec: &ClusterSpec, count: usize, rate_tps: f64, timeout: Durat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::SystemKind;
 
     fn quick_load(rate: f64) -> LoadSpec {
         LoadSpec {
@@ -288,6 +263,30 @@ mod tests {
             nodes: vec![(node, waker)],
         };
         let _ = cluster.finish();
+    }
+
+    /// Orderers build their consensus replicas on their own threads, so
+    /// the spec check is what refuses PBFT below 4 orderers: at once and
+    /// on the caller's thread, not when `finish` joins a dead node after
+    /// the whole load has run.
+    #[test]
+    fn pbft_below_four_orderers_is_refused_before_the_load_runs() {
+        let mut spec = ClusterSpec::new(SystemKind::Oxii).with_pbft();
+        spec.orderers = 3;
+        let load = LoadSpec {
+            duration: Duration::from_secs(30),
+            ..LoadSpec::default()
+        };
+        let asked = std::time::Instant::now();
+        let panic = std::panic::catch_unwind(|| run(&spec, &load)).expect_err("n = 3 must panic");
+        let elapsed = asked.elapsed();
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("PBFT needs n ≥ 4"), "{message}");
+        assert!(elapsed < Duration::from_secs(1), "refused after {elapsed:?}");
     }
 
     #[test]

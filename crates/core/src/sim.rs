@@ -2,17 +2,20 @@
 //!
 //! The threaded [`runner`](crate::runner) exercises whatever
 //! interleavings the host scheduler happens to produce; this module runs
-//! the *same* node implementations — the orderers, the OX, XOV or OXII
-//! peers and the XOV client node, the same network engine, the same
-//! stores — under a seeded, virtual-time cooperative scheduler instead:
+//! the *same* node set — one table, indexed by id, of the nodes
+//! `node::boot` builds for the threaded runner too (the orderers, the
+//! OX, XOV or OXII peers and the XOV client node), on the same network
+//! engine and the same stores — under a virtual-time cooperative
+//! scheduler instead:
 //!
 //! * one thread: executions complete on the virtual clock, the same
 //!   `InlineQueue` rule as on the wall clock (`exec_pool` at a time on
 //!   an OXII executor, one after another on each OX peer and XOV
 //!   endorser), network messages deliver in `(due, seq)` order
-//!   via [`SimNetwork::deliver_due`], and node steps happen in a fixed
-//!   node order — the whole schedule is a pure function of
-//!   `ClusterSpec::seed` and the [`FaultPlan`];
+//!   via [`SimNetwork::deliver_due`], and every node takes the threaded
+//!   loop's drain-then-tick `node::step` in id order — the network draws
+//!   no randomness, so the whole schedule is a pure function of the
+//!   spec (its seed drives the workload) and the [`FaultPlan`];
 //! * faults — crashes (the node struct is *destroyed*, not just
 //!   silenced), restarts (with on-disk recovery and optional WAL-tail
 //!   tearing), partitions, link silences — fire at exact virtual
@@ -22,27 +25,23 @@
 //!   chain, which is what the serializability / convergence /
 //!   exactly-once / recovery oracles in `parblock_sim` consume.
 //!
-//! All three [`SystemKind`]s run here. What the simulator does not model:
-//! handling a message costs no virtual time.
+//! All three [`SystemKind`](crate::SystemKind)s run here. What the
+//! simulator does not model: handling a message costs no virtual time.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parblock_consensus::ProtocolConfig;
 use parblock_net::{Endpoint, SimNetwork};
 use parblock_types::{Block, BlockNumber, Clock, Hash32, NodeId, TxId};
 
-use crate::cluster::{ClusterSpec, ConsensusKind, DurabilityMode, SystemKind};
+use crate::cluster::{ClusterSpec, DurabilityMode};
 use crate::driver::{self, Load};
-use crate::hostcons::AnyConsensus;
 use crate::metrics::RunReport;
 use crate::msg::Msg;
 use crate::node::{self, Node, Peer};
-use crate::orderer::Orderer;
 use crate::runner::LoadSpec;
 use crate::shared::Shared;
-use crate::xov::XovClient;
 
 /// Scheduler safety net: the virtual clock never advances by more than
 /// this between node housekeeping passes. Every known time-driven
@@ -154,7 +153,7 @@ impl FaultPlan {
 /// and a fault schedule.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// The cluster, of any [`SystemKind`].
+    /// The cluster, of any [`SystemKind`](crate::SystemKind).
     pub spec: ClusterSpec,
     load: Load,
     /// Hard cap on virtual time; a run that has not drained by then is
@@ -279,47 +278,23 @@ pub struct SimOutcome {
     pub orderers: Vec<OrdererOutcome>,
 }
 
-pub(crate) fn build_protocol(spec: &ClusterSpec, id: NodeId) -> AnyConsensus {
-    let cfg = ProtocolConfig::new(id, spec.orderer_ids());
-    match spec.consensus {
-        ConsensusKind::Sequencer => AnyConsensus::sequencer(cfg, spec.consensus_timeout),
-        ConsensusKind::Pbft => AnyConsensus::pbft(cfg, spec.consensus_timeout),
-    }
-}
-
 /// A live node and the mailbox the scheduler drains into it.
-struct Slot<N: ?Sized> {
-    node: Box<N>,
+struct Slot {
+    node: Box<dyn Node>,
     mailbox: Endpoint<Msg>,
 }
 
-impl<N: Node + ?Sized> Slot<N> {
-    /// What `drive_threaded` does between two waits: drain, then tick.
-    /// (Its cap on one drain run is about a thread falling behind a
-    /// producer; here nothing is produced while a node steps.)
-    fn step(&mut self, now: Instant) -> usize {
-        let mut handled = 0;
-        while let Some(envelope) = self.mailbox.try_recv() {
-            self.node.on_msg(envelope.from, envelope.msg);
-            handled += 1;
-        }
-        handled + self.node.tick(now)
-    }
-}
-
 /// The single-threaded cluster: every node is a plain struct stepped in
-/// a fixed order; `None` marks a currently-crashed node.
+/// id order.
 struct SimCluster {
     shared: Arc<Shared>,
     net: SimNetwork<Msg>,
-    orderer_ids: Vec<NodeId>,
-    peer_ids: Vec<NodeId>,
-    orderers: Vec<Option<Slot<Orderer>>>,
-    peers: Vec<Option<Slot<dyn Peer>>>,
-    /// The endpoint the driver submits on.
+    /// The nodes of `node::ids`, indexed by id; `None` marks a
+    /// currently-crashed node.
+    nodes: Vec<Option<Slot>>,
+    /// The endpoint the driver submits on, and the XOV client node's
+    /// mailbox.
     client: Endpoint<Msg>,
-    /// The client node receiving on it, under XOV only.
-    xov_client: Option<Slot<XovClient>>,
     ever_faulted: BTreeSet<NodeId>,
     events: u64,
 }
@@ -332,53 +307,41 @@ impl SimCluster {
             .clock(clock.clone())
             .manual_delivery()
             .build();
-        let orderer_ids = spec.orderer_ids();
-        let peer_ids = spec.peer_ids();
         let client = net.endpoint(spec.client_node());
-        let xov_client = (spec.system == SystemKind::Xov).then(|| Slot {
-            node: Box::new(XovClient::new(Arc::clone(&shared), client.clone())),
-            mailbox: client.clone(),
-        });
         let mut cluster = SimCluster {
             shared,
             net,
+            nodes: node::ids(spec).map(|_| None).collect(),
             client,
-            xov_client,
-            orderers: orderer_ids.iter().map(|_| None).collect(),
-            peers: peer_ids.iter().map(|_| None).collect(),
-            orderer_ids,
-            peer_ids,
             ever_faulted: BTreeSet::new(),
             events: 0,
         };
-        for id in spec.orderer_ids().into_iter().chain(spec.peer_ids()) {
+        for id in node::ids(spec) {
             cluster.boot(id);
         }
         cluster
     }
 
-    /// Constructs `id`'s node behind a fresh mailbox (start, restart).
+    /// Constructs `id`'s node behind a fresh mailbox (start, restart);
+    /// an id that runs no node stays empty.
     fn boot(&mut self, id: NodeId) {
-        let mailbox = self.net.endpoint(id);
-        let shared = Arc::clone(&self.shared);
-        if let Some(i) = self.orderer_ids.iter().position(|&o| o == id) {
-            let protocol = build_protocol(&shared.spec, id);
-            let node = Box::new(Orderer::new(shared, mailbox.clone(), protocol));
-            self.orderers[i] = Some(Slot { node, mailbox });
-        } else if let Some(i) = self.peer_ids.iter().position(|&p| p == id) {
-            let node = node::peer(shared, mailbox.clone());
-            self.peers[i] = Some(Slot { node, mailbox });
-        }
+        let Some(slot) = self.nodes.get_mut(id.0 as usize) else {
+            return;
+        };
+        let mailbox = if id == self.client.id() {
+            self.client.clone()
+        } else {
+            self.net.endpoint(id)
+        };
+        let node = node::boot(Arc::clone(&self.shared), mailbox.clone());
+        *slot = Some(Slot { node, mailbox });
     }
 
     fn crash(&mut self, node: NodeId) {
         self.ever_faulted.insert(node);
         self.net.faults().crash(node);
-        if let Some(i) = self.orderer_ids.iter().position(|&id| id == node) {
-            self.orderers[i] = None;
-        }
-        if let Some(i) = self.peer_ids.iter().position(|&id| id == node) {
-            self.peers[i] = None;
+        if let Some(slot) = self.nodes.get_mut(node.0 as usize) {
+            *slot = None;
         }
     }
 
@@ -411,25 +374,22 @@ impl SimCluster {
             }
             FaultKind::SilenceLink { from, to } => {
                 self.ever_faulted.insert(*from);
-                faults.set_drop(*from, *to, 1.0);
+                faults.silence(*from, *to);
             }
-            FaultKind::HealLink { from, to } => faults.clear_drop(*from, *to),
+            FaultKind::HealLink { from, to } => faults.unsilence(*from, *to),
         }
     }
 
-    /// Steps every live node until no node makes progress at the current
-    /// instant (zero-latency sends are chased to a fixpoint).
+    /// Steps every live node in id order until none makes progress at
+    /// the current instant (zero-latency sends are chased to a
+    /// fixpoint). A step drains its whole mailbox: the threaded loop's
+    /// cap on one run is about a thread falling behind a producer, and
+    /// here nothing is produced while a node steps.
     fn settle(&mut self, now: Instant) {
         loop {
             let mut work = 0;
-            for orderer in self.orderers.iter_mut().flatten() {
-                work += orderer.step(now);
-            }
-            for peer in self.peers.iter_mut().flatten() {
-                work += peer.step(now);
-            }
-            if let Some(client) = &mut self.xov_client {
-                work += client.step(now);
+            for slot in self.nodes.iter_mut().flatten() {
+                work += node::step(&mut *slot.node, &slot.mailbox, &self.shared, usize::MAX).0;
             }
             work += self.net.deliver_due(now);
             self.events += work as u64;
@@ -439,22 +399,24 @@ impl SimCluster {
         }
     }
 
+    fn live(&self) -> impl Iterator<Item = (NodeId, &dyn Node)> {
+        let slots = self.nodes.iter().flatten();
+        slots.map(|slot| (slot.mailbox.id(), &*slot.node))
+    }
+
+    fn peers(&self) -> impl Iterator<Item = (NodeId, &dyn Peer)> {
+        self.live().filter_map(|(id, node)| node.as_peer().map(|peer| (id, peer)))
+    }
+
     /// The earliest deadline any live node has armed after `now`.
     fn next_deadline(&self, now: Instant) -> Option<Instant> {
-        let orderers = self.orderers.iter().flatten().map(|s| s.node.next_deadline(now));
-        let peers = self.peers.iter().flatten().map(|s| s.node.next_deadline(now));
-        orderers.chain(peers).flatten().min()
+        self.live().filter_map(|(_, node)| node.next_deadline(now)).min()
     }
 
     /// Nothing in flight and, after a settle at `now`, no execution
     /// running (a peer's only deadline is its next completion).
     fn quiet(&self, now: Instant) -> bool {
-        self.net.queued() == 0
-            && self
-                .peers
-                .iter()
-                .flatten()
-                .all(|slot| slot.node.next_deadline(now).is_none())
+        self.net.queued() == 0 && self.peers().all(|(_, peer)| peer.next_deadline(now).is_none())
     }
 }
 
@@ -560,18 +522,16 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     // The observer's summary and the oracle inputs, read off the live
     // nodes.
     let observer = config.spec.observer();
-    let live_peers = || {
-        let slots = cluster.peers.iter().flatten();
-        slots.map(|slot| (slot.mailbox.id(), &*slot.node))
-    };
-    let observer_peer = live_peers()
+    let observer_peer = cluster
+        .peers()
         .find(|&(id, _)| id == observer)
         .map(|(_, peer)| peer);
     let observer_chain: Vec<Block> = observer_peer
         .map(|peer| peer.chain().0.iter().cloned().collect())
         .unwrap_or_default();
     let summary = observer_peer.map(Peer::summary);
-    let replicas: Vec<ReplicaOutcome> = live_peers()
+    let replicas: Vec<ReplicaOutcome> = cluster
+        .peers()
         .map(|(node, peer)| {
             let (ledger, state) = peer.chain();
             ReplicaOutcome {
@@ -585,18 +545,14 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         })
         .collect();
     let orderers: Vec<OrdererOutcome> = cluster
-        .orderer_ids
-        .iter()
-        .zip(&cluster.orderers)
-        .filter_map(|(&node, slot)| {
-            slot.as_ref().map(|orderer| {
-                let (next_number, head) = orderer.node.chain_position();
-                OrdererOutcome {
-                    node,
-                    faulted: cluster.ever_faulted.contains(&node),
-                    next_number,
-                    head,
-                }
+        .live()
+        .filter_map(|(node, orderer)| {
+            let (next_number, head) = orderer.chain_position()?;
+            Some(OrdererOutcome {
+                node,
+                faulted: cluster.ever_faulted.contains(&node),
+                next_number,
+                head,
             })
         })
         .collect();
@@ -622,7 +578,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterSpec;
+    use crate::cluster::SystemKind;
 
     fn sim_spec(seed: u64) -> ClusterSpec {
         paradigm_spec(SystemKind::Oxii, seed)

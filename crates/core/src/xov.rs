@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use parblock_crypto::{sha256, Signature};
 use parblock_ledger::{Ledger, MvccState, Version};
 use parblock_net::Endpoint;
-use parblock_types::wire::{Reader, Wire};
+use parblock_types::wire::{encode_writes, Reader, Wire};
 use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, TxId, Value};
 
 use crate::msg::{Envelope, Msg};
@@ -60,11 +60,7 @@ impl Envelope {
                 }
             }
         }
-        (self.writes.len() as u64).encode(&mut out);
-        for (key, value) in &self.writes {
-            key.0.encode(&mut out);
-            value.encode(&mut out);
-        }
+        encode_writes(&self.writes, &mut out);
         out
     }
 
@@ -86,12 +82,7 @@ impl Envelope {
             };
             read_versions.push((key, version));
         }
-        let n_writes = usize::try_from(reader.u64()?).ok()?;
-        let mut writes = Vec::with_capacity(n_writes.min(4096));
-        for _ in 0..n_writes {
-            let key = Key(reader.u64()?);
-            writes.push((key, Value::decode(&mut reader)?));
-        }
+        let writes = reader.writes()?;
         reader.is_exhausted().then_some(Envelope {
             read_versions,
             writes,
@@ -263,6 +254,10 @@ impl Node for XovPeer {
 
     fn next_deadline(&self, now: Instant) -> Option<Instant> {
         self.endorsing.next_due().filter(|&due| due > now)
+    }
+
+    fn as_peer(&self) -> Option<&dyn Peer> {
+        Some(self)
     }
 }
 

@@ -97,8 +97,8 @@ impl<M: Send + Sync + Clone + 'static> Endpoint<M> {
     /// The message is cloned **once** into an [`Arc`]-shared payload;
     /// each recipient is enqueued a cheap handle, so an `n`-recipient
     /// multicast of a block-sized message costs O(1) payloads instead of
-    /// O(n) deep clones (DESIGN.md §15). Latency, jitter and fault draws
-    /// stay per-destination, exactly as if each copy were sent alone.
+    /// O(n) deep clones (DESIGN.md §15). Faults and latency still apply
+    /// per destination, exactly as if each copy were sent alone.
     pub fn multicast<'a, I>(&self, dests: I, msg: &M)
     where
         I: IntoIterator<Item = &'a NodeId>,

@@ -1,6 +1,8 @@
-//! The delivery engine: applies latency, jitter and faults, then holds
+//! The delivery engine: applies faults and link latency, then holds
 //! each message in its destination's shard until it is due (DESIGN.md
-//! §10, §15). Nothing here runs on its own. In the default (wall-clock)
+//! §10, §15). It draws no randomness: whether a message arrives and
+//! when it is due are a function of the topology, the fault plan and
+//! the clock. Nothing here runs on its own. In the default (wall-clock)
 //! mode the receiving [`Endpoint`] moves its own due messages into its
 //! mailbox whenever it receives or waits; in the *manual* mode the
 //! deterministic simulator uses, only [`SimNetwork::deliver_due`] moves
@@ -19,15 +21,13 @@ use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use parblock_types::{Clock, NodeId};
 
 use crate::endpoint::{Endpoint, Envelope, Waker};
 use crate::faults::{FaultState, Faults};
 use crate::stats::NetStats;
-use crate::topology::{LatencyModel, Topology};
+use crate::topology::Topology;
 
 /// Builder for a [`SimNetwork`].
 ///
@@ -39,14 +39,12 @@ use crate::topology::{LatencyModel, Topology};
 ///
 /// let net = NetworkBuilder::new()
 ///     .topology(Topology::single_dc(Duration::ZERO))
-///     .seed(42)
 ///     .build::<u32>();
 /// let _ = net.endpoint(parblock_types::NodeId(0));
 /// ```
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
     topology: Topology,
-    seed: u64,
     clock: Option<Clock>,
     manual: bool,
 }
@@ -65,10 +63,11 @@ impl NetworkBuilder {
         self
     }
 
-    /// Seeds the jitter/drop RNG (simulations stay reproducible).
+    /// Has no effect: the network draws no randomness. Kept for callers
+    /// that still pass the cluster seed (the `benchmark` package's replay
+    /// bench).
     #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    pub fn seed(self, _seed: u64) -> Self {
         self
     }
 
@@ -113,10 +112,9 @@ impl NetworkBuilder {
                 next_seq: AtomicU64::new(0),
                 manual: self.manual,
                 mailboxes: RwLock::new(HashMap::new()),
-                latency: LatencyModel::new(self.topology),
+                topology: self.topology,
                 faults: Faults::new(),
                 stats: NetStats::new(),
-                rng: Mutex::new(StdRng::seed_from_u64(self.seed)),
                 clock,
             }),
         }
@@ -193,10 +191,9 @@ struct Shared<M> {
     next_seq: AtomicU64,
     manual: bool,
     mailboxes: RwLock<HashMap<NodeId, Sender<Envelope<M>>>>,
-    latency: LatencyModel,
+    topology: Topology,
     faults: Faults,
     stats: NetStats,
-    rng: Mutex<StdRng>,
     clock: Clock,
 }
 
@@ -259,8 +256,8 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
     }
 
     /// Routes one handle of an `Arc`-shared payload to each of `dests`:
-    /// the fault and latency draws are per-destination (identical to a
-    /// unicast send), only the message body is shared. The fault plan is
+    /// faults and latency apply per destination (identical to a unicast
+    /// send), only the message body is shared. The fault plan is
     /// held across the whole multicast, so a crash of the sender reaches
     /// all of its copies or none.
     pub(crate) fn route_multicast(
@@ -277,15 +274,11 @@ impl<M: Send + Sync + Clone + 'static> SimNetwork<M> {
 
     fn route_payload(&self, faults: &FaultState, from: NodeId, to: NodeId, payload: Payload<M>) {
         self.shared.stats.record_sent();
-        let (drop_unit, jitter_unit) = {
-            let mut rng = self.shared.rng.lock();
-            (rng.gen::<f64>(), rng.gen::<f64>())
-        };
-        if faults.should_drop(from, to, drop_unit) {
+        if faults.should_drop(from, to) {
             self.shared.stats.record_dropped();
             return;
         }
-        let delay = self.shared.latency.sample(from, to, jitter_unit);
+        let delay = self.shared.topology.latency(from, to);
         if delay.is_zero() {
             deliver_to(
                 &self.shared,
@@ -460,7 +453,6 @@ mod tests {
     fn lan(latency_us: u64) -> SimNetwork<u32> {
         NetworkBuilder::new()
             .topology(Topology::single_dc(Duration::from_micros(latency_us)))
-            .seed(7)
             .build()
     }
 
@@ -609,7 +601,6 @@ mod tests {
         let clock = Clock::simulated();
         let net: SimNetwork<u32> = NetworkBuilder::new()
             .topology(Topology::single_dc(Duration::from_micros(100)))
-            .seed(1)
             .clock(clock.clone())
             .manual_delivery()
             .build();
@@ -709,7 +700,6 @@ mod tests {
         let clock = Clock::simulated();
         let net: SimNetwork<String> = NetworkBuilder::new()
             .topology(Topology::single_dc(Duration::from_micros(100)))
-            .seed(3)
             .clock(clock.clone())
             .manual_delivery()
             .build();

@@ -1,6 +1,6 @@
-//! Runtime fault injection: drops, crashes and partitions.
+//! Runtime fault injection: silenced links, crashes and partitions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, RwLockReadGuard};
 
 use parking_lot::RwLock;
@@ -9,8 +9,9 @@ use parblock_types::NodeId;
 /// One consistent view of the fault plan, see [`Faults::plan`].
 #[derive(Debug, Default)]
 pub(crate) struct FaultState {
-    /// Per-link drop probability, keyed `(from, to)`.
-    drop_prob: HashMap<(NodeId, NodeId), f64>,
+    /// Silenced directed links `(from, to)`: everything on them is
+    /// dropped.
+    silenced: HashSet<(NodeId, NodeId)>,
     /// Crashed nodes: everything to/from them is dropped.
     crashed: HashSet<NodeId>,
     /// Partitioned unordered pairs.
@@ -30,9 +31,9 @@ pub(crate) struct FaultState {
 ///
 /// let faults = Faults::new();
 /// faults.partition(NodeId(0), NodeId(1));
-/// assert!(faults.should_drop(NodeId(0), NodeId(1), 0.99));
+/// assert!(faults.should_drop(NodeId(0), NodeId(1)));
 /// faults.heal();
-/// assert!(!faults.should_drop(NodeId(0), NodeId(1), 0.99));
+/// assert!(!faults.should_drop(NodeId(0), NodeId(1)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Faults {
@@ -40,11 +41,11 @@ pub struct Faults {
 }
 
 impl FaultState {
-    pub(crate) fn should_drop(&self, from: NodeId, to: NodeId, unit: f64) -> bool {
+    pub(crate) fn should_drop(&self, from: NodeId, to: NodeId) -> bool {
         self.crashed.contains(&from)
             || self.crashed.contains(&to)
             || self.partitioned.contains(&unordered(from, to))
-            || self.drop_prob.get(&(from, to)).is_some_and(|&p| unit < p)
+            || self.silenced.contains(&(from, to))
     }
 }
 
@@ -63,14 +64,10 @@ impl Faults {
         Self::default()
     }
 
-    /// Sets the drop probability for the directed link `from → to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is not within `0.0..=1.0`.
-    pub fn set_drop(&self, from: NodeId, to: NodeId, prob: f64) {
-        assert!((0.0..=1.0).contains(&prob), "probability must be in [0, 1]");
-        self.state.write().drop_prob.insert((from, to), prob);
+    /// Silences the directed link `from → to`: every message on it is
+    /// dropped until [`Faults::unsilence`].
+    pub fn silence(&self, from: NodeId, to: NodeId) {
+        self.state.write().silenced.insert((from, to));
     }
 
     /// Marks `node` as crashed: all of its traffic is dropped until
@@ -118,16 +115,15 @@ impl Faults {
         }
     }
 
-    /// Clears the drop probability on the directed link `from → to` only.
-    pub fn clear_drop(&self, from: NodeId, to: NodeId) {
-        self.state.write().drop_prob.remove(&(from, to));
+    /// Lifts the silence on the directed link `from → to` only.
+    pub fn unsilence(&self, from: NodeId, to: NodeId) {
+        self.state.write().silenced.remove(&(from, to));
     }
 
-    /// Whether a message on `from → to` should be dropped, given a uniform
-    /// sample `unit` in `[0, 1)`.
+    /// Whether a message on `from → to` is dropped under the current plan.
     #[must_use]
-    pub fn should_drop(&self, from: NodeId, to: NodeId, unit: f64) -> bool {
-        self.state.read().should_drop(from, to, unit)
+    pub fn should_drop(&self, from: NodeId, to: NodeId) -> bool {
+        self.state.read().should_drop(from, to)
     }
 
     /// The plan, held unchanged while the guard lives: every copy of one
@@ -143,48 +139,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drop_probability_thresholds() {
-        let f = Faults::new();
-        f.set_drop(NodeId(0), NodeId(1), 0.5);
-        assert!(f.should_drop(NodeId(0), NodeId(1), 0.4));
-        assert!(!f.should_drop(NodeId(0), NodeId(1), 0.6));
-        // Other direction unaffected.
-        assert!(!f.should_drop(NodeId(1), NodeId(0), 0.4));
-    }
-
-    #[test]
     fn crash_drops_both_directions() {
         let f = Faults::new();
         f.crash(NodeId(2));
-        assert!(f.should_drop(NodeId(2), NodeId(0), 0.9));
-        assert!(f.should_drop(NodeId(0), NodeId(2), 0.9));
+        assert!(f.should_drop(NodeId(2), NodeId(0)));
+        assert!(f.should_drop(NodeId(0), NodeId(2)));
         f.restart(NodeId(2));
-        assert!(!f.should_drop(NodeId(0), NodeId(2), 0.9));
+        assert!(!f.should_drop(NodeId(0), NodeId(2)));
     }
 
     #[test]
     fn partition_is_symmetric_and_healable() {
         let f = Faults::new();
         f.partition(NodeId(3), NodeId(1));
-        assert!(f.should_drop(NodeId(1), NodeId(3), 0.99));
-        assert!(f.should_drop(NodeId(3), NodeId(1), 0.99));
+        assert!(f.should_drop(NodeId(1), NodeId(3)));
+        assert!(f.should_drop(NodeId(3), NodeId(1)));
         f.heal();
-        assert!(!f.should_drop(NodeId(1), NodeId(3), 0.99));
+        assert!(!f.should_drop(NodeId(1), NodeId(3)));
     }
 
     #[test]
     fn group_partition() {
         let f = Faults::new();
         f.partition_groups(&[NodeId(0), NodeId(1)], &[NodeId(2)]);
-        assert!(f.should_drop(NodeId(0), NodeId(2), 0.99));
-        assert!(f.should_drop(NodeId(2), NodeId(1), 0.99));
-        assert!(!f.should_drop(NodeId(0), NodeId(1), 0.99));
-    }
-
-    #[test]
-    #[should_panic(expected = "probability must be in [0, 1]")]
-    fn invalid_probability_panics() {
-        Faults::new().set_drop(NodeId(0), NodeId(1), 1.5);
+        assert!(f.should_drop(NodeId(0), NodeId(2)));
+        assert!(f.should_drop(NodeId(2), NodeId(1)));
+        assert!(!f.should_drop(NodeId(0), NodeId(1)));
     }
 
     #[test]
@@ -192,20 +172,20 @@ mod tests {
         let f = Faults::new();
         f.partition(NodeId(0), NodeId(1));
         f.partition_groups(&[NodeId(2)], &[NodeId(3), NodeId(4)]);
-        f.set_drop(NodeId(5), NodeId(6), 1.0);
+        f.silence(NodeId(5), NodeId(6));
         f.crash(NodeId(7));
 
         f.unpartition_groups(&[NodeId(2)], &[NodeId(3), NodeId(4)]);
-        assert!(!f.should_drop(NodeId(2), NodeId(4), 0.99));
-        assert!(f.should_drop(NodeId(0), NodeId(1), 0.99), "pair intact");
+        assert!(!f.should_drop(NodeId(2), NodeId(4)));
+        assert!(f.should_drop(NodeId(0), NodeId(1)), "pair intact");
 
-        assert!(f.should_drop(NodeId(5), NodeId(6), 0.5), "drop intact");
-        f.clear_drop(NodeId(5), NodeId(6));
-        assert!(!f.should_drop(NodeId(5), NodeId(6), 0.0));
+        assert!(f.should_drop(NodeId(5), NodeId(6)), "silence intact");
+        f.unsilence(NodeId(5), NodeId(6));
+        assert!(!f.should_drop(NodeId(5), NodeId(6)));
 
-        assert!(f.should_drop(NodeId(7), NodeId(0), 0.0), "crash untouched by scoped heals");
+        assert!(f.should_drop(NodeId(7), NodeId(0)), "crash untouched by scoped heals");
         f.restart(NodeId(7));
-        assert!(!f.should_drop(NodeId(7), NodeId(0), 0.0));
+        assert!(!f.should_drop(NodeId(7), NodeId(0)));
     }
 
     #[test]
@@ -213,6 +193,6 @@ mod tests {
         let f = Faults::new();
         let g = f.clone();
         f.crash(NodeId(9));
-        assert!(g.should_drop(NodeId(9), NodeId(0), 0.0));
+        assert!(g.should_drop(NodeId(9), NodeId(0)));
     }
 }

@@ -8,14 +8,19 @@
 //! This crate reproduces that model in one process:
 //!
 //! * each node owns an [`Endpoint`] with a private mailbox;
-//! * a send applies a per-link [`LatencyModel`] derived from a
-//!   [`Topology`] of datacenters and holds the message in its
-//!   destination's shard until it is due; the receiving endpoint then
-//!   moves it into its own mailbox when it next receives or waits (or,
-//!   under manual delivery, [`SimNetwork::deliver_due`] does). No thread
-//!   runs inside the network;
-//! * [`Faults`] injects drops, crashes and partitions at runtime;
+//! * a send applies the link latency of a [`Topology`] of datacenters
+//!   and holds the message in its destination's shard until it is due;
+//!   the receiving endpoint then moves it into its own mailbox when it
+//!   next receives or waits (or, under manual delivery,
+//!   [`SimNetwork::deliver_due`] does). No thread runs inside the
+//!   network;
+//! * [`Faults`] silences links, crashes nodes and partitions groups at
+//!   runtime;
 //! * [`NetStats`] counts traffic for the message-complexity ablations.
+//!
+//! The network draws no randomness: a message's fate and due time are
+//! a function of the topology, the fault plan and the clock, so under
+//! manual delivery on a simulated clock a run replays exactly.
 //!
 //! Messages are plain Rust values (`M: Send`): transport serialization is
 //! not simulated, signatures/hashes are applied by the protocol layers
@@ -55,4 +60,4 @@ pub use endpoint::{Endpoint, Envelope, RecvError, Waker};
 pub use engine::{NetworkBuilder, SimNetwork};
 pub use faults::Faults;
 pub use stats::NetStats;
-pub use topology::{DcId, LatencyModel, Topology};
+pub use topology::{DcId, Topology};

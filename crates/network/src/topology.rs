@@ -1,4 +1,4 @@
-//! Datacenter topology and latency models.
+//! Datacenter topology: where each node lives and how long links take.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -36,20 +36,13 @@ pub struct Topology {
     intra_dc: Duration,
     /// Latency between nodes in different DCs.
     inter_dc: Duration,
-    /// Jitter fraction (0.0–1.0) applied uniformly at delivery time.
-    jitter: f64,
 }
 
 impl Topology {
     /// A single datacenter where every distinct pair is `intra` apart.
     #[must_use]
     pub fn single_dc(intra: Duration) -> Self {
-        Topology {
-            placement: HashMap::new(),
-            intra_dc: intra,
-            inter_dc: intra,
-            jitter: 0.0,
-        }
+        Topology::two_dc(intra, intra)
     }
 
     /// Two datacenters: unplaced nodes default to DC 0; nodes placed in
@@ -60,7 +53,6 @@ impl Topology {
             placement: HashMap::new(),
             intra_dc: intra,
             inter_dc: inter,
-            jitter: 0.0,
         }
     }
 
@@ -76,23 +68,13 @@ impl Topology {
         }
     }
 
-    /// Sets the uniform jitter fraction (e.g. `0.1` = ±10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jitter` is not within `0.0..=1.0`.
-    pub fn set_jitter(&mut self, jitter: f64) {
-        assert!((0.0..=1.0).contains(&jitter), "jitter must be in [0, 1]");
-        self.jitter = jitter;
-    }
-
     /// The datacenter of `node`.
     #[must_use]
     pub fn dc_of(&self, node: NodeId) -> DcId {
         self.placement.get(&node).copied().unwrap_or_default()
     }
 
-    /// Base latency from `from` to `to` (zero to self).
+    /// The delivery latency from `from` to `to` (zero to self).
     #[must_use]
     pub fn latency(&self, from: NodeId, to: NodeId) -> Duration {
         if from == to {
@@ -104,65 +86,12 @@ impl Topology {
             self.inter_dc
         }
     }
-
-    /// The configured jitter fraction.
-    #[must_use]
-    pub fn jitter(&self) -> f64 {
-        self.jitter
-    }
 }
 
 impl Default for Topology {
     /// A single DC with 100 µs links — a LAN-like default.
     fn default() -> Self {
         Topology::single_dc(Duration::from_micros(100))
-    }
-}
-
-/// A latency model: base topology latency plus uniform jitter.
-///
-/// Kept separate from [`Topology`] so tests can swap in fixed or zero
-/// latencies.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyModel {
-    topology: Topology,
-}
-
-impl LatencyModel {
-    /// Wraps a topology.
-    #[must_use]
-    pub fn new(topology: Topology) -> Self {
-        LatencyModel { topology }
-    }
-
-    /// Instantaneous delivery (unit tests of protocol logic).
-    #[must_use]
-    pub fn zero() -> Self {
-        LatencyModel {
-            topology: Topology::single_dc(Duration::ZERO),
-        }
-    }
-
-    /// Samples the delivery latency for a message `from → to`.
-    ///
-    /// `unit_jitter` must be a uniform sample in `[0, 1)`; passing it in
-    /// keeps the model free of RNG state.
-    #[must_use]
-    pub fn sample(&self, from: NodeId, to: NodeId, unit_jitter: f64) -> Duration {
-        let base = self.topology.latency(from, to);
-        let jitter = self.topology.jitter();
-        if jitter == 0.0 || base.is_zero() {
-            return base;
-        }
-        // Scale uniformly in [1 - j, 1 + j).
-        let factor = 1.0 - jitter + 2.0 * jitter * unit_jitter;
-        base.mul_f64(factor)
-    }
-
-    /// The underlying topology.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 }
 
@@ -187,28 +116,5 @@ mod tests {
         topo.place_all([NodeId(3), NodeId(4)], DcId(1));
         assert_eq!(topo.latency(NodeId(3), NodeId(4)), Duration::ZERO);
         assert_eq!(topo.latency(NodeId(0), NodeId(3)), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn jitter_scales_latency_within_bounds() {
-        let mut topo = Topology::single_dc(Duration::from_micros(1000));
-        topo.set_jitter(0.2);
-        let model = LatencyModel::new(topo);
-        let lo = model.sample(NodeId(0), NodeId(1), 0.0);
-        let hi = model.sample(NodeId(0), NodeId(1), 0.999_999);
-        assert_eq!(lo, Duration::from_micros(800));
-        assert!(hi > Duration::from_micros(1195) && hi <= Duration::from_micros(1200));
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter must be in [0, 1]")]
-    fn invalid_jitter_panics() {
-        Topology::default().set_jitter(1.5);
-    }
-
-    #[test]
-    fn zero_model_is_instant() {
-        let m = LatencyModel::zero();
-        assert_eq!(m.sample(NodeId(0), NodeId(1), 0.5), Duration::ZERO);
     }
 }

@@ -1,7 +1,7 @@
 //! Seed → (cluster shape, fault schedule) derivation.
 //!
 //! One `u64` seed fixes *everything* about a run: the workload stream
-//! and network jitter (through `ClusterSpec::seed`), the cluster shape
+//! (through `ClusterSpec::seed`; the network draws no randomness), the cluster shape
 //! (contention level, pipeline depth, durability backend), and the fault
 //! schedule (which nodes fail, how, and at which virtual instants). The
 //! explorer sweeps seeds; a failing seed is a complete repro.

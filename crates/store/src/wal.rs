@@ -13,7 +13,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use parblock_ledger::Version;
-use parblock_types::wire::{Reader, Wire};
+use parblock_types::wire::{encode_writes, Reader, Wire};
 use parblock_types::{BlockNumber, Hash32, Key, SeqNo, Value};
 
 use crate::frame;
@@ -58,11 +58,7 @@ impl WalRecord {
                 1u8.encode(out);
                 version.block.0.encode(out);
                 version.seq.0.encode(out);
-                (writes.len() as u64).encode(out);
-                for (key, value) in writes {
-                    key.0.encode(out);
-                    value.encode(out);
-                }
+                encode_writes(writes, out);
             }
             WalRecord::Seal { number, head } => {
                 2u8.encode(out);
@@ -81,19 +77,9 @@ impl WalRecord {
             1 => {
                 let block = BlockNumber(reader.u64()?);
                 let seq = SeqNo(reader.u32()?);
-                let count = usize::try_from(reader.u64()?).ok()?;
-                if count > reader.remaining() / 9 {
-                    return None; // each write is ≥ 9 bytes
-                }
-                let mut writes = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = Key(reader.u64()?);
-                    let value = Value::decode(&mut reader)?;
-                    writes.push((key, value));
-                }
                 WalRecord::Effects {
                     version: Version::new(block, seq),
-                    writes,
+                    writes: reader.writes()?,
                 }
             }
             2 => {

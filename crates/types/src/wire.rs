@@ -16,7 +16,7 @@
 //! assert_eq!(buf.len(), 8);
 //! ```
 
-use crate::Key;
+use crate::{Key, Value};
 
 /// Types with a canonical byte encoding used for hashing and signing.
 pub trait Wire {
@@ -82,6 +82,17 @@ pub fn encode_key_set(set: &[Key], out: &mut Vec<u8>) {
     (set.len() as u64).encode(out);
     for key in set {
         key.0.encode(out);
+    }
+}
+
+/// Encodes a write-set: its length, then each `(key, value)` in slice
+/// order. Commit digests, XOV envelopes and WAL effects records all use
+/// this layout; [`Reader::writes`] reads it back.
+pub fn encode_writes(writes: &[(Key, Value)], out: &mut Vec<u8>) {
+    (writes.len() as u64).encode(out);
+    for (key, value) in writes {
+        key.0.encode(out);
+        value.encode(out);
     }
 }
 
@@ -164,6 +175,20 @@ impl<'a> Reader<'a> {
             keys.push(Key(self.u64()?));
         }
         Some(keys)
+    }
+
+    /// Reads a write-set in the layout of [`encode_writes`].
+    pub fn writes(&mut self) -> Option<Vec<(Key, Value)>> {
+        let len = usize::try_from(self.u64()?).ok()?;
+        if len > self.remaining() / 9 {
+            return None; // each write is at least 9 bytes
+        }
+        let mut writes = Vec::with_capacity(len);
+        for _ in 0..len {
+            let key = Key(self.u64()?);
+            writes.push((key, Value::decode(self)?));
+        }
+        Some(writes)
     }
 }
 

@@ -9,14 +9,17 @@
 //! store: persisting effects and sealing blocks must not change what
 //! is committed either.
 //!
-//! The suite runs threaded because the simulator cannot reorder what it
+//! The grid runs threaded because the simulator cannot reorder what it
 //! checks: there, executions complete inline at virtual instants and
-//! an fsync costs no virtual time, while here pool workers finish in whatever order
-//! the host schedules them and a seal waits on a real disk.
+//! an fsync costs no virtual time, while here executions finish in
+//! whatever order the host schedules their threads and a seal waits on
+//! a real disk. One more cell per contention runs the same cluster
+//! under the simulator (depth 2, in memory): both clocks boot one node
+//! set, so the virtual-time run must commit the same chain and state.
 
 use std::time::Duration;
 
-use parblockchain::{run_fixed, ClusterSpec, DurabilityMode, SystemKind};
+use parblockchain::{run_fixed, run_sim, ClusterSpec, DurabilityMode, SimConfig, SystemKind};
 use parblockchain_repro::store::testutil::TempDir;
 
 fn pipelined_spec(contention: f64, depth: usize) -> ClusterSpec {
@@ -43,8 +46,8 @@ fn pipelined_spec(contention: f64, depth: usize) -> ClusterSpec {
 }
 
 /// Ledger hashes and final state digests are identical across pipeline
-/// depths 1, 2 and 4, in memory and on disk, at contention 0.0, 0.5 and
-/// 0.9.
+/// depths 1, 2 and 4, in memory and on disk, and under the simulator, at
+/// contention 0.0, 0.5 and 0.9.
 #[test]
 fn depths_1_2_4_produce_identical_ledger_and_state() {
     for contention in [0.0, 0.5, 0.9] {
@@ -79,6 +82,16 @@ fn depths_1_2_4_produce_identical_ledger_and_state() {
                 ));
             }
         }
+        let cell = format!("simulated, depth 2, in-memory, contention {contention}");
+        let outcome = run_sim(&SimConfig::new(pipelined_spec(contention, 2), 200, 2_000.0));
+        let report = &outcome.report;
+        assert!(outcome.completed, "{cell}: {report:?}");
+        assert_eq!(report.committed, 200, "{cell}: {report:?}");
+        results.push((
+            cell,
+            report.state_digest.expect("digest captured"),
+            report.ledger_head.expect("ledger head recorded"),
+        ));
         let (_, base_digest, base_head) = &results[0];
         for (cell, digest, head) in &results[1..] {
             assert_eq!(
