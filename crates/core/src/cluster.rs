@@ -8,6 +8,7 @@ use parblock_contracts::{AccountingContract, AppRegistry};
 use parblock_crypto::{KeyRegistry, SignerId};
 use parblock_depgraph::DependencyMode;
 use parblock_net::{DcId, NetworkBuilder, Topology};
+use parblock_store::{Recovered, Store};
 use parblock_types::{
     AppId, BlockCutConfig, ClientId, CommitPolicy, DurabilityConfig, ExecutionCosts,
     ExecutionMode, NodeId,
@@ -372,6 +373,25 @@ impl ClusterSpec {
     /// with that order is equivalent, so executors need nothing more.
     pub(crate) fn graph_mode(&self) -> Option<DependencyMode> {
         (self.system == SystemKind::Oxii).then_some(DependencyMode::Reduced)
+    }
+
+    /// Opens `node`'s durable store under `data_dir/node-<id>` and
+    /// recovers what it holds; `None` in memory. Orderers and OXII
+    /// executors are the nodes that persist (DESIGN.md §9).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store cannot be opened or is internally
+    /// inconsistent: a node that cannot guarantee durability must not
+    /// serve.
+    pub(crate) fn open_store(&self, node: NodeId) -> Option<(Store, Recovered)> {
+        let DurabilityMode::OnDisk { data_dir, .. } = &self.durability else {
+            return None;
+        };
+        let dir = Store::node_dir(data_dir, node.0);
+        let opened = Store::open(&dir, self.durability_config)
+            .unwrap_or_else(|e| panic!("open durable store {}: {e}", dir.display()));
+        Some(opened)
     }
 
     /// How many matching NEWBLOCK copies a peer waits for (`f + 1` under

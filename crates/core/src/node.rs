@@ -11,8 +11,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parblock_ledger::{DurabilityStats, Ledger, MvccState, Version};
+use parblock_ledger::{Ledger, MvccState, Version};
 use parblock_net::{Endpoint, Waker};
+use parblock_store::DurabilityStats;
 use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo};
 
 use crate::cluster::{ClusterSpec, SystemKind};

@@ -16,6 +16,7 @@ use parblock_consensus::{Action, OrderingProtocol, ProtocolConfig};
 use parblock_crypto::hash_wire;
 use parblock_ledger::Ledger;
 use parblock_net::Endpoint;
+use parblock_store::Store;
 use parblock_types::{Block, BlockNumber, Hash32, NodeId, Transaction, TxId};
 
 use crate::batch::{OpenBatch, Payload};
@@ -53,7 +54,7 @@ pub(crate) struct Orderer {
     /// a restarted orderer recovers its chain position — and the
     /// exactly-once dedup set, from the persisted blocks — instead of
     /// renumbering from 1.
-    store: Option<parblock_store::Store>,
+    store: Option<Store>,
 }
 
 impl Orderer {
@@ -74,17 +75,14 @@ impl Orderer {
         let mut seen = HashSet::new();
         let mut prev_hash = Ledger::genesis_hash();
         let mut next_number = BlockNumber(1);
-        let store = match crate::durability::open_orderer_store(&shared.spec, endpoint.id()) {
-            None => None,
-            Some((store, recovered)) => {
-                for (block, _) in &recovered.chain {
-                    seen.extend(block.transactions().iter().map(Transaction::id));
-                }
-                prev_hash = recovered.head;
-                next_number = BlockNumber(recovered.watermark.0 + 1);
-                Some(store)
+        let store = shared.spec.open_store(endpoint.id()).map(|(store, recovered)| {
+            for (block, _) in &recovered.chain {
+                seen.extend(block.transactions().iter().map(Transaction::id));
             }
-        };
+            prev_hash = recovered.head;
+            next_number = BlockNumber(recovered.watermark.0 + 1);
+            store
+        });
         let now = shared.clock.now();
         Orderer {
             shared,

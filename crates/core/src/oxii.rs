@@ -44,9 +44,10 @@ use std::time::{Duration, Instant};
 
 use parblock_crypto::Signature;
 use parblock_depgraph::{CrossBlockIndex, ReadyTracker};
-use parblock_ledger::{Durability, Ledger, MvccState, Version};
+use parblock_ledger::{prune_to_sealed, Ledger, MvccState, Version};
 use parblock_net::Endpoint;
-use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo, TxId};
+use parblock_store::Store;
+use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, TxId, Value};
 
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
 use crate::node::{Node, Peer, PeerSummary};
@@ -91,12 +92,11 @@ pub(crate) struct Executor {
     /// position-correct snapshots.
     state: MvccState,
     ledger: Ledger,
-    /// Where committed effects and sealed blocks persist (DESIGN.md §9):
-    /// a no-op in memory, the `parblock_store` WAL + block store +
-    /// checkpoints on disk. Effects are logged before the COMMIT message
-    /// carrying them is multicast, and a block is sealed durably before
-    /// it is acknowledged (persist-before-COMMIT).
-    durability: Box<dyn Durability>,
+    /// Where committed effects and sealed blocks persist on disk
+    /// (DESIGN.md §9); `None` in memory. Effects are logged before the
+    /// COMMIT message carrying them is multicast, and a block is sealed
+    /// durably before it is acknowledged (persist-before-COMMIT).
+    store: Option<Store>,
     /// NEWBLOCK admission (verification + quorum counting).
     admission: NewBlockQuorum,
     /// Blocks that reached quorum, waiting their turn.
@@ -146,20 +146,14 @@ impl Executor {
         // Crash recovery: an on-disk store rebuilds the sealed chain,
         // the state at the commit watermark, and hence where execution
         // resumes; an in-memory node starts from genesis.
-        let seal_trace = if is_observer {
-            shared.trace.clone()
-        } else {
-            parblock_trace::TraceRecorder::default()
-        };
-        let node = crate::durability::for_peer(&shared.spec, endpoint.id(), seal_trace);
-        let durability = node.durability;
         let mut ledger = Ledger::new();
-        if let Some(recovered) = node.recovered {
+        let store = shared.spec.open_store(endpoint.id()).map(|(store, recovered)| {
             ledger = recovered
                 .ledger()
                 .expect("recovered chain verified at store open");
             recovered.overlay_state(&mut state);
-        }
+            store
+        });
         let next_to_start = ledger.next_number().0;
         let start_height = ledger.height();
         Executor {
@@ -168,7 +162,7 @@ impl Executor {
             running,
             state,
             ledger,
-            durability,
+            store,
             admission,
             ready: BTreeMap::new(),
             held_commits: BTreeMap::new(),
@@ -392,9 +386,7 @@ impl Executor {
         // loses only unsealed results, which recovery re-executes
         // deterministically (DESIGN.md §9).
         if let ExecResult::Committed(writes) = &result {
-            let version = Version::new(block, seq);
-            self.durability.log_effects(version, writes);
-            self.state.apply(writes.iter().cloned(), version);
+            self.log_and_apply(Version::new(block, seq), writes);
         }
 
         // Vote our own result (Algorithm 3 treats it like any agent's).
@@ -580,9 +572,7 @@ impl Executor {
                 // results are logged on first apply — they too are part
                 // of the recoverable datastore.
                 if !executed_locally {
-                    let version = Version::new(block_number, seq);
-                    self.durability.log_effects(version, writes);
-                    self.state.apply(writes.iter().cloned(), version);
+                    self.log_and_apply(Version::new(block_number, seq), writes);
                 }
                 if self.is_observer {
                     self.shared.metrics.record_commit(tx_id);
@@ -596,6 +586,17 @@ impl Executor {
         }
         // Ce membership releases successors (Algorithm 1's Ce ∪ Xe).
         self.complete_position(number, seq);
+    }
+
+    /// Logs a committed write-set to the store, when there is one, and
+    /// applies it to the state as a versioned put at `version`.
+    fn log_and_apply(&mut self, version: Version, writes: &[(Key, Value)]) {
+        if let Some(store) = &mut self.store {
+            store
+                .log_effects(version, writes)
+                .expect("WAL append failed: node cannot guarantee persist-before-COMMIT");
+        }
+        self.state.apply(writes.iter().cloned(), version);
     }
 
     /// Appends fully committed blocks to the ledger **strictly in
@@ -616,19 +617,7 @@ impl Executor {
             self.ledger
                 .append_hashed(Arc::clone(&run.bundle.block), run.bundle.hash)
                 .expect("blocks arrive in order with verified hash links");
-            // Durable seal before the block is acknowledged anywhere
-            // (metrics, observers): fsync barrier over the block body
-            // and every logged effect at or below it. The seal hook
-            // also owns GC — it prunes state versions below the new
-            // watermark and, on disk, checkpoints the pruned state and
-            // truncates the WAL on the configured cadence — so version
-            // GC and log truncation advance together.
-            self.durability.seal_block(
-                &run.bundle.block,
-                run.bundle.graph.as_ref(),
-                self.ledger.head_hash(),
-                &mut self.state,
-            );
+            self.seal(&run.bundle);
             if self.is_observer {
                 // The seal above is synchronous, so stamping after it
                 // returns charges the fsync (on disk) to the
@@ -640,6 +629,34 @@ impl Executor {
             }
             self.held_commits.remove(&next);
             appended = true;
+        }
+    }
+
+    /// Seals the block just appended, before it is acknowledged anywhere
+    /// (metrics, observers). On disk the store's fsync barrier covers the
+    /// block body and every logged effect at or below it; the observer
+    /// times that barrier into the trace's seal histogram. Then state
+    /// versions below the new watermark are pruned and, when due, the
+    /// pruned state is checkpointed (which truncates the WAL), so version
+    /// GC and log truncation advance together.
+    fn seal(&mut self, bundle: &BlockBundle) {
+        let block = &bundle.block;
+        if let Some(store) = &mut self.store {
+            let traced = self.is_observer && self.shared.trace.enabled();
+            let started = traced.then(|| self.shared.clock.now());
+            store
+                .seal_block(block, bundle.graph.as_ref(), self.ledger.head_hash())
+                .expect("block seal failed: node cannot guarantee durability");
+            if let Some(started) = started {
+                self.shared.trace.record_seal(started);
+            }
+        }
+        prune_to_sealed(block, &mut self.state);
+        if let Some(store) = self.store.as_mut().filter(|store| store.checkpoint_due()) {
+            let horizon = Version::new(block.number(), SeqNo(u32::MAX));
+            store
+                .write_checkpoint(self.state.snapshot_at(horizon))
+                .expect("checkpoint publish failed");
         }
     }
 }
@@ -689,7 +706,7 @@ impl Peer for Executor {
     fn summary(&self) -> PeerSummary {
         let capture_state = self.shared.spec.capture_state;
         PeerSummary {
-            durability: self.durability.stats(),
+            durability: self.store.as_ref().map(Store::stats).unwrap_or_default(),
             pipeline_occupancy: self.occupancy.clone(),
             boundary_stall: Duration::from_micros(self.stall_us),
             boundary_stalls: self.stalls,

@@ -36,10 +36,10 @@ impl Shared {
     }
 
     pub(crate) fn with_clock(spec: ClusterSpec, clock: Clock) -> Arc<Self> {
-        // Fresh on-disk mode (the env-driven default): each run starts
-        // from an empty store, so unrelated runs sharing one spec never
-        // recover each other's state. Wiped once here — node threads
-        // open their stores strictly after Shared exists.
+        // Fresh on-disk mode (`DurabilityMode::OnDisk { fresh: true }`):
+        // each run starts from an empty store, so unrelated runs sharing
+        // one spec never recover each other's state. Wiped once here —
+        // node threads open their stores strictly after Shared exists.
         if let crate::cluster::DurabilityMode::OnDisk {
             data_dir,
             fresh: true,

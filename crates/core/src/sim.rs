@@ -721,6 +721,24 @@ mod tests {
         assert_eq!(outcome.report.state_digest, Some(replica.state_digest));
     }
 
+    /// On disk the observer times each seal of its store into the trace,
+    /// one per block it sealed; in memory there is no seal to time.
+    #[test]
+    fn the_observer_traces_one_seal_per_block_only_on_disk() {
+        for on_disk in [false, true] {
+            let tmp = parblock_store::testutil::TempDir::new("sim-seal-trace");
+            let mut spec = sim_spec(7);
+            spec.trace = parblock_trace::TraceConfig::on();
+            if on_disk {
+                spec.durability = DurabilityMode::on_disk(tmp.path());
+            }
+            let report = run_sim(&SimConfig::new(spec, 100, 2_000.0)).report;
+            assert_eq!(report.blocks, 4, "on disk: {on_disk}");
+            let expected = if on_disk { report.blocks } else { 0 };
+            assert_eq!(report.trace.seal.count(), expected, "on disk: {on_disk}");
+        }
+    }
+
     #[test]
     fn different_seeds_explore_different_schedules() {
         let a = run_sim(&SimConfig::new(sim_spec(1), 50, 1_500.0));

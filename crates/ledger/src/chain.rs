@@ -78,7 +78,7 @@ impl Ledger {
     /// The hash of the chain head (genesis hash when empty).
     #[must_use]
     pub fn head_hash(&self) -> Hash32 {
-        self.hashes.last().copied().unwrap_or(Self::genesis_hash())
+        self.hashes.last().copied().unwrap_or_else(Self::genesis_hash)
     }
 
     /// The hash of the implicit genesis block.

@@ -9,9 +9,10 @@
 //! * [`MvccState`] — multi-version store keeping the version history of
 //!   each key, stamped with writers' [`Version`]s; the stamps also power
 //!   XOV's read-set validation.
-//! * [`Durability`] — the persistence seam executor nodes seal blocks
-//!   and log committed effects through ([`InMemory`] here; the durable
-//!   implementation lives in `parblock_store`).
+//! * [`prune_to_sealed`] — the version GC OX and OXII peers run when
+//!   they seal a block. Persistence is not this crate's concern: a
+//!   durable node also holds a `parblock_store::Store` and seals each
+//!   block there.
 //!
 //! # Examples
 //!
@@ -30,12 +31,10 @@
 #![warn(missing_docs)]
 
 mod chain;
-mod durability;
 mod mvcc;
 
 pub use chain::{ChainError, Ledger};
-pub use durability::{prune_to_sealed, Durability, DurabilityStats, InMemory};
-pub use mvcc::{MvccState, Version};
+pub use mvcc::{prune_to_sealed, MvccState, Version};
 
 /// The newest-version key-value view of [`MvccState`] (`latest`,
 /// `latest_version`) that XOV endorses and validates against.

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use parblock_types::wire::Wire;
-use parblock_types::{BlockNumber, Hash32, Key, SeqNo, Value};
+use parblock_types::{Block, BlockNumber, Hash32, Key, SeqNo, Value};
 
 /// The version of a record: the block and in-block position of the
 /// transaction that wrote it (Fabric-style `(block, tx)` versions).
@@ -232,6 +232,14 @@ impl MvccState {
     }
 }
 
+/// Prunes `state` to the watermark a just-sealed block establishes:
+/// every future reader is positioned in a later block, so only the
+/// newest version at or below the end of this block stays reachable per
+/// key. OX and OXII peers call it when they seal a block.
+pub fn prune_to_sealed(block: &Block, state: &mut MvccState) {
+    state.prune(Version::new(block.number(), SeqNo(u32::MAX)));
+}
+
 /// Version tag leading every state-digest preimage; bump it on any layout
 /// change. (The unversioned layout before it hashed `Debug` renderings.)
 const STATE_DIGEST_VERSION: u8 = 1;
@@ -318,6 +326,22 @@ mod tests {
         assert_eq!(s.version_count(Key(1)), 3);
         assert_eq!(s.read_at(Key(1), v(3, 0)), Value::Int(3));
         assert_eq!(s.read_at(Key(1), v(4, 0)), Value::Int(4));
+    }
+
+    /// Sealing block 2 collapses every version up to the end of block 2
+    /// into the newest one and leaves later blocks' versions alone.
+    #[test]
+    fn prune_to_sealed_keeps_the_newest_version_of_the_sealed_prefix() {
+        let mut s = MvccState::new();
+        for block in 1..=3 {
+            s.put(Key(1), Value::Int(block as i64), v(block, 0));
+        }
+        s.put(Key(1), Value::Int(22), v(2, 7));
+        let sealed = Block::new(BlockNumber(2), Hash32::ZERO, vec![]);
+        prune_to_sealed(&sealed, &mut s);
+        assert_eq!(s.version_count(Key(1)), 2);
+        assert_eq!(s.read_at(Key(1), v(2, u32::MAX)), Value::Int(22));
+        assert_eq!(s.read_at(Key(1), v(3, 0)), Value::Int(3));
     }
 
     #[test]

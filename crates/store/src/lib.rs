@@ -19,10 +19,14 @@
 //!   plus WAL replay rebuilds the chain head, the [`MvccState`] (via
 //!   [`Recovered::overlay_state`]), and the executor watermark.
 //!
-//! [`OnDisk`] plugs the store into the execution runtime through
-//! `parblock_ledger::Durability`; [`reconcile_cluster`] performs the
-//! file-level startup state transfer that brings every node of a
-//! killed cluster to one consistent watermark before a restart.
+//! A durable node holds one [`Store`]: it logs each committed
+//! write-set with [`Store::log_effects`], seals each block with
+//! [`Store::seal_block`], and writes a checkpoint whenever
+//! [`Store::checkpoint_due`]; [`Store::stats`] reports the
+//! [`DurabilityStats`] those calls accumulate. [`reconcile_cluster`]
+//! performs the file-level startup state transfer that brings every
+//! node of a killed cluster to one consistent watermark before a
+//! restart.
 //!
 //! The durability invariants (persist-before-COMMIT, seal ordering,
 //! checkpoint/truncation coupling) are documented in DESIGN.md §9.
@@ -68,5 +72,5 @@ pub mod wal;
 
 pub use checkpoint::Checkpoint;
 pub use frame::crc32;
-pub use store::{reconcile_cluster, OnDisk, Recovered, Store};
+pub use store::{reconcile_cluster, DurabilityStats, Recovered, Store};
 pub use wal::tear_wal_tail;

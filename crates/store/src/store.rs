@@ -6,14 +6,28 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use parblock_depgraph::DependencyGraph;
-use parblock_ledger::{
-    prune_to_sealed, ChainError, Durability, DurabilityStats, Ledger, MvccState, Version,
-};
-use parblock_types::{Block, BlockNumber, DurabilityConfig, Hash32, Key, SeqNo, Value};
+use parblock_ledger::{ChainError, Ledger, MvccState, Version};
+use parblock_types::{Block, BlockNumber, DurabilityConfig, Hash32, Key, Value};
 
 use crate::blocks::BlockFile;
 use crate::checkpoint::{self, Checkpoint};
 use crate::wal::{Wal, WalRecord};
+
+/// Counters a [`Store`] accumulates over its life, surfaced through
+/// `RunReport` for durability-overhead observability.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DurabilityStats {
+    /// Bytes appended to the write-ahead log (framing included).
+    pub wal_bytes_written: u64,
+    /// Number of `fsync` barriers issued (WAL group commits, block-store
+    /// seals, checkpoint publishes).
+    pub fsync_count: u64,
+    /// Checkpoints written.
+    pub checkpoint_count: u64,
+    /// WAL records replayed above the checkpoint during recovery (zero
+    /// for a store that started empty).
+    pub recovery_replay_len: u64,
+}
 
 /// Everything recovery reconstructs from one node's store.
 #[derive(Debug, Clone)]
@@ -290,89 +304,6 @@ impl Store {
     }
 }
 
-/// The on-disk [`Durability`] implementation executor nodes plug in. A
-/// persistence failure is fatal to the node (it can no longer honour
-/// persist-before-COMMIT), surfaced as a panic that kills the node
-/// thread — the crash the durability layer exists to make safe.
-#[derive(Debug)]
-pub struct OnDisk {
-    store: Store,
-    /// Lifecycle recorder (DESIGN.md §14): when attached (observer node,
-    /// tracing enabled), every `seal_block` duration — the fsync barrier
-    /// on the commit path — feeds the trace's seal histogram.
-    trace: parblock_trace::TraceRecorder,
-}
-
-impl OnDisk {
-    /// Opens the store under `dir` (see [`Store::open`]) and wraps it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::open`].
-    pub fn open(dir: &Path, config: DurabilityConfig) -> io::Result<(Self, Recovered)> {
-        let (store, recovered) = Store::open(dir, config)?;
-        Ok((
-            OnDisk {
-                store,
-                trace: parblock_trace::TraceRecorder::default(),
-            },
-            recovered,
-        ))
-    }
-
-    /// Attaches a lifecycle recorder; subsequent block seals are timed
-    /// into its seal histogram. A disabled recorder is free.
-    pub fn set_trace(&mut self, trace: parblock_trace::TraceRecorder) {
-        self.trace = trace;
-    }
-
-    /// The wrapped store (for inspection in tests and tools).
-    #[must_use]
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-}
-
-impl Durability for OnDisk {
-    fn log_effects(&mut self, version: Version, writes: &[(Key, Value)]) {
-        self.store
-            .log_effects(version, writes)
-            .expect("WAL append failed: node cannot guarantee persist-before-COMMIT");
-    }
-
-    fn seal_block(
-        &mut self,
-        block: &Block,
-        graph: Option<&DependencyGraph>,
-        head: Hash32,
-        state: &mut MvccState,
-    ) {
-        // Timestamps come from the recorder's injected clock, never the
-        // wall clock directly, so the virtual-time leg stays reproducible.
-        let sealing_since = self.trace.clock().map(parblock_types::Clock::now);
-        self.store
-            .seal_block(block, graph, head)
-            .expect("block seal failed: node cannot guarantee durability");
-        if let Some(started) = sealing_since {
-            self.trace.record_seal(started);
-        }
-        // GC and checkpointing advance together: prune to the new
-        // watermark, and snapshot the *pruned* state when due.
-        prune_to_sealed(block, state);
-        if self.store.checkpoint_due() {
-            let horizon = Version::new(block.number(), SeqNo(u32::MAX));
-            let snapshot = state.snapshot_at(horizon);
-            self.store
-                .write_checkpoint(snapshot)
-                .expect("checkpoint publish failed");
-        }
-    }
-
-    fn stats(&self) -> DurabilityStats {
-        self.store.stats()
-    }
-}
-
 fn copy_dir_all(src: &Path, dst: &Path) -> io::Result<()> {
     fs::create_dir_all(dst)?;
     for entry in fs::read_dir(src)? {
@@ -447,7 +378,8 @@ pub fn reconcile_cluster(
 #[cfg(test)]
 mod tests {
     use parblock_crypto::hash_wire;
-    use parblock_types::{AppId, ClientId, RwSet, Transaction};
+    use parblock_ledger::prune_to_sealed;
+    use parblock_types::{AppId, ClientId, RwSet, SeqNo, Transaction};
 
     use super::*;
     use crate::testutil::TempDir;
@@ -464,7 +396,8 @@ mod tests {
     }
 
     /// Runs `n` blocks through a store: each block writes Key(b) =
-    /// Int(b) and re-writes Key(0), mimicking an executor's cadence.
+    /// Int(b) and re-writes Key(0), then goes through the seal, prune
+    /// and checkpoint sequence an OXII executor runs.
     fn drive(store: &mut Store, state: &mut MvccState, ledger: &mut Ledger, n: u64) {
         let start = ledger.next_number().0;
         for b in start..start + n {
@@ -494,6 +427,7 @@ mod tests {
             let mut ledger = Ledger::new();
             drive(&mut store, &mut state, &mut ledger, 5);
             assert!(store.stats().checkpoint_count >= 2);
+            assert_eq!(state.version_count(Key(0)), 1, "each seal pruned Key(0)");
             (state, ledger)
         };
         let (store, recovered) = Store::open(tmp.path(), config()).expect("reopen");
@@ -573,33 +507,6 @@ mod tests {
             "WAL not truncated: {} segments",
             store.wal_segments()
         );
-    }
-
-    #[test]
-    fn on_disk_durability_checkpoints_and_prunes_via_seal_hook() {
-        let tmp = TempDir::new("store-ondisk");
-        let (mut durability, recovered) = OnDisk::open(tmp.path(), config()).expect("open");
-        assert!(recovered.is_empty());
-        let mut state = MvccState::new();
-        let mut ledger = Ledger::new();
-        for b in 1..=4u64 {
-            let version = Version::new(BlockNumber(b), SeqNo(0));
-            let writes = vec![(Key(0), Value::Int(b as i64))];
-            durability.log_effects(version, &writes);
-            state.apply(writes, version);
-            let block = Block::new(BlockNumber(b), ledger.head_hash(), vec![tx(b)]);
-            let head = hash_wire(&block);
-            durability.seal_block(&block, None, head, &mut state);
-            ledger.append(block).expect("append");
-        }
-        assert_eq!(state.version_count(Key(0)), 1, "seal hook pruned versions");
-        assert_eq!(durability.stats().checkpoint_count, 2);
-        drop(durability);
-        let (_, recovered) = OnDisk::open(tmp.path(), config()).expect("reopen");
-        assert_eq!(recovered.watermark, BlockNumber(4));
-        let mut rebuilt = MvccState::new();
-        recovered.overlay_state(&mut rebuilt);
-        assert_eq!(rebuilt.digest(), state.digest());
     }
 
     #[test]

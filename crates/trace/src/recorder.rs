@@ -75,7 +75,7 @@ struct State {
     /// *recorded* stages, folded in when a transaction finishes.
     pairs: Vec<Histogram>,
     /// Durability-layer seal (WAL append + fsync) durations, recorded
-    /// by the store.
+    /// by the observer executor around its store's seal.
     seal: Histogram,
     timelines: VecDeque<TxTimeline>,
     finished: u64,
@@ -133,14 +133,6 @@ impl TraceRecorder {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The recorder's clock, `None` when disabled — lets instrumented
-    /// layers (the store's seal timing) read time without holding their
-    /// own clock handle.
-    #[must_use]
-    pub fn clock(&self) -> Option<&Clock> {
-        self.inner.as_deref().map(|inner| &inner.clock)
     }
 
     /// Records `stage` for `tx` at the clock's current instant.

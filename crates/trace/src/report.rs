@@ -40,7 +40,8 @@ pub struct TraceReport {
     /// Stage-pair latency histograms, ascending `(from, to)` order.
     pub pairs: Vec<StagePair>,
     /// Durability-layer seal (WAL append + fsync) durations in
-    /// nanoseconds, recorded inside the store.
+    /// nanoseconds, recorded by the observer executor around its
+    /// store's seal.
     pub seal: Histogram,
     /// Sampled full timelines (ring-buffer bounded).
     pub timelines: Vec<TxTimeline>,

@@ -222,8 +222,8 @@ impl Default for ExecutionCosts {
 /// write-ahead log is fsynced and how often the blockchain state is
 /// checkpointed.
 ///
-/// Lives in the types crate so the ledger's `Durability` trait, the
-/// store, and the cluster spec can share it without a dependency cycle.
+/// Lives in the types crate so the store and the cluster spec share it
+/// without either depending on the other.
 ///
 /// # Examples
 ///

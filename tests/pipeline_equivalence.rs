@@ -13,9 +13,10 @@
 //! checks: there, executions complete inline at virtual instants and
 //! an fsync costs no virtual time, while here executions finish in
 //! whatever order the host schedules their threads and a seal waits on
-//! a real disk. One more cell per contention runs the same cluster
-//! under the simulator (depth 2, in memory): both clocks boot one node
-//! set, so the virtual-time run must commit the same chain and state.
+//! a real disk. Two more cells per contention run the same cluster
+//! under the simulator (depth 2, in memory and on disk): both clocks
+//! boot one node set, so the virtual-time runs must commit the same
+//! chain and state.
 
 use std::time::Duration;
 
@@ -45,6 +46,24 @@ fn pipelined_spec(contention: f64, depth: usize) -> ClusterSpec {
     spec
 }
 
+/// Puts `spec` on a fresh durable store when `on_disk`. The returned
+/// guard keeps the store directory alive for the run.
+fn on_disk_if(spec: &mut ClusterSpec, on_disk: bool) -> Option<TempDir> {
+    let data_dir = on_disk.then(|| TempDir::new("pipeline-eq"));
+    if let Some(dir) = &data_dir {
+        spec.durability = DurabilityMode::OnDisk {
+            data_dir: dir.path().to_path_buf(),
+            fresh: true,
+        };
+    }
+    data_dir
+}
+
+fn cell_name(prefix: &str, on_disk: bool, contention: f64) -> String {
+    let store = if on_disk { "on-disk" } else { "in-memory" };
+    format!("{prefix}, {store}, contention {contention}")
+}
+
 /// Ledger hashes and final state digests are identical across pipeline
 /// depths 1, 2 and 4, in memory and on disk, and under the simulator, at
 /// contention 0.0, 0.5 and 0.9.
@@ -54,19 +73,9 @@ fn depths_1_2_4_produce_identical_ledger_and_state() {
         let mut results = Vec::new();
         for depth in [1usize, 2, 4] {
             for on_disk in [false, true] {
-                let cell = format!(
-                    "depth {depth}, {}, contention {contention}",
-                    if on_disk { "on-disk" } else { "in-memory" }
-                );
+                let cell = cell_name(&format!("depth {depth}"), on_disk, contention);
                 let mut spec = pipelined_spec(contention, depth);
-                // The guard keeps the store directory alive for the run.
-                let data_dir = on_disk.then(|| TempDir::new("pipeline-eq"));
-                if let Some(dir) = &data_dir {
-                    spec.durability = DurabilityMode::OnDisk {
-                        data_dir: dir.path().to_path_buf(),
-                        fresh: true,
-                    };
-                }
+                let _data_dir = on_disk_if(&mut spec, on_disk);
                 let report = run_fixed(&spec, 200, 2_000.0, Duration::from_secs(30));
                 assert_eq!(report.committed, 200, "{cell}: {report:?}");
                 assert_eq!(report.aborted, 0, "{cell}");
@@ -82,16 +91,25 @@ fn depths_1_2_4_produce_identical_ledger_and_state() {
                 ));
             }
         }
-        let cell = format!("simulated, depth 2, in-memory, contention {contention}");
-        let outcome = run_sim(&SimConfig::new(pipelined_spec(contention, 2), 200, 2_000.0));
-        let report = &outcome.report;
-        assert!(outcome.completed, "{cell}: {report:?}");
-        assert_eq!(report.committed, 200, "{cell}: {report:?}");
-        results.push((
-            cell,
-            report.state_digest.expect("digest captured"),
-            report.ledger_head.expect("ledger head recorded"),
-        ));
+        for on_disk in [false, true] {
+            let cell = cell_name("simulated, depth 2", on_disk, contention);
+            let mut spec = pipelined_spec(contention, 2);
+            let _data_dir = on_disk_if(&mut spec, on_disk);
+            let outcome = run_sim(&SimConfig::new(spec, 200, 2_000.0));
+            let report = &outcome.report;
+            assert!(outcome.completed, "{cell}: {report:?}");
+            assert_eq!(report.committed, 200, "{cell}: {report:?}");
+            assert_eq!(
+                report.fsync_count > 0,
+                on_disk,
+                "{cell}: the durability axis is not live: {report:?}"
+            );
+            results.push((
+                cell,
+                report.state_digest.expect("digest captured"),
+                report.ledger_head.expect("ledger head recorded"),
+            ));
+        }
         let (_, base_digest, base_head) = &results[0];
         for (cell, digest, head) in &results[1..] {
             assert_eq!(
