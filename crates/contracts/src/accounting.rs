@@ -54,17 +54,24 @@ impl AccountingOp {
                 RwSet::new([*from, *to], [*from, *to])
             }
             AccountingOp::MultiTransfer { sources, to } => {
-                let keys: Vec<Key> = sources.iter().map(|(k, _)| *k).chain([*to]).collect();
-                RwSet::new(keys.clone(), keys)
+                let keys = || sources.iter().map(|(k, _)| *k).chain([*to]);
+                RwSet::new(keys(), keys())
             }
             AccountingOp::Audit { account } => RwSet::read_only([*account]),
         }
     }
 
-    /// Serializes the operation into a transaction payload.
+    /// Serializes the operation into a transaction payload, allocated
+    /// once at its exact size: a transaction keeps it as it is.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let len = match self {
+            AccountingOp::Open { .. } => 1 + 8 + 8,
+            AccountingOp::Transfer { .. } => 1 + 8 + 8 + 8,
+            AccountingOp::MultiTransfer { sources, .. } => 1 + 4 + 16 * sources.len() + 8,
+            AccountingOp::Audit { .. } => 1 + 8,
+        };
+        let mut out = Vec::with_capacity(len);
         match self {
             AccountingOp::Open { account, balance } => {
                 out.push(0);
@@ -91,6 +98,7 @@ impl AccountingOp {
                 out.extend_from_slice(&account.0.to_le_bytes());
             }
         }
+        debug_assert_eq!(out.len(), len, "{self:?}: payload length");
         out
     }
 

@@ -277,6 +277,13 @@ impl ClusterSpec {
         (0..self.orderers as u32).map(NodeId).collect()
     }
 
+    /// Whether `node` is an orderer: one of [`ClusterSpec::orderer_ids`],
+    /// answered without building the list.
+    #[must_use]
+    pub(crate) fn is_orderer(&self, node: NodeId) -> bool {
+        (node.0 as usize) < self.orderers
+    }
+
     /// Executor node ids, grouped `apps × executors_per_app`, following
     /// the orderers.
     #[must_use]

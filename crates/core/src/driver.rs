@@ -67,7 +67,7 @@ pub(crate) const COUNT_WINDOW: u64 = 8_192;
 
 /// Longest single sleep of the paced loop and of a wait for the window
 /// — the stop flag and the window are re-checked at least this often.
-const TICK: Duration = Duration::from_millis(1);
+pub(crate) const TICK: Duration = Duration::from_millis(1);
 
 /// Within this distance of the intended arrival the paced loop yields
 /// instead of sleeping. A sleep ends late by the timer slack plus the

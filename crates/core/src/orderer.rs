@@ -8,7 +8,7 @@
 //! graph together and the ordering critical path between a cut and the
 //! `NEWBLOCK` multicast no longer pays a batch graph rebuild.
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,7 +17,7 @@ use parblock_crypto::hash_wire;
 use parblock_ledger::Ledger;
 use parblock_net::Endpoint;
 use parblock_store::Store;
-use parblock_types::{Block, BlockNumber, Hash32, NodeId, Transaction, TxId};
+use parblock_types::{Block, BlockNumber, ClientId, Hash32, NodeId, Transaction, TxId};
 
 use crate::batch::{OpenBatch, Payload};
 use crate::cluster::ConsensusKind;
@@ -32,6 +32,48 @@ use crate::shared::Shared;
 /// instance that is lost. A delivered instance ends the wait sooner.
 const BATCH_INTERVAL: Duration = Duration::from_millis(1);
 
+/// Exactly-once (§IV-B): the client timestamps already delivered, per
+/// client, as disjoint inclusive ranges `first → last`. A client that
+/// numbers its requests 1, 2, 3, … holds one range however many it
+/// sends, plus one per gap that reordering leaves open for a while; a
+/// client that skips timestamps holds at most one range per request.
+#[derive(Default)]
+struct Delivered {
+    clients: BTreeMap<ClientId, BTreeMap<u64, u64>>,
+}
+
+impl Delivered {
+    /// Records `id`; `false` if it was delivered before — exactly what
+    /// `HashSet::<TxId>::insert` answers.
+    fn insert(&mut self, id: TxId) -> bool {
+        let ts = id.client_ts;
+        let ranges = self.clients.entry(id.client).or_default();
+        // The fast path: `ts` extends the client's last range.
+        if let Some(mut last) = ranges.last_entry() {
+            if last.get().checked_add(1) == Some(ts) {
+                *last.get_mut() = ts;
+                return true;
+            }
+        }
+        let below = ranges
+            .range(..=ts)
+            .next_back()
+            .map(|(&first, &last)| (first, last));
+        if below.is_some_and(|(_, last)| last >= ts) {
+            return false;
+        }
+        // `ts` joins the range that ends right before it and the one
+        // that starts right after it, whichever exist.
+        let first = match below {
+            Some((first, last)) if last.checked_add(1) == Some(ts) => first,
+            _ => ts,
+        };
+        let above = ts.checked_add(1).and_then(|next| ranges.remove(&next));
+        ranges.insert(first, above.unwrap_or(ts));
+        true
+    }
+}
+
 pub(crate) struct Orderer {
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
@@ -45,14 +87,17 @@ pub(crate) struct Orderer {
     /// this orderer, and a partial batch is ordered at once.
     in_flight: Vec<TxId>,
     marker_sent: Option<Instant>,
-    seen: HashSet<TxId>,
+    delivered: Delivered,
     prev_hash: Hash32,
     next_number: BlockNumber,
+    /// Where consensus broadcasts go: every orderer, this one included.
+    orderers: Vec<NodeId>,
+    /// Where NEWBLOCK goes: every peer.
     dests: Vec<NodeId>,
     /// Orderers own the chain (§III-A): under on-disk durability every
     /// emitted block is sealed here *before* the NEWBLOCK multicast, and
     /// a restarted orderer recovers its chain position — and the
-    /// exactly-once dedup set, from the persisted blocks — instead of
+    /// exactly-once ranges, from the persisted blocks — instead of
     /// renumbering from 1.
     store: Option<Store>,
 }
@@ -62,7 +107,8 @@ impl Orderer {
     /// consensus protocol the spec names.
     pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
         let spec = &shared.spec;
-        let cfg = ProtocolConfig::new(endpoint.id(), spec.orderer_ids());
+        let orderers = spec.orderer_ids();
+        let cfg = ProtocolConfig::new(endpoint.id(), orderers.clone());
         let protocol = match spec.consensus {
             ConsensusKind::Sequencer => AnyConsensus::sequencer(cfg, spec.consensus_timeout),
             ConsensusKind::Pbft => AnyConsensus::pbft(cfg, spec.consensus_timeout),
@@ -72,12 +118,14 @@ impl Orderer {
             Some(mode) => BlockCutter::with_graph(shared.spec.block_cut.clone(), mode),
         };
         let dests = shared.spec.peer_ids();
-        let mut seen = HashSet::new();
+        let mut delivered = Delivered::default();
         let mut prev_hash = Ledger::genesis_hash();
         let mut next_number = BlockNumber(1);
         let store = shared.spec.open_store(endpoint.id()).map(|(store, recovered)| {
             for (block, _) in &recovered.chain {
-                seen.extend(block.transactions().iter().map(Transaction::id));
+                for tx in block.transactions() {
+                    delivered.insert(tx.id());
+                }
             }
             prev_hash = recovered.head;
             next_number = BlockNumber(recovered.watermark.0 + 1);
@@ -94,9 +142,10 @@ impl Orderer {
             last_flush: now,
             in_flight: Vec::new(),
             marker_sent: None,
-            seen,
+            delivered,
             prev_hash,
             next_number,
+            orderers,
             dests,
             store,
         }
@@ -108,8 +157,8 @@ impl Orderer {
             match action {
                 Action::Send { to, msg } => self.endpoint.send(to, Msg::Cons(msg)),
                 Action::Broadcast { msg } => {
-                    let peers = self.shared.spec.orderer_ids();
-                    self.endpoint.multicast(peers.iter(), &Msg::Cons(msg));
+                    self.endpoint
+                        .multicast(self.orderers.iter(), &Msg::Cons(msg));
                 }
                 Action::Deliver { payload, .. } => self.on_delivery(&payload),
                 Action::SetTimer { .. } | Action::CancelTimer { .. } => {}
@@ -133,7 +182,7 @@ impl Orderer {
                 for tx in txs {
                     // Exactly-once: client timestamps deduplicate
                     // deterministic re-proposals after view changes.
-                    if !self.seen.insert(tx.id()) {
+                    if !self.delivered.insert(tx.id()) {
                         continue;
                     }
                     let now = self.shared.clock.now();
@@ -329,6 +378,8 @@ mod tests {
     use parblock_net::NetworkBuilder;
     use parblock_types::wire::Wire;
     use parblock_types::{AppId, ClientId, Clock, RwSet};
+    use parblock_workload::WorkloadGen;
+    use proptest::prelude::*;
 
     use super::*;
     use crate::cluster::{ClusterSpec, SystemKind};
@@ -547,5 +598,82 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let ticks = driven.stop();
         assert!(ticks <= 8, "{ticks} ticks in 50 ms: the loop is spinning");
+    }
+
+    /// Timestamps drawn so that duplicates, neighbours and both ends of
+    /// the range meet often: a small window near 0, the same near
+    /// `u64::MAX`, and now and then anything at all.
+    fn arb_timestamp() -> impl Strategy<Value = u64> {
+        (0u8..8, 0u64..24, any::<u64>()).prop_map(|(pick, near, anything)| match pick {
+            0..=3 => near,
+            4..=6 => u64::MAX - near,
+            _ => anything,
+        })
+    }
+
+    proptest! {
+        /// The ranges answer every insert as a `HashSet<TxId>` does, for
+        /// several clients interleaved, out of order and with repeats.
+        #[test]
+        fn delivered_ranges_answer_as_a_hash_set(
+            inserts in proptest::collection::vec((0u32..4, arb_timestamp()), 0..200),
+        ) {
+            let mut ranges = Delivered::default();
+            let mut model = std::collections::HashSet::new();
+            for (client, ts) in inserts {
+                let id = TxId::new(ClientId(client), ts);
+                prop_assert_eq!(ranges.insert(id), model.insert(id), "{:?}", id);
+            }
+            for (client, held) in &ranges.clients {
+                let mut prev: Option<u64> = None;
+                for (&first, &last) in held {
+                    prop_assert!(first <= last);
+                    // Disjoint and not adjacent: adjacent ranges merge.
+                    prop_assert!(prev.is_none_or(|p| p + 1 < first));
+                    prev = Some(last);
+                }
+                let held: u128 = held.iter().map(|(&f, &l)| u128::from(l - f) + 1).sum();
+                let modelled = model.iter().filter(|id| id.client == *client).count();
+                prop_assert_eq!(held, modelled as u128);
+            }
+        }
+    }
+
+    /// How many ranges `client` holds.
+    fn ranges(delivered: &Delivered, client: u32) -> usize {
+        let held = delivered.clients.get(&ClientId(client));
+        held.map_or(0, BTreeMap::len)
+    }
+
+    /// The generator numbers each client's transactions 1, 2, 3, … and
+    /// shuffles only within a window, so a whole stream leaves one range
+    /// per client.
+    #[test]
+    fn a_whole_workload_stream_leaves_one_range_per_client() {
+        let spec = ClusterSpec::new(SystemKind::Oxii);
+        let config = spec.workload_config();
+        let clients = config.clients;
+        let mut delivered = Delivered::default();
+        for tx in WorkloadGen::new(config).stream().take(4_000) {
+            assert!(delivered.insert(tx.id()), "{:?} twice", tx.id());
+        }
+        for client in 0..clients {
+            assert_eq!(ranges(&delivered, client), 1, "client {client}");
+        }
+    }
+
+    /// Both ends of the timestamp space merge without overflow.
+    #[test]
+    fn delivered_ranges_merge_at_zero_and_u64_max() {
+        let mut delivered = Delivered::default();
+        let id = |ts| TxId::new(ClientId(0), ts);
+        for ts in [u64::MAX, 0, u64::MAX - 1, 2, 1] {
+            assert!(delivered.insert(id(ts)), "{ts}");
+        }
+        assert_eq!(ranges(&delivered, 0), 2);
+        for ts in [0, 1, 2, u64::MAX - 1, u64::MAX] {
+            assert!(!delivered.insert(id(ts)), "{ts} again");
+        }
+        assert_eq!(ranges(&delivered, 1), 0);
     }
 }

@@ -79,7 +79,7 @@ impl NewBlockQuorum {
         sig: &Signature,
         next_needed: u64,
     ) -> Option<Arc<BlockBundle>> {
-        if from != orderer || !shared.spec.orderer_ids().contains(&orderer) {
+        if from != orderer || !shared.spec.is_orderer(orderer) {
             return None;
         }
         // Nothing below `next_needed` is wanted again, so whatever was

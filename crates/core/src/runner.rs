@@ -216,8 +216,10 @@ pub fn run_fixed(spec: &ClusterSpec, count: usize, rate_tps: f64, timeout: Durat
     let deadline = shared.clock.now() + timeout;
     let load = Load::Count { count, rate_tps, skip: 0 };
     driver::drive(shared, &cluster.client, &load, deadline);
+    // Polled at the driver's tick: the wait past the last commit falls
+    // outside the report's window, into the caller's set-up time.
     while shared.metrics.processed() < count as u64 && shared.clock.now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(driver::TICK);
     }
     cluster.finish()
 }

@@ -38,6 +38,11 @@ impl From<u64> for Key {
 /// Every constructor, wire decode included, goes through [`RwSet::new`],
 /// which sorts and deduplicates whatever order the keys arrive in.
 ///
+/// Both sets share one exact-size allocation: ρ(T), then ω(T), split
+/// at an index. A set built from iterators that know their length (an
+/// array, a `Vec`, a wire decode) costs one allocation, where two
+/// vectors cost two.
+///
 /// # Examples
 ///
 /// ```
@@ -48,25 +53,26 @@ impl From<u64> for Key {
 /// assert!(transfer.conflicts_with(&audit)); // ω ∩ ρ ≠ ∅
 /// assert!(!audit.conflicts_with(&audit)); // reads never conflict
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct RwSet {
-    reads: Vec<Key>,
-    writes: Vec<Key>,
+    /// ρ(T) then ω(T), each ascending and free of duplicates.
+    keys: Box<[Key]>,
+    /// Where ω(T) starts in `keys`.
+    split: usize,
 }
 
-/// The one normalising path: ascending order, no duplicates.
-fn key_set(keys: impl IntoIterator<Item = Key>) -> Vec<Key> {
-    let mut keys: Vec<Key> = keys.into_iter().collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
-}
-
-/// Inserts `key` into a normalised set, keeping it normalised.
-fn insert(set: &mut Vec<Key>, key: Key) {
-    if let Err(at) = set.binary_search(&key) {
-        set.insert(at, key);
+/// The one normalising path: sorts `set` and moves its distinct keys to
+/// the front, in ascending order. Returns how many there are.
+fn key_set(set: &mut [Key]) -> usize {
+    set.sort_unstable();
+    let mut kept = 0;
+    for i in 0..set.len() {
+        if kept == 0 || set[kept - 1] != set[i] {
+            set[kept] = set[i];
+            kept += 1;
+        }
     }
+    kept
 }
 
 impl RwSet {
@@ -77,9 +83,21 @@ impl RwSet {
         R: IntoIterator<Item = Key>,
         W: IntoIterator<Item = Key>,
     {
+        let (reads, writes) = (reads.into_iter(), writes.into_iter());
+        // Sized once from both lower bounds: exact for every iterator
+        // that knows its length, so `extend` never reallocates, and the
+        // boxing below only when duplicates were dropped.
+        let mut keys = Vec::with_capacity(reads.size_hint().0 + writes.size_hint().0);
+        keys.extend(reads);
+        let split = keys.len();
+        keys.extend(writes);
+        let (read_set, write_set) = keys.split_at_mut(split);
+        let (n_reads, n_writes) = (key_set(read_set), key_set(write_set));
+        keys.copy_within(split..split + n_writes, n_reads);
+        keys.truncate(n_reads + n_writes);
         RwSet {
-            reads: key_set(reads),
-            writes: key_set(writes),
+            keys: keys.into_boxed_slice(),
+            split: n_reads,
         }
     }
 
@@ -95,12 +113,12 @@ impl RwSet {
 
     /// The read set ρ(T), ascending and free of duplicates.
     pub fn reads(&self) -> &[Key] {
-        &self.reads
+        &self.keys[..self.split]
     }
 
     /// The write set ω(T), ascending and free of duplicates.
     pub fn writes(&self) -> &[Key] {
-        &self.writes
+        &self.keys[self.split..]
     }
 
     /// Whether `key` is in the declared write set ω(T). Executors abort
@@ -108,28 +126,45 @@ impl RwSet {
     /// ordered that write.
     #[must_use]
     pub fn declares_write(&self, key: Key) -> bool {
-        self.writes.binary_search(&key).is_ok()
+        self.writes().binary_search(&key).is_ok()
     }
 
     /// Adds a key to the read set.
     pub fn add_read(&mut self, key: Key) {
-        insert(&mut self.reads, key);
+        if let Err(at) = self.reads().binary_search(&key) {
+            self.insert_at(at, key);
+            self.split += 1;
+        }
     }
 
     /// Adds a key to the write set.
     pub fn add_write(&mut self, key: Key) {
-        insert(&mut self.writes, key);
+        if let Err(at) = self.writes().binary_search(&key) {
+            self.insert_at(self.split + at, key);
+        }
+    }
+
+    /// Rebuilds `keys` at its new exact size with `key` at `at`.
+    fn insert_at(&mut self, at: usize, key: Key) {
+        let mut keys = Vec::with_capacity(self.keys.len() + 1);
+        keys.extend_from_slice(&self.keys[..at]);
+        keys.push(key);
+        keys.extend_from_slice(&self.keys[at..]);
+        self.keys = keys.into_boxed_slice();
     }
 
     /// Returns `true` when both sets are empty.
     pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
+        self.keys.is_empty()
     }
 
     /// Every key touched by the transaction (ρ ∪ ω), ascending and
     /// deduplicated.
     pub fn touched(&self) -> Vec<Key> {
-        key_set(self.reads.iter().chain(&self.writes).copied())
+        let mut keys = self.keys.to_vec();
+        let distinct = key_set(&mut keys);
+        keys.truncate(distinct);
+        keys
     }
 
     /// §III-A conflict test: two transactions conflict if they access the
@@ -143,13 +178,13 @@ impl RwSet {
     /// ρ(self) ∩ ω(other) ≠ ∅ — `other` overwrites something `self` reads.
     #[must_use]
     pub fn rw_conflict(&self, other: &RwSet) -> bool {
-        intersects(&self.reads, &other.writes)
+        intersects(self.reads(), other.writes())
     }
 
     /// ω(self) ∩ ω(other) ≠ ∅ — both write a common record.
     #[must_use]
     pub fn ww_conflict(&self, other: &RwSet) -> bool {
-        intersects(&self.writes, &other.writes)
+        intersects(self.writes(), other.writes())
     }
 
     /// ω(self) ∩ ρ(other) ≠ ∅ — `other` reads something `self` writes.
@@ -159,7 +194,17 @@ impl RwSet {
     /// earlier write's version.
     #[must_use]
     pub fn wr_conflict(&self, other: &RwSet) -> bool {
-        intersects(&self.writes, &other.reads)
+        intersects(self.writes(), other.reads())
+    }
+}
+
+/// Shown as the two sets.
+impl fmt::Debug for RwSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RwSet")
+            .field("reads", &self.reads())
+            .field("writes", &self.writes())
+            .finish()
     }
 }
 

@@ -40,11 +40,13 @@ pub struct Transaction {
     body: Arc<Body>,
 }
 
-/// The variable-size part of a [`Transaction`].
+/// The variable-size part of a [`Transaction`]: three allocations, each
+/// at its exact size — this one, the read/write set's key slice and the
+/// payload.
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 struct Body {
     rw: RwSet,
-    payload: Vec<u8>,
+    payload: Box<[u8]>,
 }
 
 impl Transaction {
@@ -52,6 +54,8 @@ impl Transaction {
     ///
     /// `client_ts` is the client-local timestamp: the paper uses it to
     /// totally order each client's requests and for exactly-once semantics.
+    /// The payload is kept as it is when its length fills its capacity,
+    /// and shrunk to fit otherwise.
     #[must_use]
     pub fn new(
         app: AppId,
@@ -63,7 +67,10 @@ impl Transaction {
         Transaction {
             id: TxId::new(client, client_ts),
             app,
-            body: Arc::new(Body { rw, payload }),
+            body: Arc::new(Body {
+                rw,
+                payload: payload.into_boxed_slice(),
+            }),
         }
     }
 
@@ -119,8 +126,8 @@ impl Transaction {
         let client = ClientId(reader.u32()?);
         let client_ts = reader.u64()?;
         let app = AppId(u16::try_from(reader.u64()?).ok()?);
-        let reads = reader.key_set()?;
-        let writes = reader.key_set()?;
+        let reads = reader.keys()?;
+        let writes = reader.keys()?;
         let payload = reader.bytes()?.to_vec();
         Some(Transaction::new(
             app,

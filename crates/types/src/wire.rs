@@ -165,16 +165,22 @@ impl<'a> Reader<'a> {
     /// order: a malformed sender may repeat or misorder keys, and
     /// [`RwSet::new`](crate::RwSet::new) is what normalises them.
     pub fn key_set(&mut self) -> Option<Vec<Key>> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).ok()?;
+        self.keys().map(Iterator::collect)
+    }
+
+    /// [`Reader::key_set`] without the vector: the keys are decoded as
+    /// the iterator is consumed, and its exact length lets
+    /// [`RwSet::new`](crate::RwSet::new) size its one allocation.
+    pub fn keys(&mut self) -> Option<impl ExactSizeIterator<Item = Key> + 'a> {
+        let len = usize::try_from(self.u64()?).ok()?;
         if len > self.remaining() / 8 {
             return None; // each key is 8 bytes; cheap bound check
         }
-        let mut keys = Vec::with_capacity(len);
-        for _ in 0..len {
-            keys.push(Key(self.u64()?));
-        }
-        Some(keys)
+        let raw = self.take(8 * len)?;
+        Some(
+            raw.chunks_exact(8)
+                .map(|key| Key(u64::from_le_bytes(key.try_into().expect("8")))),
+        )
     }
 
     /// Reads a write-set in the layout of [`encode_writes`].
