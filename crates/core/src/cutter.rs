@@ -133,7 +133,9 @@ impl BlockCutter {
         self.pending_bytes = 0;
         self.first_arrival = None;
         CutBlock {
-            txs: std::mem::take(&mut self.pending),
+            // Exact size: a peer keeps this vector for the life of the
+            // chain, and `pending` keeps its buffer for the next block.
+            txs: self.pending.drain(..).collect(),
             graph: self.graph.as_mut().map(StreamingBuilder::finish),
         }
     }
@@ -256,6 +258,23 @@ mod tests {
         let _ = cutter.cut_marker(first);
         assert!(!cutter.wants_time_cut(later));
         assert_eq!(cutter.time_cut_deadline(), None);
+    }
+
+    /// A peer keeps each block's vector for the life of the chain, so
+    /// count cuts and marker cuts alike hand it over without slack.
+    #[test]
+    fn cut_blocks_hold_exact_size_vectors() {
+        let mut cutter = BlockCutter::new(cfg(5, usize::MAX, 1000));
+        let counted = (1..=5)
+            .find_map(|ts| cutter.push(tx(ts, 0), Instant::now()))
+            .expect("count cut at 5");
+        assert_eq!(counted.txs.capacity(), 5);
+        cutter.push(tx(6, 0), Instant::now());
+        cutter.push(tx(7, 0), Instant::now());
+        cutter.push(tx(8, 0), Instant::now());
+        let first = cutter.first_pending().expect("pending");
+        let marked = cutter.cut_marker(first).expect("marker cuts");
+        assert_eq!(marked.txs.capacity(), 3);
     }
 
     #[test]

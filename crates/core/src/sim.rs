@@ -269,8 +269,9 @@ pub struct SimOutcome {
     /// loop's `max_outstanding` at that cap.
     pub peak_outstanding: u64,
     /// The observer's sealed chain (the reference history the
-    /// serializability oracle replays).
-    pub observer_chain: Vec<Block>,
+    /// serializability oracle replays), sharing the observer ledger's
+    /// blocks.
+    pub observer_chain: Vec<Arc<Block>>,
     /// Per-replica final positions (replicas still crashed at the end of
     /// the run are absent — they have no state to compare).
     pub replicas: Vec<ReplicaOutcome>,
@@ -526,8 +527,8 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         .peers()
         .find(|&(id, _)| id == observer)
         .map(|(_, peer)| peer);
-    let observer_chain: Vec<Block> = observer_peer
-        .map(|peer| peer.chain().0.iter().cloned().collect())
+    let observer_chain = observer_peer
+        .map(|peer| peer.chain().0.blocks().to_vec())
         .unwrap_or_default();
     let summary = observer_peer.map(Peer::summary);
     let replicas: Vec<ReplicaOutcome> = cluster

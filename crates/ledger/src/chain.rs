@@ -118,6 +118,14 @@ impl Ledger {
         self.blocks.iter().map(Arc::as_ref)
     }
 
+    /// The appended blocks in chain order, as the shared objects the
+    /// ledger holds: cloning one copies a reference count, not the
+    /// block's transactions.
+    #[must_use]
+    pub fn blocks(&self) -> &[Arc<Block>] {
+        &self.blocks
+    }
+
     /// Appends `block`, checking contiguity and the hash link.
     ///
     /// # Errors

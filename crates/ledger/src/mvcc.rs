@@ -6,7 +6,10 @@
 //! correct version based on the position of the corresponding transaction
 //! in the block (log)."
 
+use std::cmp::Ordering;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,10 +45,23 @@ impl Version {
     };
 }
 
+/// SipHash under fixed keys, as `parblock_depgraph::CrossBlockIndex`
+/// hashes: a map that churns inserts and removals under a per-process
+/// `RandomState` grows its table at points that depend on where its
+/// entries hash, so its allocations would differ from run to run
+/// (`tests/alloc_budget.rs`).
+type FixedState = BuildHasherDefault<DefaultHasher>;
+
 /// A store keeping every written version of each key. Every paradigm's
 /// executors hold their state in one: OXII reads it at each
 /// transaction's log position, OX at its serial position, XOV at its
 /// ledger head.
+///
+/// The newest version of each key is stored inline in one map; only a
+/// key that still holds versions below its newest (written since the
+/// last prune, or out of order) has a history vector beside it. After a
+/// seal ([`prune_to_sealed`]) most keys hold exactly one version, so
+/// most keys cost no allocation of their own.
 ///
 /// # Examples
 ///
@@ -65,8 +81,11 @@ impl Version {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MvccState {
-    /// Version chains, each sorted ascending by version.
-    chains: HashMap<Key, Vec<(Version, Value)>>,
+    /// The newest version of every key ever written, and its value.
+    latest: HashMap<Key, (Version, Value)>,
+    /// For each key with versions below its newest: those versions,
+    /// sorted ascending.
+    older: HashMap<Key, Vec<(Version, Value)>, FixedState>,
 }
 
 impl MvccState {
@@ -78,7 +97,10 @@ impl MvccState {
 
     /// Creates a store pre-loaded with genesis values.
     pub fn with_genesis<I: IntoIterator<Item = (Key, Value)>>(items: I) -> Self {
+        let items = items.into_iter();
         let mut state = Self::new();
+        // Sized once: growing by doubling would hold two tables at once.
+        state.latest.reserve(items.size_hint().0);
         for (k, v) in items {
             state.put(k, v, Version::GENESIS);
         }
@@ -87,14 +109,30 @@ impl MvccState {
 
     /// Writes a new version of `key`.
     ///
-    /// Versions may arrive out of order (parallel executors): the chain is
-    /// kept sorted by version. Writing the same version twice replaces the
-    /// value (idempotent re-execution).
+    /// Versions may arrive out of order (parallel executors): the history
+    /// is kept sorted by version. Writing the same version twice replaces
+    /// the value (idempotent re-execution).
     pub fn put(&mut self, key: Key, value: Value, version: Version) {
-        let chain = self.chains.entry(key).or_default();
-        match chain.binary_search_by_key(&version, |(v, _)| *v) {
-            Ok(i) => chain[i].1 = value,
-            Err(i) => chain.insert(i, (version, value)),
+        let mut newest = match self.latest.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert((version, value));
+                return;
+            }
+            Entry::Occupied(newest) => newest,
+        };
+        match version.cmp(&newest.get().0) {
+            Ordering::Equal => newest.get_mut().1 = value,
+            Ordering::Greater => {
+                let previous = newest.insert((version, value));
+                self.older.entry(key).or_default().push(previous);
+            }
+            Ordering::Less => {
+                let history = self.older.entry(key).or_default();
+                match history.binary_search_by_key(&version, |(v, _)| *v) {
+                    Ok(i) => history[i].1 = value,
+                    Err(i) => history.insert(i, (version, value)),
+                }
+            }
         }
     }
 
@@ -118,20 +156,27 @@ impl MvccState {
     /// missing state are built from.
     #[must_use]
     pub fn get_at(&self, key: Key, position: Version) -> Option<Value> {
-        let chain = self.chains.get(&key)?;
-        match chain.binary_search_by_key(&position, |(v, _)| *v) {
-            Ok(i) => Some(chain[i].1.clone()),
-            Err(0) => None,
-            Err(i) => Some(chain[i - 1].1.clone()),
+        self.visible(key, position).map(|(_, value)| value.clone())
+    }
+
+    /// The newest version of `key` at or below `position`, and its value:
+    /// the inline newest version when it qualifies, otherwise a binary
+    /// search of the key's history.
+    fn visible(&self, key: Key, position: Version) -> Option<&(Version, Value)> {
+        let newest = self.latest.get(&key)?;
+        if newest.0 <= position {
+            return Some(newest);
         }
+        let history = self.older.get(&key)?;
+        let below = history.partition_point(|(v, _)| *v <= position);
+        below.checked_sub(1).map(|i| &history[i])
     }
 
     /// Reads the newest version of `key`.
     #[must_use]
     pub fn latest(&self, key: Key) -> Value {
-        self.chains
+        self.latest
             .get(&key)
-            .and_then(|chain| chain.last())
             .map(|(_, v)| v.clone())
             .unwrap_or_default()
     }
@@ -140,42 +185,40 @@ impl MvccState {
     /// version an XOV endorser records and its validator checks.
     #[must_use]
     pub fn latest_version(&self, key: Key) -> Option<Version> {
-        self.chains
-            .get(&key)
-            .and_then(|chain| chain.last())
-            .map(|(v, _)| *v)
+        self.latest.get(&key).map(|(v, _)| *v)
     }
 
     /// Number of stored versions of `key`.
     #[must_use]
     pub fn version_count(&self, key: Key) -> usize {
-        self.chains.get(&key).map_or(0, Vec::len)
+        if !self.latest.contains_key(&key) {
+            return 0;
+        }
+        1 + self.older.get(&key).map_or(0, Vec::len)
     }
 
     /// The versions of `key`, ascending (empty if the key was never
     /// written). Exposed for invariant checks and tests.
     #[must_use]
     pub fn versions_of(&self, key: Key) -> Vec<Version> {
-        self.chains
-            .get(&key)
-            .map(|chain| chain.iter().map(|(v, _)| *v).collect())
-            .unwrap_or_default()
+        let history = self.older.get(&key).into_iter().flatten();
+        let newest = self.latest.get(&key);
+        history.chain(newest).map(|(v, _)| *v).collect()
     }
 
     /// Total number of stored versions across all keys — the quantity the
     /// commit-watermark garbage collection bounds.
     #[must_use]
     pub fn total_versions(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
+        self.latest.len() + self.older.values().map(Vec::len).sum::<usize>()
     }
 
     /// Per key, the newest version at or below `horizon` and its value,
     /// in hash order.
     fn visible_at(&self, horizon: Version) -> impl Iterator<Item = (Key, &(Version, Value))> {
-        self.chains.iter().filter_map(move |(key, chain)| {
-            let below = chain.partition_point(|(v, _)| *v <= horizon);
-            below.checked_sub(1).map(|i| (*key, &chain[i]))
-        })
+        self.latest
+            .keys()
+            .filter_map(move |&key| self.visible(key, horizon).map(|entry| (key, entry)))
     }
 
     /// A digest of the **latest** values (keys and contents, not version
@@ -217,18 +260,23 @@ impl MvccState {
     /// Garbage-collects versions strictly older than `horizon`, keeping at
     /// least the newest version at or below the horizon (it is still
     /// visible to readers positioned at the horizon).
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "each chain is pruned on its own; the visit order changes nothing"
-    )]
+    ///
+    /// Only keys with a history are visited, each on its own, so the
+    /// visit order changes nothing. A key whose newest version is at or
+    /// below the horizon loses its whole history.
     pub fn prune(&mut self, horizon: Version) {
-        for chain in self.chains.values_mut() {
-            // Index of the first version > horizon.
-            let first_after = chain.partition_point(|(v, _)| *v <= horizon);
-            if first_after > 1 {
-                chain.drain(..first_after - 1);
+        let latest = &self.latest;
+        self.older.retain(|key, history| {
+            if latest.get(key).is_some_and(|(newest, _)| *newest <= horizon) {
+                return false;
             }
-        }
+            // Index of the first version > horizon.
+            let first_after = history.partition_point(|(v, _)| *v <= horizon);
+            if first_after > 1 {
+                history.drain(..first_after - 1);
+            }
+            true
+        });
     }
 }
 

@@ -1,12 +1,15 @@
 //! Property-based tests for [`MvccState`] — the invariants the execution
 //! pipeline leans on (DESIGN.md §7): version-positioned reads, sorted
 //! chains under arbitrary interleavings, and watermark GC that never
-//! changes what a live reader can observe.
+//! changes what a live reader can observe — and a model-based run that
+//! holds every query to a naive versioned map after each step.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use parblock_ledger::{MvccState, Version};
-use parblock_types::{BlockNumber, Key, SeqNo, Value};
+use parblock_ledger::{prune_to_sealed, MvccState, Version};
+use parblock_types::{Block, BlockNumber, Hash32, Key, SeqNo, Value};
 
 fn v(block: u64, seq: u32) -> Version {
     Version::new(BlockNumber(block), SeqNo(seq))
@@ -130,5 +133,135 @@ proptest! {
             prop_assert_eq!(after.latest(key), before.latest(key));
         }
         prop_assert_eq!(after.digest(), before.digest());
+    }
+}
+
+/// One step of a model-based run.
+#[derive(Debug, Clone)]
+enum Op {
+    Put(Key, Version, Value),
+    Prune(Version),
+    PruneToSealed(u64),
+}
+
+/// Strategy: mostly puts on a grid small enough that versions repeat
+/// and arrive below a key's newest, with prunes at arbitrary horizons
+/// and seals of arbitrary blocks mixed in.
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    let op = ((0u8..8, 0u64..4), 0u64..5, 0u32..4, 0u64..50).prop_map(
+        |((kind, key), block, seq, val)| match kind {
+            0..=5 => Op::Put(Key(key), v(block, seq), Value::Int(val as i64)),
+            6 => Op::Prune(v(block, seq)),
+            _ => Op::PruneToSealed(block),
+        },
+    );
+    proptest::collection::vec(op, 0..60)
+}
+
+/// The naive reference: every stored version of every key in one
+/// ordered map.
+#[derive(Default)]
+struct Model(BTreeMap<(Key, Version), Value>);
+
+impl Model {
+    /// The versions of `key` at or below `position`, ascending.
+    fn versions(
+        &self,
+        key: Key,
+        position: Version,
+    ) -> impl DoubleEndedIterator<Item = (Version, &Value)> {
+        self.0
+            .range((key, Version::GENESIS)..=(key, position))
+            .map(|((_, ver), val)| (*ver, val))
+    }
+
+    fn get_at(&self, key: Key, position: Version) -> Option<(Version, &Value)> {
+        self.versions(key, position).next_back()
+    }
+
+    /// Drops, per key, every version below the newest one at or below
+    /// `horizon`.
+    fn prune(&mut self, horizon: Version) {
+        for key in KEYS.map(Key) {
+            if let Some((keep, _)) = self.get_at(key, horizon) {
+                self.0.retain(|(k, ver), _| *k != key || *ver >= keep);
+            }
+        }
+    }
+
+    fn snapshot_at(&self, horizon: Version) -> Vec<(Key, Value, Version)> {
+        KEYS.map(Key)
+            .into_iter()
+            .filter_map(|key| {
+                self.get_at(key, horizon)
+                    .map(|(ver, val)| (key, val.clone(), ver))
+            })
+            .collect()
+    }
+}
+
+const KEYS: [u64; 4] = [0, 1, 2, 3];
+
+/// Every reader position the grid can tell apart, plus the far future.
+fn positions() -> Vec<Version> {
+    let mut all: Vec<Version> = (0u64..6)
+        .flat_map(|block| (0u32..4).chain([u32::MAX]).map(move |seq| v(block, seq)))
+        .collect();
+    all.push(v(u64::MAX, u32::MAX));
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// After every step of a random sequence of puts (out of order,
+    /// repeated versions), prunes and seals, the store answers every
+    /// query exactly as the naive model does.
+    #[test]
+    fn store_matches_a_naive_versioned_map(ops in arb_ops()) {
+        let mut state = MvccState::new();
+        let mut model = Model::default();
+        for op in ops {
+            match op {
+                Op::Put(key, ver, val) => {
+                    state.put(key, val.clone(), ver);
+                    model.0.insert((key, ver), val);
+                }
+                Op::Prune(horizon) => {
+                    state.prune(horizon);
+                    model.prune(horizon);
+                }
+                Op::PruneToSealed(block) => {
+                    let sealed = Block::new(BlockNumber(block), Hash32::ZERO, vec![]);
+                    prune_to_sealed(&sealed, &mut state);
+                    model.prune(v(block, u32::MAX));
+                }
+            }
+            prop_assert_eq!(state.total_versions(), model.0.len());
+            for key in KEYS.map(Key) {
+                let versions: Vec<Version> =
+                    model.versions(key, v(u64::MAX, u32::MAX)).map(|(ver, _)| ver).collect();
+                prop_assert_eq!(state.versions_of(key), versions.clone());
+                prop_assert_eq!(state.version_count(key), versions.len());
+                prop_assert_eq!(state.latest_version(key), versions.last().copied());
+                for position in positions() {
+                    let expected = model.get_at(key, position).map(|(_, val)| val.clone());
+                    prop_assert_eq!(state.get_at(key, position), expected);
+                }
+            }
+            for horizon in positions() {
+                let snapshot = model.snapshot_at(horizon);
+                // Digests hash; checking them at block ends (the seal
+                // watermarks) keeps the run short.
+                if horizon.seq == SeqNo(u32::MAX) {
+                    let mut visible = MvccState::new();
+                    for (key, val, ver) in &snapshot {
+                        visible.put(*key, val.clone(), *ver);
+                    }
+                    prop_assert_eq!(state.digest_at(horizon), visible.digest());
+                }
+                prop_assert_eq!(state.snapshot_at(horizon), snapshot);
+            }
+        }
     }
 }

@@ -24,6 +24,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use parblock_contracts::{AppRegistry, ExecOutcome, StateReader};
 use parblock_crypto::hash_wire;
@@ -76,7 +77,7 @@ pub struct Replay {
 /// conflict-serializable iff it converges to these digests.
 #[must_use]
 pub fn serial_replay(
-    chain: &[Block],
+    chain: &[Arc<Block>],
     genesis: &[(Key, Value)],
     registry: &AppRegistry,
 ) -> Replay {
@@ -119,7 +120,7 @@ pub fn serial_replay(
         }
         // Mirror the executor's seal-time GC horizon for the digest.
         digests.push(state.digest_at(Version::new(block.number(), SeqNo(u32::MAX))));
-        heads.push(hash_wire(block));
+        heads.push(hash_wire(block.as_ref()));
     }
     Replay {
         digests,
@@ -153,7 +154,7 @@ pub fn check_serializability(
                 block.number()
             ));
         }
-        prev = hash_wire(block);
+        prev = hash_wire(block.as_ref());
     }
     let observer = spec.observer();
     let replica = outcome
@@ -360,9 +361,9 @@ pub fn check_oracles(
 /// Helper for oracle construction/tests: the chain's head hash at every
 /// height without a full replay.
 #[must_use]
-pub fn chain_heads(chain: &[Block]) -> Vec<Hash32> {
+pub fn chain_heads(chain: &[Arc<Block>]) -> Vec<Hash32> {
     let mut heads = vec![Ledger::genesis_hash()];
-    heads.extend(chain.iter().map(hash_wire));
+    heads.extend(chain.iter().map(|block| hash_wire(block.as_ref())));
     heads
 }
 
@@ -398,7 +399,7 @@ mod tests {
             events: 0,
             submitted: vec![txs[0].id()],
             peak_outstanding: 1,
-            observer_chain: vec![Block::new(BlockNumber(1), Hash32::ZERO, txs)],
+            observer_chain: vec![Arc::new(Block::new(BlockNumber(1), Hash32::ZERO, txs))],
             replicas: Vec::new(),
             orderers: Vec::new(),
         };

@@ -69,11 +69,7 @@ fn history_digest(block: &Block, contract: &KvContract, order: &[SeqNo]) -> Hash
 
 /// The oracle's core verdict for a single-block history.
 fn serializable(block: &Block, observed: Hash32) -> bool {
-    let replay = serial_replay(
-        std::slice::from_ref(block),
-        &genesis(),
-        &registry(),
-    );
+    let replay = serial_replay(&[Arc::new(block.clone())], &genesis(), &registry());
     replay.digests[1] == observed
 }
 
@@ -203,12 +199,13 @@ fn replay_counts_and_heads_are_consistent() {
         ),
     ];
     let block = Block::new(BlockNumber(1), parblock_ledger::Ledger::genesis_hash(), txs);
-    let replay = serial_replay(std::slice::from_ref(&block), &genesis(), &registry());
+    let chain = [Arc::new(block.clone())];
+    let replay = serial_replay(&chain, &genesis(), &registry());
     assert_eq!(replay.committed, 2);
     assert_eq!(replay.aborted, 0);
     assert_eq!(replay.digests.len(), 2);
     assert_eq!(replay.heads.len(), 2);
-    assert_eq!(replay.heads, parblock_sim::chain_heads(std::slice::from_ref(&block)));
+    assert_eq!(replay.heads, parblock_sim::chain_heads(&chain));
     // Mix read 5, wrote 6: verify through an independent serial pass.
     let digest = history_digest(&block, &contract, &[SeqNo(0), SeqNo(1)]);
     assert_eq!(digest, replay.digests[1]);
@@ -253,7 +250,7 @@ fn replay_aborts_an_undeclared_write() {
     let block = Block::new(BlockNumber(1), parblock_ledger::Ledger::genesis_hash(), vec![tx]);
     let mut registry = AppRegistry::new();
     registry.deploy(Arc::new(contract), [NodeId(0)]);
-    let replay = serial_replay(std::slice::from_ref(&block), &genesis(), &registry);
+    let replay = serial_replay(&[Arc::new(block)], &genesis(), &registry);
     assert_eq!((replay.committed, replay.aborted), (0, 1));
     assert_eq!(replay.digests[1], replay.digests[0], "state untouched");
 }

@@ -62,6 +62,8 @@
 //! |                                          | 0.8 |  76.27 | 3 490 |
 //! | exact-size transaction bodies            | 0.0 |  56.01 | 3 207 |
 //! |                                          | 0.8 |  70.27 | 3 458 |
+//! | one inline version per key               | 0.0 |  53.88 | 1 665 |
+//! |                                          | 0.8 |  64.98 | 1 678 |
 //!
 //! (The first row was recorded here as 110.35 / 3 725; the tree at that
 //! change reads 110.50 / 3 722.) The streaming ordering path encodes a
@@ -163,10 +165,42 @@
 //! 5 % above this row; the stale check would have refused the old ones.
 //!
 //! The marginal figure is the first that does not spread what a run
-//! holds whatever its length over its transactions. The gap to one
-//! chain's 146.44 bytes is what the rest of the run keeps per
-//! transaction; the sequencer's retained log, about 100 bytes, is the
-//! largest part ROADMAP item 15 names.
+//! holds whatever its length over its transactions.
+//!
+//! `MvccState` kept a version vector for every key, and each peer's
+//! genesis put a 192-byte buffer (room for four versions) behind each of
+//! its 9 970 accounts: 7.6 MB over the four peers, about 1 900 bytes per
+//! transaction of this run. The newest version of a key now sits inline
+//! in the state's table, and only a key with versions below its newest
+//! (written since the last seal) keeps a history vector.
+//! `genesis_state_stays_within_budget` holds the state alone: 93.67 peak
+//! live bytes per genesis key, where the vectors made it 246. Peak live
+//! bytes per transaction fell from 3 207.45 / 3 458.14 to 1 703.37 /
+//! 1 715.98 with that alone, and allocations from 56.01 / 70.27 to
+//! 54.04 / 65.14: genesis builds no vector per key (about 10 allocations
+//! per transaction over the four peers), but a key written after a seal
+//! now allocates a history vector where its old vector had room. The
+//! history map hashes with fixed keys, like `CrossBlockIndex`: it
+//! churns, and the counts must repeat. In the same change the block cutter
+//! hands over each block's vector at its exact size (a 100-transaction
+//! block held 128 slots), and `SimOutcome::observer_chain` shares the
+//! observer ledger's `Arc<Block>`s where it copied every block's
+//! vector. They took 8.96 and 32.56 bytes off the marginal figure at
+//! contention 0 (425.40 → 383.88), 0.16 allocations and 38.45 peak bytes
+//! per transaction at both contentions; the row reads all three. The
+//! marginal figure no longer differs between the two contentions: the
+//! 15.87 bytes that did were most likely hot keys' history vectors,
+//! which grew past four versions and kept the capacity.
+//!
+//! What each extra transaction adds now, at either contention: one copy
+//! of the chain, 146.44 bytes; the sequencer's retained log, 210.86 (the
+//! marginal figure reads 173.02 with `retained.insert` removed), which by
+//! layout is about 119 bytes of batch payloads (one or two transactions
+//! each, 128 or 232 bytes with the `Arc` header) and about 92 of the
+//! three replicas' `BTreeMap<u64, Payload>` nodes; and 26.58 of vectors
+//! that grow by doubling (`SimOutcome::submitted`, the ledgers' block
+//! and hash spines). The retained log is what ROADMAP item 15(b) bounds
+//! next.
 //!
 //! The allocation and peak-bytes budgets sit 5 % above the last row,
 //! the marginal budgets likewise, and the ratchet is two-sided: a figure over its budget fails, and so does a
@@ -183,7 +217,7 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use parblock_crypto::hash_wire;
-use parblock_ledger::Ledger;
+use parblock_ledger::{Ledger, MvccState};
 use parblock_net::{NetworkBuilder, Topology};
 use parblock_types::{
     AppId, Block, BlockCutConfig, BlockNumber, ClientId, Clock, ExecutionCosts, Key, NodeId,
@@ -335,17 +369,17 @@ fn marginal(peak: impl Fn(usize) -> i64) -> f64 {
 }
 
 /// `(contention, allocations / tx, peak live bytes / tx)`. Every budget
-/// sits 5 % above what the tree reads since exactly-once ranges and
-/// exact-size bodies (see the header): 56.01 and 70.27 allocations at
-/// contention 0 and 0.8 in release, 3 207.45 and 3 458.14 peak live
-/// bytes in both profiles. A debug build makes 0.40 more allocations per
-/// transaction (56.41, 70.67): `Ledger::append_hashed`'s `debug_assert`
-/// encodes and hashes each appended block once more. The 0.8 budgets sit
-/// higher because a conflict chain sends one COMMIT per execution.
+/// sits 5 % above what the tree reads since one inline version per key
+/// (see the header): 53.88 and 64.98 allocations at contention 0 and 0.8
+/// in release, 1 664.92 and 1 677.53 peak live bytes in both profiles. A
+/// debug build makes 0.40 more allocations per transaction (54.28,
+/// 65.38): `Ledger::append_hashed`'s `debug_assert` encodes and hashes
+/// each appended block once more. The 0.8 budgets sit higher because a
+/// conflict chain sends one COMMIT per execution.
 const BUDGETS: [(f64, f64, f64); 2] = if cfg!(debug_assertions) {
-    [(0.0, 59.23, 3_368.0), (0.8, 74.20, 3_631.0)]
+    [(0.0, 56.99, 1_749.0), (0.8, 68.65, 1_762.0)]
 } else {
-    [(0.0, 58.81, 3_368.0), (0.8, 73.78, 3_631.0)]
+    [(0.0, 56.57, 1_749.0), (0.8, 68.23, 1_762.0)]
 };
 
 /// A figure below this share of its budget means the budget is stale.
@@ -395,9 +429,10 @@ fn allocations_and_live_heap_stay_within_budget() {
 }
 
 /// `(contention, marginal peak live bytes / tx)`, the same in both
-/// profiles: 5 % above the 425.40 and 441.27 measured with exactly-once
-/// ranges and exact-size bodies (see the header).
-const MARGINAL_BUDGETS: [(f64, f64); 2] = [(0.0, 446.7), (0.8, 463.3)];
+/// profiles: 5 % above the 383.88 measured at both contentions since one
+/// inline version per key, exact-size block vectors and a shared
+/// observer chain (see the header).
+const MARGINAL_BUDGETS: [(f64, f64); 2] = [(0.0, 403.1), (0.8, 403.1)];
 
 /// ROADMAP 15(a): growth with the run as a deterministic count, beside
 /// what one copy of the chain grows by. Only the first is held.
@@ -417,6 +452,31 @@ fn marginal_live_heap_per_transaction_stays_within_budget() {
             budget,
         );
     }
+}
+
+/// Peak live bytes per key of the state a peer builds from the run's
+/// genesis (9 970 accounts), the same in both profiles: 5 % above the
+/// 93.67 of one table of 16 384 buckets of 56 bytes plus a control byte,
+/// each key's newest version inline. A heap allocation per key puts it
+/// over its budget.
+const GENESIS_BYTES_PER_KEY_BUDGET: f64 = 98.4;
+
+#[test]
+fn genesis_state_stays_within_budget() {
+    let genesis = WorkloadGen::new(spec(0.0).workload_config()).genesis();
+    let keys = genesis.len();
+    let (_, peak) = measured(|| {
+        let state = MvccState::with_genesis(genesis.iter().cloned());
+        assert_eq!(state.total_versions(), keys);
+    });
+    let per_key = peak as f64 / keys as f64;
+    println!("genesis state: {per_key:.2} peak live bytes/key over {keys} keys");
+    check(
+        0.0,
+        "genesis peak live bytes/key",
+        per_key,
+        GENESIS_BYTES_PER_KEY_BUDGET,
+    );
 }
 
 /// A transaction's read/write set and payload are shared, not copied:
