@@ -6,13 +6,14 @@
 //! store of §III-A's multi-version adaptation, for every paradigm.
 //!
 //! * [`Ledger`] — hash-chained append-only block log with verification.
-//! * [`MvccState`] — multi-version store keeping the version history of
-//!   each key, stamped with writers' [`Version`]s; the stamps also power
-//!   XOV's read-set validation.
-//! * [`prune_to_sealed`] — the version GC OX and OXII peers run when
-//!   they seal a block. Persistence is not this crate's concern: a
-//!   durable node also holds a `parblock_store::Store` and seals each
-//!   block there.
+//! * [`MvccState`] — multi-version store: each key's newest version up
+//!   to the sealed watermark, plus every write of each block above it,
+//!   stamped with writers' [`Version`]s; the stamps also power XOV's
+//!   read-set validation.
+//! * [`prune_to_sealed`] — the seal OX and OXII peers run on each block
+//!   they append: it folds the open blocks up to it into the sealed
+//!   versions. Persistence is not this crate's concern: a durable node
+//!   also holds a `parblock_store::Store` and seals each block there.
 //!
 //! # Examples
 //!

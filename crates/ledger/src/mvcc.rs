@@ -6,10 +6,8 @@
 //! correct version based on the position of the corresponding transaction
 //! in the block (log)."
 
-use std::cmp::Ordering;
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::collections::{BTreeMap, HashMap};
+use std::iter;
 
 use serde::{Deserialize, Serialize};
 
@@ -34,34 +32,32 @@ pub struct Version {
 impl Version {
     /// Creates a version stamp.
     #[must_use]
-    pub fn new(block: BlockNumber, seq: SeqNo) -> Self {
+    pub const fn new(block: BlockNumber, seq: SeqNo) -> Self {
         Version { block, seq }
     }
 
     /// The version of values present before any block executed.
-    pub const GENESIS: Version = Version {
-        block: BlockNumber(0),
-        seq: SeqNo(0),
-    };
+    pub const GENESIS: Version = Version::new(BlockNumber(0), SeqNo(0));
 }
 
-/// SipHash under fixed keys, as `parblock_depgraph::CrossBlockIndex`
-/// hashes: a map that churns inserts and removals under a per-process
-/// `RandomState` grows its table at points that depend on where its
-/// entries hash, so its allocations would differ from run to run
-/// (`tests/alloc_budget.rs`).
-type FixedState = BuildHasherDefault<DefaultHasher>;
+/// A position above every version: reads at it see each key's newest.
+const NEWEST: Version = Version::new(BlockNumber(u64::MAX), SeqNo(u32::MAX));
 
-/// A store keeping every written version of each key. Every paradigm's
-/// executors hold their state in one: OXII reads it at each
-/// transaction's log position, OX at its serial position, XOV at its
-/// ledger head.
+/// A multi-version store. Every paradigm's executors hold their state in
+/// one: OXII reads it at each transaction's log position, OX at its
+/// serial position, XOV at its ledger head.
 ///
-/// The newest version of each key is stored inline in one map; only a
-/// key that still holds versions below its newest (written since the
-/// last prune, or out of order) has a history vector beside it. After a
-/// seal ([`prune_to_sealed`]) most keys hold exactly one version, so
-/// most keys cost no allocation of their own.
+/// Versions matter only to readers in blocks still in flight, so the
+/// store keeps one version per key for the sealed prefix of the chain
+/// and every version only for the blocks above it:
+///
+/// * `sealed` maps each key to its newest version at or below the
+///   sealed watermark, stored inline;
+/// * `open` holds, per block above the watermark, that block's writes
+///   ordered by key and in-block position.
+///
+/// A seal ([`prune_to_sealed`]) folds the blocks it covers into
+/// `sealed`, oldest first, so a sealed block's versions leave with it.
 ///
 /// # Examples
 ///
@@ -81,11 +77,13 @@ type FixedState = BuildHasherDefault<DefaultHasher>;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MvccState {
-    /// The newest version of every key ever written, and its value.
-    latest: HashMap<Key, (Version, Value)>,
-    /// For each key with versions below its newest: those versions,
-    /// sorted ascending.
-    older: HashMap<Key, Vec<(Version, Value)>, FixedState>,
+    /// Per key, the newest version at or below the watermark.
+    sealed: HashMap<Key, (Version, Value)>,
+    /// The newest sealed block (`None` before the first seal). Every
+    /// version in `open` is above it.
+    watermark: Option<BlockNumber>,
+    /// Per block above the watermark, its writes by key and position.
+    open: BTreeMap<BlockNumber, BTreeMap<(Key, SeqNo), Value>>,
 }
 
 impl MvccState {
@@ -95,44 +93,33 @@ impl MvccState {
         Self::default()
     }
 
-    /// Creates a store pre-loaded with genesis values.
+    /// Creates a store pre-loaded with genesis values, with block 0
+    /// sealed.
     pub fn with_genesis<I: IntoIterator<Item = (Key, Value)>>(items: I) -> Self {
-        let items = items.into_iter();
-        let mut state = Self::new();
-        // Sized once: growing by doubling would hold two tables at once.
-        state.latest.reserve(items.size_hint().0);
-        for (k, v) in items {
-            state.put(k, v, Version::GENESIS);
+        let genesis = |(key, value)| (key, (Version::GENESIS, value));
+        MvccState {
+            // Sized once from the iterator's length hint.
+            sealed: items.into_iter().map(genesis).collect(),
+            watermark: Some(BlockNumber::GENESIS),
+            open: BTreeMap::new(),
         }
-        state
     }
 
     /// Writes a new version of `key`.
     ///
-    /// Versions may arrive out of order (parallel executors): the history
-    /// is kept sorted by version. Writing the same version twice replaces
-    /// the value (idempotent re-execution).
+    /// Versions may arrive out of order (parallel executors), and puts
+    /// commute: writing the same version twice replaces the value
+    /// (idempotent re-execution), and a write at or below the watermark
+    /// replaces the key's sealed version only when it is newer.
     pub fn put(&mut self, key: Key, value: Value, version: Version) {
-        let mut newest = match self.latest.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert((version, value));
-                return;
-            }
-            Entry::Occupied(newest) => newest,
-        };
-        match version.cmp(&newest.get().0) {
-            Ordering::Equal => newest.get_mut().1 = value,
-            Ordering::Greater => {
-                let previous = newest.insert((version, value));
-                self.older.entry(key).or_default().push(previous);
-            }
-            Ordering::Less => {
-                let history = self.older.entry(key).or_default();
-                match history.binary_search_by_key(&version, |(v, _)| *v) {
-                    Ok(i) => history[i].1 = value,
-                    Err(i) => history.insert(i, (version, value)),
-                }
-            }
+        if Some(version.block) > self.watermark {
+            let block = self.open.entry(version.block).or_default();
+            block.insert((key, version.seq), value);
+            return;
+        }
+        let sealed = self.sealed.get(&key);
+        if sealed.is_none_or(|(sealed, _)| *sealed <= version) {
+            self.sealed.insert(key, (version, value));
         }
     }
 
@@ -160,65 +147,78 @@ impl MvccState {
     }
 
     /// The newest version of `key` at or below `position`, and its value:
-    /// the inline newest version when it qualifies, otherwise a binary
-    /// search of the key's history.
-    fn visible(&self, key: Key, position: Version) -> Option<&(Version, Value)> {
-        let newest = self.latest.get(&key)?;
-        if newest.0 <= position {
-            return Some(newest);
-        }
-        let history = self.older.get(&key)?;
-        let below = history.partition_point(|(v, _)| *v <= position);
-        below.checked_sub(1).map(|i| &history[i])
+    /// the open blocks at or below the position's block, newest first,
+    /// one descent each, then the sealed version.
+    fn visible(&self, key: Key, position: Version) -> Option<(Version, &Value)> {
+        let mut open = self.open.range(..=position.block).rev();
+        let in_open = open.find_map(|(&block, writes)| {
+            // All of a lower block; the reader's own block up to its seq.
+            let top = position.min(Version::new(block, SeqNo(u32::MAX))).seq;
+            let ((written, seq), value) = writes.range(..=(key, top)).next_back()?;
+            (*written == key).then(|| (Version::new(block, *seq), value))
+        });
+        in_open.or_else(|| {
+            let (version, value) = self.sealed.get(&key)?;
+            (*version <= position).then_some((*version, value))
+        })
     }
 
     /// Reads the newest version of `key`.
     #[must_use]
     pub fn latest(&self, key: Key) -> Value {
-        self.latest
-            .get(&key)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default()
+        self.read_at(key, NEWEST)
     }
 
     /// The newest version of `key`, if it was ever written: the read
     /// version an XOV endorser records and its validator checks.
     #[must_use]
     pub fn latest_version(&self, key: Key) -> Option<Version> {
-        self.latest.get(&key).map(|(v, _)| *v)
+        self.visible(key, NEWEST).map(|(version, _)| version)
     }
 
     /// Number of stored versions of `key`.
     #[must_use]
     pub fn version_count(&self, key: Key) -> usize {
-        if !self.latest.contains_key(&key) {
-            return 0;
-        }
-        1 + self.older.get(&key).map_or(0, Vec::len)
+        self.versions(key).count()
     }
 
     /// The versions of `key`, ascending (empty if the key was never
     /// written). Exposed for invariant checks and tests.
     #[must_use]
     pub fn versions_of(&self, key: Key) -> Vec<Version> {
-        let history = self.older.get(&key).into_iter().flatten();
-        let newest = self.latest.get(&key);
-        history.chain(newest).map(|(v, _)| *v).collect()
+        self.versions(key).collect()
+    }
+
+    /// The stored versions of `key`, ascending: the sealed one, then each
+    /// open block's.
+    fn versions(&self, key: Key) -> impl Iterator<Item = Version> + '_ {
+        let sealed = self.sealed.get(&key).map(|(version, _)| *version);
+        let open = self.open.iter().flat_map(move |(&block, writes)| {
+            let range = writes.range((key, SeqNo(0))..=(key, SeqNo(u32::MAX)));
+            range.map(move |((_, seq), _)| Version::new(block, *seq))
+        });
+        sealed.into_iter().chain(open)
     }
 
     /// Total number of stored versions across all keys — the quantity the
     /// commit-watermark garbage collection bounds.
     #[must_use]
     pub fn total_versions(&self) -> usize {
-        self.latest.len() + self.older.values().map(Vec::len).sum::<usize>()
+        self.sealed.len() + self.open.values().map(BTreeMap::len).sum::<usize>()
     }
 
     /// Per key, the newest version at or below `horizon` and its value,
-    /// in hash order.
-    fn visible_at(&self, horizon: Version) -> impl Iterator<Item = (Key, &(Version, Value))> {
-        self.latest
-            .keys()
-            .filter_map(move |&key| self.visible(key, horizon).map(|entry| (key, entry)))
+    /// in no particular order: each stored version, kept where it is the
+    /// visible one, so each key appears once.
+    fn visible_at(&self, horizon: Version) -> impl Iterator<Item = (Key, (Version, &Value))> {
+        let sealed = self.sealed.iter().map(|(&key, (v, _))| (key, *v));
+        let open = self.open.range(..=horizon.block);
+        let open = open.flat_map(|(&block, writes)| iter::repeat(block).zip(writes.keys()));
+        let open = open.map(|(block, &(key, seq))| (key, Version::new(block, seq)));
+        sealed.chain(open).filter_map(move |(key, version)| {
+            let visible = self.visible(key, horizon)?;
+            (visible.0 == version).then_some((key, visible))
+        })
     }
 
     /// A digest of the **latest** values (keys and contents, not version
@@ -226,7 +226,7 @@ impl MvccState {
     /// mapping share a digest, whatever writes produced it.
     #[must_use]
     pub fn digest(&self) -> Hash32 {
-        self.digest_at(Version::new(BlockNumber(u64::MAX), SeqNo(u32::MAX)))
+        self.digest_at(NEWEST)
     }
 
     /// A digest of the values visible at `horizon` (the newest version at
@@ -238,7 +238,7 @@ impl MvccState {
     /// still-in-flight blocks.
     #[must_use]
     pub fn digest_at(&self, horizon: Version) -> Hash32 {
-        // Hash order is harmless: digest_entries sorts by key before hashing.
+        // Any order is harmless: digest_entries sorts by key before hashing.
         digest_entries(self.visible_at(horizon).map(|(key, (_, value))| (key, value)))
     }
 
@@ -251,41 +251,28 @@ impl MvccState {
     pub fn snapshot_at(&self, horizon: Version) -> Vec<(Key, Value, Version)> {
         let mut entries: Vec<(Key, Value, Version)> = self
             .visible_at(horizon)
-            .map(|(key, (version, value))| (key, value.clone(), *version))
+            .map(|(key, (version, value))| (key, value.clone(), version))
             .collect();
         entries.sort_unstable_by_key(|(k, _, _)| *k);
         entries
     }
-
-    /// Garbage-collects versions strictly older than `horizon`, keeping at
-    /// least the newest version at or below the horizon (it is still
-    /// visible to readers positioned at the horizon).
-    ///
-    /// Only keys with a history are visited, each on its own, so the
-    /// visit order changes nothing. A key whose newest version is at or
-    /// below the horizon loses its whole history.
-    pub fn prune(&mut self, horizon: Version) {
-        let latest = &self.latest;
-        self.older.retain(|key, history| {
-            if latest.get(key).is_some_and(|(newest, _)| *newest <= horizon) {
-                return false;
-            }
-            // Index of the first version > horizon.
-            let first_after = history.partition_point(|(v, _)| *v <= horizon);
-            if first_after > 1 {
-                history.drain(..first_after - 1);
-            }
-            true
-        });
-    }
 }
 
-/// Prunes `state` to the watermark a just-sealed block establishes:
-/// every future reader is positioned in a later block, so only the
-/// newest version at or below the end of this block stays reachable per
-/// key. OX and OXII peers call it when they seal a block.
+/// Seals `state` at `block`: every future reader is positioned in a
+/// later block, so only the newest version at or below the end of this
+/// block stays reachable per key. The open blocks up to `block` are
+/// folded into the sealed map, oldest first; a seal at or below the
+/// watermark changes nothing. OX and OXII peers call it when they seal a
+/// block.
 pub fn prune_to_sealed(block: &Block, state: &mut MvccState) {
-    state.prune(Version::new(block.number(), SeqNo(u32::MAX)));
+    let through = block.number();
+    while let Some(entry) = state.open.first_entry().filter(|e| *e.key() <= through) {
+        let (number, writes) = entry.remove_entry();
+        for ((key, seq), value) in writes {
+            state.sealed.insert(key, (Version::new(number, seq), value));
+        }
+    }
+    state.watermark = state.watermark.max(Some(through));
 }
 
 /// Version tag leading every state-digest preimage; bump it on any layout
@@ -361,19 +348,6 @@ mod tests {
         assert_eq!(s.read_at(Key(1), v(1, 0)), Value::Unit);
         assert_eq!(s.latest(Key(1)), Value::Unit);
         assert_eq!(s.version_count(Key(1)), 0);
-    }
-
-    #[test]
-    fn prune_keeps_horizon_visibility() {
-        let mut s = MvccState::new();
-        for i in 1..=5 {
-            s.put(Key(1), Value::Int(i as i64), v(i, 0));
-        }
-        s.prune(v(3, 0));
-        // Versions 1 and 2 dropped; version 3 kept (visible at horizon).
-        assert_eq!(s.version_count(Key(1)), 3);
-        assert_eq!(s.read_at(Key(1), v(3, 0)), Value::Int(3));
-        assert_eq!(s.read_at(Key(1), v(4, 0)), Value::Int(4));
     }
 
     /// Sealing block 2 collapses every version up to the end of block 2

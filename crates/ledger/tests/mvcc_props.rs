@@ -1,8 +1,8 @@
 //! Property-based tests for [`MvccState`] — the invariants the execution
 //! pipeline leans on (DESIGN.md §7): version-positioned reads, sorted
-//! chains under arbitrary interleavings, and watermark GC that never
-//! changes what a live reader can observe — and a model-based run that
-//! holds every query to a naive versioned map after each step.
+//! chains under arbitrary interleavings, and seals that never change
+//! what a live reader can observe — and a model-based run that holds
+//! every query to a naive versioned map with a watermark after each step.
 
 use std::collections::BTreeMap;
 
@@ -88,19 +88,18 @@ proptest! {
         }
     }
 
-    /// GC below the watermark never changes any readable value: every
-    /// read positioned at or above the horizon returns the same value
-    /// before and after `prune`.
+    /// A seal never changes any readable value: every read positioned at
+    /// or above the end of the sealed block returns the same value before
+    /// and after `prune_to_sealed`.
     #[test]
     fn prune_below_watermark_preserves_readable_values(
         puts in arb_puts(),
-        horizon_block in 0u64..6,
-        horizon_seq in 0u32..7,
+        sealed_block in 0u64..6,
     ) {
-        let horizon = v(horizon_block, horizon_seq);
+        let horizon = v(sealed_block, u32::MAX);
         let before = build(&puts);
         let mut after = build(&puts);
-        after.prune(horizon);
+        prune_to_sealed(&block(sealed_block), &mut after);
         prop_assert!(after.total_versions() <= before.total_versions());
         for key in (0u64..4).map(Key) {
             // All reader positions ≥ horizon, sampled on the version grid
@@ -113,22 +112,22 @@ proptest! {
                 prop_assert_eq!(
                     after.get_at(key, position),
                     before.get_at(key, position),
-                    "read of {:?} at {:?} changed by prune({:?})", key, position, horizon
+                    "read of {:?} at {:?} changed by sealing block {}", key, position, sealed_block
                 );
             }
         }
     }
 
     /// The latest value — and hence the state digest — is untouched by
-    /// pruning at any horizon.
+    /// sealing any block.
     #[test]
     fn prune_never_changes_latest_or_digest(
         puts in arb_puts(),
-        horizon_block in 0u64..6,
+        sealed_block in 0u64..6,
     ) {
         let before = build(&puts);
         let mut after = build(&puts);
-        after.prune(v(horizon_block, 0));
+        prune_to_sealed(&block(sealed_block), &mut after);
         for key in (0u64..4).map(Key) {
             prop_assert_eq!(after.latest(key), before.latest(key));
         }
@@ -136,22 +135,29 @@ proptest! {
     }
 }
 
+fn block(number: u64) -> Block {
+    Block::new(BlockNumber(number), Hash32::ZERO, vec![])
+}
+
 /// One step of a model-based run.
 #[derive(Debug, Clone)]
 enum Op {
     Put(Key, Version, Value),
-    Prune(Version),
+    /// A put into the first (`ahead` = 1) or second open block above the
+    /// watermark at the time it runs.
+    PutOpen(Key, u64, SeqNo, Value),
     PruneToSealed(u64),
 }
 
 /// Strategy: mostly puts on a grid small enough that versions repeat
-/// and arrive below a key's newest, with prunes at arbitrary horizons
-/// and seals of arbitrary blocks mixed in.
+/// and arrive below a key's newest, at or below the watermark as well
+/// as out of order within and across the two lowest open blocks, with
+/// seals of arbitrary blocks mixed in.
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     let op = ((0u8..8, 0u64..4), 0u64..5, 0u32..4, 0u64..50).prop_map(
         |((kind, key), block, seq, val)| match kind {
-            0..=5 => Op::Put(Key(key), v(block, seq), Value::Int(val as i64)),
-            6 => Op::Prune(v(block, seq)),
+            0..=2 => Op::Put(Key(key), v(block, seq), Value::Int(val as i64)),
+            3..=5 => Op::PutOpen(Key(key), 1 + block % 2, SeqNo(seq), Value::Int(val as i64)),
             _ => Op::PruneToSealed(block),
         },
     );
@@ -159,9 +165,12 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// The naive reference: every stored version of every key in one
-/// ordered map.
+/// ordered map, and the newest sealed block.
 #[derive(Default)]
-struct Model(BTreeMap<(Key, Version), Value>);
+struct Model {
+    stored: BTreeMap<(Key, Version), Value>,
+    watermark: Option<u64>,
+}
 
 impl Model {
     /// The versions of `key` at or below `position`, ascending.
@@ -170,7 +179,7 @@ impl Model {
         key: Key,
         position: Version,
     ) -> impl DoubleEndedIterator<Item = (Version, &Value)> {
-        self.0
+        self.stored
             .range((key, Version::GENESIS)..=(key, position))
             .map(|((_, ver), val)| (*ver, val))
     }
@@ -180,12 +189,31 @@ impl Model {
     }
 
     /// Drops, per key, every version below the newest one at or below
-    /// `horizon`.
-    fn prune(&mut self, horizon: Version) {
+    /// the end of the watermark block.
+    fn prune(&mut self) {
+        let Some(watermark) = self.watermark else {
+            return;
+        };
         for key in KEYS.map(Key) {
-            if let Some((keep, _)) = self.get_at(key, horizon) {
-                self.0.retain(|(k, ver), _| *k != key || *ver >= keep);
+            if let Some((keep, _)) = self.get_at(key, v(watermark, u32::MAX)) {
+                self.stored.retain(|(k, ver), _| *k != key || *ver >= keep);
             }
+        }
+    }
+
+    /// A put at or below the watermark keeps only the newest sealed
+    /// version of its key.
+    fn put(&mut self, key: Key, ver: Version, val: Value) {
+        self.stored.insert((key, ver), val);
+        self.prune();
+    }
+
+    /// A seal at or below the watermark is a no-op; one above it prunes
+    /// at the sealed block's end.
+    fn seal(&mut self, block: u64) {
+        if Some(block) > self.watermark {
+            self.watermark = Some(block);
+            self.prune();
         }
     }
 
@@ -202,9 +230,10 @@ impl Model {
 
 const KEYS: [u64; 4] = [0, 1, 2, 3];
 
-/// Every reader position the grid can tell apart, plus the far future.
+/// Every reader position the grid can tell apart (seals reach block 4
+/// and open-block puts two blocks above), plus the far future.
 fn positions() -> Vec<Version> {
-    let mut all: Vec<Version> = (0u64..6)
+    let mut all: Vec<Version> = (0u64..8)
         .flat_map(|block| (0u32..4).chain([u32::MAX]).map(move |seq| v(block, seq)))
         .collect();
     all.push(v(u64::MAX, u32::MAX));
@@ -215,8 +244,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// After every step of a random sequence of puts (out of order,
-    /// repeated versions), prunes and seals, the store answers every
-    /// query exactly as the naive model does.
+    /// repeated versions, below and above the watermark) and seals, the
+    /// store answers every query exactly as the naive model does.
     #[test]
     fn store_matches_a_naive_versioned_map(ops in arb_ops()) {
         let mut state = MvccState::new();
@@ -225,19 +254,20 @@ proptest! {
             match op {
                 Op::Put(key, ver, val) => {
                     state.put(key, val.clone(), ver);
-                    model.0.insert((key, ver), val);
+                    model.put(key, ver, val);
                 }
-                Op::Prune(horizon) => {
-                    state.prune(horizon);
-                    model.prune(horizon);
+                Op::PutOpen(key, ahead, seq, val) => {
+                    let first_open = model.watermark.map_or(0, |w| w + 1);
+                    let ver = Version::new(BlockNumber(first_open + ahead - 1), seq);
+                    state.put(key, val.clone(), ver);
+                    model.put(key, ver, val);
                 }
-                Op::PruneToSealed(block) => {
-                    let sealed = Block::new(BlockNumber(block), Hash32::ZERO, vec![]);
-                    prune_to_sealed(&sealed, &mut state);
-                    model.prune(v(block, u32::MAX));
+                Op::PruneToSealed(number) => {
+                    prune_to_sealed(&block(number), &mut state);
+                    model.seal(number);
                 }
             }
-            prop_assert_eq!(state.total_versions(), model.0.len());
+            prop_assert_eq!(state.total_versions(), model.stored.len());
             for key in KEYS.map(Key) {
                 let versions: Vec<Version> =
                     model.versions(key, v(u64::MAX, u32::MAX)).map(|(ver, _)| ver).collect();

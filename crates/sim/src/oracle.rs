@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use parblock_contracts::{AppRegistry, ExecOutcome, StateReader};
 use parblock_crypto::hash_wire;
-use parblock_ledger::{Ledger, MvccState, Version};
+use parblock_ledger::{prune_to_sealed, Ledger, MvccState, Version};
 use parblock_types::{Block, BlockNumber, Hash32, Key, SeqNo, TxId, Value};
 use parblock_workload::WorkloadGen;
 use parblockchain::{ClusterSpec, SimOutcome};
@@ -118,7 +118,8 @@ pub fn serial_replay(
                 _ => aborted += 1,
             }
         }
-        // Mirror the executor's seal-time GC horizon for the digest.
+        // Seal, then digest at the watermark, as the executor does.
+        prune_to_sealed(block, &mut state);
         digests.push(state.digest_at(Version::new(block.number(), SeqNo(u32::MAX))));
         heads.push(hash_wire(block.as_ref()));
     }

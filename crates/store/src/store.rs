@@ -6,7 +6,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use parblock_depgraph::DependencyGraph;
-use parblock_ledger::{ChainError, Ledger, MvccState, Version};
+use parblock_ledger::{prune_to_sealed, ChainError, Ledger, MvccState, Version};
 use parblock_types::{Block, BlockNumber, DurabilityConfig, Hash32, Key, Value};
 
 use crate::blocks::BlockFile;
@@ -70,10 +70,15 @@ impl Recovered {
     }
 
     /// Overlays the recovered state entries onto `state` (typically a
-    /// genesis-seeded store), in recovery order.
+    /// genesis-seeded store), in recovery order, and seals it at the
+    /// recovered watermark, so it holds the versions the live peer held
+    /// after its last seal.
     pub fn overlay_state(&self, state: &mut MvccState) {
         for (key, value, version) in &self.state_entries {
             state.put(*key, value.clone(), *version);
+        }
+        if let Some((block, _)) = self.chain.last() {
+            prune_to_sealed(block, state);
         }
     }
 }
@@ -378,7 +383,6 @@ pub fn reconcile_cluster(
 #[cfg(test)]
 mod tests {
     use parblock_crypto::hash_wire;
-    use parblock_ledger::prune_to_sealed;
     use parblock_types::{AppId, ClientId, RwSet, SeqNo, Transaction};
 
     use super::*;
@@ -438,6 +442,7 @@ mod tests {
         let mut state = MvccState::with_genesis([(Key(99), Value::Int(-1))]);
         recovered.overlay_state(&mut state);
         assert_eq!(state.digest(), live_state.digest());
+        assert_eq!(state.total_versions(), live_state.total_versions());
         assert!(store.stats().recovery_replay_len > 0);
     }
 

@@ -6,8 +6,11 @@
 //! a budget the way the sim-leg knee is (`ci/BENCH_saturate_baseline.json`).
 //! One thing can break that: a `HashMap` under the per-process
 //! `RandomState` that churns inserts and removals grows its table at
-//! points that depend on where its entries hash. The executor's
-//! `CrossBlockIndex` is such a map, so it hashes with fixed keys.
+//! points that depend on where its entries hash. Of the maps a run
+//! holds, only the executor's `CrossBlockIndex` is such a map, so it
+//! hashes with fixed keys. `MvccState`'s sealed map never removes a key,
+//! so it grows at the same counts in every process, and its open blocks
+//! are `BTreeMap`s.
 //!
 //! * **allocations per transaction**: `alloc` + `realloc` calls made
 //!   while the run executes, over the transactions submitted;
@@ -64,6 +67,8 @@
 //! |                                          | 0.8 |  70.27 | 3 458 |
 //! | one inline version per key               | 0.0 |  53.88 | 1 665 |
 //! |                                          | 0.8 |  64.98 | 1 678 |
+//! | one map per open block                   | 0.0 |  46.99 | 1 648 |
+//! |                                          | 0.8 |  61.17 | 1 661 |
 //!
 //! (The first row was recorded here as 110.35 / 3 725; the tree at that
 //! change reads 110.50 / 3 722.) The streaming ordering path encodes a
@@ -180,8 +185,8 @@
 //! 54.04 / 65.14: genesis builds no vector per key (about 10 allocations
 //! per transaction over the four peers), but a key written after a seal
 //! now allocates a history vector where its old vector had room. The
-//! history map hashes with fixed keys, like `CrossBlockIndex`: it
-//! churns, and the counts must repeat. In the same change the block cutter
+//! history map hashed with fixed keys, like `CrossBlockIndex`: it
+//! churned, and the counts must repeat. In the same change the block cutter
 //! hands over each block's vector at its exact size (a 100-transaction
 //! block held 128 slots), and `SimOutcome::observer_chain` shares the
 //! observer ledger's `Arc<Block>`s where it copied every block's
@@ -191,6 +196,17 @@
 //! marginal figure no longer differs between the two contentions: the
 //! 15.87 bytes that did were most likely hot keys' history vectors,
 //! which grew past four versions and kept the capacity.
+//!
+//! `MvccState` now keeps each key's newest sealed version in one map and
+//! every version written above the sealed watermark in one `BTreeMap`
+//! per open block, which a seal folds into the sealed map. The history
+//! vectors are gone: a key first written after a seal allocated one
+//! (192 bytes) and the next seal freed it, where a block's writes now
+//! share its map's nodes. Allocations per transaction fell from 53.88 /
+//! 64.98 to 46.99 / 61.17 in release (47.40 / 61.57 in debug), peak live
+//! bytes from 1 664.92 / 1 677.53 to 1 648.38 / 1 660.99 in both
+//! profiles; the marginal and genesis figures did not move. The
+//! allocation and peak-bytes budgets were lowered with this row.
 //!
 //! What each extra transaction adds now, at either contention: one copy
 //! of the chain, 146.44 bytes; the sequencer's retained log, 210.86 (the
@@ -369,17 +385,17 @@ fn marginal(peak: impl Fn(usize) -> i64) -> f64 {
 }
 
 /// `(contention, allocations / tx, peak live bytes / tx)`. Every budget
-/// sits 5 % above what the tree reads since one inline version per key
-/// (see the header): 53.88 and 64.98 allocations at contention 0 and 0.8
-/// in release, 1 664.92 and 1 677.53 peak live bytes in both profiles. A
-/// debug build makes 0.40 more allocations per transaction (54.28,
-/// 65.38): `Ledger::append_hashed`'s `debug_assert` encodes and hashes
+/// sits 5 % above what the tree reads since one map per open block (see
+/// the header): 46.99 and 61.17 allocations at contention 0 and 0.8 in
+/// release, 1 648.38 and 1 660.99 peak live bytes in both profiles. A
+/// debug build makes 0.40 more allocations per transaction (47.40,
+/// 61.57): `Ledger::append_hashed`'s `debug_assert` encodes and hashes
 /// each appended block once more. The 0.8 budgets sit higher because a
 /// conflict chain sends one COMMIT per execution.
 const BUDGETS: [(f64, f64, f64); 2] = if cfg!(debug_assertions) {
-    [(0.0, 56.99, 1_749.0), (0.8, 68.65, 1_762.0)]
+    [(0.0, 49.77, 1_731.0), (0.8, 64.65, 1_745.0)]
 } else {
-    [(0.0, 56.57, 1_749.0), (0.8, 68.23, 1_762.0)]
+    [(0.0, 49.34, 1_731.0), (0.8, 64.23, 1_745.0)]
 };
 
 /// A figure below this share of its budget means the budget is stale.
