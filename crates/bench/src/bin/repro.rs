@@ -12,6 +12,9 @@
 //!                            # oracles (+ pinned regression seeds)
 //! repro explore --seed 17    # replay one seed twice, assert bit-reproducibility
 //! repro explore --no-faults  # pure schedule exploration, faults disabled
+//! repro explore --seeds 200 --require-catch-ups
+//!                            # also fail unless restarted orderers resumed
+//!                            # from both kinds of sequencer catch-up
 //! repro saturate             # open-loop saturation sweep: rate-vs-latency
 //!                            # curve with honest percentiles + detected knee
 //! repro saturate --sim       # same sweep in virtual time (bit-reproducible)
@@ -301,12 +304,18 @@ fn main() {
                             seed_file.display()
                         );
                     }
-                    explore_sweep(seeds, &pinned, &config)
+                    let (table, passed, catch_ups) = explore_sweep(seeds, &pinned, &config);
+                    let required = args.iter().any(|a| a == "--require-catch-ups");
+                    let both = catch_ups.state_installs > 0 && catch_ups.log_start_jumps > 0;
+                    if required && !both {
+                        eprintln!("explore: a kind of orderer catch-up never happened");
+                    }
+                    (table, passed && (both || !required))
                 }
             };
             emit("explore", &table);
             if !passed {
-                eprintln!("explore: oracle violations found (see above)");
+                eprintln!("explore: the sweep failed (see above)");
                 std::process::exit(1);
             }
         }
@@ -320,7 +329,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown command: {other}");
-            eprintln!("usage: repro [fig5|fig6|fig7|explore|saturate|trace|all] [--contention N] [--move GROUP] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
+            eprintln!("usage: repro [fig5|fig6|fig7|explore|saturate|trace|all] [--contention N] [--move GROUP] [--full] [--seeds N] [--seed K] [--seed-file PATH] [--count N] [--no-faults] [--require-catch-ups] [--rates R,R,...] [--rate R] [--arrival uniform|poisson|burst] [--sim] [--on-disk] [--cap N] [--json] [--check-baseline PATH]");
             std::process::exit(2);
         }
     }

@@ -20,7 +20,7 @@
 
 use std::path::Path;
 
-use parblock_sim::{run_seed, run_seed_twice, ExploreConfig, SeedReport};
+use parblock_sim::{run_seed, run_seed_twice, CatchUps, ExploreConfig, SeedReport};
 
 use crate::table::Table;
 
@@ -64,9 +64,15 @@ fn verdict_row(table: &mut Table, report: &SeedReport) {
 }
 
 /// Runs the sweep: seeds `0..seeds` plus `pinned`, deduplicated,
-/// checking all four oracles per seed. Returns `(table, all_passed)`.
+/// checking all four oracles per seed. Returns `(table, all_passed,
+/// catch-ups summed over the seeds)`, and prints the catch-ups (they are
+/// not a column, so the table stays comparable across changes to them).
 #[must_use]
-pub fn explore_sweep(seeds: u64, pinned: &[u64], config: &ExploreConfig) -> (Table, bool) {
+pub fn explore_sweep(
+    seeds: u64,
+    pinned: &[u64],
+    config: &ExploreConfig,
+) -> (Table, bool, CatchUps) {
     let mut all: Vec<u64> = (0..seeds).collect();
     for &pin in pinned {
         if !all.contains(&pin) {
@@ -75,8 +81,10 @@ pub fn explore_sweep(seeds: u64, pinned: &[u64], config: &ExploreConfig) -> (Tab
     }
     let mut table = Table::new(["seed", "verdict", "blocks", "events", "report_digest", "schedule"]);
     let mut failures = Vec::new();
+    let mut catch_ups = CatchUps::default();
     for seed in all {
         let report = run_seed(seed, config);
+        catch_ups.add(report.catch_ups);
         if !report.passed() {
             failures.push((report.seed, report.failures.clone(), report.repro_command()));
         }
@@ -89,7 +97,11 @@ pub fn explore_sweep(seeds: u64, pinned: &[u64], config: &ExploreConfig) -> (Tab
         }
         eprintln!("  reproduce: {repro}");
     }
-    (table, failures.is_empty())
+    println!(
+        "orderer catch-ups: {} state installs (in memory), {} log-start jumps (on disk)",
+        catch_ups.state_installs, catch_ups.log_start_jumps
+    );
+    (table, failures.is_empty(), catch_ups)
 }
 
 /// Replays one seed twice, asserting bit-reproducibility, and prints the

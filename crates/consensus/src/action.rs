@@ -48,4 +48,17 @@ pub enum Action<M> {
         /// Timer identity.
         id: TimerId,
     },
+    /// `to` asked for offsets this leader no longer retains (below
+    /// `log_start`): send it this host's state as of its next delivery,
+    /// ahead of the replay that follows this action. The receiver hands
+    /// the offset it resumes from to
+    /// [`OrderingProtocol::catch_up`](crate::OrderingProtocol::catch_up).
+    CatchUp {
+        /// The replica that fetched below the log start.
+        to: NodeId,
+        /// The leader's epoch, which the receiver checks as an append's.
+        epoch: u64,
+        /// The lowest offset the replay that follows starts at.
+        log_start: u64,
+    },
 }

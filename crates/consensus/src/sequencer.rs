@@ -8,6 +8,13 @@
 //! order. A stalled leader is replaced by bumping the epoch
 //! (bully-style): the new leader re-appends its stored-but-undelivered
 //! suffix. With `2f + 1` replicas the protocol tolerates `f` crashes.
+//!
+//! The log a leader keeps for lagging replicas is compacted: each
+//! replica's host reports the lowest offset its own restart would replay
+//! from ([`OrderingProtocol::compact`]), followers carry theirs on every
+//! `Ack`, and the leader carries the minimum over all replicas on every
+//! `Commit`. A replica that fetches below what the leader still holds (it
+//! restarted) gets an [`Action::CatchUp`] ahead of the replay.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
@@ -42,6 +49,9 @@ pub enum SeqMsg {
         epoch: u64,
         /// The stored offset.
         offset: u64,
+        /// The lowest offset the follower's restart would replay from,
+        /// as its host last reported it.
+        floor: u64,
     },
     /// Leader notification that `offset` is replicated on a majority.
     Commit {
@@ -49,6 +59,10 @@ pub enum SeqMsg {
         epoch: u64,
         /// The committed offset.
         offset: u64,
+        /// The lowest floor over all replicas, a replica the leader never
+        /// heard from counting as 0: every replica may drop its retained
+        /// log below it.
+        floor: u64,
     },
     /// Epoch-change announcement (bully).
     NewEpoch {
@@ -58,8 +72,11 @@ pub enum SeqMsg {
     /// Catch-up request: the sender is missing every offset from `from`
     /// up to the first one it has stored. Sent when a replica detects a
     /// delivery gap — after a partition heals, or after a restart — and
-    /// answered by replaying retained committed offsets as ordinary
-    /// `Append` + `Commit` pairs (no separate snapshot path).
+    /// answered by replaying the retained committed offsets from `from`
+    /// as ordinary `Append` + `Commit` pairs. A live replica never asks
+    /// below the leader's log start, since its floor never passes its own
+    /// next delivery; a restarted one can, and then the replay from the
+    /// log start follows an [`Action::CatchUp`].
     Fetch {
         /// First missing offset.
         from: u64,
@@ -96,12 +113,20 @@ pub struct QuorumSequencer {
     timeout: Duration,
     timer_armed: bool,
     /// Delivered payloads retained to answer [`SeqMsg::Fetch`] catch-up
-    /// requests from partitioned or restarted replicas. Unbounded by
-    /// design for the single-host simulation; a production deployment
-    /// would truncate below a cluster-wide durable watermark. An entry is
-    /// a pointer to the bytes the log and the delivery held, so replicas
-    /// of one process retain one copy between them.
+    /// requests from partitioned or restarted replicas: exactly the
+    /// offsets `log_start..next_deliver`. A `Commit`'s floor moves
+    /// `log_start` up, so in a fault-free run this holds the few offsets
+    /// between the slowest replica's last report and the newest delivery.
+    /// An entry is a pointer to the bytes the log and the delivery held,
+    /// so replicas of one process retain one copy between them.
     retained: BTreeMap<u64, Payload>,
+    /// The lowest retained offset; never above `next_deliver`.
+    log_start: u64,
+    /// The lowest offset this replica's own restart would replay from,
+    /// as its host last reported it ([`OrderingProtocol::compact`]).
+    floor: u64,
+    /// The highest floor each other replica has reported in an `Ack`.
+    floors: BTreeMap<NodeId, u64>,
     /// `(gap head, highest offset announced when requested)` of the
     /// outstanding Fetch. Suppresses a replay-per-message burst during
     /// catch-up, but re-arms when a *higher* offset is announced — so a
@@ -131,6 +156,9 @@ impl QuorumSequencer {
             timeout,
             timer_armed: false,
             retained: BTreeMap::new(),
+            log_start: 0,
+            floor: 0,
+            floors: BTreeMap::new(),
             fetch_requested: None,
         }
     }
@@ -200,10 +228,37 @@ impl QuorumSequencer {
             return;
         }
         entry.committed = true;
+        let floor = self.cluster_floor();
         actions.push(Action::Broadcast {
-            msg: SeqMsg::Commit { epoch, offset },
+            msg: SeqMsg::Commit {
+                epoch,
+                offset,
+                floor,
+            },
         });
         self.try_deliver(actions);
+        self.trim(floor);
+    }
+
+    /// The lowest floor over all replicas: this one's, and each other's
+    /// highest report, 0 for one that never reported.
+    fn cluster_floor(&self) -> u64 {
+        let others = self.cfg.peers.iter().filter(|&&p| p != self.cfg.id);
+        let reported = others.map(|p| self.floors.get(p).copied().unwrap_or(0));
+        reported.fold(self.floor, u64::min)
+    }
+
+    /// Drops the retained payloads below `floor`, or below the next
+    /// delivery when that is lower.
+    fn trim(&mut self, floor: u64) {
+        let start = floor.min(self.next_deliver);
+        while let Some(entry) = self.retained.first_entry() {
+            if *entry.key() >= start {
+                break;
+            }
+            entry.remove();
+        }
+        self.log_start = self.log_start.max(start);
     }
 
     fn try_deliver(&mut self, actions: &mut Vec<Action<SeqMsg>>) {
@@ -391,7 +446,11 @@ impl OrderingProtocol for QuorumSequencer {
                 self.next_offset = self.next_offset.max(offset + 1);
                 actions.push(Action::Send {
                     to: from,
-                    msg: SeqMsg::Ack { epoch, offset },
+                    msg: SeqMsg::Ack {
+                        epoch,
+                        offset,
+                        floor: self.floor,
+                    },
                 });
                 self.arm_timer(&mut actions);
                 // A commit may have arrived before the (re)append.
@@ -400,7 +459,13 @@ impl OrderingProtocol for QuorumSequencer {
                 }
                 self.fetch_gap_if_any(from, offset, false, &mut actions);
             }
-            SeqMsg::Ack { epoch, offset } => {
+            SeqMsg::Ack {
+                epoch,
+                offset,
+                floor,
+            } => {
+                let reported = self.floors.entry(from).or_default();
+                *reported = (*reported).max(floor);
                 if epoch != self.epoch || !self.i_lead() {
                     return actions;
                 }
@@ -409,14 +474,20 @@ impl OrderingProtocol for QuorumSequencer {
                 }
                 self.maybe_commit(offset, &mut actions);
             }
-            SeqMsg::Commit { epoch, offset } => {
+            SeqMsg::Commit {
+                epoch,
+                offset,
+                floor,
+            } => {
                 if from != self.leader_of(epoch) || epoch < self.epoch {
                     return actions;
                 }
                 self.adopt_epoch(epoch, &mut actions);
-                let entry = self.log.entry(offset).or_default();
-                entry.committed = true;
+                if offset >= self.next_deliver {
+                    self.log.entry(offset).or_default().committed = true;
+                }
                 self.try_deliver(&mut actions);
+                self.trim(floor);
                 self.fetch_gap_if_any(from, offset, true, &mut actions);
             }
             SeqMsg::NewEpoch { epoch } => {
@@ -424,11 +495,22 @@ impl OrderingProtocol for QuorumSequencer {
             }
             SeqMsg::Fetch { from: first } => {
                 if self.i_lead() {
+                    // Below the log start only the host's state can bring
+                    // the requester (a restarted replica) up to date, and
+                    // it goes ahead of the replay.
+                    let epoch = self.epoch;
+                    if first < self.log_start {
+                        actions.push(Action::CatchUp {
+                            to: from,
+                            epoch,
+                            log_start: self.log_start,
+                        });
+                    }
                     // Replay the retained committed range as ordinary
                     // Append + Commit pairs — the requester's normal
                     // admission path absorbs them (and deduplicates any
                     // offsets it meanwhile obtained elsewhere).
-                    let epoch = self.epoch;
+                    let floor = self.cluster_floor();
                     for (&offset, payload) in self.retained.range(first..) {
                         actions.push(Action::Send {
                             to: from,
@@ -440,7 +522,11 @@ impl OrderingProtocol for QuorumSequencer {
                         });
                         actions.push(Action::Send {
                             to: from,
-                            msg: SeqMsg::Commit { epoch, offset },
+                            msg: SeqMsg::Commit {
+                                epoch,
+                                offset,
+                                floor,
+                            },
                         });
                     }
                 }
@@ -478,6 +564,26 @@ impl OrderingProtocol for QuorumSequencer {
 
     fn current_view(&self) -> u64 {
         self.epoch
+    }
+
+    fn compact(&mut self, below: u64) {
+        self.floor = below;
+    }
+
+    fn catch_up(&mut self, from: NodeId, epoch: u64, offset: u64) -> Option<Vec<Action<SeqMsg>>> {
+        if epoch < self.epoch || from != self.leader_of(epoch) || offset <= self.next_deliver {
+            return None;
+        }
+        let mut actions = Vec::new();
+        self.adopt_epoch(epoch, &mut actions);
+        self.log = self.log.split_off(&offset);
+        self.retained.clear();
+        self.log_start = offset;
+        self.next_deliver = offset;
+        self.next_offset = self.next_offset.max(offset);
+        self.fetch_requested = None;
+        self.try_deliver(&mut actions);
+        Some(actions)
     }
 }
 
@@ -650,25 +756,30 @@ mod tests {
             offset,
             payload: payload.into(),
         };
+        let commit = |offset| SeqMsg::Commit {
+            epoch: 0,
+            offset,
+            floor: 0,
+        };
         // Both Appends arrive; Commit(0) is lost to a partition window.
         let _ = follower.on_message(NodeId(0), append(0, b"a"));
         let _ = follower.on_message(NodeId(0), append(1, b"b"));
         // Commit(1) arriving while offset 0 is stored-but-uncommitted is
         // proof (FIFO links, in-order commit broadcast) that Commit(0)
         // was dropped and will never be resent: fetch.
-        let actions = follower.on_message(NodeId(0), SeqMsg::Commit { epoch: 0, offset: 1 });
+        let actions = follower.on_message(NodeId(0), commit(1));
         let is_fetch0 = |a: &Action<SeqMsg>| {
             matches!(a, Action::Send { to: NodeId(0), msg: SeqMsg::Fetch { from: 0 } })
         };
         assert_eq!(actions.iter().filter(|a| is_fetch0(a)).count(), 1);
         // Further observations of the *same* gap evidence do not
         // re-fetch — the replay is in flight.
-        let again = follower.on_message(NodeId(0), SeqMsg::Commit { epoch: 0, offset: 1 });
+        let again = follower.on_message(NodeId(0), commit(1));
         assert!(!again.iter().any(is_fetch0), "duplicate Fetch for one gap head");
         // But a higher announcement re-arms the request: if the first
         // Fetch (or its replay) was itself lost to a fault window, the
         // leader's continued progress retries it.
-        let rearmed = follower.on_message(NodeId(0), SeqMsg::Commit { epoch: 0, offset: 2 });
+        let rearmed = follower.on_message(NodeId(0), commit(2));
         assert_eq!(
             rearmed.iter().filter(|a| is_fetch0(a)).count(),
             1,
@@ -677,7 +788,7 @@ mod tests {
         // The leader's replay (Append + Commit for offset 0) unblocks
         // delivery of both offsets.
         let _ = follower.on_message(NodeId(0), append(0, b"a"));
-        let actions = follower.on_message(NodeId(0), SeqMsg::Commit { epoch: 0, offset: 0 });
+        let actions = follower.on_message(NodeId(0), commit(0));
         let delivered: Vec<u64> = actions
             .iter()
             .filter_map(|a| match a {
@@ -700,7 +811,12 @@ mod tests {
             let _ = leader.submit(payload.as_slice().into());
         }
         for offset in 0..2 {
-            let _ = leader.on_message(NodeId(1), SeqMsg::Ack { epoch: 0, offset });
+            let ack = SeqMsg::Ack {
+                epoch: 0,
+                offset,
+                floor: 0,
+            };
+            let _ = leader.on_message(NodeId(1), ack);
         }
         let replay = leader.on_message(NodeId(2), SeqMsg::Fetch { from: 1 });
         // Offset 0 is not replayed; offset 1 arrives as Append + Commit.
@@ -716,6 +832,142 @@ mod tests {
             a,
             Action::Send { to: NodeId(2), msg: SeqMsg::Commit { offset: 1, .. } }
         )));
+    }
+
+    /// The largest retained log of any replica.
+    fn most_retained(c: &SimCluster<QuorumSequencer>) -> usize {
+        (0..3).map(|r| c.node(r).retained.len()).max().unwrap_or(0)
+    }
+
+    /// Fault-free, every replica reports its next delivery, and each
+    /// commit's floor trims the log to the offsets still being ordered.
+    #[test]
+    fn a_fault_free_run_retains_a_bounded_log() {
+        let mut c = cluster(3);
+        let mut most = 0;
+        for i in 0..1_000u32 {
+            c.submit((i % 3) as usize, i.to_le_bytes().to_vec());
+            while c.step() {
+                most = most.max(most_retained(&c));
+            }
+        }
+        assert_eq!(c.delivered(2).len(), 1_000);
+        assert!(c.all_agree());
+        assert!(most <= 2, "a replica retained {most} payloads");
+        for r in 0..3 {
+            assert!(c.node(r).log_start >= 998, "replica {r}");
+        }
+    }
+
+    /// A replica the leader never heard from counts as floor 0: nothing
+    /// is trimmed while it may still need offset 0.
+    #[test]
+    fn a_replica_that_never_acked_keeps_the_floor_at_zero() {
+        let mut c = cluster(3);
+        c.crash(2);
+        for i in 0..50u32 {
+            c.submit(0, i.to_le_bytes().to_vec());
+            c.run_to_quiescence();
+        }
+        for r in 0..2 {
+            assert_eq!(c.node(r).log_start, 0, "replica {r}");
+            assert_eq!(c.node(r).retained.len(), 50, "replica {r}");
+        }
+    }
+
+    /// A leader that trimmed past offset 0 answers a Fetch from offset 0
+    /// with a catch-up first, then replays from its log start.
+    #[test]
+    fn a_fetch_below_the_log_start_sends_a_catch_up_before_the_replay() {
+        let peers: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let mut leader = QuorumSequencer::new(
+            ProtocolConfig::new(NodeId(0), peers),
+            Duration::from_millis(100),
+        );
+        let ack = |offset, floor| SeqMsg::Ack {
+            epoch: 0,
+            offset,
+            floor,
+        };
+        for offset in 0..3 {
+            let _ = leader.submit([offset as u8].as_slice().into());
+            let _ = leader.on_message(NodeId(1), ack(offset, 0));
+        }
+        leader.compact(3);
+        let _ = leader.on_message(NodeId(1), ack(2, 2));
+        let _ = leader.on_message(NodeId(2), ack(2, 2));
+        let _ = leader.submit(b"d".as_slice().into());
+        let committed = leader.on_message(NodeId(1), ack(3, 2));
+        assert!(committed.iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: SeqMsg::Commit {
+                    offset: 3,
+                    floor: 2,
+                    ..
+                }
+            }
+        )));
+        assert_eq!(leader.log_start, 2);
+        let retained: Vec<u64> = leader.retained.keys().copied().collect();
+        assert_eq!(retained, vec![2, 3]);
+
+        let replay = leader.on_message(NodeId(2), SeqMsg::Fetch { from: 0 });
+        let catch_up = Action::CatchUp {
+            to: NodeId(2),
+            epoch: 0,
+            log_start: 2,
+        };
+        assert_eq!(replay.first(), Some(&catch_up));
+        let offsets: Vec<(u64, bool)> = replay[1..]
+            .iter()
+            .map(|a| match a {
+                Action::Send {
+                    to: NodeId(2),
+                    msg: SeqMsg::Append { offset, .. },
+                } => (*offset, false),
+                Action::Send {
+                    to: NodeId(2),
+                    msg: SeqMsg::Commit { offset, .. },
+                } => (*offset, true),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(offsets, vec![(2, false), (2, true), (3, false), (3, true)]);
+        // A Fetch at the log start needs no catch-up.
+        let replay = leader.on_message(NodeId(2), SeqMsg::Fetch { from: 2 });
+        assert!(!replay.iter().any(|a| matches!(a, Action::CatchUp { .. })));
+    }
+
+    /// A replica restarted with nothing takes the leader's delivered log
+    /// through the catch-up and then follows the live stream.
+    #[test]
+    fn a_restarted_replica_catches_up_from_the_leaders_log() {
+        let mut c = cluster(3);
+        for i in 0..100u32 {
+            c.submit(0, i.to_le_bytes().to_vec());
+            c.run_to_quiescence();
+        }
+        assert!(c.node(0).log_start > 0, "the leader trimmed past offset 0");
+        let peers: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let fresh = QuorumSequencer::new(
+            ProtocolConfig::new(NodeId(2), peers),
+            Duration::from_millis(100),
+        );
+        c.restart(2, fresh);
+        c.submit(1, b"after".to_vec());
+        c.run_to_quiescence();
+        assert_eq!(c.delivered(2).len(), 101);
+        assert_eq!(c.delivered(2), c.delivered(0));
+        // A catch-up from a replica that does not lead is refused.
+        let mut follower = QuorumSequencer::new(
+            ProtocolConfig::new(NodeId(2), (0..3).map(NodeId).collect()),
+            Duration::from_millis(100),
+        );
+        assert!(follower.catch_up(NodeId(1), 0, 5).is_none());
+        assert!(follower.catch_up(NodeId(0), 0, 5).is_some());
+        let again = follower.catch_up(NodeId(0), 0, 5);
+        assert!(again.is_none(), "already there");
     }
 
     #[test]

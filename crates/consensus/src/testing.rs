@@ -3,7 +3,10 @@
 //!
 //! The harness owns a message queue and the timers; nothing runs
 //! concurrently, so every schedule is reproducible (optionally shuffled
-//! with a seeded RNG).
+//! with a seeded RNG). It hosts each replica the way an in-memory orderer
+//! does: the replica's delivered log is the host's state, so its floor
+//! ([`OrderingProtocol::compact`]) is its next delivery, and a catch-up
+//! hands the leader's delivered log to the replica that asked.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -107,6 +110,17 @@ where
         self.crashed.remove(&node);
     }
 
+    /// Restarts replica `node` as `fresh`, a new instance with the same
+    /// id: its delivered log and timers are gone, as after a crash of an
+    /// in-memory host, and it is connected again.
+    pub fn restart(&mut self, node: usize, fresh: P) {
+        assert_eq!(fresh.id(), self.nodes[node].id(), "a restart keeps the id");
+        self.nodes[node] = fresh;
+        self.delivered[node].clear();
+        self.timers.retain(|&(n, _)| n != node);
+        self.crashed.remove(&node);
+    }
+
     /// Submits a payload at replica `node`.
     pub fn submit(&mut self, node: usize, payload: Vec<u8>) {
         self.submit_shared(node, payload.into());
@@ -147,8 +161,22 @@ where
                 Action::CancelTimer { id } => {
                     self.timers.remove(&(node, id));
                 }
+                Action::CatchUp { to, epoch, .. } => {
+                    let to = self.index_of(to);
+                    if self.crashed.contains(&to) {
+                        continue;
+                    }
+                    let log = self.delivered[node].clone();
+                    let next = log.len() as u64;
+                    if let Some(actions) = self.nodes[to].catch_up(from, epoch, next) {
+                        self.delivered[to] = log;
+                        self.process(to, actions);
+                    }
+                }
             }
         }
+        let next = self.delivered[node].len() as u64;
+        self.nodes[node].compact(next);
     }
 
     /// Delivers one queued message, if any. Returns `false` when idle.

@@ -69,6 +69,31 @@ pub trait OrderingProtocol {
 
     /// The replica's current view (PBFT) or epoch (sequencer).
     fn current_view(&self) -> u64;
+
+    /// The host reports `below`, the lowest offset its own restart would
+    /// replay from. A protocol that retains delivered payloads for
+    /// lagging replicas may drop those below every replica's report; one
+    /// that retains none (PBFT) ignores it.
+    fn compact(&mut self, below: u64) {
+        let _ = below;
+    }
+
+    /// `from`, the leader of `epoch`, answered with an
+    /// [`Action::CatchUp`]: the replica's next delivery jumps to `offset`,
+    /// and nothing below it is delivered. Returns the actions that follow,
+    /// which the host applies after installing the state that came with
+    /// the catch-up; `None` when the replica refuses it (a stale epoch, a
+    /// sender that does not lead that epoch, or an offset it has already
+    /// reached), and then the host installs nothing.
+    fn catch_up(
+        &mut self,
+        from: NodeId,
+        epoch: u64,
+        offset: u64,
+    ) -> Option<Vec<Action<Self::Msg>>> {
+        let _ = (from, epoch, offset);
+        None
+    }
 }
 
 #[cfg(test)]

@@ -77,6 +77,12 @@ impl BlockCutter {
         self.pending.first().map(Transaction::id)
     }
 
+    /// The transactions waiting for the next cut, oldest first.
+    #[must_use]
+    pub fn pending(&self) -> &[Transaction] {
+        &self.pending
+    }
+
     /// Feeds one ordered transaction; returns a full block
     /// when a deterministic condition (count or bytes) is met.
     ///

@@ -30,6 +30,15 @@ fn map_actions<M>(actions: Vec<Action<M>>, wrap: fn(M) -> ConsMsg) -> Vec<Action
             Action::Deliver { seq, payload } => Action::Deliver { seq, payload },
             Action::SetTimer { id, after } => Action::SetTimer { id, after },
             Action::CancelTimer { id } => Action::CancelTimer { id },
+            Action::CatchUp {
+                to,
+                epoch,
+                log_start,
+            } => Action::CatchUp {
+                to,
+                epoch,
+                log_start,
+            },
         })
         .collect()
 }
@@ -96,6 +105,24 @@ impl OrderingProtocol for AnyConsensus {
         match self {
             AnyConsensus::Pbft(p) => p.current_view(),
             AnyConsensus::Seq(s) => s.current_view(),
+        }
+    }
+
+    fn compact(&mut self, below: u64) {
+        match self {
+            AnyConsensus::Pbft(p) => p.compact(below),
+            AnyConsensus::Seq(s) => s.compact(below),
+        }
+    }
+
+    fn catch_up(&mut self, from: NodeId, epoch: u64, offset: u64) -> Option<Vec<Action<ConsMsg>>> {
+        match self {
+            AnyConsensus::Pbft(p) => {
+                Some(map_actions(p.catch_up(from, epoch, offset)?, ConsMsg::Pbft))
+            }
+            AnyConsensus::Seq(s) => {
+                Some(map_actions(s.catch_up(from, epoch, offset)?, ConsMsg::Seq))
+            }
         }
     }
 }

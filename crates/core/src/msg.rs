@@ -33,6 +33,21 @@ pub struct BlockBundle {
     pub hash: Hash32,
 }
 
+/// A sequencer leader's answer to an orderer that fetched offsets below
+/// the leader's log start, sent ahead of the replay from the log start
+/// (DESIGN.md §9). Only a restarted orderer fetches there.
+#[derive(Debug)]
+pub struct CatchUp {
+    /// The leader's epoch; accepted only as an append from it would be.
+    pub(crate) epoch: u64,
+    /// The first offset the replay carries.
+    pub(crate) log_start: u64,
+    /// The leader orderer's state between two deliveries. An in-memory
+    /// receiver installs it; a durable one keeps what its store
+    /// recovered.
+    pub(crate) state: crate::orderer::OrdererState,
+}
+
 /// The result of executing one transaction on an agent.
 ///
 /// Matching results are counted against τ(A) (Algorithm 3); an abort is
@@ -104,6 +119,8 @@ pub enum Msg {
     },
     /// Orderer ↔ orderer consensus traffic.
     Cons(ConsMsg),
+    /// Sequencer leader → restarted orderer: where to resume.
+    CatchUp(Arc<CatchUp>),
     /// NEWBLOCK from one orderer (bundle shared across orderer copies).
     NewBlock {
         /// The announced block (+ graph in OXII).

@@ -56,6 +56,12 @@ pub(crate) trait Node {
     fn chain_position(&self) -> Option<(BlockNumber, Hash32)> {
         None
     }
+
+    /// How many sequencer catch-ups an orderer resumed from since it
+    /// started (DESIGN.md §9).
+    fn catch_ups(&self) -> u64 {
+        0
+    }
 }
 
 /// The ids a cluster of `spec` runs a node at, in step order: the

@@ -23,7 +23,7 @@ use crate::batch::{OpenBatch, Payload};
 use crate::cluster::ConsensusKind;
 use crate::cutter::{BlockCutter, CutBlock};
 use crate::hostcons::{AnyConsensus, TimerTable};
-use crate::msg::{BlockBundle, ConsMsg, Msg};
+use crate::msg::{BlockBundle, CatchUp, ConsMsg, Msg};
 use crate::node::Node;
 use crate::shared::Shared;
 
@@ -37,7 +37,7 @@ const BATCH_INTERVAL: Duration = Duration::from_millis(1);
 /// numbers its requests 1, 2, 3, … holds one range however many it
 /// sends, plus one per gap that reordering leaves open for a while; a
 /// client that skips timestamps holds at most one range per request.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 struct Delivered {
     clients: BTreeMap<ClientId, BTreeMap<u64, u64>>,
 }
@@ -74,6 +74,19 @@ impl Delivered {
     }
 }
 
+/// What an in-memory orderer is between two deliveries, and what a
+/// sequencer leader hands one that restarted (DESIGN.md §9).
+#[derive(Debug)]
+pub(crate) struct OrdererState {
+    /// The offset of the next delivery.
+    next: u64,
+    next_number: BlockNumber,
+    prev_hash: Hash32,
+    delivered: Delivered,
+    /// The cutter's open transactions, oldest first.
+    open: Vec<Transaction>,
+}
+
 pub(crate) struct Orderer {
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
@@ -90,6 +103,13 @@ pub(crate) struct Orderer {
     delivered: Delivered,
     prev_hash: Hash32,
     next_number: BlockNumber,
+    /// The offset of the next delivery.
+    next_seq: u64,
+    /// The offset of the payload that holds the cutter's first pending
+    /// transaction; meaningful while one is pending.
+    uncut_from: u64,
+    /// Leader catch-ups this orderer resumed from since it started.
+    catch_ups: u64,
     /// Where consensus broadcasts go: every orderer, this one included.
     orderers: Vec<NodeId>,
     /// Where NEWBLOCK goes: every peer.
@@ -113,10 +133,7 @@ impl Orderer {
             ConsensusKind::Sequencer => AnyConsensus::sequencer(cfg, spec.consensus_timeout),
             ConsensusKind::Pbft => AnyConsensus::pbft(cfg, spec.consensus_timeout),
         };
-        let cutter = match shared.spec.graph_mode() {
-            None => BlockCutter::new(shared.spec.block_cut.clone()),
-            Some(mode) => BlockCutter::with_graph(shared.spec.block_cut.clone(), mode),
-        };
+        let cutter = new_cutter(&shared);
         let dests = shared.spec.peer_ids();
         let mut delivered = Delivered::default();
         let mut prev_hash = Ledger::genesis_hash();
@@ -145,6 +162,9 @@ impl Orderer {
             delivered,
             prev_hash,
             next_number,
+            next_seq: 0,
+            uncut_from: 0,
+            catch_ups: 0,
             orderers,
             dests,
             store,
@@ -160,10 +180,78 @@ impl Orderer {
                     self.endpoint
                         .multicast(self.orderers.iter(), &Msg::Cons(msg));
                 }
-                Action::Deliver { payload, .. } => self.on_delivery(&payload),
+                Action::Deliver { seq, payload } => self.on_delivery(seq, &payload),
                 Action::SetTimer { .. } | Action::CancelTimer { .. } => {}
+                Action::CatchUp {
+                    to,
+                    epoch,
+                    log_start,
+                } => {
+                    let catch_up = CatchUp {
+                        epoch,
+                        log_start,
+                        state: self.state(),
+                    };
+                    self.endpoint.send(to, Msg::CatchUp(Arc::new(catch_up)));
+                }
             }
         }
+        self.protocol.compact(self.floor());
+    }
+
+    /// The lowest offset this orderer's own restart would replay from. In
+    /// memory a restart loses everything, and a live orderer never asks
+    /// below its next delivery. On disk the store recovers every sealed
+    /// block, so only the payload that holds the first uncut transaction
+    /// must be replayed.
+    fn floor(&self) -> u64 {
+        match (&self.store, self.cutter.first_pending()) {
+            (Some(_), Some(_)) => self.uncut_from,
+            _ => self.next_seq,
+        }
+    }
+
+    /// This orderer between two deliveries, for a restarted one.
+    fn state(&self) -> OrdererState {
+        OrdererState {
+            next: self.next_seq,
+            next_number: self.next_number,
+            prev_hash: self.prev_hash,
+            delivered: self.delivered.clone(),
+            open: self.cutter.pending().to_vec(),
+        }
+    }
+
+    /// Resumes from a leader's catch-up. In memory, this orderer takes the
+    /// leader's state and jumps to its next delivery. On disk it keeps
+    /// the chain, head and ranges its store recovered and jumps to the
+    /// leader's log start: every transaction below it is in a sealed
+    /// block, so the replay's ranges skip them.
+    fn on_catch_up(&mut self, from: NodeId, catch_up: &CatchUp) {
+        let state = &catch_up.state;
+        let durable = self.store.is_some();
+        let offset = if durable {
+            catch_up.log_start
+        } else {
+            state.next
+        };
+        let Some(actions) = self.protocol.catch_up(from, catch_up.epoch, offset) else {
+            return;
+        };
+        if !durable {
+            self.delivered = state.delivered.clone();
+            self.next_number = state.next_number;
+            self.prev_hash = state.prev_hash;
+            self.cutter = new_cutter(&self.shared);
+            let now = self.shared.clock.now();
+            for tx in &state.open {
+                let cut = self.cutter.push(tx.clone(), now);
+                debug_assert!(cut.is_none(), "the leader's open block was not full");
+            }
+        }
+        self.next_seq = offset;
+        self.catch_ups += 1;
+        self.apply(actions);
     }
 
     /// Every orderer replays the same delivered stream, so lifecycle
@@ -173,7 +261,7 @@ impl Orderer {
         self.shared.trace.enabled() && self.endpoint.id() == self.shared.spec.entry_orderer()
     }
 
-    fn on_delivery(&mut self, payload: &[u8]) {
+    fn on_delivery(&mut self, seq: u64, payload: &[u8]) {
         let traces = self.traces_stages();
         match Payload::decode(payload) {
             Some(Payload::Batch(txs)) => {
@@ -190,6 +278,9 @@ impl Orderer {
                         self.shared
                             .trace
                             .record_at(tx.id(), parblock_trace::Stage::Sequenced, now);
+                    }
+                    if self.cutter.first_pending().is_none() {
+                        self.uncut_from = seq;
                     }
                     if let Some(full) = self.cutter.push(tx, now) {
                         self.emit_block(full);
@@ -212,6 +303,9 @@ impl Orderer {
             }
             None => { /* malformed payload from a faulty orderer: skip */ }
         }
+        // Set last: a floor read while this payload is half pushed (an
+        // `apply` nested in a flush) must not pass it.
+        self.next_seq = seq + 1;
     }
 
     /// Announces one cut block. The dependency graph arrives ready-made
@@ -321,6 +415,7 @@ impl Node for Orderer {
                 let actions = self.protocol.on_message(from, m);
                 self.apply(actions);
             }
+            Msg::CatchUp(catch_up) => self.on_catch_up(from, &catch_up),
             // Orderers "do not have access to any smart contract or the
             // application state" (§III-A): everything else is not theirs.
             _ => {}
@@ -369,6 +464,19 @@ impl Node for Orderer {
 
     fn chain_position(&self) -> Option<(BlockNumber, Hash32)> {
         Some((self.next_number, self.prev_hash))
+    }
+
+    fn catch_ups(&self) -> u64 {
+        self.catch_ups
+    }
+}
+
+/// The block cutter an orderer of `shared.spec` starts with.
+fn new_cutter(shared: &Shared) -> BlockCutter {
+    let cut = shared.spec.block_cut.clone();
+    match shared.spec.graph_mode() {
+        None => BlockCutter::new(cut),
+        Some(mode) => BlockCutter::with_graph(cut, mode),
     }
 }
 
@@ -486,10 +594,10 @@ mod tests {
 
         let (last, rest) = ordered.split_last().expect("eleven");
         for payload in rest {
-            entry.orderer.on_delivery(payload);
+            entry.orderer.on_delivery(0, payload);
             assert!(entry.appended().is_empty(), "a batch is still in flight");
         }
-        entry.orderer.on_delivery(last);
+        entry.orderer.on_delivery(0, last);
         let rest = entry.appended();
         assert_eq!(rest.len(), 1, "the delivery that empties the pipeline");
         assert_eq!(&*rest[0], left_over.encode());
@@ -529,7 +637,7 @@ mod tests {
         assert_eq!(entry.orderer.in_flight.len(), 1);
         entry
             .orderer
-            .on_delivery(&Payload::Batch(vec![first]).encode());
+            .on_delivery(0, &Payload::Batch(vec![first]).encode());
         assert_eq!(entry.orderer.in_flight.len(), 1);
     }
 

@@ -244,6 +244,9 @@ pub struct OrdererOutcome {
     pub next_number: BlockNumber,
     /// Hash of the last block it emitted (genesis hash if none).
     pub head: Hash32,
+    /// Sequencer catch-ups it resumed from since its last (re)start: a
+    /// state install in memory, a jump to the leader's log start on disk.
+    pub catch_ups: u64,
 }
 
 /// Everything a deterministic run produces, oracle-ready.
@@ -554,6 +557,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
                 faulted: cluster.ever_faulted.contains(&node),
                 next_number,
                 head,
+                catch_ups: orderer.catch_ups(),
             })
         })
         .collect();

@@ -7,7 +7,6 @@
 //! in the block (log)."
 
 use std::collections::{BTreeMap, HashMap};
-use std::iter;
 
 use serde::{Deserialize, Serialize};
 
@@ -208,17 +207,29 @@ impl MvccState {
     }
 
     /// Per key, the newest version at or below `horizon` and its value,
-    /// in no particular order: each stored version, kept where it is the
-    /// visible one, so each key appears once.
-    fn visible_at(&self, horizon: Version) -> impl Iterator<Item = (Key, (Version, &Value))> {
-        let sealed = self.sealed.iter().map(|(&key, (v, _))| (key, *v));
-        let open = self.open.range(..=horizon.block);
-        let open = open.flat_map(|(&block, writes)| iter::repeat(block).zip(writes.keys()));
-        let open = open.map(|(block, &(key, seq))| (key, Version::new(block, seq)));
-        sealed.chain(open).filter_map(move |(key, version)| {
-            let visible = self.visible(key, horizon)?;
-            (visible.0 == version).then_some((key, visible))
-        })
+    /// in no particular order, each key once: the open blocks at or below
+    /// the horizon, oldest first, each overriding the one before with its
+    /// newest write per key, then every sealed version at or below the
+    /// horizon whose key no open block wrote.
+    fn visible_at(&self, horizon: Version) -> Vec<(Key, Version, &Value)> {
+        let mut open: HashMap<Key, (Version, &Value)> = HashMap::new();
+        for (&block, writes) in self.open.range(..=horizon.block) {
+            // All of a lower block; the horizon's own block up to its seq.
+            let top = horizon.min(Version::new(block, SeqNo(u32::MAX))).seq;
+            // Ascending by key, then position: the last write kept wins.
+            let upto = writes.iter().filter(|((_, seq), _)| *seq <= top);
+            for (&(key, seq), value) in upto {
+                open.insert(key, (Version::new(block, seq), value));
+            }
+        }
+        let sealed = self.sealed.iter();
+        let sealed = sealed.map(|(&key, (version, value))| (key, *version, value));
+        let mut visible: Vec<(Key, Version, &Value)> = sealed
+            .filter(|(key, version, _)| *version <= horizon && !open.contains_key(key))
+            .collect();
+        let open = open.into_iter();
+        visible.extend(open.map(|(key, (version, value))| (key, version, value)));
+        visible
     }
 
     /// A digest of the **latest** values (keys and contents, not version
@@ -239,7 +250,8 @@ impl MvccState {
     #[must_use]
     pub fn digest_at(&self, horizon: Version) -> Hash32 {
         // Any order is harmless: digest_entries sorts by key before hashing.
-        digest_entries(self.visible_at(horizon).map(|(key, (_, value))| (key, value)))
+        let visible = self.visible_at(horizon).into_iter();
+        digest_entries(visible.map(|(key, _, value)| (key, value)))
     }
 
     /// The newest version at or below `horizon` for every key, i.e. the
@@ -251,7 +263,8 @@ impl MvccState {
     pub fn snapshot_at(&self, horizon: Version) -> Vec<(Key, Value, Version)> {
         let mut entries: Vec<(Key, Value, Version)> = self
             .visible_at(horizon)
-            .map(|(key, (version, value))| (key, value.clone(), version))
+            .into_iter()
+            .map(|(key, version, value)| (key, value.clone(), version))
             .collect();
         entries.sort_unstable_by_key(|(k, _, _)| *k);
         entries

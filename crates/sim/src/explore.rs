@@ -3,7 +3,7 @@
 //! commands.
 
 use parblock_types::Hash32;
-use parblockchain::{run_sim, SimOutcome};
+use parblockchain::{run_sim, DurabilityMode, SimOutcome};
 
 use crate::faultgen::{plan_for_seed, ExploreConfig};
 use crate::oracle::check_oracles;
@@ -24,6 +24,28 @@ pub struct SeedReport {
     pub events: u64,
     /// Blocks sealed by the faulted run.
     pub blocks: u64,
+    /// Orderer catch-ups the faulted run resumed from.
+    pub catch_ups: CatchUps,
+}
+
+/// Sequencer catch-ups restarted orderers resumed from, by kind
+/// (DESIGN.md §9): the sweep counts them so that a path no seed reaches
+/// shows as a zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CatchUps {
+    /// In memory: the orderer took the leader's state.
+    pub state_installs: u64,
+    /// On disk: the orderer kept what its store recovered and jumped to
+    /// the leader's log start.
+    pub log_start_jumps: u64,
+}
+
+impl CatchUps {
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: CatchUps) {
+        self.state_installs += other.state_installs;
+        self.log_start_jumps += other.log_start_jumps;
+    }
 }
 
 impl SeedReport {
@@ -61,6 +83,17 @@ fn evaluate(
     let mut reference_config = plan.config.clone();
     reference_config.plan = parblockchain::FaultPlan::none();
     let reference = run_sim(&reference_config);
+    let resumed = faulted.orderers.iter().map(|o| o.catch_ups).sum();
+    let catch_ups = match plan.config.spec.durability {
+        DurabilityMode::InMemory => CatchUps {
+            state_installs: resumed,
+            ..CatchUps::default()
+        },
+        DurabilityMode::OnDisk { .. } => CatchUps {
+            log_start_jumps: resumed,
+            ..CatchUps::default()
+        },
+    };
 
     SeedReport {
         seed,
@@ -69,6 +102,7 @@ fn evaluate(
         report_digest: faulted.report.digest(),
         events: faulted.events,
         blocks: faulted.report.blocks,
+        catch_ups,
     }
 }
 

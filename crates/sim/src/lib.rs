@@ -35,7 +35,7 @@ pub mod explore;
 pub mod faultgen;
 pub mod oracle;
 
-pub use explore::{explore, run_seed, run_seed_twice, ExploreSummary, SeedReport};
+pub use explore::{explore, run_seed, run_seed_twice, CatchUps, ExploreSummary, SeedReport};
 pub use faultgen::{plan_for_seed, ExploreConfig, SeedPlan};
 pub use oracle::{
     chain_heads, check_convergence, check_exactly_once, check_oracles,

@@ -81,6 +81,65 @@ fn partitioned_minority_orderer_catches_up_after_heal() {
     assert_eq!(reference.next_number.0, full_height + 1);
 }
 
+/// A follower orderer crashed mid-run and restarted once the leader has
+/// trimmed its log past offset 0 fetches below the log start: it must
+/// resume from the leader's catch-up and reach the byte-equal chain.
+fn restarted_orderer_catches_up_below_the_log_start(durability: DurabilityMode) {
+    let mut spec = base_spec(21);
+    spec.durability = durability;
+    let victim = spec.orderer_ids()[2];
+    let mut config = SimConfig::new(spec, 300, 2_000.0);
+    config.plan = FaultPlan::new(vec![
+        FaultEvent {
+            at: Duration::from_millis(40),
+            kind: FaultKind::Crash { node: victim },
+        },
+        FaultEvent {
+            at: Duration::from_millis(70),
+            kind: FaultKind::Restart {
+                node: victim,
+                tear_wal_bytes: 0,
+            },
+        },
+    ]);
+    let outcome = run_sim(&config);
+    assert!(outcome.completed, "{:?}", outcome.report);
+    assert_eq!(outcome.report.committed, 300);
+    let full_height = outcome.observer_chain.len() as u64;
+    assert!(full_height >= 12);
+    assert_eq!(outcome.orderers.len(), 3, "all orderers alive at the end");
+    let restarted = outcome
+        .orderers
+        .iter()
+        .find(|o| o.node == victim)
+        .expect("the victim restarted");
+    assert_eq!(restarted.catch_ups, 1, "the victim resumed from one catch-up");
+    for orderer in &outcome.orderers {
+        assert_eq!(
+            (orderer.next_number, orderer.head),
+            (restarted.next_number, restarted.head),
+            "orderer {:?} (faulted={}) disagrees with the restarted one",
+            orderer.node,
+            orderer.faulted
+        );
+    }
+    assert_eq!(restarted.next_number.0, full_height + 1);
+}
+
+#[test]
+fn restarted_in_memory_orderer_installs_the_leaders_state() {
+    restarted_orderer_catches_up_below_the_log_start(DurabilityMode::InMemory);
+}
+
+#[test]
+fn restarted_durable_orderer_jumps_to_the_leaders_log_start() {
+    let dir = TempDir::new("sim-orderer-catch-up");
+    restarted_orderer_catches_up_below_the_log_start(DurabilityMode::OnDisk {
+        data_dir: dir.path().to_path_buf(),
+        fresh: true,
+    });
+}
+
 /// True crash + recovery of a durable executor mid-run, with a torn WAL
 /// tail: the survivors stay byte-equal to the uninterrupted reference,
 /// and the recovered node holds a verified prefix.

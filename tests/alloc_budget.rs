@@ -69,6 +69,8 @@
 //! |                                          | 0.8 |  64.98 | 1 678 |
 //! | one map per open block                   | 0.0 |  46.99 | 1 648 |
 //! |                                          | 0.8 |  61.17 | 1 661 |
+//! | sequencer log compacted below the floor  | 0.0 |  46.68 | 1 504 |
+//! |                                          | 0.8 |  60.86 | 1 516 |
 //!
 //! (The first row was recorded here as 110.35 / 3 725; the tree at that
 //! change reads 110.50 / 3 722.) The streaming ordering path encodes a
@@ -208,15 +210,23 @@
 //! profiles; the marginal and genesis figures did not move. The
 //! allocation and peak-bytes budgets were lowered with this row.
 //!
-//! What each extra transaction adds now, at either contention: one copy
-//! of the chain, 146.44 bytes; the sequencer's retained log, 210.86 (the
-//! marginal figure reads 173.02 with `retained.insert` removed), which by
-//! layout is about 119 bytes of batch payloads (one or two transactions
+//! The sequencer's retained log grew with the run: 210.86 bytes per
+//! transaction, about 119 of batch payloads (one or two transactions
 //! each, 128 or 232 bytes with the `Arc` header) and about 92 of the
-//! three replicas' `BTreeMap<u64, Payload>` nodes; and 26.58 of vectors
-//! that grow by doubling (`SimOutcome::submitted`, the ledgers' block
-//! and hash spines). The retained log is what ROADMAP item 15(b) bounds
-//! next.
+//! three replicas' `BTreeMap<u64, Payload>` nodes. Each replica now drops
+//! it below the lowest offset any replica's restart would replay from,
+//! which every `Commit` carries, so a replica keeps the one or two
+//! payloads still being ordered. The marginal figure fell from 383.88 to
+//! 173.02 at both contentions, exactly the 210.86; peak live bytes per
+//! transaction from 1 648.38 / 1 660.99 to 1 503.67 / 1 516.28, and
+//! allocations by 0.31 at both, which this file does not attribute
+//! further. All budgets were lowered with this row.
+//!
+//! What each extra transaction adds now, at either contention: one copy
+//! of the chain, 146.44 bytes, and 26.58 of vectors that grow by
+//! doubling (`SimOutcome::submitted`, the ledgers' block and hash
+//! spines). That is 18 % above one chain's, so the marginal figure is not
+//! yet held to the chain's (ROADMAP item 15(a)).
 //!
 //! The allocation and peak-bytes budgets sit 5 % above the last row,
 //! the marginal budgets likewise, and the ratchet is two-sided: a figure over its budget fails, and so does a
@@ -385,17 +395,17 @@ fn marginal(peak: impl Fn(usize) -> i64) -> f64 {
 }
 
 /// `(contention, allocations / tx, peak live bytes / tx)`. Every budget
-/// sits 5 % above what the tree reads since one map per open block (see
-/// the header): 46.99 and 61.17 allocations at contention 0 and 0.8 in
-/// release, 1 648.38 and 1 660.99 peak live bytes in both profiles. A
-/// debug build makes 0.40 more allocations per transaction (47.40,
-/// 61.57): `Ledger::append_hashed`'s `debug_assert` encodes and hashes
-/// each appended block once more. The 0.8 budgets sit higher because a
+/// sits 5 % above what the tree reads since the sequencer's log is
+/// compacted (see the header): 46.68 and 60.86 allocations at contention
+/// 0 and 0.8 in release, 1 503.67 and 1 516.28 peak live bytes in both
+/// profiles. A debug build makes 0.40 more allocations per transaction
+/// (47.08, 61.26): `Ledger::append_hashed`'s `debug_assert` encodes and
+/// hashes each appended block once more. The 0.8 budgets sit higher because a
 /// conflict chain sends one COMMIT per execution.
 const BUDGETS: [(f64, f64, f64); 2] = if cfg!(debug_assertions) {
-    [(0.0, 49.77, 1_731.0), (0.8, 64.65, 1_745.0)]
+    [(0.0, 49.43, 1_579.0), (0.8, 64.32, 1_592.0)]
 } else {
-    [(0.0, 49.34, 1_731.0), (0.8, 64.23, 1_745.0)]
+    [(0.0, 49.01, 1_579.0), (0.8, 63.90, 1_592.0)]
 };
 
 /// A figure below this share of its budget means the budget is stale.
@@ -445,10 +455,9 @@ fn allocations_and_live_heap_stay_within_budget() {
 }
 
 /// `(contention, marginal peak live bytes / tx)`, the same in both
-/// profiles: 5 % above the 383.88 measured at both contentions since one
-/// inline version per key, exact-size block vectors and a shared
-/// observer chain (see the header).
-const MARGINAL_BUDGETS: [(f64, f64); 2] = [(0.0, 403.1), (0.8, 403.1)];
+/// profiles: 5 % above the 173.02 measured at both contentions since the
+/// sequencer's log is compacted (see the header).
+const MARGINAL_BUDGETS: [(f64, f64); 2] = [(0.0, 181.7), (0.8, 181.7)];
 
 /// ROADMAP 15(a): growth with the run as a deterministic count, beside
 /// what one copy of the chain grows by. Only the first is held.

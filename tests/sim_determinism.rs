@@ -127,6 +127,12 @@ fn pipeline_depths_agree_under_time_cuts_in_simulation() {
 /// event counts (4: 2 068 → 2 968; 14: 5 070 → 6 500; 17: 1 942 →
 /// 2 846) and the latencies. Every seed's blocks and verdict stayed.
 ///
+/// Re-pinned once more, on purpose, for seed 14 only, when a restarted
+/// orderer began resuming from the leader's log start instead of a
+/// replay from offset 0: seed 14 restarts a durable follower orderer, so
+/// its consensus message count and events moved (6 500 → 6 254). Its
+/// blocks and verdict stayed, and seeds 4 and 17 kept their digests.
+///
 /// * seed 4: on-disk, depth 2, orderer partition;
 /// * seed 14: on-disk, depth 4, contention 0.9, orderer crash;
 /// * seed 17: in-memory, five concurrent faults.
@@ -134,7 +140,7 @@ fn pipeline_depths_agree_under_time_cuts_in_simulation() {
 fn pinned_seeds_replay_to_their_golden_report_digests() {
     let golden = [
         (4u64, "0e69d385eabac41cfbcf44a60eba8bc95ba4d3dabcb300595cf73d5b78c22ad4"),
-        (14, "43c658a8fad05713b2f9a321a7b40903124dce459cfd12b46245b9e146e6ee22"),
+        (14, "7ddbb6759d193fc488f47340034819fef4a80cc17447e9c9d56063d71a9508d0"),
         (17, "9e9e8876ad772c648a032d217dcd0da4ab8af3554ee0135b3389d80fc9c7bc1a"),
     ];
     for (seed, digest) in golden {
