@@ -570,6 +570,22 @@ impl OrderingProtocol for QuorumSequencer {
         self.floor = below;
     }
 
+    /// A restarted replica knows neither the epoch nor its leader, so it
+    /// sends every other replica one `Fetch` from its next delivery; only
+    /// the leader answers. Without it a replica restarted after the last
+    /// payload was ordered hears no `Append` or `Commit` that shows its
+    /// gap, and stays behind.
+    fn rejoin(&mut self) -> Vec<Action<SeqMsg>> {
+        let from = self.next_deliver;
+        let others = self.cfg.peers.iter().filter(|&&p| p != self.cfg.id);
+        others
+            .map(|&to| Action::Send {
+                to,
+                msg: SeqMsg::Fetch { from },
+            })
+            .collect()
+    }
+
     fn catch_up(&mut self, from: NodeId, epoch: u64, offset: u64) -> Option<Vec<Action<SeqMsg>>> {
         if epoch < self.epoch || from != self.leader_of(epoch) || offset <= self.next_deliver {
             return None;
@@ -968,6 +984,29 @@ mod tests {
         assert!(follower.catch_up(NodeId(0), 0, 5).is_some());
         let again = follower.catch_up(NodeId(0), 0, 5);
         assert!(again.is_none(), "already there");
+    }
+
+    /// A replica restarted after the last payload was ordered hears no
+    /// `Append` or `Commit` that shows its gap; its rejoin `Fetch` is what
+    /// brings it to the leader's log.
+    #[test]
+    fn a_replica_restarted_after_the_last_payload_catches_up_by_itself() {
+        for victim in [1, 2] {
+            let mut c = cluster(3);
+            for i in 0..10u32 {
+                c.submit(0, i.to_le_bytes().to_vec());
+                c.run_to_quiescence();
+            }
+            let peers: Vec<NodeId> = (0..3).map(NodeId).collect();
+            let fresh = QuorumSequencer::new(
+                ProtocolConfig::new(NodeId(victim as u32), peers),
+                Duration::from_millis(100),
+            );
+            c.restart(victim, fresh);
+            c.run_to_quiescence();
+            assert_eq!(c.delivered(victim), c.delivered(0), "victim {victim}");
+            assert_eq!(c.node(victim).next_deliver, 10);
+        }
     }
 
     #[test]

@@ -112,13 +112,16 @@ where
 
     /// Restarts replica `node` as `fresh`, a new instance with the same
     /// id: its delivered log and timers are gone, as after a crash of an
-    /// in-memory host, and it is connected again.
+    /// in-memory host, and it is connected again and asks for what it
+    /// missed ([`OrderingProtocol::rejoin`]).
     pub fn restart(&mut self, node: usize, fresh: P) {
         assert_eq!(fresh.id(), self.nodes[node].id(), "a restart keeps the id");
         self.nodes[node] = fresh;
         self.delivered[node].clear();
         self.timers.retain(|&(n, _)| n != node);
         self.crashed.remove(&node);
+        let actions = self.nodes[node].rejoin();
+        self.process(node, actions);
     }
 
     /// Submits a payload at replica `node`.

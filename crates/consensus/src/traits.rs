@@ -78,6 +78,13 @@ pub trait OrderingProtocol {
         let _ = below;
     }
 
+    /// The host restarted this replica, which may have missed deliveries
+    /// that no later message will announce. Returns the actions that ask
+    /// for them; a protocol that cannot ask asks nothing.
+    fn rejoin(&mut self) -> Vec<Action<Self::Msg>> {
+        Vec::new()
+    }
+
     /// `from`, the leader of `epoch`, answered with an
     /// [`Action::CatchUp`]: the replica's next delivery jumps to `offset`,
     /// and nothing below it is delivered. Returns the actions that follow,

@@ -60,17 +60,15 @@ impl Payload {
         out
     }
 
-    /// Decodes an ordered payload. Returns `None` on malformed bytes.
+    /// Decodes an ordered payload. Returns `None` on malformed bytes. A
+    /// batch's transactions are decoded into one table.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut reader = Reader::new(bytes);
         match reader.u8()? {
             TAG_BATCH => {
                 let n = usize::try_from(reader.u64()?).ok()?;
-                let mut txs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    txs.push(Transaction::decode(&mut reader)?);
-                }
+                let txs = Transaction::decode_many(&mut reader, n)?;
                 reader.is_exhausted().then_some(Payload::Batch(txs))
             }
             TAG_CUT => {
@@ -198,6 +196,33 @@ mod tests {
             assert_eq!(&*open.freeze(), expected, "round {round}");
             assert_eq!(open.len(), 0);
             assert_eq!(open.first(), None);
+        }
+    }
+
+    proptest::proptest! {
+        /// A batch of any length decodes into one table that reads back
+        /// what was encoded, and a count the bytes cannot hold is refused.
+        #[test]
+        fn a_batch_decodes_into_what_was_encoded(
+            n in 0usize..12,
+            keys in proptest::collection::vec(0u64..6, 0..4),
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..8),
+            lie in proptest::prelude::any::<u64>(),
+        ) {
+            let txs: Vec<Transaction> = (0..n as u64)
+                .map(|ts| {
+                    let keys = keys.iter().map(|&k| Key(k + ts % 3));
+                    let rw = RwSet::new(keys.clone(), keys.skip(ts as usize % 2));
+                    let payload = payload[..payload.len().min(ts as usize)].to_vec();
+                    Transaction::new(AppId(0), ClientId(1), ts, rw, payload)
+                })
+                .collect();
+            let batch = Payload::Batch(txs);
+            let mut bytes = batch.encode();
+            proptest::prop_assert_eq!(Payload::decode(&bytes), Some(batch));
+            let lie = lie.max(n as u64 + 1);
+            bytes[BATCH_COUNT].copy_from_slice(&lie.to_le_bytes());
+            proptest::prop_assert_eq!(Payload::decode(&bytes), None);
         }
     }
 

@@ -115,6 +115,13 @@ impl OrderingProtocol for AnyConsensus {
         }
     }
 
+    fn rejoin(&mut self) -> Vec<Action<ConsMsg>> {
+        match self {
+            AnyConsensus::Pbft(p) => map_actions(p.rejoin(), ConsMsg::Pbft),
+            AnyConsensus::Seq(s) => map_actions(s.rejoin(), ConsMsg::Seq),
+        }
+    }
+
     fn catch_up(&mut self, from: NodeId, epoch: u64, offset: u64) -> Option<Vec<Action<ConsMsg>>> {
         match self {
             AnyConsensus::Pbft(p) => {

@@ -62,6 +62,10 @@ pub(crate) trait Node {
     fn catch_ups(&self) -> u64 {
         0
     }
+
+    /// The simulator restarted this node: an orderer asks its consensus
+    /// replicas for the deliveries it missed (DESIGN.md §9).
+    fn rejoin(&mut self) {}
 }
 
 /// The ids a cluster of `spec` runs a node at, in step order: the

@@ -469,6 +469,11 @@ impl Node for Orderer {
     fn catch_ups(&self) -> u64 {
         self.catch_ups
     }
+
+    fn rejoin(&mut self) {
+        let actions = self.protocol.rejoin();
+        self.apply(actions);
+    }
 }
 
 /// The block cutter an orderer of `shared.spec` starts with.

@@ -240,6 +240,8 @@ pub struct OrdererOutcome {
     pub node: NodeId,
     /// Whether any fault ever touched this node.
     pub faulted: bool,
+    /// Whether it was restarted and no fault touched it since.
+    pub rejoined: bool,
     /// The next block number it would emit.
     pub next_number: BlockNumber,
     /// Hash of the last block it emitted (genesis hash if none).
@@ -300,6 +302,8 @@ struct SimCluster {
     /// mailbox.
     client: Endpoint<Msg>,
     ever_faulted: BTreeSet<NodeId>,
+    /// Restarted nodes that no fault touched since their last restart.
+    rejoined: BTreeSet<NodeId>,
     events: u64,
 }
 
@@ -318,6 +322,7 @@ impl SimCluster {
             nodes: node::ids(spec).map(|_| None).collect(),
             client,
             ever_faulted: BTreeSet::new(),
+            rejoined: BTreeSet::new(),
             events: 0,
         };
         for id in node::ids(spec) {
@@ -341,8 +346,13 @@ impl SimCluster {
         *slot = Some(Slot { node, mailbox });
     }
 
-    fn crash(&mut self, node: NodeId) {
+    fn fault(&mut self, node: NodeId) {
         self.ever_faulted.insert(node);
+        self.rejoined.remove(&node);
+    }
+
+    fn crash(&mut self, node: NodeId) {
+        self.fault(node);
         self.net.faults().crash(node);
         if let Some(slot) = self.nodes.get_mut(node.0 as usize) {
             *slot = None;
@@ -359,6 +369,10 @@ impl SimCluster {
         }
         self.net.faults().restart(node);
         self.boot(node);
+        self.rejoined.insert(node);
+        if let Some(slot) = self.nodes.get_mut(node.0 as usize).and_then(Option::as_mut) {
+            slot.node.rejoin();
+        }
     }
 
     fn apply_fault(&mut self, kind: &FaultKind) {
@@ -370,15 +384,17 @@ impl SimCluster {
                 tear_wal_bytes,
             } => self.restart(*node, *tear_wal_bytes),
             FaultKind::Partition { left, right } => {
-                self.ever_faulted.extend(left.iter().copied());
                 faults.partition_groups(left, right);
+                for &node in left {
+                    self.fault(node);
+                }
             }
             FaultKind::HealPartition { left, right } => {
                 faults.unpartition_groups(left, right);
             }
             FaultKind::SilenceLink { from, to } => {
-                self.ever_faulted.insert(*from);
                 faults.silence(*from, *to);
+                self.fault(*from);
             }
             FaultKind::HealLink { from, to } => faults.unsilence(*from, *to),
         }
@@ -555,6 +571,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
             Some(OrdererOutcome {
                 node,
                 faulted: cluster.ever_faulted.contains(&node),
+                rejoined: cluster.rejoined.contains(&node),
                 next_number,
                 head,
                 catch_ups: orderer.catch_ups(),

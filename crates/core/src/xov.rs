@@ -32,7 +32,7 @@ use parblock_crypto::{sha256, Signature};
 use parblock_ledger::{Ledger, MvccState, Version};
 use parblock_net::Endpoint;
 use parblock_types::wire::{encode_writes, Reader, Wire};
-use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, TxId, Value};
+use parblock_types::{BlockNumber, Hash32, Key, NodeId, RwSet, SeqNo, Transaction, TxId, Value};
 
 use crate::msg::{Envelope, Msg};
 use crate::node::{Node, Peer, PeerSummary};
@@ -354,7 +354,7 @@ impl Node for XovClient {
             tx.app(),
             tx.client(),
             id.client_ts,
-            tx.rw_set().clone(),
+            RwSet::from(tx.rw_set()),
             envelope.encode(),
         );
         let sig = shared.keys.sign(client, &envelope_tx.wire_bytes());
@@ -489,7 +489,7 @@ mod tests {
             tx.app(),
             tx.client(),
             ts,
-            tx.rw_set().clone(),
+            RwSet::from(tx.rw_set()),
             envelope.encode(),
         );
         let block = Arc::new(Block::new(
@@ -552,7 +552,8 @@ mod tests {
         );
         let sig = client_sig(&shared, &tx);
         let ts = tx.id().client_ts;
-        let altered = Transaction::new(tx.app(), tx.client(), ts, tx.rw_set().clone(), vec![9]);
+        let rw = RwSet::from(tx.rw_set());
+        let altered = Transaction::new(tx.app(), tx.client(), ts, rw, vec![9]);
         let submitted = || {
             net.deliver_due(clock.now() + Duration::from_secs(1));
             std::iter::from_fn(|| orderer.try_recv()).count()
@@ -605,7 +606,7 @@ mod tests {
             read_versions: vec![(Key(1), Some(Version::GENESIS)), (Key(2), None)],
             writes: vec![(Key(1), Value::Int(5)), (Key(99), Value::Int(1))],
         };
-        let rw = tx.rw_set().clone();
+        let rw = RwSet::from(tx.rw_set());
         let lying = Transaction::new(tx.app(), tx.client(), 0, rw, envelope.encode());
         let block = Arc::new(Block::new(
             BlockNumber(1),

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use parblock_crypto::{hmac_sha256, sha256, KeyRegistry, Sha256, SignerId};
+use parblock_crypto::{hash_wire, hmac_sha256, sha256, KeyRegistry, Sha256, SignerId};
+use parblock_types::wire::Wire;
+use parblock_types::{AppId, Block, BlockNumber, ClientId, Hash32, Key, RwSet, Transaction};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -67,5 +69,33 @@ proptest! {
         let mut tampered = msg.clone();
         tampered[0] ^= 0xff;
         prop_assert!(!registry.verify(SignerId(signer), &tampered, &sig));
+    }
+
+    /// A block packs its transactions into one table; its hash is still
+    /// that of the header, the count and each transaction encoded one by
+    /// one, so no block hash moved with the layout.
+    #[test]
+    fn a_packed_block_hashes_as_its_transactions_one_by_one(
+        n in 0usize..40,
+        keys in proptest::collection::vec(0u64..8, 0..4),
+        payload in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let txs: Vec<Transaction> = (0..n as u64)
+            .map(|ts| {
+                let reads = keys.iter().map(|&k| Key(k + ts));
+                let rw = RwSet::new(reads.clone(), reads.take(ts as usize % 3));
+                let payload = payload[..payload.len().min(ts as usize)].to_vec();
+                Transaction::new(AppId(ts as u16 % 3), ClientId(2), ts, rw, payload)
+            })
+            .collect();
+        let mut preimage = Vec::new();
+        9u64.encode(&mut preimage);
+        preimage.extend_from_slice(&[5; 32]);
+        (n as u64).encode(&mut preimage);
+        for tx in &txs {
+            tx.encode(&mut preimage);
+        }
+        let block = Block::new(BlockNumber(9), Hash32([5; 32]), txs);
+        prop_assert_eq!(hash_wire(&block), sha256(&preimage));
     }
 }

@@ -187,8 +187,8 @@ pub fn check_serializability(
 ///
 /// A description of the violation: a replica holds a chain that is not
 /// a byte-equal prefix of the observer's, a state digest inconsistent
-/// with its own watermark, or an unfaulted replica/orderer failed to
-/// reach the full chain.
+/// with its own watermark, or an unfaulted replica/orderer, or an orderer
+/// restarted and not faulted since, failed to reach the full chain.
 pub fn check_convergence(outcome: &SimOutcome, replay: &Replay) -> Result<(), String> {
     let full = height_of(replay);
     for replica in &outcome.replicas {
@@ -234,9 +234,12 @@ pub fn check_convergence(outcome: &SimOutcome, replay: &Replay) -> Result<(), St
                 expected_head.to_hex()
             ));
         }
-        if !orderer.faulted && outcome.completed && h != full {
+        // A restart recovers what the orderer missed, so an orderer
+        // restarted and not faulted since is held to the full chain too.
+        if (!orderer.faulted || orderer.rejoined) && outcome.completed && h != full {
+            let which = if orderer.faulted { "restarted" } else { "unfaulted" };
             return Err(format!(
-                "unfaulted orderer {:?} stalled at height {h} of {full}",
+                "{which} orderer {:?} stalled at height {h} of {full}",
                 orderer.node
             ));
         }

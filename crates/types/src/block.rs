@@ -66,6 +66,9 @@ impl Wire for BlockHeader {
 /// for dependency purposes: if `Ti` appears before `Tj` then
 /// `ts(Ti) < ts(Tj)` (§III-A).
 ///
+/// A block owns its transactions as the rows of one packed table (see
+/// [`Transaction`]): every transaction in it is a handle to its row.
+///
 /// # Examples
 ///
 /// ```
@@ -76,19 +79,20 @@ impl Wire for BlockHeader {
 /// assert_eq!(block.len(), 1);
 /// assert_eq!(block.apps(), vec![AppId(0)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     header: BlockHeader,
-    txs: Vec<Transaction>,
+    txs: Box<[Transaction]>,
 }
 
 impl Block {
-    /// Creates a block from ordered transactions.
+    /// Creates a block from ordered transactions, packed into one table
+    /// unless they already are one table's rows in order.
     #[must_use]
     pub fn new(number: BlockNumber, prev_hash: Hash32, txs: Vec<Transaction>) -> Self {
         Block {
             header: BlockHeader { number, prev_hash },
-            txs,
+            txs: Transaction::pack(txs).into_boxed_slice(),
         }
     }
 
@@ -142,7 +146,7 @@ impl Block {
     #[must_use]
     pub fn apps(&self) -> Vec<AppId> {
         let mut seen = Vec::new();
-        for tx in &self.txs {
+        for tx in self.txs.iter() {
             if !seen.contains(&tx.app()) {
                 seen.push(tx.app());
             }
@@ -161,15 +165,7 @@ impl Block {
             *byte = reader.u8()?;
         }
         let count = usize::try_from(reader.u64()?).ok()?;
-        // Each transaction occupies ≥ 4 bytes; cheap bound against
-        // hostile length prefixes.
-        if count > reader.remaining() / 4 {
-            return None;
-        }
-        let mut txs = Vec::with_capacity(count);
-        for _ in 0..count {
-            txs.push(Transaction::decode(reader)?);
-        }
+        let txs = Transaction::decode_many(reader, count)?;
         Some(Block::new(number, Hash32(prev_hash), txs))
     }
 
@@ -186,7 +182,7 @@ impl Wire for Block {
     fn encode(&self, out: &mut Vec<u8>) {
         self.header.encode(out);
         (self.txs.len() as u64).encode(out);
-        for tx in &self.txs {
+        for tx in self.txs.iter() {
             tx.encode(out);
         }
     }

@@ -35,6 +35,6 @@ pub use config::{
 };
 pub use error::TypeError;
 pub use ids::{AppId, BlockNumber, ClientId, NodeId, Role, SeqNo, TxId};
-pub use rwset::{Key, RwSet};
+pub use rwset::{Key, RwRef, RwSet};
 pub use transaction::{Timestamp, Transaction};
 pub use value::Value;

@@ -2,8 +2,9 @@
 //!
 //! The paper assumes "the read-set and write-set are pre-declared or can be
 //! obtained from the transactions via a static analysis" (§III-A). A
-//! [`RwSet`] carries both sets and answers the conflict predicates used to
-//! build ordering dependencies.
+//! [`RwSet`] is the owned builder contracts return; an [`RwRef`] borrows
+//! both sets, from an `RwSet` or from a transaction's block table, and
+//! answers the conflict predicates used to build ordering dependencies.
 
 use std::fmt;
 
@@ -30,13 +31,16 @@ impl From<u64> for Key {
     }
 }
 
-/// The declared read set ρ(T) and write set ω(T) of a transaction.
+/// The declared read set ρ(T) and write set ω(T) of a transaction, owned:
+/// what contracts return and [`Transaction::new`](crate::Transaction::new)
+/// takes.
 ///
 /// Each set is a sorted, deduplicated key slice: the sets are one or two
 /// keys long in every workload, iterated far more often than probed, and
 /// their ascending order is what makes the wire encoding canonical.
-/// Every constructor, wire decode included, goes through [`RwSet::new`],
-/// which sorts and deduplicates whatever order the keys arrive in.
+/// Every constructor goes through [`RwSet::new`], which sorts and
+/// deduplicates whatever order the keys arrive in; a wire decode
+/// normalises each key list with the same routine.
 ///
 /// Both sets share one exact-size allocation: ρ(T), then ω(T), split
 /// at an index. A set built from iterators that know their length (an
@@ -48,10 +52,10 @@ impl From<u64> for Key {
 /// ```
 /// use parblock_types::{Key, RwSet};
 ///
-/// let transfer = RwSet::new([Key(1001)], [Key(1001), Key(1002)]);
-/// let audit = RwSet::read_only([Key(1002)]);
-/// assert!(transfer.conflicts_with(&audit)); // ω ∩ ρ ≠ ∅
-/// assert!(!audit.conflicts_with(&audit)); // reads never conflict
+/// let mut transfer = RwSet::read_only([Key(1002), Key(1001)]);
+/// transfer.add_write(Key(1001));
+/// assert_eq!(transfer.reads(), &[Key(1001), Key(1002)]);
+/// assert_eq!(transfer.writes(), &[Key(1001)]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct RwSet {
@@ -63,7 +67,7 @@ pub struct RwSet {
 
 /// The one normalising path: sorts `set` and moves its distinct keys to
 /// the front, in ascending order. Returns how many there are.
-fn key_set(set: &mut [Key]) -> usize {
+pub(crate) fn key_set(set: &mut [Key]) -> usize {
     set.sort_unstable();
     let mut kept = 0;
     for i in 0..set.len() {
@@ -113,20 +117,12 @@ impl RwSet {
 
     /// The read set ρ(T), ascending and free of duplicates.
     pub fn reads(&self) -> &[Key] {
-        &self.keys[..self.split]
+        self.view().reads()
     }
 
     /// The write set ω(T), ascending and free of duplicates.
     pub fn writes(&self) -> &[Key] {
-        &self.keys[self.split..]
-    }
-
-    /// Whether `key` is in the declared write set ω(T). Executors abort
-    /// a commit that writes outside it: the dependency graph never
-    /// ordered that write.
-    #[must_use]
-    pub fn declares_write(&self, key: Key) -> bool {
-        self.writes().binary_search(&key).is_ok()
+        self.view().writes()
     }
 
     /// Adds a key to the read set.
@@ -158,43 +154,18 @@ impl RwSet {
         self.keys.is_empty()
     }
 
-    /// Every key touched by the transaction (ρ ∪ ω), ascending and
-    /// deduplicated.
-    pub fn touched(&self) -> Vec<Key> {
-        let mut keys = self.keys.to_vec();
-        let distinct = key_set(&mut keys);
-        keys.truncate(distinct);
-        keys
+    /// The borrowed view the conflict predicates are defined on.
+    #[must_use]
+    pub fn view(&self) -> RwRef<'_> {
+        RwRef {
+            reads: &self.keys[..self.split],
+            writes: &self.keys[self.split..],
+        }
     }
 
-    /// §III-A conflict test: two transactions conflict if they access the
-    /// same data and at least one access is a write. This is the symmetric
-    /// predicate; direction comes from block order.
-    #[must_use]
-    pub fn conflicts_with(&self, other: &RwSet) -> bool {
-        self.rw_conflict(other) || other.rw_conflict(self) || self.ww_conflict(other)
-    }
-
-    /// ρ(self) ∩ ω(other) ≠ ∅ — `other` overwrites something `self` reads.
-    #[must_use]
-    pub fn rw_conflict(&self, other: &RwSet) -> bool {
-        intersects(self.reads(), other.writes())
-    }
-
-    /// ω(self) ∩ ω(other) ≠ ∅ — both write a common record.
-    #[must_use]
-    pub fn ww_conflict(&self, other: &RwSet) -> bool {
-        intersects(self.writes(), other.writes())
-    }
-
-    /// ω(self) ∩ ρ(other) ≠ ∅ — `other` reads something `self` writes.
-    ///
-    /// In the multi-version adaptation of §III-A this is the *only* pair
-    /// that forces an ordering dependency: a later read must observe the
-    /// earlier write's version.
-    #[must_use]
-    pub fn wr_conflict(&self, other: &RwSet) -> bool {
-        intersects(self.writes(), other.reads())
+    /// Both sets as one slice, ρ(T) then ω(T), and where ω(T) starts.
+    pub(crate) fn into_parts(self) -> (Box<[Key]>, usize) {
+        (self.keys, self.split)
     }
 }
 
@@ -205,6 +176,104 @@ impl fmt::Debug for RwSet {
             .field("reads", &self.reads())
             .field("writes", &self.writes())
             .finish()
+    }
+}
+
+impl From<RwRef<'_>> for RwSet {
+    /// An owned copy of a view; its sets are already normalised.
+    fn from(view: RwRef<'_>) -> Self {
+        RwSet {
+            keys: [view.reads, view.writes].concat().into_boxed_slice(),
+            split: view.reads.len(),
+        }
+    }
+}
+
+/// A borrowed read/write set: the read set ρ(T) and write set ω(T) of a
+/// [`Transaction`](crate::Transaction) in its block's table, or of an
+/// [`RwSet`]. Both slices are ascending and free of duplicates. The
+/// §III-A conflict predicates are defined here, once.
+///
+/// # Examples
+///
+/// ```
+/// use parblock_types::{Key, RwSet};
+///
+/// let transfer = RwSet::new([Key(1001)], [Key(1001), Key(1002)]);
+/// let audit = RwSet::read_only([Key(1002)]);
+/// assert!(transfer.view().conflicts_with(audit.view())); // ω ∩ ρ ≠ ∅
+/// assert!(!audit.view().conflicts_with(audit.view())); // reads never conflict
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RwRef<'a> {
+    reads: &'a [Key],
+    writes: &'a [Key],
+}
+
+impl<'a> RwRef<'a> {
+    /// A view of two sets that are each ascending and free of duplicates.
+    pub(crate) fn new(reads: &'a [Key], writes: &'a [Key]) -> Self {
+        RwRef { reads, writes }
+    }
+
+    /// The read set ρ(T), ascending and free of duplicates.
+    #[must_use]
+    pub fn reads(self) -> &'a [Key] {
+        self.reads
+    }
+
+    /// The write set ω(T), ascending and free of duplicates.
+    #[must_use]
+    pub fn writes(self) -> &'a [Key] {
+        self.writes
+    }
+
+    /// Whether `key` is in the declared write set ω(T). Executors abort
+    /// a commit that writes outside it: the dependency graph never
+    /// ordered that write.
+    #[must_use]
+    pub fn declares_write(self, key: Key) -> bool {
+        self.writes.binary_search(&key).is_ok()
+    }
+
+    /// Every key touched by the transaction (ρ ∪ ω), ascending and
+    /// deduplicated.
+    #[must_use]
+    pub fn touched(self) -> Vec<Key> {
+        let mut keys = [self.reads, self.writes].concat();
+        let distinct = key_set(&mut keys);
+        keys.truncate(distinct);
+        keys
+    }
+
+    /// §III-A conflict test: two transactions conflict if they access the
+    /// same data and at least one access is a write. This is the symmetric
+    /// predicate; direction comes from block order.
+    #[must_use]
+    pub fn conflicts_with(self, other: RwRef<'_>) -> bool {
+        self.rw_conflict(other) || other.rw_conflict(self) || self.ww_conflict(other)
+    }
+
+    /// ρ(self) ∩ ω(other) ≠ ∅ — `other` overwrites something `self` reads.
+    #[must_use]
+    pub fn rw_conflict(self, other: RwRef<'_>) -> bool {
+        intersects(self.reads, other.writes)
+    }
+
+    /// ω(self) ∩ ω(other) ≠ ∅ — both write a common record.
+    #[must_use]
+    pub fn ww_conflict(self, other: RwRef<'_>) -> bool {
+        intersects(self.writes, other.writes)
+    }
+
+    /// ω(self) ∩ ρ(other) ≠ ∅ — `other` reads something `self` writes.
+    ///
+    /// In the multi-version adaptation of §III-A this is the *only* pair
+    /// that forces an ordering dependency: a later read must observe the
+    /// earlier write's version.
+    #[must_use]
+    pub fn wr_conflict(self, other: RwRef<'_>) -> bool {
+        intersects(self.writes, other.reads)
     }
 }
 
@@ -235,33 +304,33 @@ mod tests {
         // T1 reads {a}, writes {b}; T4 reads {b}: ω(T1) ∩ ρ(T4) ≠ ∅.
         let t1 = RwSet::new(keys(&[1]), keys(&[2]));
         let t4 = RwSet::read_only(keys(&[2]));
-        assert!(t1.wr_conflict(&t4));
-        assert!(t1.conflicts_with(&t4));
-        assert!(t4.conflicts_with(&t1)); // symmetric predicate
+        assert!(t1.view().wr_conflict(t4.view()));
+        assert!(t1.view().conflicts_with(t4.view()));
+        assert!(t4.view().conflicts_with(t1.view())); // symmetric predicate
 
         // Write-write conflict on d.
         let t5 = RwSet::write_only(keys(&[4]));
         let t2 = RwSet::write_only(keys(&[4]));
-        assert!(t5.ww_conflict(&t2));
-        assert!(t5.conflicts_with(&t2));
+        assert!(t5.view().ww_conflict(t2.view()));
+        assert!(t5.view().conflicts_with(t2.view()));
 
         // Read-read never conflicts.
         let r1 = RwSet::read_only(keys(&[9]));
         let r2 = RwSet::read_only(keys(&[9]));
-        assert!(!r1.conflicts_with(&r2));
+        assert!(!r1.view().conflicts_with(r2.view()));
     }
 
     #[test]
     fn disjoint_sets_do_not_conflict() {
         let a = RwSet::new(keys(&[1, 2]), keys(&[3]));
         let b = RwSet::new(keys(&[4]), keys(&[5, 6]));
-        assert!(!a.conflicts_with(&b));
+        assert!(!a.view().conflicts_with(b.view()));
     }
 
     #[test]
     fn touched_is_union() {
         let s = RwSet::new(keys(&[1, 2]), keys(&[2, 3]));
-        assert_eq!(s.touched(), keys(&[1, 2, 3]));
+        assert_eq!(s.view().touched(), keys(&[1, 2, 3]));
     }
 
     #[test]
@@ -273,8 +342,17 @@ mod tests {
         assert!(!s.is_empty());
         assert!(s.reads().contains(&Key(7)));
         assert!(s.writes().contains(&Key(8)));
-        assert!(s.declares_write(Key(8)));
-        assert!(!s.declares_write(Key(7)), "a read is not a declared write");
+        assert!(s.view().declares_write(Key(8)));
+        assert!(
+            !s.view().declares_write(Key(7)),
+            "a read is not a declared write"
+        );
+    }
+
+    #[test]
+    fn an_owned_copy_of_a_view_is_the_same_set() {
+        let s = RwSet::new(keys(&[3, 1]), keys(&[2, 2]));
+        assert_eq!(RwSet::from(s.view()), s);
     }
 
     #[test]

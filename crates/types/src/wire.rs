@@ -171,7 +171,7 @@ impl<'a> Reader<'a> {
     /// [`Reader::key_set`] without the vector: the keys are decoded as
     /// the iterator is consumed, and its exact length lets
     /// [`RwSet::new`](crate::RwSet::new) size its one allocation.
-    pub fn keys(&mut self) -> Option<impl ExactSizeIterator<Item = Key> + 'a> {
+    pub fn keys(&mut self) -> Option<impl ExactSizeIterator<Item = Key> + Clone + 'a> {
         let len = usize::try_from(self.u64()?).ok()?;
         if len > self.remaining() / 8 {
             return None; // each key is 8 bytes; cheap bound check

@@ -4,7 +4,7 @@
 //! `RwSet` keeps each set as a sorted, deduplicated key slice. The model
 //! is the representation it replaced, a pair of `BTreeSet<Key>`: every
 //! observable (membership, iteration order, `len`, `touched`, the four
-//! conflict predicates, the wire encoding) must agree with it for keys
+//! conflict predicates of its [`RwSet::view`], the wire encoding) must agree with it for keys
 //! arriving in any order and with any repetition.
 
 use std::collections::BTreeSet;
@@ -48,7 +48,7 @@ proptest! {
             prop_assert_eq!(set.writes().binary_search(&key).is_ok(), model_writes.contains(&key));
         }
         let union: BTreeSet<Key> = model_reads.union(&model_writes).copied().collect();
-        prop_assert_eq!(set.touched(), ascending(&union));
+        prop_assert_eq!(set.view().touched(), ascending(&union));
     }
 
     #[test]
@@ -60,16 +60,16 @@ proptest! {
     ) {
         let (ra, wa, rb, wb) =
             (model(&reads_a), model(&writes_a), model(&reads_b), model(&writes_b));
-        let a = RwSet::new(reads_a, writes_a);
-        let b = RwSet::new(reads_b, writes_b);
-        prop_assert_eq!(a.rw_conflict(&b), meets(&ra, &wb));
-        prop_assert_eq!(a.ww_conflict(&b), meets(&wa, &wb));
-        prop_assert_eq!(a.wr_conflict(&b), meets(&wa, &rb));
+        let (a, b) = (RwSet::new(reads_a, writes_a), RwSet::new(reads_b, writes_b));
+        let (a, b) = (a.view(), b.view());
+        prop_assert_eq!(a.rw_conflict(b), meets(&ra, &wb));
+        prop_assert_eq!(a.ww_conflict(b), meets(&wa, &wb));
+        prop_assert_eq!(a.wr_conflict(b), meets(&wa, &rb));
         prop_assert_eq!(
-            a.conflicts_with(&b),
+            a.conflicts_with(b),
             meets(&ra, &wb) || meets(&wa, &rb) || meets(&wa, &wb)
         );
-        prop_assert_eq!(a.conflicts_with(&b), b.conflicts_with(&a));
+        prop_assert_eq!(a.conflicts_with(b), b.conflicts_with(a));
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Offline API-subset shim for `parking_lot`, layered over `std::sync`.
 //!
 //! Mirrors the upstream ergonomics the workspace relies on: guard-returning
-//! `lock()` / `read()` / `write()` without `Result`, and a [`Condvar`]
-//! that takes `&mut MutexGuard`. Poisoning — the
-//! one std behavior parking_lot removes — is neutralized by unwrapping
-//! into the inner guard, which matches parking_lot's "no poisoning"
-//! semantics. See DESIGN.md §8 for the shim policy.
+//! `lock()` / `read()` / `write()` without `Result`. Poisoning — the one
+//! std behavior parking_lot removes — is neutralized by unwrapping into
+//! the inner guard, which matches parking_lot's "no poisoning" semantics.
+//! See DESIGN.md §8 for the shim policy.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
 
 /// A mutex whose `lock` returns the guard directly (no poisoning).
@@ -32,66 +30,13 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
+    pub fn lock(&self) -> sync::MutexGuard<'_, T> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Mutable access without locking (requires `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// RAII guard for [`Mutex`]; a [`Condvar`] releases and re-acquires it.
-pub struct MutexGuard<'a, T: ?Sized> {
-    /// `None` only transiently, while parked on a condvar.
-    inner: Option<sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard is locked")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard is locked")
-    }
-}
-
-/// A condition variable operating on [`MutexGuard`]s.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified, atomically releasing the guard's mutex.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard is locked");
-        let inner = self.inner.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
     }
 }
 
@@ -130,25 +75,13 @@ impl<T: ?Sized> RwLock<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
-    fn condvar_wakes_waiter() {
-        let shared = Arc::new((Mutex::new(false), Condvar::new()));
-        let s2 = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            let (m, cv) = &*s2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let (m, cv) = &*shared;
-        *m.lock() = true;
-        cv.notify_all();
-        handle.join().unwrap();
+    fn mutex_lock_and_into_inner() {
+        let m = Mutex::new(1u32);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

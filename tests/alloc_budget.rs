@@ -21,7 +21,7 @@
 //! * **marginal peak live bytes per transaction**: `(peak(4N) − peak(N))
 //!   / 3N` at N = 4 000, what each extra transaction adds to the peak,
 //!   printed beside what one copy of the chain adds (the same stream
-//!   appended to a bare `Ledger`).
+//!   appended to a bare `Ledger`), which is held to at most 100 bytes.
 //!
 //! The run: `ClusterSpec::new(Oxii)` (3 orderers, 3 agents, 1 passive
 //! peer, depth 2), 100-tx blocks, 500 µs per transaction, seed 42, 4 000
@@ -71,6 +71,8 @@
 //! |                                          | 0.8 |  61.17 | 1 661 |
 //! | sequencer log compacted below the floor  | 0.0 |  46.68 | 1 504 |
 //! |                                          | 0.8 |  60.86 | 1 516 |
+//! | one packed table per block               | 0.0 |  44.56 | 1 446 |
+//! |                                          | 0.8 |  58.73 | 1 459 |
 //!
 //! (The first row was recorded here as 110.35 / 3 725; the tree at that
 //! change reads 110.50 / 3 722.) The streaming ordering path encodes a
@@ -222,10 +224,29 @@
 //! allocations by 0.31 at both, which this file does not attribute
 //! further. All budgets were lowered with this row.
 //!
+//! A transaction was an `Arc` body of three allocations (the body, its
+//! key slice, its payload), decoded that way by every orderer, and a
+//! block a vector of 32-byte slots pointing at bodies. Each block now
+//! owns its transactions as one packed table: a 32-byte row per
+//! transaction, one key slice with a write set equal to its read set
+//! stored once, one payload slice; a `Transaction` is a 16-byte handle
+//! to its row. A decoded batch is one table too, five allocations (four
+//! for a batch of one) where it was three per transaction and the
+//! vector; `Transaction::new` keeps the caller's key slice and payload
+//! and its one row inline, three allocations as before; `Block::new`
+//! packs its rows in four. Allocations per transaction fell from 46.68
+//! / 60.86 to 44.56 / 58.73 in release (47.08 / 61.26 to 44.96 / 59.13
+//! in debug), peak live bytes from 1 503.67 / 1 516.28 to 1 446.31 /
+//! 1 458.92 in both profiles, the marginal figure from 173.02 to 117.82
+//! at both contentions and one chain's from 146.44 to 91.24: the
+//! 55.20 bytes the chain shed are exactly what the marginal figure
+//! shed. All budgets were lowered with this row, and one chain is held
+//! to at most 100 bytes per transaction.
+//!
 //! What each extra transaction adds now, at either contention: one copy
-//! of the chain, 146.44 bytes, and 26.58 of vectors that grow by
+//! of the chain, 91.24 bytes, and 26.58 of vectors that grow by
 //! doubling (`SimOutcome::submitted`, the ledgers' block and hash
-//! spines). That is 18 % above one chain's, so the marginal figure is not
+//! spines). That is 29 % above one chain's, so the marginal figure is not
 //! yet held to the chain's (ROADMAP item 15(a)).
 //!
 //! The allocation and peak-bytes budgets sit 5 % above the last row,
@@ -395,17 +416,17 @@ fn marginal(peak: impl Fn(usize) -> i64) -> f64 {
 }
 
 /// `(contention, allocations / tx, peak live bytes / tx)`. Every budget
-/// sits 5 % above what the tree reads since the sequencer's log is
-/// compacted (see the header): 46.68 and 60.86 allocations at contention
-/// 0 and 0.8 in release, 1 503.67 and 1 516.28 peak live bytes in both
-/// profiles. A debug build makes 0.40 more allocations per transaction
-/// (47.08, 61.26): `Ledger::append_hashed`'s `debug_assert` encodes and
-/// hashes each appended block once more. The 0.8 budgets sit higher because a
+/// sits 5 % above what the tree reads since each block's transactions
+/// are one table (see the header): 44.56 and 58.73 allocations at
+/// contention 0 and 0.8 in release, 1 446.31 and 1 458.92 peak live
+/// bytes in both profiles. A debug build makes 0.40 more allocations per
+/// transaction (44.96, 59.13): `Ledger::append_hashed`'s `debug_assert`
+/// encodes and hashes each appended block once more. The 0.8 budgets sit higher because a
 /// conflict chain sends one COMMIT per execution.
 const BUDGETS: [(f64, f64, f64); 2] = if cfg!(debug_assertions) {
-    [(0.0, 49.43, 1_579.0), (0.8, 64.32, 1_592.0)]
+    [(0.0, 47.21, 1_519.0), (0.8, 62.09, 1_532.0)]
 } else {
-    [(0.0, 49.01, 1_579.0), (0.8, 63.90, 1_592.0)]
+    [(0.0, 46.79, 1_519.0), (0.8, 61.67, 1_532.0)]
 };
 
 /// A figure below this share of its budget means the budget is stale.
@@ -455,12 +476,19 @@ fn allocations_and_live_heap_stay_within_budget() {
 }
 
 /// `(contention, marginal peak live bytes / tx)`, the same in both
-/// profiles: 5 % above the 173.02 measured at both contentions since the
-/// sequencer's log is compacted (see the header).
-const MARGINAL_BUDGETS: [(f64, f64); 2] = [(0.0, 181.7), (0.8, 181.7)];
+/// profiles: 5 % above the 117.82 measured at both contentions since each
+/// block's transactions are one table (see the header).
+const MARGINAL_BUDGETS: [(f64, f64); 2] = [(0.0, 123.7), (0.8, 123.7)];
+
+/// What one copy of the chain may add per transaction: a block's packed
+/// table holds the run's transfers in 91.24 bytes each (a 16-byte
+/// handle, a 32-byte row, two keys stored once, a 25-byte payload, and
+/// the ledger's spines).
+const CHAIN_MARGINAL_MAX: f64 = 100.0;
 
 /// ROADMAP 15(a): growth with the run as a deterministic count, beside
-/// what one copy of the chain grows by. Only the first is held.
+/// what one copy of the chain grows by. The run's figure is held to its
+/// budget, the chain's to [`CHAIN_MARGINAL_MAX`].
 #[test]
 fn marginal_live_heap_per_transaction_stays_within_budget() {
     for (contention, budget) in MARGINAL_BUDGETS {
@@ -475,6 +503,11 @@ fn marginal_live_heap_per_transaction_stays_within_budget() {
             "marginal peak live bytes/tx",
             run_marginal,
             budget,
+        );
+        assert!(
+            chain_marginal <= CHAIN_MARGINAL_MAX,
+            "contention {contention}: one chain adds {chain_marginal:.2} bytes/tx, \
+             over {CHAIN_MARGINAL_MAX}"
         );
     }
 }
@@ -504,8 +537,9 @@ fn genesis_state_stays_within_budget() {
     );
 }
 
-/// A transaction's read/write set and payload are shared, not copied:
-/// `dispatch_ready`, the cutter and the ledger all clone transactions.
+/// A transaction is a handle to a row of a shared table, not a copy of
+/// it: `dispatch_ready`, the cutter and the ledger all clone
+/// transactions.
 #[test]
 fn cloning_a_transaction_allocates_nothing() {
     let rw = RwSet::new([Key(1), Key(2)], [Key(1), Key(2)]);

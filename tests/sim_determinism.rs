@@ -133,6 +133,13 @@ fn pipeline_depths_agree_under_time_cuts_in_simulation() {
 /// its consensus message count and events moved (6 500 → 6 254). Its
 /// blocks and verdict stayed, and seeds 4 and 17 kept their digests.
 ///
+/// Re-pinned once more, on purpose, for seed 14 only, when a restarted
+/// orderer began asking the other replicas for its missed deliveries
+/// as soon as it restarts instead of on the leader's next message: its
+/// events moved (6 254 → 6 252), its blocks and verdict stayed, and
+/// seeds 4 and 17 kept their digests. Packing each block's transactions
+/// into one table moved none of the three.
+///
 /// * seed 4: on-disk, depth 2, orderer partition;
 /// * seed 14: on-disk, depth 4, contention 0.9, orderer crash;
 /// * seed 17: in-memory, five concurrent faults.
@@ -140,7 +147,7 @@ fn pipeline_depths_agree_under_time_cuts_in_simulation() {
 fn pinned_seeds_replay_to_their_golden_report_digests() {
     let golden = [
         (4u64, "0e69d385eabac41cfbcf44a60eba8bc95ba4d3dabcb300595cf73d5b78c22ad4"),
-        (14, "7ddbb6759d193fc488f47340034819fef4a80cc17447e9c9d56063d71a9508d0"),
+        (14, "bcd15de46cce8f5bc71e7ed4559ee0f4788aa8a2f7527e60559dfc81cf84bc6e"),
         (17, "9e9e8876ad772c648a032d217dcd0da4ab8af3554ee0135b3389d80fc9c7bc1a"),
     ];
     for (seed, digest) in golden {
