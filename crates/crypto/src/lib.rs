@@ -4,6 +4,18 @@
 //! library: SHA-256 (validated against the NIST test vectors), HMAC-SHA256
 //! and a *simulated* signature scheme.
 //!
+//! # Two SHA-256 compressions
+//!
+//! On an x86-64 CPU with the SHA extensions, every full 64-byte block of
+//! an `update` or `finalize` goes through their rounds in one call
+//! (`sha256rnds2`, `sha256msg1`, `sha256msg2` from `std::arch`), chosen
+//! at run time with `is_x86_feature_detected!`. Every other CPU and
+//! target takes the portable rounds as FIPS 180-4 writes them. Nothing
+//! selects between the two but the CPU, and the digests are bit-identical:
+//! a differential property test holds the two against each other. The
+//! call into the detected rounds is the crate's one `unsafe` block, which
+//! is why the crate denies `unsafe_code` instead of forbidding it.
+//!
 //! # Simulated signatures
 //!
 //! The paper assumes pairwise-authenticated channels and signed client /
@@ -30,7 +42,8 @@
 //! assert!(!registry.verify(SignerId(1), b"hello", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod hmac;
@@ -45,6 +58,10 @@ use parblock_types::wire::Wire;
 use parblock_types::Hash32;
 
 /// Hashes a [`Wire`]-encodable value (canonical bytes, then SHA-256).
+///
+/// The bytes go into one buffer sized by [`Wire::wire_len_hint`], which a
+/// block and a transaction give exactly, so a block hash allocates once
+/// and never regrows.
 ///
 /// # Examples
 ///

@@ -6,8 +6,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use crate::hmac::{hmac_sha256, HmacKey};
 
 /// Identifies a signing principal (any node or client).
@@ -48,10 +46,11 @@ impl fmt::Debug for Signature {
 
 /// An in-process registry of signing keys, shared by all simulated nodes.
 ///
-/// Cloning is cheap (the key table is behind an `Arc`), so a single
-/// registry can be handed to every node of a simulated cluster. A key
-/// is held with its HMAC pads already hashed, so signing and verifying
-/// hash only the signer tag and the message.
+/// The key table is fixed when the registry is built and never locked:
+/// cloning shares it behind an `Arc`, so a single registry can be handed
+/// to every node of a simulated cluster and every thread reads it as it
+/// is. A key is held with its HMAC pads already hashed, so signing and
+/// verifying hash only the signer tag and the message.
 ///
 /// # Examples
 ///
@@ -65,7 +64,8 @@ impl fmt::Debug for Signature {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KeyRegistry {
-    keys: Arc<RwLock<Vec<Option<HmacKey>>>>,
+    /// Indexed by signer; `None` where no key was given.
+    keys: Arc<[Option<HmacKey>]>,
 }
 
 impl KeyRegistry {
@@ -81,34 +81,42 @@ impl KeyRegistry {
     /// by hashing the signer index under a fixed domain tag.
     #[must_use]
     pub fn deterministic(n: u32) -> Self {
-        let reg = Self::new();
-        for i in 0..n {
+        Self::from_keys((0..n).map(|i| {
             let digest = hmac_sha256(b"parblockchain-sim-key", &i.to_le_bytes());
-            reg.register(SignerId(i), SecretKey(digest.0));
-        }
-        reg
+            (SignerId(i), SecretKey(digest.0))
+        }))
     }
 
-    /// Registers (or replaces) the key for `signer`.
-    pub fn register(&self, signer: SignerId, key: SecretKey) {
-        let mut keys = self.keys.write();
-        let idx = signer.0 as usize;
-        if keys.len() <= idx {
-            keys.resize(idx + 1, None);
+    /// Creates a registry holding `keys`; a later key for the same
+    /// signer replaces an earlier one.
+    #[must_use]
+    pub fn from_keys(keys: impl IntoIterator<Item = (SignerId, SecretKey)>) -> Self {
+        let mut table: Vec<Option<HmacKey>> = Vec::new();
+        for (signer, key) in keys {
+            let idx = signer.0 as usize;
+            if table.len() <= idx {
+                table.resize(idx + 1, None);
+            }
+            table[idx] = Some(HmacKey::new(&key.0));
         }
-        keys[idx] = Some(HmacKey::new(&key.0));
+        KeyRegistry { keys: table.into() }
     }
 
     /// Number of registered signers (highest index + 1).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.keys.read().len()
+        self.keys.len()
     }
 
     /// Returns `true` when no signer is registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.keys.read().iter().all(Option::is_none)
+        self.keys.iter().all(Option::is_none)
+    }
+
+    /// The key of `signer`, if it has one.
+    fn key(&self, signer: SignerId) -> Option<&HmacKey> {
+        self.keys.get(signer.0 as usize).and_then(Option::as_ref)
     }
 
     /// Signs `message` as `signer`.
@@ -119,10 +127,8 @@ impl KeyRegistry {
     /// a configuration bug, not a runtime condition.
     #[must_use]
     pub fn sign(&self, signer: SignerId, message: &[u8]) -> Signature {
-        let keys = self.keys.read();
-        let key = keys
-            .get(signer.0 as usize)
-            .and_then(Option::as_ref)
+        let key = self
+            .key(signer)
             .unwrap_or_else(|| panic!("no key registered for signer {signer}"));
         Signature(key.mac(&[&signer.0.to_le_bytes(), message]).0)
     }
@@ -133,8 +139,7 @@ impl KeyRegistry {
     /// how a verifier treats an unknown public key.
     #[must_use]
     pub fn verify(&self, signer: SignerId, message: &[u8], sig: &Signature) -> bool {
-        let keys = self.keys.read();
-        let Some(key) = keys.get(signer.0 as usize).and_then(Option::as_ref) else {
+        let Some(key) = self.key(signer) else {
             return false;
         };
         let expected = key.mac(&[&signer.0.to_le_bytes(), message]).0;
@@ -200,16 +205,15 @@ mod tests {
     fn debug_never_prints_key_material() {
         let key = SecretKey([7; 32]);
         assert_eq!(format!("{key:?}"), "SecretKey(<redacted>)");
-        let reg = KeyRegistry::new();
-        reg.register(SignerId(0), key);
+        let reg = KeyRegistry::from_keys([(SignerId(0), key)]);
         assert!(format!("{reg:?}").contains("HmacKey(<redacted>)"));
     }
 
     #[test]
     fn len_and_is_empty() {
-        let reg = KeyRegistry::new();
-        assert!(reg.is_empty());
-        reg.register(SignerId(5), SecretKey([1; 32]));
+        assert!(KeyRegistry::new().is_empty());
+        assert!(KeyRegistry::from_keys([]).is_empty());
+        let reg = KeyRegistry::from_keys([(SignerId(5), SecretKey([1; 32]))]);
         assert!(!reg.is_empty());
         assert_eq!(reg.len(), 6);
     }

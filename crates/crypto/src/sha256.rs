@@ -1,4 +1,6 @@
-//! SHA-256, implemented from FIPS 180-4.
+//! SHA-256, implemented from FIPS 180-4: portable rounds everywhere and
+//! the SHA extensions' rounds on the x86-64 CPUs that have them (see the
+//! crate docs).
 
 use parblock_types::Hash32;
 
@@ -57,7 +59,20 @@ impl Sha256 {
     }
 
     /// Feeds bytes into the hash.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress_blocks);
+    }
+
+    /// Consumes the hasher and returns the digest.
+    #[must_use]
+    pub fn finalize(self) -> Hash32 {
+        self.finalize_with(compress_blocks)
+    }
+
+    /// [`update`](Self::update) through the given compression function,
+    /// which gets every full 64-byte block of one call at once.
+    #[inline]
+    fn update_with(&mut self, mut data: &[u8], compress: Compress) {
         self.length += data.len() as u64;
         if self.buffered > 0 {
             let take = data.len().min(64 - self.buffered);
@@ -70,18 +85,18 @@ impl Sha256 {
             compress(&mut self.state, &self.buffer);
             self.buffered = 0;
         }
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            compress(&mut self.state, chunk.try_into().expect("64"));
+        let full = data.len() - data.len() % 64;
+        if full > 0 {
+            compress(&mut self.state, &data[..full]);
         }
-        let rest = chunks.remainder();
+        let rest = &data[full..];
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
     }
 
-    /// Consumes the hasher and returns the digest.
-    #[must_use]
-    pub fn finalize(mut self) -> Hash32 {
+    /// [`finalize`](Self::finalize) through the given compression function.
+    #[inline]
+    fn finalize_with(mut self, compress: Compress) -> Hash32 {
         let bit_len = self.length * 8;
         // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
         let mut tail = [0u8; 128];
@@ -90,9 +105,7 @@ impl Sha256 {
         tail[used] = 0x80;
         let end = if used < 56 { 64 } else { 128 };
         tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
-        for chunk in tail[..end].chunks_exact(64) {
-            compress(&mut self.state, chunk.try_into().expect("64"));
-        }
+        compress(&mut self.state, &tail[..end]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
@@ -104,6 +117,28 @@ impl Sha256 {
 impl Default for Sha256 {
     fn default() -> Self {
         Sha256::new()
+    }
+}
+
+/// A compression function: runs the 64 rounds over each 64-byte block of
+/// its input, in order. The input's length is a multiple of 64.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// The SHA extensions' rounds where the CPU has them, else the portable
+/// rounds. Both give the same state bit for bit.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::try_compress_blocks(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The rounds as FIPS 180-4 writes them, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for chunk in blocks.chunks_exact(64) {
+        compress(state, chunk.try_into().expect("64"));
     }
 }
 
@@ -151,6 +186,107 @@ fn compress(state: &mut [u32; 8], chunk: &[u8; 64]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
+}
+
+/// The rounds on the SHA extensions (`sha256rnds2`, `sha256msg1`,
+/// `sha256msg2`), chosen at run time: an x86-64 CPU without them takes
+/// the portable rounds.
+#[cfg(target_arch = "x86_64")]
+#[expect(
+    unsafe_code,
+    reason = "`#[target_feature]` rounds are an `unsafe fn` before Rust 1.86; \
+              they are called only after run-time detection"
+)]
+mod x86 {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    use super::K;
+
+    /// Whether this CPU has every target feature [`rounds`] enables.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Runs the rounds over `blocks` and returns `true`, or leaves `state`
+    /// alone and returns `false` when the CPU lacks the extensions.
+    pub(super) fn try_compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        let detected = detected();
+        if detected {
+            // SAFETY: `rounds` enables exactly the target features
+            // `detected` just found, so this CPU executes every
+            // instruction in it. That is its only precondition: its loads
+            // and stores stay inside `state` and each 64-byte chunk.
+            unsafe { rounds(state, blocks) };
+        }
+        detected
+    }
+
+    /// # Safety
+    ///
+    /// The CPU supports `sha`, `sse2`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn rounds(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // Message words are big-endian: reverse the bytes of each lane.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // `sha256rnds2` keeps the state as ABEF and CDGH, A in the top
+        // lane; names list lanes from the top.
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let message = block.as_ptr().cast::<__m128i>();
+            // The schedule, four words to a vector: while `group`'s
+            // rounds run, `w[i]` holds W[16·group + 4·i ..][..4].
+            let mut w = [
+                _mm_shuffle_epi8(_mm_loadu_si128(message), byte_swap),
+                _mm_shuffle_epi8(_mm_loadu_si128(message.add(1)), byte_swap),
+                _mm_shuffle_epi8(_mm_loadu_si128(message.add(2)), byte_swap),
+                _mm_shuffle_epi8(_mm_loadu_si128(message.add(3)), byte_swap),
+            ];
+            for group in 0..4 {
+                for (i, &four) in w.iter().enumerate() {
+                    let k = _mm_loadu_si128(K.as_ptr().add(16 * group + 4 * i).cast());
+                    let wk = _mm_add_epi32(four, k);
+                    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                }
+                if group < 3 {
+                    for i in 0..4 {
+                        // W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16].
+                        let (w16, w12) = (w[i], w[(i + 1) % 4]);
+                        let (w8, w4) = (w[(i + 2) % 4], w[(i + 3) % 4]);
+                        let partial = _mm_add_epi32(
+                            _mm_sha256msg1_epu32(w16, w12),
+                            _mm_alignr_epi8(w4, w8, 4),
+                        );
+                        w[i] = _mm_sha256msg2_epu32(partial, w4);
+                    }
+                }
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
+    }
 }
 
 /// One-shot SHA-256 of `data`.
@@ -238,6 +374,136 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
             let d2 = sha256(&data);
             assert_eq!(d1, d2);
             assert!(digests.insert(d1.0), "collision at length {len}");
+        }
+    }
+}
+
+/// Differential tests of the two compressions: the dispatching
+/// [`Sha256`], the portable rounds and, where the CPU has them, the SHA
+/// extensions' rounds must give the same digest and the same HMAC for
+/// every message and every way of feeding it.
+///
+/// `cargo test -p parblock_crypto --lib differential -- --nocapture`
+/// prints which rounds ran; a CPU without the extensions says that the
+/// hardware half did not run rather than passing it silently.
+#[cfg(test)]
+mod differential {
+    use std::sync::Once;
+
+    use proptest::prelude::*;
+
+    use parblock_types::Hash32;
+
+    use super::{compress_portable, Compress, Sha256};
+    use crate::{hmac_sha256, KeyRegistry, SignerId};
+
+    /// The hardware rounds as a [`Compress`], or `None` when this CPU (or
+    /// target) has none; says which, once per test.
+    fn hardware(report: &Once) -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        let rounds: Option<Compress> = super::x86::detected().then_some(|state, blocks| {
+            assert!(super::x86::try_compress_blocks(state, blocks));
+        });
+        #[cfg(not(target_arch = "x86_64"))]
+        let rounds: Option<Compress> = None;
+        report.call_once(|| match rounds {
+            Some(_) => {
+                println!("SHA-256: hardware rounds (SHA extensions) ran against the portable ones")
+            }
+            None => println!(
+                "SHA-256: hardware rounds did NOT run (no SHA extensions on this CPU); \
+                 only the portable rounds were checked"
+            ),
+        });
+        rounds
+    }
+
+    /// The message cut at `cuts` (taken modulo its length, sorted).
+    fn pieces<'a>(data: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut out = Vec::new();
+        let mut prev = 0;
+        for cut in cuts {
+            out.push(&data[prev..cut]);
+            prev = cut;
+        }
+        out.push(&data[prev..]);
+        out
+    }
+
+    /// SHA-256 of the concatenation of `parts`, each fed in one `update`
+    /// through `compress`.
+    fn digest_with(compress: Compress, parts: &[&[u8]]) -> Hash32 {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update_with(part, compress);
+        }
+        h.finalize_with(compress)
+    }
+
+    /// HMAC-SHA256 (RFC 2104) of the concatenation of `parts`, written out
+    /// on [`digest_with`] rather than through `HmacKey`.
+    fn hmac_with(compress: Compress, key: &[u8], parts: &[&[u8]]) -> Hash32 {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&digest_with(compress, &[key]).0);
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let inner_pad = block.map(|b| b ^ 0x36);
+        let mut inner_parts: Vec<&[u8]> = vec![&inner_pad];
+        inner_parts.extend_from_slice(parts);
+        let inner = digest_with(compress, &inner_parts);
+        digest_with(compress, &[&block.map(|b| b ^ 0x5c), &inner.0])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dispatching hasher, the portable rounds and the hardware
+        /// rounds agree on every message of 0–2 048 bytes, fed at random
+        /// split points.
+        #[test]
+        fn sha256_compressions_agree(
+            data in proptest::collection::vec(any::<u8>(), 0..2049),
+            cuts in proptest::collection::vec(0usize..2049, 0..8),
+        ) {
+            static REPORT: Once = Once::new();
+            let parts = pieces(&data, &cuts);
+            let mut dispatching = Sha256::new();
+            for part in &parts {
+                dispatching.update(part);
+            }
+            let dispatching = dispatching.finalize();
+            let portable = digest_with(compress_portable, &parts);
+            prop_assert_eq!(dispatching, portable);
+            prop_assert_eq!(portable, digest_with(compress_portable, &[&data]));
+            if let Some(rounds) = hardware(&REPORT) {
+                prop_assert_eq!(digest_with(rounds, &parts), portable);
+            }
+        }
+
+        /// HMAC through `KeyRegistry` (deterministic keys, then a signature
+        /// over the signer tag and the message) and through `hmac_sha256`
+        /// agrees with HMAC written out on either compression.
+        #[test]
+        fn hmac_through_the_registry_agrees(
+            signer in 0u32..4,
+            msg in proptest::collection::vec(any::<u8>(), 0..2049),
+            key in proptest::collection::vec(any::<u8>(), 0..130),
+        ) {
+            static REPORT: Once = Once::new();
+            let registry = KeyRegistry::deterministic(4);
+            let sig = registry.sign(SignerId(signer), &msg);
+            let tag = signer.to_le_bytes();
+            let mut compressions = vec![compress_portable as Compress];
+            compressions.extend(hardware(&REPORT));
+            for compress in compressions {
+                let secret = hmac_with(compress, b"parblockchain-sim-key", &[&tag]);
+                prop_assert_eq!(sig.0, hmac_with(compress, &secret.0, &[&tag, &msg]).0);
+                prop_assert_eq!(hmac_sha256(&key, &msg), hmac_with(compress, &key, &[&msg]));
+            }
         }
     }
 }

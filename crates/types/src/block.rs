@@ -58,6 +58,10 @@ impl Wire for BlockHeader {
         self.number.0.encode(out);
         self.prev_hash.encode(out);
     }
+
+    fn wire_len_hint(&self) -> usize {
+        8 + 32
+    }
 }
 
 /// A block: an ordered batch of transactions.
@@ -185,6 +189,14 @@ impl Wire for Block {
         for tx in self.txs.iter() {
             tx.encode(out);
         }
+    }
+
+    /// Exact: the header, the count and each transaction's
+    /// [`Transaction::encoded_len`], so a block hash fills one buffer
+    /// without regrowing it.
+    fn wire_len_hint(&self) -> usize {
+        let txs: usize = self.txs.iter().map(Transaction::encoded_len).sum();
+        self.header.wire_len_hint() + 8 + txs
     }
 }
 

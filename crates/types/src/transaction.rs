@@ -457,6 +457,10 @@ impl Wire for Transaction {
         wire::encode_key_set(rw.writes(), out);
         self.payload().encode(out);
     }
+
+    fn wire_len_hint(&self) -> usize {
+        self.encoded_len()
+    }
 }
 
 #[cfg(test)]

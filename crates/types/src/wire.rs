@@ -23,9 +23,16 @@ pub trait Wire {
     /// Appends the canonical encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
-    /// Convenience: encodes into a fresh buffer.
+    /// The length of the encoding where the type can tell it without
+    /// encoding, else 0: a capacity hint, never a promise.
+    fn wire_len_hint(&self) -> usize {
+        0
+    }
+
+    /// Convenience: encodes into a fresh buffer, sized once by
+    /// [`wire_len_hint`](Self::wire_len_hint).
     fn wire_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wire_len_hint());
         self.encode(&mut out);
         out
     }

@@ -112,6 +112,7 @@ fn same_accessors(got: &Transaction, want: &Transaction) -> TestCaseResult {
     prop_assert_eq!(got.payload(), want.payload());
     prop_assert_eq!(got.encoded_len(), want.encoded_len());
     prop_assert_eq!(got.encoded_len(), got.wire_bytes().len());
+    prop_assert_eq!(got.wire_len_hint(), got.encoded_len());
     prop_assert_eq!(got, want);
     Ok(())
 }
@@ -130,6 +131,7 @@ fn packed_block_is_its_transactions(txs: &[Transaction], number: u64) -> TestCas
     expected.extend_from_slice(&[3; 32]);
     (txs.len() as u64).encode(&mut expected);
     expected.extend_from_slice(&one_by_one(txs));
+    prop_assert_eq!(block.wire_len_hint(), expected.len());
     prop_assert_eq!(block.wire_bytes(), expected);
     Ok(())
 }

@@ -1,17 +1,16 @@
 //! Cross-crate integration tests: full clusters, all three paradigms.
 //!
-//! The paradigm comparisons run on the simulator, on the injected clock,
-//! so their verdicts are exact and deterministic. The threaded tests
-//! left check what the simulator cannot show: it runs on one thread and
-//! handling a message costs no time, so wall-clock latency across
-//! datacenters and the node threads' real interleavings exist only
-//! there.
+//! The paradigm comparisons and the cross-datacenter latency check run
+//! on the simulator, on the injected clock, so their verdicts are exact
+//! and deterministic. The threaded tests left check what the simulator
+//! cannot show: it runs on one thread and handling a message costs no
+//! time, so the node threads' real interleavings exist only there.
 
 use std::time::Duration;
 
 use parblock_sim::check_oracles;
 use parblockchain::{
-    run, run_fixed, run_sim, ClusterSpec, FaultEvent, FaultKind, FaultPlan, LoadSpec, MovedGroup,
+    run_fixed, run_sim, ClusterSpec, FaultEvent, FaultKind, FaultPlan, LoadSpec, MovedGroup,
     SimConfig, SimOutcome, SystemKind,
 };
 use parblockchain_repro as _;
@@ -222,20 +221,26 @@ fn xov_abort_behaviour_tracks_contention() {
 
 /// Moving non-executors to a far datacenter must not hurt OXII commit
 /// latency (the paper's Fig 7d claim) — compare against moving orderers,
-/// which must hurt.
+/// which must hurt. It runs on the simulator: on the wall clock, a busy
+/// two-core host put the far non-executors' mean 22 ms above the local one.
 #[test]
 fn oxii_latency_immune_to_far_non_executors() {
+    let open_loop = |spec: &ClusterSpec| {
+        let outcome = run_sim(&SimConfig::open_loop(spec.clone(), &quick_load(300.0)));
+        assert!(outcome.completed, "{:?}", outcome.report);
+        outcome.report
+    };
     let mut base = quick_spec(SystemKind::Oxii);
     base.topology.inter = Duration::from_millis(20);
-    let local = run(&base, &quick_load(300.0));
+    let local = open_loop(&base);
 
     let mut far_nonexec = base.clone();
     far_nonexec.topology.moved = Some(MovedGroup::NonExecutors);
-    let nonexec = run(&far_nonexec, &quick_load(300.0));
+    let nonexec = open_loop(&far_nonexec);
 
     let mut far_orderers = base.clone();
     far_orderers.topology.moved = Some(MovedGroup::Orderers);
-    let orderers = run(&far_orderers, &quick_load(300.0));
+    let orderers = open_loop(&far_orderers);
 
     let base_ms = local.avg_latency().as_secs_f64() * 1e3;
     let nonexec_ms = nonexec.avg_latency().as_secs_f64() * 1e3;
