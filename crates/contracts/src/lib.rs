@@ -7,12 +7,14 @@
 //! This crate provides:
 //!
 //! * the [`SmartContract`] trait — deterministic execution of a
-//!   transaction against a read view of the state, producing writes or an
-//!   abort;
+//!   transaction against a read view of the state, producing an
+//!   [`ExecOutcome`] (writes or an abort), the one result type every
+//!   paradigm executes to and an OXII agent votes with in its COMMIT
+//!   messages;
 //! * [`AccountingContract`] — the paper's §V evaluation application
 //!   (accounts, transfers, balance checks);
-//! * [`KvContract`] and [`EscrowContract`] — further example applications
-//!   for the multi-application experiments;
+//! * [`KvContract`] — a contract with arbitrary read and write sets, for
+//!   property tests of scheduling and serializability;
 //! * [`AppRegistry`] — the Σ : A → 2^E agent mapping plus client access
 //!   control, shared by orderers (for routing/ACL) and executors.
 //!
@@ -35,13 +37,11 @@
 #![warn(missing_docs)]
 
 mod accounting;
-mod escrow;
 mod kv_app;
 mod registry;
 mod traits;
 
 pub use accounting::{AccountingContract, AccountingOp};
-pub use escrow::{EscrowContract, EscrowOp};
 pub use kv_app::{KvContract, KvOp};
 pub use registry::AppRegistry;
 pub use traits::{ExecOutcome, SmartContract, StateReader};

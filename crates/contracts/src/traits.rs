@@ -32,7 +32,9 @@ impl StateReader for MvccState {
     }
 }
 
-/// The result of executing one transaction.
+/// The result of executing one transaction, and an agent's vote in a
+/// COMMIT message: matching outcomes are counted against τ(A)
+/// (Algorithm 3).
 ///
 /// An aborted transaction is the paper's `(x, "abort")` entry in a COMMIT
 /// message: it carries no writes but still counts as processed.
@@ -40,7 +42,8 @@ impl StateReader for MvccState {
 pub enum ExecOutcome {
     /// The transaction is valid; apply these writes.
     Commit(Vec<(Key, Value)>),
-    /// The transaction is invalid at the application level.
+    /// The transaction is invalid at the application level (the reason
+    /// is kept for diagnostics).
     Abort(String),
 }
 
@@ -54,10 +57,31 @@ impl ExecOutcome {
         }
     }
 
+    /// The writes, if committed, by value.
+    #[must_use]
+    pub fn into_writes(self) -> Option<Vec<(Key, Value)>> {
+        match self {
+            ExecOutcome::Commit(w) => Some(w),
+            ExecOutcome::Abort(_) => None,
+        }
+    }
+
     /// Returns `true` when the execution committed.
     #[must_use]
     pub fn is_commit(&self) -> bool {
         matches!(self, ExecOutcome::Commit(_))
+    }
+
+    /// Whether two agents' outcomes match for τ(A): commits with equal
+    /// writes, or two aborts whatever their reasons, as honest agents
+    /// agree on the abort but need not word it alike.
+    #[must_use]
+    pub fn matches(&self, other: &ExecOutcome) -> bool {
+        match (self, other) {
+            (ExecOutcome::Commit(a), ExecOutcome::Commit(b)) => a == b,
+            (ExecOutcome::Abort(_), ExecOutcome::Abort(_)) => true,
+            _ => false,
+        }
     }
 }
 
@@ -105,5 +129,19 @@ mod tests {
         let abort = ExecOutcome::Abort("insufficient funds".into());
         assert!(!abort.is_commit());
         assert!(abort.writes().is_none());
+    }
+
+    #[test]
+    fn exec_outcomes_match_by_content() {
+        let a = ExecOutcome::Commit(vec![(Key(1), Value::Int(1))]);
+        let b = ExecOutcome::Commit(vec![(Key(1), Value::Int(1))]);
+        let c = ExecOutcome::Commit(vec![(Key(1), Value::Int(2))]);
+        assert!(a.matches(&b));
+        assert!(!a.matches(&c));
+        let x = ExecOutcome::Abort("one reason".into());
+        let y = ExecOutcome::Abort("another".into());
+        assert!(x.matches(&y));
+        assert!(!a.matches(&x));
+        assert!(!x.matches(&a));
     }
 }

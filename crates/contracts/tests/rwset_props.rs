@@ -8,7 +8,7 @@
 //!
 //! Ops execute against the state produced by applying the committed
 //! writes of earlier ops in the same sequence, so multi-step paths
-//! (open an escrow, then release it; open an account, then transfer)
+//! (open an account, then transfer from it)
 //! are exercised — not just the abort-on-missing-state branches.
 
 use std::cell::RefCell;
@@ -17,8 +17,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use parblock_contracts::{
-    AccountingContract, AccountingOp, EscrowContract, EscrowOp, KvContract, KvOp, SmartContract,
-    StateReader,
+    AccountingContract, AccountingOp, KvContract, KvOp, SmartContract, StateReader,
 };
 use parblock_ledger::{MvccState, Version};
 use parblock_types::{AppId, BlockNumber, ClientId, Key, SeqNo, Transaction, Value};
@@ -129,24 +128,6 @@ fn arb_accounting_op() -> impl Strategy<Value = AccountingOp> {
         })
 }
 
-fn arb_escrow_op() -> impl Strategy<Value = EscrowOp> {
-    (0u8..3, arb_key(), arb_key(), arb_amount(120, 0)).prop_map(|(variant, a, b, amount)| match variant {
-        0 => EscrowOp::Open {
-            escrow: a,
-            buyer: b,
-            // A small key space makes seller == buyer collisions common,
-            // which is exactly the aliasing the coverage must survive.
-            seller: Key((b.0 + 1) % KEYS),
-            amount,
-        },
-        1 => EscrowOp::Release {
-            escrow: a,
-            seller: b,
-        },
-        _ => EscrowOp::Refund { escrow: a, buyer: b },
-    })
-}
-
 fn arb_kv_op() -> impl Strategy<Value = KvOp> {
     ((0u8..3, arb_key(), arb_amount(100, 50)), arb_keys(4), arb_keys(4)).prop_map(
         |((variant, key, value), reads, writes)| match variant {
@@ -166,19 +147,6 @@ proptest! {
         ops in proptest::collection::vec(arb_accounting_op(), 1..12),
     ) {
         let contract = AccountingContract::new(AppId(0));
-        let mut state = MvccState::with_genesis(genesis);
-        for (i, op) in ops.iter().enumerate() {
-            let tx = contract.transaction(ClientId(1), i as u64, op);
-            check_and_apply(&contract, &tx, &mut state, i as u32)?;
-        }
-    }
-
-    #[test]
-    fn escrow_declared_rwset_covers_runtime_accesses(
-        genesis in arb_genesis(),
-        ops in proptest::collection::vec(arb_escrow_op(), 1..12),
-    ) {
-        let contract = EscrowContract::new(AppId(1));
         let mut state = MvccState::with_genesis(genesis);
         for (i, op) in ops.iter().enumerate() {
             let tx = contract.transaction(ClientId(1), i as u64, op);

@@ -10,8 +10,7 @@ use parblock_depgraph::DependencyMode;
 use parblock_net::{DcId, NetworkBuilder, Topology};
 use parblock_store::{Recovered, Store};
 use parblock_types::{
-    AppId, BlockCutConfig, ClientId, CommitPolicy, DurabilityConfig, ExecutionCosts,
-    ExecutionMode, NodeId,
+    AppId, BlockCutConfig, ClientId, DurabilityConfig, ExecutionCosts, ExecutionMode, NodeId,
 };
 use parblock_workload::WorkloadConfig;
 
@@ -361,16 +360,15 @@ impl ClusterSpec {
         registry
     }
 
-    /// τ(A): matching results required per application — every agent by
-    /// default, or the [`ClusterSpec::commit_quorum`] override clamped to
+    /// τ(A), the matching results required to commit a transaction, the
+    /// same for every application: every agent by default, or the
+    /// [`ClusterSpec::commit_quorum`] override clamped to
     /// `1..=executors_per_app`.
     #[must_use]
-    pub fn commit_policy(&self) -> CommitPolicy {
-        let tau = self
-            .commit_quorum
+    pub fn tau(&self) -> usize {
+        self.commit_quorum
             .unwrap_or(self.executors_per_app)
-            .clamp(1, self.executors_per_app.max(1));
-        CommitPolicy::uniform(tau)
+            .clamp(1, self.executors_per_app.max(1))
     }
 
     /// The mode orderers build each block's dependency graph in: OXII
@@ -508,7 +506,7 @@ mod tests {
         spec.executors_per_app = 2;
         assert_eq!(spec.agents_of(AppId(0)), vec![NodeId(3), NodeId(4)]);
         assert_eq!(spec.agents_of(AppId(2)), vec![NodeId(7), NodeId(8)]);
-        assert_eq!(spec.commit_policy().required(AppId(1)), 2);
+        assert_eq!(spec.tau(), 2);
     }
 
     #[test]
@@ -555,13 +553,23 @@ mod tests {
         let mut spec = ClusterSpec::new(SystemKind::Oxii);
         assert!(spec.exec_pipeline_depth >= 1);
         spec.executors_per_app = 2;
-        assert_eq!(spec.commit_policy().required(AppId(0)), 2, "default τ = all");
+        assert_eq!(spec.tau(), 2, "default τ = all");
         spec.commit_quorum = Some(1);
-        assert_eq!(spec.commit_policy().required(AppId(0)), 1);
+        assert_eq!(spec.tau(), 1);
         spec.commit_quorum = Some(99);
-        assert_eq!(spec.commit_policy().required(AppId(0)), 2, "clamped to agents");
+        assert_eq!(spec.tau(), 2, "clamped to agents");
         spec.commit_quorum = Some(0);
-        assert_eq!(spec.commit_policy().required(AppId(0)), 1, "clamped to ≥ 1");
+        assert_eq!(spec.tau(), 1, "clamped to ≥ 1");
+    }
+
+    /// τ(A) is never 0, even with no agents per application.
+    #[test]
+    fn tau_never_returns_zero() {
+        let mut spec = ClusterSpec::new(SystemKind::Oxii);
+        spec.executors_per_app = 0;
+        assert_eq!(spec.tau(), 1);
+        spec.commit_quorum = Some(0);
+        assert_eq!(spec.tau(), 1);
     }
 
     #[test]

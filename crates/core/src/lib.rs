@@ -42,7 +42,6 @@ pub mod batch;
 pub mod cluster;
 pub mod cutter;
 mod driver;
-pub mod hostcons;
 mod metrics;
 pub mod msg;
 mod node;

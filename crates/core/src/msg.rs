@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use parblock_consensus::{PbftMsg, SeqMsg};
+use parblock_contracts::ExecOutcome;
 use parblock_crypto::Signature;
 use parblock_depgraph::DependencyGraph;
 use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, Value};
@@ -48,40 +49,6 @@ pub struct CatchUp {
     pub(crate) state: crate::orderer::OrdererState,
 }
 
-/// The result of executing one transaction on an agent.
-///
-/// Matching results are counted against τ(A) (Algorithm 3); an abort is
-/// the paper's `(x, "abort")` pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecResult {
-    /// Valid execution with the resulting record updates.
-    Committed(Vec<(Key, Value)>),
-    /// Invalid at the application level (reason kept for diagnostics; two
-    /// aborts match regardless of reason, as honest agents agree anyway).
-    Aborted(String),
-}
-
-impl ExecResult {
-    /// Whether two results "match" for quorum purposes.
-    #[must_use]
-    pub fn matches(&self, other: &ExecResult) -> bool {
-        match (self, other) {
-            (ExecResult::Committed(a), ExecResult::Committed(b)) => a == b,
-            (ExecResult::Aborted(_), ExecResult::Aborted(_)) => true,
-            _ => false,
-        }
-    }
-
-    /// The writes of a committed result; `None` for an abort.
-    #[must_use]
-    pub fn into_writes(self) -> Option<Vec<(Key, Value)>> {
-        match self {
-            ExecResult::Committed(writes) => Some(writes),
-            ExecResult::Aborted(_) => None,
-        }
-    }
-}
-
 /// An executor's COMMIT message (§IV-C, Algorithm 2): the execution
 /// results `S = {(x, r)}` of one block that one node tick finished.
 #[derive(Debug)]
@@ -89,7 +56,7 @@ pub struct CommitMsg {
     /// The block the results belong to.
     pub block: BlockNumber,
     /// Results per in-block position.
-    pub results: Vec<(SeqNo, ExecResult)>,
+    pub results: Vec<(SeqNo, ExecOutcome)>,
     /// The executing agent.
     pub executor: NodeId,
     /// Signature over the results digest.
@@ -152,22 +119,4 @@ pub enum Msg {
         /// Endorser signature over [`Envelope::digest`] of `tx`.
         sig: Signature,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn exec_results_match_by_content() {
-        let a = ExecResult::Committed(vec![(Key(1), Value::Int(1))]);
-        let b = ExecResult::Committed(vec![(Key(1), Value::Int(1))]);
-        let c = ExecResult::Committed(vec![(Key(1), Value::Int(2))]);
-        assert!(a.matches(&b));
-        assert!(!a.matches(&c));
-        let x = ExecResult::Aborted("one reason".into());
-        let y = ExecResult::Aborted("another".into());
-        assert!(x.matches(&y));
-        assert!(!a.matches(&x));
-    }
 }

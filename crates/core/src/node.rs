@@ -11,12 +11,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use parblock_consensus::{Pbft, QuorumSequencer};
 use parblock_ledger::{Ledger, MvccState, Version};
 use parblock_net::{Endpoint, Waker};
 use parblock_store::DurabilityStats;
 use parblock_types::{BlockNumber, Hash32, NodeId, SeqNo};
 
-use crate::cluster::{ClusterSpec, SystemKind};
+use crate::cluster::{ClusterSpec, ConsensusKind, SystemKind};
 use crate::msg::Msg;
 use crate::orderer::Orderer;
 use crate::ox::OxPeer;
@@ -76,14 +77,18 @@ pub(crate) fn ids(spec: &ClusterSpec) -> impl Iterator<Item = NodeId> {
     spec.orderer_ids().into_iter().chain(spec.peer_ids()).chain(client)
 }
 
-/// Builds the node at `endpoint`'s id, one of [`ids`]: an orderer, the
-/// peer of `shared.spec.system`, or the XOV client at `client_node()`.
-/// Both clocks construct every node here, and the simulator again at
-/// each restart.
+/// Builds the node at `endpoint`'s id, one of [`ids`]: an orderer
+/// hosting the protocol of `shared.spec.consensus`, the peer of
+/// `shared.spec.system`, or the XOV client at `client_node()`. Both
+/// clocks construct every node here, and the simulator again at each
+/// restart.
 pub(crate) fn boot(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Box<dyn Node> {
     let id = endpoint.id();
     if (id.0 as usize) < shared.spec.orderers {
-        return Box::new(Orderer::new(shared, endpoint));
+        return match shared.spec.consensus {
+            ConsensusKind::Sequencer => Box::new(Orderer::<QuorumSequencer>::new(shared, endpoint)),
+            ConsensusKind::Pbft => Box::new(Orderer::<Pbft>::new(shared, endpoint)),
+        };
     }
     if id == shared.spec.client_node() {
         return Box::new(XovClient::new(shared, endpoint));

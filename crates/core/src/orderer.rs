@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parblock_consensus::{Action, OrderingProtocol, ProtocolConfig};
+use parblock_consensus::{
+    Action, OrderingProtocol, Pbft, PbftMsg, ProtocolConfig, QuorumSequencer, SeqMsg, TimerId,
+};
 use parblock_crypto::hash_wire;
 use parblock_ledger::Ledger;
 use parblock_net::Endpoint;
@@ -20,9 +22,7 @@ use parblock_store::Store;
 use parblock_types::{Block, BlockNumber, ClientId, Hash32, NodeId, Transaction, TxId};
 
 use crate::batch::{OpenBatch, Payload};
-use crate::cluster::ConsensusKind;
 use crate::cutter::{BlockCutter, CutBlock};
-use crate::hostcons::{AnyConsensus, TimerTable};
 use crate::msg::{BlockBundle, CatchUp, ConsMsg, Msg};
 use crate::node::Node;
 use crate::shared::Shared;
@@ -31,6 +31,108 @@ use crate::shared::Shared;
 /// batches in flight before it is ordered anyway: the fallback for an
 /// instance that is lost. A delivered instance ends the wait sooner.
 const BATCH_INTERVAL: Duration = Duration::from_millis(1);
+
+/// An agreement protocol an orderer can host: how to build one replica,
+/// and which arm of [`ConsMsg`] its traffic travels in. `node::boot`
+/// picks the implementation once, from `ClusterSpec::consensus`.
+pub(crate) trait Hosted: OrderingProtocol {
+    /// One replica, with `timeout` as its view-change timeout.
+    fn boot(cfg: ProtocolConfig, timeout: Duration) -> Self;
+
+    /// The protocol message as orderer↔orderer traffic.
+    fn wrap(msg: Self::Msg) -> ConsMsg;
+
+    /// The protocol message inside `msg`; `None` for the other
+    /// protocol's traffic (a misconfigured cluster), which is dropped.
+    fn unwrap(msg: ConsMsg) -> Option<Self::Msg>;
+}
+
+impl Hosted for QuorumSequencer {
+    fn boot(cfg: ProtocolConfig, timeout: Duration) -> Self {
+        QuorumSequencer::new(cfg, timeout)
+    }
+
+    fn wrap(msg: SeqMsg) -> ConsMsg {
+        ConsMsg::Seq(msg)
+    }
+
+    fn unwrap(msg: ConsMsg) -> Option<SeqMsg> {
+        match msg {
+            ConsMsg::Seq(msg) => Some(msg),
+            ConsMsg::Pbft(_) => None,
+        }
+    }
+}
+
+impl Hosted for Pbft {
+    fn boot(cfg: ProtocolConfig, timeout: Duration) -> Self {
+        Pbft::new(cfg, timeout)
+    }
+
+    fn wrap(msg: PbftMsg) -> ConsMsg {
+        ConsMsg::Pbft(msg)
+    }
+
+    fn unwrap(msg: ConsMsg) -> Option<PbftMsg> {
+        match msg {
+            ConsMsg::Pbft(msg) => Some(msg),
+            ConsMsg::Seq(_) => None,
+        }
+    }
+}
+
+/// Deadlines for protocol timers ([`Action::SetTimer`] /
+/// [`Action::CancelTimer`]).
+///
+/// The caller supplies *now* explicitly (from the cluster [`Clock`]), so
+/// the table works identically under the wall clock and under the
+/// deterministic simulator; a `BTreeMap` keeps expiry order a pure
+/// function of the timer ids rather than of hash-map iteration order.
+///
+/// [`Clock`]: parblock_types::Clock
+#[derive(Debug, Default)]
+struct TimerTable {
+    deadlines: BTreeMap<TimerId, Instant>,
+}
+
+impl TimerTable {
+    /// Applies the timer-related actions in `actions` (send/deliver
+    /// actions are left for the caller), with deadlines measured from
+    /// `now`.
+    fn absorb<M>(&mut self, actions: &[Action<M>], now: Instant) {
+        for action in actions {
+            match action {
+                Action::SetTimer { id, after } => {
+                    self.deadlines.insert(*id, now + *after);
+                }
+                Action::CancelTimer { id } => {
+                    self.deadlines.remove(id);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The earliest pending deadline.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.deadlines.values().min().copied()
+    }
+
+    /// Removes and returns the timers expired as of `now`, in timer-id
+    /// order.
+    fn take_expired(&mut self, now: Instant) -> Vec<TimerId> {
+        let expired: Vec<TimerId> = self
+            .deadlines
+            .iter()
+            .filter(|(_, &d)| d <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in &expired {
+            self.deadlines.remove(id);
+        }
+        expired
+    }
+}
 
 /// Exactly-once (§IV-B): the client timestamps already delivered, per
 /// client, as disjoint inclusive ranges `first → last`. A client that
@@ -87,10 +189,10 @@ pub(crate) struct OrdererState {
     open: Vec<Transaction>,
 }
 
-pub(crate) struct Orderer {
+pub(crate) struct Orderer<P> {
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
-    protocol: AnyConsensus,
+    protocol: P,
     cutter: BlockCutter,
     timers: TimerTable,
     batch: OpenBatch,
@@ -122,17 +224,12 @@ pub(crate) struct Orderer {
     store: Option<Store>,
 }
 
-impl Orderer {
-    /// The orderer at `endpoint`'s id, hosting its replica of the
-    /// consensus protocol the spec names.
+impl<P: Hosted> Orderer<P> {
+    /// The orderer at `endpoint`'s id, hosting its replica of `P`.
     pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
-        let spec = &shared.spec;
-        let orderers = spec.orderer_ids();
+        let orderers = shared.spec.orderer_ids();
         let cfg = ProtocolConfig::new(endpoint.id(), orderers.clone());
-        let protocol = match spec.consensus {
-            ConsensusKind::Sequencer => AnyConsensus::sequencer(cfg, spec.consensus_timeout),
-            ConsensusKind::Pbft => AnyConsensus::pbft(cfg, spec.consensus_timeout),
-        };
+        let protocol = P::boot(cfg, shared.spec.consensus_timeout);
         let cutter = new_cutter(&shared);
         let dests = shared.spec.peer_ids();
         let mut delivered = Delivered::default();
@@ -154,7 +251,7 @@ impl Orderer {
             endpoint,
             protocol,
             cutter,
-            timers: TimerTable::new(),
+            timers: TimerTable::default(),
             batch: OpenBatch::new(),
             last_flush: now,
             in_flight: Vec::new(),
@@ -171,14 +268,14 @@ impl Orderer {
         }
     }
 
-    fn apply(&mut self, actions: Vec<Action<ConsMsg>>) {
+    fn apply(&mut self, actions: Vec<Action<P::Msg>>) {
         self.timers.absorb(&actions, self.shared.clock.now());
         for action in actions {
             match action {
-                Action::Send { to, msg } => self.endpoint.send(to, Msg::Cons(msg)),
+                Action::Send { to, msg } => self.endpoint.send(to, Msg::Cons(P::wrap(msg))),
                 Action::Broadcast { msg } => {
-                    self.endpoint
-                        .multicast(self.orderers.iter(), &Msg::Cons(msg));
+                    let msg = Msg::Cons(P::wrap(msg));
+                    self.endpoint.multicast(self.orderers.iter(), &msg);
                 }
                 Action::Deliver { seq, payload } => self.on_delivery(seq, &payload),
                 Action::SetTimer { .. } | Action::CancelTimer { .. } => {}
@@ -394,7 +491,7 @@ impl Orderer {
     }
 }
 
-impl Node for Orderer {
+impl<P: Hosted> Node for Orderer<P> {
     fn on_msg(&mut self, from: NodeId, msg: Msg) {
         match msg {
             Msg::Request { tx, sig } => {
@@ -412,8 +509,10 @@ impl Node for Orderer {
                 }
             }
             Msg::Cons(m) => {
-                let actions = self.protocol.on_message(from, m);
-                self.apply(actions);
+                if let Some(m) = P::unwrap(m) {
+                    let actions = self.protocol.on_message(from, m);
+                    self.apply(actions);
+                }
             }
             Msg::CatchUp(catch_up) => self.on_catch_up(from, &catch_up),
             // Orderers "do not have access to any smart contract or the
@@ -487,7 +586,6 @@ fn new_cutter(shared: &Shared) -> BlockCutter {
 
 #[cfg(test)]
 mod tests {
-    use parblock_consensus::SeqMsg;
     use parblock_net::NetworkBuilder;
     use parblock_types::wire::Wire;
     use parblock_types::{AppId, ClientId, Clock, RwSet};
@@ -503,7 +601,7 @@ mod tests {
     struct Entry {
         shared: Arc<Shared>,
         net: parblock_net::SimNetwork<Msg>,
-        orderer: Orderer,
+        orderer: Orderer<QuorumSequencer>,
         follower: Endpoint<Msg>,
     }
 
@@ -518,7 +616,8 @@ mod tests {
                 .manual_delivery()
                 .build::<Msg>();
             let ids = shared.spec.orderer_ids();
-            let orderer = Orderer::new(Arc::clone(&shared), net.endpoint(ids[0]));
+            let orderer =
+                Orderer::<QuorumSequencer>::new(Arc::clone(&shared), net.endpoint(ids[0]));
             assert!(orderer.protocol.is_leader());
             let follower = net.endpoint(ids[1]);
             Entry {
@@ -691,7 +790,7 @@ mod tests {
         let shared = Shared::new(spec);
         let leader = shared.spec.entry_orderer();
         let mailbox = NetworkBuilder::new().build::<Msg>().endpoint(leader);
-        let mut orderer = Orderer::new(Arc::clone(&shared), mailbox.clone());
+        let mut orderer = Orderer::<QuorumSequencer>::new(Arc::clone(&shared), mailbox.clone());
         assert!(orderer.protocol.is_leader());
 
         let arrived = shared.clock.now();
@@ -711,6 +810,124 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let ticks = driven.stop();
         assert!(ticks <= 8, "{ticks} ticks in 50 ms: the loop is spinning");
+    }
+
+    /// The hosted sequencer's broadcasts leave as its arm of `ConsMsg`.
+    #[test]
+    fn wrapped_sequencer_orders_payloads() {
+        let mut entry = Entry::new();
+        let (_, request) = entry.request(AppId(0), 1);
+        entry.orderer.on_msg(NodeId(100), request);
+        let all_due = entry.shared.clock.now() + Duration::from_secs(1);
+        entry.net.deliver_due(all_due);
+        let mut appends = 0;
+        while let Some(envelope) = entry.follower.try_recv() {
+            let Msg::Cons(ConsMsg::Seq(msg)) = envelope.msg else {
+                panic!("a sequencer orderer sent {:?}", envelope.msg);
+            };
+            appends += usize::from(matches!(msg, SeqMsg::Append { .. }));
+        }
+        assert_eq!(appends, 1);
+    }
+
+    /// A PBFT cluster's orderer hosts a PBFT replica at its own id.
+    #[test]
+    fn wrapped_pbft_reports_identity() {
+        let shared = Shared::new(ClusterSpec::new(SystemKind::Oxii).with_pbft());
+        let id = shared.spec.orderer_ids()[2];
+        let endpoint = NetworkBuilder::new().build::<Msg>().endpoint(id);
+        let replica = Orderer::<Pbft>::new(shared, endpoint).protocol;
+        assert_eq!(replica.id(), id);
+        assert!(!replica.is_leader());
+        assert_eq!(replica.current_view(), 0);
+    }
+
+    /// Whatever state `orderer` holds that a consensus message could
+    /// move: its protocol replica, timers and chain position.
+    fn consensus_state<P: Hosted + std::fmt::Debug>(orderer: &Orderer<P>) -> String {
+        format!(
+            "{:?} {:?} {:?} {}",
+            orderer.protocol,
+            orderer.timers,
+            orderer.chain_position(),
+            orderer.next_seq
+        )
+    }
+
+    /// The other protocol's traffic changes nothing and sends nothing, at
+    /// a sequencer orderer and at a PBFT one.
+    #[test]
+    fn mixed_protocol_traffic_is_dropped() {
+        fn drops<P: Hosted + std::fmt::Debug>(spec: ClusterSpec, foreign: ConsMsg) {
+            let shared = Shared::with_clock(spec, Clock::simulated());
+            let net = shared
+                .spec
+                .network_builder()
+                .clock(shared.clock.clone())
+                .manual_delivery()
+                .build::<Msg>();
+            let ids = shared.spec.orderer_ids();
+            let mut orderer = Orderer::<P>::new(Arc::clone(&shared), net.endpoint(ids[0]));
+            let before = consensus_state(&orderer);
+            orderer.on_msg(ids[1], Msg::Cons(foreign));
+            assert_eq!(consensus_state(&orderer), before);
+            net.deliver_due(shared.clock.now() + Duration::from_secs(1));
+            for id in &ids {
+                assert!(net.endpoint(*id).try_recv().is_none(), "{id} got a message");
+            }
+        }
+        // A forward to the leader, which its own protocol would order.
+        let payload: Arc<[u8]> = Arc::from(&b"p"[..]);
+        let spec = ClusterSpec::new(SystemKind::Oxii);
+        let pbft = PbftMsg::Forward {
+            payload: Arc::clone(&payload),
+        };
+        drops::<QuorumSequencer>(spec.clone(), ConsMsg::Pbft(pbft));
+        let seq = SeqMsg::Forward { payload };
+        drops::<Pbft>(spec.with_pbft(), ConsMsg::Seq(seq));
+    }
+
+    #[test]
+    fn timer_table_tracks_deadlines() {
+        let mut table = TimerTable::default();
+        let now = Instant::now();
+        let actions: Vec<Action<ConsMsg>> = vec![
+            Action::SetTimer {
+                id: TimerId(1),
+                after: Duration::ZERO,
+            },
+            Action::SetTimer {
+                id: TimerId(2),
+                after: Duration::from_secs(60),
+            },
+        ];
+        table.absorb(&actions, now);
+        assert!(table.next_deadline().is_some());
+        let expired = table.take_expired(now);
+        assert_eq!(expired, vec![TimerId(1)]);
+        let cancel: Vec<Action<ConsMsg>> = vec![Action::CancelTimer { id: TimerId(2) }];
+        table.absorb(&cancel, now);
+        assert!(table.next_deadline().is_none());
+    }
+
+    #[test]
+    fn timer_table_expiry_is_deterministic_and_time_driven() {
+        let mut table = TimerTable::default();
+        let now = Instant::now();
+        let actions: Vec<Action<ConsMsg>> = (0..4)
+            .map(|i| Action::SetTimer {
+                id: TimerId(3 - i),
+                after: Duration::from_millis(5),
+            })
+            .collect();
+        table.absorb(&actions, now);
+        assert!(table.take_expired(now).is_empty(), "nothing due yet");
+        let expired = table.take_expired(now + Duration::from_millis(5));
+        assert_eq!(
+            expired,
+            vec![TimerId(0), TimerId(1), TimerId(2), TimerId(3)],
+            "expiry order is id order, not insertion or hash order"
+        );
     }
 
     /// Timestamps drawn so that duplicates, neighbours and both ends of

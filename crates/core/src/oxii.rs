@@ -42,6 +42,7 @@ use std::ops::RangeBounds;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parblock_contracts::ExecOutcome;
 use parblock_crypto::Signature;
 use parblock_depgraph::{CrossBlockIndex, ReadyTracker};
 use parblock_ledger::{prune_to_sealed, Ledger, MvccState, Version};
@@ -49,7 +50,7 @@ use parblock_net::Endpoint;
 use parblock_store::Store;
 use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, TxId, Value};
 
-use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
+use crate::msg::{BlockBundle, CommitMsg, Msg};
 use crate::node::{Node, Peer, PeerSummary};
 use crate::pool::{self, undeclared_write, Completion, InlineQueue, SnapshotReader};
 use crate::quorum::{self, NewBlockQuorum};
@@ -63,7 +64,7 @@ struct BlockRun {
     we: Vec<bool>,
     /// Result votes per position: `(agent, result)`, deduplicated per
     /// agent. Our own result is voted like any other agent's.
-    votes: HashMap<SeqNo, Vec<(NodeId, ExecResult)>>,
+    votes: HashMap<SeqNo, Vec<(NodeId, ExecOutcome)>>,
     /// Locally executed positions (the set `Xe`).
     executed: Vec<bool>,
     /// Committed positions (the set `Ce`).
@@ -71,7 +72,7 @@ struct BlockRun {
     committed_count: usize,
     /// Algorithm 2 buffer: results executed in the current `tick`, not
     /// yet multicast.
-    xe_buffer: Vec<(SeqNo, ExecResult)>,
+    xe_buffer: Vec<(SeqNo, ExecOutcome)>,
 }
 
 impl BlockRun {
@@ -385,7 +386,7 @@ impl Executor {
         // the latest at the block's seal fsync — a crash before that
         // loses only unsealed results, which recovery re-executes
         // deterministically (DESIGN.md §9).
-        if let ExecResult::Committed(writes) = &result {
+        if let ExecOutcome::Commit(writes) = &result {
             self.log_and_apply(Version::new(block, seq), writes);
         }
 
@@ -513,8 +514,8 @@ impl Executor {
                 // agent's result either: `pool::execute` aborts it.
                 self.shared.registry.is_agent(commit.executor, tx.app())
                     && match result {
-                        ExecResult::Committed(writes) => undeclared_write(tx, writes).is_none(),
-                        ExecResult::Aborted(_) => true,
+                        ExecOutcome::Commit(writes) => undeclared_write(tx, writes).is_none(),
+                        ExecOutcome::Abort(_) => true,
                     }
             };
             if counts {
@@ -527,7 +528,7 @@ impl Executor {
     /// τ(A) matching results are present. A vote that completes τ(A)
     /// commits from the borrowed result; only a vote that must wait for
     /// more is stored.
-    fn record_vote(&mut self, number: u64, seq: SeqNo, agent: NodeId, result: &ExecResult) {
+    fn record_vote(&mut self, number: u64, seq: SeqNo, agent: NodeId, result: &ExecOutcome) {
         let Some(run) = self.runs.get_mut(&number) else {
             return;
         };
@@ -535,10 +536,9 @@ impl Executor {
         if run.committed[idx] {
             return;
         }
-        let app = run.bundle.block.tx(seq).expect("valid position").app();
-        let required = self.shared.spec.commit_policy().required(app);
+        let required = self.shared.spec.tau();
         let votes = run.votes.get(&seq).map_or(&[][..], Vec::as_slice);
-        match quorum::completes(votes, agent, result, required, ExecResult::matches) {
+        match quorum::completes(votes, agent, result, required, ExecOutcome::matches) {
             None => {} // one vote per agent
             Some(true) => {
                 run.votes.remove(&seq);
@@ -551,7 +551,7 @@ impl Executor {
         }
     }
 
-    fn commit_tx(&mut self, number: u64, seq: SeqNo, result: &ExecResult) {
+    fn commit_tx(&mut self, number: u64, seq: SeqNo, result: &ExecOutcome) {
         let idx = seq.0 as usize;
         let (block_number, tx_id, executed_locally) = {
             let Some(run) = self.runs.get_mut(&number) else {
@@ -566,7 +566,7 @@ impl Executor {
             (run.bundle.block.number(), tx_id, run.executed[idx])
         };
         match result {
-            ExecResult::Committed(writes) => {
+            ExecOutcome::Commit(writes) => {
                 // Agents applied their own writes at execution time; a
                 // re-applied identical version is idempotent. Remote
                 // results are logged on first apply — they too are part
@@ -578,7 +578,7 @@ impl Executor {
                     self.shared.metrics.record_commit(tx_id);
                 }
             }
-            ExecResult::Aborted(_) => {
+            ExecOutcome::Abort(_) => {
                 if self.is_observer {
                     self.shared.metrics.record_abort(tx_id);
                 }
@@ -678,7 +678,7 @@ const COMMIT_DIGEST_VERSION: u8 = 1;
 /// push `tests/alloc_budget.rs` over its allocation budget.
 fn commit_digest(
     block: BlockNumber,
-    results: &[(SeqNo, ExecResult)],
+    results: &[(SeqNo, ExecOutcome)],
     bytes: &mut Vec<u8>,
 ) -> Hash32 {
     use parblock_types::wire::{encode_writes, Wire};
@@ -688,11 +688,11 @@ fn commit_digest(
     for (seq, result) in results {
         u64::from(seq.0).encode(bytes);
         match result {
-            ExecResult::Committed(writes) => {
+            ExecOutcome::Commit(writes) => {
                 0u8.encode(bytes);
                 encode_writes(writes, bytes);
             }
-            ExecResult::Aborted(_) => 1u8.encode(bytes),
+            ExecOutcome::Abort(_) => 1u8.encode(bytes),
         }
     }
     parblock_crypto::sha256(bytes)
@@ -767,25 +767,25 @@ mod tests {
     use crate::cluster::{ClusterSpec, SystemKind};
     use crate::shared::testing;
 
-    fn sample_results() -> Vec<(SeqNo, ExecResult)> {
+    fn sample_results() -> Vec<(SeqNo, ExecOutcome)> {
         vec![
             (
                 SeqNo(0),
-                ExecResult::Committed(vec![
+                ExecOutcome::Commit(vec![
                     (Key(1), Value::Int(5)),
                     (Key(2), Value::Text("paid".into())),
                 ]),
             ),
-            (SeqNo(1), ExecResult::Aborted("missing state".into())),
+            (SeqNo(1), ExecOutcome::Abort("missing state".into())),
             (
                 SeqNo(3),
-                ExecResult::Committed(vec![(Key(7), Value::Bytes(vec![0xde, 0xad]))]),
+                ExecOutcome::Commit(vec![(Key(7), Value::Bytes(vec![0xde, 0xad]))]),
             ),
         ]
     }
 
     /// [`super::commit_digest`] into a fresh preimage buffer.
-    fn commit_digest(block: BlockNumber, results: &[(SeqNo, ExecResult)]) -> Hash32 {
+    fn commit_digest(block: BlockNumber, results: &[(SeqNo, ExecOutcome)]) -> Hash32 {
         super::commit_digest(block, results, &mut Vec::new())
     }
 
@@ -934,7 +934,7 @@ mod tests {
         announce(&shared, &clock, &mut executor, &block, Some(graph));
 
         let vote = |executor: &mut Executor, agent: NodeId, writes: Vec<(Key, Value)>| {
-            let results = vec![(SeqNo(0), ExecResult::Committed(writes))];
+            let results = vec![(SeqNo(0), ExecOutcome::Commit(writes))];
             let digest = commit_digest(BlockNumber(1), &results);
             let sig = shared.keys.sign(shared.spec.node_signer(agent), &digest.0);
             let commit = CommitMsg {
@@ -993,7 +993,7 @@ mod tests {
             for (seq, result) in &results {
                 u64::from(seq.0).encode(&mut bytes);
                 match result {
-                    ExecResult::Committed(writes) => {
+                    ExecOutcome::Commit(writes) => {
                         0u8.encode(&mut bytes);
                         (writes.len() as u64).encode(&mut bytes);
                         for (key, value) in writes {
@@ -1001,7 +1001,7 @@ mod tests {
                             format!("{value:?}").as_str().encode(&mut bytes);
                         }
                     }
-                    ExecResult::Aborted(_) => 1u8.encode(&mut bytes),
+                    ExecOutcome::Abort(_) => 1u8.encode(&mut bytes),
                 }
             }
             parblock_crypto::sha256(&bytes)
@@ -1018,7 +1018,7 @@ mod tests {
         let mk = |value: Value| {
             commit_digest(
                 BlockNumber(1),
-                &[(SeqNo(0), ExecResult::Committed(vec![(Key(1), value)]))],
+                &[(SeqNo(0), ExecOutcome::Commit(vec![(Key(1), value)]))],
             )
         };
         let digests = [
@@ -1041,11 +1041,11 @@ mod tests {
     fn commit_digest_ignores_abort_reason_wording() {
         let a = commit_digest(
             BlockNumber(2),
-            &[(SeqNo(0), ExecResult::Aborted("missing state".into()))],
+            &[(SeqNo(0), ExecOutcome::Abort("missing state".into()))],
         );
         let b = commit_digest(
             BlockNumber(2),
-            &[(SeqNo(0), ExecResult::Aborted("account absent".into()))],
+            &[(SeqNo(0), ExecOutcome::Abort("account absent".into()))],
         );
         assert_eq!(a, b);
     }

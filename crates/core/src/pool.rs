@@ -20,8 +20,6 @@ use parblock_contracts::{ExecOutcome, SmartContract, StateReader};
 use parblock_ledger::{MvccState, Version};
 use parblock_types::{BlockNumber, Key, SeqNo, Transaction, Value};
 
-use crate::msg::ExecResult;
-
 /// A read view over a snapshot of the state.
 ///
 /// Entries cover the transaction's **declared** read set; `Some(value)`
@@ -80,7 +78,7 @@ impl StateReader for SnapshotReader {
 pub(crate) struct Completion {
     pub block: BlockNumber,
     pub seq: SeqNo,
-    pub result: ExecResult,
+    pub result: ExecOutcome,
 }
 
 /// The first key in `writes` outside `tx`'s declared write set. Honest
@@ -102,20 +100,20 @@ pub(crate) fn execute(
     contract: &dyn SmartContract,
     tx: &Transaction,
     snapshot: &SnapshotReader,
-) -> ExecResult {
+) -> ExecOutcome {
     match contract.execute(tx, snapshot) {
-        _ if snapshot.undeclared_read() => ExecResult::Aborted(format!(
+        _ if snapshot.undeclared_read() => ExecOutcome::Abort(format!(
             "undeclared read outside the declared read set of {:?}",
             tx.id()
         )),
         ExecOutcome::Commit(writes) => match undeclared_write(tx, &writes) {
-            Some(key) => ExecResult::Aborted(format!(
+            Some(key) => ExecOutcome::Abort(format!(
                 "undeclared write to {key} outside the declared write set of {:?}",
                 tx.id()
             )),
-            None => ExecResult::Committed(writes),
+            None => ExecOutcome::Commit(writes),
         },
-        ExecOutcome::Abort(reason) => ExecResult::Aborted(reason),
+        abort @ ExecOutcome::Abort(_) => abort,
     }
 }
 
@@ -282,13 +280,13 @@ pub(crate) mod tests {
         // Both accounts declared but absent: source account missing.
         let snapshot = SnapshotReader::new(HashMap::from([(Key(1), None), (Key(2), None)]));
         match execute(&contract, &transfer(&contract, 0), &snapshot) {
-            ExecResult::Aborted(reason) => {
+            ExecOutcome::Abort(reason) => {
                 assert!(
                     reason.contains("missing"),
                     "missing-state abort must be observable, got: {reason}"
                 );
             }
-            ExecResult::Committed(_) => panic!("expected abort"),
+            ExecOutcome::Commit(_) => panic!("expected abort"),
         }
     }
 
@@ -299,10 +297,10 @@ pub(crate) mod tests {
         // bug): previously this committed against silent defaults.
         let snapshot = SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(100)))]));
         match execute(&contract, &transfer(&contract, 0), &snapshot) {
-            ExecResult::Aborted(reason) => {
+            ExecOutcome::Abort(reason) => {
                 assert!(reason.contains("undeclared read"), "got: {reason}");
             }
-            ExecResult::Committed(w) => panic!("must not commit on undeclared reads: {w:?}"),
+            ExecOutcome::Commit(w) => panic!("must not commit on undeclared reads: {w:?}"),
         }
     }
 
@@ -344,10 +342,10 @@ pub(crate) mod tests {
     fn undeclared_writes_abort_instead_of_committing() {
         let (contract, tx) = Overreach::with_transfer(AppId(0));
         match execute(contract.as_ref(), &tx, &funded()) {
-            ExecResult::Aborted(reason) => {
+            ExecOutcome::Abort(reason) => {
                 assert!(reason.contains("undeclared write"), "got: {reason}");
             }
-            ExecResult::Committed(w) => panic!("must not commit an undeclared write: {w:?}"),
+            ExecOutcome::Commit(w) => panic!("must not commit an undeclared write: {w:?}"),
         }
     }
 }

@@ -329,7 +329,7 @@ impl Node for XovClient {
         {
             return;
         }
-        let required = shared.spec.commit_policy().required(tx.app());
+        let required = shared.spec.tau();
         let endorsed = (tx, envelope);
         let votes = self.votes.entry(id).or_default();
         let Some(matched) = completes(votes, endorser, &endorsed, required, PartialEq::eq) else {
@@ -545,11 +545,7 @@ mod tests {
             .take_txs(1)
             .remove(0);
         let endorser = shared.registry.agents(tx.app())[0];
-        assert_eq!(
-            shared.spec.commit_policy().required(tx.app()),
-            1,
-            "τ(A) = 1"
-        );
+        assert_eq!(shared.spec.tau(), 1, "τ(A) = 1");
         let sig = client_sig(&shared, &tx);
         let ts = tx.id().client_ts;
         let rw = RwSet::from(tx.rw_set());

@@ -7,8 +7,6 @@
 //! used by the benchmarks to explain *why* a block parallelizes well or
 //! badly.
 
-use std::collections::VecDeque;
-
 use parblock_trace::{Stage, TraceRecorder};
 use parblock_types::{SeqNo, TxId};
 
@@ -20,6 +18,11 @@ use crate::graph::DependencyGraph;
 /// The tracker is created over the whole block; transactions the local
 /// executor is *not* an agent for still flow through it, because their
 /// commits (Algorithm 3) release the successors this executor must run.
+///
+/// Each position is reported ready exactly once: a root by
+/// [`ReadyTracker::take_ready`], every other position by the
+/// [`ReadyTracker::complete`] or [`ReadyTracker::release_external_batch`]
+/// call that releases its last outstanding predecessor.
 ///
 /// # Examples
 ///
@@ -46,8 +49,8 @@ pub struct ReadyTracker {
     graph: DependencyGraph,
     /// Outstanding predecessor count per position; `u32::MAX` = completed.
     pending_preds: Vec<u32>,
-    /// Positions that became ready but have not been taken yet.
-    ready: VecDeque<SeqNo>,
+    /// The roots readied at construction, until taken.
+    roots: Vec<SeqNo>,
     completed: usize,
     /// Lifecycle sink (DESIGN.md §14): when attached, every readiness
     /// transition stamps `Stage::GraphReady` on the position's
@@ -72,20 +75,20 @@ impl ReadyTracker {
     pub fn with_external(graph: &DependencyGraph, external: &[u32]) -> Self {
         let n = graph.len();
         let mut pending_preds = Vec::with_capacity(n);
-        let mut ready = VecDeque::new();
+        let mut roots = Vec::new();
         for i in 0..n {
             let seq = SeqNo(i as u32);
             let preds =
                 graph.predecessors(seq).len() as u32 + external.get(i).copied().unwrap_or(0);
             pending_preds.push(preds);
             if preds == 0 {
-                ready.push_back(seq);
+                roots.push(seq);
             }
         }
         ReadyTracker {
             graph: graph.clone(),
             pending_preds,
-            ready,
+            roots,
             completed: 0,
             trace: None,
         }
@@ -93,17 +96,15 @@ impl ReadyTracker {
 
     /// Attaches a lifecycle recorder: from now on every position that
     /// becomes ready is stamped [`Stage::GraphReady`] on `ids[position]`
-    /// (the block's transaction ids, in sequence order). Positions already
-    /// queued — roots readied during construction — are stamped
-    /// retroactively here, so attaching right after construction loses
-    /// nothing.
+    /// (the block's transaction ids, in sequence order). Roots not yet
+    /// taken are stamped retroactively here, so attaching right after
+    /// construction loses nothing.
     pub fn set_trace(&mut self, recorder: TraceRecorder, ids: Vec<TxId>) {
         if !recorder.enabled() {
             return;
         }
-        let queued: Vec<SeqNo> = self.ready.iter().copied().collect();
         self.trace = Some(Box::new((recorder, ids)));
-        for seq in queued {
+        for &seq in &self.roots {
             self.note_ready(seq);
         }
     }
@@ -121,7 +122,7 @@ impl ReadyTracker {
 
     /// Releases one external (cross-block) predecessor of `x`; returns
     /// `true` when that was the last outstanding predecessor and `x` is
-    /// now ready (it is also queued for [`ReadyTracker::take_ready`]).
+    /// now ready.
     ///
     /// # Panics
     ///
@@ -138,7 +139,6 @@ impl ReadyTracker {
         );
         self.pending_preds[idx] -= 1;
         if self.pending_preds[idx] == 0 {
-            self.ready.push_back(x);
             self.note_ready(x);
             true
         } else {
@@ -149,8 +149,7 @@ impl ReadyTracker {
     /// Releases one external predecessor of **each** position in
     /// `positions`, returning the positions that became ready, in input
     /// order. A position whose last outstanding predecessor this releases
-    /// becomes ready (and is queued for [`ReadyTracker::take_ready`]); a
-    /// position that already completed — committed from remote votes
+    /// becomes ready; a position that already completed — committed from remote votes
     /// before its cross-block writer retired — is skipped.
     ///
     /// # Panics
@@ -169,9 +168,12 @@ impl ReadyTracker {
             .collect()
     }
 
-    /// Drains and returns every transaction that is currently ready.
+    /// Returns the roots: the positions ready at construction, with no
+    /// predecessor in the graph and no external one. A second call
+    /// returns nothing; positions readied later are returned by the call
+    /// that readies them.
     pub fn take_ready(&mut self) -> Vec<SeqNo> {
-        self.ready.drain(..).collect()
+        std::mem::take(&mut self.roots)
     }
 
     /// Marks `x` complete (executed locally or committed from remote
@@ -194,7 +196,6 @@ impl ReadyTracker {
             }
             self.pending_preds[s] -= 1;
             if self.pending_preds[s] == 0 {
-                self.ready.push_back(succ);
                 newly.push(succ);
             }
         }
@@ -333,13 +334,12 @@ mod tests {
             t.release_external_batch(&[SeqNo(0)]).is_empty(),
             "one of two released"
         );
-        assert!(t.take_ready().is_empty());
         assert_eq!(
             t.release_external_batch(&[SeqNo(0), SeqNo(2)]),
             vec![SeqNo(0), SeqNo(2)],
             "second release readies 0, the only one readies 2"
         );
-        assert_eq!(t.take_ready(), vec![SeqNo(0), SeqNo(2)]);
+        assert!(t.take_ready().is_empty(), "released, not roots");
         assert_eq!(t.complete(SeqNo(0)), vec![SeqNo(1)]);
         t.complete(SeqNo(1));
         t.complete(SeqNo(2));
@@ -371,7 +371,7 @@ mod tests {
         let g = graph(5, &[]);
         let mut t = ReadyTracker::new(&g);
         assert_eq!(t.take_ready().len(), 5);
-        assert!(t.take_ready().is_empty(), "taking drains the ready set");
+        assert!(t.take_ready().is_empty(), "the roots are taken once");
     }
 
     #[test]

@@ -114,27 +114,24 @@ proptest! {
         }
     }
 
-    /// Draining the ReadyTracker yields every transaction exactly once,
-    /// and never yields a transaction before all its predecessors.
+    /// The ReadyTracker's roots plus what each completion returns yield
+    /// every transaction exactly once, and never a transaction before
+    /// all its predecessors.
     #[test]
     fn tracker_respects_partial_order(block in arb_block(24, 6)) {
         let g = DependencyGraph::build(&block, DependencyMode::Reduced);
         let mut tracker = ReadyTracker::new(&g);
         let mut done: Vec<bool> = vec![false; g.len()];
         let mut order = Vec::new();
-        loop {
-            let ready = tracker.take_ready();
-            if ready.is_empty() {
-                break;
+        let mut ready = tracker.take_ready();
+        while let Some(x) = ready.pop() {
+            prop_assert!(!done[x.0 as usize], "{x:?} ready twice");
+            for &p in g.predecessors(x) {
+                prop_assert!(done[p.0 as usize], "{x:?} ready before pred {p:?}");
             }
-            for x in ready {
-                for &p in g.predecessors(x) {
-                    prop_assert!(done[p.0 as usize], "{x:?} ready before pred {p:?}");
-                }
-                done[x.0 as usize] = true;
-                order.push(x);
-                tracker.complete(x);
-            }
+            done[x.0 as usize] = true;
+            order.push(x);
+            ready.extend(tracker.complete(x));
         }
         prop_assert!(tracker.is_done());
         prop_assert_eq!(order.len(), g.len());

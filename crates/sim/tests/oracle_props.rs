@@ -83,11 +83,7 @@ fn random_topo_order(graph: &DependencyGraph, seed: u64) -> Vec<SeqNo> {
         frontier.shuffle(&mut rng);
         let seq = frontier.pop().expect("non-empty");
         order.push(seq);
-        // complete() queues newly-ready successors; take_ready() drains
-        // them (extending with complete()'s return value too would
-        // duplicate entries and the schedule would re-execute positions).
-        let _ = tracker.complete(seq);
-        frontier.extend(tracker.take_ready());
+        frontier.extend(tracker.complete(seq));
     }
     assert!(tracker.is_done());
     order

@@ -1,9 +1,6 @@
 //! Shared configuration types.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-use crate::AppId;
 
 /// Block-cutting conditions (§IV-B): "Blocks have a pre-defined maximal
 /// size, maximal number of transactions, and maximal time the block
@@ -145,42 +142,6 @@ impl std::fmt::Display for ArrivalProcess {
     }
 }
 
-/// The commit policy τ : A → usize of §III-B: how many matching execution
-/// results an executor must collect before committing a transaction of
-/// application `A` (the analogue of Fabric's endorsement policies).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CommitPolicy {
-    per_app: BTreeMap<AppId, usize>,
-    default_quorum: usize,
-}
-
-impl CommitPolicy {
-    /// A policy requiring `quorum` matching results for every application.
-    #[must_use]
-    pub fn uniform(quorum: usize) -> Self {
-        CommitPolicy {
-            per_app: BTreeMap::new(),
-            default_quorum: quorum.max(1),
-        }
-    }
-
-    /// Overrides the quorum for one application.
-    #[must_use]
-    pub fn with_app(mut self, app: AppId, quorum: usize) -> Self {
-        self.per_app.insert(app, quorum.max(1));
-        self
-    }
-
-    /// τ(app): the required number of matching results.
-    #[must_use]
-    pub fn required(&self, app: AppId) -> usize {
-        self.per_app
-            .get(&app)
-            .copied()
-            .unwrap_or(self.default_quorum.max(1))
-    }
-}
-
 /// Synthetic cost model for contract execution.
 ///
 /// The paper ran on 8-vCPU EC2 instances where contract execution consumed
@@ -275,21 +236,6 @@ mod tests {
     #[test]
     fn default_block_cut_matches_paper_sweet_spot() {
         assert_eq!(BlockCutConfig::default().max_txns, 200);
-    }
-
-    #[test]
-    fn commit_policy_lookup() {
-        let policy = CommitPolicy::uniform(2).with_app(AppId(1), 3);
-        assert_eq!(policy.required(AppId(0)), 2);
-        assert_eq!(policy.required(AppId(1)), 3);
-    }
-
-    #[test]
-    fn commit_policy_never_returns_zero() {
-        let policy = CommitPolicy::uniform(0).with_app(AppId(1), 0);
-        assert_eq!(policy.required(AppId(0)), 1);
-        assert_eq!(policy.required(AppId(1)), 1);
-        assert_eq!(CommitPolicy::default().required(AppId(9)), 1);
     }
 
     #[test]

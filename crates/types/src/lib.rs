@@ -30,9 +30,7 @@ pub mod wire;
 
 pub use block::{Block, BlockHeader, Hash32};
 pub use clock::Clock;
-pub use config::{
-    ArrivalProcess, BlockCutConfig, CommitPolicy, DurabilityConfig, ExecutionCosts, ExecutionMode,
-};
+pub use config::{ArrivalProcess, BlockCutConfig, DurabilityConfig, ExecutionCosts, ExecutionMode};
 pub use error::TypeError;
 pub use ids::{AppId, BlockNumber, ClientId, NodeId, Role, SeqNo, TxId};
 pub use rwset::{Key, RwRef, RwSet};

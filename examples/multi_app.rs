@@ -7,43 +7,32 @@
 //! cargo run --release --example multi_app
 //! ```
 
-use parblockchain_repro::contracts::{AccountingContract, AccountingOp, EscrowContract, EscrowOp};
+use parblockchain_repro::contracts::{AccountingContract, AccountingOp};
 use parblockchain_repro::depgraph::{
     ConflictStats, DependencyGraph, DependencyMode, ExecutionLayers, ReadyTracker,
 };
 use parblockchain_repro::types::{AppId, Block, BlockNumber, ClientId, Hash32, Key};
 
 fn main() {
-    // Two applications sharing a datastore: an accounting app (A0) and an
-    // escrow app (A1) whose escrows debit the *same* accounts.
-    let accounting = AccountingContract::new(AppId(0));
-    let escrow = EscrowContract::new(AppId(1));
+    // Two applications sharing a datastore: two accounting apps (A0, A1)
+    // whose transfers move funds between the *same* accounts.
+    let a0 = AccountingContract::new(AppId(0));
+    let a1 = AccountingContract::new(AppId(1));
+    let transfer = |from, to, amount| AccountingOp::Transfer {
+        from: Key(from),
+        to: Key(to),
+        amount,
+    };
 
     let txs = vec![
         // T0 (A0): fund transfer 1 → 2.
-        accounting.transaction(
-            ClientId(1),
-            0,
-            &AccountingOp::Transfer { from: Key(1), to: Key(2), amount: 10 },
-        ),
-        // T1 (A1): open an escrow debiting account 2 — depends on T0.
-        escrow.transaction(
-            ClientId(2),
-            0,
-            &EscrowOp::Open { escrow: Key(100), buyer: Key(2), seller: Key(3), amount: 5 },
-        ),
+        a0.transaction(ClientId(1), 0, &transfer(1, 2, 10)),
+        // T1 (A1): transfer 2 → 3, debiting account 2 — depends on T0.
+        a1.transaction(ClientId(2), 0, &transfer(2, 3, 5)),
         // T2 (A0): unrelated transfer 4 → 5, fully parallel.
-        accounting.transaction(
-            ClientId(1),
-            1,
-            &AccountingOp::Transfer { from: Key(4), to: Key(5), amount: 1 },
-        ),
-        // T3 (A1): release the escrow to the seller — depends on T1.
-        escrow.transaction(
-            ClientId(2),
-            1,
-            &EscrowOp::Release { escrow: Key(100), seller: Key(3) },
-        ),
+        a0.transaction(ClientId(1), 1, &transfer(4, 5, 1)),
+        // T3 (A1): pass the funds on 3 → 6 — depends on T1.
+        a1.transaction(ClientId(2), 1, &transfer(3, 6, 5)),
     ];
     let block = Block::new(BlockNumber(1), Hash32::ZERO, txs);
     let graph = DependencyGraph::build(&block, DependencyMode::Full);
@@ -71,23 +60,22 @@ fn main() {
         layers.max_width()
     );
 
-    // Walk the executor-side schedule.
+    // Walk the executor-side schedule: the roots, then whatever each
+    // completion releases.
     let mut tracker = ReadyTracker::new(&graph);
+    let mut ready = tracker.take_ready();
     let mut wave = 0;
-    loop {
-        let ready = tracker.take_ready();
-        if ready.is_empty() {
-            break;
-        }
+    while !ready.is_empty() {
         wave += 1;
         let labels: Vec<String> = ready
             .iter()
             .map(|s| format!("T{}({})", s.0, graph.app_of(*s)))
             .collect();
         println!("wave {wave}: execute {} in parallel", labels.join(", "));
-        for seq in ready {
-            tracker.complete(seq);
-        }
+        ready = ready
+            .into_iter()
+            .flat_map(|seq| tracker.complete(seq))
+            .collect();
     }
     assert!(tracker.is_done());
 }

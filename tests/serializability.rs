@@ -52,8 +52,7 @@ fn scheduled_state(
         if let ExecOutcome::Commit(writes) = contract.execute(tx, &state) {
             state.apply(writes, Version::new(block.number(), seq));
         }
-        let _ = tracker.complete(seq); // take_ready() drains what this queues
-        frontier.extend(tracker.take_ready());
+        frontier.extend(tracker.complete(seq));
     }
     assert!(tracker.is_done());
     state
