@@ -153,10 +153,10 @@ pub struct ClusterSpec {
     pub block_cut: BlockCutConfig,
     /// Synthetic execution cost model.
     pub costs: ExecutionCosts,
-    /// **Not read.** OXII orderers always build reduced
-    /// (last-writer/reader) graphs. The field survives only because
-    /// `benchmark/` assigns it by name and hands it to its own
-    /// `StreamingBuilder`; it goes with the next `benchmark` PR.
+    /// **Not read.** `Reduced` is the one `DependencyMode`. The field
+    /// survives only because `benchmark/` assigns it by name and hands it
+    /// to its own `StreamingBuilder`, which ignores it; it goes with the
+    /// next `benchmark` PR.
     pub depgraph_mode: DependencyMode,
     /// **Not read.** OXII orderers always build each block's graph while
     /// its transactions stream in ([`GraphConstruction::Streaming`]). The
@@ -371,13 +371,10 @@ impl ClusterSpec {
             .clamp(1, self.executors_per_app.max(1))
     }
 
-    /// The mode orderers build each block's dependency graph in: OXII
-    /// blocks carry a graph, OX and XOV blocks none. It is always the
-    /// reduced rules: they ship the transitive closure of the §III-A
-    /// conflict order in O(accesses) edges, and every schedule consistent
-    /// with that order is equivalent, so executors need nothing more.
-    pub(crate) fn graph_mode(&self) -> Option<DependencyMode> {
-        (self.system == SystemKind::Oxii).then_some(DependencyMode::Reduced)
+    /// Whether orderers build each block's dependency graph (the reduced
+    /// rules, DESIGN.md §6): OXII blocks carry one, OX and XOV blocks none.
+    pub(crate) fn builds_graphs(&self) -> bool {
+        self.system == SystemKind::Oxii
     }
 
     /// Opens `node`'s durable store under `data_dir/node-<id>` and

@@ -30,7 +30,7 @@ use parblock_types::{BlockCutConfig, Transaction, TxId};
 pub struct CutBlock {
     /// The block's transactions, in delivery order.
     pub txs: Vec<Transaction>,
-    /// `G(B)` — `Some` iff the cutter was built with a graph mode.
+    /// `G(B)` — `Some` iff the cutter was built [`BlockCutter::with_graph`].
     pub graph: Option<DependencyGraph>,
 }
 
@@ -53,11 +53,11 @@ impl BlockCutter {
         Self::build(cfg, None)
     }
 
-    /// Creates an OXII cutter that attaches a dependency graph, tagged
-    /// `mode`, to every cut.
+    /// Creates an OXII cutter that attaches a dependency graph to every
+    /// cut.
     #[must_use]
-    pub fn with_graph(cfg: BlockCutConfig, mode: DependencyMode) -> Self {
-        Self::build(cfg, Some(StreamingBuilder::new(mode)))
+    pub fn with_graph(cfg: BlockCutConfig) -> Self {
+        Self::build(cfg, Some(StreamingBuilder::new(DependencyMode::Reduced)))
     }
 
     fn build(cfg: BlockCutConfig, graph: Option<StreamingBuilder>) -> Self {
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn streaming_cutter_attaches_graphs_and_resets_between_blocks() {
-        let mut cutter = BlockCutter::with_graph(cfg(2, usize::MAX, 1000), DependencyMode::Reduced);
+        let mut cutter = BlockCutter::with_graph(cfg(2, usize::MAX, 1000));
         // Block 1: two writers of key 7 — one edge.
         assert!(cutter.push(writer(1, 7), Instant::now()).is_none());
         let b1 = cutter.push(writer(2, 7), Instant::now()).expect("first block");
@@ -320,8 +320,7 @@ mod tests {
 
     #[test]
     fn marker_cut_emits_graph_over_partial_block() {
-        let mut cutter =
-            BlockCutter::with_graph(cfg(100, usize::MAX, 1000), DependencyMode::Reduced);
+        let mut cutter = BlockCutter::with_graph(cfg(100, usize::MAX, 1000));
         cutter.push(writer(1, 5), Instant::now());
         cutter.push(writer(2, 5), Instant::now());
         let first = cutter.first_pending().expect("pending");

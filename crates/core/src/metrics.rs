@@ -541,7 +541,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use parblock_contracts::{AccountingContract, AccountingOp};
-    use parblock_depgraph::{DependencyGraph, DependencyMode};
+    use parblock_depgraph::DependencyGraph;
     use parblock_ledger::Ledger;
     use parblock_types::{AppId, Block, BlockNumber, ClientId, ExecutionCosts, Key};
 
@@ -603,7 +603,7 @@ mod tests {
             let tx = contract.transaction(ClientId(1), n, &op);
             let block = Arc::new(Block::new(BlockNumber(n), prev, vec![tx]));
             prev = parblock_crypto::hash_wire(block.as_ref());
-            let graph = DependencyGraph::build(&block, DependencyMode::Full);
+            let graph = DependencyGraph::build(&block);
             let (orderer, msg) = testing::new_block(shared, &block, Some(graph));
             executor.on_msg(orderer, msg);
         }

@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use parblock_consensus::{PbftMsg, SeqMsg};
 use parblock_contracts::ExecOutcome;
-use parblock_crypto::Signature;
+use parblock_crypto::{hash_wire, Sha256, Signature};
 use parblock_depgraph::DependencyGraph;
-use parblock_types::{BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, Value};
+use parblock_types::{Block, BlockNumber, Hash32, Key, NodeId, SeqNo, Transaction, Value};
 
 /// Consensus-internal messages (orderer ↔ orderer).
 #[derive(Debug, Clone)]
@@ -27,11 +27,41 @@ pub enum ConsMsg {
 pub struct BlockBundle {
     /// The block `B` with sequence number `n` and hash link `h` inside
     /// its header. A peer's ledger appends this very object.
-    pub block: Arc<parblock_types::Block>,
+    pub block: Arc<Block>,
     /// `G(B)` — present in OXII; `None` in OX and XOV.
     pub graph: Option<DependencyGraph>,
-    /// `H(B)`, the hash executors quorum-match on.
+    /// `H(B)`, the chain's hash link.
     pub hash: Hash32,
+    /// What orderers sign and peers quorum-match on:
+    /// [`BlockBundle::digest_of`] `hash` and `graph`.
+    pub digest: Hash32,
+}
+
+impl BlockBundle {
+    /// Bundles `block` with its graph, hashing both.
+    #[must_use]
+    pub fn new(block: Arc<Block>, graph: Option<DependencyGraph>) -> Self {
+        let hash = hash_wire(block.as_ref());
+        let digest = Self::digest_of(hash, graph.as_ref());
+        BlockBundle {
+            block,
+            graph,
+            hash,
+            digest,
+        }
+    }
+
+    /// The announcement digest: H(H(B) ‖ H(G(B))) over the graph's wire
+    /// encoding in OXII, H(B) itself in OX and XOV, which carry no graph.
+    #[must_use]
+    pub fn digest_of(hash: Hash32, graph: Option<&DependencyGraph>) -> Hash32 {
+        graph.map_or(hash, |graph| {
+            let mut hasher = Sha256::new();
+            hasher.update(&hash.0);
+            hasher.update(&hash_wire(graph).0);
+            hasher.finalize()
+        })
+    }
 }
 
 /// A sequencer leader's answer to an orderer that fetched offsets below
@@ -94,7 +124,7 @@ pub enum Msg {
         bundle: Arc<BlockBundle>,
         /// The announcing orderer.
         orderer: NodeId,
-        /// Orderer signature over the block hash.
+        /// Orderer signature over the bundle's announcement digest.
         sig: Signature,
     },
     /// OXII executor COMMIT message.

@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 use parblock_consensus::{
     Action, OrderingProtocol, Pbft, PbftMsg, ProtocolConfig, QuorumSequencer, SeqMsg, TimerId,
 };
-use parblock_crypto::hash_wire;
 use parblock_ledger::Ledger;
 use parblock_net::Endpoint;
 use parblock_store::Store;
@@ -420,21 +419,17 @@ impl<P: Hosted> Orderer<P> {
             }
         }
         let block = Block::new(self.next_number, self.prev_hash, txs);
-        let hash = hash_wire(&block);
+        let bundle = Arc::new(BlockBundle::new(Arc::new(block), graph));
+        let hash = bundle.hash;
         // Persist before announcing: a NEWBLOCK must never reference a
         // block this orderer could forget in a crash (DESIGN.md §9).
         if let Some(store) = &mut self.store {
             store
-                .seal_block(&block, graph.as_ref(), hash)
+                .seal_block(&bundle.block, bundle.graph.as_ref(), hash)
                 .expect("orderer block persist failed");
         }
-        let bundle = Arc::new(BlockBundle {
-            block: Arc::new(block),
-            graph,
-            hash,
-        });
         let signer = self.shared.spec.node_signer(self.endpoint.id());
-        let sig = self.shared.keys.sign(signer, &hash.0);
+        let sig = self.shared.keys.sign(signer, &bundle.digest.0);
         let msg = Msg::NewBlock {
             bundle,
             orderer: self.endpoint.id(),
@@ -578,9 +573,10 @@ impl<P: Hosted> Node for Orderer<P> {
 /// The block cutter an orderer of `shared.spec` starts with.
 fn new_cutter(shared: &Shared) -> BlockCutter {
     let cut = shared.spec.block_cut.clone();
-    match shared.spec.graph_mode() {
-        None => BlockCutter::new(cut),
-        Some(mode) => BlockCutter::with_graph(cut, mode),
+    if shared.spec.builds_graphs() {
+        BlockCutter::with_graph(cut)
+    } else {
+        BlockCutter::new(cut)
     }
 }
 

@@ -193,9 +193,12 @@ impl Executor {
         orderer: NodeId,
         sig: &Signature,
     ) {
-        // The orderer's signature covers `H(B)` only. `G(B)` is checked
-        // here, before admission stores anything (an honest copy can
-        // still arrive): `start_block` indexes by the graph's node ids.
+        // The announcement digest the orderers sign covers `G(B)` as well
+        // as `H(B)` (`quorum.rs`), but a quorum of one trusts a single
+        // orderer's graph. `start_block` indexes by the graph's
+        // positions, so a graph of the wrong length is dropped here,
+        // before admission stores anything (an honest copy can still
+        // arrive).
         if bundle.graph.as_ref().map(|graph| graph.len()) != Some(bundle.block.len()) {
             return;
         }
@@ -759,7 +762,7 @@ mod tests {
 
     use super::*;
     use parblock_contracts::{AccountingContract, AccountingOp};
-    use parblock_depgraph::{DependencyGraph, DependencyMode};
+    use parblock_depgraph::DependencyGraph;
     use parblock_net::SimNetwork;
     use parblock_types::wire::Wire;
     use parblock_types::{AppId, Block, ClientId, Clock, Key, Transaction, Value};
@@ -834,10 +837,10 @@ mod tests {
             .collect()
     }
 
-    /// `G(B)` rides beside the signed `H(B)` unauthenticated. A known
-    /// orderer announcing block 1 without a graph, or with one of the
-    /// wrong size, must neither panic the executor nor spend the block
-    /// number: the honest announcement that follows still commits.
+    /// Under a quorum of one a known orderer's signed graph is trusted.
+    /// One announcing block 1 without a graph, or with one of the wrong
+    /// size, must neither panic the executor nor spend the block number:
+    /// the honest announcement that follows still commits.
     #[test]
     fn a_malformed_dependency_graph_is_ignored_and_the_honest_copy_commits() {
         let spec = single_vote_spec();
@@ -851,7 +854,7 @@ mod tests {
         testing::submit_all(&shared, &block);
         let sized = |count: u64| {
             let other = Block::new(BlockNumber(1), Ledger::genesis_hash(), transfers(count));
-            DependencyGraph::build(&other, DependencyMode::Full)
+            DependencyGraph::build(&other)
         };
         for malformed in [None, Some(sized(1)), Some(sized(3))] {
             announce(&shared, &clock, &mut executor, &block, malformed);
@@ -885,7 +888,7 @@ mod tests {
             Ledger::genesis_hash(),
             transfers(2),
         ));
-        let graph = DependencyGraph::build(&block, DependencyMode::Full);
+        let graph = DependencyGraph::build(&block);
         assert!(graph.has_edge(SeqNo(0), SeqNo(1)), "a chain");
         announce(&shared, &clock, &mut executor, &block, Some(graph));
 
@@ -930,7 +933,7 @@ mod tests {
             Ledger::genesis_hash(),
             transfers(1),
         ));
-        let graph = DependencyGraph::build(&block, DependencyMode::Full);
+        let graph = DependencyGraph::build(&block);
         announce(&shared, &clock, &mut executor, &block, Some(graph));
 
         let vote = |executor: &mut Executor, agent: NodeId, writes: Vec<(Key, Value)>| {

@@ -1,8 +1,10 @@
-//! NEWBLOCK admission shared by every peer kind: signature/hash
+//! NEWBLOCK admission shared by every peer kind: signature/digest
 //! verification and quorum counting over matching orderer announcements
 //! (§IV-C: a peer "marks the new block as a valid block" after "a
 //! specified number of matching new block messages", e.g. f + 1 under
-//! PBFT).
+//! PBFT). Announcements match on their signed digest, which covers
+//! `G(B)` as well as `B` ([`BlockBundle::digest_of`]): the graph is part
+//! of the message, so a graph no quorum signed is never run.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -32,23 +34,26 @@ pub(crate) fn completes<T>(
     Some(1 + votes.iter().filter(|(_, v)| matches(v, vote)).count() >= required)
 }
 
-/// The content kept for one claimed hash, and who has signed that hash.
+/// The content kept for one claimed digest, and who has signed that
+/// digest.
 struct Candidate {
-    /// The first announcement's bundle, whose block hashes to the key
-    /// this candidate is stored under.
+    /// The first announcement's bundle, whose block and graph hash to the
+    /// digest this candidate is stored under.
     bundle: Arc<BlockBundle>,
     signers: HashSet<NodeId>,
 }
 
 /// Tracks NEWBLOCK announcements until a block reaches its quorum.
 ///
-/// A block is validated iff `required` distinct orderers signed one hash
-/// `h` and the kept content hashes to `h`. Content is hashed once, when
-/// it becomes the stored candidate for its claimed hash; a later
-/// announcement of the same hash adds its verified signature and its
-/// content is dropped unread.
+/// A block is validated iff `required` distinct orderers signed one
+/// announcement digest `d` and the kept content, block and graph, hashes
+/// to `d`. Content is hashed once, when it becomes the stored candidate
+/// for its claimed digest; a later announcement of the same digest adds
+/// its verified signature and its content is dropped unread. Two
+/// announcements of one block with different graphs are two candidates.
 pub(crate) struct NewBlockQuorum {
     required: usize,
+    /// Per block number, the candidates by announcement digest.
     candidates: BTreeMap<u64, HashMap<Hash32, Candidate>>,
     /// Numbers at or above the caller's `next_needed` that already
     /// reached quorum: their bundle is waiting its turn at the peer, and
@@ -67,9 +72,9 @@ impl NewBlockQuorum {
 
     /// Verifies an announcement end-to-end (transport sender = claimed
     /// orderer, known orderer, block still wanted, valid signature over
-    /// the hash, hash matches the kept block) and counts it, cheapest
-    /// check first. Returns the validated bundle the moment its quorum
-    /// is reached, once per block number.
+    /// the digest, digest matches the kept block and graph) and counts
+    /// it, cheapest check first. Returns the validated bundle the moment
+    /// its quorum is reached, once per block number.
     pub(crate) fn admit(
         &mut self,
         shared: &Shared,
@@ -91,18 +96,21 @@ impl NewBlockQuorum {
             return None; // applied, or validated and waiting its turn
         }
         let signer = shared.spec.node_signer(orderer);
-        if !shared.keys.verify(signer, &bundle.hash.0, sig) {
+        if !shared.keys.verify(signer, &bundle.digest.0, sig) {
             return None;
         }
         let kept = self
             .candidates
             .get(&number)
-            .is_some_and(|slot| slot.contains_key(&bundle.hash));
-        if !kept && hash_wire(bundle.block.as_ref()) != bundle.hash {
+            .is_some_and(|slot| slot.contains_key(&bundle.digest));
+        if !kept
+            && (hash_wire(bundle.block.as_ref()) != bundle.hash
+                || BlockBundle::digest_of(bundle.hash, bundle.graph.as_ref()) != bundle.digest)
+        {
             return None; // stores nothing: an honest copy can still arrive
         }
         let slot = self.candidates.entry(number).or_default();
-        let candidate = slot.entry(bundle.hash).or_insert_with(|| Candidate {
+        let candidate = slot.entry(bundle.digest).or_insert_with(|| Candidate {
             bundle,
             signers: HashSet::new(),
         });
@@ -119,7 +127,8 @@ impl NewBlockQuorum {
 
 #[cfg(test)]
 mod tests {
-    use parblock_types::{AppId, Block, BlockNumber, ClientId, RwSet, Transaction};
+    use parblock_depgraph::DependencyGraph;
+    use parblock_types::{AppId, Block, BlockNumber, ClientId, Key, RwSet, SeqNo, Transaction};
 
     use crate::cluster::{ClusterSpec, SystemKind};
 
@@ -143,20 +152,17 @@ mod tests {
             parblock_ledger::Ledger::genesis_hash(),
             txs,
         );
-        let hash = hash_wire(&block);
-        Arc::new(BlockBundle {
-            block: Arc::new(block),
-            graph: None,
-            hash,
-        })
+        Arc::new(BlockBundle::new(Arc::new(block), None))
     }
 
-    /// `content`'s block announced under `claimed`'s hash.
+    /// `content`'s block and graph announced under `claimed`'s hash and
+    /// digest.
     fn claiming(content: &BlockBundle, claimed: &BlockBundle) -> Arc<BlockBundle> {
         Arc::new(BlockBundle {
             block: Arc::clone(&content.block),
-            graph: None,
+            graph: content.graph.clone(),
             hash: claimed.hash,
+            digest: claimed.digest,
         })
     }
 
@@ -168,7 +174,7 @@ mod tests {
     ) -> Option<Arc<BlockBundle>> {
         let sig = shared
             .keys
-            .sign(shared.spec.node_signer(orderer), &bundle.hash.0);
+            .sign(shared.spec.node_signer(orderer), &bundle.digest.0);
         quorum.admit(shared, orderer, Arc::clone(bundle), orderer, &sig, 1)
     }
 
@@ -189,21 +195,21 @@ mod tests {
         // Transport sender differs from the claimed orderer.
         let sig = shared
             .keys
-            .sign(shared.spec.node_signer(NodeId(0)), &bundle.hash.0);
+            .sign(shared.spec.node_signer(NodeId(0)), &bundle.digest.0);
         assert!(quorum
             .admit(&shared, NodeId(3), Arc::clone(&bundle), NodeId(0), &sig, 1)
             .is_none());
         // Signature from the wrong key.
         let bad_sig = shared
             .keys
-            .sign(shared.spec.node_signer(NodeId(1)), &bundle.hash.0);
+            .sign(shared.spec.node_signer(NodeId(1)), &bundle.digest.0);
         assert!(quorum
             .admit(&shared, NodeId(0), Arc::clone(&bundle), NodeId(0), &bad_sig, 1)
             .is_none());
         // Non-orderer announcer.
         let sig9 = shared
             .keys
-            .sign(shared.spec.node_signer(NodeId(5)), &bundle.hash.0);
+            .sign(shared.spec.node_signer(NodeId(5)), &bundle.digest.0);
         assert!(quorum
             .admit(&shared, NodeId(5), Arc::clone(&bundle), NodeId(5), &sig9, 1)
             .is_none());
@@ -215,7 +221,7 @@ mod tests {
         let mut quorum = NewBlockQuorum::new(1);
         let sig = shared
             .keys
-            .sign(shared.spec.node_signer(NodeId(0)), &bundle.hash.0);
+            .sign(shared.spec.node_signer(NodeId(0)), &bundle.digest.0);
         // next_needed = 2 > block number 1.
         assert!(quorum
             .admit(&shared, NodeId(0), bundle, NodeId(0), &sig, 2)
@@ -231,10 +237,11 @@ mod tests {
             block: bundle.block.clone(),
             graph: None,
             hash: Hash32([9; 32]),
+            digest: Hash32([9; 32]),
         });
         let sig = shared
             .keys
-            .sign(shared.spec.node_signer(NodeId(0)), &tampered.hash.0);
+            .sign(shared.spec.node_signer(NodeId(0)), &tampered.digest.0);
         assert!(quorum
             .admit(&shared, NodeId(0), tampered, NodeId(0), &sig, 1)
             .is_none());
@@ -271,6 +278,45 @@ mod tests {
         assert!(Arc::ptr_eq(&validated, &honest));
     }
 
+    /// Under PBFT a faulty orderer reaches the peer first with the honest
+    /// block and an edge-free graph, claiming the honest digest or signing
+    /// its own. Either way the validated bundle is the one two orderers
+    /// signed: the graph is part of what the quorum matches on, so two
+    /// transactions that conflict never run at once on a forger's word.
+    #[test]
+    fn a_forged_first_graph_is_never_the_validated_one() {
+        let (shared, _) = setup();
+        // Two transfers out of one account: a chain, one edge.
+        let txs = (0..2)
+            .map(|ts| {
+                let rw = RwSet::new([Key(1)], [Key(1)]);
+                Transaction::new(AppId(0), ClientId(1), ts, rw, vec![])
+            })
+            .collect();
+        let block = Arc::new(Block::new(
+            BlockNumber(1),
+            parblock_ledger::Ledger::genesis_hash(),
+            txs,
+        ));
+        let graph = DependencyGraph::build(&block);
+        assert!(graph.has_edge(SeqNo(0), SeqNo(1)));
+        let honest = Arc::new(BlockBundle::new(Arc::clone(&block), Some(graph)));
+        let edge_free = DependencyGraph::from_edges(block.len(), &[]);
+        let forged = Arc::new(BlockBundle::new(Arc::clone(&block), Some(edge_free)));
+        assert_eq!(forged.hash, honest.hash, "the block itself is honest");
+        for first in [claiming(&forged, &honest), forged] {
+            let mut quorum = NewBlockQuorum::new(2);
+            assert!(announce(&mut quorum, &shared, &first, NodeId(0)).is_none());
+            assert!(
+                announce(&mut quorum, &shared, &honest, NodeId(1)).is_none(),
+                "one honest signature is not a quorum"
+            );
+            let validated = announce(&mut quorum, &shared, &honest, NodeId(2)).expect("quorum");
+            let graph = validated.graph.as_ref().expect("an OXII bundle");
+            assert!(graph.has_edge(SeqNo(0), SeqNo(1)), "the true edge");
+        }
+    }
+
     #[test]
     fn duplicate_after_quorum_is_not_revalidated() {
         let (shared, bundle) = setup();
@@ -298,7 +344,7 @@ mod tests {
                 let orderer = NodeId(orderer);
                 let sig = shared
                     .keys
-                    .sign(shared.spec.node_signer(orderer), &bundle.hash.0);
+                    .sign(shared.spec.node_signer(orderer), &bundle.digest.0);
                 let admitted = quorum.admit(
                     &shared,
                     orderer,

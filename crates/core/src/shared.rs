@@ -122,14 +122,11 @@ pub(crate) mod testing {
         block: &Arc<Block>,
         graph: Option<DependencyGraph>,
     ) -> (NodeId, Msg) {
-        let hash = parblock_crypto::hash_wire(block.as_ref());
         let orderer = shared.spec.entry_orderer();
-        let sig = shared.keys.sign(shared.spec.node_signer(orderer), &hash.0);
-        let bundle = Arc::new(BlockBundle {
-            block: Arc::clone(block),
-            graph,
-            hash,
-        });
+        let bundle = Arc::new(BlockBundle::new(Arc::clone(block), graph));
+        let sig = shared
+            .keys
+            .sign(shared.spec.node_signer(orderer), &bundle.digest.0);
         let msg = Msg::NewBlock {
             bundle,
             orderer,

@@ -8,6 +8,8 @@
 //! them, so [`ConflictStats::cross_app_edge_fraction`] tells 4(c) from
 //! 4(b).
 
+use parblock_types::Block;
+
 use crate::graph::DependencyGraph;
 
 /// Summary statistics of a block's conflict structure, used to validate
@@ -28,17 +30,19 @@ pub struct ConflictStats {
 }
 
 impl ConflictStats {
-    /// Computes statistics for `graph`.
+    /// Computes statistics for `graph`, the dependency graph of `block`
+    /// (which says each position's application).
     #[must_use]
-    pub fn compute(graph: &DependencyGraph) -> Self {
+    pub fn compute(graph: &DependencyGraph, block: &Block) -> Self {
         let n = graph.len();
+        let txs = block.transactions();
         let mut touched = vec![false; n];
         let mut cross = 0usize;
         let mut edges = 0usize;
         for (i, j) in graph.edges() {
             touched[i.0 as usize] = true;
             touched[j.0 as usize] = true;
-            if graph.app_of(i) != graph.app_of(j) {
+            if txs[i.0 as usize].app() != txs[j.0 as usize].app() {
                 cross += 1;
             }
             edges += 1;
@@ -61,26 +65,30 @@ impl ConflictStats {
 
 #[cfg(test)]
 mod tests {
-    use parblock_types::{AppId, SeqNo};
-
-    use crate::builder::DependencyMode;
+    use parblock_types::{AppId, BlockNumber, ClientId, Hash32, RwSet, SeqNo, Transaction};
 
     use super::*;
 
-    fn graph(apps: Vec<AppId>, edges: &[(u32, u32)]) -> DependencyGraph {
+    /// A block whose positions belong to `apps`, with `edges` as its
+    /// graph.
+    fn graph(apps: Vec<AppId>, edges: &[(u32, u32)]) -> (DependencyGraph, Block) {
         let edges: Vec<_> = edges
             .iter()
             .map(|&(i, j)| (SeqNo(i), SeqNo(j)))
             .collect();
-        DependencyGraph::from_edges(apps, &edges, DependencyMode::Full)
+        let txs = apps
+            .into_iter()
+            .map(|app| Transaction::new(app, ClientId(1), 0, RwSet::default(), vec![]))
+            .collect::<Vec<_>>();
+        let graph = DependencyGraph::from_edges(txs.len(), &edges);
+        (graph, Block::new(BlockNumber(1), Hash32::ZERO, txs))
     }
 
     /// Fig 4's classification over the statistics: one application is
     /// 4(a); otherwise a cross-application edge makes 4(c), none 4(b).
-    fn fig4(g: &DependencyGraph) -> &'static str {
-        let apps: std::collections::BTreeSet<AppId> = g.apps().iter().copied().collect();
-        let cross = ConflictStats::compute(g).cross_app_edge_fraction;
-        match (apps.len(), cross > 0.0) {
+    fn fig4((g, block): &(DependencyGraph, Block)) -> &'static str {
+        let cross = ConflictStats::compute(g, block).cross_app_edge_fraction;
+        match (block.apps().len(), cross > 0.0) {
             (0 | 1, _) => "4(a)",
             (_, true) => "4(c)",
             (_, false) => "4(b)",
@@ -120,8 +128,8 @@ mod tests {
 
     #[test]
     fn stats_on_chain() {
-        let g = graph(vec![AppId(1), AppId(2), AppId(1)], &[(0, 1), (1, 2)]);
-        let s = ConflictStats::compute(&g);
+        let (g, block) = graph(vec![AppId(1), AppId(2), AppId(1)], &[(0, 1), (1, 2)]);
+        let s = ConflictStats::compute(&g, &block);
         assert_eq!(s.txns, 3);
         assert_eq!(s.edges, 2);
         assert!((s.conflicting_fraction - 1.0).abs() < 1e-9);
@@ -131,8 +139,8 @@ mod tests {
 
     #[test]
     fn stats_on_empty_graph() {
-        let g = graph(vec![], &[]);
-        let s = ConflictStats::compute(&g);
+        let (g, block) = graph(vec![], &[]);
+        let s = ConflictStats::compute(&g, &block);
         assert_eq!(s.txns, 0);
         assert_eq!(s.conflicting_fraction, 0.0);
         assert_eq!(s.cross_app_edge_fraction, 0.0);

@@ -1,65 +1,40 @@
 //! Dependency-graph construction.
 //!
-//! Two rule sets are provided:
-//!
-//! * [`DependencyMode::Full`] — the literal Definition of §III-A: an edge
-//!   for *every* conflicting pair, found by pairwise comparison (O(n²)
-//!   set intersections). This is the reference the reduced rules are
-//!   tested against; no node builds it.
-//! * [`DependencyMode::Reduced`] — per key, the last writer and the
-//!   readers since that write. It emits a subgraph of `Full` whose
-//!   transitive closure is the same partial order, in O(total accesses)
-//!   time, so executors get identical scheduling freedom with fewer
-//!   edges to ship and count down. [`StreamingBuilder`] is its one
-//!   implementation: orderers feed it each transaction as it is ordered.
+//! Orderers build every graph under the *reduced* rules: per key, the
+//! last writer and the readers since that write, fed one transaction at
+//! a time through [`StreamingBuilder`](crate::StreamingBuilder). They emit a subgraph of the
+//! §III-A Definition with the same transitive closure in O(total
+//! accesses) time. [`DependencyGraph::pairwise`] keeps the Definition
+//! itself, O(n²), as the reference they are tested against.
 
-use parblock_types::{Block, SeqNo, Transaction};
+use parblock_types::{SeqNo, Transaction};
 
 use crate::graph::DependencyGraph;
-use crate::streaming::StreamingBuilder;
 
-/// Which dependency rules the builder applies. See the module docs.
+/// The rule set a graph is built under: only the reduced rules. It stays
+/// because the benchmark names it for
+/// [`StreamingBuilder::new`](crate::StreamingBuilder::new).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DependencyMode {
-    /// Every conflicting pair (§III-A Definition), by pairwise comparison.
-    #[default]
-    Full,
     /// Last-writer/reader index construction; same transitive closure as
-    /// `Full` with fewer explicit edges.
+    /// [`DependencyGraph::pairwise`] with fewer explicit edges.
+    #[default]
     Reduced,
-}
-
-/// Builds the dependency graph of `block` under `mode`.
-pub(crate) fn build(block: &Block, mode: DependencyMode) -> DependencyGraph {
-    let txs = block.transactions();
-    match mode {
-        DependencyMode::Full => build_full(txs),
-        DependencyMode::Reduced => {
-            let mut builder = StreamingBuilder::new(mode);
-            for tx in txs {
-                builder.observe(tx);
-            }
-            builder.finish()
-        }
-    }
 }
 
 /// O(n²) pairwise construction, the paper's definition verbatim:
 /// `Ti ⤳ Tj` iff `ts(i) < ts(j)` and ρ(Ti)∩ω(Tj) ≠ ∅ or ω(Ti)∩ρ(Tj) ≠ ∅
 /// or ω(Ti)∩ω(Tj) ≠ ∅.
-fn build_full(txs: &[Transaction]) -> DependencyGraph {
+pub(crate) fn pairwise(txs: &[Transaction]) -> DependencyGraph {
     let mut edges = Vec::new();
-    for j in 1..txs.len() {
-        for i in 0..j {
-            let a = txs[i].rw_set();
-            let b = txs[j].rw_set();
-            if a.rw_conflict(b) || a.wr_conflict(b) || a.ww_conflict(b) {
+    for (i, a) in txs.iter().enumerate() {
+        for (j, b) in txs.iter().enumerate().skip(i + 1) {
+            if a.rw_set().conflicts_with(b.rw_set()) {
                 edges.push((SeqNo(i as u32), SeqNo(j as u32)));
             }
         }
     }
-    let apps = txs.iter().map(Transaction::app).collect();
-    DependencyGraph::from_edges(apps, &edges, DependencyMode::Full)
+    DependencyGraph::from_sorted(txs.len(), &edges)
 }
 
 #[cfg(test)]
@@ -81,6 +56,14 @@ mod tests {
         Key(raw)
     }
 
+    /// The reduced build and the pairwise reference, in that order.
+    fn both(block: &Block) -> [DependencyGraph; 2] {
+        [
+            DependencyGraph::build(block),
+            DependencyGraph::pairwise(block),
+        ]
+    }
+
     #[test]
     fn full_includes_transitive_edges_reduced_does_not() {
         // Three writers of the same key: W(a), W(a), W(a).
@@ -89,8 +72,7 @@ mod tests {
             RwSet::write_only([k(1)]),
             RwSet::write_only([k(1)]),
         ]);
-        let full = build(&block, DependencyMode::Full);
-        let reduced = build(&block, DependencyMode::Reduced);
+        let [reduced, full] = both(&block);
         assert_eq!(full.edge_count(), 3); // (0,1), (0,2), (1,2)
         assert_eq!(reduced.edge_count(), 2); // (0,1), (1,2)
         assert!(full.has_edge(SeqNo(0), SeqNo(2)));
@@ -104,8 +86,8 @@ mod tests {
             RwSet::read_only([k(1)]),
             RwSet::read_only([k(1)]),
         ]);
-        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
-            assert_eq!(build(&block, mode).edge_count(), 0, "{mode:?}");
+        for g in both(&block) {
+            assert_eq!(g.edge_count(), 0);
         }
     }
 
@@ -114,8 +96,8 @@ mod tests {
         // A transaction reading and writing the same key (the paper's
         // transfer reads and writes account 1001).
         let block = block_of(vec![RwSet::new([k(1)], [k(1)])]);
-        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
-            assert_eq!(build(&block, mode).edge_count(), 0, "{mode:?}");
+        for g in both(&block) {
+            assert_eq!(g.edge_count(), 0);
         }
     }
 
@@ -124,7 +106,7 @@ mod tests {
         // Full-contention workload: each tx writes the same key — the
         // paper says the dependency graph of such a block is a chain.
         let block = block_of(vec![RwSet::new([k(1)], [k(1)]); 5]);
-        let reduced = build(&block, DependencyMode::Reduced);
+        let reduced = DependencyGraph::build(&block);
         for i in 0..4 {
             assert!(reduced.has_edge(SeqNo(i), SeqNo(i + 1)));
         }
@@ -134,9 +116,8 @@ mod tests {
     #[test]
     fn reader_then_writer_edge() {
         let block = block_of(vec![RwSet::read_only([k(5)]), RwSet::write_only([k(5)])]);
-        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
-            let g = build(&block, mode);
-            assert!(g.has_edge(SeqNo(0), SeqNo(1)), "{mode:?}");
+        for g in both(&block) {
+            assert!(g.has_edge(SeqNo(0), SeqNo(1)));
         }
     }
 }

@@ -16,7 +16,7 @@
 //! `[T1, T5, T4, T3, T2]`:
 //!
 //! ```
-//! use parblock_depgraph::{DependencyGraph, DependencyMode};
+//! use parblock_depgraph::DependencyGraph;
 //! use parblock_types::{AppId, Block, BlockNumber, ClientId, Hash32, Key, RwSet, SeqNo,
 //!     Transaction};
 //!
@@ -32,12 +32,15 @@
 //!     tx(3, RwSet::new([], [Key(5)])),                // T3 @3
 //!     tx(2, RwSet::new([], [Key(4)])),                // T2 @4
 //! ]);
-//! let graph = DependencyGraph::build(&block, DependencyMode::Full);
+//! let graph = DependencyGraph::build(&block);
 //! // Edges of Fig 2: (T1,T4), (T5,T2), (T5,T3).
 //! assert!(graph.has_edge(SeqNo(0), SeqNo(2)));
 //! assert!(graph.has_edge(SeqNo(1), SeqNo(4)));
 //! assert!(graph.has_edge(SeqNo(1), SeqNo(3)));
 //! assert_eq!(graph.edge_count(), 3);
+//! // Every pair conflicts at most once here, so the pairwise reference
+//! // has the very same edges.
+//! assert_eq!(graph, DependencyGraph::pairwise(&block));
 //! ```
 
 #![forbid(unsafe_code)]

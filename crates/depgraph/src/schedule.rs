@@ -27,15 +27,11 @@ use crate::graph::DependencyGraph;
 /// # Examples
 ///
 /// ```
-/// use parblock_depgraph::{DependencyGraph, DependencyMode, ReadyTracker};
-/// use parblock_types::{AppId, SeqNo};
+/// use parblock_depgraph::{DependencyGraph, ReadyTracker};
+/// use parblock_types::SeqNo;
 ///
 /// // 0 -> 1 -> 2 chain.
-/// let g = DependencyGraph::from_edges(
-///     vec![AppId(0); 3],
-///     &[(SeqNo(0), SeqNo(1)), (SeqNo(1), SeqNo(2))],
-///     DependencyMode::Full,
-/// );
+/// let g = DependencyGraph::from_edges(3, &[(SeqNo(0), SeqNo(1)), (SeqNo(1), SeqNo(2))]);
 /// let mut ready = ReadyTracker::new(&g);
 /// assert_eq!(ready.take_ready(), vec![SeqNo(0)]);
 /// assert_eq!(ready.complete(SeqNo(0)), vec![SeqNo(1)]);
@@ -46,6 +42,8 @@ use crate::graph::DependencyGraph;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReadyTracker {
+    /// The block's graph: a clone shares its table, so the tracker holds
+    /// no adjacency of its own.
     graph: DependencyGraph,
     /// Outstanding predecessor count per position; `u32::MAX` = completed.
     pending_preds: Vec<u32>,
@@ -73,18 +71,16 @@ impl ReadyTracker {
     /// [`ReadyTracker::complete`].
     #[must_use]
     pub fn with_external(graph: &DependencyGraph, external: &[u32]) -> Self {
-        let n = graph.len();
-        let mut pending_preds = Vec::with_capacity(n);
-        let mut roots = Vec::new();
-        for i in 0..n {
-            let seq = SeqNo(i as u32);
-            let preds =
-                graph.predecessors(seq).len() as u32 + external.get(i).copied().unwrap_or(0);
-            pending_preds.push(preds);
-            if preds == 0 {
-                roots.push(seq);
-            }
+        let mut pending_preds: Vec<u32> = (0..graph.len())
+            .map(|i| external.get(i).copied().unwrap_or(0))
+            .collect();
+        for &j in graph.targets() {
+            pending_preds[j as usize] += 1;
         }
+        let roots = (0..graph.len() as u32)
+            .filter(|&i| pending_preds[i as usize] == 0)
+            .map(SeqNo)
+            .collect();
         ReadyTracker {
             graph: graph.clone(),
             pending_preds,
@@ -104,45 +100,19 @@ impl ReadyTracker {
             return;
         }
         self.trace = Some(Box::new((recorder, ids)));
-        for &seq in &self.roots {
-            self.note_ready(seq);
-        }
+        self.note_ready(&self.roots);
     }
 
-    /// Stamps `Stage::GraphReady` on a newly ready position, if a
+    /// Stamps `Stage::GraphReady` on newly ready positions, if a
     /// recorder is attached.
-    fn note_ready(&self, x: SeqNo) {
+    fn note_ready(&self, positions: &[SeqNo]) {
         if let Some(sink) = &self.trace {
             let (recorder, ids) = sink.as_ref();
-            if let Some(&tx) = ids.get(x.0 as usize) {
-                recorder.record(tx, Stage::GraphReady);
+            for x in positions {
+                if let Some(&tx) = ids.get(x.0 as usize) {
+                    recorder.record(tx, Stage::GraphReady);
+                }
             }
-        }
-    }
-
-    /// Releases one external (cross-block) predecessor of `x`; returns
-    /// `true` when that was the last outstanding predecessor and `x` is
-    /// now ready.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has no outstanding predecessors — an external release
-    /// must match a count registered via [`ReadyTracker::with_external`].
-    fn release_external(&mut self, x: SeqNo) -> bool {
-        let idx = x.0 as usize;
-        if self.pending_preds[idx] == u32::MAX {
-            return false; // already complete (e.g. committed from votes)
-        }
-        assert!(
-            self.pending_preds[idx] > 0,
-            "external release for {x:?} without a registered dependency"
-        );
-        self.pending_preds[idx] -= 1;
-        if self.pending_preds[idx] == 0 {
-            self.note_ready(x);
-            true
-        } else {
-            false
         }
     }
 
@@ -161,11 +131,20 @@ impl ReadyTracker {
     /// one block hand the whole newly-ready set to the execution backend
     /// in a single dispatch instead of one per waiter (DESIGN.md §15).
     pub fn release_external_batch(&mut self, positions: &[SeqNo]) -> Vec<SeqNo> {
-        positions
-            .iter()
-            .copied()
-            .filter(|&x| self.release_external(x))
-            .collect()
+        let mut newly = Vec::new();
+        for &x in positions {
+            let pending = &mut self.pending_preds[x.0 as usize];
+            if *pending == u32::MAX {
+                continue; // already complete (e.g. committed from votes)
+            }
+            assert!(*pending > 0, "unregistered external release of {x:?}");
+            *pending -= 1;
+            if *pending == 0 {
+                newly.push(x);
+            }
+        }
+        self.note_ready(&newly);
+        newly
     }
 
     /// Returns the roots: the positions ready at construction, with no
@@ -189,7 +168,7 @@ impl ReadyTracker {
         self.pending_preds[idx] = u32::MAX;
         self.completed += 1;
         let mut newly = Vec::new();
-        for &succ in self.graph.successors(x) {
+        for succ in self.graph.successors(x) {
             let s = succ.0 as usize;
             if self.pending_preds[s] == u32::MAX {
                 continue;
@@ -199,9 +178,7 @@ impl ReadyTracker {
                 newly.push(succ);
             }
         }
-        for &succ in &newly {
-            self.note_ready(succ);
-        }
+        self.note_ready(&newly);
         newly
     }
 
@@ -236,11 +213,14 @@ impl ExecutionLayers {
         let n = graph.len();
         let mut depth = vec![0usize; n];
         // Positions are already topologically ordered (edges point
-        // forward), so a single left-to-right pass suffices.
+        // forward), so a single left-to-right pass pushing each depth to
+        // the successors suffices: a position's depth is final once every
+        // earlier position has been visited.
         for i in 0..n {
-            let seq = SeqNo(i as u32);
-            for &p in graph.predecessors(seq) {
-                depth[i] = depth[i].max(depth[p.0 as usize] + 1);
+            let next = depth[i] + 1;
+            for succ in graph.successors(SeqNo(i as u32)) {
+                let s = succ.0 as usize;
+                depth[s] = depth[s].max(next);
             }
         }
         let max_depth = depth.iter().copied().max().map_or(0, |d| d + 1);
@@ -286,17 +266,11 @@ impl ExecutionLayers {
 
 #[cfg(test)]
 mod tests {
-    use parblock_types::AppId;
-
     use super::*;
-    use crate::builder::DependencyMode;
 
     fn graph(n: usize, edges: &[(u32, u32)]) -> DependencyGraph {
-        let edges: Vec<_> = edges
-            .iter()
-            .map(|&(i, j)| (SeqNo(i), SeqNo(j)))
-            .collect();
-        DependencyGraph::from_edges(vec![AppId(0); n], &edges, DependencyMode::Full)
+        let edges: Vec<_> = edges.iter().map(|&(i, j)| (SeqNo(i), SeqNo(j))).collect();
+        DependencyGraph::from_edges(n, &edges)
     }
 
     #[test]

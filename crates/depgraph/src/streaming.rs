@@ -5,25 +5,24 @@
 //! is ordered: each [`StreamingBuilder::observe`] updates a per-key
 //! conflict index (last writer, readers since that write) and appends
 //! the new transaction's dependency edges. [`StreamingBuilder::finish`]
-//! then materialises the [`DependencyGraph`] in time proportional to the
+//! then packs the [`DependencyGraph`] in time proportional to the
 //! pending block (its vertices and accumulated edges), so cutting a block
 //! never pays the O(n²) pairwise sweep that the paper blames for
 //! orderer load ("generating the dependency graph … increases the load
 //! on the orderers", §IV-B).
 //!
-//! Under either [`DependencyMode`] the builder emits the reduced edge
-//! set; the mode is only the tag the graph carries. Emitting every
-//! conflicting pair is inherently Ω(n²) (all-writers-of-one-key blocks
-//! have that many edges), whereas the reduced set has at most
-//! O(accesses) edges and the same transitive closure — the partial order
-//! executors obey — as the pairwise `Full` definition (property-tested,
-//! DESIGN.md §6).
+//! Emitting every conflicting pair is inherently Ω(n²)
+//! (all-writers-of-one-key blocks have that many edges), whereas the
+//! reduced set has at most O(accesses) edges and the same transitive
+//! closure — the partial order executors obey — as the pairwise
+//! reference [`DependencyGraph::pairwise`] (property-tested, DESIGN.md
+//! §6).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use parblock_types::{AppId, Key, SeqNo, Transaction};
+use parblock_types::{Key, SeqNo, Transaction};
 
 use crate::builder::DependencyMode;
 use crate::graph::DependencyGraph;
@@ -57,19 +56,19 @@ struct KeyIndex {
 /// ```
 #[derive(Debug)]
 pub struct StreamingBuilder {
-    mode: DependencyMode,
-    apps: Vec<AppId>,
+    /// Transactions observed since the last [`Self::finish`].
+    len: usize,
+    /// Their edges; emptied, not dropped, by `finish`.
     edges: Vec<(SeqNo, SeqNo)>,
     keys: HashMap<Key, KeyIndex>,
 }
 
 impl StreamingBuilder {
-    /// Creates an empty builder whose graphs carry the tag `mode`.
+    /// Creates an empty builder; the one `DependencyMode` selects nothing.
     #[must_use]
-    pub fn new(mode: DependencyMode) -> Self {
+    pub fn new(_mode: DependencyMode) -> Self {
         StreamingBuilder {
-            mode,
-            apps: Vec::new(),
+            len: 0,
             edges: Vec::new(),
             keys: HashMap::new(),
         }
@@ -79,7 +78,7 @@ impl StreamingBuilder {
     /// [`Self::finish`].
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
+        self.len == 0
     }
 
     /// Feeds the next transaction of the pending block, updating the
@@ -87,8 +86,8 @@ impl StreamingBuilder {
     /// is proportional to the transaction's accesses plus the edges it
     /// creates.
     pub fn observe(&mut self, tx: &Transaction) {
-        let j = SeqNo(u32::try_from(self.apps.len()).expect("block exceeds u32 positions"));
-        self.apps.push(tx.app());
+        let j = SeqNo(u32::try_from(self.len).expect("block exceeds u32 positions"));
+        self.len += 1;
         // W→R: the last writer of each read key precedes us.
         for key in tx.rw_set().reads() {
             if let Some(index) = self.keys.get(key) {
@@ -127,14 +126,19 @@ impl StreamingBuilder {
     /// Emits the dependency graph of the observed transactions and resets
     /// the builder for the next block.
     ///
-    /// Cost is O(vertices + accumulated edges) — the cut-time emission
-    /// the orderer pays on its critical path; all pairwise work already
-    /// happened inside [`Self::observe`].
+    /// Cost is sorting the accumulated edges plus one pass over them and
+    /// the vertices — the cut-time emission the orderer pays on its
+    /// critical path; all pairwise work already happened inside
+    /// [`Self::observe`]. The graph is one allocation.
     pub fn finish(&mut self) -> DependencyGraph {
-        let apps = std::mem::take(&mut self.apps);
-        let edges = std::mem::take(&mut self.edges);
+        // Two keys can give one pair the same edge twice.
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        let graph = DependencyGraph::from_sorted(self.len, &self.edges);
+        self.len = 0;
+        self.edges.clear();
         self.keys.clear();
-        DependencyGraph::from_edges(apps, &edges, self.mode)
+        graph
     }
 }
 
@@ -264,7 +268,7 @@ impl CrossBlockIndex {
 
 #[cfg(test)]
 mod tests {
-    use parblock_types::{Block, BlockNumber, ClientId, Hash32, RwSet};
+    use parblock_types::{AppId, Block, BlockNumber, ClientId, Hash32, RwSet};
 
     use super::*;
 
@@ -272,8 +276,8 @@ mod tests {
         Transaction::new(AppId(0), ClientId(1), i, rw, vec![])
     }
 
-    fn stream(mode: DependencyMode, rw_sets: &[RwSet]) -> DependencyGraph {
-        let mut builder = StreamingBuilder::new(mode);
+    fn stream(rw_sets: &[RwSet]) -> DependencyGraph {
+        let mut builder = StreamingBuilder::new(DependencyMode::Reduced);
         for (i, rw) in rw_sets.iter().enumerate() {
             builder.observe(&tx(i as u64, rw.clone()));
         }
@@ -299,40 +303,36 @@ mod tests {
         // chain, whether fed one transaction at a time or a whole block.
         let sets = vec![RwSet::write_only([k(1)]); 4];
         let chain = DependencyGraph::from_edges(
-            vec![AppId(0); 4],
+            4,
             &[
                 (SeqNo(0), SeqNo(1)),
                 (SeqNo(1), SeqNo(2)),
                 (SeqNo(2), SeqNo(3)),
             ],
-            DependencyMode::Reduced,
         );
-        assert_eq!(stream(DependencyMode::Reduced, &sets), chain);
-        let whole = DependencyGraph::build(&block_of(&sets), DependencyMode::Reduced);
+        assert_eq!(stream(&sets), chain);
+        let whole = DependencyGraph::build(&block_of(&sets));
         assert_eq!(whole, chain);
     }
 
     #[test]
     fn full_streaming_emits_closure_equivalent_subset() {
         // Three writers of one key: the pairwise definition has 3 edges,
-        // streaming Full emits the 2-edge chain with the same transitive
+        // streaming emits the 2-edge chain with the same transitive
         // closure.
         let sets = vec![RwSet::write_only([k(1)]); 3];
-        let g = stream(DependencyMode::Full, &sets);
-        assert_eq!(g.mode(), DependencyMode::Full);
+        let g = stream(&sets);
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(SeqNo(0), SeqNo(1)));
         assert!(g.has_edge(SeqNo(1), SeqNo(2)));
-        let pairwise = DependencyGraph::build(&block_of(&sets), DependencyMode::Full);
+        let pairwise = DependencyGraph::pairwise(&block_of(&sets));
         assert_eq!(pairwise.edge_count(), 3);
     }
 
     #[test]
     fn rmw_transaction_does_not_self_depend() {
         let sets = vec![RwSet::new([k(1)], [k(1)])];
-        for mode in [DependencyMode::Full, DependencyMode::Reduced] {
-            assert_eq!(stream(mode, &sets).edge_count(), 0, "{mode:?}");
-        }
+        assert_eq!(stream(&sets).edge_count(), 0);
     }
 
     #[test]
@@ -348,12 +348,16 @@ mod tests {
         builder.observe(&tx(3, RwSet::read_only([k(9)])));
         let second = builder.finish();
         assert_eq!(second.len(), 1);
-        assert_eq!(second.edge_count(), 0, "stale last-writer leaked across blocks");
+        assert_eq!(
+            second.edge_count(),
+            0,
+            "stale last-writer leaked across blocks"
+        );
     }
 
     #[test]
     fn empty_finish_yields_empty_graph() {
-        let mut builder = StreamingBuilder::new(DependencyMode::Full);
+        let mut builder = StreamingBuilder::new(DependencyMode::Reduced);
         let g = builder.finish();
         assert!(g.is_empty());
         assert_eq!(g.edge_count(), 0);

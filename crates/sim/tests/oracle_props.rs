@@ -21,7 +21,7 @@ use parblock_contracts::{
     AccountingContract, AccountingOp, AppRegistry, ExecOutcome, KvContract, KvOp, SmartContract,
     StateReader,
 };
-use parblock_depgraph::{DependencyGraph, DependencyMode, ReadyTracker};
+use parblock_depgraph::{DependencyGraph, ReadyTracker};
 use parblock_ledger::{MvccState, Version};
 use parblock_sim::serial_replay;
 use parblock_types::{
@@ -141,8 +141,11 @@ proptest! {
         seed in any::<u64>(),
         reduced in any::<bool>(),
     ) {
-        let mode = if reduced { DependencyMode::Reduced } else { DependencyMode::Full };
-        let graph = DependencyGraph::build(&block, mode);
+        let graph = if reduced {
+            DependencyGraph::build(&block)
+        } else {
+            DependencyGraph::pairwise(&block)
+        };
         let contract = KvContract::new(AppId(0));
         let order = random_topo_order(&graph, seed);
         let observed = history_digest(&block, &contract, &order);
@@ -159,7 +162,7 @@ proptest! {
         block in arb_block(),
         seed in any::<u64>(),
     ) {
-        let graph = DependencyGraph::build(&block, DependencyMode::Full);
+        let graph = DependencyGraph::pairwise(&block);
         let n = block.len() as u32;
         let writer = SeqNo(n - 2); // Put(8, 777)
         let reader = SeqNo(n - 1); // Mix{reads: [8], writes: [9]}

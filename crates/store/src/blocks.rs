@@ -30,7 +30,7 @@ fn encode_entry(block: &Block, graph: Option<&DependencyGraph>) -> Vec<u8> {
         None => 0u8.encode(&mut payload),
         Some(graph) => {
             1u8.encode(&mut payload);
-            graph.encode_wire(&mut payload);
+            graph.encode(&mut payload);
         }
     }
     payload
@@ -177,7 +177,6 @@ impl BlockFile {
 
 #[cfg(test)]
 mod tests {
-    use parblock_depgraph::DependencyMode;
     use parblock_types::{AppId, BlockNumber, ClientId, Hash32, RwSet, Transaction};
 
     use super::*;
@@ -193,9 +192,7 @@ mod tests {
             .map(|i| {
                 let block = Block::new(BlockNumber(i), prev, vec![tx(i)]);
                 prev = Hash32([i as u8; 32]);
-                let graph = (i % 2 == 0).then(|| {
-                    DependencyGraph::from_edges(vec![AppId(0)], &[], DependencyMode::Reduced)
-                });
+                let graph = (i % 2 == 0).then(|| DependencyGraph::from_edges(1, &[]));
                 (block, graph)
             })
             .collect()

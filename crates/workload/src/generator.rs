@@ -311,7 +311,7 @@ impl WorkloadGen {
 
 #[cfg(test)]
 mod tests {
-    use parblock_depgraph::{ConflictStats, DependencyGraph, DependencyMode, ExecutionLayers};
+    use parblock_depgraph::{ConflictStats, DependencyGraph, ExecutionLayers};
     use parblock_types::{Block, BlockNumber, Hash32};
 
     use super::*;
@@ -326,8 +326,8 @@ mod tests {
         let txs = gen.window();
         let n = txs.len();
         let block = Block::new(BlockNumber(1), Hash32::ZERO, txs);
-        let g = DependencyGraph::build(&block, DependencyMode::Full);
-        (ConflictStats::compute(&g), n)
+        let g = DependencyGraph::pairwise(&block);
+        (ConflictStats::compute(&g, &block), n)
     }
 
     #[test]
@@ -472,7 +472,7 @@ mod tests {
             ..WorkloadConfig::default()
         });
         let block = Block::new(BlockNumber(1), Hash32::ZERO, gen.window());
-        let g = DependencyGraph::build(&block, DependencyMode::Reduced);
+        let g = DependencyGraph::build(&block);
         let layers = ExecutionLayers::compute(&g);
         // 20 chained + 20 independent: critical path = chain length.
         assert_eq!(layers.critical_path(), 20);
@@ -492,8 +492,8 @@ mod tests {
         let txs = gen.window();
         assert_eq!(txs.len(), 200);
         let block = Block::new(BlockNumber(1), Hash32::ZERO, txs);
-        let g = DependencyGraph::build(&block, DependencyMode::Full);
-        let stats = ConflictStats::compute(&g);
+        let g = DependencyGraph::pairwise(&block);
+        let stats = ConflictStats::compute(&g, &block);
         // Roughly half the transactions hit the hot set and conflict.
         assert!(
             (0.3..0.7).contains(&stats.conflicting_fraction),

@@ -9,7 +9,7 @@
 
 use parblockchain_repro::contracts::{AccountingContract, AccountingOp};
 use parblockchain_repro::depgraph::{
-    ConflictStats, DependencyGraph, DependencyMode, ExecutionLayers, ReadyTracker,
+    ConflictStats, DependencyGraph, ExecutionLayers, ReadyTracker,
 };
 use parblockchain_repro::types::{AppId, Block, BlockNumber, ClientId, Hash32, Key};
 
@@ -35,16 +35,24 @@ fn main() {
         a1.transaction(ClientId(2), 1, &transfer(3, 6, 5)),
     ];
     let block = Block::new(BlockNumber(1), Hash32::ZERO, txs);
-    let graph = DependencyGraph::build(&block, DependencyMode::Full);
+    let graph = DependencyGraph::build(&block);
+    // The orderers' reduced rules against the §III-A definition itself:
+    // never more edges, and the same partial order.
+    let pairwise = DependencyGraph::pairwise(&block);
+    assert!(graph.edges().all(|(i, j)| pairwise.has_edge(i, j)));
 
-    println!("block of {} transactions, {} dependency edges", block.len(), graph.edge_count());
-    println!("{}", graph.to_dot());
+    println!(
+        "block of {} transactions, {} dependency edges ({} pairwise)",
+        block.len(),
+        graph.edge_count(),
+        pairwise.edge_count()
+    );
+    println!("{}", graph.to_dot(&block));
 
     // Fig 4: one application is 4(a); a component mixing applications
     // holds a cross-application edge, 4(c); otherwise 4(b).
-    let apps: std::collections::BTreeSet<AppId> = graph.apps().iter().copied().collect();
-    let cross = ConflictStats::compute(&graph).cross_app_edge_fraction > 0.0;
-    match (apps.len(), cross) {
+    let cross = ConflictStats::compute(&graph, &block).cross_app_edge_fraction > 0.0;
+    match (block.apps().len(), cross) {
         (0 | 1, _) => println!("Fig 4(a): single application"),
         (_, false) => println!("Fig 4(b): apps independent"),
         (_, true) => {
@@ -69,7 +77,7 @@ fn main() {
         wave += 1;
         let labels: Vec<String> = ready
             .iter()
-            .map(|s| format!("T{}({})", s.0, graph.app_of(*s)))
+            .map(|&s| format!("T{}({})", s.0, block.transactions()[s.0 as usize].app()))
             .collect();
         println!("wave {wave}: execute {} in parallel", labels.join(", "));
         ready = ready

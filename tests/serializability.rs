@@ -11,7 +11,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use parblockchain_repro::contracts::{ExecOutcome, KvContract, KvOp, SmartContract};
-use parblockchain_repro::depgraph::{DependencyGraph, DependencyMode, ReadyTracker};
+use parblockchain_repro::depgraph::{DependencyGraph, ReadyTracker};
 use parblockchain_repro::ledger::{MvccState, Version};
 use parblockchain_repro::types::{
     AppId, Block, BlockNumber, ClientId, Hash32, Key, SeqNo, Value,
@@ -93,12 +93,11 @@ proptest! {
     ) {
         let contract = KvContract::new(AppId(0));
         let genesis = MvccState::with_genesis((0..6).map(|k| (Key(k), Value::Int(k as i64))));
-        let mode = if mode_reduced {
-            DependencyMode::Reduced
+        let graph = if mode_reduced {
+            DependencyGraph::build(&block)
         } else {
-            DependencyMode::Full
+            DependencyGraph::pairwise(&block)
         };
-        let graph = DependencyGraph::build(&block, mode);
         let serial = serial_state(&block, &contract, &genesis);
         let scheduled = scheduled_state(&block, &contract, &genesis, &graph, seed);
         prop_assert_eq!(serial.digest(), scheduled.digest());

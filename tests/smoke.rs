@@ -32,7 +32,7 @@ fn umbrella_reexports_resolve() {
     assert!(registry.verify(crypto::SignerId(0), b"m", &sig));
 
     // depgraph
-    let graph = depgraph::DependencyGraph::build(&block, depgraph::DependencyMode::Full);
+    let graph = depgraph::DependencyGraph::build(&block);
     assert_eq!(graph.len(), 1);
     let layers = depgraph::ExecutionLayers::compute(&graph);
     assert_eq!(layers.critical_path(), 1);
