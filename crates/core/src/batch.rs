@@ -226,6 +226,57 @@ mod tests {
         }
     }
 
+    /// What `Payload::decode` accepts re-encodes to bytes that decode to
+    /// the same payload; what it refuses is `None`, never a panic.
+    fn decodes_canonically(bytes: &[u8]) -> proptest::TestCaseResult {
+        if let Some(payload) = Payload::decode(bytes) {
+            proptest::prop_assert_eq!(Payload::decode(&payload.encode()), Some(payload));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// ROADMAP 11(b) for the payload decoder: a well-formed batch and
+        /// a cut marker truncated at every offset or with one byte
+        /// changed, and arbitrary bytes with or without a valid tag.
+        #[test]
+        fn decode_rejects_or_reencodes_any_bytes(
+            n in 0usize..5,
+            keys in proptest::collection::vec(0u64..6, 0..4),
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..8),
+            marker in (proptest::prelude::any::<u32>(), proptest::prelude::any::<u64>()),
+            mutations in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+                1..16,
+            ),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let txs = (0..n as u64).map(|ts| {
+                let keys = keys.iter().map(|&k| Key(k + ts));
+                let rw = RwSet::new(keys.clone(), keys.skip(ts as usize % 2));
+                Transaction::new(AppId(ts as u16), ClientId(1), ts, rw, payload.clone())
+            });
+            let (client, client_ts) = marker;
+            let marker = Payload::CutMarker {
+                first_pending: TxId::new(ClientId(client), client_ts),
+            };
+            for bytes in [Payload::Batch(txs.collect()).encode(), marker.encode()] {
+                for cut in 0..=bytes.len() {
+                    decodes_canonically(&bytes[..cut])?;
+                }
+                for &(at, byte) in &mutations {
+                    let mut mutated = bytes.clone();
+                    mutated[at % bytes.len()] = byte;
+                    decodes_canonically(&mutated)?;
+                }
+            }
+            decodes_canonically(&noise)?;
+            for tag in [TAG_BATCH, TAG_CUT] {
+                decodes_canonically(&[&[tag][..], &noise].concat())?;
+            }
+        }
+    }
+
     #[test]
     fn cut_marker_round_trip() {
         let marker = Payload::CutMarker {

@@ -60,7 +60,7 @@ pub(crate) struct SerialChain {
 impl SerialChain {
     pub(crate) fn new(shared: Arc<Shared>, me: NodeId, decide: Decide, cost: Duration) -> Self {
         SerialChain {
-            state: MvccState::with_genesis(shared.genesis.iter().cloned()),
+            state: MvccState::over(shared.genesis.clone()),
             ledger: Ledger::new(),
             admission: NewBlockQuorum::new(shared.spec.newblock_quorum()),
             ready: BTreeMap::new(),

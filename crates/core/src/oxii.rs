@@ -139,7 +139,7 @@ impl Executor {
     /// each held until its cost has passed and surfaced by `tick`.
     pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
         let running = InlineQueue::new(shared.spec.exec_pool);
-        let mut state = MvccState::with_genesis(shared.genesis.iter().cloned());
+        let mut state = MvccState::over(shared.genesis.clone());
         let is_observer = endpoint.id() == shared.spec.observer();
         let commit_dests = shared.spec.peer_ids();
         let admission = NewBlockQuorum::new(shared.spec.newblock_quorum());

@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use parblock_contracts::AppRegistry;
 use parblock_crypto::KeyRegistry;
+use parblock_ledger::Genesis;
 use parblock_trace::TraceRecorder;
-use parblock_types::{Clock, Key, Value};
+use parblock_types::Clock;
 use parblock_workload::WorkloadGen;
 
 use crate::cluster::ClusterSpec;
@@ -19,7 +20,8 @@ pub(crate) struct Shared {
     pub keys: KeyRegistry,
     pub metrics: Metrics,
     pub stop: Arc<AtomicBool>,
-    pub genesis: Vec<(Key, Value)>,
+    /// The state before block 1, one table every replica reads.
+    pub genesis: Genesis,
     /// The cluster's time source: the wall clock under the threaded
     /// runner, a simulated clock under the deterministic scheduler
     /// (DESIGN.md §10). Every node reads *now* through this.
@@ -52,7 +54,7 @@ impl Shared {
             )]
             let _ = std::fs::remove_dir_all(data_dir);
         }
-        let genesis = WorkloadGen::new(spec.workload_config()).genesis();
+        let genesis = Genesis::new(WorkloadGen::new(spec.workload_config()).genesis());
         let trace = TraceRecorder::new(&clock, spec.trace);
         Arc::new(Shared {
             registry: spec.registry(),

@@ -9,7 +9,8 @@
 //! * [`MvccState`] — multi-version store: each key's newest version up
 //!   to the sealed watermark, plus every write of each block above it,
 //!   stamped with writers' [`Version`]s; the stamps also power XOV's
-//!   read-set validation.
+//!   read-set validation. Keys no seal has replaced read the
+//!   [`Genesis`] table, which every replica of a cluster shares.
 //! * [`prune_to_sealed`] — the seal OX and OXII peers run on each block
 //!   they append: it folds the open blocks up to it into the sealed
 //!   versions. Persistence is not this crate's concern: a durable node
@@ -35,7 +36,7 @@ mod chain;
 mod mvcc;
 
 pub use chain::{ChainError, Ledger};
-pub use mvcc::{prune_to_sealed, MvccState, Version};
+pub use mvcc::{prune_to_sealed, Genesis, MvccState, Version};
 
 /// The newest-version key-value view of [`MvccState`] (`latest`,
 /// `latest_version`) that XOV endorses and validates against.

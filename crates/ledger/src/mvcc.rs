@@ -7,6 +7,7 @@
 //! in the block (log)."
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,6 +43,31 @@ impl Version {
 /// A position above every version: reads at it see each key's newest.
 const NEWEST: Version = Version::new(BlockNumber(u64::MAX), SeqNo(u32::MAX));
 
+/// The state before the first block: each genesis key's value, sorted
+/// by key, one entry per key. It is immutable, so a clone is a reference
+/// count and every replica of a cluster reads one copy.
+#[derive(Debug, Clone, Default)]
+pub struct Genesis(Arc<[(Key, Value)]>);
+
+impl Genesis {
+    /// Builds the table from `items`; where a key repeats, the last value
+    /// wins.
+    pub fn new<I: IntoIterator<Item = (Key, Value)>>(items: I) -> Self {
+        let mut entries: Vec<(Key, Value)> = items.into_iter().collect();
+        // Reversed, then sorted stably: a repeated key's last value comes
+        // first, and it is the one kept.
+        entries.reverse();
+        entries.sort_by_key(|(key, _)| *key);
+        entries.dedup_by_key(|(key, _)| *key);
+        Genesis(entries.into())
+    }
+
+    fn get(&self, key: Key) -> Option<&Value> {
+        let at = self.0.binary_search_by_key(&key, |(key, _)| *key).ok()?;
+        Some(&self.0[at].1)
+    }
+}
+
 /// A multi-version store. Every paradigm's executors hold their state in
 /// one: OXII reads it at each transaction's log position, OX at its
 /// serial position, XOV at its ledger head.
@@ -50,8 +76,11 @@ const NEWEST: Version = Version::new(BlockNumber(u64::MAX), SeqNo(u32::MAX));
 /// store keeps one version per key for the sealed prefix of the chain
 /// and every version only for the blocks above it:
 ///
-/// * `sealed` maps each key to its newest version at or below the
-///   sealed watermark, stored inline;
+/// * `genesis` holds each genesis key's value at [`Version::GENESIS`], shared
+///   with the other replicas and never written;
+/// * `sealed` maps each key written since genesis to its newest version
+///   at or below the sealed watermark, stored inline; a key it lacks
+///   reads its genesis value;
 /// * `open` holds, per block above the watermark, that block's writes
 ///   ordered by key and in-block position.
 ///
@@ -76,7 +105,9 @@ const NEWEST: Version = Version::new(BlockNumber(u64::MAX), SeqNo(u32::MAX));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MvccState {
-    /// Per key, the newest version at or below the watermark.
+    genesis: Genesis,
+    /// Per key written since genesis, the newest version at or below the
+    /// watermark.
     sealed: HashMap<Key, (Version, Value)>,
     /// The newest sealed block (`None` before the first seal). Every
     /// version in `open` is above it.
@@ -95,10 +126,16 @@ impl MvccState {
     /// Creates a store pre-loaded with genesis values, with block 0
     /// sealed.
     pub fn with_genesis<I: IntoIterator<Item = (Key, Value)>>(items: I) -> Self {
-        let genesis = |(key, value)| (key, (Version::GENESIS, value));
+        Self::over(Genesis::new(items))
+    }
+
+    /// Creates a store over a shared genesis table, with block 0 sealed.
+    /// It allocates nothing until it is written.
+    #[must_use]
+    pub fn over(genesis: Genesis) -> Self {
         MvccState {
-            // Sized once from the iterator's length hint.
-            sealed: items.into_iter().map(genesis).collect(),
+            genesis,
+            sealed: HashMap::new(),
             watermark: Some(BlockNumber::GENESIS),
             open: BTreeMap::new(),
         }
@@ -109,7 +146,9 @@ impl MvccState {
     /// Versions may arrive out of order (parallel executors), and puts
     /// commute: writing the same version twice replaces the value
     /// (idempotent re-execution), and a write at or below the watermark
-    /// replaces the key's sealed version only when it is newer.
+    /// replaces the key's sealed version only when it is newer. A genesis
+    /// value sits at [`Version::GENESIS`], below or at every write, so a
+    /// write always replaces it.
     pub fn put(&mut self, key: Key, value: Value, version: Version) {
         if Some(version.block) > self.watermark {
             let block = self.open.entry(version.block).or_default();
@@ -157,9 +196,24 @@ impl MvccState {
             (*written == key).then(|| (Version::new(block, *seq), value))
         });
         in_open.or_else(|| {
-            let (version, value) = self.sealed.get(&key)?;
-            (*version <= position).then_some((*version, value))
+            let (version, value) = self.sealed_version(key)?;
+            (version <= position).then_some((version, value))
         })
+    }
+
+    /// The newest version of `key` at or below the watermark: its sealed
+    /// one, else its genesis value.
+    fn sealed_version(&self, key: Key) -> Option<(Version, &Value)> {
+        match self.sealed.get(&key) {
+            Some((version, value)) => Some((*version, value)),
+            None => Some((Version::GENESIS, self.genesis.get(key)?)),
+        }
+    }
+
+    /// The genesis entries no seal has replaced.
+    fn genesis_only(&self) -> impl Iterator<Item = (Key, &Value)> + '_ {
+        let genesis = self.genesis.0.iter();
+        genesis.filter_map(|(key, value)| (!self.sealed.contains_key(key)).then_some((*key, value)))
     }
 
     /// Reads the newest version of `key`.
@@ -188,10 +242,10 @@ impl MvccState {
         self.versions(key).collect()
     }
 
-    /// The stored versions of `key`, ascending: the sealed one, then each
-    /// open block's.
+    /// The stored versions of `key`, ascending: the sealed (or genesis)
+    /// one, then each open block's.
     fn versions(&self, key: Key) -> impl Iterator<Item = Version> + '_ {
-        let sealed = self.sealed.get(&key).map(|(version, _)| *version);
+        let sealed = self.sealed_version(key).map(|(version, _)| version);
         let open = self.open.iter().flat_map(move |(&block, writes)| {
             let range = writes.range((key, SeqNo(0))..=(key, SeqNo(u32::MAX)));
             range.map(move |((_, seq), _)| Version::new(block, *seq))
@@ -203,14 +257,16 @@ impl MvccState {
     /// commit-watermark garbage collection bounds.
     #[must_use]
     pub fn total_versions(&self) -> usize {
-        self.sealed.len() + self.open.values().map(BTreeMap::len).sum::<usize>()
+        let open = self.open.values().map(BTreeMap::len).sum::<usize>();
+        self.sealed.len() + self.genesis_only().count() + open
     }
 
     /// Per key, the newest version at or below `horizon` and its value,
     /// in no particular order, each key once: the open blocks at or below
     /// the horizon, oldest first, each overriding the one before with its
     /// newest write per key, then every sealed version at or below the
-    /// horizon whose key no open block wrote.
+    /// horizon and every unreplaced genesis value, whose key no open
+    /// block wrote.
     fn visible_at(&self, horizon: Version) -> Vec<(Key, Version, &Value)> {
         let mut open: HashMap<Key, (Version, &Value)> = HashMap::new();
         for (&block, writes) in self.open.range(..=horizon.block) {
@@ -224,6 +280,8 @@ impl MvccState {
         }
         let sealed = self.sealed.iter();
         let sealed = sealed.map(|(&key, (version, value))| (key, *version, value));
+        let genesis = self.genesis_only();
+        let sealed = sealed.chain(genesis.map(|(key, value)| (key, Version::GENESIS, value)));
         let mut visible: Vec<(Key, Version, &Value)> = sealed
             .filter(|(key, version, _)| *version <= horizon && !open.contains_key(key))
             .collect();

@@ -2,13 +2,15 @@
 //! pipeline leans on (DESIGN.md §7): version-positioned reads, sorted
 //! chains under arbitrary interleavings, and seals that never change
 //! what a live reader can observe — and a model-based run that holds
-//! every query to a naive versioned map with a watermark after each step.
+//! every query to a naive versioned map with a watermark after each step,
+//! and replicas over one shared genesis table against replicas that each
+//! hold their own copy.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use parblock_ledger::{prune_to_sealed, MvccState, Version};
+use parblock_ledger::{prune_to_sealed, Genesis, MvccState, Version};
 use parblock_types::{Block, BlockNumber, Hash32, Key, SeqNo, Value};
 
 fn v(block: u64, seq: u32) -> Version {
@@ -293,5 +295,102 @@ proptest! {
                 prop_assert_eq!(state.snapshot_at(horizon), snapshot);
             }
         }
+    }
+}
+
+/// Strategy: genesis entries over six keys, two of which no operation of
+/// [`arb_ops`] writes, with repeated keys (the last value wins).
+fn arb_genesis() -> impl Strategy<Value = Vec<(Key, Value)>> {
+    let entry =
+        (0u64..6, 0u64..50).prop_map(|(key, val)| (Key(key), Value::Int(1_000 + val as i64)));
+    proptest::collection::vec(entry, 0..10)
+}
+
+/// A replica holding its own copy of `genesis`: every entry put at
+/// [`Version::GENESIS`] into its sealed versions, block 0 sealed.
+fn private_copy(genesis: &[(Key, Value)]) -> MvccState {
+    let mut state = MvccState::new();
+    for (key, val) in genesis {
+        state.put(*key, val.clone(), Version::GENESIS);
+    }
+    prune_to_sealed(&block(0), &mut state);
+    state
+}
+
+/// Everything a reader can ask of a store, over every key either
+/// strategy names and every position the grid tells apart.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    reads: Vec<Option<Value>>,
+    latest: Vec<Option<Version>>,
+    versions: Vec<Vec<Version>>,
+    total: usize,
+    digests: Vec<Hash32>,
+    snapshots: Vec<Vec<(Key, Value, Version)>>,
+}
+
+fn observe(state: &MvccState) -> Observed {
+    let keys = || (0u64..6).map(Key);
+    let positions = positions();
+    let block_ends = positions.iter().filter(|at| at.seq == SeqNo(u32::MAX));
+    Observed {
+        reads: keys()
+            .flat_map(|key| positions.iter().map(move |&at| (key, at)))
+            .map(|(key, at)| state.get_at(key, at))
+            .collect(),
+        latest: keys().map(|key| state.latest_version(key)).collect(),
+        versions: keys().map(|key| state.versions_of(key)).collect(),
+        total: state.total_versions(),
+        digests: block_ends.map(|&at| state.digest_at(at)).collect(),
+        snapshots: positions.iter().map(|&at| state.snapshot_at(at)).collect(),
+    }
+}
+
+/// Applies `op` to `state`, whose newest sealed block is `watermark`.
+fn apply(state: &mut MvccState, watermark: u64, op: &Op) {
+    match op {
+        Op::Put(key, ver, val) => state.put(*key, val.clone(), *ver),
+        Op::PutOpen(key, ahead, seq, val) => {
+            let ver = Version::new(BlockNumber(watermark + ahead), *seq);
+            state.put(*key, val.clone(), ver);
+        }
+        Op::PruneToSealed(number) => prune_to_sealed(&block(*number), state),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Two replicas over one [`Genesis`] table answer every query as two
+    /// replicas holding private copies of the same entries do, after
+    /// every step of a random run of puts (below, at and above the
+    /// watermark, genesis keys included) and seals. While the run writes
+    /// only the first replica, the second reads as a fresh state; then
+    /// the same run brings the second to the same answers.
+    #[test]
+    fn replicas_over_one_genesis_table_match_private_copies(
+        genesis in arb_genesis(),
+        ops in arb_ops(),
+    ) {
+        let table = Genesis::new(genesis.iter().cloned());
+        let mut shared = [MvccState::over(table.clone()), MvccState::over(table)];
+        let mut private = [private_copy(&genesis), private_copy(&genesis)];
+        let fresh = observe(&private[1]);
+        prop_assert_eq!(&observe(&shared[0]), &fresh);
+        for replica in 0..2 {
+            let mut watermark = 0;
+            for op in &ops {
+                apply(&mut shared[replica], watermark, op);
+                apply(&mut private[replica], watermark, op);
+                if let Op::PruneToSealed(number) = op {
+                    watermark = watermark.max(*number);
+                }
+                prop_assert_eq!(observe(&shared[replica]), observe(&private[replica]));
+                if replica == 0 {
+                    prop_assert_eq!(&observe(&shared[1]), &fresh);
+                }
+            }
+        }
+        prop_assert_eq!(observe(&shared[0]), observe(&shared[1]));
     }
 }
